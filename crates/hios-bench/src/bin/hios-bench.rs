@@ -7,8 +7,10 @@
 //! With no experiment names, runs everything (fig1..fig14).  `--quick`
 //! drops the per-point instance count from the paper's 30 to 8 for a fast
 //! smoke run; `--smoke` shrinks grids further for CI.  `--validate`
-//! structurally checks every schedule the experiments produce.  Results
-//! land in `<out>/figNN_*.csv` plus a combined `<out>/summary.md`.
+//! structurally checks every schedule the experiments produce and
+//! asserts the studies' headline criteria.  Results land in
+//! `<out>/<table>.csv` plus a combined `<out>/summary.md`; where the
+//! studies' `BENCH_*.json` go is [`hios_bench::study`]'s business.
 
 use hios_bench::RunCfg;
 use hios_bench::experiments::{Experiment, all_experiments};

@@ -16,8 +16,7 @@
 //!   profile;
 //! * `greedy` — oracle-free greedy dispatch on the stale profile.
 //!
-//! A machine-readable summary lands in `BENCH_drift.json` at the
-//! repository root; headline fields:
+//! Headline criteria:
 //!
 //! * `adaptive_no_worse_everywhere` — adaptive ≤ static on **both** p99
 //!   latency and miss rate in **every** drift cell;
@@ -26,20 +25,18 @@
 //! * `zero_drift_identical` — with no drift, calibration on/off produce
 //!   bit-identical serving histories (the loop is free when unneeded).
 //!
-//! `--validate` turns all three headline criteria into hard assertions.
+//! `--validate` turns all three headline criteria into hard assertions
+//! (and requires the drift cells to raise alarms at all).
 
-use crate::table::f3;
+use crate::study::{Headlines, Row, Study, col, layered_tenants, nominal_bounds};
 use crate::{RunCfg, Table};
-use hios_core::bounds;
-use hios_cost::{AnalyticCostModel, CalibrationConfig};
-use hios_graph::{LayeredDagConfig, generate_layered_dag};
+use hios_cost::CalibrationConfig;
 use hios_serve::{
     Policy, Request, ServeConfig, ServeReport, ServedModel, WorkloadConfig, generate_trace,
     serve_drift,
 };
 use hios_sim::{DriftPlan, FaultPlan};
 use rayon::prelude::*;
-use serde_json::Value;
 
 /// GPUs in the shared backend.
 const GPUS: usize = 3;
@@ -52,6 +49,25 @@ struct Load {
     requests: usize,
     deadline_factor: f64,
 }
+
+/// The load levels (`--smoke` runs only the first).
+const LOADS: [Load; 2] = [
+    Load {
+        name: "steady",
+        rate_rps: 150.0,
+        requests: 80,
+        deadline_factor: 8.0,
+    },
+    Load {
+        name: "heavy",
+        rate_rps: 400.0,
+        requests: 160,
+        deadline_factor: 10.0,
+    },
+];
+
+/// The drift shapes (`--smoke` runs only the first two).
+const SHAPES: [&str; 4] = ["none", "ramp", "bursts", "walk"];
 
 /// One planning mode compared in every cell.
 #[derive(Clone, Copy)]
@@ -95,60 +111,32 @@ struct CellOut {
 }
 
 impl CellOut {
-    fn to_json(&self) -> Value {
-        let r = &self.report;
-        Value::Object(vec![
-            ("load".into(), Value::Str(self.cfg.load.name.to_string())),
-            (
-                "arrival_rate_rps".into(),
-                Value::Num(self.cfg.load.rate_rps),
-            ),
-            ("requests".into(), Value::Num(r.total as f64)),
-            (
-                "deadline_factor".into(),
-                Value::Num(self.cfg.load.deadline_factor),
-            ),
-            ("drift".into(), Value::Str(self.cfg.shape.to_string())),
-            ("mode".into(), Value::Str(self.cfg.mode.name.to_string())),
-            ("completed".into(), Value::Num(r.completed as f64)),
-            ("on_time".into(), Value::Num(r.on_time as f64)),
-            ("p50_ms".into(), Value::Num(r.p50_ms)),
-            ("p95_ms".into(), Value::Num(r.p95_ms)),
-            ("p99_ms".into(), Value::Num(r.p99_ms)),
-            ("miss_rate".into(), Value::Num(r.miss_rate)),
-            ("shed_rate".into(), Value::Num(r.shed_rate)),
-            ("goodput_rps".into(), Value::Num(r.goodput_rps)),
-            ("drift_alarms".into(), Value::Num(r.drift_alarms as f64)),
-            ("recalibrations".into(), Value::Num(r.recalibrations as f64)),
-            (
-                "cache_invalidations".into(),
-                Value::Num(r.cache_invalidations as f64),
-            ),
-        ])
+    fn row(&self) -> Row {
+        let (c, r) = (&self.cfg, &self.report);
+        vec![
+            col("load", c.load.name),
+            col("arrival_rate_rps", c.load.rate_rps).json_only(),
+            col("requests", r.total).json_only(),
+            col("deadline_factor", c.load.deadline_factor).json_only(),
+            col("drift", c.shape),
+            col("mode", c.mode.name),
+            col("completed", r.completed),
+            col("on_time", r.on_time).json_only(),
+            col("p50_ms", r.p50_ms).dp(3),
+            col("p95_ms", r.p95_ms).json_only(),
+            col("p99_ms", r.p99_ms).dp(3),
+            col("miss_rate", r.miss_rate).dp(3),
+            col("shed_rate", r.shed_rate).json_only(),
+            col("goodput_rps", r.goodput_rps).dp(2),
+            col("drift_alarms", r.drift_alarms).csv_as("alarms"),
+            col("recalibrations", r.recalibrations).csv_as("recal"),
+            col("cache_invalidations", r.cache_invalidations).json_only(),
+        ]
     }
 }
 
-/// The two tenant models served in every cell.
-fn tenants() -> Vec<ServedModel> {
-    [(41u64, 36usize), (42, 48)]
-        .iter()
-        .map(|&(seed, ops)| {
-            let graph = generate_layered_dag(&LayeredDagConfig {
-                ops,
-                layers: 6,
-                deps: ops * 2,
-                seed,
-            })
-            .expect("feasible tenant workload");
-            let cost = AnalyticCostModel::a40_nvlink().build_table(&graph);
-            ServedModel {
-                name: format!("tenant{seed}"),
-                graph,
-                cost,
-            }
-        })
-        .collect()
-}
+/// The two tenant models served in every cell, as `(seed, ops)`.
+const TENANTS: [(u64, usize); 2] = [(41, 36), (42, 48)];
 
 /// The drift plan of a scenario.  All plans target the last GPU so the
 /// stale profile keeps routing critical stages onto the slowed device.
@@ -169,10 +157,6 @@ fn drift_for(shape: &'static str) -> DriftPlan {
 /// The shared arrival trace of a load level: every mode and drift shape
 /// at that load sees the identical trace.
 fn trace_for(models: &[ServedModel], load: Load) -> Vec<Request> {
-    let nominal: Vec<f64> = models
-        .iter()
-        .map(|m| bounds::combined_bound(&m.graph, &m.cost, GPUS))
-        .collect();
     generate_trace(
         &WorkloadConfig {
             requests: load.requests,
@@ -180,12 +164,12 @@ fn trace_for(models: &[ServedModel], load: Load) -> Vec<Request> {
             deadline_factor: load.deadline_factor,
             seed: 17,
         },
-        &nominal,
+        &nominal_bounds(models, GPUS),
     )
 }
 
 fn run_cell(c: CellCfg) -> CellOut {
-    let models = tenants();
+    let models = layered_tenants(&TENANTS);
     let trace = trace_for(&models, c.load);
     let mut cfg = ServeConfig::new(GPUS);
     cfg.policy = c.mode.policy;
@@ -195,7 +179,7 @@ fn run_cell(c: CellCfg) -> CellOut {
     let out = serve_drift(
         &models,
         &trace,
-        &FaultPlan::new(vec![]),
+        &FaultPlan::none(),
         &drift_for(c.shape),
         &cfg,
     )
@@ -206,23 +190,9 @@ fn run_cell(c: CellCfg) -> CellOut {
     }
 }
 
-/// Headline verdicts over the full grid.
-struct Verdict {
-    /// Adaptive ≤ static on p99 AND miss rate in every drift cell.
-    adaptive_no_worse_everywhere: bool,
-    /// Adaptive strictly beats greedy (other metric no worse) in ≥1
-    /// drift cell.
-    adaptive_beats_greedy: bool,
-    /// Drift alarms raised by adaptive across all drift cells.
-    alarms_total: u64,
-    /// Worst adaptive-vs-static p99 ratio across drift cells (≤ 1 is
-    /// good).
-    worst_p99_ratio: f64,
-}
-
 /// Extract the (adaptive, static, greedy) triple of each (load, shape)
-/// cell and fold the acceptance verdicts.
-fn verdict(outs: &[CellOut]) -> Verdict {
+/// cell and fold the acceptance headlines.
+fn verdict(outs: &[CellOut]) -> Headlines {
     let mut no_worse = true;
     let mut beats_greedy = false;
     let mut alarms = 0u64;
@@ -250,12 +220,33 @@ fn verdict(outs: &[CellOut]) -> Verdict {
             beats_greedy = true;
         }
     }
-    Verdict {
-        adaptive_no_worse_everywhere: no_worse,
-        adaptive_beats_greedy: beats_greedy,
-        alarms_total: alarms,
-        worst_p99_ratio: worst_ratio,
-    }
+    let mut h = Headlines::default();
+    h.criterion(
+        "adaptive_no_worse_everywhere",
+        no_worse,
+        format_args!(
+            "adaptive must match static planning on p99 and miss rate in every drift cell \
+             (worst p99 ratio {worst_ratio})"
+        ),
+    );
+    h.criterion(
+        "adaptive_beats_greedy",
+        beats_greedy,
+        "adaptive must strictly beat greedy dispatch in at least one drift cell",
+    );
+    h.criterion(
+        "zero_drift_identical",
+        zero_drift_identical(outs),
+        "zero-drift calibration must be bit-identical to calibration off",
+    );
+    h.metric_must(
+        "alarms_total",
+        alarms,
+        alarms > 0,
+        "drift cells must raise alarms",
+    );
+    h.metric("worst_p99_ratio", worst_ratio);
+    h
 }
 
 /// The zero-drift bit-identity headline: with no drift, calibration
@@ -273,34 +264,10 @@ fn zero_drift_identical(outs: &[CellOut]) -> bool {
 
 /// The `drift` experiment.
 pub fn drift(cfg: &RunCfg) -> Table {
-    let (loads, shapes): (&[Load], &[&'static str]) = if cfg.smoke {
-        (
-            &[Load {
-                name: "steady",
-                rate_rps: 150.0,
-                requests: 80,
-                deadline_factor: 8.0,
-            }],
-            &["none", "ramp"],
-        )
+    let (loads, shapes) = if cfg.smoke {
+        (&LOADS[..1], &SHAPES[..2])
     } else {
-        (
-            &[
-                Load {
-                    name: "steady",
-                    rate_rps: 150.0,
-                    requests: 80,
-                    deadline_factor: 8.0,
-                },
-                Load {
-                    name: "heavy",
-                    rate_rps: 400.0,
-                    requests: 160,
-                    deadline_factor: 10.0,
-                },
-            ],
-            &["none", "ramp", "bursts", "walk"],
-        )
+        (&LOADS[..], &SHAPES[..])
     };
     let mut cells: Vec<CellCfg> = Vec::new();
     for &load in loads {
@@ -311,87 +278,13 @@ pub fn drift(cfg: &RunCfg) -> Table {
         }
     }
     let outs: Vec<CellOut> = cells.into_par_iter().map(run_cell).collect();
-    let v = verdict(&outs);
-    let identical = zero_drift_identical(&outs);
-    if cfg.validate {
-        assert!(
-            v.adaptive_no_worse_everywhere,
-            "adaptive must match static planning on p99 and miss rate in every drift cell \
-             (worst p99 ratio {})",
-            v.worst_p99_ratio
-        );
-        assert!(
-            v.adaptive_beats_greedy,
-            "adaptive must strictly beat greedy dispatch in at least one drift cell"
-        );
-        assert!(
-            identical,
-            "zero-drift calibration must be bit-identical to calibration off"
-        );
-        assert!(v.alarms_total > 0, "drift cells must raise alarms");
-    }
-
-    let mut t = Table::new(
+    Study::new(
         "drift",
         "Serving under cost-model drift: adaptive calibration vs static planning vs greedy",
-        &[
-            "load",
-            "drift",
-            "mode",
-            "completed",
-            "p50_ms",
-            "p99_ms",
-            "miss_rate",
-            "goodput_rps",
-            "alarms",
-            "recal",
-        ],
-    );
-    for o in &outs {
-        let r = &o.report;
-        t.push(vec![
-            o.cfg.load.name.to_string(),
-            o.cfg.shape.to_string(),
-            o.cfg.mode.name.to_string(),
-            r.completed.to_string(),
-            f3(r.p50_ms),
-            f3(r.p99_ms),
-            format!("{:.3}", r.miss_rate),
-            format!("{:.2}", r.goodput_rps),
-            r.drift_alarms.to_string(),
-            r.recalibrations.to_string(),
-        ]);
-    }
-
-    let json = Value::Object(vec![
-        ("experiment".into(), Value::Str("drift".into())),
-        ("gpus".into(), Value::Num(GPUS as f64)),
-        ("smoke".into(), Value::Bool(cfg.smoke)),
-        (
-            "points".into(),
-            Value::Array(outs.iter().map(CellOut::to_json).collect()),
-        ),
-        (
-            "headline".into(),
-            Value::Object(vec![
-                (
-                    "adaptive_no_worse_everywhere".into(),
-                    Value::Bool(v.adaptive_no_worse_everywhere),
-                ),
-                (
-                    "adaptive_beats_greedy".into(),
-                    Value::Bool(v.adaptive_beats_greedy),
-                ),
-                ("zero_drift_identical".into(), Value::Bool(identical)),
-                ("alarms_total".into(), Value::Num(v.alarms_total as f64)),
-                ("worst_p99_ratio".into(), Value::Num(v.worst_p99_ratio)),
-            ]),
-        ),
-    ]);
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_drift.json");
-    let rendered = serde_json::to_string_pretty(&json).expect("JSON rendering");
-    std::fs::write(&out, rendered + "\n").expect("write BENCH_drift.json");
-    t
+    )
+    .meta("gpus", GPUS)
+    .meta("smoke", cfg.smoke)
+    .finish(outs.iter().map(CellOut::row), verdict(&outs), cfg)
 }
 
 #[cfg(test)]
@@ -400,30 +293,22 @@ mod tests {
 
     #[test]
     fn ramp_cell_prefers_adaptive_calibration() {
-        let load = Load {
-            name: "steady",
-            rate_rps: 150.0,
-            requests: 80,
-            deadline_factor: 8.0,
-        };
         let outs: Vec<CellOut> = MODES
             .iter()
             .map(|&mode| {
                 run_cell(CellCfg {
-                    load,
+                    load: LOADS[0],
                     shape: "ramp",
                     mode,
                 })
             })
             .collect();
-        let v = verdict(&outs);
-        assert!(v.adaptive_no_worse_everywhere, "p99/miss verdict failed");
-        assert!(v.alarms_total > 0, "ramp must raise alarms");
+        verdict(&outs).assert_hold();
     }
 
     #[test]
     fn every_drift_shape_builds_a_valid_plan() {
-        for shape in ["none", "ramp", "bursts", "walk"] {
+        for shape in SHAPES {
             drift_for(shape).validate(GPUS).expect("plan fits platform");
         }
     }

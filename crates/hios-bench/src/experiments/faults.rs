@@ -7,11 +7,10 @@
 //! detect → repair → resume loop over jittered repetitions
 //! ([`hios_sim::measure_recovery`]).  Reported per cell: completion rate,
 //! latency-degradation ratio (faulted mean / fault-free mean) and mean
-//! repair count.  A machine-readable summary lands in `BENCH_faults.json`
-//! at the repository root, headline field
-//! `completion_rate_overall` (the acceptance bar is 1.0).
+//! repair count.  Headline field: `completion_rate_overall` (the
+//! acceptance bar is 1.0).
 
-use crate::table::f3;
+use crate::study::{Headlines, Row, Study, col};
 use crate::{RunCfg, Table};
 use hios_core::repair::{RepairConfig, RepairPolicy};
 use hios_core::{Algorithm, SchedulerOptions, run_scheduler};
@@ -22,7 +21,6 @@ use hios_sim::{
     simulate,
 };
 use rayon::prelude::*;
-use serde_json::Value;
 
 /// One grid cell's inputs.
 #[derive(Clone, Copy)]
@@ -48,22 +46,20 @@ impl CellOut {
         self.faulted_ms / self.base_ms
     }
 
-    fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("model".into(), Value::Str(self.cfg.model.to_string())),
-            ("input_size".into(), Value::Num(f64::from(self.cfg.size))),
-            ("gpus".into(), Value::Num(self.cfg.gpus as f64)),
-            ("fault".into(), Value::Str(self.cfg.fault.to_string())),
-            (
-                "policy".into(),
-                Value::Str(self.cfg.policy.name().to_string()),
-            ),
-            ("completion_rate".into(), Value::Num(self.completion_rate)),
-            ("fault_free_ms".into(), Value::Num(self.base_ms)),
-            ("faulted_ms".into(), Value::Num(self.faulted_ms)),
-            ("degradation".into(), Value::Num(self.degradation())),
-            ("mean_repairs".into(), Value::Num(self.mean_repairs)),
-        ])
+    fn row(&self) -> Row {
+        let c = &self.cfg;
+        vec![
+            col("model", c.model),
+            col("input_size", c.size),
+            col("gpus", c.gpus),
+            col("fault", c.fault),
+            col("policy", c.policy.name()),
+            col("completion_rate", self.completion_rate).dp(2),
+            col("fault_free_ms", self.base_ms).dp(3),
+            col("faulted_ms", self.faulted_ms).dp(3),
+            col("degradation", self.degradation()).dp(3),
+            col("mean_repairs", self.mean_repairs).dp(2),
+        ]
     }
 }
 
@@ -174,59 +170,20 @@ pub fn fault_matrix(cfg: &RunCfg) -> Table {
         .map(|c| run_cell(c, runs, cfg.validate))
         .collect();
 
-    let mut t = Table::new(
-        "fault_matrix",
-        "Fault tolerance: completion rate and latency degradation under injected faults",
-        &[
-            "model",
-            "input_size",
-            "gpus",
-            "fault",
-            "policy",
-            "completion_rate",
-            "fault_free_ms",
-            "faulted_ms",
-            "degradation",
-            "mean_repairs",
-        ],
-    );
-    for o in &outs {
-        t.push(vec![
-            o.cfg.model.to_string(),
-            o.cfg.size.to_string(),
-            o.cfg.gpus.to_string(),
-            o.cfg.fault.to_string(),
-            o.cfg.policy.name().to_string(),
-            format!("{:.2}", o.completion_rate),
-            f3(o.base_ms),
-            f3(o.faulted_ms),
-            format!("{:.3}", o.degradation()),
-            format!("{:.2}", o.mean_repairs),
-        ]);
-    }
-
     let overall = outs.iter().map(|o| o.completion_rate).sum::<f64>() / outs.len() as f64;
     let worst = outs.iter().map(CellOut::degradation).fold(0.0f64, f64::max);
-    let json = Value::Object(vec![
-        ("experiment".into(), Value::Str("fault-matrix".into())),
-        ("runs_per_cell".into(), Value::Num(f64::from(runs))),
-        ("smoke".into(), Value::Bool(cfg.smoke)),
-        (
-            "points".into(),
-            Value::Array(outs.iter().map(CellOut::to_json).collect()),
-        ),
-        (
-            "headline".into(),
-            Value::Object(vec![
-                ("completion_rate_overall".into(), Value::Num(overall)),
-                ("worst_degradation".into(), Value::Num(worst)),
-            ]),
-        ),
-    ]);
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_faults.json");
-    let rendered = serde_json::to_string_pretty(&json).expect("JSON rendering");
-    std::fs::write(&out, rendered + "\n").expect("write BENCH_faults.json");
-    t
+    let mut headline = Headlines::default();
+    headline
+        .metric("completion_rate_overall", overall)
+        .metric("worst_degradation", worst);
+    Study::new(
+        "fault-matrix",
+        "Fault tolerance: completion rate and latency degradation under injected faults",
+    )
+    .files("fault_matrix", "faults")
+    .meta("runs_per_cell", runs)
+    .meta("smoke", cfg.smoke)
+    .finish(outs.iter().map(CellOut::row), headline, cfg)
 }
 
 #[cfg(test)]

@@ -11,20 +11,26 @@
 //!   NVLink-bridged A40s (the pre-refactor world view); the resulting
 //!   schedule is then priced on the true platform.
 //!
-//! A machine-readable summary lands in `BENCH_hetero.json` at the
-//! repository root, headline field `hetero_lp_beats_homogeneous` (the
-//! acceptance bar is `true` on every cell).
+//! Headline criterion: `hetero_lp_beats_homogeneous` (the acceptance bar
+//! is `true` on every cell).
 
 use super::testbed::build_model;
-use crate::table::f3;
+use crate::study::{Headlines, Row, Study, col};
 use crate::{RunCfg, Table};
 use hios_core::{Algorithm, SchedulerOptions, evaluate, run_scheduler};
 use hios_cost::{AnalyticCostModel, Platform, platform_table};
 use rayon::prelude::*;
-use serde_json::Value;
 
 /// GPU count of the mixed box (fixed by the platform preset).
 const GPUS: usize = 4;
+
+/// The `(model, input size)` grid (`--smoke` runs only the first cell).
+const GRID: [(&str, u32); 4] = [
+    ("inception_v3", 299),
+    ("inception_v3", 512),
+    ("nasnet", 331),
+    ("nasnet", 512),
+];
 
 /// One grid cell's inputs.
 #[derive(Clone, Copy)]
@@ -49,16 +55,24 @@ impl CellOut {
         self.homog_lp_ms / self.hetero_lp_ms
     }
 
-    fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("model".into(), Value::Str(self.cfg.model.to_string())),
-            ("input_size".into(), Value::Num(f64::from(self.cfg.size))),
-            ("hetero_lp_ms".into(), Value::Num(self.hetero_lp_ms)),
-            ("hetero_mr_ms".into(), Value::Num(self.hetero_mr_ms)),
-            ("sequential_ms".into(), Value::Num(self.sequential_ms)),
-            ("homog_lp_ms".into(), Value::Num(self.homog_lp_ms)),
-            ("speedup".into(), Value::Num(self.speedup())),
-        ])
+    fn row(&self) -> Row {
+        vec![
+            col("model", self.cfg.model),
+            col("input_size", self.cfg.size),
+            col("hetero_lp_ms", self.hetero_lp_ms)
+                .dp(3)
+                .csv_as("hetero_lp"),
+            col("hetero_mr_ms", self.hetero_mr_ms)
+                .dp(3)
+                .csv_as("hetero_mr"),
+            col("sequential_ms", self.sequential_ms)
+                .dp(3)
+                .csv_as("sequential"),
+            col("homog_lp_ms", self.homog_lp_ms)
+                .dp(3)
+                .csv_as("homog_assumption_lp"),
+            col("speedup", self.speedup()).dp(3),
+        ]
     }
 }
 
@@ -106,86 +120,35 @@ fn run_cell(cfg: CellCfg, validate: bool) -> CellOut {
 /// versus the homogeneous-assumption schedule, both priced on the true
 /// platform.
 pub fn hetero(cfg: &RunCfg) -> Table {
-    let grid: Vec<CellCfg> = if cfg.smoke {
-        vec![CellCfg {
-            model: "inception_v3",
-            size: 299,
-        }]
-    } else {
-        [
-            ("inception_v3", 299),
-            ("inception_v3", 512),
-            ("nasnet", 331),
-            ("nasnet", 512),
-        ]
-        .into_iter()
-        .map(|(model, size)| CellCfg { model, size })
-        .collect()
-    };
+    let grid = if cfg.smoke { &GRID[..1] } else { &GRID[..] };
     let outs: Vec<CellOut> = grid
-        .into_par_iter()
-        .map(|c| run_cell(c, cfg.validate))
+        .par_iter()
+        .map(|&(model, size)| run_cell(CellCfg { model, size }, cfg.validate))
         .collect();
 
-    let mut t = Table::new(
-        "hetero",
-        "Heterogeneous mixed A40+V100S box: hetero-aware scheduling vs the homogeneous assumption (ms, priced on the true platform)",
-        &[
-            "model",
-            "input_size",
-            "hetero_lp",
-            "hetero_mr",
-            "sequential",
-            "homog_assumption_lp",
-            "speedup",
-        ],
-    );
-    for o in &outs {
-        t.push(vec![
-            o.cfg.model.to_string(),
-            o.cfg.size.to_string(),
-            f3(o.hetero_lp_ms),
-            f3(o.hetero_mr_ms),
-            f3(o.sequential_ms),
-            f3(o.homog_lp_ms),
-            format!("{:.3}", o.speedup()),
-        ]);
-    }
-
     let all_win = outs.iter().all(|o| o.hetero_lp_ms < o.homog_lp_ms);
-    if cfg.validate {
-        assert!(
-            all_win,
-            "hetero-aware HIOS-LP must beat the homogeneous assumption on every cell"
-        );
-    }
     let worst = outs
         .iter()
         .map(CellOut::speedup)
         .fold(f64::INFINITY, f64::min);
     let mean = outs.iter().map(CellOut::speedup).sum::<f64>() / outs.len() as f64;
-    let json = Value::Object(vec![
-        ("experiment".into(), Value::Str("hetero".into())),
-        ("platform".into(), Value::Str("mixed_a40_v100s".into())),
-        ("gpus".into(), Value::Num(GPUS as f64)),
-        ("smoke".into(), Value::Bool(cfg.smoke)),
-        (
-            "points".into(),
-            Value::Array(outs.iter().map(CellOut::to_json).collect()),
-        ),
-        (
-            "headline".into(),
-            Value::Object(vec![
-                ("hetero_lp_beats_homogeneous".into(), Value::Bool(all_win)),
-                ("worst_speedup".into(), Value::Num(worst)),
-                ("mean_speedup".into(), Value::Num(mean)),
-            ]),
-        ),
-    ]);
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_hetero.json");
-    let rendered = serde_json::to_string_pretty(&json).expect("JSON rendering");
-    std::fs::write(&out, rendered + "\n").expect("write BENCH_hetero.json");
-    t
+    let mut headline = Headlines::default();
+    headline.criterion(
+        "hetero_lp_beats_homogeneous",
+        all_win,
+        "hetero-aware HIOS-LP must beat the homogeneous assumption on every cell",
+    );
+    headline
+        .metric("worst_speedup", worst)
+        .metric("mean_speedup", mean);
+    Study::new(
+        "hetero",
+        "Heterogeneous mixed A40+V100S box: hetero-aware scheduling vs the homogeneous assumption (ms, priced on the true platform)",
+    )
+    .meta("platform", "mixed_a40_v100s")
+    .meta("gpus", GPUS)
+    .meta("smoke", cfg.smoke)
+    .finish(outs.iter().map(CellOut::row), headline, cfg)
 }
 
 #[cfg(test)]
@@ -228,15 +191,17 @@ mod tests {
 
     #[test]
     fn smoke_run_emits_table_and_headline() {
-        let t = hetero(&RunCfg {
+        let out_dir = std::env::temp_dir().join("hios_bench_hetero_smoke");
+        let _ = std::fs::remove_dir_all(&out_dir);
+        let cfg = RunCfg {
             smoke: true,
+            out_dir,
             ..Default::default()
-        });
+        };
+        let t = hetero(&cfg);
         assert_eq!(t.rows.len(), 1);
-        let json = std::fs::read_to_string(
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_hetero.json"),
-        )
-        .expect("BENCH_hetero.json written");
+        let json = std::fs::read_to_string(cfg.out_dir.join("BENCH_hetero.json"))
+            .expect("smoke artifact lands under out_dir");
         assert!(json.contains("\"hetero_lp_beats_homogeneous\": true"));
     }
 }

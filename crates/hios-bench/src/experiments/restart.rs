@@ -17,8 +17,7 @@
 //! * `wipeout` — a bit flips in the *first* record, so recovery
 //!   quarantines the whole log and the restart is effectively cold.
 //!
-//! A machine-readable summary lands in `BENCH_restart.json` at the
-//! repository root; headline fields:
+//! Headline criteria:
 //!
 //! * `warm_beats_cold_everywhere` — restart p99 first-dispatch latency
 //!   strictly below the cold process's in every cell with a usable
@@ -36,17 +35,14 @@
 //!
 //! `--validate` turns all five headline criteria into hard assertions.
 
-use crate::table::f3;
+use crate::study::{Headlines, Row, Study, col, layered_tenants};
 use crate::{RunCfg, Table};
-use hios_cost::AnalyticCostModel;
-use hios_graph::{LayeredDagConfig, generate_layered_dag};
 use hios_serve::{
     PriorityClass, Request, Rung, ServeConfig, ServeOutcome, ServeReport, ServedModel, StoreConfig,
     serve,
 };
 use hios_sim::FaultPlan;
 use rayon::prelude::*;
-use serde_json::Value;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,84 +95,50 @@ struct CellOut {
 }
 
 impl CellOut {
-    fn to_json(&self) -> Value {
-        Value::Object(vec![
-            (
-                "scenario".into(),
-                Value::Str(self.corruption.name().to_string()),
-            ),
-            ("requests".into(), Value::Num(self.cold.total as f64)),
-            (
-                "cold_first_p99_ms".into(),
-                Value::Num(self.cold_first_p99_ms),
-            ),
-            (
-                "warm_first_p99_ms".into(),
-                Value::Num(self.warm_first_p99_ms),
-            ),
-            ("cold_p99_ms".into(), Value::Num(self.cold.p99_ms)),
-            ("warm_p99_ms".into(), Value::Num(self.warm.p99_ms)),
-            ("cold_goodput_rps".into(), Value::Num(self.cold.goodput_rps)),
-            ("warm_goodput_rps".into(), Value::Num(self.warm.goodput_rps)),
-            (
-                "warm_store_hits".into(),
-                Value::Num(self.warm.rungs[Rung::Store.index()] as f64),
-            ),
-            (
-                "warm_quarantines".into(),
-                Value::Num(self.warm.store.quarantines as f64),
-            ),
-            (
-                "warm_recovered_records".into(),
-                Value::Num(self.warm.store_recovery.records_loaded as f64),
-            ),
-            (
-                "warm_quarantined_bytes".into(),
-                Value::Num(self.warm.store_recovery.tail_bytes_quarantined as f64),
-            ),
-            (
-                "cold_puts_full".into(),
-                Value::Num(self.cold.store.puts_full as f64),
-            ),
-            (
-                "cold_puts_delta".into(),
-                Value::Num(self.cold.store.puts_delta as f64),
-            ),
-            (
-                "warm_completed".into(),
-                Value::Num(self.warm.completed as f64),
-            ),
-            (
-                "digest_match".into(),
-                Value::Bool(self.warm.history_digest == self.cold.history_digest),
-            ),
-        ])
+    fn digest_match(&self) -> bool {
+        self.warm.history_digest == self.cold.history_digest
+    }
+
+    fn row(&self) -> Row {
+        let (cold, warm) = (&self.cold, &self.warm);
+        vec![
+            col("scenario", self.corruption.name()),
+            col("requests", cold.total).json_only(),
+            col("cold_first_p99_ms", self.cold_first_p99_ms)
+                .dp(3)
+                .csv_as("cold_first_p99"),
+            col("warm_first_p99_ms", self.warm_first_p99_ms)
+                .dp(3)
+                .csv_as("warm_first_p99"),
+            col("cold_p99_ms", cold.p99_ms).json_only(),
+            col("warm_p99_ms", warm.p99_ms).json_only(),
+            col("cold_goodput_rps", cold.goodput_rps).json_only(),
+            col("warm_goodput_rps", warm.goodput_rps).json_only(),
+            col("warm_store_hits", warm.rungs[Rung::Store.index()]).csv_as("store_hits"),
+            col("warm_quarantines", warm.store.quarantines).json_only(),
+            col("warm_recovered_records", warm.store_recovery.records_loaded).json_only(),
+            col(
+                "warm_quarantined_bytes",
+                warm.store_recovery.tail_bytes_quarantined,
+            )
+            .csv_as("quar_bytes"),
+            col("cold_puts_full", cold.store.puts_full).json_only(),
+            col("cold_puts_delta", cold.store.puts_delta).json_only(),
+            col("warm_completed", warm.completed)
+                .csv_as("completed")
+                .cell(format!("{}/{}", warm.completed, warm.total)),
+            col("digest_match", self.digest_match()),
+        ]
     }
 }
 
-/// The tenant models.  Every DAG is large enough (> 63 ops) that a
-/// store hit (0.25 ms modeled) strictly undercuts even the greedy
-/// rung (0.004 ms/op), so warm-vs-cold first-dispatch comparisons are
-/// strict whatever rung the cold process could afford.
-fn tenants(n: usize) -> Vec<ServedModel> {
-    (0..n)
-        .map(|i| {
-            let ops = 100 + 20 * i;
-            let graph = generate_layered_dag(&LayeredDagConfig {
-                ops,
-                layers: 6,
-                deps: ops * 2,
-                seed: 71 + i as u64,
-            })
-            .expect("feasible tenant workload");
-            let cost = AnalyticCostModel::a40_nvlink().build_table(&graph);
-            ServedModel {
-                name: format!("dag{ops}"),
-                graph,
-                cost,
-            }
-        })
-        .collect()
+/// The first `n` tenant models, as `(seed, ops)`.  Every DAG is large
+/// enough (> 63 ops) that a store hit (0.25 ms modeled) strictly
+/// undercuts even the greedy rung (0.004 ms/op), so warm-vs-cold
+/// first-dispatch comparisons are strict whatever rung the cold process
+/// could afford.
+fn tenant_specs(n: usize) -> Vec<(u64, usize)> {
+    (0..n).map(|i| (71 + i as u64, 100 + 20 * i)).collect()
 }
 
 /// The shared arrival trace: fixed 3 ms spacing, generous deadlines,
@@ -255,9 +217,9 @@ fn run_cell(corruption: Corruption, models: &[ServedModel], trace: &[Request]) -
     let mut cfg = ServeConfig::new(GPUS);
     cfg.store = Some(StoreConfig::at(&path));
 
-    let cold = serve(models, trace, &FaultPlan::new(vec![]), &cfg).expect("cold serving run");
+    let cold = serve(models, trace, &FaultPlan::none(), &cfg).expect("cold serving run");
     inject(&path, corruption);
-    let warm = serve(models, trace, &FaultPlan::new(vec![]), &cfg).expect("restarted serving run");
+    let warm = serve(models, trace, &FaultPlan::none(), &cfg).expect("restarted serving run");
 
     let out = CellOut {
         corruption,
@@ -270,22 +232,8 @@ fn run_cell(corruption: Corruption, models: &[ServedModel], trace: &[Request]) -
     out
 }
 
-/// Headline verdicts over the full grid.
-struct Verdict {
-    /// Warm p99 first-dispatch latency strictly below cold in every
-    /// cell with a usable prefix.
-    warm_beats_cold_everywhere: bool,
-    /// Fraction of corruption cells that quarantined the damage and
-    /// completed every request.
-    recovery_rate: f64,
-    /// Store-rung serves in wipeout cells (no stored plan is
-    /// trustworthy there; must be 0).
-    corrupt_plans_served: u64,
-    /// Wipeout restarts replay the cold run bit-for-bit.
-    wipeout_identical: bool,
-}
-
-fn verdict(outs: &[CellOut]) -> Verdict {
+/// Folds the acceptance headlines over the grid.
+fn verdict(outs: &[CellOut]) -> Headlines {
     let mut beats = true;
     let mut recovered = 0usize;
     let mut corrupted = 0usize;
@@ -298,7 +246,7 @@ fn verdict(outs: &[CellOut]) -> Verdict {
             }
         } else {
             corrupt_served += o.warm.rungs[Rung::Store.index()];
-            wipe_identical &= o.warm.history_digest == o.cold.history_digest;
+            wipe_identical &= o.digest_match();
         }
         if o.corruption != Corruption::None {
             corrupted += 1;
@@ -312,12 +260,33 @@ fn verdict(outs: &[CellOut]) -> Verdict {
             }
         }
     }
-    Verdict {
-        warm_beats_cold_everywhere: beats,
-        recovery_rate: recovered as f64 / corrupted.max(1) as f64,
-        corrupt_plans_served: corrupt_served,
-        wipeout_identical: wipe_identical,
-    }
+    let recovery_rate = recovered as f64 / corrupted.max(1) as f64;
+
+    let mut h = Headlines::default();
+    h.criterion(
+        "warm_beats_cold_everywhere",
+        beats,
+        "restart p99 first-dispatch latency must strictly beat the cold process \
+         in every cell with a usable log prefix",
+    );
+    h.metric_must(
+        "recovery_rate",
+        recovery_rate,
+        (recovery_rate - 1.0).abs() < f64::EPSILON,
+        "every corruption cell must quarantine the damage and complete all requests",
+    );
+    h.metric_must(
+        "corrupt_plans_served",
+        corrupt_served,
+        corrupt_served == 0,
+        "a fully-corrupted log must never serve a stored plan",
+    );
+    h.criterion(
+        "wipeout_identical",
+        wipe_identical,
+        "a wiped-out log must degrade to the cold run bit-for-bit",
+    );
+    h
 }
 
 /// The `restart` experiment.
@@ -340,108 +309,33 @@ pub fn restart(cfg: &RunCfg) -> Table {
             ],
         )
     };
-    let models = tenants(n_models);
+    let models = layered_tenants(&tenant_specs(n_models));
     let trace = trace_for(n_models, requests);
 
     // The disabled-store reference: attaching an empty store must not
     // perturb serving (store misses are free on the virtual clock).
-    let plain = serve(
-        &models,
-        &trace,
-        &FaultPlan::new(vec![]),
-        &ServeConfig::new(GPUS),
-    )
-    .expect("store-less serving run");
+    let plain = serve(&models, &trace, &FaultPlan::none(), &ServeConfig::new(GPUS))
+        .expect("store-less serving run");
 
     let outs: Vec<CellOut> = scenarios
         .par_iter()
         .map(|&c| run_cell(c, &models, &trace))
         .collect();
-    let v = verdict(&outs);
-    let disabled_identical = outs
-        .iter()
-        .all(|o| o.cold.history_digest == plain.report.history_digest);
+    let mut headline = verdict(&outs);
+    headline.criterion(
+        "disabled_identical",
+        outs.iter()
+            .all(|o| o.cold.history_digest == plain.report.history_digest),
+        "an empty attached store must be bit-identical to no store at all",
+    );
 
-    if cfg.validate {
-        assert!(
-            v.warm_beats_cold_everywhere,
-            "restart p99 first-dispatch latency must strictly beat the cold process \
-             in every cell with a usable log prefix"
-        );
-        assert!(
-            (v.recovery_rate - 1.0).abs() < f64::EPSILON,
-            "every corruption cell must quarantine the damage and complete all requests \
-             (recovery rate {})",
-            v.recovery_rate
-        );
-        assert_eq!(
-            v.corrupt_plans_served, 0,
-            "a fully-corrupted log must never serve a stored plan"
-        );
-        assert!(
-            v.wipeout_identical,
-            "a wiped-out log must degrade to the cold run bit-for-bit"
-        );
-        assert!(
-            disabled_identical,
-            "an empty attached store must be bit-identical to no store at all"
-        );
-    }
-
-    let mut t = Table::new(
+    Study::new(
         "restart",
         "Crash-safe warm starts: cold vs restarted serving across plan-log corruption",
-        &[
-            "scenario",
-            "cold_first_p99",
-            "warm_first_p99",
-            "store_hits",
-            "quar_bytes",
-            "completed",
-            "digest_match",
-        ],
-    );
-    for o in &outs {
-        t.push(vec![
-            o.corruption.name().to_string(),
-            f3(o.cold_first_p99_ms),
-            f3(o.warm_first_p99_ms),
-            o.warm.rungs[Rung::Store.index()].to_string(),
-            o.warm.store_recovery.tail_bytes_quarantined.to_string(),
-            format!("{}/{}", o.warm.completed, o.warm.total),
-            (o.warm.history_digest == o.cold.history_digest).to_string(),
-        ]);
-    }
-
-    let json = Value::Object(vec![
-        ("experiment".into(), Value::Str("restart".into())),
-        ("gpus".into(), Value::Num(GPUS as f64)),
-        ("smoke".into(), Value::Bool(cfg.smoke)),
-        (
-            "points".into(),
-            Value::Array(outs.iter().map(CellOut::to_json).collect()),
-        ),
-        (
-            "headline".into(),
-            Value::Object(vec![
-                (
-                    "warm_beats_cold_everywhere".into(),
-                    Value::Bool(v.warm_beats_cold_everywhere),
-                ),
-                ("recovery_rate".into(), Value::Num(v.recovery_rate)),
-                (
-                    "corrupt_plans_served".into(),
-                    Value::Num(v.corrupt_plans_served as f64),
-                ),
-                ("wipeout_identical".into(), Value::Bool(v.wipeout_identical)),
-                ("disabled_identical".into(), Value::Bool(disabled_identical)),
-            ]),
-        ),
-    ]);
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_restart.json");
-    let rendered = serde_json::to_string_pretty(&json).expect("JSON rendering");
-    std::fs::write(&out, rendered + "\n").expect("write BENCH_restart.json");
-    t
+    )
+    .meta("gpus", GPUS)
+    .meta("smoke", cfg.smoke)
+    .finish(outs.iter().map(CellOut::row), headline, cfg)
 }
 
 #[cfg(test)]
@@ -450,7 +344,7 @@ mod tests {
 
     #[test]
     fn clean_restart_warm_starts_and_beats_cold() {
-        let models = tenants(2);
+        let models = layered_tenants(&tenant_specs(2));
         let trace = trace_for(2, 24);
         let o = run_cell(Corruption::None, &models, &trace);
         assert!(o.warm.rungs[Rung::Store.index()] >= 2, "both models warm");
@@ -465,12 +359,9 @@ mod tests {
 
     #[test]
     fn wipeout_restart_degrades_to_the_cold_run() {
-        let models = tenants(1);
+        let models = layered_tenants(&tenant_specs(1));
         let trace = trace_for(1, 12);
         let o = run_cell(Corruption::Wipeout, &models, &trace);
-        let v = verdict(std::slice::from_ref(&o));
-        assert_eq!(v.corrupt_plans_served, 0);
-        assert!(v.wipeout_identical, "wipeout must replay the cold run");
-        assert!((v.recovery_rate - 1.0).abs() < f64::EPSILON);
+        verdict(std::slice::from_ref(&o)).assert_hold();
     }
 }

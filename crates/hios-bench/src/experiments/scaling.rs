@@ -4,19 +4,18 @@
 //! pre-optimization implementations kept in `hios_core::reference` on
 //! layered DAGs of growing size (the simulation-study workload generator,
 //! §V-A), checking on the way that both produce bit-identical latencies.
-//! Besides the usual CSV table it writes a machine-readable summary,
-//! `BENCH_schedulers.json`, at the repository root: per-cell median and
-//! p95 wall-clock plus the headline LP speedup on the largest instance
-//! (1000 operators, 160 layers, 4 GPUs).  IOS is excluded: its DP cost is
+//! Its `BENCH_schedulers.json` holds per-cell median and p95 wall-clock
+//! plus the headline LP speedup on the largest instance (1000 operators,
+//! 160 layers, 4 GPUs).  IOS is excluded: its DP cost is
 //! dominated by group profiling, which Fig. 14 already covers.
 
+use crate::study::{Headlines, Row, Study, col};
 use crate::{RunCfg, Table};
 use hios_core::lp::{HiosLpConfig, schedule_hios_lp};
 use hios_core::mr::{HiosMrConfig, schedule_hios_mr};
 use hios_core::reference;
 use hios_cost::{CostTable, RandomCostConfig, random_cost_table};
 use hios_graph::{Graph, LayeredDagConfig, generate_layered_dag};
-use serde_json::Value;
 use std::time::Instant;
 
 /// `(ops, layers)` grid; dependencies are `2 * ops` as in the sweep study.
@@ -76,18 +75,18 @@ impl Cell {
         self.ref_median / self.new_median
     }
 
-    fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("ops".into(), Value::Num(self.ops as f64)),
-            ("layers".into(), Value::Num(self.layers as f64)),
-            ("gpus".into(), Value::Num(self.gpus as f64)),
-            ("algo".into(), Value::Str(self.algo.to_string())),
-            ("ref_median_ms".into(), Value::Num(self.ref_median)),
-            ("ref_p95_ms".into(), Value::Num(self.ref_p95)),
-            ("new_median_ms".into(), Value::Num(self.new_median)),
-            ("new_p95_ms".into(), Value::Num(self.new_p95)),
-            ("speedup_median".into(), Value::Num(self.speedup())),
-        ])
+    fn row(&self) -> Row {
+        vec![
+            col("ops", self.ops),
+            col("layers", self.layers),
+            col("gpus", self.gpus),
+            col("algo", self.algo),
+            col("ref_median_ms", self.ref_median).dp(3),
+            col("ref_p95_ms", self.ref_p95).dp(3),
+            col("new_median_ms", self.new_median).dp(3),
+            col("new_p95_ms", self.new_p95).dp(3),
+            col("speedup_median", self.speedup()).dp(2),
+        ]
     }
 }
 
@@ -140,21 +139,6 @@ fn measure(g: &Graph, cost: &CostTable, gpus: usize, reps: usize) -> (Cell, Cell
 /// optimized engine against the reference implementations.
 pub fn sched_scaling(cfg: &RunCfg) -> Table {
     let reps = if cfg.seeds <= 8 { 3 } else { 5 };
-    let mut t = Table::new(
-        "sched_scaling",
-        "Scheduling wall-clock vs problem size: optimized engine vs reference (ms)",
-        &[
-            "ops",
-            "layers",
-            "gpus",
-            "algo",
-            "ref_median_ms",
-            "ref_p95_ms",
-            "new_median_ms",
-            "new_p95_ms",
-            "speedup_median",
-        ],
-    );
     let mut cells: Vec<Cell> = Vec::new();
     for &(ops, layers) in &SIZES {
         let g = generate_layered_dag(&LayeredDagConfig {
@@ -173,45 +157,21 @@ pub fn sched_scaling(cfg: &RunCfg) -> Table {
             cells.push(mr);
         }
     }
-    for c in &cells {
-        t.push(vec![
-            c.ops.to_string(),
-            c.layers.to_string(),
-            c.gpus.to_string(),
-            c.algo.to_string(),
-            format!("{:.3}", c.ref_median),
-            format!("{:.3}", c.ref_p95),
-            format!("{:.3}", c.new_median),
-            format!("{:.3}", c.new_p95),
-            format!("{:.2}", c.speedup()),
-        ]);
-    }
-
-    let headline = cells
+    let speedup = cells
         .iter()
         .find(|c| c.ops == 1000 && c.gpus == 4 && c.algo == "HIOS-LP")
         .map(Cell::speedup)
         .unwrap_or(f64::NAN);
-    let json = Value::Object(vec![
-        ("experiment".into(), Value::Str("sched-scaling".into())),
-        ("reps".into(), Value::Num(reps as f64)),
-        ("seed".into(), Value::Num(SEED as f64)),
-        (
-            "points".into(),
-            Value::Array(cells.iter().map(Cell::to_json).collect()),
-        ),
-        (
-            "headline".into(),
-            Value::Object(vec![(
-                "lp_speedup_vs_reference_1000ops_160layers_4gpus".into(),
-                Value::Num(headline),
-            )]),
-        ),
-    ]);
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_schedulers.json");
-    let rendered = serde_json::to_string_pretty(&json).expect("JSON rendering");
-    std::fs::write(&out, rendered + "\n").expect("write BENCH_schedulers.json");
-    t
+    let mut headline = Headlines::default();
+    headline.metric("lp_speedup_vs_reference_1000ops_160layers_4gpus", speedup);
+    Study::new(
+        "sched-scaling",
+        "Scheduling wall-clock vs problem size: optimized engine vs reference (ms)",
+    )
+    .files("sched_scaling", "schedulers")
+    .meta("reps", reps)
+    .meta("seed", SEED)
+    .finish(cells.iter().map(Cell::row), headline, cfg)
 }
 
 #[cfg(test)]

@@ -4,8 +4,7 @@
 //! policy on a shared multi-GPU backend serving two tenant DAGs.  Each
 //! cell replays the same seeded Poisson arrival trace through
 //! [`hios_serve::serve`] and reports latency percentiles, deadline-miss
-//! rate, shed rate, and goodput.  A machine-readable summary lands in
-//! `BENCH_serving.json` at the repository root; headline fields:
+//! rate, shed rate, and goodput.  Headline criteria:
 //!
 //! * `anytime_beats_fixed_lp` — in at least one overload+fault cell the
 //!   anytime ladder beats always-run-the-full-LP on **both** p99 latency
@@ -17,17 +16,13 @@
 //!
 //! `--validate` turns both headline criteria into hard assertions.
 
-use crate::table::f3;
+use crate::study::{Headlines, Row, Study, col, layered_tenants, nominal_bounds};
 use crate::{RunCfg, Table};
-use hios_core::bounds;
-use hios_cost::AnalyticCostModel;
-use hios_graph::{LayeredDagConfig, generate_layered_dag};
 use hios_serve::{
     Policy, Request, ServeConfig, ServeReport, ServedModel, WorkloadConfig, generate_trace, serve,
 };
 use hios_sim::{FaultEvent, FaultKind, FaultPlan};
 use rayon::prelude::*;
-use serde_json::Value;
 
 /// GPUs in the shared backend.
 const GPUS: usize = 3;
@@ -39,6 +34,29 @@ struct Load {
     rate_rps: f64,
     requests: usize,
 }
+
+/// The load levels of the full grid.
+const LOADS: [Load; 2] = [
+    Load {
+        name: "light",
+        rate_rps: 100.0,
+        requests: 80,
+    },
+    Load {
+        name: "overload",
+        rate_rps: 2000.0,
+        requests: 160,
+    },
+];
+
+/// The smoke grid's only load: the overload level on a shorter trace.
+const SMOKE_LOAD: Load = Load {
+    requests: 80,
+    ..LOADS[1]
+};
+
+/// The fault scenarios (`--smoke` runs only the first two).
+const FAULTS: [&str; 3] = ["none", "gpu-fail", "gpu+link"];
 
 /// One grid cell's inputs.
 #[derive(Clone, Copy)]
@@ -56,60 +74,32 @@ struct CellOut {
 }
 
 impl CellOut {
-    fn to_json(&self) -> Value {
-        let r = &self.report;
-        Value::Object(vec![
-            ("load".into(), Value::Str(self.cfg.load.name.to_string())),
-            (
-                "arrival_rate_rps".into(),
-                Value::Num(self.cfg.load.rate_rps),
-            ),
-            ("requests".into(), Value::Num(r.total as f64)),
-            (
-                "deadline_factor".into(),
-                Value::Num(self.cfg.deadline_factor),
-            ),
-            ("fault".into(), Value::Str(self.cfg.fault.to_string())),
-            (
-                "policy".into(),
-                Value::Str(self.cfg.policy.name().to_string()),
-            ),
-            ("completed".into(), Value::Num(r.completed as f64)),
-            ("on_time".into(), Value::Num(r.on_time as f64)),
-            ("p50_ms".into(), Value::Num(r.p50_ms)),
-            ("p95_ms".into(), Value::Num(r.p95_ms)),
-            ("p99_ms".into(), Value::Num(r.p99_ms)),
-            ("miss_rate".into(), Value::Num(r.miss_rate)),
-            ("shed_rate".into(), Value::Num(r.shed_rate)),
-            ("goodput_rps".into(), Value::Num(r.goodput_rps)),
-            ("repairs".into(), Value::Num(r.repairs as f64)),
-            ("breaker_opens".into(), Value::Num(r.breaker_opens as f64)),
-            ("cache_hits".into(), Value::Num(r.cache.0 as f64)),
-        ])
+    fn row(&self) -> Row {
+        let (c, r) = (&self.cfg, &self.report);
+        vec![
+            col("load", c.load.name),
+            col("arrival_rate_rps", c.load.rate_rps).json_only(),
+            col("requests", r.total).json_only(),
+            col("deadline_factor", c.deadline_factor).dp(0),
+            col("fault", c.fault),
+            col("policy", c.policy.name()),
+            col("completed", r.completed),
+            col("on_time", r.on_time).json_only(),
+            col("p50_ms", r.p50_ms).dp(3),
+            col("p95_ms", r.p95_ms).json_only(),
+            col("p99_ms", r.p99_ms).dp(3),
+            col("miss_rate", r.miss_rate).dp(3),
+            col("shed_rate", r.shed_rate).dp(3),
+            col("goodput_rps", r.goodput_rps).dp(2),
+            col("repairs", r.repairs),
+            col("breaker_opens", r.breaker_opens).json_only(),
+            col("cache_hits", r.cache.0).json_only(),
+        ]
     }
 }
 
-/// The two tenant models served in every cell.
-fn tenants() -> Vec<ServedModel> {
-    [(31u64, 36usize), (32, 48)]
-        .iter()
-        .map(|&(seed, ops)| {
-            let graph = generate_layered_dag(&LayeredDagConfig {
-                ops,
-                layers: 6,
-                deps: ops * 2,
-                seed,
-            })
-            .expect("feasible tenant workload");
-            let cost = AnalyticCostModel::a40_nvlink().build_table(&graph);
-            ServedModel {
-                name: format!("tenant{seed}"),
-                graph,
-                cost,
-            }
-        })
-        .collect()
-}
+/// The two tenant models served in every cell, as `(seed, ops)`.
+const TENANTS: [(u64, usize); 2] = [(31, 36), (32, 48)];
 
 /// The fault plan of a scenario.  Faults land mid-stream (well after the
 /// first dispatch, well before the trace drains).
@@ -138,10 +128,6 @@ fn plan_for(fault: &'static str) -> FaultPlan {
 /// The shared arrival trace of a (load, deadline) pair: every policy in
 /// the cell sees the identical trace.
 fn trace_for(models: &[ServedModel], load: Load, factor: f64) -> Vec<Request> {
-    let nominal: Vec<f64> = models
-        .iter()
-        .map(|m| bounds::combined_bound(&m.graph, &m.cost, GPUS))
-        .collect();
     generate_trace(
         &WorkloadConfig {
             requests: load.requests,
@@ -149,12 +135,12 @@ fn trace_for(models: &[ServedModel], load: Load, factor: f64) -> Vec<Request> {
             deadline_factor: factor,
             seed: 23,
         },
-        &nominal,
+        &nominal_bounds(models, GPUS),
     )
 }
 
 fn run_cell(c: CellCfg) -> CellOut {
-    let models = tenants();
+    let models = layered_tenants(&TENANTS);
     let trace = trace_for(&models, c.load, c.deadline_factor);
     let mut cfg = ServeConfig::new(GPUS);
     cfg.policy = c.policy;
@@ -165,20 +151,9 @@ fn run_cell(c: CellCfg) -> CellOut {
     }
 }
 
-/// Headline verdicts over the full grid.
-struct Verdict {
-    /// Anytime beats FixedFullLp on p99 AND miss rate in ≥1
-    /// overload+fault cell.
-    anytime_beats_fixed_lp: bool,
-    /// Anytime goodput ≥ GreedyOnly goodput in every cell.
-    anytime_goodput_ok: bool,
-    /// Worst anytime-vs-greedy goodput ratio across cells.
-    worst_goodput_ratio: f64,
-}
-
 /// Extract the (anytime, fixed, greedy) triple of each (load, factor,
-/// fault) cell and fold the acceptance verdicts.
-fn verdict(outs: &[CellOut]) -> Verdict {
+/// fault) cell and fold the acceptance headlines.
+fn verdict(outs: &[CellOut]) -> Headlines {
     let mut beats = false;
     let mut goodput_ok = true;
     let mut worst_ratio = f64::INFINITY;
@@ -208,11 +183,21 @@ fn verdict(outs: &[CellOut]) -> Verdict {
             goodput_ok = false;
         }
     }
-    Verdict {
-        anytime_beats_fixed_lp: beats,
-        anytime_goodput_ok: goodput_ok,
-        worst_goodput_ratio: worst_ratio,
-    }
+    let mut h = Headlines::default();
+    h.criterion(
+        "anytime_beats_fixed_lp",
+        beats,
+        "anytime must beat FixedFullLp on p99 and miss rate in an overload+fault cell",
+    );
+    h.criterion(
+        "anytime_goodput_ok",
+        goodput_ok,
+        format_args!(
+            "anytime goodput must match greedy-only in every cell (worst ratio {worst_ratio})"
+        ),
+    );
+    h.metric("worst_goodput_ratio", worst_ratio);
+    h
 }
 
 /// All policies, in the order [`verdict`] expects per cell.
@@ -220,33 +205,10 @@ const POLICIES: [Policy; 3] = [Policy::Anytime, Policy::FixedFullLp, Policy::Gre
 
 /// The `serving` experiment.
 pub fn serving(cfg: &RunCfg) -> Table {
-    let (loads, factors, faults): (&[Load], &[f64], &[&'static str]) = if cfg.smoke {
-        (
-            &[Load {
-                name: "overload",
-                rate_rps: 2000.0,
-                requests: 80,
-            }],
-            &[600.0],
-            &["none", "gpu-fail"],
-        )
+    let (loads, factors, faults): (&[Load], &[f64], _) = if cfg.smoke {
+        (&[SMOKE_LOAD], &[600.0], &FAULTS[..2])
     } else {
-        (
-            &[
-                Load {
-                    name: "light",
-                    rate_rps: 100.0,
-                    requests: 80,
-                },
-                Load {
-                    name: "overload",
-                    rate_rps: 2000.0,
-                    requests: 160,
-                },
-            ],
-            &[200.0, 800.0],
-            &["none", "gpu-fail", "gpu+link"],
-        )
+        (&LOADS, &[200.0, 800.0], &FAULTS[..])
     };
     let mut cells: Vec<CellCfg> = Vec::new();
     for &load in loads {
@@ -264,83 +226,13 @@ pub fn serving(cfg: &RunCfg) -> Table {
         }
     }
     let outs: Vec<CellOut> = cells.into_par_iter().map(run_cell).collect();
-    let v = verdict(&outs);
-    if cfg.validate {
-        assert!(
-            v.anytime_beats_fixed_lp,
-            "anytime must beat FixedFullLp on p99 and miss rate in an overload+fault cell"
-        );
-        assert!(
-            v.anytime_goodput_ok,
-            "anytime goodput must match greedy-only in every cell (worst ratio {})",
-            v.worst_goodput_ratio
-        );
-    }
-
-    let mut t = Table::new(
+    Study::new(
         "serving",
         "Deadline-aware serving: latency percentiles, miss/shed rates, and goodput per policy",
-        &[
-            "load",
-            "deadline_factor",
-            "fault",
-            "policy",
-            "completed",
-            "p50_ms",
-            "p99_ms",
-            "miss_rate",
-            "shed_rate",
-            "goodput_rps",
-            "repairs",
-        ],
-    );
-    for o in &outs {
-        let r = &o.report;
-        t.push(vec![
-            o.cfg.load.name.to_string(),
-            format!("{:.0}", o.cfg.deadline_factor),
-            o.cfg.fault.to_string(),
-            o.cfg.policy.name().to_string(),
-            r.completed.to_string(),
-            f3(r.p50_ms),
-            f3(r.p99_ms),
-            format!("{:.3}", r.miss_rate),
-            format!("{:.3}", r.shed_rate),
-            format!("{:.2}", r.goodput_rps),
-            r.repairs.to_string(),
-        ]);
-    }
-
-    let json = Value::Object(vec![
-        ("experiment".into(), Value::Str("serving".into())),
-        ("gpus".into(), Value::Num(GPUS as f64)),
-        ("smoke".into(), Value::Bool(cfg.smoke)),
-        (
-            "points".into(),
-            Value::Array(outs.iter().map(CellOut::to_json).collect()),
-        ),
-        (
-            "headline".into(),
-            Value::Object(vec![
-                (
-                    "anytime_beats_fixed_lp".into(),
-                    Value::Bool(v.anytime_beats_fixed_lp),
-                ),
-                (
-                    "anytime_goodput_ok".into(),
-                    Value::Bool(v.anytime_goodput_ok),
-                ),
-                (
-                    "worst_goodput_ratio".into(),
-                    Value::Num(v.worst_goodput_ratio),
-                ),
-            ]),
-        ),
-    ]);
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serving.json");
-    let rendered = serde_json::to_string_pretty(&json).expect("JSON rendering");
-    std::fs::write(&out, rendered + "\n").expect("write BENCH_serving.json");
-    t
+    )
+    .meta("gpus", GPUS)
+    .meta("smoke", cfg.smoke)
+    .finish(outs.iter().map(CellOut::row), verdict(&outs), cfg)
 }
 
 #[cfg(test)]
@@ -349,32 +241,25 @@ mod tests {
 
     #[test]
     fn overload_fault_cell_prefers_the_anytime_ladder() {
-        let load = Load {
-            name: "overload",
-            rate_rps: 2000.0,
-            requests: 80,
-        };
         let outs: Vec<CellOut> = POLICIES
             .iter()
             .map(|&policy| {
                 run_cell(CellCfg {
-                    load,
+                    load: SMOKE_LOAD,
                     deadline_factor: 600.0,
                     fault: "gpu-fail",
                     policy,
                 })
             })
             .collect();
-        let v = verdict(&outs);
-        assert!(v.anytime_beats_fixed_lp, "p99/miss verdict failed");
-        assert!(v.anytime_goodput_ok, "goodput verdict failed");
+        verdict(&outs).assert_hold();
     }
 
     #[test]
     fn every_fault_scenario_builds_a_valid_plan() {
-        for fault in ["none", "gpu-fail", "gpu+link"] {
+        for fault in FAULTS {
             let plan = plan_for(fault);
-            for m in &tenants() {
+            for m in &layered_tenants(&TENANTS) {
                 plan.validate(&m.graph, GPUS).expect("plan fits platform");
             }
         }

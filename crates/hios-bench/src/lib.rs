@@ -3,11 +3,13 @@
 //! One module per paper figure under [`experiments`]; the `hios-bench`
 //! binary drives them and writes CSV + a markdown summary under
 //! `results/`.  Shared plumbing (tables, statistics, the random-DAG
-//! sweep runner) lives in this crate root.
+//! sweep runner) lives in this crate root; the studies that also write a
+//! `BENCH_*.json` declare themselves through [`study`].
 
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod study;
 pub mod table;
 
 pub use table::Table;

@@ -15,7 +15,9 @@ use hios_graph::paths::longest_to_sink;
 /// operator priced on its *fastest* device class, so the bound stays
 /// admissible on heterogeneous platforms.
 pub fn critical_path_bound(g: &Graph, cost: &CostTable) -> f64 {
-    crate::simd::max_f64(&longest_to_sink(g, |v| cost.exec_best(v), |_, _| 0.0))
+    longest_to_sink(g, |v| cost.exec_best(v), |_, _| 0.0)
+        .into_iter()
+        .fold(0.0f64, f64::max)
 }
 
 /// Work bound: total *SM-work* divided by the number of GPUs.

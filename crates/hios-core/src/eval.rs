@@ -337,7 +337,12 @@ impl EvalWorkspace {
         self.indeg_w.clear();
         self.indeg_w.extend_from_slice(&self.indeg);
         self.worklist.clear();
-        crate::simd::push_zero_indices(&self.indeg_w, &mut self.worklist);
+        // The initial ready frontier, in ascending stage order.
+        for (s, &indeg) in self.indeg_w.iter().enumerate() {
+            if indeg == 0 {
+                self.worklist.push(s);
+            }
+        }
         let mut done = 0usize;
         while let Some(s) = self.worklist.pop() {
             // The pop order is topological (a stage is popped only once
@@ -363,7 +368,7 @@ impl EvalWorkspace {
         if done != n_stages {
             return Err(EvalError::StageCycle);
         }
-        Ok(crate::simd::max_f64(&self.finish))
+        Ok(self.finish.iter().copied().fold(0.0f64, f64::max))
     }
 
     /// Baseline start time of the stage at `(gpu, stage)`.

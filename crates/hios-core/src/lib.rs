@@ -31,9 +31,8 @@
 //! results are bit-identical at any thread count.  The evaluation core is
 //! data-oriented — dense `u32` indices over flat structure-of-arrays
 //! buffers ([`dense::DenseContext`], the CSR stage graph inside
-//! [`eval::EvalWorkspace`]) — and the default-off `simd` feature swaps
-//! its reduction kernels for explicit SSE2/AVX `std::arch` paths, again
-//! bit-identical.
+//! [`eval::EvalWorkspace`]) — written as plain fixed-stride loops the
+//! compiler can autovectorize.
 
 #![warn(missing_docs)]
 
@@ -53,8 +52,6 @@ pub mod reference;
 pub mod repair;
 pub mod schedule;
 pub mod seq;
-mod simd;
-pub mod stats;
 pub mod window;
 
 pub use api::{

@@ -37,7 +37,7 @@
 //!   brownout thresholds.
 
 use crate::health::{HealthConfig, HealthSample, HealthView};
-use crate::report::{ClassStats, percentile};
+use crate::report::{ClassStats, Fnv, OutcomeFold};
 use crate::request::{Disposition, PriorityClass, Request, RequestRecord, ServeError, ShedReason};
 use crate::router::{Router, RouterConfig, RouterPolicy};
 use crate::server::{self, ServeConfig, ServeOutcome, ServedModel, Server};
@@ -314,24 +314,7 @@ pub struct FleetOutcome {
 /// recursively, so two runs agree iff every request took the same path
 /// to the same fate.
 pub fn fleet_history_digest(records: &[FleetRecord]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x1000_0000_01b3;
-    fn eat(h: &mut u64, x: u64) {
-        for b in x.to_le_bytes() {
-            *h ^= u64::from(b);
-            *h = h.wrapping_mul(PRIME);
-        }
-    }
-    fn shed_code(reason: &ShedReason) -> u64 {
-        match reason {
-            ShedReason::QueueFull { .. } => 10,
-            ShedReason::DeadlineUnmeetable { .. } => 11,
-            ShedReason::RetriesExhausted { .. } => 12,
-            ShedReason::Brownout { .. } => 13,
-            ShedReason::RetryBudgetExhausted { .. } => 14,
-        }
-    }
-    fn fold(h: &mut u64, d: &FleetDisposition) {
+    fn fold(h: &mut Fnv, d: &FleetDisposition) {
         match d {
             FleetDisposition::Completed {
                 cluster,
@@ -342,35 +325,35 @@ pub fn fleet_history_digest(records: &[FleetRecord]) -> u64 {
                 repairs,
                 hedged,
             } => {
-                eat(h, 1);
-                eat(h, *cluster as u64);
-                eat(h, finish_ms.to_bits());
-                eat(h, latency_ms.to_bits());
-                eat(h, u64::from(*attempts));
-                eat(h, u64::from(*met_deadline));
-                eat(h, u64::from(*repairs));
-                eat(h, u64::from(*hedged));
+                h.eat(1);
+                h.eat(*cluster as u64);
+                h.eat(finish_ms.to_bits());
+                h.eat(latency_ms.to_bits());
+                h.eat(u64::from(*attempts));
+                h.eat(u64::from(*met_deadline));
+                h.eat(u64::from(*repairs));
+                h.eat(u64::from(*hedged));
             }
             FleetDisposition::Shed {
                 cluster,
                 at_ms,
                 reason,
             } => {
-                eat(h, 2);
-                eat(h, cluster.map_or(0, |c| c as u64 + 1));
-                eat(h, at_ms.to_bits());
+                h.eat(2);
+                h.eat(cluster.map_or(0, |c| c as u64 + 1));
+                h.eat(at_ms.to_bits());
                 match reason {
-                    FleetShedReason::Cluster(r) => eat(h, shed_code(r)),
+                    FleetShedReason::Cluster(r) => h.eat_shed(r),
                     FleetShedReason::DeadCluster { cluster } => {
-                        eat(h, 20);
-                        eat(h, *cluster as u64);
+                        h.eat(20);
+                        h.eat(*cluster as u64);
                     }
                     FleetShedReason::Partitioned { cluster } => {
-                        eat(h, 21);
-                        eat(h, *cluster as u64);
+                        h.eat(21);
+                        h.eat(*cluster as u64);
                     }
-                    FleetShedReason::Backpressure => eat(h, 22),
-                    FleetShedReason::NoRoutableCluster => eat(h, 23),
+                    FleetShedReason::Backpressure => h.eat(22),
+                    FleetShedReason::NoRoutableCluster => h.eat(23),
                 }
             }
             FleetDisposition::Rerouted {
@@ -379,10 +362,10 @@ pub fn fleet_history_digest(records: &[FleetRecord]) -> u64 {
                 at_ms,
                 outcome,
             } => {
-                eat(h, 3);
-                eat(h, *from as u64);
-                eat(h, *to as u64);
-                eat(h, at_ms.to_bits());
+                h.eat(3);
+                h.eat(*from as u64);
+                h.eat(*to as u64);
+                h.eat(at_ms.to_bits());
                 fold(h, outcome);
             }
             FleetDisposition::FailoverShed {
@@ -390,30 +373,30 @@ pub fn fleet_history_digest(records: &[FleetRecord]) -> u64 {
                 at_ms,
                 reason,
             } => {
-                eat(h, 4);
-                eat(h, *from as u64);
-                eat(h, at_ms.to_bits());
+                h.eat(4);
+                h.eat(*from as u64);
+                h.eat(at_ms.to_bits());
                 match reason {
                     FailoverReason::DeadlineInfeasible {
                         bound_finish_ms,
                         deadline_ms,
                     } => {
-                        eat(h, 30);
-                        eat(h, bound_finish_ms.to_bits());
-                        eat(h, deadline_ms.to_bits());
+                        h.eat(30);
+                        h.eat(bound_finish_ms.to_bits());
+                        h.eat(deadline_ms.to_bits());
                     }
-                    FailoverReason::NoRoutableCluster => eat(h, 31),
-                    FailoverReason::Backpressure => eat(h, 32),
+                    FailoverReason::NoRoutableCluster => h.eat(31),
+                    FailoverReason::Backpressure => h.eat(32),
                 }
             }
         }
     }
-    let mut h = OFFSET;
+    let mut h = Fnv::new();
     for r in records {
-        eat(&mut h, r.request.id);
+        h.eat(r.request.id);
         fold(&mut h, &r.disposition);
     }
-    h
+    h.finish()
 }
 
 /// A completed failover hop, recorded so the terminal disposition can be
@@ -1061,20 +1044,15 @@ struct FleetCounters {
 }
 
 fn summarize_fleet(records: &[FleetRecord], horizon_ms: f64, ctr: FleetCounters) -> FleetReport {
-    let total = records.len();
-    let mut completed = 0;
-    let mut on_time = 0;
     let mut rerouted = 0;
     let mut failover_sheds = 0;
     let mut dead_cluster_sheds = 0;
     let mut partitioned_sheds = 0;
     let mut backpressure_sheds = 0;
     let mut no_routable_sheds = 0;
-    let mut class_stats = [ClassStats::default(); 3];
-    let mut class_latencies: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+    let mut fold = OutcomeFold::default();
     for r in records {
-        let c = r.request.class.index();
-        class_stats[c].total += 1;
+        let class = r.request.class;
         if r.disposition.reroutes() > 0 {
             rerouted += 1;
         }
@@ -1083,17 +1061,9 @@ fn summarize_fleet(records: &[FleetRecord], horizon_ms: f64, ctr: FleetCounters)
                 latency_ms,
                 met_deadline,
                 ..
-            } => {
-                completed += 1;
-                class_stats[c].completed += 1;
-                class_latencies[c].push(*latency_ms);
-                if *met_deadline {
-                    on_time += 1;
-                    class_stats[c].on_time += 1;
-                }
-            }
+            } => fold.note_completed(class, *latency_ms, *met_deadline),
             FleetDisposition::Shed { reason, .. } => {
-                class_stats[c].shed += 1;
+                fold.note_shed(class);
                 match reason {
                     FleetShedReason::Cluster(_) => {}
                     FleetShedReason::DeadCluster { .. } => dead_cluster_sheds += 1,
@@ -1103,7 +1073,7 @@ fn summarize_fleet(records: &[FleetRecord], horizon_ms: f64, ctr: FleetCounters)
                 }
             }
             FleetDisposition::FailoverShed { reason, .. } => {
-                class_stats[c].shed += 1;
+                fold.note_shed(class);
                 failover_sheds += 1;
                 match reason {
                     FailoverReason::DeadlineInfeasible { .. } => {}
@@ -1114,41 +1084,14 @@ fn summarize_fleet(records: &[FleetRecord], horizon_ms: f64, ctr: FleetCounters)
             FleetDisposition::Rerouted { .. } => unreachable!("terminal() unwraps reroutes"),
         }
     }
-    let horizon_s = horizon_ms / 1e3;
-    for (c, stats) in class_stats.iter_mut().enumerate() {
-        let lats = &mut class_latencies[c];
-        lats.sort_by(|a, b| a.total_cmp(b));
-        stats.p99_ms = if lats.is_empty() {
-            0.0
-        } else {
-            percentile(lats, 0.99)
-        };
-        stats.miss_rate = if stats.total > 0 {
-            (stats.total - stats.on_time) as f64 / stats.total as f64
-        } else {
-            0.0
-        };
-        stats.goodput_rps = if horizon_s > 0.0 {
-            stats.on_time as f64 / horizon_s
-        } else {
-            0.0
-        };
-    }
+    let f = fold.finish(horizon_ms);
     FleetReport {
-        total,
-        completed,
-        on_time,
-        shed: total - completed,
-        miss_rate: if total > 0 {
-            (total - on_time) as f64 / total as f64
-        } else {
-            0.0
-        },
-        goodput_rps: if horizon_s > 0.0 {
-            on_time as f64 / horizon_s
-        } else {
-            0.0
-        },
+        total: f.total,
+        completed: f.completed,
+        on_time: f.on_time,
+        shed: f.total - f.completed,
+        miss_rate: f.miss_rate,
+        goodput_rps: f.goodput_rps,
         horizon_ms,
         rerouted,
         failover_sheds,
@@ -1162,7 +1105,7 @@ fn summarize_fleet(records: &[FleetRecord], horizon_ms: f64, ctr: FleetCounters)
         hedge_wasted: ctr.hedge_wasted,
         cluster_kills: ctr.cluster_kills,
         partitions: ctr.partitions,
-        class_stats,
+        class_stats: f.class_stats,
         history_digest: fleet_history_digest(records),
     }
 }

@@ -6,7 +6,7 @@
 //! retry-budget counters, flap escalations).
 
 use crate::brownout::BrownoutTelemetry;
-use crate::request::{Disposition, RequestRecord, ShedReason};
+use crate::request::{Disposition, PriorityClass, RequestRecord, ShedReason};
 use hios_store::{RecoveryReport, StoreStats};
 
 /// Per-priority-class outcome statistics.
@@ -120,7 +120,7 @@ pub struct ServeReport {
 
 /// Deterministic percentile of `sorted` (ascending): the smallest value
 /// with at least `p`·n values at or below it (nearest-rank).
-pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
+fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return f64::NAN;
     }
@@ -128,19 +128,53 @@ pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
+/// Fraction of `total` requests not among the `kept` ones (`0` — not
+/// NaN — for an empty total, so reports stay comparable with `==`).
+fn lost_fraction(total: usize, kept: usize) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        (total - kept) as f64 / total as f64
+    }
+}
+
+/// FNV-1a over little-endian `u64` words: the one hash behind both
+/// [`history_digest`] and [`crate::fleet::fleet_history_digest`].
+pub(crate) struct Fnv(u64);
+
+impl Fnv {
+    pub(crate) fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    pub(crate) fn eat(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+
+    /// Folds a cluster-level shed reason as its stable code.
+    pub(crate) fn eat_shed(&mut self, reason: &ShedReason) {
+        self.eat(match reason {
+            ShedReason::QueueFull { .. } => 10,
+            ShedReason::DeadlineUnmeetable { .. } => 11,
+            ShedReason::RetriesExhausted { .. } => 12,
+            ShedReason::Brownout { .. } => 13,
+            ShedReason::RetryBudgetExhausted { .. } => 14,
+        });
+    }
+
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
+}
+
 /// FNV-1a digest of the per-request outcome stream.
 pub fn history_digest(records: &[RequestRecord]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x1000_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut h = Fnv::new();
     for r in records {
-        eat(r.request.id);
+        h.eat(r.request.id);
         match &r.disposition {
             Disposition::Completed {
                 finish_ms,
@@ -149,27 +183,88 @@ pub fn history_digest(records: &[RequestRecord]) -> u64 {
                 met_deadline,
                 repairs,
             } => {
-                eat(1);
-                eat(finish_ms.to_bits());
-                eat(latency_ms.to_bits());
-                eat(u64::from(*attempts));
-                eat(u64::from(*met_deadline));
-                eat(u64::from(*repairs));
+                h.eat(1);
+                h.eat(finish_ms.to_bits());
+                h.eat(latency_ms.to_bits());
+                h.eat(u64::from(*attempts));
+                h.eat(u64::from(*met_deadline));
+                h.eat(u64::from(*repairs));
             }
             Disposition::Shed { at_ms, reason } => {
-                eat(2);
-                eat(at_ms.to_bits());
-                eat(match reason {
-                    ShedReason::QueueFull { .. } => 10,
-                    ShedReason::DeadlineUnmeetable { .. } => 11,
-                    ShedReason::RetriesExhausted { .. } => 12,
-                    ShedReason::Brownout { .. } => 13,
-                    ShedReason::RetryBudgetExhausted { .. } => 14,
-                });
+                h.eat(2);
+                h.eat(at_ms.to_bits());
+                h.eat_shed(reason);
             }
         }
     }
-    h
+    h.finish()
+}
+
+/// Per-class outcome fold shared by [`summarize`] and the fleet report:
+/// one `note_*` call per terminal outcome, then [`OutcomeFold::finish`].
+#[derive(Default)]
+pub(crate) struct OutcomeFold {
+    stats: [ClassStats; 3],
+    latencies: [Vec<f64>; 3],
+}
+
+/// What [`OutcomeFold::finish`] yields: the per-class breakdown plus the
+/// run-wide aggregates both reports derive from it.
+pub(crate) struct OutcomeTotals {
+    pub(crate) class_stats: [ClassStats; 3],
+    pub(crate) total: usize,
+    pub(crate) completed: usize,
+    pub(crate) on_time: usize,
+    pub(crate) miss_rate: f64,
+    pub(crate) goodput_rps: f64,
+}
+
+impl OutcomeFold {
+    pub(crate) fn note_completed(&mut self, class: PriorityClass, latency_ms: f64, met: bool) {
+        let s = &mut self.stats[class.index()];
+        s.total += 1;
+        s.completed += 1;
+        s.on_time += usize::from(met);
+        self.latencies[class.index()].push(latency_ms);
+    }
+
+    pub(crate) fn note_shed(&mut self, class: PriorityClass) {
+        let s = &mut self.stats[class.index()];
+        s.total += 1;
+        s.shed += 1;
+    }
+
+    pub(crate) fn finish(mut self, horizon_ms: f64) -> OutcomeTotals {
+        let goodput_rps = |on_time: usize| {
+            if horizon_ms > 0.0 {
+                on_time as f64 / (horizon_ms / 1000.0)
+            } else {
+                0.0
+            }
+        };
+        for (stats, lat) in self.stats.iter_mut().zip(&mut self.latencies) {
+            lat.sort_by(f64::total_cmp);
+            stats.p99_ms = if lat.is_empty() {
+                0.0
+            } else {
+                percentile(lat, 0.99)
+            };
+            // Misses are late completions plus every shed.
+            stats.miss_rate = lost_fraction(stats.total, stats.on_time);
+            stats.goodput_rps = goodput_rps(stats.on_time);
+        }
+        let sum = |f: fn(&ClassStats) -> usize| self.stats.iter().map(f).sum::<usize>();
+        let (total, completed, on_time) =
+            (sum(|s| s.total), sum(|s| s.completed), sum(|s| s.on_time));
+        OutcomeTotals {
+            class_stats: self.stats,
+            total,
+            completed,
+            on_time,
+            miss_rate: lost_fraction(total, on_time),
+            goodput_rps: goodput_rps(on_time),
+        }
+    }
 }
 
 /// Builder-style inputs [`summarize`] folds into a [`ServeReport`].
@@ -212,16 +307,12 @@ pub struct ReportInputs {
 
 /// Folds per-request records and loop counters into a report.
 pub fn summarize(records: &[RequestRecord], inputs: &ReportInputs) -> ServeReport {
-    let total = records.len();
     let mut latencies: Vec<f64> = Vec::new();
-    let mut class_lat: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    let mut class_stats = [ClassStats::default(); 3];
-    let (mut admitted, mut completed, mut on_time) = (0usize, 0usize, 0usize);
+    let mut fold = OutcomeFold::default();
+    let mut admitted = 0usize;
     let (mut shed_queue, mut shed_deadline, mut shed_retries) = (0usize, 0usize, 0usize);
     let (mut shed_brownout, mut shed_retry_budget) = (0usize, 0usize);
     for r in records {
-        let c = r.request.class.index();
-        class_stats[c].total += 1;
         match &r.disposition {
             Disposition::Completed {
                 latency_ms,
@@ -229,15 +320,11 @@ pub fn summarize(records: &[RequestRecord], inputs: &ReportInputs) -> ServeRepor
                 ..
             } => {
                 admitted += 1;
-                completed += 1;
-                on_time += usize::from(*met_deadline);
                 latencies.push(*latency_ms);
-                class_stats[c].completed += 1;
-                class_stats[c].on_time += usize::from(*met_deadline);
-                class_lat[c].push(*latency_ms);
+                fold.note_completed(r.request.class, *latency_ms, *met_deadline);
             }
             Disposition::Shed { reason, .. } => {
-                class_stats[c].shed += 1;
+                fold.note_shed(r.request.class);
                 match reason {
                     ShedReason::QueueFull { .. } => shed_queue += 1,
                     ShedReason::DeadlineUnmeetable { .. } => shed_deadline += 1,
@@ -256,61 +343,30 @@ pub fn summarize(records: &[RequestRecord], inputs: &ReportInputs) -> ServeRepor
             }
         }
     }
+    let f = fold.finish(inputs.horizon_ms);
     latencies.sort_by(f64::total_cmp);
-    for (c, stats) in class_stats.iter_mut().enumerate() {
-        class_lat[c].sort_by(f64::total_cmp);
-        stats.p99_ms = if class_lat[c].is_empty() {
-            0.0
-        } else {
-            percentile(&class_lat[c], 0.99)
-        };
-        stats.miss_rate = if stats.total == 0 {
-            0.0
-        } else {
-            (stats.total - stats.on_time) as f64 / stats.total as f64
-        };
-        stats.goodput_rps = if inputs.horizon_ms > 0.0 {
-            stats.on_time as f64 / (inputs.horizon_ms / 1000.0)
-        } else {
-            0.0
-        };
-    }
-    let shed = shed_queue + shed_deadline + shed_retries + shed_brownout + shed_retry_budget;
-    let misses = total - on_time;
     let mean_ms = if latencies.is_empty() {
         f64::NAN
     } else {
         latencies.iter().sum::<f64>() / latencies.len() as f64
     };
     ServeReport {
-        total,
+        total: f.total,
         admitted,
-        completed,
-        on_time,
+        completed: f.completed,
+        on_time: f.on_time,
         shed_queue,
         shed_deadline,
         shed_retries,
         shed_brownout,
         shed_retry_budget,
-        miss_rate: if total == 0 {
-            0.0
-        } else {
-            misses as f64 / total as f64
-        },
-        shed_rate: if total == 0 {
-            0.0
-        } else {
-            shed as f64 / total as f64
-        },
+        miss_rate: f.miss_rate,
+        shed_rate: lost_fraction(f.total, f.completed),
         p50_ms: percentile(&latencies, 0.50),
         p95_ms: percentile(&latencies, 0.95),
         p99_ms: percentile(&latencies, 0.99),
         mean_ms,
-        goodput_rps: if inputs.horizon_ms > 0.0 {
-            on_time as f64 / (inputs.horizon_ms / 1000.0)
-        } else {
-            0.0
-        },
+        goodput_rps: f.goodput_rps,
         horizon_ms: inputs.horizon_ms,
         attempts: inputs.attempts,
         repairs: inputs.repairs,
@@ -325,7 +381,7 @@ pub fn summarize(records: &[RequestRecord], inputs: &ReportInputs) -> ServeRepor
         store: inputs.store,
         store_recovery: inputs.store_recovery,
         store_io_errors: inputs.store_io_errors,
-        class_stats,
+        class_stats: f.class_stats,
         retry_budget_denied: inputs.retry_budget_denied,
         flap_escalations: inputs.flap_escalations,
         brownout: inputs.brownout.clone(),

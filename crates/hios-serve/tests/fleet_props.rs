@@ -11,6 +11,9 @@
 //! 3. **Replay**: re-running the same inputs reproduces the outcome
 //!    stream digest bit-for-bit.
 //!
+//! `fleet_of_one_equals_serve` pins the layering itself: one cluster
+//! behind a static-hash router with no hedging is exactly [`serve`].
+//!
 //! A separate (non-property) test pins the digest across rayon thread
 //! counts: the vendored rayon reads `RAYON_NUM_THREADS` per parallel
 //! region, so one process can serve under 1 and 4 threads and compare.
@@ -21,8 +24,9 @@ use hios_graph::{LayeredDagConfig, generate_layered_dag};
 use hios_serve::fleet::{FleetConfig, FleetFaults, serve_fleet};
 use hios_serve::generate_trace_with_classes;
 use hios_serve::router::RouterPolicy;
-use hios_serve::{ClassMix, Disposition, Request, ServedModel, WorkloadConfig};
-use hios_sim::{ClusterFaultEvent, ClusterFaultKind};
+use hios_serve::{ClassMix, Disposition, Request, ServeConfig, ServedModel, WorkloadConfig};
+use hios_serve::{serve, trace_span_ms};
+use hios_sim::{ClusterFaultEvent, ClusterFaultKind, FaultKind, FaultPlan};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -206,5 +210,37 @@ fn fleet_digest_is_identical_at_one_and_four_rayon_threads() {
         let d4 = run(seed);
         std::env::remove_var("RAYON_NUM_THREADS");
         assert_eq!(d1, d4, "seed {seed}: digest differs across thread counts");
+    }
+}
+
+#[test]
+fn fleet_of_one_equals_serve() {
+    let models = models();
+    let mut cfg = FleetConfig::new(1, 2);
+    cfg.router.policy = RouterPolicy::StaticHash;
+    cfg.hedge = None;
+    // Light, near-capacity, and overloaded arrival rates.
+    for rate in [40.0, 1_500.0, 20_000.0] {
+        for seed in 1..=4u64 {
+            let trace = trace(&models, 120, rate, seed);
+            let fail = FaultPlan::single(
+                0.5 * trace_span_ms(&trace),
+                FaultKind::GpuFailStop { gpu: 1 },
+            );
+            for plan in [FaultPlan::none(), fail] {
+                let faults = FleetFaults {
+                    per_cluster: vec![plan.clone()],
+                    cluster_events: Vec::new(),
+                };
+                let fleet = serve_fleet(&models, &trace, &faults, &cfg).unwrap();
+                let alone = serve(&models, &trace, &plan, &ServeConfig::new(2)).unwrap();
+                assert_eq!(
+                    fleet.clusters[0].report,
+                    alone.report,
+                    "rate {rate}, seed {seed}, faulted {}",
+                    !plan.events.is_empty()
+                );
+            }
+        }
     }
 }
