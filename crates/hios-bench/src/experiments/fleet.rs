@@ -197,7 +197,7 @@ fn fleet_config(failover: bool) -> FleetConfig {
     let mut cfg = FleetConfig::new(CLUSTERS, GPUS_PER_CLUSTER);
     if !failover {
         cfg.router.policy = RouterPolicy::StaticHash;
-        cfg.hedge = None;
+        cfg.hedge = false;
     }
     cfg
 }

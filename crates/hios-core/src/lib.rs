@@ -64,8 +64,8 @@ pub use eval::{
     EvalError, EvalResult, EvalWorkspace, ListState, evaluate, evaluate_with, list_schedule,
 };
 pub use repair::{
-    RepairConfig, RepairError, RepairOutcome, RepairPolicy, SubgraphMap, extract_unfinished,
-    greedy_schedule, project_cost, repair_schedule,
+    RepairConfig, RepairError, RepairOutcome, RepairPolicy, SubgraphMap, alive_slots,
+    extract_unfinished, greedy_schedule, project_cost, repair_schedule,
 };
 pub use schedule::{
     GpuSchedule, SCHEDULE_FORMAT_VERSION, Schedule, ScheduleCodecError, ScheduleError, Stage,

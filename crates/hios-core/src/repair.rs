@@ -1,4 +1,4 @@
-//! Online schedule repair after a fault (ISSUE 2 tentpole, layer 2).
+//! Online schedule repair after a fault.
 //!
 //! Given the set of operators that already completed (their outputs are
 //! checkpointed and available cluster-wide) and the set of GPUs still
@@ -126,6 +126,50 @@ impl SubgraphMap {
         let s = self.from_parent[parent.index()];
         (s != Self::NO_SUB).then(|| OpId::from_index(s as usize))
     }
+
+    /// Re-expresses a slot schedule over parent ids (what
+    /// [`RepairOutcome::schedule`] holds) in subgraph ids, keeping the
+    /// slot and stage structure — the form the simulator runs against
+    /// [`SubgraphMap::sub`].
+    ///
+    /// # Panics
+    /// If `sched` names an operator that already completed.
+    pub fn to_sub_schedule(&self, sched: &Schedule) -> Schedule {
+        relabel(sched, |p| {
+            self.sub_id(p)
+                .expect("schedule covers only unfinished operators")
+        })
+    }
+}
+
+/// `sched` with every operator renamed through `f`, structure kept.
+fn relabel(sched: &Schedule, f: impl Fn(OpId) -> OpId) -> Schedule {
+    Schedule {
+        gpus: sched
+            .gpus
+            .iter()
+            .map(|gq| GpuSchedule {
+                stages: gq
+                    .stages
+                    .iter()
+                    .map(|st| Stage {
+                        ops: st.ops.iter().map(|&v| f(v)).collect(),
+                    })
+                    .collect(),
+            })
+            .collect(),
+    }
+}
+
+/// Slot → physical GPU map of an alive mask: the indices of the GPUs
+/// still marked alive, ascending.  Every slot schedule in the repair,
+/// recovery and serving loops numbers its slots this way.
+pub fn alive_slots(alive: &[bool]) -> Vec<usize> {
+    alive
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &a)| a.then_some(i))
+        .collect()
 }
 
 /// Extracts the subgraph induced by the unfinished operators.
@@ -270,11 +314,7 @@ pub fn repair_schedule(
             g.num_ops()
         )));
     }
-    let gpu_map: Vec<usize> = alive
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &a)| a.then_some(i))
-        .collect();
+    let gpu_map = alive_slots(alive);
     let m_alive = gpu_map.len();
     if m_alive == 0 {
         return Err(RepairError::NoSurvivingGpus);
@@ -321,21 +361,7 @@ pub fn repair_schedule(
     let latency = evaluate_with(ws, &map.sub, &sub_cost, &sub_sched)?.latency;
 
     // Translate subgraph ids back to parent ids, keeping slot structure.
-    let schedule = Schedule {
-        gpus: sub_sched
-            .gpus
-            .iter()
-            .map(|gq| GpuSchedule {
-                stages: gq
-                    .stages
-                    .iter()
-                    .map(|st| Stage {
-                        ops: st.ops.iter().map(|&v| map.to_parent[v.index()]).collect(),
-                    })
-                    .collect(),
-            })
-            .collect(),
-    };
+    let schedule = relabel(&sub_sched, |v| map.to_parent[v.index()]);
     Ok((
         RepairOutcome {
             schedule,
@@ -414,22 +440,7 @@ mod tests {
             assert_eq!(out.schedule.num_ops(), 30);
             assert!(out.latency > 0.0);
             // The slot schedule, mapped back to subgraph ids, validates.
-            let sub_view = Schedule {
-                gpus: out
-                    .schedule
-                    .gpus
-                    .iter()
-                    .map(|gq| GpuSchedule {
-                        stages: gq
-                            .stages
-                            .iter()
-                            .map(|st| Stage {
-                                ops: st.ops.iter().map(|&p| map.sub_id(p).unwrap()).collect(),
-                            })
-                            .collect(),
-                    })
-                    .collect(),
-            };
+            let sub_view = map.to_sub_schedule(&out.schedule);
             assert!(sub_view.validate_full(&map.sub, None).is_ok(), "{policy:?}");
         }
     }

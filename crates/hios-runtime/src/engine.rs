@@ -1,5 +1,5 @@
 //! The parallel execution engine: one worker thread per virtual GPU,
-//! crossbeam channels as the interconnect.
+//! `std::sync::mpsc` channels as the interconnect.
 //!
 //! Mirrors the paper's engine structure (one MPI process per GPU driving
 //! cuDNN kernels, CUDA-aware MPI moving tensors): each worker executes its
@@ -11,13 +11,12 @@
 use crate::kernels::execute_op;
 use crate::tensor::Tensor;
 use crate::weights::ModelWeights;
-use crossbeam::channel::{Receiver, Sender, unbounded};
 use hios_core::{Schedule, evaluate};
 use hios_cost::{ConcurrencyParams, CostTable};
 use hios_graph::{Graph, OpId, OpKind};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::mpsc::{Receiver, Sender, channel};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Engine failures.
@@ -97,7 +96,7 @@ pub fn execute_schedule(
     let mut senders: Vec<Sender<TensorMsg>> = Vec::with_capacity(m);
     let mut receivers: Vec<Option<Receiver<TensorMsg>>> = Vec::with_capacity(m);
     for _ in 0..m {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         senders.push(tx);
         receivers.push(Some(rx));
     }
@@ -172,10 +171,13 @@ pub fn execute_schedule(
                             senders[target]
                                 .send((v, Arc::clone(&t)))
                                 .expect("receiver alive");
-                            *transfer_count.lock() += 1;
+                            *transfer_count.lock().expect("no worker panics holding it") += 1;
                         }
                         if sinks.contains(&v) {
-                            sink_outputs.lock().insert(v, t.as_ref().clone());
+                            sink_outputs
+                                .lock()
+                                .expect("no worker panics holding it")
+                                .insert(v, t.as_ref().clone());
                         }
                         store.insert(v, t);
                     }
@@ -187,9 +189,13 @@ pub fn execute_schedule(
     let wall_secs = started.elapsed().as_secs_f64();
 
     Ok(ExecutionReport {
-        sink_outputs: sink_outputs.into_inner(),
+        sink_outputs: sink_outputs
+            .into_inner()
+            .expect("workers joined without panicking"),
         wall_secs,
-        transfers: transfer_count.into_inner(),
+        transfers: transfer_count
+            .into_inner()
+            .expect("workers joined without panicking"),
     })
 }
 

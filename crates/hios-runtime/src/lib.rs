@@ -12,7 +12,7 @@
 //! * [`weights`] — deterministic random parameter initialization;
 //! * [`mod@reference`] — single-threaded topological execution (ground truth);
 //! * [`engine`] — one OS thread per virtual GPU executing its stage
-//!   sequence, crossbeam channels standing in for NVLink transfers.
+//!   sequence, `std::sync::mpsc` channels standing in for NVLink transfers.
 //!
 //! Because both paths run the same kernels in the same per-element
 //! accumulation order, a correct schedule reproduces the reference output

@@ -26,8 +26,8 @@
 //!   [`FleetDisposition::FailoverShed`] leaves.  No request is silently
 //!   lost: every trace entry ends in exactly one terminal disposition.
 //! * **Hedged dispatch**: a Gold request whose deadline slack is tighter
-//!   than `slack_factor ×` the primary cluster's admission bound is
-//!   duplicated onto the second-choice cluster.  First completion wins;
+//!   than 4 × the primary cluster's admission bound is duplicated onto
+//!   the second-choice cluster.  First completion wins;
 //!   the loser is cancelled (freeing its slot) and counted, never
 //!   recorded twice.
 //! * **Backpressure**: when every routable candidate's smoothed queue
@@ -41,26 +41,15 @@ use crate::report::{ClassStats, Fnv, OutcomeFold};
 use crate::request::{Disposition, PriorityClass, Request, RequestRecord, ServeError, ShedReason};
 use crate::router::{Router, RouterConfig, RouterPolicy};
 use crate::server::{self, ServeConfig, ServeOutcome, ServedModel, Server};
-use hios_core::SchedulerError;
 use hios_sim::{
     ClusterFaultEvent, ClusterFaultKind, DriftPlan, EventQueue, FaultEvent, FaultKind, FaultPlan,
     validate_cluster_events,
 };
 
-/// Knobs of hedged dispatch.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HedgeConfig {
-    /// A Gold request is hedged when its remaining slack at routing time
-    /// is below `slack_factor ×` the primary cluster's admission bound
-    /// for its model.
-    pub slack_factor: f64,
-}
-
-impl Default for HedgeConfig {
-    fn default() -> Self {
-        HedgeConfig { slack_factor: 4.0 }
-    }
-}
+/// A Gold request is hedged when its remaining slack at routing time is
+/// below this many times the primary cluster's admission bound for its
+/// model.
+const HEDGE_SLACK_FACTOR: f64 = 4.0;
 
 /// Configuration of a fleet run.
 #[derive(Clone, Debug)]
@@ -73,9 +62,8 @@ pub struct FleetConfig {
     /// Health-view knobs (heartbeat period, EWMA weight, backpressure
     /// threshold).
     pub health: HealthConfig,
-    /// Hedged dispatch for deadline-critical Gold requests; `None`
-    /// disables hedging.
-    pub hedge: Option<HedgeConfig>,
+    /// Hedged dispatch for deadline-critical Gold requests.
+    pub hedge: bool,
 }
 
 impl FleetConfig {
@@ -86,7 +74,7 @@ impl FleetConfig {
             clusters: (0..clusters).map(|_| ServeConfig::new(gpus)).collect(),
             router: RouterConfig::default(),
             health: HealthConfig::default(),
-            hedge: Some(HedgeConfig::default()),
+            hedge: true,
         }
     }
 }
@@ -499,11 +487,8 @@ impl<'a> Fleet<'a> {
         self.open -= 1;
     }
 
-    /// Injects a fresh copy of `fi` into cluster `ci` and drains any
-    /// records the injection produced synchronously (immediate sheds,
-    /// cascaded dispatch sheds).
+    /// Injects a fresh copy of `fi` into cluster `ci`.
     fn inject_branch(&mut self, fi: usize, ci: usize) {
-        let request = self.reqs[fi].request;
         let bi = self.reqs[fi].branches.len();
         self.reqs[fi].branches.push(Branch {
             cluster: ci,
@@ -512,7 +497,18 @@ impl<'a> Fleet<'a> {
             shed: None,
             hops: Vec::new(),
         });
-        let idx = self.clusters[ci].srv.inject(request, self.now);
+        self.admit(fi, bi);
+    }
+
+    /// Admits branch `bi` of `fi` into the cluster the branch names,
+    /// records which copy the cluster's new state index stands for, and
+    /// drains any records the injection produced synchronously
+    /// (immediate sheds, cascaded dispatch sheds).
+    fn admit(&mut self, fi: usize, bi: usize) {
+        let ci = self.reqs[fi].branches[bi].cluster;
+        let idx = self.clusters[ci]
+            .srv
+            .inject(self.reqs[fi].request, self.now);
         debug_assert_eq!(self.clusters[ci].copy_map.len(), idx);
         self.clusters[ci].copy_map.push((fi, bi));
         self.reqs[fi].branches[bi].idx = idx;
@@ -572,11 +568,11 @@ impl<'a> Fleet<'a> {
                     self.finish(fi, d);
                     return;
                 }
-                let hedge_target = match (&self.cfg.hedge, choice.hedge) {
-                    (Some(h), Some(target)) if request.class == PriorityClass::Gold => {
+                let hedge_target = match choice.hedge {
+                    Some(target) if self.cfg.hedge && request.class == PriorityClass::Gold => {
                         let bound = self.clusters[choice.primary].srv.bound_ms(request.model);
                         let slack = request.deadline_ms - self.now;
-                        (slack < h.slack_factor * bound).then_some(target)
+                        (slack < HEDGE_SLACK_FACTOR * bound).then_some(target)
                     }
                     _ => None,
                 };
@@ -787,11 +783,7 @@ impl<'a> Fleet<'a> {
         });
         b.cluster = target;
         b.live = true;
-        let idx = self.clusters[target].srv.inject(request, self.now);
-        debug_assert_eq!(self.clusters[target].copy_map.len(), idx);
-        self.clusters[target].copy_map.push((fi, bi));
-        self.reqs[fi].branches[bi].idx = idx;
-        self.consume(target);
+        self.admit(fi, bi);
     }
 
     /// Samples every live cluster into the health view and re-arms the
@@ -871,24 +863,15 @@ pub fn serve_fleet(
     let n = cfg.clusters.len();
     let router = Router::new(cfg.router, n)?;
     let health = HealthView::new(cfg.health, n)?;
-    if let Some(h) = &cfg.hedge {
-        if !(h.slack_factor.is_finite() && h.slack_factor > 0.0) {
-            return Err(ServeError::Scheduler(SchedulerError::BadOptions(format!(
-                "hedge: slack_factor must be positive and finite, got {}",
-                h.slack_factor
-            ))));
-        }
-    }
     if !faults.per_cluster.is_empty() && faults.per_cluster.len() != n {
-        return Err(ServeError::Scheduler(SchedulerError::BadOptions(format!(
+        return Err(server::bad_options(format!(
             "fleet faults: {} per-cluster plans for {} clusters",
             faults.per_cluster.len(),
             n
-        ))));
+        )));
     }
-    validate_cluster_events(&faults.cluster_events, n).map_err(|e| {
-        ServeError::Scheduler(SchedulerError::BadOptions(format!("fleet faults: {e}")))
-    })?;
+    validate_cluster_events(&faults.cluster_events, n)
+        .map_err(|e| server::bad_options(format!("fleet faults: {e}")))?;
     for ccfg in &cfg.clusters {
         server::validate(models, trace, ccfg)?;
     }
@@ -920,10 +903,8 @@ pub fn serve_fleet(
     let drift = DriftPlan::none();
     let mut clusters = Vec::with_capacity(n);
     for (ci, ccfg) in cfg.clusters.iter().enumerate() {
-        let mut srv = Server::build(models, &plans[ci], &drift, ccfg)?;
-        srv.arm_signals();
         clusters.push(Cluster {
-            srv,
+            srv: Server::build(models, &plans[ci], &drift, ccfg)?,
             alive: true,
             seen: 0,
             copy_map: Vec::new(),
@@ -1114,7 +1095,7 @@ fn summarize_fleet(records: &[FleetRecord], horizon_ms: f64, ctr: FleetCounters)
 mod tests {
     use super::*;
     use crate::workload::{ClassMix, WorkloadConfig, generate_trace_with_classes};
-    use hios_core::bounds;
+    use hios_core::{SchedulerError, bounds};
     use hios_cost::AnalyticCostModel;
     use hios_graph::{LayeredDagConfig, generate_layered_dag};
 
@@ -1220,7 +1201,7 @@ mod tests {
         let trace = trace(500, 100.0, 3);
         let mut cfg = FleetConfig::new(4, 2);
         cfg.router.policy = RouterPolicy::StaticHash;
-        cfg.hedge = None;
+        cfg.hedge = false;
         let span = trace.last().unwrap().arrival_ms;
         let out = serve_fleet(&models, &trace, &kill(1, span * 0.5), &cfg).unwrap();
         assert!(out.report.dead_cluster_sheds > 0);
@@ -1251,7 +1232,7 @@ mod tests {
         let failover = serve_fleet(&models, &trace, &faults, &FleetConfig::new(4, 2)).unwrap();
         let mut scfg = FleetConfig::new(4, 2);
         scfg.router.policy = RouterPolicy::StaticHash;
-        scfg.hedge = None;
+        scfg.hedge = false;
         let stat = serve_fleet(&models, &trace, &faults, &scfg).unwrap();
         assert!(
             failover.report.on_time > stat.report.on_time,
@@ -1313,7 +1294,7 @@ mod tests {
         assert_eq!(out.report.partitioned_sheds, 0);
         let mut scfg = FleetConfig::new(3, 2);
         scfg.router.policy = RouterPolicy::StaticHash;
-        scfg.hedge = None;
+        scfg.hedge = false;
         let stat = serve_fleet(&models, &trace, &faults, &scfg).unwrap();
         assert!(stat.report.partitioned_sheds > 0);
     }
@@ -1356,10 +1337,6 @@ mod tests {
             ..FleetConfig::new(1, 2)
         };
         assert!(serve_fleet(&models, &trace, &FleetFaults::none(), &cfg).is_err());
-        // Bad hedge factor.
-        let mut cfg = FleetConfig::new(2, 2);
-        cfg.hedge = Some(HedgeConfig { slack_factor: 0.0 });
-        assert!(serve_fleet(&models, &trace, &FleetFaults::none(), &cfg).is_err());
         // Mismatched per-cluster plans.
         let faults = FleetFaults {
             per_cluster: vec![FaultPlan::none()],
@@ -1370,6 +1347,24 @@ mod tests {
         // Cluster event out of range.
         let faults = kill(9, 10.0);
         assert!(serve_fleet(&models, &trace, &faults, &cfg).is_err());
+    }
+
+    #[test]
+    fn per_cluster_plan_that_does_not_fit_its_cluster_is_a_typed_error() {
+        let models = models();
+        let trace = trace(10, 50.0, 1);
+        let faults = FleetFaults {
+            per_cluster: vec![
+                FaultPlan::none(),
+                FaultPlan::single(1.0, FaultKind::GpuFailStop { gpu: 7 }),
+            ],
+            cluster_events: Vec::new(),
+        };
+        let err = serve_fleet(&models, &trace, &faults, &FleetConfig::new(2, 2)).unwrap_err();
+        assert!(
+            matches!(err, ServeError::Scheduler(SchedulerError::BadOptions(_))),
+            "{err:?}"
+        );
     }
 
     #[test]

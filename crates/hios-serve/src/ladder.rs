@@ -31,7 +31,7 @@ use hios_core::eval::evaluate_with;
 use hios_core::lp::{HiosLpConfig, schedule_hios_lp};
 use hios_core::{
     Algorithm, EvalWorkspace, SchedBudget, Schedule, ScheduleCache, ScheduleCacheKey,
-    SchedulerError, greedy_schedule, modeled_sched_cost_ms,
+    SchedulerError, alive_slots, greedy_schedule, modeled_sched_cost_ms,
 };
 use hios_cost::CostTable;
 use hios_graph::Graph;
@@ -41,8 +41,8 @@ use std::borrow::Cow;
 /// Cost view where slot `i` prices as physical GPU `gpu_map[i]`.
 ///
 /// On a uniform platform every GPU prices alike, so the table is lent
-/// out untouched (keeping the homogeneous serving path allocation-free
-/// and bit-identical to the flat-table era); a heterogeneous table is
+/// out untouched (keeping the homogeneous serving path
+/// allocation-free); a heterogeneous table is
 /// re-indexed so the schedulers' "try every GPU" loop prices the alive
 /// devices — and the links between them — correctly.
 pub(crate) fn slot_cost<'a>(cost: &'a CostTable, gpu_map: &[usize]) -> Cow<'a, CostTable> {
@@ -117,7 +117,7 @@ impl Rung {
 }
 
 /// Upper bound on the rung the anytime policy may buy, imposed by the
-/// brownout controller (ISSUE 8): a browned-out server stops paying for
+/// brownout controller: a browned-out server stops paying for
 /// expensive scheduling before it starts shedding traffic.  Cache and
 /// store hits are never capped — they are already paid for.  The fixed
 /// baselines ([`Policy::FixedFullLp`], [`Policy::GreedyOnly`]) ignore
@@ -217,8 +217,8 @@ pub struct LadderDecision {
 pub struct AnytimeLadder {
     cfg: LadderConfig,
     cache: ScheduleCache<CachedPlan>,
-    /// Durable warm-start tier; `None` keeps the ladder bit-identical
-    /// to the store-less era.
+    /// Durable warm-start tier; `None` serves from the memory cache
+    /// alone.
     store: Option<PlanStore>,
     ws: EvalWorkspace,
     rung_counts: [u64; 5],
@@ -299,7 +299,7 @@ impl AnytimeLadder {
         policy: Policy,
         cap: RungCap,
     ) -> Result<LadderDecision, ServeError> {
-        let gpu_map: Vec<usize> = (0..alive.len()).filter(|&i| alive[i]).collect();
+        let gpu_map = alive_slots(alive);
         let m = gpu_map.len();
         if m == 0 {
             return Err(ServeError::NoCapacity);
@@ -319,22 +319,14 @@ impl AnytimeLadder {
                 })
             }
             Policy::FixedFullLp => {
-                let out = schedule_hios_lp(
-                    g,
-                    cost,
-                    HiosLpConfig {
-                        num_gpus: m,
-                        window: self.cfg.window,
-                        intra: true,
-                    },
-                );
+                let (schedule, nominal_ms, sched_cost_ms) = self.run_lp(g, cost, m, true);
                 self.rung_counts[Rung::FullLp.index()] += 1;
                 Ok(LadderDecision {
-                    schedule: out.schedule,
+                    schedule,
                     gpu_map,
-                    nominal_ms: out.latency,
+                    nominal_ms,
                     rung: Rung::FullLp,
-                    sched_cost_ms: modeled_sched_cost_ms(Algorithm::HiosLp, n, m, self.cfg.window),
+                    sched_cost_ms,
                 })
             }
             Policy::Anytime => {
@@ -450,7 +442,7 @@ impl AnytimeLadder {
         epoch: u64,
         eval: impl Fn(&Schedule) -> f64,
     ) -> bool {
-        let gpu_map: Vec<usize> = (0..alive.len()).filter(|&i| alive[i]).collect();
+        let gpu_map = alive_slots(alive);
         let m = gpu_map.len();
         if m == 0 {
             return false;
@@ -460,22 +452,13 @@ impl AnytimeLadder {
         if matches!(self.cache.peek(&key), Some(plan) if plan.rung == Rung::FullLp) {
             return false; // already at top quality
         }
-        let out = schedule_hios_lp(
-            g,
-            cost,
-            HiosLpConfig {
-                num_gpus: m,
-                window: self.cfg.window,
-                intra: true,
-            },
-        );
+        let (schedule, ..) = self.run_lp(g, cost, m, true);
         self.upgrades += 1;
-        let new_ms = eval(&out.schedule);
-        let schedule = out.schedule.clone();
+        let new_ms = eval(&schedule);
         let improved = self.cache.insert_if_better(
             key,
             CachedPlan {
-                schedule: out.schedule,
+                schedule: schedule.clone(),
                 makespan_ms: new_ms,
                 rung: Rung::FullLp,
             },
@@ -504,7 +487,7 @@ impl AnytimeLadder {
         alive: &[bool],
         eval: impl Fn(&Schedule) -> f64,
     ) -> bool {
-        let gpu_map: Vec<usize> = (0..alive.len()).filter(|&i| alive[i]).collect();
+        let gpu_map = alive_slots(alive);
         let m = gpu_map.len();
         if m == 0 {
             return false;
@@ -562,39 +545,39 @@ impl AnytimeLadder {
         cost: &CostTable,
         m: usize,
     ) -> Result<(Schedule, f64, f64), ServeError> {
-        let n = g.num_ops();
-        let w = self.cfg.window;
         match rung {
             Rung::Cached | Rung::Store => {
                 unreachable!("cache and store hits answer before run_rung")
             }
-            Rung::FullLp | Rung::InterLp => {
-                let intra = rung == Rung::FullLp;
-                let out = schedule_hios_lp(
-                    g,
-                    cost,
-                    HiosLpConfig {
-                        num_gpus: m,
-                        window: w,
-                        intra,
-                    },
-                );
-                let algo = if intra {
-                    Algorithm::HiosLp
-                } else {
-                    Algorithm::InterGpuLp
-                };
-                Ok((
-                    out.schedule,
-                    out.latency,
-                    modeled_sched_cost_ms(algo, n, m, w),
-                ))
-            }
+            Rung::FullLp | Rung::InterLp => Ok(self.run_lp(g, cost, m, rung == Rung::FullLp)),
             Rung::Greedy => {
                 let (schedule, nominal) = self.run_greedy(g, cost, m)?;
-                Ok((schedule, nominal, greedy_cost_ms(n)))
+                Ok((schedule, nominal, greedy_cost_ms(g.num_ops())))
             }
         }
+    }
+
+    /// HIOS-LP on `m` slots — with the intra-GPU pass (Alg. 1 + Alg. 2)
+    /// or the inter-GPU phase alone: the schedule, its nominal latency,
+    /// and the modeled scheduling time of the pass, ms.
+    fn run_lp(&self, g: &Graph, cost: &CostTable, m: usize, intra: bool) -> (Schedule, f64, f64) {
+        let window = self.cfg.window;
+        let out = schedule_hios_lp(
+            g,
+            cost,
+            HiosLpConfig {
+                num_gpus: m,
+                window,
+                intra,
+            },
+        );
+        let algo = if intra {
+            Algorithm::HiosLp
+        } else {
+            Algorithm::InterGpuLp
+        };
+        let sched_cost_ms = modeled_sched_cost_ms(algo, g.num_ops(), m, window);
+        (out.schedule, out.latency, sched_cost_ms)
     }
 
     fn run_greedy(

@@ -57,7 +57,7 @@ pub use brownout::{
 };
 pub use fleet::{
     FailoverReason, FleetConfig, FleetDisposition, FleetFaults, FleetOutcome, FleetRecord,
-    FleetReport, FleetShedReason, HedgeConfig, fleet_history_digest, serve_fleet,
+    FleetReport, FleetShedReason, fleet_history_digest, serve_fleet,
 };
 pub use health::{ClusterHealth, HealthConfig, HealthSample, HealthView};
 pub use ladder::{
@@ -66,7 +66,7 @@ pub use ladder::{
 };
 pub use report::{ClassStats, ServeReport, history_digest, summarize};
 pub use request::{Disposition, PriorityClass, Request, RequestRecord, ServeError, ShedReason};
-pub use retry::{RetryBudget, RetryBudgetConfig, RetryConfig};
+pub use retry::{RetryBudget, RetryBudgetConfig};
 pub use router::{Choice, Router, RouterConfig, RouterPolicy};
 pub use server::{ServeConfig, ServeOutcome, ServedModel, StoreConfig, serve, serve_drift};
 pub use workload::{

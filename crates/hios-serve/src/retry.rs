@@ -1,5 +1,5 @@
 //! Retry policy: exponential backoff with deterministic jitter, plus a
-//! global retry budget (ISSUE 8).
+//! global retry budget.
 //!
 //! A request invalidated mid-flight (GPU fault with no repair path,
 //! watchdog timeout, all breakers open) is re-enqueued after a backoff
@@ -16,45 +16,28 @@
 //! admissions per tumbling window, so retry traffic can never crowd out
 //! first-attempt traffic.
 
-/// Knobs of the retry loop.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RetryConfig {
-    /// Maximum execution attempts per request (1 = never retry).
-    pub max_attempts: u32,
-    /// Backoff before attempt 2, ms; doubles per further attempt.
-    pub base_backoff_ms: f64,
-    /// Upper bound of the deterministic jitter added to each backoff, ms.
-    pub jitter_ms: f64,
+/// Maximum execution attempts per request.
+const MAX_ATTEMPTS: u32 = 4;
+/// Backoff before attempt 2, ms; doubles per further attempt.
+const BASE_BACKOFF_MS: f64 = 2.0;
+/// Upper bound of the deterministic jitter added to each backoff, ms.
+const JITTER_MS: f64 = 1.0;
+
+/// Whether another attempt is allowed after `attempts` tries.
+pub(crate) fn allows(attempts: u32) -> bool {
+    attempts < MAX_ATTEMPTS
 }
 
-impl Default for RetryConfig {
-    fn default() -> Self {
-        RetryConfig {
-            max_attempts: 4,
-            base_backoff_ms: 2.0,
-            jitter_ms: 1.0,
-        }
-    }
-}
-
-impl RetryConfig {
-    /// Whether another attempt is allowed after `attempts` tries.
-    pub fn allows(&self, attempts: u32) -> bool {
-        attempts < self.max_attempts
-    }
-
-    /// Backoff before attempt `attempts + 1`, ms.
-    ///
-    /// `attempts` is the number of attempts already made (≥ 1).
-    ///
-    /// `attempts == 0` is out of contract but saturates to the base
-    /// backoff rather than underflowing the exponent.
-    pub fn backoff_ms(&self, request_id: u64, attempts: u32) -> f64 {
-        // cap the doubling, not the retries
-        let exp = attempts.saturating_sub(1).min(16);
-        let backoff = self.base_backoff_ms * f64::from(1u32 << exp);
-        backoff + self.jitter_ms * unit_hash(request_id, attempts)
-    }
+/// Backoff before attempt `attempts + 1`, ms.
+///
+/// `attempts` is the number of attempts already made (≥ 1);
+/// `attempts == 0` is out of contract but saturates to the base backoff
+/// rather than underflowing the exponent.
+pub(crate) fn backoff_ms(request_id: u64, attempts: u32) -> f64 {
+    // cap the doubling, not the retries
+    let exp = attempts.saturating_sub(1).min(16);
+    let backoff = BASE_BACKOFF_MS * f64::from(1u32 << exp);
+    backoff + JITTER_MS * unit_hash(request_id, attempts)
 }
 
 /// Knobs of the global retry budget.
@@ -186,14 +169,9 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_jitter_is_bounded() {
-        let cfg = RetryConfig {
-            max_attempts: 5,
-            base_backoff_ms: 2.0,
-            jitter_ms: 1.0,
-        };
-        let b1 = cfg.backoff_ms(42, 1);
-        let b2 = cfg.backoff_ms(42, 2);
-        let b3 = cfg.backoff_ms(42, 3);
+        let b1 = backoff_ms(42, 1);
+        let b2 = backoff_ms(42, 2);
+        let b3 = backoff_ms(42, 3);
         assert!((2.0..3.0).contains(&b1), "b1 = {b1}");
         assert!((4.0..5.0).contains(&b2), "b2 = {b2}");
         assert!((8.0..9.0).contains(&b3), "b3 = {b3}");
@@ -201,20 +179,15 @@ mod tests {
 
     #[test]
     fn jitter_is_deterministic_and_decorrelated() {
-        let cfg = RetryConfig::default();
-        assert_eq!(cfg.backoff_ms(7, 1), cfg.backoff_ms(7, 1));
+        assert_eq!(backoff_ms(7, 1), backoff_ms(7, 1));
         // Different requests retry at different offsets.
-        assert_ne!(cfg.backoff_ms(7, 1), cfg.backoff_ms(8, 1));
+        assert_ne!(backoff_ms(7, 1), backoff_ms(8, 1));
     }
 
     #[test]
     fn attempt_budget_is_enforced() {
-        let cfg = RetryConfig {
-            max_attempts: 2,
-            ..RetryConfig::default()
-        };
-        assert!(cfg.allows(1));
-        assert!(!cfg.allows(2));
+        assert!(allows(MAX_ATTEMPTS - 1));
+        assert!(!allows(MAX_ATTEMPTS));
     }
 
     #[test]
@@ -293,9 +266,8 @@ mod tests {
     fn backoff_before_attempt_zero_does_not_underflow() {
         // `attempts` is contractually ≥ 1; a buggy caller passing 0 must
         // get the base backoff, not a 2^(u32::MAX) panic or garbage.
-        let cfg = RetryConfig::default();
-        let b = cfg.backoff_ms(1, 0);
-        assert!(b >= cfg.base_backoff_ms && b.is_finite());
+        let b = backoff_ms(1, 0);
+        assert!(b >= BASE_BACKOFF_MS && b.is_finite());
     }
 
     #[test]

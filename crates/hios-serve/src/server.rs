@@ -34,11 +34,10 @@ use crate::brownout::{BrownoutController, BrownoutTelemetry, OverloadConfig};
 use crate::ladder::{AnytimeLadder, LadderConfig, Policy, RungCap, greedy_cost_ms, slot_cost};
 use crate::report::{ReportInputs, ServeReport, summarize};
 use crate::request::{Disposition, Request, RequestRecord, ServeError, ShedReason};
-use crate::retry::{RetryBudget, RetryConfig};
-use hios_core::repair::{RepairConfig, RepairPolicy, SubgraphMap, repair_schedule};
+use crate::retry::{self, RetryBudget};
+use hios_core::repair::{RepairConfig, RepairPolicy, alive_slots, repair_schedule};
 use hios_core::{
-    Algorithm, EvalWorkspace, GpuSchedule, Schedule, SchedulerError, Stage, bounds,
-    modeled_sched_cost_ms,
+    Algorithm, EvalWorkspace, Schedule, SchedulerError, bounds, modeled_sched_cost_ms,
 };
 use hios_cost::{CalibratedTable, CalibrationConfig, Calibrator, CostTable};
 use hios_graph::{Graph, OpId};
@@ -72,19 +71,10 @@ pub struct ServeConfig {
     pub policy: Policy,
     /// Anytime-ladder knobs.
     pub ladder: LadderConfig,
-    /// Retry policy for invalidated requests.
-    pub retry: RetryConfig,
-    /// Watchdog delay after a hang is detected, ms.
-    pub watchdog_ms: f64,
-    /// Initial breaker reset timeout, ms.
-    pub breaker_reset_ms: f64,
     /// Virtual repair time of a faulted GPU (fail-stop or slowdown), ms.
     pub gpu_repair_ms: f64,
     /// Fault detection latency, ms.
     pub detection_ms: f64,
-    /// Transfer-duration factor of the rerouted path replacing a failed
-    /// link (`> 1`), mirroring [`hios_sim::recover`].
-    pub reroute_factor: f64,
     /// Online cost calibration: `Some` closes the loop (completions feed
     /// the calibrator, drift alarms re-price planning and invalidate
     /// stale cached schedules), `None` plans on the static profile
@@ -93,9 +83,9 @@ pub struct ServeConfig {
     pub calibration: Option<CalibrationConfig>,
     /// Durable plan store: `Some` opens (and crash-recovers) the
     /// append-only plan log at startup and gives the anytime ladder a
-    /// warm-start rung below the memory cache; `None` serves
-    /// bit-identically to the store-less era.  Store corruption can
-    /// only cost warm starts, never serve a wrong plan.
+    /// warm-start rung below the memory cache; `None` serves from the
+    /// memory cache alone.  Store corruption can only cost warm starts,
+    /// never serve a wrong plan.
     pub store: Option<StoreConfig>,
     /// Overload hardening: `Some` attaches the hysteresis brownout
     /// controller ([`crate::brownout`]) and the global retry budget;
@@ -106,6 +96,13 @@ pub struct ServeConfig {
     /// Execution-engine semantics.
     pub sim: SimConfig,
 }
+
+/// Delay between a hang being detected and the watchdog converting it
+/// into a typed [`ServeError::WatchdogTimeout`], ms.
+const WATCHDOG_MS: f64 = 5.0;
+
+/// Initial breaker reset timeout, ms (doubles on each failed probe).
+const BREAKER_RESET_MS: f64 = 20.0;
 
 /// Where the durable plan log lives and how it behaves.
 #[derive(Clone, Debug)]
@@ -134,12 +131,8 @@ impl ServeConfig {
             queue_capacity: 32,
             policy: Policy::Anytime,
             ladder: LadderConfig::default(),
-            retry: RetryConfig::default(),
-            watchdog_ms: 5.0,
-            breaker_reset_ms: 20.0,
             gpu_repair_ms: 60.0,
             detection_ms: 0.5,
-            reroute_factor: 3.0,
             calibration: None,
             store: None,
             overload: None,
@@ -159,7 +152,6 @@ pub struct ServeOutcome {
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Event {
-    Arrival(usize),
     FaultDetected(usize),
     Completion { token: u64 },
     Watchdog { token: u64 },
@@ -315,17 +307,31 @@ pub fn serve_drift(
 ) -> Result<ServeOutcome, ServeError> {
     validate(models, trace, cfg)?;
     let mut srv = Server::build(models, faults, drift, cfg)?;
-    srv.states = trace
-        .iter()
-        .map(|&request| ReqState::fresh(request))
-        .collect();
+    srv.states.reserve(trace.len());
     srv.records.reserve(trace.len());
-    for (i, r) in trace.iter().enumerate() {
-        srv.events.push(r.arrival_ms, Event::Arrival(i));
+    srv.terminal_idx.reserve(trace.len());
+    // Requests arrive by instant, trace position among equal instants
+    // (the sort is stable), so an unsorted trace serves like its sorted
+    // self.
+    let mut order: Vec<usize> = (0..trace.len()).collect();
+    order.sort_by(|&a, &b| trace[a].arrival_ms.total_cmp(&trace[b].arrival_ms));
+    let mut arrivals = order.into_iter().map(|i| trace[i]).peekable();
+    loop {
+        // An arrival due no later than the next scheduled event is
+        // admitted before it.
+        let next_event = srv.next_event_ms();
+        let due = |r: &Request| next_event.is_none_or(|t| r.arrival_ms.total_cmp(&t).is_le());
+        if let Some(r) = arrivals.next_if(due) {
+            srv.inject(r, r.arrival_ms);
+        } else if !srv.step() {
+            break;
+        }
     }
-    srv.arm_signals();
-    while srv.step() {}
     Ok(srv.into_outcome())
+}
+
+pub(crate) fn bad_options(msg: String) -> ServeError {
+    ServeError::Scheduler(SchedulerError::BadOptions(msg))
 }
 
 pub(crate) fn validate(
@@ -333,7 +339,7 @@ pub(crate) fn validate(
     trace: &[Request],
     cfg: &ServeConfig,
 ) -> Result<(), ServeError> {
-    let bad = |msg: String| Err(ServeError::Scheduler(SchedulerError::BadOptions(msg)));
+    let bad = |msg: String| Err(bad_options(msg));
     if cfg.num_gpus == 0 || cfg.num_gpus > 64 {
         return bad(format!("num_gpus must be in 1..=64, got {}", cfg.num_gpus));
     }
@@ -385,18 +391,11 @@ pub(crate) fn validate(
     {
         return bad(format!("request {} has non-finite instants", r.id));
     }
-    for knob in [
-        ("watchdog_ms", cfg.watchdog_ms),
-        ("breaker_reset_ms", cfg.breaker_reset_ms),
-        ("gpu_repair_ms", cfg.gpu_repair_ms),
-        ("reroute_factor", cfg.reroute_factor),
-    ] {
-        if !(knob.1.is_finite() && knob.1 > 0.0) {
-            return bad(format!(
-                "{} must be positive and finite, got {}",
-                knob.0, knob.1
-            ));
-        }
+    if !(cfg.gpu_repair_ms.is_finite() && cfg.gpu_repair_ms > 0.0) {
+        return bad(format!(
+            "gpu_repair_ms must be positive and finite, got {}",
+            cfg.gpu_repair_ms
+        ));
     }
     if !(cfg.detection_ms.is_finite() && cfg.detection_ms >= 0.0) {
         return bad(format!(
@@ -409,10 +408,11 @@ pub(crate) fn validate(
 
 impl<'a> Server<'a> {
     /// Constructs an empty serving loop: platform, breakers, ladder,
-    /// store, overload controller — but no requests and no scheduled
-    /// events.  `serve_drift` seeds it from a whole trace and pumps it
-    /// dry; the fleet layer instead injects requests one at a time and
-    /// interleaves [`Server::step`] with its own router events.
+    /// store, overload controller, and the fault plan's detection
+    /// events — but no requests.  Requests enter one at a time through
+    /// [`Server::inject`], interleaved with [`Server::step`]: by
+    /// `serve_drift` in trace order, by the fleet layer as its router
+    /// places them.
     ///
     /// Assumes `validate(models, trace, cfg)` already passed for every
     /// request this server will ever see.
@@ -422,12 +422,15 @@ impl<'a> Server<'a> {
         drift: &'a DriftPlan,
         cfg: &'a ServeConfig,
     ) -> Result<Self, ServeError> {
-        if let Err(e) = drift.validate(cfg.num_gpus) {
-            return Err(ServeError::Scheduler(SchedulerError::BadOptions(format!(
-                "drift plan: {e}"
-            ))));
-        }
         let m = cfg.num_gpus;
+        if let Err(e) = drift.validate(m) {
+            return Err(bad_options(format!("drift plan: {e}")));
+        }
+        // Signals index the platform model and land on the event queue:
+        // out-of-range targets and non-finite instants stop here.
+        if let Err(e) = faults.validate_platform(m) {
+            return Err(bad_options(format!("fault plan: {e}")));
+        }
         let calib: Vec<CalibState> = match &cfg.calibration {
             Some(ccfg) => models
                 .iter()
@@ -448,19 +451,24 @@ impl<'a> Server<'a> {
             let store = PlanStore::open(&sc.path, sc.options).map_err(ServeError::Store)?;
             ladder.attach_store(store);
         }
+        let signals = faults.signals(cfg.detection_ms);
+        let mut events = EventQueue::new();
+        for (s, sig) in signals.iter().enumerate() {
+            events.push(sig.detected_ms, Event::FaultDetected(s));
+        }
         Ok(Server {
             models,
             cfg,
             drift,
             calib,
             clock: VirtualClock::new(),
-            events: EventQueue::new(),
+            events,
             queue: VecDeque::new(),
             states: Vec::new(),
-            signals: faults.signals(cfg.detection_ms),
+            signals,
             next_token: 0,
             in_flight: None,
-            breakers: BreakerBank::new(m, cfg.breaker_reset_ms),
+            breakers: BreakerBank::new(m, BREAKER_RESET_MS),
             overload: cfg.overload.map(|oc| OverloadState {
                 ctl: BrownoutController::new(oc.brownout),
                 budget: RetryBudget::new(oc.retry_budget),
@@ -484,16 +492,6 @@ impl<'a> Server<'a> {
             recalibrations_total: 0,
             cache_drops_total: 0,
         })
-    }
-
-    /// Schedules the fault plan's detection events.  Called after the
-    /// trace arrivals are pushed so same-instant ties keep the
-    /// arrival-before-detection order serving has always had.
-    pub(crate) fn arm_signals(&mut self) {
-        for s in 0..self.signals.len() {
-            self.events
-                .push(self.signals[s].detected_ms, Event::FaultDetected(s));
-        }
     }
 
     /// Processes the next scheduled event; `false` when none remain.
@@ -550,12 +548,14 @@ impl<'a> Server<'a> {
         ServeOutcome { records, report }
     }
 
-    // ---- fleet interface -----------------------------------------------
+    // ---- driver interface ----------------------------------------------
     //
-    // The fleet layer (`crate::fleet`) drives N of these loops under one
-    // router.  It advances each loop lazily through `step`, injects
-    // routed requests at the fleet's current instant, and reads terminal
-    // records back through the `(terminal_idx, records)` watermark.
+    // `serve_drift` drives one loop from a trace; the fleet layer
+    // (`crate::fleet`) drives N of them under one router.  Both admit
+    // requests through `inject` and advance the loop through `step`;
+    // the fleet additionally withdraws work (`cancel`, `drain`) and reads
+    // terminal records back through the `(terminal_idx, records)`
+    // watermark.
 
     /// Admits `request` as if it arrived at `now_ms` (the cluster clock
     /// advances there first) and returns its state index.  The index —
@@ -659,7 +659,6 @@ impl<'a> Server<'a> {
 
     fn handle(&mut self, ev: Event) {
         match ev {
-            Event::Arrival(i) => self.on_arrival(i),
             Event::FaultDetected(s) => self.on_fault(s),
             Event::Completion { token } => self.on_completion(token),
             Event::Watchdog { token } => self.on_watchdog(token),
@@ -811,64 +810,74 @@ impl<'a> Server<'a> {
             self.states[i].attempts += 1;
             self.attempts_total += 1;
             let t0 = self.now() + decision.sched_cost_ms;
-            let fault_scale = self.slot_scaling(&decision.gpu_map);
-            let slot_scale = self.drifted(&fault_scale, &decision.gpu_map, t0);
-            let sim = simulate_scaled(
-                &model.graph,
-                &model.cost,
-                &decision.schedule,
-                &self.cfg.sim,
-                &slot_scale,
-            );
-            match sim {
-                Ok(r) if r.makespan.is_finite() => {
+            let (schedule, gpu_map) = (decision.schedule, decision.gpu_map);
+            match self.execute(&model.graph, &model.cost, &schedule, &gpu_map, t0) {
+                Some((r, fault_scale, slot_scale)) => {
                     let obs = self.collect_observations(
                         model,
-                        &decision.schedule,
-                        &decision.gpu_map,
+                        &schedule,
+                        &gpu_map,
                         &r,
                         &fault_scale,
                         &slot_scale,
                     );
-                    let token = self.fresh_token();
-                    self.in_flight = Some(InFlight {
-                        req: i,
-                        token,
-                        serving: decision.gpu_map,
-                        op_finish_abs: r.op_finish.iter().map(|&f| t0 + f).collect(),
-                        hung_op: None,
-                        obs,
-                    });
-                    self.events
-                        .push(t0 + r.makespan, Event::Completion { token });
+                    let op_finish_abs = r.op_finish.iter().map(|&f| t0 + f).collect();
+                    self.fly(i, gpu_map, op_finish_abs, t0 + r.makespan, obs);
                 }
-                _ => {
-                    // A stalled or failed execution plan: typed failure,
-                    // retry (the platform may heal).
-                    self.fail_attempt(i, ServeError::NoCapacity);
-                }
+                // A stalled or failed execution plan: typed failure,
+                // retry (the platform may heal).
+                None => self.fail_attempt(i, ServeError::NoCapacity),
             }
         }
+    }
+
+    /// Runs `schedule` (over the slots `gpu_map`) from instant `t0` on
+    /// the platform as it is: the fault scaling projected onto the
+    /// slots, with the drift of `t0` multiplied in.  `None` when the
+    /// plan cannot run to a finite finish (an operator on a dead GPU, a
+    /// transfer over a stalled link).  Also returns the fault-only and
+    /// the drifted slot scaling it ran under.
+    fn execute(
+        &self,
+        graph: &Graph,
+        cost: &CostTable,
+        schedule: &Schedule,
+        gpu_map: &[usize],
+        t0: f64,
+    ) -> Option<(SimResult, Scaling, Scaling)> {
+        let fault_scale = self.scaling.project(gpu_map);
+        let slot_scale = self.drifted(&fault_scale, gpu_map, t0);
+        let r = simulate_scaled(graph, cost, schedule, &self.cfg.sim, &slot_scale).ok()?;
+        r.makespan
+            .is_finite()
+            .then_some((r, fault_scale, slot_scale))
+    }
+
+    /// Puts request `i` in flight on `serving` under a fresh token and
+    /// schedules its completion for `finish_ms`.
+    fn fly(
+        &mut self,
+        i: usize,
+        serving: Vec<usize>,
+        op_finish_abs: Vec<f64>,
+        finish_ms: f64,
+        obs: Vec<Obs>,
+    ) {
+        let token = self.fresh_token();
+        self.in_flight = Some(InFlight {
+            req: i,
+            token,
+            serving,
+            op_finish_abs,
+            hung_op: None,
+            obs,
+        });
+        self.events.push(finish_ms, Event::Completion { token });
     }
 
     fn fresh_token(&mut self) -> u64 {
         self.next_token += 1;
         self.next_token
-    }
-
-    /// Physical scaling projected onto the dispatch's GPU slots.
-    fn slot_scaling(&self, gpu_map: &[usize]) -> Scaling {
-        let m = self.cfg.num_gpus;
-        let mut link = Vec::with_capacity(gpu_map.len() * gpu_map.len());
-        for &pf in gpu_map {
-            for &pt in gpu_map {
-                link.push(self.scaling.link[pf * m + pt]);
-            }
-        }
-        Scaling {
-            gpu: gpu_map.iter().map(|&p| self.scaling.gpu[p]).collect(),
-            link,
-        }
     }
 
     /// How long the backend may stall before the arrival stream (at its
@@ -988,7 +997,7 @@ impl<'a> Server<'a> {
             let fp = self.calib[mi].table.table().platform_fingerprint();
             let g = &self.models[mi].graph;
             self.cache_drops_total += self.ladder.invalidate_stale(g, fp, self.epochs[mi]) as u64;
-            self.rerank_model(mi);
+            self.reprice(mi, false);
         }
     }
 
@@ -1036,9 +1045,6 @@ impl<'a> Server<'a> {
         }
     }
 
-    /// After the backend drains: let the anytime ladder spend the idle
-    /// CPU time upgrading the cached plan of the last-served model,
-    /// then dispatch whatever queued meanwhile.
     /// Re-rank every model's cached plan for the current alive set
     /// against a greedy candidate, evaluated under the current fault
     /// scaling.  Called whenever the platform changes (fault detected,
@@ -1046,24 +1052,26 @@ impl<'a> Server<'a> {
     /// that just degraded — or hardware that just came back.
     fn rerank_cache(&mut self) {
         for mi in 0..self.models.len() {
-            self.rerank_model(mi);
+            self.reprice(mi, false);
         }
     }
 
-    /// Re-rank one model's cached plan for the current alive set against
-    /// a greedy candidate, both priced on the model's *planning* table
-    /// (the calibrated overlay when calibration is on) under the current
-    /// fault scaling.
-    fn rerank_model(&mut self, mi: usize) {
+    /// Re-prices model `mi`'s cached plan for the current alive set on
+    /// the platform as it is *now* — candidates are simulated on the
+    /// model's planning table (the calibrated overlay when calibration
+    /// is on) under the current fault scaling, because the
+    /// nominally-best plan may lean on a degraded link.  The challenger
+    /// is a full HIOS-LP pass when `upgrade`, a greedy pass otherwise.
+    fn reprice(&mut self, mi: usize, upgrade: bool) {
         if self.cfg.policy != Policy::Anytime {
             return;
         }
         let alive = self.breakers.admitted();
-        let gpu_map: Vec<usize> = (0..alive.len()).filter(|&i| alive[i]).collect();
+        let gpu_map = alive_slots(&alive);
         if gpu_map.is_empty() {
             return;
         }
-        let scale = self.slot_scaling(&gpu_map);
+        let scale = self.scaling.project(&gpu_map);
         let sim_cfg = &self.cfg.sim;
         let model = &self.models[mi];
         let planning = planning_table(&self.calib, model, mi);
@@ -1073,32 +1081,21 @@ impl<'a> Server<'a> {
                 .map(|r| r.makespan)
                 .unwrap_or(f64::INFINITY)
         };
-        self.ladder.rerank(&model.graph, planning, &alive, eval);
+        if upgrade {
+            self.ladder
+                .upgrade(&model.graph, planning, &alive, self.epochs[mi], eval);
+        } else {
+            self.ladder.rerank(&model.graph, planning, &alive, eval);
+        }
     }
 
+    /// After the backend drains: let the anytime ladder spend the idle
+    /// CPU time upgrading the cached plan of the last-served model,
+    /// then dispatch whatever queued meanwhile.
     fn idle_work(&mut self) {
-        if self.cfg.policy == Policy::Anytime && self.queue.is_empty() {
+        if self.queue.is_empty() {
             if let Some(last) = self.records.last() {
-                let mi = last.request.model;
-                let model = &self.models[mi];
-                let alive = self.breakers.admitted();
-                let gpu_map: Vec<usize> = (0..alive.len()).filter(|&i| alive[i]).collect();
-                if gpu_map.is_empty() {
-                    return; // nothing to dispatch on either
-                }
-                let scale = self.slot_scaling(&gpu_map);
-                let sim_cfg = &self.cfg.sim;
-                let planning = planning_table(&self.calib, model, mi);
-                let slots = slot_cost(planning, &gpu_map);
-                // Rank candidates on the platform as it is *now*: the
-                // nominally-best plan may lean on a degraded link.
-                let eval = |schedule: &Schedule| {
-                    simulate_scaled(&model.graph, &slots, schedule, sim_cfg, &scale)
-                        .map(|r| r.makespan)
-                        .unwrap_or(f64::INFINITY)
-                };
-                self.ladder
-                    .upgrade(&model.graph, planning, &alive, self.epochs[mi], eval);
+                self.reprice(last.request.model, true);
             }
         }
         self.try_dispatch();
@@ -1148,7 +1145,7 @@ impl<'a> Server<'a> {
             i,
             ServeError::WatchdogTimeout {
                 op,
-                waited_ms: self.cfg.watchdog_ms,
+                waited_ms: WATCHDOG_MS,
             },
         );
         self.try_dispatch();
@@ -1159,43 +1156,23 @@ impl<'a> Server<'a> {
     fn on_fault(&mut self, s: usize) {
         let sig = self.signals[s];
         let now = self.now();
-        let m = self.cfg.num_gpus;
         // 1. Persist the fault in the platform model.
-        match sig.kind {
-            FaultKind::GpuFailStop { gpu } => {
-                self.scaling.gpu[gpu] = f64::INFINITY;
-                self.healthy_at[gpu] = now + self.cfg.gpu_repair_ms;
-            }
-            FaultKind::GpuSlowdown { gpu, factor } => {
-                self.scaling.gpu[gpu] *= factor;
-                self.healthy_at[gpu] = now + self.cfg.gpu_repair_ms;
-            }
-            FaultKind::LinkFail { from, to } => {
-                // Reroute around the dead link at a penalty factor,
-                // mirroring `hios_sim::recover`.
-                self.scaling.link[from * m + to] = self.cfg.reroute_factor;
-            }
-            FaultKind::LinkDegrade { from, to, factor } => {
-                self.scaling.link[from * m + to] *= factor;
-            }
-            FaultKind::GpuHeal { gpu } => {
-                // A scripted heal (the "up" edge of a flapping GPU):
-                // the hardware runs at full speed again, and the heal
-                // horizon snaps to now so the breaker's next probe
-                // succeeds instead of waiting out `gpu_repair_ms`.
-                self.scaling.gpu[gpu] = 1.0;
-                self.healthy_at[gpu] = now;
-            }
-            FaultKind::OpHang { .. } => {}
-        }
-        // 2. Trip the GPU's breaker.
-        // (An already-open breaker keeps its pending probe; the pushed-out
-        // heal horizon makes that probe fail and re-arm.)
+        self.scaling.apply_fault(&sig.kind);
         if let Some(gpu) = sig.kind.gpu_target() {
+            // 2. The GPU is repaired `gpu_repair_ms` from now; trip its
+            // breaker.  (An already-open breaker keeps its pending probe;
+            // the pushed-out heal horizon makes that probe fail and
+            // re-arm.)
+            self.healthy_at[gpu] = now + self.cfg.gpu_repair_ms;
             if self.breakers.peek(gpu).admits() {
                 let until = self.breakers.gpu(gpu).trip(now);
                 self.events.push(until, Event::BreakerProbe { gpu });
             }
+        } else if let Some(gpu) = sig.kind.heal_target() {
+            // A scripted heal (the "up" edge of a flapping GPU): the heal
+            // horizon snaps to now so the breaker's next probe succeeds
+            // instead of waiting out `gpu_repair_ms`.
+            self.healthy_at[gpu] = now;
         }
         // The platform changed under the cache: re-rank cached plans
         // against a greedy candidate at the new scaling.
@@ -1214,7 +1191,7 @@ impl<'a> Server<'a> {
                 fl.hung_op = Some(op);
                 fl.op_finish_abs[op.index()] = f64::INFINITY;
                 self.events
-                    .push(now + self.cfg.watchdog_ms, Event::Watchdog { token });
+                    .push(now + WATCHDOG_MS, Event::Watchdog { token });
             }
             FaultKind::GpuFailStop { gpu } | FaultKind::GpuSlowdown { gpu, .. } => {
                 self.disrupt(ServeError::GpuFault { gpu });
@@ -1282,41 +1259,22 @@ impl<'a> Server<'a> {
         };
         let sub_cost = hios_core::repair::project_cost(&model.cost, &map);
         let resume = now + sched_cost;
-        let fault_scale = self.slot_scaling(&outcome.gpu_map);
-        let slot_scale = self.drifted(&fault_scale, &outcome.gpu_map, resume);
-        // `RepairOutcome::schedule` names the unfinished operators by their
-        // parent-graph ids; translate to subgraph ids before simulating.
-        let sub_schedule = to_sub_ids(&outcome.schedule, &map);
-        match simulate_scaled(
-            &map.sub,
-            &sub_cost,
-            &sub_schedule,
-            &self.cfg.sim,
-            &slot_scale,
-        ) {
-            Ok(r) if r.makespan.is_finite() => {
-                let token = self.fresh_token();
+        let sub_schedule = map.to_sub_schedule(&outcome.schedule);
+        match self.execute(&map.sub, &sub_cost, &sub_schedule, &outcome.gpu_map, resume) {
+            Some((r, ..)) => {
                 let mut op_finish_abs = fl.op_finish_abs;
                 for (sv, &parent) in map.to_parent.iter().enumerate() {
                     op_finish_abs[parent.index()] = resume + r.op_finish[sv];
                 }
                 self.states[i].repairs += 1;
                 self.repairs_total += 1;
-                self.in_flight = Some(InFlight {
-                    req: i,
-                    token,
-                    serving: outcome.gpu_map,
-                    op_finish_abs,
-                    hung_op: None,
-                    // A stitched-together attempt is no longer one clean
-                    // timeline; its observations would mis-attribute the
-                    // disruption as drift.
-                    obs: Vec::new(),
-                });
-                self.events
-                    .push(resume + r.makespan, Event::Completion { token });
+                // A stitched-together attempt is no longer one clean
+                // timeline; its observations would mis-attribute the
+                // disruption as drift, so it carries none.
+                let finish_ms = resume + r.makespan;
+                self.fly(i, outcome.gpu_map, op_finish_abs, finish_ms, Vec::new());
             }
-            _ => {
+            None => {
                 self.fail_attempt(i, err);
                 self.try_dispatch();
             }
@@ -1346,7 +1304,7 @@ impl<'a> Server<'a> {
     /// allows, shed otherwise.  (`in_flight` must already be cleared.)
     fn fail_attempt(&mut self, i: usize, err: ServeError) {
         let attempts = self.states[i].attempts;
-        if !self.cfg.retry.allows(attempts) {
+        if !retry::allows(attempts) {
             self.shed(
                 i,
                 ShedReason::RetriesExhausted {
@@ -1365,10 +1323,7 @@ impl<'a> Server<'a> {
             None => true,
         };
         if granted {
-            let backoff = self
-                .cfg
-                .retry
-                .backoff_ms(self.states[i].request.id, attempts);
+            let backoff = retry::backoff_ms(self.states[i].request.id, attempts);
             self.states[i].retry_pending = true;
             self.events.push(now + backoff, Event::Retry { req: i });
         } else {
@@ -1407,7 +1362,7 @@ impl<'a> Server<'a> {
         if now >= self.healthy_at[gpu] {
             self.breakers.gpu(gpu).probe_success(now);
             // Repaired or replaced: the GPU runs at full speed again.
-            self.scaling.gpu[gpu] = 1.0;
+            self.scaling.apply_fault(&FaultKind::GpuHeal { gpu });
             self.rerank_cache();
             self.try_dispatch();
         } else {
@@ -1426,32 +1381,6 @@ fn planning_table<'a>(calib: &'a [CalibState], model: &'a ServedModel, mi: usize
     match calib.get(mi) {
         Some(state) => state.table.table(),
         None => &model.cost,
-    }
-}
-
-/// Translate a repair schedule from parent-graph op ids to subgraph ids.
-fn to_sub_ids(sched: &Schedule, map: &SubgraphMap) -> Schedule {
-    Schedule {
-        gpus: sched
-            .gpus
-            .iter()
-            .map(|gq| GpuSchedule {
-                stages: gq
-                    .stages
-                    .iter()
-                    .map(|st| Stage {
-                        ops: st
-                            .ops
-                            .iter()
-                            .map(|&p| {
-                                map.sub_id(p)
-                                    .expect("repair schedule covers only unfinished operators")
-                            })
-                            .collect(),
-                    })
-                    .collect(),
-            })
-            .collect(),
     }
 }
 
@@ -1673,6 +1602,28 @@ mod tests {
             err,
             ServeError::Scheduler(SchedulerError::BadOptions(_))
         ));
+    }
+
+    #[test]
+    fn fault_plans_that_do_not_fit_the_platform_are_typed_errors() {
+        let models = vec![model(8, 20)];
+        let cfg = ServeConfig::new(3);
+        let trace = trace_for(&models, &cfg, &wl(5, 50.0, 20.0));
+        for (what, at_ms, kind) in [
+            ("GPU out of range", 1.0, FaultKind::GpuFailStop { gpu: 7 }),
+            (
+                "link endpoint out of range",
+                1.0,
+                FaultKind::LinkFail { from: 0, to: 9 },
+            ),
+            ("NaN instant", f64::NAN, FaultKind::GpuFailStop { gpu: 0 }),
+        ] {
+            let err = serve(&models, &trace, &FaultPlan::single(at_ms, kind), &cfg).unwrap_err();
+            assert!(
+                matches!(err, ServeError::Scheduler(SchedulerError::BadOptions(_))),
+                "{what}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -97,7 +97,7 @@ fn scenario(seed: u64, n: usize) -> (Vec<ServedModel>, Vec<Request>, FleetConfig
     let mut cfg = FleetConfig::new(clusters, 2);
     if mix.below(2) == 0 {
         cfg.router.policy = RouterPolicy::StaticHash;
-        cfg.hedge = None;
+        cfg.hedge = false;
     }
     cfg.router.seed = mix.next();
 
@@ -218,7 +218,7 @@ fn fleet_of_one_equals_serve() {
     let models = models();
     let mut cfg = FleetConfig::new(1, 2);
     cfg.router.policy = RouterPolicy::StaticHash;
-    cfg.hedge = None;
+    cfg.hedge = false;
     // Light, near-capacity, and overloaded arrival rates.
     for rate in [40.0, 1_500.0, 20_000.0] {
         for seed in 1..=4u64 {

@@ -1,5 +1,6 @@
 //! The discrete-event engine.
 
+use crate::fault::FaultKind;
 use hios_core::Schedule;
 use hios_cost::CostTable;
 use hios_graph::{Graph, OpId};
@@ -72,6 +73,10 @@ impl SimConfig {
     }
 }
 
+/// Transfer-duration factor of the rerouted path (e.g. through host
+/// memory) that replaces a failed link once the failure is detected.
+pub const REROUTE_FACTOR: f64 = 3.0;
+
 /// Multiplicative duration factors applied on top of the cost table —
 /// the hook through which fault injection expresses persistent GPU
 /// slowdowns and link degradation ([`crate::fault`], DESIGN.md §8).
@@ -81,6 +86,12 @@ impl SimConfig {
 /// throttling, a link flapping) that fault injection turns on and off
 /// mid-run, applied by the engine at the moment the directed link is
 /// known.
+///
+/// This is the one live platform model: the recovery loop
+/// ([`crate::recover`]) and the serving loop (`hios-serve`) both keep a
+/// `Scaling` over the physical GPUs, fold detected faults into it with
+/// [`Scaling::apply_fault`], and hand the engine its
+/// [`Scaling::project`]ion onto the slots of the schedule being run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Scaling {
     /// Per-GPU execution factor (`1.0` = nominal, `2.0` = half speed).
@@ -102,6 +113,44 @@ impl Scaling {
     /// Factor of the directed link `from -> to`.
     pub fn link_factor(&self, from: usize, to: usize) -> f64 {
         self.link[from * self.gpu.len() + to]
+    }
+
+    /// The factors a slot schedule sees when slot `i` is physical GPU
+    /// `gpu_map[i]`: GPU factors gathered per slot, link factors per
+    /// ordered slot pair.
+    pub fn project(&self, gpu_map: &[usize]) -> Scaling {
+        let mut link = Vec::with_capacity(gpu_map.len() * gpu_map.len());
+        for &from in gpu_map {
+            for &to in gpu_map {
+                link.push(self.link_factor(from, to));
+            }
+        }
+        Scaling {
+            gpu: gpu_map.iter().map(|&p| self.gpu[p]).collect(),
+            link,
+        }
+    }
+
+    /// Folds the lasting effect of a *detected* fault into the platform
+    /// (indices must fit it — [`crate::FaultPlan::validate_platform`]):
+    /// a fail-stopped GPU prices as `+∞`, slowdowns and link degrades
+    /// compound with whatever the device already suffers, a failed link
+    /// is replaced by the [`REROUTE_FACTOR`] path, a heal restores
+    /// nominal speed, and an operator hang is transient.
+    pub fn apply_fault(&mut self, kind: &FaultKind) {
+        match *kind {
+            FaultKind::GpuFailStop { gpu } => self.gpu[gpu] = f64::INFINITY,
+            FaultKind::GpuSlowdown { gpu, factor } => self.gpu[gpu] *= factor,
+            FaultKind::LinkFail { from, to } => *self.link_mut(from, to) = REROUTE_FACTOR,
+            FaultKind::LinkDegrade { from, to, factor } => *self.link_mut(from, to) *= factor,
+            FaultKind::GpuHeal { gpu } => self.gpu[gpu] = 1.0,
+            FaultKind::OpHang { .. } => {}
+        }
+    }
+
+    fn link_mut(&mut self, from: usize, to: usize) -> &mut f64 {
+        let m = self.gpu.len();
+        &mut self.link[from * m + to]
     }
 
     fn check(&self, m: usize) -> Result<(), SimError> {
@@ -962,6 +1011,59 @@ mod tests {
             simulate_scaled(&g, &cost, &s, &SimConfig::analytical(), &inf_gpu),
             Err(SimError::BadScaling { .. })
         ));
+    }
+
+    #[test]
+    fn projection_and_fault_effects_follow_the_platform_rules() {
+        let id = Scaling::identity(3);
+        assert_eq!(id.project(&[0, 1, 2]), id);
+        assert_eq!(id.project(&[2, 0]), Scaling::identity(2));
+
+        // Start from a platform where every factor is distinct, so a
+        // projection or a fault reading the wrong cell shows.
+        let base = Scaling {
+            gpu: vec![1.5, 2.5, 3.5],
+            link: (0..9).map(|i| 10.0 + i as f64).collect(),
+        };
+        let p = base.project(&[2, 0]);
+        assert_eq!(p.gpu, vec![3.5, 1.5]);
+        assert_eq!(p.link_factor(0, 1), base.link_factor(2, 0));
+        assert_eq!(p.link_factor(1, 0), base.link_factor(0, 2));
+        assert_eq!(p.link_factor(1, 1), base.link_factor(0, 0));
+
+        let gpu = |g: usize, f: f64| {
+            let mut s = base.clone();
+            s.gpu[g] = f;
+            s
+        };
+        let link = |from: usize, to: usize, f: f64| {
+            let mut s = base.clone();
+            s.link[from * 3 + to] = f;
+            s
+        };
+        let factor = 4.0;
+        for (kind, want) in [
+            (FaultKind::GpuFailStop { gpu: 1 }, gpu(1, f64::INFINITY)),
+            (FaultKind::GpuSlowdown { gpu: 2, factor }, gpu(2, 3.5 * 4.0)),
+            (
+                FaultKind::LinkFail { from: 2, to: 0 },
+                link(2, 0, REROUTE_FACTOR),
+            ),
+            (
+                FaultKind::LinkDegrade {
+                    from: 0,
+                    to: 1,
+                    factor,
+                },
+                link(0, 1, 11.0 * 4.0),
+            ),
+            (FaultKind::GpuHeal { gpu: 0 }, gpu(0, 1.0)),
+            (FaultKind::OpHang { op: OpId(7) }, base.clone()),
+        ] {
+            let mut got = base.clone();
+            got.apply_fault(&kind);
+            assert_eq!(got, want, "{kind:?}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Deterministic fault injection (ISSUE 2 tentpole, layer 1).
+//! Deterministic fault injection.
 //!
 //! A [`FaultPlan`] is an ordered list of timed [`FaultEvent`]s injected
 //! into a simulated run: GPU fail-stop, persistent per-GPU slowdown
@@ -9,7 +9,7 @@
 //! history it ran under.
 //!
 //! On top of the primitive events sits [`FaultScript`], the validated
-//! plan layer of ISSUE 8: **failure domains** ([`FailureDomain`] — GPUs
+//! plan layer: **failure domains** ([`FailureDomain`] — GPUs
 //! grouped by host or PCIe switch, killed by one correlated event),
 //! **flapping GPUs** ([`FlapSpec`] — deterministic fail/heal duty
 //! cycles), and raw events, all checked with typed errors
@@ -45,8 +45,8 @@ pub enum FaultKind {
         factor: f64,
     },
     /// The directed link stops moving data; transfers stall until the
-    /// fault is detected, after which traffic reroutes at the recovery
-    /// loop's reroute factor.
+    /// fault is detected, after which traffic reroutes at
+    /// [`crate::REROUTE_FACTOR`].
     LinkFail {
         /// Source GPU of the directed link.
         from: usize,
@@ -342,7 +342,41 @@ impl FaultPlan {
             .collect()
     }
 
-    /// Checks every event against the platform (`m` GPUs) and graph.
+    /// Checks every event against the platform alone (`m` GPUs): finite,
+    /// non-negative instants, GPU indices below `m`, link endpoints below
+    /// `m` and distinct, finite factors `> 1`.  A plan that passes can be
+    /// folded into an `m`-GPU [`crate::Scaling`] and scheduled on an
+    /// [`crate::EventQueue`] without indexing out of range or poisoning
+    /// a timestamp — the part of [`FaultPlan::validate`] a serving loop
+    /// needs, which deliberately admits hangs naming another tenant's
+    /// operator and plans that kill every GPU (its breakers recover).
+    pub fn validate_platform(&self, m: usize) -> Result<(), FaultPlanError> {
+        for e in &self.events {
+            if !e.at_ms.is_finite() || e.at_ms < 0.0 {
+                return Err(FaultPlanError::BadTime(e.at_ms));
+            }
+            let gpu = e.kind.gpu_target().or(e.kind.heal_target());
+            if let Some(gpu) = gpu.filter(|&gpu| gpu >= m) {
+                return Err(FaultPlanError::UnknownGpu(gpu));
+            }
+            let bad_link = |&(from, to): &(usize, usize)| from >= m || to >= m || from == to;
+            if let Some((from, to)) = e.kind.link_target().filter(bad_link) {
+                return Err(FaultPlanError::BadLink(from, to));
+            }
+            if let FaultKind::GpuSlowdown { factor, .. } | FaultKind::LinkDegrade { factor, .. } =
+                e.kind
+            {
+                if !factor.is_finite() || factor <= 1.0 {
+                    return Err(FaultPlanError::BadFactor(factor));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks every event against the platform
+    /// ([`FaultPlan::validate_platform`]) and the graph (hung operators
+    /// must exist), then that the run can finish.
     ///
     /// The liveness check is *temporal*: events are replayed in time
     /// order with [`FaultKind::GpuHeal`] clearing earlier fail-stops,
@@ -350,56 +384,23 @@ impl FaultPlan {
     /// simultaneously dead.  A plan that fail-stops all GPUs but heals
     /// one before the last kill is fine.
     pub fn validate(&self, g: &Graph, m: usize) -> Result<(), FaultPlanError> {
+        self.validate_platform(m)?;
         let mut order: Vec<usize> = (0..self.events.len()).collect();
         order.sort_by(|&a, &b| self.events[a].at_ms.total_cmp(&self.events[b].at_ms));
         let mut failed = vec![false; m];
         for &i in &order {
-            let e = &self.events[i];
-            if !e.at_ms.is_finite() || e.at_ms < 0.0 {
-                return Err(FaultPlanError::BadTime(e.at_ms));
-            }
-            match e.kind {
+            match self.events[i].kind {
                 FaultKind::GpuFailStop { gpu } => {
-                    if gpu >= m {
-                        return Err(FaultPlanError::UnknownGpu(gpu));
-                    }
                     failed[gpu] = true;
-                    if m > 0 && failed.iter().all(|&f| f) {
+                    if failed.iter().all(|&f| f) {
                         return Err(FaultPlanError::AllGpusFail);
                     }
                 }
-                FaultKind::GpuSlowdown { gpu, factor } => {
-                    if gpu >= m {
-                        return Err(FaultPlanError::UnknownGpu(gpu));
-                    }
-                    if !factor.is_finite() || factor <= 1.0 {
-                        return Err(FaultPlanError::BadFactor(factor));
-                    }
+                FaultKind::GpuHeal { gpu } => failed[gpu] = false,
+                FaultKind::OpHang { op } if op.index() >= g.num_ops() => {
+                    return Err(FaultPlanError::UnknownOp(op));
                 }
-                FaultKind::LinkFail { from, to } => {
-                    if from >= m || to >= m || from == to {
-                        return Err(FaultPlanError::BadLink(from, to));
-                    }
-                }
-                FaultKind::LinkDegrade { from, to, factor } => {
-                    if from >= m || to >= m || from == to {
-                        return Err(FaultPlanError::BadLink(from, to));
-                    }
-                    if !factor.is_finite() || factor <= 1.0 {
-                        return Err(FaultPlanError::BadFactor(factor));
-                    }
-                }
-                FaultKind::OpHang { op } => {
-                    if op.index() >= g.num_ops() {
-                        return Err(FaultPlanError::UnknownOp(op));
-                    }
-                }
-                FaultKind::GpuHeal { gpu } => {
-                    if gpu >= m {
-                        return Err(FaultPlanError::UnknownGpu(gpu));
-                    }
-                    failed[gpu] = false;
-                }
+                _ => {}
             }
         }
         Ok(())
@@ -475,7 +476,7 @@ impl FlapSpec {
 ///
 /// Cluster events never lower into a single platform's [`FaultPlan`] —
 /// a cluster is a whole platform, so these are consumed by the fleet
-/// router/failover layer above the per-cluster serve loops (ISSUE 10).
+/// router/failover layer above the per-cluster serve loops.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum ClusterFaultKind {
     /// Every GPU of the cluster fail-stops at once and the cluster never
@@ -576,7 +577,7 @@ pub struct FaultScript {
     pub flaps: Vec<FlapSpec>,
     /// Extra primitive events injected verbatim.
     pub raw: Vec<FaultEvent>,
-    /// Fleet-scope cluster faults (ISSUE 10).  Ignored — in fact
+    /// Fleet-scope cluster faults.  Ignored — in fact
     /// rejected — by the single-platform [`FaultScript::compile`]; the
     /// fleet layer extracts them with [`FaultScript::cluster_plan`].
     #[serde(default)]

@@ -35,7 +35,8 @@ pub mod trace;
 pub use clock::{EventQueue, VirtualClock};
 pub use drift::{DRIFT_FACTOR_RANGE, DriftPlan, DriftPlanError, DriftTrace};
 pub use engine::{
-    Scaling, Semantics, SimConfig, SimError, SimResult, TransferRecord, simulate, simulate_scaled,
+    REROUTE_FACTOR, Scaling, Semantics, SimConfig, SimError, SimResult, TransferRecord, simulate,
+    simulate_scaled,
 };
 pub use fault::{
     ClusterFaultEvent, ClusterFaultKind, DomainKill, FailureDomain, FaultEvent, FaultKind,

@@ -1,4 +1,4 @@
-//! The closed detect → repair → resume loop (ISSUE 2 tentpole, layer 3).
+//! The closed detect → repair → resume loop.
 //!
 //! [`run_with_repair`] executes a schedule under a [`FaultPlan`]: the
 //! discrete-event engine runs until a fault fires, the fault is detected
@@ -21,8 +21,7 @@
 //!   factor applies to every later run;
 //! * **link fail** — transfers on the directed link stall from `t_f`, so
 //!   consumers fed by such a transfer after `t_f` restart; from the
-//!   repair on, traffic reroutes at
-//!   [`RecoveryConfig::reroute_factor`];
+//!   repair on, traffic reroutes at [`crate::REROUTE_FACTOR`];
 //! * **link degrade** — like link-fail for the conservative restart
 //!   rule, but the persistent factor is the event's own;
 //! * **op hang** — the operator's in-flight execution never finishes;
@@ -36,11 +35,14 @@ use crate::engine::{Scaling, SimConfig, SimError, simulate_scaled};
 use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanError};
 use hios_core::eval::EvalWorkspace;
 use hios_core::repair::{RepairConfig, RepairError, RepairPolicy, repair_schedule};
-use hios_core::repair::{SubgraphMap, extract_unfinished, project_cost};
-use hios_core::schedule::{GpuSchedule, Schedule, Stage};
+use hios_core::repair::{extract_unfinished, project_cost};
+use hios_core::schedule::Schedule;
 use hios_cost::CostTable;
 use hios_graph::Graph;
 use std::fmt;
+
+/// Downtime spent computing and distributing one repair, ms.
+const REPAIR_OVERHEAD_MS: f64 = 0.1;
 
 /// Knobs of the recovery loop.
 #[derive(Clone, Copy, Debug)]
@@ -51,48 +53,27 @@ pub struct RecoveryConfig {
     pub repair: RepairConfig,
     /// Time between a fault firing and the runtime noticing it, ms.
     pub detection_ms: f64,
-    /// Downtime spent computing and distributing the repair, ms.
-    pub repair_overhead_ms: f64,
-    /// Transfer-duration factor of the rerouted path that replaces a
-    /// failed link after detection (`> 1`).
-    pub reroute_factor: f64,
 }
 
 impl RecoveryConfig {
-    /// Analytical engine semantics with testbed-flavoured recovery
-    /// constants: 0.5 ms detection, 0.1 ms repair downtime, 3× reroute.
+    /// Analytical engine semantics with a testbed-flavoured 0.5 ms
+    /// detection latency.
     pub fn analytical() -> Self {
         RecoveryConfig {
             sim: SimConfig::analytical(),
             repair: RepairConfig::default(),
             detection_ms: 0.5,
-            repair_overhead_ms: 0.1,
-            reroute_factor: 3.0,
         }
     }
 
-    /// Rejects non-finite or out-of-range recovery knobs: detection and
-    /// repair downtime must be finite and non-negative, the reroute
-    /// factor finite and `>= 1` (a rerouted path is never faster than the
-    /// link it replaces).  A NaN knob would otherwise poison every
-    /// absolute timestamp downstream of the first repair.
+    /// Rejects a non-finite or negative detection latency: a NaN would
+    /// otherwise poison every absolute timestamp downstream of the
+    /// first repair.
     pub fn validate(&self) -> Result<(), String> {
         if !(self.detection_ms >= 0.0 && self.detection_ms.is_finite()) {
             return Err(format!(
                 "detection_ms {} must be finite >= 0",
                 self.detection_ms
-            ));
-        }
-        if !(self.repair_overhead_ms >= 0.0 && self.repair_overhead_ms.is_finite()) {
-            return Err(format!(
-                "repair_overhead_ms {} must be finite >= 0",
-                self.repair_overhead_ms
-            ));
-        }
-        if !(self.reroute_factor >= 1.0 && self.reroute_factor.is_finite()) {
-            return Err(format!(
-                "reroute_factor {} must be finite >= 1",
-                self.reroute_factor
             ));
         }
         Ok(())
@@ -174,32 +155,6 @@ impl fmt::Display for RecoverError {
 
 impl std::error::Error for RecoverError {}
 
-/// Re-expresses a parent-id slot schedule in subgraph ids.
-fn to_sub_schedule(sched: &Schedule, map: &SubgraphMap) -> Schedule {
-    Schedule {
-        gpus: sched
-            .gpus
-            .iter()
-            .map(|gq| GpuSchedule {
-                stages: gq
-                    .stages
-                    .iter()
-                    .map(|st| Stage {
-                        ops: st
-                            .ops
-                            .iter()
-                            .map(|&p| {
-                                map.sub_id(p)
-                                    .expect("current schedule covers only unfinished operators")
-                            })
-                            .collect(),
-                    })
-                    .collect(),
-            })
-            .collect(),
-    }
-}
-
 /// Runs `sched` on `g` under `plan`, repairing after every disruptive
 /// fault.  See the module docs for the exact cut semantics.
 pub fn run_with_repair(
@@ -255,17 +210,8 @@ pub fn run_with_repair(
             });
         }
         let sub_cost = project_cost(cost, &map);
-        let sub_sched = to_sub_schedule(&cur_sched, &map);
-        let mut slot_link = Vec::with_capacity(gpu_map.len() * gpu_map.len());
-        for &pf in &gpu_map {
-            for &pt in &gpu_map {
-                slot_link.push(scale.link[pf * m + pt]);
-            }
-        }
-        let slot_scale = Scaling {
-            gpu: gpu_map.iter().map(|&p| scale.gpu[p]).collect(),
-            link: slot_link,
-        };
+        let sub_sched = map.to_sub_schedule(&cur_sched);
+        let slot_scale = scale.project(&gpu_map);
         let r = simulate_scaled(&map.sub, &sub_cost, &sub_sched, &cfg.sim, &slot_scale)
             .map_err(RecoverError::Sim)?;
 
@@ -299,7 +245,7 @@ pub fn run_with_repair(
             }
             if let FaultKind::GpuHeal { gpu } = e.kind {
                 alive[gpu] = true;
-                scale.gpu[gpu] = 1.0;
+                scale.apply_fault(&e.kind);
             }
             events_out.push(SimEvent {
                 fault: e,
@@ -386,17 +332,15 @@ pub fn run_with_repair(
             }
         }
 
-        // Persist the fault's effect on the platform.
-        match e.kind {
-            FaultKind::GpuFailStop { gpu } => alive[gpu] = false,
-            FaultKind::GpuSlowdown { gpu, factor } => scale.gpu[gpu] *= factor,
-            FaultKind::LinkFail { from, to } => scale.link[from * m + to] = cfg.reroute_factor,
-            FaultKind::LinkDegrade { from, to, factor } => scale.link[from * m + to] *= factor,
-            FaultKind::OpHang { .. } | FaultKind::GpuHeal { .. } => {}
+        // Persist the fault's effect on the platform; a fail-stopped GPU
+        // additionally leaves the set repairs may schedule onto.
+        scale.apply_fault(&e.kind);
+        if let FaultKind::GpuFailStop { gpu } = e.kind {
+            alive[gpu] = false;
         }
 
         let detected_abs = t_now + t_d;
-        t_now = detected_abs + cfg.repair_overhead_ms;
+        t_now = detected_abs + REPAIR_OVERHEAD_MS;
 
         if !alive.iter().any(|&a| a) {
             events_out.push(SimEvent {
@@ -463,10 +407,7 @@ mod tests {
         for mutate in [
             (|c: &mut RecoveryConfig| c.detection_ms = f64::NAN) as fn(&mut RecoveryConfig),
             |c| c.detection_ms = -1.0,
-            |c| c.repair_overhead_ms = f64::INFINITY,
-            |c| c.repair_overhead_ms = -0.5,
-            |c| c.reroute_factor = 0.5,
-            |c| c.reroute_factor = f64::NAN,
+            |c| c.detection_ms = f64::INFINITY,
         ] {
             let mut cfg = RecoveryConfig::analytical();
             mutate(&mut cfg);

@@ -2,16 +2,19 @@
 //! arbitrary multi-tenant workloads under arbitrary seeded fault plans,
 //! `serve` must always terminate, record exactly one typed disposition
 //! per request in the trace, keep its aggregate report consistent with
-//! those records, and replay bit-identically from the same inputs.
+//! those records, replay bit-identically from the same inputs, and
+//! serve requests by arrival instant rather than by trace position.
 
 use hios::core::bounds;
 use hios::cost::{RandomCostConfig, random_cost_table};
 use hios::graph::{LayeredDagConfig, generate_layered_dag};
 use hios::serve::{
-    Disposition, Policy, ServeConfig, ServedModel, WorkloadConfig, generate_trace, serve,
+    Disposition, Policy, Request, ServeConfig, ServedModel, WorkloadConfig, generate_trace, serve,
 };
 use hios::sim::FaultPlan;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy: tenant shapes, a workload shape, a fault budget and a
 /// scheduling policy — every seed independent so shrinking isolates the
@@ -64,6 +67,26 @@ fn tenants(dag_seed: u64, cost_seed: u64, ops: usize, m: usize) -> Vec<ServedMod
         .collect()
 }
 
+/// A seeded permutation of `trace` (whose ids are its positions) in
+/// which requests sharing an arrival instant keep their relative order.
+fn permuted(trace: &[Request], seed: u64) -> Vec<Request> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = trace.to_vec();
+    for i in (1..out.len()).rev() {
+        out.swap(i, rng.random_range(0..=i));
+    }
+    // Put each group of equal instants back in trace order, within the
+    // positions the shuffle gave the group.
+    for a in 0..out.len() {
+        for b in a + 1..out.len() {
+            if out[a].arrival_ms == out[b].arrival_ms && out[a].id > out[b].id {
+                out.swap(a, b);
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
@@ -79,7 +102,7 @@ proptest! {
             .iter()
             .map(|t| bounds::combined_bound(&t.graph, &t.cost, m))
             .collect();
-        let trace = generate_trace(
+        let mut trace = generate_trace(
             &WorkloadConfig {
                 requests,
                 arrival_rate_rps: rate,
@@ -88,6 +111,13 @@ proptest! {
             },
             &nominal,
         );
+        // A third of the cases carry duplicated arrival instants: every
+        // third request arrives together with its predecessor.
+        if wl_seed % 3 == 0 {
+            for i in (2..trace.len()).step_by(3) {
+                trace[i].arrival_ms = trace[i - 1].arrival_ms;
+            }
+        }
         // Faults land anywhere across the arrival span (plus slack so
         // some hit the drain phase); op hangs target the larger tenant.
         let horizon = trace.last().unwrap().arrival_ms + 50.0;
@@ -130,5 +160,12 @@ proptest! {
         let replay = serve(&models, &trace, &plan, &cfg).unwrap();
         prop_assert_eq!(replay.report.history_digest, r.history_digest);
         prop_assert_eq!(replay.records, out.records);
+
+        // 4. Requests are served by arrival instant, trace position only
+        // breaking ties: a shuffled trace serves to the same report.
+        let shuffled = permuted(&trace, wl_seed ^ (fault_seed << 32));
+        let reordered = serve(&models, &shuffled, &plan, &cfg).unwrap();
+        prop_assert_eq!(&reordered.report, r);
+        prop_assert_eq!(reordered.records, out.records);
     }
 }
