@@ -77,6 +77,14 @@ impl ScheduleCacheKey {
     /// `alive.len()`-GPU platform whose breakers currently admit
     /// traffic.
     pub fn for_platform(g: &Graph, alive: &[bool], cost: &CostTable) -> Self {
+        Self::from_fingerprints(graph_fingerprint(g), alive, cost.platform_fingerprint())
+    }
+
+    /// [`ScheduleCacheKey::for_platform`] from fingerprints the caller
+    /// already holds: both are O(model size) to compute and change only
+    /// when the graph or the cost snapshot does, so a serving loop takes
+    /// them once and builds the per-dispatch key from this.
+    pub fn from_fingerprints(graph_fp: u64, alive: &[bool], platform_fp: u64) -> Self {
         assert!(
             alive.len() <= 64,
             "alive mask of {} GPUs exceeds the 64-bit cache key",
@@ -89,10 +97,10 @@ impl ScheduleCacheKey {
             }
         }
         ScheduleCacheKey {
-            graph_fp: graph_fingerprint(g),
+            graph_fp,
             alive_mask: mask,
             num_gpus: alive.len(),
-            platform_fp: cost.platform_fingerprint(),
+            platform_fp,
         }
     }
 
@@ -178,6 +186,12 @@ impl<V> ScheduleCache<V> {
     /// Uncounted lookup (for peeking without skewing stats or recency).
     pub fn peek(&self, key: &ScheduleCacheKey) -> Option<&V> {
         self.entries.get(key).map(|e| &e.value)
+    }
+
+    /// Uncounted mutable lookup: lets the owner annotate an entry in
+    /// place without touching stats, recency or eviction order.
+    pub fn peek_mut(&mut self, key: &ScheduleCacheKey) -> Option<&mut V> {
+        self.entries.get_mut(key).map(|e| &mut e.value)
     }
 
     /// Inserts `value` under `key` only if `better` says it improves on

@@ -39,9 +39,23 @@ pub(crate) fn mr_par_threshold() -> usize {
     })
 }
 
+/// Smallest pool both fan-outs (the LP path trials and the MR table
+/// rows) use.  The in-tree `rayon` stand-in has no persistent pool: every
+/// parallel call spawns its workers as scoped threads and parks the
+/// caller until they finish, and the schedulers make one such call per
+/// path or table row.  With two workers that buys at most a halving of a
+/// sub-millisecond batch and pays two thread spawns for it — measured on
+/// the 2-vCPU recording box it is a net loss and triples the run-to-run
+/// spread (EXPERIMENTS.md, "fan-out gate") — so a 2-thread pool runs its
+/// trials inline.  Three threads and up behave as before; they could not
+/// be measured on that box.
+#[cfg(feature = "rayon")]
+const MIN_FAN_OUT_THREADS: usize = 3;
+
 /// Maps `f` over `items`, in parallel when `parallel` is set, the
-/// `rayon` feature is enabled and the pool has more than one thread.
-/// Results are always returned in item order.
+/// `rayon` feature is enabled and the pool has at least
+/// `MIN_FAN_OUT_THREADS` threads.  Results are always returned in item
+/// order.
 pub(crate) fn map_candidates<T, R, F>(items: Vec<T>, parallel: bool, f: F) -> Vec<R>
 where
     T: Send,
@@ -49,7 +63,7 @@ where
     F: Fn(T) -> R + Sync,
 {
     #[cfg(feature = "rayon")]
-    if parallel && rayon::current_num_threads() > 1 {
+    if parallel && rayon::current_num_threads() >= MIN_FAN_OUT_THREADS {
         use rayon::prelude::*;
         return items.into_par_iter().map(f).collect();
     }

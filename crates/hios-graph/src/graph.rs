@@ -288,6 +288,10 @@ pub struct GraphBuilder {
     nodes: Vec<Node>,
     succs: Vec<Vec<OpId>>,
     preds: Vec<Vec<OpId>>,
+    /// Some accepted edge runs from a higher operator index to a lower
+    /// one.  While none does, every path climbs in index, so an edge that
+    /// climbs too cannot close a cycle and needs no search.
+    has_descending_edge: bool,
 }
 
 impl GraphBuilder {
@@ -378,9 +382,11 @@ impl GraphBuilder {
         if self.succs[u.index()].contains(&v) {
             return Err(GraphError::DuplicateEdge(u, v));
         }
-        if self.path_exists(v, u) {
+        let descends = u.index() > v.index();
+        if (descends || self.has_descending_edge) && self.path_exists(v, u) {
             return Err(GraphError::WouldCycle(u, v));
         }
+        self.has_descending_edge |= descends;
         self.succs[u.index()].push(v);
         self.preds[v.index()].push(u);
         Ok(())
@@ -542,6 +548,103 @@ mod tests {
         assert!(b.add_edge(a, d).is_ok());
         let g = b.build();
         assert_eq!(g.num_edges(), 3);
+    }
+
+    /// What `add_edge(u, v)` must answer on `n` operators joined by
+    /// `edges`, by the definition alone: reachability is the fixpoint of
+    /// relaxing every edge, with no index reasoning.
+    fn naive_add_edge(
+        n: usize,
+        edges: &[(usize, usize)],
+        u: usize,
+        v: usize,
+    ) -> Result<(), GraphError> {
+        let (ou, ov) = (OpId::from_index(u), OpId::from_index(v));
+        if u >= n {
+            return Err(GraphError::UnknownOp(ou));
+        }
+        if v >= n {
+            return Err(GraphError::UnknownOp(ov));
+        }
+        if u == v {
+            return Err(GraphError::SelfLoop(ou));
+        }
+        if edges.contains(&(u, v)) {
+            return Err(GraphError::DuplicateEdge(ou, ov));
+        }
+        let mut from_v = vec![false; n];
+        from_v[v] = true;
+        loop {
+            let before = from_v.iter().filter(|&&r| r).count();
+            for &(a, b) in edges {
+                from_v[b] |= from_v[a];
+            }
+            if from_v.iter().filter(|&&r| r).count() == before {
+                break;
+            }
+        }
+        if from_v[u] {
+            return Err(GraphError::WouldCycle(ou, ov));
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+
+        /// Random `add_edge` sequences — index-climbing, descending,
+        /// duplicate, self-loop, out-of-range and cycle-closing, in every
+        /// mix from all-climbing (the search is never run) to none —
+        /// answer and build exactly what the naive checker says.
+        #[test]
+        fn add_edge_matches_a_naive_reachability_checker(
+            (seed, n, calls, climbing_pct) in
+                (0u64..u64::MAX, 2usize..12, 1usize..80, 0u64..=100)
+        ) {
+            let mut rng = proptest::test_runner::TestRng::for_case("add_edge", seed);
+            let mut b = GraphBuilder::new();
+            for i in 0..n {
+                b.add_synthetic(format!("v{i}"), &[]);
+            }
+            let mut edges: Vec<(usize, usize)> = Vec::new();
+            for _ in 0..calls {
+                let replay =
+                    (!edges.is_empty()).then(|| edges[rng.below(edges.len() as u64) as usize]);
+                let (u, v) = match (rng.below(100), replay) {
+                    // Re-issue an accepted edge, or its reverse.
+                    (0..=9, Some((a, b))) => (a, b),
+                    (10..=19, Some((a, b))) => (b, a),
+                    (roll, _) if roll < climbing_pct => {
+                        let v = 1 + rng.below(n as u64 - 1) as usize;
+                        (rng.below(v as u64) as usize, v)
+                    }
+                    // Anything, one id past the end included.
+                    _ => (
+                        rng.below(n as u64 + 1) as usize,
+                        rng.below(n as u64 + 1) as usize,
+                    ),
+                };
+                let want = naive_add_edge(n, &edges, u, v);
+                proptest::prop_assert_eq!(
+                    b.add_edge(OpId::from_index(u), OpId::from_index(v)),
+                    want.clone()
+                );
+                if want.is_ok() {
+                    edges.push((u, v));
+                }
+            }
+            let g = b.build();
+            proptest::prop_assert!(g.check_consistency().is_ok());
+            for x in 0..n {
+                let at = OpId::from_index;
+                let succs: Vec<OpId> =
+                    edges.iter().filter(|e| e.0 == x).map(|e| at(e.1)).collect();
+                let preds: Vec<OpId> =
+                    edges.iter().filter(|e| e.1 == x).map(|e| at(e.0)).collect();
+                proptest::prop_assert_eq!(g.succs(at(x)), &succs[..]);
+                proptest::prop_assert_eq!(g.preds(at(x)), &preds[..]);
+            }
+        }
     }
 
     #[test]

@@ -37,6 +37,7 @@ use hios_cost::CostTable;
 use hios_graph::Graph;
 use hios_store::{PlanKey, PlanStore, RecoveryReport, StoreStats};
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Cost view where slot `i` prices as physical GPU `gpu_map[i]`.
 ///
@@ -189,19 +190,29 @@ impl Default for LadderConfig {
 /// A cached best-known plan for one (model, alive-set) pair.
 #[derive(Clone, Debug)]
 pub struct CachedPlan {
-    /// Slot-schedule over the alive GPUs.
-    pub schedule: Schedule,
+    /// Slot-schedule over the alive GPUs, shared with every dispatch
+    /// that serves it.
+    pub schedule: Arc<Schedule>,
     /// Stage-synchronous fault-free latency, ms.
     pub makespan_ms: f64,
     /// The rung that computed it.
     pub rung: Rung,
+    /// Identity of this plan within its ladder: every plan that enters
+    /// the cache (miss, store adoption, upgrade, re-rank) draws a fresh
+    /// id and ids are never reused, so equal ids mean the same schedule
+    /// — what lets a caller memoise anything derived from it without an
+    /// invalidation protocol.
+    pub plan_id: u64,
+    /// Platform generation ([`AnytimeLadder::platform_changed`]) at which
+    /// a full HIOS-LP pass was pitted against this plan and lost.
+    lp_lost_at: Option<u64>,
 }
 
 /// What one ladder consultation produced.
 #[derive(Clone, Debug)]
 pub struct LadderDecision {
     /// Slot-schedule over `gpu_map.len()` slots.
-    pub schedule: Schedule,
+    pub schedule: Arc<Schedule>,
     /// Slot → physical GPU.
     pub gpu_map: Vec<usize>,
     /// Stage-synchronous fault-free latency estimate, ms.
@@ -210,6 +221,31 @@ pub struct LadderDecision {
     pub rung: Rung,
     /// Modeled scheduling time to charge to the virtual clock, ms.
     pub sched_cost_ms: f64,
+    /// [`CachedPlan::plan_id`] of the schedule; `None` under the fixed
+    /// baselines, whose schedules never enter the cache.
+    pub plan_id: Option<u64>,
+}
+
+/// [`LadderDecision`] minus the slot map, for the keyed entry point
+/// (its caller already holds the map).
+pub(crate) struct Chosen {
+    pub(crate) schedule: Arc<Schedule>,
+    pub(crate) nominal_ms: f64,
+    pub(crate) rung: Rung,
+    pub(crate) sched_cost_ms: f64,
+    pub(crate) plan_id: Option<u64>,
+}
+
+/// What the un-keyed entry points derive from `(g, cost, alive)` on
+/// every call and the keyed ones are handed: the slot → GPU map and the
+/// cache key of the slot-priced problem.  `None` with no GPU alive.
+fn resolve(g: &Graph, cost: &CostTable, alive: &[bool]) -> Option<(Vec<usize>, ScheduleCacheKey)> {
+    let gpu_map = alive_slots(alive);
+    if gpu_map.is_empty() {
+        return None;
+    }
+    let key = ScheduleCacheKey::for_platform(g, alive, &slot_cost(cost, &gpu_map));
+    Some((gpu_map, key))
 }
 
 /// The ladder: schedule cache + shared evaluation workspace + counters,
@@ -224,6 +260,10 @@ pub struct AnytimeLadder {
     rung_counts: [u64; 5],
     upgrades: u64,
     store_io_errors: u64,
+    /// Last [`CachedPlan::plan_id`] issued.
+    plans_issued: u64,
+    /// Bumped by [`AnytimeLadder::platform_changed`].
+    platform_gen: u64,
 }
 
 impl AnytimeLadder {
@@ -237,6 +277,20 @@ impl AnytimeLadder {
             rung_counts: [0; 5],
             upgrades: 0,
             store_io_errors: 0,
+            plans_issued: 0,
+            platform_gen: 0,
+        }
+    }
+
+    /// A cache entry under a fresh, never-reused plan id.
+    fn plan(&mut self, schedule: Arc<Schedule>, makespan_ms: f64, rung: Rung) -> CachedPlan {
+        self.plans_issued += 1;
+        CachedPlan {
+            schedule,
+            makespan_ms,
+            rung,
+            plan_id: self.plans_issued,
+            lp_lost_at: None,
         }
     }
 
@@ -299,78 +353,108 @@ impl AnytimeLadder {
         policy: Policy,
         cap: RungCap,
     ) -> Result<LadderDecision, ServeError> {
-        let gpu_map = alive_slots(alive);
+        let (gpu_map, key) = resolve(g, cost, alive).ok_or(ServeError::NoCapacity)?;
+        let chosen = self.decide_keyed(
+            g,
+            cost,
+            &gpu_map,
+            &key,
+            queue_depth,
+            slack_ms,
+            epoch,
+            policy,
+            cap,
+        )?;
+        Ok(LadderDecision {
+            schedule: chosen.schedule,
+            gpu_map,
+            nominal_ms: chosen.nominal_ms,
+            rung: chosen.rung,
+            sched_cost_ms: chosen.sched_cost_ms,
+            plan_id: chosen.plan_id,
+        })
+    }
+
+    /// [`AnytimeLadder::decide_capped`] for a caller that already holds
+    /// what [`resolve`] derives (so `gpu_map` is not empty) — the serving
+    /// loop computes the fingerprints behind `key` once per model and
+    /// planning table, not once per dispatch.  A cache hit touches
+    /// neither `g` nor `cost`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn decide_keyed(
+        &mut self,
+        g: &Graph,
+        cost: &CostTable,
+        gpu_map: &[usize],
+        key: &ScheduleCacheKey,
+        queue_depth: usize,
+        slack_ms: f64,
+        epoch: u64,
+        policy: Policy,
+        cap: RungCap,
+    ) -> Result<Chosen, ServeError> {
         let m = gpu_map.len();
-        if m == 0 {
-            return Err(ServeError::NoCapacity);
-        }
         let n = g.num_ops();
-        let cost = &*slot_cost(cost, &gpu_map);
         match policy {
             Policy::GreedyOnly => {
-                let (schedule, nominal) = self.run_greedy(g, cost, m)?;
+                let (schedule, nominal_ms) = self.run_greedy(g, &slot_cost(cost, gpu_map), m)?;
                 self.rung_counts[Rung::Greedy.index()] += 1;
-                Ok(LadderDecision {
-                    schedule,
-                    gpu_map,
-                    nominal_ms: nominal,
+                Ok(Chosen {
+                    schedule: Arc::new(schedule),
+                    nominal_ms,
                     rung: Rung::Greedy,
                     sched_cost_ms: greedy_cost_ms(n),
+                    plan_id: None,
                 })
             }
             Policy::FixedFullLp => {
-                let (schedule, nominal_ms, sched_cost_ms) = self.run_lp(g, cost, m, true);
+                let (schedule, nominal_ms, sched_cost_ms) =
+                    self.run_lp(g, &slot_cost(cost, gpu_map), m, true);
                 self.rung_counts[Rung::FullLp.index()] += 1;
-                Ok(LadderDecision {
-                    schedule,
-                    gpu_map,
+                Ok(Chosen {
+                    schedule: Arc::new(schedule),
                     nominal_ms,
                     rung: Rung::FullLp,
                     sched_cost_ms,
+                    plan_id: None,
                 })
             }
             Policy::Anytime => {
-                let key = ScheduleCacheKey::for_platform(g, alive, cost);
-                if let Some(plan) = self.cache.get(&key) {
-                    let decision = LadderDecision {
-                        schedule: plan.schedule.clone(),
-                        gpu_map,
+                if let Some(plan) = self.cache.get(key) {
+                    self.rung_counts[Rung::Cached.index()] += 1;
+                    return Ok(Chosen {
+                        schedule: Arc::clone(&plan.schedule),
                         nominal_ms: plan.makespan_ms,
                         rung: Rung::Cached,
                         sched_cost_ms: CACHE_HIT_COST_MS,
-                    };
-                    self.rung_counts[Rung::Cached.index()] += 1;
-                    return Ok(decision);
+                        plan_id: Some(plan.plan_id),
+                    });
                 }
-                if let Some(plan) = self.store_lookup(g, &key, m, epoch) {
+                if let Some(plan) = self.store_lookup(g, key, m, epoch) {
                     self.rung_counts[Rung::Store.index()] += 1;
-                    return Ok(LadderDecision {
+                    return Ok(Chosen {
                         schedule: plan.schedule,
-                        gpu_map,
                         nominal_ms: plan.makespan_ms,
                         rung: Rung::Store,
                         sched_cost_ms: STORE_HIT_COST_MS,
+                        plan_id: Some(plan.plan_id),
                     });
                 }
                 let rung = self.pick_rung(n, m, queue_depth, slack_ms, cap);
-                let (schedule, nominal, cost_ms) = self.run_rung(rung, g, cost, m)?;
+                let (schedule, nominal_ms, sched_cost_ms) =
+                    self.run_rung(rung, g, &slot_cost(cost, gpu_map), m)?;
                 self.rung_counts[rung.index()] += 1;
-                self.cache.insert_if_better(
-                    key,
-                    CachedPlan {
-                        schedule: schedule.clone(),
-                        makespan_ms: nominal,
-                        rung,
-                    },
-                    |new, old| new.makespan_ms < old.makespan_ms,
-                );
-                self.store_put(&key, epoch, &schedule, nominal);
-                Ok(LadderDecision {
+                let plan = self.plan(Arc::new(schedule), nominal_ms, rung);
+                let (schedule, plan_id) = (Arc::clone(&plan.schedule), plan.plan_id);
+                self.cache
+                    .insert_if_better(*key, plan, |new, old| new.makespan_ms < old.makespan_ms);
+                self.store_put(key, epoch, &schedule, nominal_ms);
+                Ok(Chosen {
                     schedule,
-                    gpu_map,
-                    nominal_ms: nominal,
+                    nominal_ms,
                     rung,
-                    sched_cost_ms: cost_ms,
+                    sched_cost_ms,
+                    plan_id: Some(plan_id),
                 })
             }
         }
@@ -393,11 +477,7 @@ impl AnytimeLadder {
         if hit.schedule.gpus.len() != m || hit.schedule.validate_full(g, None).is_err() {
             return None; // fingerprint collision or foreign plan
         }
-        let plan = CachedPlan {
-            schedule: hit.schedule,
-            makespan_ms: hit.makespan_ms,
-            rung: Rung::Store,
-        };
+        let plan = self.plan(Arc::new(hit.schedule), hit.makespan_ms, Rung::Store);
         self.cache.insert_if_better(*key, plan.clone(), |new, old| {
             new.makespan_ms < old.makespan_ms
         });
@@ -431,6 +511,12 @@ impl AnytimeLadder {
     /// LP's nominally-optimal plan can be slower than a greedy one when
     /// the links it leans on are degraded.
     ///
+    /// HIOS-LP is deterministic, so a pass that loses to the cached plan
+    /// would lose to it again: the verdict is remembered beside the plan
+    /// and the pass skipped until the plan is replaced or evicted, or
+    /// the caller reports through [`AnytimeLadder::platform_changed`]
+    /// that `eval` now ranks differently.
+    ///
     /// Returns whether the cache improved.  An improvement is also
     /// persisted to the attached store under `epoch`, so idle-time
     /// quality survives a restart.
@@ -442,35 +528,60 @@ impl AnytimeLadder {
         epoch: u64,
         eval: impl Fn(&Schedule) -> f64,
     ) -> bool {
-        let gpu_map = alive_slots(alive);
-        let m = gpu_map.len();
-        if m == 0 {
+        let Some((gpu_map, key)) = resolve(g, cost, alive) else {
+            return false;
+        };
+        self.upgrade_keyed(g, cost, &gpu_map, &key, epoch, eval)
+    }
+
+    /// Whether [`AnytimeLadder::upgrade`] for `key` would change
+    /// nothing: the cached plan already is the full-LP one, or full LP
+    /// was tried against it on this platform generation and lost.
+    pub(crate) fn upgrade_settled(&self, key: &ScheduleCacheKey) -> bool {
+        matches!(self.cache.peek(key), Some(plan)
+            if plan.rung == Rung::FullLp || plan.lp_lost_at == Some(self.platform_gen))
+    }
+
+    /// [`AnytimeLadder::upgrade`] for a caller that already holds the
+    /// slot map and the key.
+    pub(crate) fn upgrade_keyed(
+        &mut self,
+        g: &Graph,
+        cost: &CostTable,
+        gpu_map: &[usize],
+        key: &ScheduleCacheKey,
+        epoch: u64,
+        eval: impl Fn(&Schedule) -> f64,
+    ) -> bool {
+        if self.upgrade_settled(key) {
             return false;
         }
-        let cost = &*slot_cost(cost, &gpu_map);
-        let key = ScheduleCacheKey::for_platform(g, alive, cost);
-        if matches!(self.cache.peek(&key), Some(plan) if plan.rung == Rung::FullLp) {
-            return false; // already at top quality
-        }
-        let (schedule, ..) = self.run_lp(g, cost, m, true);
+        let (schedule, ..) = self.run_lp(g, &slot_cost(cost, gpu_map), gpu_map.len(), true);
         self.upgrades += 1;
         let new_ms = eval(&schedule);
+        let plan = self.plan(Arc::new(schedule), new_ms, Rung::FullLp);
+        let schedule = Arc::clone(&plan.schedule);
         let improved = self.cache.insert_if_better(
-            key,
-            CachedPlan {
-                schedule: schedule.clone(),
-                makespan_ms: new_ms,
-                rung: Rung::FullLp,
-            },
+            *key,
+            plan,
             // `<=` so an equal-cost full-LP plan still records the rung
             // upgrade and stops future re-upgrades.  The incumbent is
             // re-evaluated: its stored makespan may predate a fault.
             |new, old| new.makespan_ms <= eval(&old.schedule),
         );
         if improved {
-            self.store_put(&key, epoch, &schedule, new_ms);
+            self.store_put(key, epoch, &schedule, new_ms);
+        } else if let Some(incumbent) = self.cache.peek_mut(key) {
+            incumbent.lp_lost_at = Some(self.platform_gen);
         }
         improved
+    }
+
+    /// Tells the ladder that what schedules cost has changed (a fault
+    /// was folded into the platform, a GPU healed), so every remembered
+    /// "full LP lost to this plan" verdict is void.
+    pub fn platform_changed(&mut self) {
+        self.platform_gen += 1;
     }
 
     /// Platform-change re-rank: after a fault (or a heal) changes what
@@ -487,30 +598,33 @@ impl AnytimeLadder {
         alive: &[bool],
         eval: impl Fn(&Schedule) -> f64,
     ) -> bool {
-        let gpu_map = alive_slots(alive);
-        let m = gpu_map.len();
-        if m == 0 {
+        let Some((gpu_map, key)) = resolve(g, cost, alive) else {
             return false;
-        }
-        let cost = &*slot_cost(cost, &gpu_map);
-        let key = ScheduleCacheKey::for_platform(g, alive, cost);
-        let Some(old) = self.cache.peek(&key) else {
+        };
+        self.rerank_keyed(g, cost, &gpu_map, &key, eval)
+    }
+
+    /// [`AnytimeLadder::rerank`] for a caller that already holds the
+    /// slot map and the key.
+    pub(crate) fn rerank_keyed(
+        &mut self,
+        g: &Graph,
+        cost: &CostTable,
+        gpu_map: &[usize],
+        key: &ScheduleCacheKey,
+        eval: impl Fn(&Schedule) -> f64,
+    ) -> bool {
+        let Some(old) = self.cache.peek(key) else {
             return false; // nothing cached: the miss path will schedule
         };
         let old_ms = eval(&old.schedule);
-        let Ok((schedule, _)) = self.run_greedy(g, cost, m) else {
+        let Ok((schedule, _)) = self.run_greedy(g, &slot_cost(cost, gpu_map), gpu_map.len()) else {
             return false;
         };
         let new_ms = eval(&schedule);
-        self.cache.insert_if_better(
-            key,
-            CachedPlan {
-                schedule,
-                makespan_ms: new_ms,
-                rung: Rung::Greedy,
-            },
-            |new, _| new.makespan_ms < old_ms,
-        )
+        let plan = self.plan(Arc::new(schedule), new_ms, Rung::Greedy);
+        self.cache
+            .insert_if_better(*key, plan, |new, _| new.makespan_ms < old_ms)
     }
 
     /// Best rung the budget, the queue, the request's slack, and the
@@ -596,8 +710,9 @@ impl AnytimeLadder {
         Ok((schedule, eval.latency))
     }
 
-    /// Calibration invalidation: drops every cached plan for `g` that
-    /// was priced against a platform other than `current_platform_fp`.
+    /// Calibration invalidation: drops every cached plan for the graph
+    /// fingerprinted `gfp` that was priced against a platform other than
+    /// `current_platform_fp`.
     ///
     /// Called when a drift alarm re-materializes the model's planning
     /// overlay: all of its cached plans were computed on stale prices,
@@ -618,11 +733,10 @@ impl AnytimeLadder {
     /// never fatal.
     pub fn invalidate_stale(
         &mut self,
-        g: &Graph,
+        gfp: u64,
         current_platform_fp: u64,
         current_epoch: u64,
     ) -> usize {
-        let gfp = hios_core::graph_fingerprint(g);
         if let Some(store) = self.store.as_mut() {
             if store.invalidate_stale(gfp, current_epoch).is_err() {
                 self.store_io_errors += 1;
@@ -666,6 +780,12 @@ impl AnytimeLadder {
     /// Idle-time upgrade passes run.
     pub fn upgrades(&self) -> u64 {
         self.upgrades
+    }
+
+    /// Plans that ever entered (or were offered to) the cache.
+    #[cfg(test)]
+    pub(crate) fn plans_issued(&self) -> u64 {
+        self.plans_issued
     }
 }
 
@@ -790,6 +910,57 @@ mod tests {
         assert_eq!(after.rung, Rung::Cached);
         assert!(after.nominal_ms <= before.nominal_ms);
         assert_eq!(ladder.upgrades(), 1);
+    }
+
+    #[test]
+    fn a_lost_upgrade_is_not_retried_until_something_changes() {
+        let (g, cost) = fixture();
+        let cfg = LadderConfig {
+            budget: SchedBudget::limited(0.5), // only greedy affordable
+            cache_capacity: 1,
+            ..LadderConfig::default()
+        };
+        let mut ladder = AnytimeLadder::new(cfg);
+        let inf = f64::INFINITY;
+        let both = [true, true];
+        let greedy = ladder
+            .decide(&g, &cost, &both, 0, inf, 0, Policy::Anytime)
+            .unwrap();
+        assert_eq!(greedy.rung, Rung::Greedy);
+        // A platform on which the cached greedy plan beats anything else.
+        let greedy_wins = |s: &Schedule| if *s == *greedy.schedule { 1.0 } else { 2.0 };
+        assert!(!ladder.upgrade(&g, &cost, &both, 0, greedy_wins));
+        assert_eq!(ladder.upgrades(), 1);
+        // LP is deterministic: it would lose again, so it is not run.
+        assert!(!ladder.upgrade(&g, &cost, &both, 0, greedy_wins));
+        assert_eq!(ladder.upgrades(), 1);
+        let hit = ladder
+            .decide(&g, &cost, &both, 0, inf, 0, Policy::Anytime)
+            .unwrap();
+        assert_eq!((hit.rung, hit.plan_id), (Rung::Cached, greedy.plan_id));
+
+        // An eviction forgets the verdict with the plan …
+        ladder
+            .decide(&g, &cost, &[true, false], 0, inf, 0, Policy::Anytime)
+            .unwrap();
+        assert_eq!(ladder.cache_evictions(), 1);
+        let again = ladder
+            .decide(&g, &cost, &both, 0, inf, 0, Policy::Anytime)
+            .unwrap();
+        assert_eq!(again.schedule, greedy.schedule);
+        assert_ne!(again.plan_id, greedy.plan_id, "plan ids are never reused");
+        assert!(!ladder.upgrade(&g, &cost, &both, 0, greedy_wins));
+        assert_eq!(ladder.upgrades(), 2);
+        assert!(!ladder.upgrade(&g, &cost, &both, 0, greedy_wins));
+        assert_eq!(ladder.upgrades(), 2);
+
+        // … and a platform change voids it: LP runs again, and now wins.
+        ladder.platform_changed();
+        let lp_wins = |s: &Schedule| if *s == *greedy.schedule { 2.0 } else { 1.0 };
+        assert!(ladder.upgrade(&g, &cost, &both, 0, lp_wins));
+        assert_eq!(ladder.upgrades(), 3);
+        assert!(!ladder.upgrade(&g, &cost, &both, 0, lp_wins)); // already top quality
+        assert_eq!(ladder.upgrades(), 3);
     }
 
     #[test]

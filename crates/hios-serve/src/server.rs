@@ -31,23 +31,27 @@
 
 use crate::breaker::BreakerBank;
 use crate::brownout::{BrownoutController, BrownoutTelemetry, OverloadConfig};
-use crate::ladder::{AnytimeLadder, LadderConfig, Policy, RungCap, greedy_cost_ms, slot_cost};
+use crate::ladder::{
+    AnytimeLadder, Chosen, LadderConfig, Policy, RungCap, greedy_cost_ms, slot_cost,
+};
 use crate::report::{ReportInputs, ServeReport, summarize};
 use crate::request::{Disposition, Request, RequestRecord, ServeError, ShedReason};
 use crate::retry::{self, RetryBudget};
-use hios_core::repair::{RepairConfig, RepairPolicy, alive_slots, repair_schedule};
+use hios_core::repair::{RepairConfig, RepairPolicy, repair_schedule};
 use hios_core::{
-    Algorithm, EvalWorkspace, Schedule, SchedulerError, bounds, modeled_sched_cost_ms,
+    Algorithm, EvalWorkspace, Schedule, ScheduleCacheKey, SchedulerError, bounds,
+    graph_fingerprint, modeled_sched_cost_ms,
 };
 use hios_cost::{CalibratedTable, CalibrationConfig, Calibrator, CostTable};
 use hios_graph::{Graph, OpId};
 use hios_sim::{
-    DriftPlan, EventQueue, FaultKind, FaultPlan, FaultSignal, Scaling, SimConfig, SimResult,
-    VirtualClock, simulate_scaled,
+    DriftPlan, EventQueue, FaultKind, FaultPlan, FaultSignal, Scaling, SimConfig, VirtualClock,
+    simulate_scaled,
 };
 use hios_store::{PlanStore, StoreOptions};
 use std::collections::VecDeque;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// One tenant model served by the loop.
 #[derive(Debug)]
@@ -159,29 +163,259 @@ enum Event {
     Retry { req: usize },
 }
 
-/// One calibration observation: what operator ran where, how long the
-/// backend actually took, and what the static profile predicted.
-#[derive(Clone, Copy)]
-struct Obs {
-    gpu: usize,
-    op: OpId,
-    actual_ms: f64,
-    predicted_ms: f64,
-}
-
 struct InFlight {
     req: usize,
     token: u64,
-    serving: Vec<usize>,
-    /// Absolute finish instant per operator of the request's graph
-    /// (updated by in-place repairs).
-    op_finish_abs: Vec<f64>,
+    /// Bit `g` set ⇔ physical GPU `g` serves this attempt.
+    serving: u64,
+    run: Attempt,
     /// The operator a detected hang blocked, if any.
     hung_op: Option<OpId>,
-    /// Calibration observations of this attempt, fed to the calibrator
-    /// only on a clean completion (repairs and hangs muddy the
-    /// attribution and drop them).
-    obs: Vec<Obs>,
+}
+
+/// When each operator of an in-flight attempt finishes.
+enum Attempt {
+    /// One clean timeline started at `t0`: operator `v` finishes at
+    /// `t0 + actual.op_finish[v]`.  Nothing per-operator is copied for
+    /// an attempt that simply runs to completion.
+    Clean {
+        t0: f64,
+        actual: Arc<Timeline>,
+        /// With calibration on: the schedule that ran and the timeline
+        /// the profile (under the *known* fault scaling) predicted for
+        /// it.  Fed to the calibrator on a clean completion; a hang or a
+        /// repair muddies the attribution and drops it.
+        lesson: Option<(Arc<Schedule>, Arc<Timeline>)>,
+    },
+    /// Absolute finish instants per operator, materialised once a hang
+    /// or an in-place repair has to edit single operators.
+    Stitched(Vec<f64>),
+}
+
+impl Attempt {
+    /// Absolute finish instant of operator `op`, if the graph has one.
+    fn op_finish_abs(&self, op: usize) -> Option<f64> {
+        match self {
+            Attempt::Clean { t0, actual, .. } => actual.op_finish.get(op).map(|&f| t0 + f),
+            Attempt::Stitched(abs) => abs.get(op).copied(),
+        }
+    }
+
+    /// The per-operator absolute finish instants, owned.
+    fn into_abs(self) -> Vec<f64> {
+        match self {
+            Attempt::Clean { t0, actual, .. } => actual.op_finish.iter().map(|&f| t0 + f).collect(),
+            Attempt::Stitched(abs) => abs,
+        }
+    }
+}
+
+/// What the serving loop reads of a [`hios_sim::SimResult`], from
+/// t = 0.  The transfer log and the per-GPU busy times — most of a
+/// result's bytes — are not kept.
+struct Timeline {
+    makespan: f64,
+    op_start: Vec<f64>,
+    op_finish: Vec<f64>,
+}
+
+/// Timelines kept per model.  Two cover the steady state (the plan in
+/// service under the fault-only and under the drifted scaling), a
+/// flapping GPU doubles that (two alive sets, two plans), and a platform
+/// change leaves the old scaling's entries to age out.
+const TIMELINE_MEMO_SLOTS: usize = 8;
+
+/// One memoised [`simulate_scaled`] run.
+struct Memoised {
+    plan_id: u64,
+    alive_mask: u64,
+    scale: Scaling,
+    timeline: Arc<Timeline>,
+}
+
+/// Dispatch is a replay: `simulate_scaled(graph, cost, schedule, sim,
+/// scaling)` is a pure function from t = 0, and for one server the
+/// graph, the execution cost table and the sim config are fixed per
+/// model — so per model, (which schedule, which scaling) names its
+/// result exactly.  The schedule is named by its never-reused
+/// [`crate::ladder::CachedPlan::plan_id`], so nothing ever has to be
+/// invalidated: a replaced plan's id simply stops being asked for.  The
+/// scaling is held and compared bit for bit.  The alive mask says which
+/// cache slot the plan came from: the ladder keeps one plan per (model,
+/// alive set), so a new plan id under a mask means the mask's older ids
+/// are dead, and their timelines are dropped rather than left to age
+/// out (a tenant churning through a small cache would otherwise pin
+/// [`TIMELINE_MEMO_SLOTS`] dead timelines).
+///
+/// Only the two per-request simulations go through here (the dispatch
+/// itself and the calibrator's drift-free prediction of it).  Re-pricing,
+/// repair resumes and the fixed-policy baselines simulate directly: they
+/// run per fault or per scheduling pass, on tables or schedules that are
+/// not cached plans.
+struct TimelineMemo {
+    /// Most recently used first, at most [`TIMELINE_MEMO_SLOTS`] each.
+    per_model: Vec<Vec<Memoised>>,
+    /// Simulations actually run for memoisable plans (the misses).
+    #[cfg(test)]
+    simulated: u64,
+}
+
+fn bits_eq(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+impl TimelineMemo {
+    fn new(models: usize) -> Self {
+        TimelineMemo {
+            per_model: (0..models).map(|_| Vec::new()).collect(),
+            #[cfg(test)]
+            simulated: 0,
+        }
+    }
+
+    /// The timeline of `schedule` (cached plan `plan_id`, or a one-off
+    /// schedule when `None`) for model `mi` under `scale`; `None` when
+    /// it cannot run to a finite finish (an operator on a dead GPU, a
+    /// transfer over a stalled link).
+    #[allow(clippy::too_many_arguments)]
+    fn timeline(
+        &mut self,
+        mi: usize,
+        model: &ServedModel,
+        sim: &SimConfig,
+        schedule: &Schedule,
+        plan_id: Option<u64>,
+        alive_mask: u64,
+        scale: &Scaling,
+    ) -> Option<Arc<Timeline>> {
+        let simulate = || {
+            let r = simulate_scaled(&model.graph, &model.cost, schedule, sim, scale).ok()?;
+            r.makespan.is_finite().then_some(Timeline {
+                makespan: r.makespan,
+                op_start: r.op_start,
+                op_finish: r.op_finish,
+            })
+        };
+        let Some(plan_id) = plan_id else {
+            return simulate().map(Arc::new);
+        };
+        let slots = &mut self.per_model[mi];
+        let hit = slots.iter().position(|t| {
+            t.plan_id == plan_id
+                && t.alive_mask == alive_mask
+                && bits_eq(&t.scale.gpu, &scale.gpu)
+                && bits_eq(&t.scale.link, &scale.link)
+        });
+        if let Some(i) = hit {
+            slots[..=i].rotate_right(1);
+            let timeline = &slots[0].timeline;
+            // The memo's check: debug builds (every `cargo test`) re-run
+            // each hit and compare bits; release builds pay nothing.
+            if cfg!(debug_assertions) {
+                let fresh = simulate().expect("a memoised timeline simulates");
+                debug_assert!(
+                    fresh.makespan.to_bits() == timeline.makespan.to_bits()
+                        && bits_eq(&fresh.op_start, &timeline.op_start)
+                        && bits_eq(&fresh.op_finish, &timeline.op_finish),
+                    "memoised timeline of model {mi} plan {plan_id} diverged from simulate_scaled"
+                );
+            }
+            return Some(Arc::clone(timeline));
+        }
+        #[cfg(test)]
+        {
+            self.simulated += 1;
+        }
+        let timeline = Arc::new(simulate()?);
+        slots.retain(|t| t.alive_mask != alive_mask || t.plan_id == plan_id);
+        slots.truncate(TIMELINE_MEMO_SLOTS - 1);
+        slots.insert(
+            0,
+            Memoised {
+                plan_id,
+                alive_mask,
+                scale: scale.clone(),
+                timeline: Arc::clone(&timeline),
+            },
+        );
+        debug_assert!(slots.len() <= TIMELINE_MEMO_SLOTS);
+        Some(timeline)
+    }
+}
+
+/// Cache-key parts of one model that cost O(model size) to derive and
+/// change rarely: taken once, not once per dispatch.
+struct ModelKeys {
+    /// [`graph_fingerprint`] of the model, taken in [`Server::build`].
+    graph_fp: u64,
+    /// `(alive mask, platform fingerprint of the planning table priced
+    /// on those slots)` under the model's current calibration epoch;
+    /// cleared when the epoch is bumped.  Oldest first, at most
+    /// [`PLATFORM_FP_SLOTS`].
+    platform_fps: Vec<(u64, u64)>,
+}
+
+/// Alive masks whose platform fingerprint is kept per model and epoch
+/// (breakers move between a handful of masks; a miss only recomputes).
+const PLATFORM_FP_SLOTS: usize = 8;
+
+/// What every attempt derives from the breakers and the platform, kept
+/// so the dispatch path refills it instead of allocating it.
+struct Slots {
+    /// Per-GPU admission mask (breaker closed or half-open).
+    alive: Vec<bool>,
+    /// `alive` as bits.
+    mask: u64,
+    /// Slot → physical GPU of `alive`
+    /// ([`hios_core::repair::alive_slots`] numbering).
+    gpu_map: Vec<usize>,
+    /// The known-fault scaling projected onto the slots …
+    fault_scale: Scaling,
+    /// … and with the drift of the run's start instant multiplied in.
+    slot_scale: Scaling,
+}
+
+impl Slots {
+    fn new(m: usize) -> Self {
+        Slots {
+            alive: Vec::with_capacity(m),
+            mask: 0,
+            gpu_map: Vec::with_capacity(m),
+            fault_scale: Scaling::identity(0),
+            slot_scale: Scaling::identity(0),
+        }
+    }
+
+    /// Re-reads the breakers; `false` when none admits work.
+    fn refresh(&mut self, breakers: &BreakerBank) -> bool {
+        self.alive.clear();
+        self.gpu_map.clear();
+        self.mask = 0;
+        for g in 0..breakers.len() {
+            let admits = breakers.peek(g).admits();
+            self.alive.push(admits);
+            if admits {
+                self.gpu_map.push(g);
+                self.mask |= 1 << g;
+            }
+        }
+        !self.gpu_map.is_empty()
+    }
+
+    /// Prices a run over the current slots from instant `t_ms` on the
+    /// platform as it is: `fault_scale` is `platform` projected onto the
+    /// slots, `slot_scale` the same with the drift factors of `t_ms`
+    /// multiplied in.  With no drift every factor is exactly `1.0` and
+    /// `x * 1.0` is a bitwise identity, so drift-free runs keep their
+    /// bits.
+    fn scale(&mut self, platform: &Scaling, drift: &DriftPlan, t_ms: f64) {
+        platform.project_into(&self.gpu_map, &mut self.fault_scale);
+        self.slot_scale.gpu.clone_from(&self.fault_scale.gpu);
+        self.slot_scale.link.clone_from(&self.fault_scale.link);
+        for (slot, &phys) in self.gpu_map.iter().enumerate() {
+            self.slot_scale.gpu[slot] *= drift.factor_at(phys, t_ms);
+        }
+    }
 }
 
 /// Per-model calibration state: the learning calibrator plus the
@@ -237,9 +471,19 @@ pub(crate) struct Server<'a> {
     queue: VecDeque<usize>,
     states: Vec<ReqState>,
     signals: Vec<FaultSignal>,
+    /// `signals` is sorted by both `at_ms` and `detected_ms` (what
+    /// [`FaultPlan::signals`] yields for a sorted plan), so the ones a
+    /// completion must inspect are one contiguous run.
+    signals_sorted: bool,
+    /// First signal not yet detected strictly before now; only advanced
+    /// while `signals_sorted`.
+    first_live_signal: usize,
     next_token: u64,
     in_flight: Option<InFlight>,
     breakers: BreakerBank,
+    slots: Slots,
+    keys: Vec<ModelKeys>,
+    memo: TimelineMemo,
     overload: Option<OverloadState>,
     scaling: Scaling,
     healthy_at: Vec<f64>,
@@ -307,26 +551,7 @@ pub fn serve_drift(
 ) -> Result<ServeOutcome, ServeError> {
     validate(models, trace, cfg)?;
     let mut srv = Server::build(models, faults, drift, cfg)?;
-    srv.states.reserve(trace.len());
-    srv.records.reserve(trace.len());
-    srv.terminal_idx.reserve(trace.len());
-    // Requests arrive by instant, trace position among equal instants
-    // (the sort is stable), so an unsorted trace serves like its sorted
-    // self.
-    let mut order: Vec<usize> = (0..trace.len()).collect();
-    order.sort_by(|&a, &b| trace[a].arrival_ms.total_cmp(&trace[b].arrival_ms));
-    let mut arrivals = order.into_iter().map(|i| trace[i]).peekable();
-    loop {
-        // An arrival due no later than the next scheduled event is
-        // admitted before it.
-        let next_event = srv.next_event_ms();
-        let due = |r: &Request| next_event.is_none_or(|t| r.arrival_ms.total_cmp(&t).is_le());
-        if let Some(r) = arrivals.next_if(due) {
-            srv.inject(r, r.arrival_ms);
-        } else if !srv.step() {
-            break;
-        }
-    }
+    srv.run_trace(trace);
     Ok(srv.into_outcome())
 }
 
@@ -452,6 +677,10 @@ impl<'a> Server<'a> {
             ladder.attach_store(store);
         }
         let signals = faults.signals(cfg.detection_ms);
+        let signals_sorted = signals
+            .windows(2)
+            .all(|w| w[0].at_ms <= w[1].at_ms && w[0].detected_ms <= w[1].detected_ms);
+        debug_assert!(signals_sorted, "fault plan events are not in time order");
         let mut events = EventQueue::new();
         for (s, sig) in signals.iter().enumerate() {
             events.push(sig.detected_ms, Event::FaultDetected(s));
@@ -466,9 +695,20 @@ impl<'a> Server<'a> {
             queue: VecDeque::new(),
             states: Vec::new(),
             signals,
+            signals_sorted,
+            first_live_signal: 0,
             next_token: 0,
             in_flight: None,
             breakers: BreakerBank::new(m, BREAKER_RESET_MS),
+            slots: Slots::new(m),
+            keys: models
+                .iter()
+                .map(|model| ModelKeys {
+                    graph_fp: graph_fingerprint(&model.graph),
+                    platform_fps: Vec::new(),
+                })
+                .collect(),
+            memo: TimelineMemo::new(models.len()),
             overload: cfg.overload.map(|oc| OverloadState {
                 ctl: BrownoutController::new(oc.brownout),
                 budget: RetryBudget::new(oc.retry_budget),
@@ -492,6 +732,31 @@ impl<'a> Server<'a> {
             recalibrations_total: 0,
             cache_drops_total: 0,
         })
+    }
+
+    /// Serves `trace` to the end: every request injected at its arrival
+    /// instant, every event stepped.
+    fn run_trace(&mut self, trace: &[Request]) {
+        self.states.reserve(trace.len());
+        self.records.reserve(trace.len());
+        self.terminal_idx.reserve(trace.len());
+        // Requests arrive by instant, trace position among equal instants
+        // (the sort is stable), so an unsorted trace serves like its
+        // sorted self.
+        let mut order: Vec<usize> = (0..trace.len()).collect();
+        order.sort_by(|&a, &b| trace[a].arrival_ms.total_cmp(&trace[b].arrival_ms));
+        let mut arrivals = order.into_iter().map(|i| trace[i]).peekable();
+        loop {
+            // An arrival due no later than the next scheduled event is
+            // admitted before it.
+            let next_event = self.next_event_ms();
+            let due = |r: &Request| next_event.is_none_or(|t| r.arrival_ms.total_cmp(&t).is_le());
+            if let Some(r) = arrivals.next_if(due) {
+                self.inject(r, r.arrival_ms);
+            } else if !self.step() {
+                break;
+            }
+        }
     }
 
     /// Processes the next scheduled event; `false` when none remain.
@@ -637,8 +902,7 @@ impl<'a> Server<'a> {
 
     /// Fraction of GPUs whose breakers currently admit work.
     pub(crate) fn alive_fraction(&self) -> f64 {
-        let alive = self.breakers.admitted();
-        alive.iter().filter(|&&a| a).count() as f64 / alive.len().max(1) as f64
+        self.breakers.num_admitted() as f64 / self.breakers.len().max(1) as f64
     }
 
     /// Provable full-platform lower bound of model `mi` on this
@@ -768,17 +1032,18 @@ impl<'a> Server<'a> {
                 self.shed(i, reason);
                 continue;
             }
-            let alive = self.breakers.admitted();
-            if !alive.iter().any(|&a| a) {
+            if !self.slots.refresh(&self.breakers) {
                 return; // every breaker open; a probe event will resume us
             }
-            let model = &self.models[req.model];
+            let mi = req.model;
+            let model = &self.models[mi];
             // Time this dispatch can afford to spend scheduling: the
             // request's deadline slack after a provable service lower
             // bound, capped by the queue-overflow stall budget.
-            let slack_ms = req.deadline_ms - self.now() - self.bound_full[req.model];
+            let slack_ms = req.deadline_ms - self.now() - self.bound_full[mi];
             let stall_ms = self.stall_headroom_ms();
-            let planning = planning_table(&self.calib, model, req.model);
+            let key = self.plan_key(mi);
+            let planning = planning_table(&self.calib, model, mi);
             // An elevated brownout level caps the ladder at cheaper
             // rungs; at Normal level the cap is `Full` and the decision
             // is bit-identical to the uncapped one.
@@ -786,13 +1051,14 @@ impl<'a> Server<'a> {
                 .overload
                 .as_ref()
                 .map_or(RungCap::Full, |ov| ov.ctl.level().rung_cap());
-            let decision = match self.ladder.decide_capped(
+            let chosen = match self.ladder.decide_keyed(
                 &model.graph,
                 planning,
-                &alive,
+                &self.slots.gpu_map,
+                &key,
                 self.queue.len(),
                 slack_ms.min(stall_ms),
-                self.epochs[req.model],
+                self.epochs[mi],
                 self.cfg.policy,
                 cap,
             ) {
@@ -809,21 +1075,9 @@ impl<'a> Server<'a> {
             self.queue.pop_front();
             self.states[i].attempts += 1;
             self.attempts_total += 1;
-            let t0 = self.now() + decision.sched_cost_ms;
-            let (schedule, gpu_map) = (decision.schedule, decision.gpu_map);
-            match self.execute(&model.graph, &model.cost, &schedule, &gpu_map, t0) {
-                Some((r, fault_scale, slot_scale)) => {
-                    let obs = self.collect_observations(
-                        model,
-                        &schedule,
-                        &gpu_map,
-                        &r,
-                        &fault_scale,
-                        &slot_scale,
-                    );
-                    let op_finish_abs = r.op_finish.iter().map(|&f| t0 + f).collect();
-                    self.fly(i, gpu_map, op_finish_abs, t0 + r.makespan, obs);
-                }
+            let t0 = self.now() + chosen.sched_cost_ms;
+            match self.launch(mi, chosen, t0) {
+                Some((run, finish_ms)) => self.fly(i, run, finish_ms),
                 // A stalled or failed execution plan: typed failure,
                 // retry (the platform may heal).
                 None => self.fail_attempt(i, ServeError::NoCapacity),
@@ -831,46 +1085,72 @@ impl<'a> Server<'a> {
         }
     }
 
-    /// Runs `schedule` (over the slots `gpu_map`) from instant `t0` on
-    /// the platform as it is: the fault scaling projected onto the
-    /// slots, with the drift of `t0` multiplied in.  `None` when the
-    /// plan cannot run to a finite finish (an operator on a dead GPU, a
-    /// transfer over a stalled link).  Also returns the fault-only and
-    /// the drifted slot scaling it ran under.
-    fn execute(
-        &self,
-        graph: &Graph,
-        cost: &CostTable,
-        schedule: &Schedule,
-        gpu_map: &[usize],
-        t0: f64,
-    ) -> Option<(SimResult, Scaling, Scaling)> {
-        let fault_scale = self.scaling.project(gpu_map);
-        let slot_scale = self.drifted(&fault_scale, gpu_map, t0);
-        let r = simulate_scaled(graph, cost, schedule, &self.cfg.sim, &slot_scale).ok()?;
-        r.makespan
-            .is_finite()
-            .then_some((r, fault_scale, slot_scale))
+    /// Cache key of model `mi` on the slots in `self.slots`: the graph
+    /// fingerprint taken in `build`, the slot-priced planning table's
+    /// taken once per (calibration epoch, alive mask).
+    fn plan_key(&mut self, mi: usize) -> ScheduleCacheKey {
+        let mask = self.slots.mask;
+        let keys = &mut self.keys[mi];
+        let known = keys.platform_fps.iter().find(|&&(m, _)| m == mask);
+        let platform_fp = match known {
+            Some(&(_, fp)) => fp,
+            None => {
+                let planning = planning_table(&self.calib, &self.models[mi], mi);
+                let fp = slot_cost(planning, &self.slots.gpu_map).platform_fingerprint();
+                if keys.platform_fps.len() == PLATFORM_FP_SLOTS {
+                    keys.platform_fps.remove(0);
+                }
+                keys.platform_fps.push((mask, fp));
+                fp
+            }
+        };
+        ScheduleCacheKey::from_fingerprints(keys.graph_fp, &self.slots.alive, platform_fp)
     }
 
-    /// Puts request `i` in flight on `serving` under a fresh token and
-    /// schedules its completion for `finish_ms`.
-    fn fly(
-        &mut self,
-        i: usize,
-        serving: Vec<usize>,
-        op_finish_abs: Vec<f64>,
-        finish_ms: f64,
-        obs: Vec<Obs>,
-    ) {
+    /// Starts `chosen` for model `mi` at instant `t0` on the slots in
+    /// `self.slots`, on the platform as it is: the known-fault scaling
+    /// with the drift of `t0` multiplied in.  `None` when the plan cannot
+    /// run to a finite finish.  With calibration on, also takes the
+    /// timeline the profile predicts (the same plan without the drift
+    /// factors).  Both timelines come from the memo.
+    fn launch(&mut self, mi: usize, chosen: Chosen, t0: f64) -> Option<(Attempt, f64)> {
+        self.slots.scale(&self.scaling, self.drift, t0);
+        let (schedule, plan_id) = (chosen.schedule, chosen.plan_id);
+        let (model, sim, slots) = (&self.models[mi], &self.cfg.sim, &self.slots);
+        let memo = &mut self.memo;
+        let mut timeline =
+            |scale| memo.timeline(mi, model, sim, &schedule, plan_id, slots.mask, scale);
+        let actual = timeline(&slots.slot_scale)?;
+        let predicted = if self.calib.is_empty() {
+            None
+        } else if slots.slot_scale.gpu == slots.fault_scale.gpu {
+            // No drift deflected this dispatch: the two scalings are
+            // equal and the actual timeline *is* the prediction — every
+            // ratio is then exactly 1, which keeps the calibrator on its
+            // bit-identity fast path.
+            Some(Arc::clone(&actual))
+        } else {
+            timeline(&slots.fault_scale)
+        };
+        let finish_ms = t0 + actual.makespan;
+        let run = Attempt::Clean {
+            t0,
+            actual,
+            lesson: predicted.map(|p| (schedule, p)),
+        };
+        Some((run, finish_ms))
+    }
+
+    /// Puts request `i` in flight on the GPUs in `self.slots` under a
+    /// fresh token and schedules its completion for `finish_ms`.
+    fn fly(&mut self, i: usize, run: Attempt, finish_ms: f64) {
         let token = self.fresh_token();
         self.in_flight = Some(InFlight {
             req: i,
             token,
-            serving,
-            op_finish_abs,
+            serving: self.slots.mask,
+            run,
             hung_op: None,
-            obs,
         });
         self.events.push(finish_ms, Event::Completion { token });
     }
@@ -894,94 +1174,43 @@ impl<'a> Server<'a> {
         0.5 * headroom as f64 * self.ewma_gap_ms
     }
 
-    /// Slot scaling with the drift factors of instant `t_ms` multiplied
-    /// in.  With no drift every factor is exactly `1.0` and `x * 1.0`
-    /// is a bitwise identity, so drift-free runs keep their bits.
-    fn drifted(&self, fault_scale: &Scaling, gpu_map: &[usize], t_ms: f64) -> Scaling {
-        let mut scale = fault_scale.clone();
-        for (slot, &phys) in gpu_map.iter().enumerate() {
-            scale.gpu[slot] *= self.drift.factor_at(phys, t_ms);
-        }
-        scale
-    }
-
-    /// Per-operator calibration observations of one dispatch: the
+    /// Feeds a cleanly completed attempt into model `mi`'s calibrator:
+    /// per operator of `schedule` (slot by slot, stage by stage), the
     /// duration the drifted backend actually took next to the duration
-    /// the profile (under the *known* fault scaling) predicted.  Empty
-    /// when calibration is off.
-    fn collect_observations(
-        &self,
-        model: &ServedModel,
-        schedule: &Schedule,
-        gpu_map: &[usize],
-        actual: &SimResult,
-        fault_scale: &Scaling,
-        slot_scale: &Scaling,
-    ) -> Vec<Obs> {
-        if self.calib.is_empty() {
-            return Vec::new();
-        }
-        // The predicted timeline re-runs the sim without the drift
-        // factors.  When no drift deflected this dispatch the two
-        // scalings are equal and the actual timeline *is* the
-        // prediction — every ratio is then exactly 1, which keeps the
-        // calibrator on its bit-identity fast path.
-        let predicted = if slot_scale.gpu == fault_scale.gpu {
-            None
-        } else {
-            match simulate_scaled(
-                &model.graph,
-                &model.cost,
-                schedule,
-                &self.cfg.sim,
-                fault_scale,
-            ) {
-                Ok(p) => Some(p),
-                Err(_) => return Vec::new(),
-            }
-        };
-        let predicted = predicted.as_ref().unwrap_or(actual);
-        let mut obs = Vec::with_capacity(model.graph.num_ops());
-        for (slot, gq) in schedule.gpus.iter().enumerate() {
-            for stage in &gq.stages {
-                for &op in &stage.ops {
-                    obs.push(Obs {
-                        gpu: gpu_map[slot],
-                        op,
-                        actual_ms: actual.op_finish[op.index()] - actual.op_start[op.index()],
-                        predicted_ms: predicted.op_finish[op.index()]
-                            - predicted.op_start[op.index()],
-                    });
-                }
-            }
-        }
-        obs
-    }
-
-    /// Feeds a completed attempt's observations into the model's
-    /// calibrator.  When an observation raises a drift alarm the cell is
+    /// the profile predicted, on the physical GPU `serving` maps the
+    /// slot to.  When an observation raises a drift alarm the cell is
     /// quarantined; the planning overlay is then re-materialized, every
     /// schedule-cache entry priced against the stale platform is purged,
     /// and the cached plans are re-ranked on the new prices — the
     /// budget-bounded re-schedule itself happens lazily, on the next
     /// dispatch's cache miss, through the anytime ladder.
-    fn feed_observations(&mut self, mi: usize, obs: &[Obs]) {
-        if self.calib.is_empty() || obs.is_empty() {
-            return;
-        }
+    fn feed_observations(
+        &mut self,
+        mi: usize,
+        serving: u64,
+        schedule: &Schedule,
+        actual: &Timeline,
+        predicted: &Timeline,
+    ) {
         let mut alarmed = false;
-        for &Obs {
-            gpu,
-            op,
-            actual_ms,
-            predicted_ms,
-        } in obs
-        {
-            // Unusable durations (a zero-cost stub, a saturated float)
-            // are typed rejections that leave the calibrator untouched.
-            if let Ok(Some(_alarm)) = self.calib[mi].cal.observe(gpu, op, actual_ms, predicted_ms) {
-                self.alarms_total += 1;
-                alarmed = true;
+        let mut unmapped = serving;
+        for gq in &schedule.gpus {
+            // Slots number the serving GPUs in ascending order.
+            let gpu = unmapped.trailing_zeros() as usize;
+            unmapped &= unmapped.wrapping_sub(1);
+            for &op in gq.stages.iter().flat_map(|stage| &stage.ops) {
+                let v = op.index();
+                let actual_ms = actual.op_finish[v] - actual.op_start[v];
+                let predicted_ms = predicted.op_finish[v] - predicted.op_start[v];
+                // Unusable durations (a zero-cost stub, a saturated
+                // float) are typed rejections that leave the calibrator
+                // untouched.
+                if let Ok(Some(_alarm)) =
+                    self.calib[mi].cal.observe(gpu, op, actual_ms, predicted_ms)
+                {
+                    self.alarms_total += 1;
+                    alarmed = true;
+                }
             }
         }
         if !alarmed {
@@ -994,9 +1223,11 @@ impl<'a> Server<'a> {
         if changed {
             self.recalibrations_total += 1;
             self.epochs[mi] += 1;
+            // The planning table moved: its fingerprints are stale.
+            self.keys[mi].platform_fps.clear();
             let fp = self.calib[mi].table.table().platform_fingerprint();
-            let g = &self.models[mi].graph;
-            self.cache_drops_total += self.ladder.invalidate_stale(g, fp, self.epochs[mi]) as u64;
+            let gfp = self.keys[mi].graph_fp;
+            self.cache_drops_total += self.ladder.invalidate_stale(gfp, fp, self.epochs[mi]) as u64;
             self.reprice(mi, false);
         }
     }
@@ -1020,7 +1251,14 @@ impl<'a> Server<'a> {
         self.complete(i);
         // Only clean completions teach the calibrator: this attempt ran
         // exactly the timeline its observations describe.
-        self.feed_observations(mi, &fl.obs);
+        if let Attempt::Clean {
+            actual,
+            lesson: Some((schedule, predicted)),
+            ..
+        } = &fl.run
+        {
+            self.feed_observations(mi, fl.serving, schedule, actual, predicted);
+        }
         self.idle_work();
     }
 
@@ -1051,6 +1289,9 @@ impl<'a> Server<'a> {
     /// GPU healed): the nominally-best cached plan may lean on hardware
     /// that just degraded — or hardware that just came back.
     fn rerank_cache(&mut self) {
+        // What schedules cost just changed, so "LP lost to this plan"
+        // verdicts reached on the old platform no longer hold.
+        self.ladder.platform_changed();
         for mi in 0..self.models.len() {
             self.reprice(mi, false);
         }
@@ -1063,29 +1304,33 @@ impl<'a> Server<'a> {
     /// nominally-best plan may lean on a degraded link.  The challenger
     /// is a full HIOS-LP pass when `upgrade`, a greedy pass otherwise.
     fn reprice(&mut self, mi: usize, upgrade: bool) {
-        if self.cfg.policy != Policy::Anytime {
+        if self.cfg.policy != Policy::Anytime || !self.slots.refresh(&self.breakers) {
             return;
         }
-        let alive = self.breakers.admitted();
-        let gpu_map = alive_slots(&alive);
-        if gpu_map.is_empty() {
+        let key = self.plan_key(mi);
+        // Asked after every idle completion: answer "nothing to try"
+        // before pricing anything.
+        if upgrade && self.ladder.upgrade_settled(&key) {
             return;
         }
-        let scale = self.scaling.project(&gpu_map);
+        let gpu_map = &self.slots.gpu_map;
+        let scale = self.scaling.project(gpu_map);
         let sim_cfg = &self.cfg.sim;
         let model = &self.models[mi];
         let planning = planning_table(&self.calib, model, mi);
-        let slots = slot_cost(planning, &gpu_map);
+        let slots = slot_cost(planning, gpu_map);
         let eval = |schedule: &Schedule| {
             simulate_scaled(&model.graph, &slots, schedule, sim_cfg, &scale)
                 .map(|r| r.makespan)
                 .unwrap_or(f64::INFINITY)
         };
+        let g = &model.graph;
         if upgrade {
+            let epoch = self.epochs[mi];
             self.ladder
-                .upgrade(&model.graph, planning, &alive, self.epochs[mi], eval);
+                .upgrade_keyed(g, planning, gpu_map, &key, epoch, eval);
         } else {
-            self.ladder.rerank(&model.graph, planning, &alive, eval);
+            self.ladder.rerank_keyed(g, planning, gpu_map, &key, eval);
         }
     }
 
@@ -1104,33 +1349,33 @@ impl<'a> Server<'a> {
     /// Whether a fault that disrupts the current in-flight attempt has
     /// occurred but not yet been detected (its consequences own the
     /// attempt, so any completion before detection is phantom).
-    fn occurred_undetected_disruption(&self) -> bool {
+    fn occurred_undetected_disruption(&mut self) -> bool {
         let Some(fl) = &self.in_flight else {
             return false;
         };
-        let now = self.now();
-        self.signals
-            .iter()
+        let now = self.clock.now_ms();
+        // Candidates are the signals with `at_ms <= now <= detected_ms`.
+        // On a sorted stream the clock only moves forward, so signals
+        // detected before now never qualify again (the cursor) and the
+        // first one still in the future ends the run; an unsorted stream
+        // is scanned whole.  Either way the same signals are tested, in
+        // the same order.
+        let live = if self.signals_sorted {
+            let signals = &self.signals;
+            while signals
+                .get(self.first_live_signal)
+                .is_some_and(|sig| sig.detected_ms < now)
+            {
+                self.first_live_signal += 1;
+            }
+            let rest = &signals[self.first_live_signal..];
+            &rest[..rest.partition_point(|sig| sig.at_ms <= now)]
+        } else {
+            &self.signals[..]
+        };
+        live.iter()
             .filter(|sig| sig.at_ms <= now && sig.detected_ms >= now)
-            .any(|sig| self.signal_disrupts(sig, fl))
-    }
-
-    fn signal_disrupts(&self, sig: &FaultSignal, fl: &InFlight) -> bool {
-        match sig.kind {
-            FaultKind::GpuFailStop { gpu } | FaultKind::GpuSlowdown { gpu, .. } => {
-                fl.serving.contains(&gpu)
-            }
-            FaultKind::LinkFail { from, to } | FaultKind::LinkDegrade { from, to, .. } => {
-                fl.serving.len() > 1 && fl.serving.contains(&from) && fl.serving.contains(&to)
-            }
-            FaultKind::OpHang { op } => {
-                // Guard the index: hang plans may target a larger
-                // tenant's operator ids.
-                op.index() < fl.op_finish_abs.len() && fl.op_finish_abs[op.index()] > sig.at_ms
-            }
-            // A heal only adds capacity; it never invalidates work.
-            FaultKind::GpuHeal { .. } => false,
-        }
+            .any(|sig| signal_disrupts(sig, fl))
     }
 
     fn on_watchdog(&mut self, token: u64) {
@@ -1179,7 +1424,7 @@ impl<'a> Server<'a> {
         self.rerank_cache();
         // 3. Invalidate in-flight work the fault touches.
         let Some(fl) = &self.in_flight else { return };
-        if !self.signal_disrupts(&sig, fl) {
+        if !signal_disrupts(&sig, fl) {
             return;
         }
         match sig.kind {
@@ -1189,7 +1434,10 @@ impl<'a> Server<'a> {
                 let fl = self.in_flight.as_mut().expect("checked above");
                 fl.token = token;
                 fl.hung_op = Some(op);
-                fl.op_finish_abs[op.index()] = f64::INFINITY;
+                let mut op_finish_abs =
+                    std::mem::replace(&mut fl.run, Attempt::Stitched(Vec::new())).into_abs();
+                op_finish_abs[op.index()] = f64::INFINITY;
+                fl.run = Attempt::Stitched(op_finish_abs);
                 self.events
                     .push(now + WATCHDOG_MS, Event::Watchdog { token });
             }
@@ -1220,21 +1468,21 @@ impl<'a> Server<'a> {
         let req = self.states[i].request;
         let model = &self.models[req.model];
         let g = &model.graph;
-        let completed: Vec<bool> = fl.op_finish_abs.iter().map(|&f| f <= now).collect();
+        let mut op_finish_abs = fl.run.into_abs();
+        let completed: Vec<bool> = op_finish_abs.iter().map(|&f| f <= now).collect();
         if completed.iter().all(|&c| c) {
             // The fault only delayed the final acknowledgement.
             self.complete(i);
             self.idle_work();
             return;
         }
-        let alive = self.breakers.admitted();
-        if !alive.iter().any(|&a| a) {
+        if !self.slots.refresh(&self.breakers) {
             self.fail_attempt(i, err);
             self.try_dispatch();
             return;
         }
         let n_left = completed.iter().filter(|&&c| !c).count();
-        let m_alive = alive.iter().filter(|&&a| a).count();
+        let m_alive = self.slots.gpu_map.len();
         let slack_ms = (req.deadline_ms - now).min(self.stall_headroom_ms());
         let (policy, sched_cost) = self.repair_policy(n_left, m_alive, slack_ms);
         // Repair *plans* on the calibrated planning table (the best
@@ -1246,7 +1494,7 @@ impl<'a> Server<'a> {
             g,
             planning,
             &completed,
-            &alive,
+            &self.slots.alive,
             &RepairConfig {
                 policy,
                 window: self.cfg.ladder.window,
@@ -1260,9 +1508,19 @@ impl<'a> Server<'a> {
         let sub_cost = hios_core::repair::project_cost(&model.cost, &map);
         let resume = now + sched_cost;
         let sub_schedule = map.to_sub_schedule(&outcome.schedule);
-        match self.execute(&map.sub, &sub_cost, &sub_schedule, &outcome.gpu_map, resume) {
-            Some((r, ..)) => {
-                let mut op_finish_abs = fl.op_finish_abs;
+        // The remainder resumes on the survivors, on the platform as it
+        // is at `resume` (known faults times drift).
+        debug_assert_eq!(outcome.gpu_map, self.slots.gpu_map);
+        self.slots.scale(&self.scaling, self.drift, resume);
+        let resumed = simulate_scaled(
+            &map.sub,
+            &sub_cost,
+            &sub_schedule,
+            &self.cfg.sim,
+            &self.slots.slot_scale,
+        );
+        match resumed.ok().filter(|r| r.makespan.is_finite()) {
+            Some(r) => {
                 for (sv, &parent) in map.to_parent.iter().enumerate() {
                     op_finish_abs[parent.index()] = resume + r.op_finish[sv];
                 }
@@ -1272,7 +1530,7 @@ impl<'a> Server<'a> {
                 // timeline; its observations would mis-attribute the
                 // disruption as drift, so it carries none.
                 let finish_ms = resume + r.makespan;
-                self.fly(i, outcome.gpu_map, op_finish_abs, finish_ms, Vec::new());
+                self.fly(i, Attempt::Stitched(op_finish_abs), finish_ms);
             }
             None => {
                 self.fail_attempt(i, err);
@@ -1369,6 +1627,25 @@ impl<'a> Server<'a> {
             let next = self.breakers.gpu(gpu).probe_failure(now);
             self.events.push(next, Event::BreakerProbe { gpu });
         }
+    }
+}
+
+/// Whether fault `sig` invalidates the in-flight attempt `fl`.
+fn signal_disrupts(sig: &FaultSignal, fl: &InFlight) -> bool {
+    let serves = |gpu: usize| fl.serving >> gpu & 1 == 1;
+    match sig.kind {
+        FaultKind::GpuFailStop { gpu } | FaultKind::GpuSlowdown { gpu, .. } => serves(gpu),
+        FaultKind::LinkFail { from, to } | FaultKind::LinkDegrade { from, to, .. } => {
+            fl.serving.count_ones() > 1 && serves(from) && serves(to)
+        }
+        // Hang plans may target a larger tenant's operator ids: an
+        // operator this graph does not have cannot hang.
+        FaultKind::OpHang { op } => fl
+            .run
+            .op_finish_abs(op.index())
+            .is_some_and(|finish| finish > sig.at_ms),
+        // A heal only adds capacity; it never invalidates work.
+        FaultKind::GpuHeal { .. } => false,
     }
 }
 
@@ -1714,6 +1991,46 @@ mod tests {
             err,
             ServeError::Scheduler(SchedulerError::BadOptions(_))
         ));
+    }
+
+    #[test]
+    fn fault_free_dispatch_simulates_each_plan_once() {
+        // 10 000 dispatches of three tenants: the only real simulations
+        // are the first dispatch of each plan a tenant was ever served
+        // with (its first rung's, then its idle-time upgrade's).  Every
+        // other dispatch is a memo hit — and, this being a debug build,
+        // each hit was re-simulated and compared bit for bit.
+        let models = vec![model(1, 24), model(2, 30), model(3, 36)];
+        let cfg = ServeConfig::new(3);
+        let trace = trace_for(&models, &cfg, &wl(10_000, 300.0, 40.0));
+        let drift = DriftPlan::none();
+        let mut srv = Server::build(&models, &FaultPlan::none(), &drift, &cfg).unwrap();
+        srv.run_trace(&trace);
+        let (simulated, plans) = (srv.memo.simulated, srv.ladder.plans_issued());
+        assert!(
+            simulated >= models.len() as u64 && simulated <= plans,
+            "{simulated} simulations for {plans} plans"
+        );
+        assert!(plans <= 2 * models.len() as u64, "{plans} plans");
+        assert_eq!(srv.into_outcome().report.completed, 10_000);
+    }
+
+    #[test]
+    fn ramp_drift_degrades_to_simulating_within_the_memo_bound() {
+        // GPU 2's speed changes every few dispatches, so most dispatches
+        // miss the memo and simulate as they always did; what must hold
+        // is the bound (`timeline` debug-asserts it on every insert).
+        let models = vec![model(3, 36)];
+        let mut cfg = ServeConfig::new(3);
+        cfg.calibration = Some(CalibrationConfig::default());
+        let trace = trace_for(&models, &cfg, &wl(600, 200.0, 50.0));
+        let span = trace.last().unwrap().arrival_ms;
+        let drift = DriftPlan::ramp(2, 0.0, span, 1.0, 4.0, 300);
+        let mut srv = Server::build(&models, &FaultPlan::none(), &drift, &cfg).unwrap();
+        srv.run_trace(&trace);
+        assert_eq!(srv.memo.per_model[0].len(), TIMELINE_MEMO_SLOTS);
+        assert!(srv.memo.simulated > 200, "{}", srv.memo.simulated);
+        assert!(srv.into_outcome().report.recalibrations > 0);
     }
 
     #[test]

@@ -119,15 +119,24 @@ impl Scaling {
     /// `gpu_map[i]`: GPU factors gathered per slot, link factors per
     /// ordered slot pair.
     pub fn project(&self, gpu_map: &[usize]) -> Scaling {
-        let mut link = Vec::with_capacity(gpu_map.len() * gpu_map.len());
+        let mut out = Scaling {
+            gpu: Vec::with_capacity(gpu_map.len()),
+            link: Vec::with_capacity(gpu_map.len() * gpu_map.len()),
+        };
+        self.project_into(gpu_map, &mut out);
+        out
+    }
+
+    /// [`Scaling::project`] into a buffer the caller keeps (overwritten),
+    /// for a loop that projects once per dispatch.
+    pub fn project_into(&self, gpu_map: &[usize], out: &mut Scaling) {
+        out.gpu.clear();
+        out.gpu.extend(gpu_map.iter().map(|&p| self.gpu[p]));
+        out.link.clear();
         for &from in gpu_map {
             for &to in gpu_map {
-                link.push(self.link_factor(from, to));
+                out.link.push(self.link_factor(from, to));
             }
-        }
-        Scaling {
-            gpu: gpu_map.iter().map(|&p| self.gpu[p]).collect(),
-            link,
         }
     }
 
