@@ -188,12 +188,6 @@ impl<V> ScheduleCache<V> {
         self.entries.get(key).map(|e| &e.value)
     }
 
-    /// Uncounted mutable lookup: lets the owner annotate an entry in
-    /// place without touching stats, recency or eviction order.
-    pub fn peek_mut(&mut self, key: &ScheduleCacheKey) -> Option<&mut V> {
-        self.entries.get_mut(key).map(|e| &mut e.value)
-    }
-
     /// Inserts `value` under `key` only if `better` says it improves on
     /// the incumbent (ties keep the incumbent, so re-running a rung can
     /// never churn the cache).  A fresh insert beyond capacity evicts

@@ -35,8 +35,9 @@ use hios_core::{
 };
 use hios_cost::CostTable;
 use hios_graph::Graph;
-use hios_store::{PlanKey, PlanStore, RecoveryReport, StoreStats};
+use hios_store::{PlanKey, PlanRung, PlanStore, RecoveryReport, StoreStats};
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Cost view where slot `i` prices as physical GPU `gpu_map[i]`.
@@ -113,6 +114,27 @@ impl Rung {
             Rung::FullLp => 2,
             Rung::InterLp => 3,
             Rung::Greedy => 4,
+        }
+    }
+
+    /// What the plan store records for a plan this rung computed; the
+    /// two answering rungs compute nothing, so they record nothing.
+    fn recorded(self) -> Option<PlanRung> {
+        match self {
+            Rung::Cached | Rung::Store => None,
+            Rung::FullLp => Some(PlanRung::FullLp),
+            Rung::InterLp => Some(PlanRung::InterLp),
+            Rung::Greedy => Some(PlanRung::Greedy),
+        }
+    }
+}
+
+impl From<PlanRung> for Rung {
+    fn from(rung: PlanRung) -> Rung {
+        match rung {
+            PlanRung::FullLp => Rung::FullLp,
+            PlanRung::InterLp => Rung::InterLp,
+            PlanRung::Greedy => Rung::Greedy,
         }
     }
 }
@@ -195,17 +217,21 @@ pub struct CachedPlan {
     pub schedule: Arc<Schedule>,
     /// Stage-synchronous fault-free latency, ms.
     pub makespan_ms: f64,
-    /// The rung that computed it.
+    /// The rung that computed it — for a plan adopted from the store,
+    /// the rung the store recorded ([`Rung::Store`] when it recorded
+    /// none), so a plan that was the full-LP one before an eviction or a
+    /// restart still is.
     pub rung: Rung,
-    /// Identity of this plan within its ladder: every plan that enters
-    /// the cache (miss, store adoption, upgrade, re-rank) draws a fresh
-    /// id and ids are never reused, so equal ids mean the same schedule
-    /// — what lets a caller memoise anything derived from it without an
-    /// invalidation protocol.
+    /// Identity of this plan within its ladder: every schedule that
+    /// enters the cache (miss, upgrade, re-rank, first adoption from the
+    /// store) draws a fresh id, and an id is only ever handed out again
+    /// with the schedule it was issued for (the store returning a plan
+    /// this ladder has already adopted or persisted), so equal ids mean
+    /// the same schedule — what lets a caller memoise anything derived
+    /// from it without an invalidation protocol.
     pub plan_id: u64,
-    /// Platform generation ([`AnytimeLadder::platform_changed`]) at which
-    /// a full HIOS-LP pass was pitted against this plan and lost.
-    lp_lost_at: Option<u64>,
+    /// [`Schedule::content_digest`] of `schedule`.
+    digest: u64,
 }
 
 /// What one ladder consultation produced.
@@ -262,8 +288,17 @@ pub struct AnytimeLadder {
     store_io_errors: u64,
     /// Last [`CachedPlan::plan_id`] issued.
     plans_issued: u64,
-    /// Bumped by [`AnytimeLadder::platform_changed`].
-    platform_gen: u64,
+    /// Per cache key, the content digest of the plan a full HIOS-LP pass
+    /// was pitted against and lost to, on the platform as it has been
+    /// since the last [`AnytimeLadder::platform_changed`].  Outlives the
+    /// cache entry: the same plan re-entering the cache (re-adopted, or
+    /// re-computed by a deterministic rung) would beat LP again.
+    lp_lost: HashMap<ScheduleCacheKey, u64>,
+    /// Per durable key, the `(content digest, plan id)` of the plan this
+    /// ladder last persisted under it or adopted from it — content it
+    /// computed or has validated once already, so the store handing it
+    /// back needs no second validation and no second id.
+    known: HashMap<PlanKey, (u64, u64)>,
 }
 
 impl AnytimeLadder {
@@ -278,19 +313,25 @@ impl AnytimeLadder {
             upgrades: 0,
             store_io_errors: 0,
             plans_issued: 0,
-            platform_gen: 0,
+            lp_lost: HashMap::new(),
+            known: HashMap::new(),
         }
     }
 
-    /// A cache entry under a fresh, never-reused plan id.
-    fn plan(&mut self, schedule: Arc<Schedule>, makespan_ms: f64, rung: Rung) -> CachedPlan {
+    /// The next never-issued plan id.
+    fn fresh_id(&mut self) -> u64 {
         self.plans_issued += 1;
+        self.plans_issued
+    }
+
+    /// A cache entry for a newly computed schedule, under a fresh id.
+    fn plan(&mut self, schedule: Arc<Schedule>, makespan_ms: f64, rung: Rung) -> CachedPlan {
         CachedPlan {
+            digest: schedule.content_digest(),
             schedule,
             makespan_ms,
             rung,
-            plan_id: self.plans_issued,
-            lp_lost_at: None,
+            plan_id: self.fresh_id(),
         }
     }
 
@@ -445,26 +486,30 @@ impl AnytimeLadder {
                     self.run_rung(rung, g, &slot_cost(cost, gpu_map), m)?;
                 self.rung_counts[rung.index()] += 1;
                 let plan = self.plan(Arc::new(schedule), nominal_ms, rung);
-                let (schedule, plan_id) = (Arc::clone(&plan.schedule), plan.plan_id);
-                self.cache
-                    .insert_if_better(*key, plan, |new, old| new.makespan_ms < old.makespan_ms);
-                self.store_put(key, epoch, &schedule, nominal_ms);
-                Ok(Chosen {
-                    schedule,
+                self.store_put(key, epoch, &plan);
+                let chosen = Chosen {
+                    schedule: Arc::clone(&plan.schedule),
                     nominal_ms,
                     rung,
                     sched_cost_ms,
-                    plan_id: Some(plan_id),
-                })
+                    plan_id: Some(plan.plan_id),
+                };
+                self.cache
+                    .insert_if_better(*key, plan, |new, old| new.makespan_ms < old.makespan_ms);
+                Ok(chosen)
             }
         }
     }
 
     /// Durable-tier lookup on a memory-cache miss.  A hit is adopted
     /// into the memory cache so subsequent dispatches pay memory-hit
-    /// cost.  The stored plan is digest-verified by the store and
-    /// structurally validated here against the model it is about to
-    /// serve — a corrupt or foreign plan is a miss, never a dispatch.
+    /// cost, at the rung the store recorded for it.  The stored plan is
+    /// digest-verified by the store and structurally validated here
+    /// against the model it is about to serve — a corrupt or foreign
+    /// plan is a miss, never a dispatch.  Both checks are per content,
+    /// not per read: the store verifies a record once and shares the
+    /// result, and content this ladder already validated (or computed
+    /// and persisted itself) comes back under the id it was issued.
     fn store_lookup(
         &mut self,
         g: &Graph,
@@ -472,31 +517,48 @@ impl AnytimeLadder {
         m: usize,
         epoch: u64,
     ) -> Option<CachedPlan> {
-        let store = self.store.as_mut()?;
-        let hit = store.get(&PlanKey::from_cache_key(key, epoch))?;
-        if hit.schedule.gpus.len() != m || hit.schedule.validate_full(g, None).is_err() {
-            return None; // fingerprint collision or foreign plan
-        }
-        let plan = self.plan(Arc::new(hit.schedule), hit.makespan_ms, Rung::Store);
+        let durable = PlanKey::from_cache_key(key, epoch);
+        let hit = self.store.as_mut()?.get_shared(&durable)?;
+        let plan_id = match self.known.get(&durable) {
+            Some(&(digest, plan_id)) if digest == hit.digest => plan_id,
+            _ => {
+                if hit.schedule.gpus.len() != m || hit.schedule.validate_full(g, None).is_err() {
+                    return None; // fingerprint collision or foreign plan
+                }
+                let plan_id = self.fresh_id();
+                self.known.insert(durable, (hit.digest, plan_id));
+                plan_id
+            }
+        };
+        let plan = CachedPlan {
+            schedule: hit.schedule,
+            makespan_ms: hit.makespan_ms,
+            rung: hit.rung.map_or(Rung::Store, Rung::from),
+            plan_id,
+            digest: hit.digest,
+        };
         self.cache.insert_if_better(*key, plan.clone(), |new, old| {
             new.makespan_ms < old.makespan_ms
         });
         Some(plan)
     }
 
-    /// Best-effort durable persist.  An I/O failure here costs future
+    /// Best-effort durable persist of a plan this ladder computed, with
+    /// the rung that computed it.  An I/O failure here costs future
     /// warm starts, never the dispatch in hand: it is counted
     /// ([`AnytimeLadder::store_io_errors`]) and serving continues on
     /// the in-memory tier.
-    fn store_put(&mut self, key: &ScheduleCacheKey, epoch: u64, schedule: &Schedule, nominal: f64) {
+    fn store_put(&mut self, key: &ScheduleCacheKey, epoch: u64, plan: &CachedPlan) {
         let Some(store) = self.store.as_mut() else {
             return;
         };
-        if store
-            .put(PlanKey::from_cache_key(key, epoch), schedule, nominal)
-            .is_err()
-        {
-            self.store_io_errors += 1;
+        let durable = PlanKey::from_cache_key(key, epoch);
+        let rung = plan.rung.recorded();
+        match store.put_shared(durable, &plan.schedule, plan.makespan_ms, rung) {
+            Ok(_) => {
+                self.known.insert(durable, (plan.digest, plan.plan_id));
+            }
+            Err(_) => self.store_io_errors += 1,
         }
     }
 
@@ -512,10 +574,12 @@ impl AnytimeLadder {
     /// the links it leans on are degraded.
     ///
     /// HIOS-LP is deterministic, so a pass that loses to the cached plan
-    /// would lose to it again: the verdict is remembered beside the plan
-    /// and the pass skipped until the plan is replaced or evicted, or
-    /// the caller reports through [`AnytimeLadder::platform_changed`]
-    /// that `eval` now ranks differently.
+    /// would lose to it again: the verdict is remembered per key and
+    /// plan content — through evictions, re-adoptions and re-misses that
+    /// bring the same plan back — and the pass skipped until a different
+    /// plan takes the key, or the caller reports through
+    /// [`AnytimeLadder::platform_changed`] that `eval` now ranks
+    /// differently.
     ///
     /// Returns whether the cache improved.  An improvement is also
     /// persisted to the attached store under `epoch`, so idle-time
@@ -535,11 +599,12 @@ impl AnytimeLadder {
     }
 
     /// Whether [`AnytimeLadder::upgrade`] for `key` would change
-    /// nothing: the cached plan already is the full-LP one, or full LP
-    /// was tried against it on this platform generation and lost.
+    /// nothing: the cached plan already is the full-LP one (computed
+    /// here, or recorded as such by the store it was adopted from), or
+    /// full LP was tried against it on the platform as it is and lost.
     pub(crate) fn upgrade_settled(&self, key: &ScheduleCacheKey) -> bool {
         matches!(self.cache.peek(key), Some(plan)
-            if plan.rung == Rung::FullLp || plan.lp_lost_at == Some(self.platform_gen))
+            if plan.rung == Rung::FullLp || self.lp_lost.get(key) == Some(&plan.digest))
     }
 
     /// [`AnytimeLadder::upgrade`] for a caller that already holds the
@@ -560,19 +625,18 @@ impl AnytimeLadder {
         self.upgrades += 1;
         let new_ms = eval(&schedule);
         let plan = self.plan(Arc::new(schedule), new_ms, Rung::FullLp);
-        let schedule = Arc::clone(&plan.schedule);
         let improved = self.cache.insert_if_better(
             *key,
-            plan,
+            plan.clone(),
             // `<=` so an equal-cost full-LP plan still records the rung
             // upgrade and stops future re-upgrades.  The incumbent is
             // re-evaluated: its stored makespan may predate a fault.
             |new, old| new.makespan_ms <= eval(&old.schedule),
         );
         if improved {
-            self.store_put(key, epoch, &schedule, new_ms);
-        } else if let Some(incumbent) = self.cache.peek_mut(key) {
-            incumbent.lp_lost_at = Some(self.platform_gen);
+            self.store_put(key, epoch, &plan);
+        } else if let Some(incumbent) = self.cache.peek(key) {
+            self.lp_lost.insert(*key, incumbent.digest);
         }
         improved
     }
@@ -581,7 +645,7 @@ impl AnytimeLadder {
     /// was folded into the platform, a GPU healed), so every remembered
     /// "full LP lost to this plan" verdict is void.
     pub fn platform_changed(&mut self) {
-        self.platform_gen += 1;
+        self.lp_lost.clear();
     }
 
     /// Platform-change re-rank: after a fault (or a heal) changes what
@@ -659,12 +723,15 @@ impl AnytimeLadder {
         cost: &CostTable,
         m: usize,
     ) -> Result<(Schedule, f64, f64), ServeError> {
+        // Unreachable with an answering rung: `pick_rung` is the only
+        // producer of `rung` and returns one of the three computing
+        // rungs, and `decide_keyed` returns on a cache or store hit before
+        // it asks.  Were that ever broken, a release build computes the
+        // always-affordable greedy plan rather than panic mid-dispatch.
+        debug_assert!(!matches!(rung, Rung::Cached | Rung::Store));
         match rung {
-            Rung::Cached | Rung::Store => {
-                unreachable!("cache and store hits answer before run_rung")
-            }
             Rung::FullLp | Rung::InterLp => Ok(self.run_lp(g, cost, m, rung == Rung::FullLp)),
-            Rung::Greedy => {
+            Rung::Cached | Rung::Store | Rung::Greedy => {
                 let (schedule, nominal) = self.run_greedy(g, cost, m)?;
                 Ok((schedule, nominal, greedy_cost_ms(g.num_ops())))
             }
@@ -741,6 +808,9 @@ impl AnytimeLadder {
             if store.invalidate_stale(gfp, current_epoch).is_err() {
                 self.store_io_errors += 1;
             }
+            // What the ladder knew of the model's stored plans goes with
+            // them; a survivor is validated once more when next adopted.
+            self.known.retain(|k, _| k.graph_fp != gfp);
         }
         self.cache
             .retain(|k| k.graph_fp != gfp || k.platform_fp == current_platform_fp)
@@ -939,22 +1009,40 @@ mod tests {
             .unwrap();
         assert_eq!((hit.rung, hit.plan_id), (Rung::Cached, greedy.plan_id));
 
-        // An eviction forgets the verdict with the plan …
-        ladder
-            .decide(&g, &cost, &[true, false], 0, inf, 0, Policy::Anytime)
-            .unwrap();
-        assert_eq!(ladder.cache_evictions(), 1);
+        // An eviction does not forget the verdict: two keys alternating
+        // through one cache slot evict each other on every dispatch, the
+        // greedy rung recomputes the same plan each time, and LP — which
+        // would lose to it again — runs once per key, not once per miss.
+        let one = [true, false];
+        for round in 0..3 {
+            for alive in [&one, &both] {
+                let d = ladder
+                    .decide(&g, &cost, alive, 0, inf, 0, Policy::Anytime)
+                    .unwrap();
+                assert_eq!(d.rung, Rung::Greedy, "capacity 1 must miss");
+                let current = d.schedule;
+                let incumbent_wins = |s: &Schedule| if *s == *current { 1.0 } else { 2.0 };
+                assert!(!ladder.upgrade(&g, &cost, alive, 0, incumbent_wins));
+                assert!(!ladder.upgrade(&g, &cost, alive, 0, incumbent_wins));
+                // One pass for `both` (above), one for `one` (round 0).
+                assert_eq!(ladder.upgrades(), 2, "round {round}");
+            }
+        }
+        assert_eq!(ladder.cache_evictions(), 6);
         let again = ladder
             .decide(&g, &cost, &both, 0, inf, 0, Policy::Anytime)
             .unwrap();
-        assert_eq!(again.schedule, greedy.schedule);
-        assert_ne!(again.plan_id, greedy.plan_id, "plan ids are never reused");
-        assert!(!ladder.upgrade(&g, &cost, &both, 0, greedy_wins));
-        assert_eq!(ladder.upgrades(), 2);
-        assert!(!ladder.upgrade(&g, &cost, &both, 0, greedy_wins));
-        assert_eq!(ladder.upgrades(), 2);
+        assert_eq!(
+            (again.rung, &again.schedule),
+            (Rung::Cached, &greedy.schedule)
+        );
+        assert_ne!(
+            again.plan_id, greedy.plan_id,
+            "a recomputed plan is a new id"
+        );
 
-        // … and a platform change voids it: LP runs again, and now wins.
+        // A platform change voids every verdict: LP runs again (once per
+        // key and generation), and now wins.
         ladder.platform_changed();
         let lp_wins = |s: &Schedule| if *s == *greedy.schedule { 2.0 } else { 1.0 };
         assert!(ladder.upgrade(&g, &cost, &both, 0, lp_wins));
@@ -1315,6 +1403,134 @@ mod tests {
             .unwrap();
         assert_eq!(again.rung, Rung::Store);
         assert_eq!(again.schedule, a.schedule);
+    }
+
+    #[test]
+    fn a_log_without_rungs_learns_them_in_one_lp_pass_per_tenant() {
+        // Three tenants' full-LP plans, persisted the way a build that
+        // predates the rung field does: through the rung-less `put`.
+        let tenants: Vec<(Graph, CostTable)> = (0..3)
+            .map(|seed| {
+                let g = generate_layered_dag(&LayeredDagConfig {
+                    ops: 30 + 5 * seed as usize,
+                    layers: 6,
+                    deps: 60,
+                    seed,
+                })
+                .unwrap();
+                let cost = AnalyticCostModel::a40_nvlink().build_table(&g);
+                (g, cost)
+            })
+            .collect();
+        let eval = |g: &Graph, cost: &CostTable, s: &Schedule| {
+            hios_sim::simulate(g, cost, s, &hios_sim::SimConfig::analytical())
+                .map(|r| r.makespan)
+                .unwrap_or(f64::INFINITY)
+        };
+        let path = scratch();
+        let cfg = LadderConfig {
+            budget: SchedBudget::unlimited(),
+            cache_capacity: 1, // every dispatch evicts the previous tenant
+            ..LadderConfig::default()
+        };
+        let alive = [true, true];
+        let inf = f64::INFINITY;
+        let mut keys = Vec::new();
+        {
+            let mut plain = AnytimeLadder::new(cfg);
+            let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+            for (g, cost) in &tenants {
+                let d = plain
+                    .decide(g, cost, &alive, 0, inf, 0, Policy::Anytime)
+                    .unwrap();
+                assert_eq!(d.rung, Rung::FullLp);
+                let key = PlanKey::from_cache_key(&resolve(g, cost, &alive).unwrap().1, 0);
+                store
+                    .put(key, &d.schedule, eval(g, cost, &d.schedule))
+                    .unwrap();
+                keys.push(key);
+            }
+        }
+
+        // Served from that log, each tenant is re-adopted on every
+        // dispatch and offered an upgrade after it: LP runs once per
+        // tenant, ties its own plan, and the put that follows — same
+        // content, same makespan, a rung the record lacked — is written.
+        let mut ladder = with_store(cfg, &path);
+        for _round in 0..3 {
+            for (g, cost) in &tenants {
+                let d = ladder
+                    .decide(g, cost, &alive, 0, inf, 0, Policy::Anytime)
+                    .unwrap();
+                assert_eq!(d.rung, Rung::Store);
+                ladder.upgrade(g, cost, &alive, 0, |s| eval(g, cost, s));
+            }
+        }
+        assert_eq!(ladder.upgrades(), tenants.len() as u64);
+        assert_eq!(ladder.store_stats().unwrap().puts_full, 3);
+        drop(ladder);
+
+        // The reopened log knows, and a restarted ladder runs no pass.
+        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        for key in &keys {
+            assert_eq!(store.get_shared(key).unwrap().rung, Some(PlanRung::FullLp));
+        }
+        drop(store);
+        let mut restarted = with_store(cfg, &path);
+        for (g, cost) in &tenants {
+            let d = restarted
+                .decide(g, cost, &alive, 0, inf, 0, Policy::Anytime)
+                .unwrap();
+            assert_eq!(d.rung, Rung::Store, "the decision still names the store");
+            assert!(!restarted.upgrade(g, cost, &alive, 0, |s| eval(g, cost, s)));
+        }
+        assert_eq!(restarted.upgrades(), 0);
+        assert_eq!(restarted.store_stats().unwrap().puts_full, 0);
+    }
+
+    #[test]
+    fn a_readopted_plan_keeps_its_id_and_is_validated_once() {
+        let (g, cost) = fixture();
+        let cfg = LadderConfig {
+            budget: SchedBudget::unlimited(),
+            cache_capacity: 1,
+            ..LadderConfig::default()
+        };
+        let path = scratch();
+        let inf = f64::INFINITY;
+        let (both, one) = ([true, true], [true, false]);
+        let mut ladder = with_store(cfg, &path);
+        let computed = ladder
+            .decide(&g, &cost, &both, 0, inf, 0, Policy::Anytime)
+            .unwrap();
+        for _ in 0..3 {
+            ladder
+                .decide(&g, &cost, &one, 0, inf, 0, Policy::Anytime)
+                .unwrap();
+            let back = ladder
+                .decide(&g, &cost, &both, 0, inf, 0, Policy::Anytime)
+                .unwrap();
+            assert_eq!(back.rung, Rung::Store);
+            assert_eq!(back.plan_id, computed.plan_id, "same content, same id");
+            assert!(Arc::ptr_eq(&back.schedule, &computed.schedule));
+        }
+        assert_eq!(ladder.plans_issued(), 2, "one id per key, ever");
+        drop(ladder);
+
+        // A restart adopts each stored plan under one new id.
+        let mut warm = with_store(cfg, &path);
+        let mut ids = Vec::new();
+        for _ in 0..3 {
+            for alive in [&both, &one] {
+                let d = warm
+                    .decide(&g, &cost, alive, 0, inf, 0, Policy::Anytime)
+                    .unwrap();
+                assert_eq!(d.rung, Rung::Store);
+                ids.push(d.plan_id);
+            }
+        }
+        assert_eq!(warm.plans_issued(), 2);
+        assert!(ids.chunks(2).all(|pair| pair == &ids[..2]));
     }
 
     #[test]

@@ -237,9 +237,11 @@ struct Memoised {
 /// scaling)` is a pure function from t = 0, and for one server the
 /// graph, the execution cost table and the sim config are fixed per
 /// model — so per model, (which schedule, which scaling) names its
-/// result exactly.  The schedule is named by its never-reused
-/// [`crate::ladder::CachedPlan::plan_id`], so nothing ever has to be
-/// invalidated: a replaced plan's id simply stops being asked for.  The
+/// result exactly.  The schedule is named by its
+/// [`crate::ladder::CachedPlan::plan_id`] — never issued for a second
+/// schedule, and kept by a plan that leaves the cache and comes back
+/// from the store — so nothing ever has to be invalidated: a replaced
+/// plan's id simply stops being asked for.  The
 /// scaling is held and compared bit for bit.  The alive mask says which
 /// cache slot the plan came from: the ladder keeps one plan per (model,
 /// alive set), so a new plan id under a mask means the mask's older ids
@@ -570,6 +572,11 @@ pub(crate) fn validate(
     }
     if cfg.queue_capacity == 0 {
         return bad("queue_capacity must be >= 1".into());
+    }
+    // `ScheduleCache::with_capacity` asserts on it.  (`ladder.window` 0
+    // needs no check: the intra-GPU pass returns its input below 2.)
+    if cfg.ladder.cache_capacity == 0 {
+        return bad("ladder.cache_capacity must be >= 1".into());
     }
     if models.is_empty() {
         return bad("at least one served model required".into());
@@ -1866,6 +1873,22 @@ mod tests {
             ServeError::Scheduler(SchedulerError::BadOptions(_))
         ));
 
+        let mut cfg = ServeConfig::new(2);
+        cfg.ladder.cache_capacity = 0;
+        let err = serve(&models, &[], &FaultPlan::new(vec![]), &cfg).unwrap_err();
+        assert!(
+            matches!(&err, ServeError::Scheduler(SchedulerError::BadOptions(msg))
+                if msg.contains("cache_capacity")),
+            "{err:?}"
+        );
+
+        // A zero window is not an error: the intra-GPU pass is skipped.
+        let mut cfg = ServeConfig::new(2);
+        cfg.ladder.window = 0;
+        let trace = trace_for(&models, &cfg, &wl(5, 50.0, 20.0));
+        let out = serve(&models, &trace, &FaultPlan::new(vec![]), &cfg).unwrap();
+        assert_eq!(out.report.completed, 5);
+
         let cfg = ServeConfig::new(2);
         let bad_trace = vec![Request {
             id: 0,
@@ -2013,6 +2036,70 @@ mod tests {
         );
         assert!(plans <= 2 * models.len() as u64, "{plans} plans");
         assert_eq!(srv.into_outcome().report.completed, 10_000);
+    }
+
+    #[test]
+    fn churning_through_a_store_schedules_validates_and_simulates_each_plan_once() {
+        // `plan_churn`'s shape at the size (and with the inputs) of the
+        // golden store scenario: six tenants through three cache slots,
+        // cold then restart-warm on one log.  Every cache miss after a
+        // tenant's first is a re-adoption from the store; none of them
+        // may cost an LP pass, a plan id or a simulation — and, this
+        // being a debug build, every memo hit on a re-adopted id was
+        // re-simulated and compared bit for bit.
+        use crate::ladder::Rung;
+        use crate::workload::{ClassMix, generate_trace_with_classes};
+        let models: Vec<ServedModel> = (0..6).map(|s| model(60 + s, 30 + 4 * s as usize)).collect();
+        let tenants = models.len() as u64;
+        let dir = std::env::temp_dir().join(format!("hios-server-churn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("plans.log");
+        let _ = std::fs::remove_file(&path);
+        let mut cfg = ServeConfig::new(3);
+        cfg.ladder.cache_capacity = 3;
+        cfg.store = Some(StoreConfig::at(&path));
+        let nominal: Vec<f64> = models
+            .iter()
+            .map(|m| bounds::combined_bound(&m.graph, &m.cost, cfg.num_gpus))
+            .collect();
+        let mean_ms = nominal.iter().sum::<f64>() / nominal.len() as f64;
+        let mut trace = generate_trace_with_classes(
+            &WorkloadConfig {
+                requests: 240,
+                arrival_rate_rps: 0.12 * 1000.0 / mean_ms,
+                deadline_factor: 40.0,
+                seed: 29,
+            },
+            &nominal,
+            &ClassMix::default(),
+        );
+        const POPULARITY: [usize; 16] = [0, 1, 0, 2, 0, 1, 3, 0, 4, 1, 0, 5, 2, 0, 1, 3];
+        for (i, r) in trace.iter_mut().enumerate() {
+            r.model = POPULARITY[i % POPULARITY.len()];
+            r.deadline_ms = r.arrival_ms + 40.0 * nominal[r.model];
+        }
+        let drift = DriftPlan::none();
+        let mut upgrades = Vec::new();
+        let mut digests = Vec::new();
+        for _phase in ["cold", "warm"] {
+            let mut srv = Server::build(&models, &FaultPlan::none(), &drift, &cfg).unwrap();
+            srv.run_trace(&trace);
+            let (simulated, plans) = (srv.memo.simulated, srv.ladder.plans_issued());
+            assert!(plans <= 2 * tenants, "{plans} plans");
+            assert!(simulated <= plans, "{simulated} simulations, {plans} plans");
+            let report = srv.into_outcome().report;
+            assert!(report.rungs[Rung::Store.index()] > 100 && report.cache_evictions > 100);
+            upgrades.push(report.upgrades);
+            digests.push(report.history_digest);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(upgrades[0] <= tenants, "{upgrades:?}");
+        assert_eq!(
+            upgrades[1], 0,
+            "a restart re-derives nothing the log recorded"
+        );
+        // `STORE_COLD` / `STORE_WARM` of tests/golden_digests.rs.
+        assert_eq!(digests, [0xf954_6eeb_ad9b_0118, 0x478b_d296_ba67_f2fe]);
     }
 
     #[test]

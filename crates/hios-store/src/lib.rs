@@ -31,6 +31,26 @@
 //!   parent key plus a [`PlanDelta`]; replay is depth-bounded
 //!   ([`StoreOptions::max_delta_depth`]) and digest-verified at every
 //!   link, so drift-repair chains stay cheap without compounding risk.
+//! * **Verify once, then share.**  That reconstruction and digest check
+//!   run on the *first* read of a record in a process; the verified plan
+//!   is kept with the record as an `Arc<Schedule>` and every later
+//!   [`PlanStore::get_shared`] hands out the same `Arc` — no copy, no
+//!   second hash.  A plan written by this process
+//!   ([`PlanStore::put_shared`]) is its own verified content.
+//!   [`PlanStore::get`] / [`PlanStore::put`] are the copying, rung-less
+//!   forms of the two.
+//! * **The producing rung.**  A record may carry which scheduling pass
+//!   computed its plan ([`PlanRung`], record tag 8), so a reader knows a
+//!   stored full-LP plan is the full-LP plan without re-deriving it.
+//!   The field is optional and was added **without** moving
+//!   [`RECORD_FORMAT_VERSION`] or [`STORE_FORMAT_VERSION`]: record
+//!   bodies are tag-length-value and every reader skips tags it does not
+//!   know, so a build that predates the field serves such a log
+//!   unchanged, and this build reads that build's records as "rung
+//!   unknown".  A put that adds only the rung to a record that lacked it
+//!   is written (not `Unchanged`), which is how an older log learns its
+//!   rungs; compaction carries rungs through.  The tag table is in
+//!   `record.rs`.
 //! * **Epoch purge.**  [`PlanStore::invalidate_stale`] extends the
 //!   serving ladder's `invalidate_stale` to the durable tier: when a
 //!   model recalibrates, superseded intermediate epochs are compacted
@@ -44,8 +64,8 @@ mod record;
 mod store;
 
 pub use delta::{DeltaError, PlanDelta, StageEdit};
-pub use record::{PlanKey, RECORD_FORMAT_VERSION};
+pub use record::{PlanKey, PlanRung, RECORD_FORMAT_VERSION};
 pub use store::{
-    PlanStore, PutOutcome, RecoveryReport, STORE_FORMAT_VERSION, StoreError, StoreOptions,
-    StoreStats, StoredPlan,
+    PlanStore, PutOutcome, RecoveryReport, STORE_FORMAT_VERSION, SharedPlan, StoreError,
+    StoreOptions, StoreStats, StoredPlan,
 };

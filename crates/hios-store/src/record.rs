@@ -6,10 +6,29 @@
 //! u16 version | u8 kind | ( u8 tag | u32 len | bytes )*
 //! ```
 //!
+//! | tag | field | bytes | in |
+//! |-----|-------|-------|----|
+//! | 1 | key ([`PlanKey`]) | 36 | every record |
+//! | 2 | makespan, `f64` bits | 8 | every record |
+//! | 3 | content digest of the full plan | 8 | every record |
+//! | 4 | schedule (versioned JSON envelope) | n | full records |
+//! | 5 | parent key | 36 | delta records |
+//! | 6 | delta (versioned JSON envelope) | n | delta records |
+//! | 7 | parent content digest | 8 | delta records |
+//! | 8 | producing rung ([`PlanRung`]) | 1 | optional |
+//!
 //! The TLV body makes the format forward-tolerant: a reader skips tags
 //! it does not know, so a future minor writer can add fields without
 //! breaking this build, while a `version` beyond
-//! [`RECORD_FORMAT_VERSION`] is a typed incompatibility.  The payload
+//! [`RECORD_FORMAT_VERSION`] is a typed incompatibility.  Tag 8 was
+//! added that way, with **no version bump**: a build that predates it
+//! skips the field and serves the plan as it always did, and a record
+//! without it (written by such a build, or through the rung-less
+//! [`PlanStore::put`](crate::PlanStore::put)) reads as "rung unknown" —
+//! so logs move between the two builds in both directions.  A rung
+//! byte this build does not recognise also reads as unknown (a later
+//! build may add rungs); a rung field of the wrong length is malformed.
+//! The payload
 //! is binary — not JSON — because the key fingerprints are full-range
 //! `u64`s and the vendored JSON tree stores numbers as `f64`, which
 //! silently rounds integers above 2^53.  The embedded schedule and
@@ -20,6 +39,7 @@ use crate::delta::{DeltaError, PlanDelta};
 use hios_core::ScheduleCacheKey;
 use hios_core::{Schedule, ScheduleCodecError};
 use serde::Value;
+use std::sync::Arc;
 
 /// Current version of the record payload format.
 pub const RECORD_FORMAT_VERSION: u16 = 1;
@@ -34,6 +54,40 @@ const TAG_SCHEDULE: u8 = 4;
 const TAG_PARENT: u8 = 5;
 const TAG_DELTA: u8 = 6;
 const TAG_PARENT_DIGEST: u8 = 7;
+const TAG_RUNG: u8 = 8;
+
+/// The scheduling pass that produced a stored plan — what the serving
+/// ladder needs to know to not re-derive it: a recorded
+/// [`PlanRung::FullLp`] plan is already the best the ladder can compute
+/// for its key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum PlanRung {
+    /// HIOS-LP with the intra-GPU pass.
+    FullLp,
+    /// Inter-GPU LP phase only.
+    InterLp,
+    /// Earliest-finish greedy list pass.
+    Greedy,
+}
+
+impl PlanRung {
+    fn to_byte(self) -> u8 {
+        match self {
+            PlanRung::FullLp => 1,
+            PlanRung::InterLp => 2,
+            PlanRung::Greedy => 3,
+        }
+    }
+
+    fn from_byte(byte: u8) -> Option<PlanRung> {
+        match byte {
+            1 => Some(PlanRung::FullLp),
+            2 => Some(PlanRung::InterLp),
+            3 => Some(PlanRung::Greedy),
+            _ => None, // a rung from a newer build: unknown to this one
+        }
+    }
+}
 
 /// Identity of one stored plan: the scheduling problem
 /// ([`ScheduleCacheKey`] fields) plus the calibration epoch the plan
@@ -111,14 +165,16 @@ pub(crate) struct PlanRecord {
     /// [`Schedule::content_digest`] of the *full* plan this record
     /// denotes (after delta replay, for delta records).
     pub digest: u64,
+    /// What computed the plan; `None` when the writer did not say.
+    pub rung: Option<PlanRung>,
     pub body: RecordBody,
 }
 
 /// How the plan is stored.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) enum RecordBody {
-    /// The whole schedule.
-    Full(Schedule),
+    /// The whole schedule, shared with every reader it is served to.
+    Full(Arc<Schedule>),
     /// Edits against an earlier record.  The parent is pinned by key
     /// *and* content digest: a later put can rebind the parent key to
     /// a different plan, and replaying this delta against that plan
@@ -152,16 +208,19 @@ fn put_field(out: &mut Vec<u8>, tag: u8, bytes: &[u8]) {
 pub(crate) fn encode(rec: &PlanRecord) -> Vec<u8> {
     let mut out = Vec::with_capacity(128);
     out.extend_from_slice(&RECORD_FORMAT_VERSION.to_le_bytes());
+    out.push(match rec.body {
+        RecordBody::Full(_) => KIND_FULL,
+        RecordBody::Delta { .. } => KIND_DELTA,
+    });
+    put_field(&mut out, TAG_KEY, &rec.key.encode());
+    put_field(
+        &mut out,
+        TAG_MAKESPAN,
+        &rec.makespan_ms.to_bits().to_le_bytes(),
+    );
+    put_field(&mut out, TAG_DIGEST, &rec.digest.to_le_bytes());
     match &rec.body {
         RecordBody::Full(schedule) => {
-            out.push(KIND_FULL);
-            put_field(&mut out, TAG_KEY, &rec.key.encode());
-            put_field(
-                &mut out,
-                TAG_MAKESPAN,
-                &rec.makespan_ms.to_bits().to_le_bytes(),
-            );
-            put_field(&mut out, TAG_DIGEST, &rec.digest.to_le_bytes());
             let json = serde_json::to_string(&schedule.to_value_versioned())
                 .expect("value tree serialization is infallible");
             put_field(&mut out, TAG_SCHEDULE, json.as_bytes());
@@ -171,20 +230,17 @@ pub(crate) fn encode(rec: &PlanRecord) -> Vec<u8> {
             parent_digest,
             delta,
         } => {
-            out.push(KIND_DELTA);
-            put_field(&mut out, TAG_KEY, &rec.key.encode());
-            put_field(
-                &mut out,
-                TAG_MAKESPAN,
-                &rec.makespan_ms.to_bits().to_le_bytes(),
-            );
-            put_field(&mut out, TAG_DIGEST, &rec.digest.to_le_bytes());
             put_field(&mut out, TAG_PARENT, &parent.encode());
             put_field(&mut out, TAG_PARENT_DIGEST, &parent_digest.to_le_bytes());
             let json = serde_json::to_string(&delta.to_value())
                 .expect("value tree serialization is infallible");
             put_field(&mut out, TAG_DELTA, json.as_bytes());
         }
+    }
+    // Last and only when known, so a rung-less record is byte-identical
+    // to what a build without the field writes.
+    if let Some(rung) = rec.rung {
+        put_field(&mut out, TAG_RUNG, &[rung.to_byte()]);
     }
     out
 }
@@ -207,6 +263,7 @@ pub(crate) fn decode(payload: &[u8]) -> RecordDecode {
     let mut parent = None;
     let mut parent_digest = None;
     let mut delta_bytes: Option<&[u8]> = None;
+    let mut rung = None;
 
     let mut pos = 3usize;
     while pos < payload.len() {
@@ -247,6 +304,12 @@ pub(crate) fn decode(payload: &[u8]) -> RecordDecode {
                 parent_digest = Some(u64::from_le_bytes(bytes.try_into().expect("8 bytes")));
             }
             TAG_DELTA => delta_bytes = Some(bytes),
+            TAG_RUNG => {
+                let &[byte] = bytes else {
+                    return RecordDecode::Malformed;
+                };
+                rung = PlanRung::from_byte(byte);
+            }
             _ => {} // unknown field from a newer minor writer: skip
         }
     }
@@ -263,7 +326,7 @@ pub(crate) fn decode(payload: &[u8]) -> RecordDecode {
                 return RecordDecode::Malformed;
             };
             match parse_schedule(bytes) {
-                Ok(s) => RecordBody::Full(s),
+                Ok(s) => RecordBody::Full(Arc::new(s)),
                 Err(ParseFail::Incompatible) => return RecordDecode::Incompatible,
                 Err(ParseFail::Malformed) => return RecordDecode::Malformed,
             }
@@ -290,6 +353,7 @@ pub(crate) fn decode(payload: &[u8]) -> RecordDecode {
         key,
         makespan_ms,
         digest,
+        rung,
         body,
     }))
 }
@@ -350,7 +414,8 @@ mod tests {
             key: key(0),
             makespan_ms: 12.5,
             digest: s.content_digest(),
-            body: RecordBody::Full(s.clone()),
+            rung: Some(PlanRung::FullLp),
+            body: RecordBody::Full(Arc::new(s.clone())),
         };
         match decode(&encode(&full)) {
             RecordDecode::Ok(rec) => assert_eq!(*rec, full),
@@ -361,6 +426,7 @@ mod tests {
             key: key(1),
             makespan_ms: 11.0,
             digest: s.content_digest(),
+            rung: None,
             body: RecordBody::Delta {
                 parent: key(0),
                 parent_digest: s.content_digest(),
@@ -380,13 +446,38 @@ mod tests {
             key: key(0),
             makespan_ms: 1.0,
             digest: s.content_digest(),
-            body: RecordBody::Full(s),
+            rung: None,
+            body: RecordBody::Full(Arc::new(s)),
         };
         let mut extended = encode(&full);
         put_field(&mut extended, 250, b"future field");
         match decode(&extended) {
             RecordDecode::Ok(rec) => assert_eq!(*rec, full),
             _ => panic!("unknown trailing field must be tolerated"),
+        }
+
+        // The rung field: every rung round-trips, a rung byte from a
+        // newer build reads as unknown, a wrong-length field is broken.
+        for rung in [PlanRung::FullLp, PlanRung::InterLp, PlanRung::Greedy] {
+            let ranked = PlanRecord {
+                rung: Some(rung),
+                ..full.clone()
+            };
+            match decode(&encode(&ranked)) {
+                RecordDecode::Ok(rec) => assert_eq!(*rec, ranked),
+                _ => panic!("ranked record must round-trip"),
+            }
+        }
+        let mut future_rung = encode(&full);
+        put_field(&mut future_rung, TAG_RUNG, &[200]);
+        match decode(&future_rung) {
+            RecordDecode::Ok(rec) => assert_eq!(*rec, full),
+            _ => panic!("an unrecognised rung must read as unknown"),
+        }
+        for bad in [&[][..], &[1, 1][..]] {
+            let mut wrong_len = encode(&full);
+            put_field(&mut wrong_len, TAG_RUNG, bad);
+            assert!(matches!(decode(&wrong_len), RecordDecode::Malformed));
         }
 
         let mut newer = encode(&full);

@@ -3,7 +3,7 @@
 
 use crate::delta::PlanDelta;
 use crate::log::{self, LogScan};
-use crate::record::{self, PlanKey, PlanRecord, RecordBody, RecordDecode};
+use crate::record::{self, PlanKey, PlanRecord, PlanRung, RecordBody, RecordDecode};
 use hios_core::Schedule;
 use std::collections::{HashMap, HashSet};
 use std::ffi::OsString;
@@ -11,6 +11,7 @@ use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Current version of the store file format (the log header).
 pub const STORE_FORMAT_VERSION: u32 = 1;
@@ -132,6 +133,43 @@ pub struct StoredPlan {
     pub via_delta: bool,
 }
 
+/// A plan served from the store without copying it: what
+/// [`PlanStore::get_shared`] returns.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SharedPlan {
+    /// The reconstructed, digest-verified schedule, shared with the
+    /// store (and with every other reader of the same record).
+    pub schedule: Arc<Schedule>,
+    /// The makespan recorded when the plan was stored.
+    pub makespan_ms: f64,
+    /// Whether delta replay was involved in reconstruction.
+    pub via_delta: bool,
+    /// The scheduling pass that produced the plan, when the writer
+    /// recorded it.
+    pub rung: Option<PlanRung>,
+    /// [`Schedule::content_digest`] of `schedule`, as recorded and
+    /// verified.
+    pub digest: u64,
+}
+
+/// The full plan a record denotes, known good: reconstructed and checked
+/// against the record's content digest on the first read, or the very
+/// plan the digest was taken from on a put.
+#[derive(Clone, Debug)]
+struct Resolved {
+    plan: Arc<Schedule>,
+    /// Delta links between the record and a full one.
+    depth: u32,
+}
+
+#[derive(Debug)]
+struct Slot {
+    rec: PlanRecord,
+    /// Filled once per process, so a record is replayed and hashed at
+    /// most once however often it is read.
+    resolved: Option<Resolved>,
+}
+
 /// A durable, content-addressed plan store over one append-only log
 /// file.  See the crate docs for the format and recovery protocol.
 #[derive(Debug)]
@@ -139,7 +177,7 @@ pub struct PlanStore {
     path: PathBuf,
     opts: StoreOptions,
     file: File,
-    records: Vec<PlanRecord>,
+    records: Vec<Slot>,
     index: HashMap<PlanKey, usize>,
     /// Record per `(key, content digest)` — what delta parents pin, so
     /// a chain stays resolvable after its parent key is rebound to a
@@ -149,6 +187,9 @@ pub struct PlanStore {
     latest_by_problem: HashMap<(u64, u64, u32), PlanKey>,
     recovery: RecoveryReport,
     stats: StoreStats,
+    /// Content-digest passes spent verifying reads.
+    #[cfg(test)]
+    digest_passes: std::cell::Cell<u64>,
 }
 
 fn sibling(path: &Path, suffix: &str) -> PathBuf {
@@ -255,10 +296,12 @@ impl PlanStore {
             latest_by_problem: HashMap::new(),
             recovery,
             stats: StoreStats::default(),
+            #[cfg(test)]
+            digest_passes: std::cell::Cell::new(0),
         };
         for payload in payloads {
             match record::decode(&payload) {
-                RecordDecode::Ok(rec) => store.admit(*rec),
+                RecordDecode::Ok(rec) => store.admit(*rec, None),
                 RecordDecode::Incompatible => store.recovery.incompatible_records += 1,
                 RecordDecode::Malformed => store.recovery.records_quarantined += 1,
             }
@@ -267,33 +310,52 @@ impl PlanStore {
         Ok(store)
     }
 
-    fn admit(&mut self, rec: PlanRecord) {
+    fn admit(&mut self, rec: PlanRecord, resolved: Option<Resolved>) {
         let key = rec.key;
         let digest = rec.digest;
         let idx = self.records.len();
-        self.records.push(rec);
+        self.records.push(Slot { rec, resolved });
         self.index.insert(key, idx);
         self.index_by_digest.insert((key, digest), idx);
         self.latest_by_problem.insert(key.problem(), key);
     }
 
-    /// Reconstructs the full plan under `key`, verifying every link's
-    /// digest.  `Err` means the entry (or its chain) is unservable.
-    fn resolve(&self, key: &PlanKey) -> Result<(Schedule, f64, u32), ()> {
+    /// Whether `plan` is the content a record's digest names.
+    fn verified(&self, plan: &Schedule, recorded: u64) -> bool {
+        #[cfg(test)]
+        self.digest_passes.set(self.digest_passes.get() + 1);
+        plan.content_digest() == recorded
+    }
+
+    /// The full plan record `top` denotes.  The first call replays its
+    /// delta chain (down to a full record, or to a link already
+    /// resolved) and verifies every link's digest; the result is kept
+    /// with the record, so later calls only clone the `Arc`.  `Err`
+    /// means the record (or its chain) is unservable.
+    fn resolve(&mut self, top: usize) -> Result<Resolved, ()> {
         let mut chain = Vec::new();
-        let mut idx = *self.index.get(key).ok_or(())?;
-        let mut depth = 0u32;
-        let (mut plan, base_digest) = loop {
-            let rec = &self.records[idx];
-            match &rec.body {
-                RecordBody::Full(s) => break (s.clone(), rec.digest),
+        let mut idx = top;
+        let base = loop {
+            let slot = &self.records[idx];
+            if let Some(known) = &slot.resolved {
+                break known.clone();
+            }
+            match &slot.rec.body {
+                RecordBody::Full(plan) => {
+                    if !self.verified(plan, slot.rec.digest) {
+                        return Err(());
+                    }
+                    break Resolved {
+                        plan: Arc::clone(plan),
+                        depth: 0,
+                    };
+                }
                 RecordBody::Delta {
                     parent,
                     parent_digest,
                     ..
                 } => {
-                    depth += 1;
-                    if depth > self.opts.max_delta_depth {
+                    if chain.len() as u32 >= self.opts.max_delta_depth {
                         return Err(()); // over-deep or cyclic chain
                     }
                     chain.push(idx);
@@ -304,22 +366,24 @@ impl PlanStore {
                 }
             }
         };
-        if plan.content_digest() != base_digest {
+        let depth = base.depth + chain.len() as u32;
+        if depth > self.opts.max_delta_depth {
             return Err(());
         }
+        let mut plan = base.plan;
         for &idx in chain.iter().rev() {
-            let rec = &self.records[idx];
-            let delta = match &rec.body {
-                RecordBody::Delta { delta, .. } => delta,
-                RecordBody::Full(_) => return Err(()),
+            let rec = &self.records[idx].rec;
+            let RecordBody::Delta { delta, .. } = &rec.body else {
+                return Err(());
             };
-            plan = delta.apply(&plan).map_err(|_| ())?;
-            if plan.content_digest() != rec.digest {
+            plan = Arc::new(delta.apply(&plan).map_err(|_| ())?);
+            if !self.verified(&plan, rec.digest) {
                 return Err(());
             }
         }
-        let &top = self.index.get(key).ok_or(())?;
-        Ok((plan, self.records[top].makespan_ms, depth))
+        let resolved = Resolved { plan, depth };
+        self.records[top].resolved = Some(resolved.clone());
+        Ok(resolved)
     }
 
     /// Looks up `key`; `None` is a typed miss.  A present entry is
@@ -329,18 +393,24 @@ impl PlanStore {
     /// the entry and reports a miss.  This is the invariant the whole
     /// store exists to uphold: corruption can cost a warm start, it
     /// can never serve a wrong plan.
-    pub fn get(&mut self, key: &PlanKey) -> Option<StoredPlan> {
-        if !self.index.contains_key(key) {
+    ///
+    /// The check runs on the first read of a record in this process;
+    /// the verified plan is then kept and later reads share it.
+    pub fn get_shared(&mut self, key: &PlanKey) -> Option<SharedPlan> {
+        let Some(&idx) = self.index.get(key) else {
             self.stats.misses += 1;
             return None;
-        }
-        match self.resolve(key) {
-            Ok((schedule, makespan_ms, depth)) => {
+        };
+        match self.resolve(idx) {
+            Ok(Resolved { plan, depth }) => {
                 self.stats.hits += 1;
-                Some(StoredPlan {
-                    schedule,
-                    makespan_ms,
+                let rec = &self.records[idx].rec;
+                Some(SharedPlan {
+                    schedule: plan,
+                    makespan_ms: rec.makespan_ms,
                     via_delta: depth > 0,
+                    rung: rec.rung,
+                    digest: rec.digest,
                 })
             }
             Err(()) => {
@@ -351,6 +421,16 @@ impl PlanStore {
         }
     }
 
+    /// [`PlanStore::get_shared`] with an owned copy of the schedule and
+    /// without the recorded rung.
+    pub fn get(&mut self, key: &PlanKey) -> Option<StoredPlan> {
+        self.get_shared(key).map(|hit| StoredPlan {
+            schedule: Schedule::clone(&hit.schedule),
+            makespan_ms: hit.makespan_ms,
+            via_delta: hit.via_delta,
+        })
+    }
+
     fn quarantine(&mut self, key: &PlanKey) {
         self.index.remove(key);
         if self.latest_by_problem.get(&key.problem()) == Some(key) {
@@ -359,21 +439,31 @@ impl PlanStore {
         self.stats.quarantines += 1;
     }
 
-    /// Persists `schedule` under `key`: appends one checksummed frame
-    /// and flushes.  Stores a delta against the latest plan of the
-    /// same scheduling problem when that is smaller and keeps the
-    /// replay chain within bounds; a put identical to the incumbent
-    /// record writes nothing.
-    pub fn put(
+    /// Persists `plan` under `key` with the rung that produced it
+    /// (`None`: not known): appends one checksummed frame and flushes.
+    /// Stores a delta against the latest plan of the same scheduling
+    /// problem when that is smaller and keeps the replay chain within
+    /// bounds.  A put that tells the incumbent record nothing new — same
+    /// content, same makespan, and no rung the record does not already
+    /// carry — writes nothing; one that only names the rung is written,
+    /// which is how a log from a build without the field learns it.
+    ///
+    /// The store keeps `plan` itself (no copy) as the record's verified
+    /// content: reads in this process share it without re-hashing.
+    pub fn put_shared(
         &mut self,
         key: PlanKey,
-        schedule: &Schedule,
+        plan: &Arc<Schedule>,
         makespan_ms: f64,
+        rung: Option<PlanRung>,
     ) -> Result<PutOutcome, StoreError> {
-        let digest = schedule.content_digest();
+        let digest = plan.content_digest();
         if let Some(&idx) = self.index.get(&key) {
-            let old = &self.records[idx];
-            if old.digest == digest && old.makespan_ms.to_bits() == makespan_ms.to_bits() {
+            let old = &self.records[idx].rec;
+            if old.digest == digest
+                && old.makespan_ms.to_bits() == makespan_ms.to_bits()
+                && (rung.is_none() || rung == old.rung)
+            {
                 return Ok(PutOutcome::Unchanged);
             }
         }
@@ -382,47 +472,63 @@ impl PlanStore {
             key,
             makespan_ms,
             digest,
-            body: RecordBody::Full(schedule.clone()),
+            rung,
+            body: RecordBody::Full(Arc::clone(plan)),
         };
         let full_bytes = record::encode(&full);
-        let mut chosen = (full, full_bytes, PutOutcome::Full);
+        let mut chosen = (full, full_bytes, PutOutcome::Full, 0);
 
-        if let Some(&parent_key) = self.latest_by_problem.get(&key.problem()) {
-            if parent_key != key {
-                if let Ok((parent_plan, _, parent_depth)) = self.resolve(&parent_key) {
-                    if parent_depth < self.opts.max_delta_depth {
-                        let delta = PlanDelta::diff(&parent_plan, schedule);
-                        let rec = PlanRecord {
-                            key,
-                            makespan_ms,
-                            digest,
-                            body: RecordBody::Delta {
-                                parent: parent_key,
-                                parent_digest: parent_plan.content_digest(),
-                                delta,
-                            },
-                        };
-                        let bytes = record::encode(&rec);
-                        if bytes.len() < chosen.1.len() {
-                            chosen = (rec, bytes, PutOutcome::Delta);
-                        }
+        let parent = self
+            .latest_by_problem
+            .get(&key.problem())
+            .filter(|&&parent_key| parent_key != key)
+            .and_then(|parent_key| Some((*parent_key, *self.index.get(parent_key)?)));
+        if let Some((parent_key, parent_idx)) = parent {
+            if let Ok(parent) = self.resolve(parent_idx) {
+                if parent.depth < self.opts.max_delta_depth {
+                    let rec = PlanRecord {
+                        key,
+                        makespan_ms,
+                        digest,
+                        rung,
+                        body: RecordBody::Delta {
+                            parent: parent_key,
+                            parent_digest: self.records[parent_idx].rec.digest,
+                            delta: PlanDelta::diff(&parent.plan, plan),
+                        },
+                    };
+                    let bytes = record::encode(&rec);
+                    if bytes.len() < chosen.1.len() {
+                        chosen = (rec, bytes, PutOutcome::Delta, parent.depth + 1);
                     }
                 }
             }
         }
+        let (rec, bytes, outcome, depth) = chosen;
 
-        let frame = log::encode_frame(&chosen.1);
+        let frame = log::encode_frame(&bytes);
         self.file
             .write_all(&frame)
             .map_err(|e| StoreError::io("append", &e))?;
         self.file.flush().map_err(|e| StoreError::io("flush", &e))?;
-        match chosen.2 {
+        match outcome {
             PutOutcome::Full => self.stats.puts_full += 1,
             PutOutcome::Delta => self.stats.puts_delta += 1,
             PutOutcome::Unchanged => {}
         }
-        self.admit(chosen.0);
-        Ok(chosen.2)
+        let plan = Arc::clone(plan);
+        self.admit(rec, Some(Resolved { plan, depth }));
+        Ok(outcome)
+    }
+
+    /// [`PlanStore::put_shared`] of a copy of `schedule`, rung unknown.
+    pub fn put(
+        &mut self,
+        key: PlanKey,
+        schedule: &Schedule,
+        makespan_ms: f64,
+    ) -> Result<PutOutcome, StoreError> {
+        self.put_shared(key, &Arc::new(schedule.clone()), makespan_ms, None)
     }
 
     /// Extends the serving ladder's `invalidate_stale` to the durable
@@ -431,8 +537,9 @@ impl PlanStore {
     /// plans survive — they are priced against the base profile a
     /// restarted process calibrates from, so they are exactly the
     /// warm-start inventory — as does the current epoch.  Dropping
-    /// compacts the log (survivors rewritten as full records, delta
-    /// parents may be purged) through an atomic temp + rename commit.
+    /// compacts the log (survivors rewritten as full records with their
+    /// recorded rungs, delta parents may be purged) through an atomic
+    /// temp + rename commit.
     /// Returns how many entries were dropped.
     pub fn invalidate_stale(
         &mut self,
@@ -460,14 +567,19 @@ impl PlanStore {
         // Materialize before dropping anything: a survivor's delta
         // parent may be stale, so it must be re-rooted as a full plan.
         let mut rebuilt = Vec::with_capacity(survivors.len());
-        for &(_, k) in &survivors {
-            match self.resolve(&k) {
-                Ok((plan, makespan_ms, _)) => rebuilt.push(PlanRecord {
-                    key: k,
-                    makespan_ms,
-                    digest: plan.content_digest(),
-                    body: RecordBody::Full(plan),
-                }),
+        for &(idx, key) in &survivors {
+            match self.resolve(idx) {
+                Ok(Resolved { plan, .. }) => {
+                    let old = &self.records[idx].rec;
+                    let rec = PlanRecord {
+                        key,
+                        makespan_ms: old.makespan_ms,
+                        digest: old.digest, // what `resolve` just checked `plan` against
+                        rung: old.rung,
+                        body: RecordBody::Full(Arc::clone(&plan)),
+                    };
+                    rebuilt.push((rec, plan));
+                }
                 // An unservable chain surfaces here instead of at the
                 // next get; drop it with the same accounting.
                 Err(()) => self.stats.quarantines += 1,
@@ -475,7 +587,7 @@ impl PlanStore {
         }
 
         let mut image = log::encode_header(STORE_FORMAT_VERSION).to_vec();
-        for rec in &rebuilt {
+        for (rec, _) in &rebuilt {
             image.extend_from_slice(&log::encode_frame(&record::encode(rec)));
         }
         write_atomic(&self.path, &image)?;
@@ -485,8 +597,8 @@ impl PlanStore {
         self.index.clear();
         self.index_by_digest.clear();
         self.latest_by_problem.clear();
-        for rec in rebuilt {
-            self.admit(rec);
+        for (rec, plan) in rebuilt {
+            self.admit(rec, Some(Resolved { plan, depth: 0 }));
         }
         self.stats.invalidated += stale.len() as u64;
         Ok(stale.len())
@@ -636,8 +748,18 @@ mod tests {
     fn invalidate_stale_purges_intermediates_keeps_base_and_current() {
         let path = scratch("epochs");
         let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        // Epoch 3 is delta-encoded against a parent the purge drops.
+        let rungs = [
+            Some(PlanRung::Greedy),
+            None,
+            Some(PlanRung::InterLp),
+            Some(PlanRung::FullLp),
+        ];
         for e in 0..=3u64 {
-            store.put(key(1, e), &plan(3 + e as u32), 9.0).unwrap();
+            let plan = Arc::new(plan(3 + e as u32));
+            store
+                .put_shared(key(1, e), &plan, 9.0, rungs[e as usize])
+                .unwrap();
         }
         store.put(key(2, 1), &plan(9), 9.0).unwrap(); // other graph untouched
         assert_eq!(store.invalidate_stale(1, 3), Ok(2)); // epochs 1, 2
@@ -658,6 +780,98 @@ mod tests {
         assert_eq!(store.get(&key(1, 3)).unwrap().schedule, plan(6));
         assert_eq!(store.get(&key(1, 0)).unwrap().schedule, plan(3));
         assert_eq!(store.stats().quarantines, 0);
+        // … each under the rung it was recorded with.
+        let rung = |store: &mut PlanStore, k| store.get_shared(&k).unwrap().rung;
+        assert_eq!(rung(&mut store, key(1, 3)), Some(PlanRung::FullLp));
+        assert_eq!(rung(&mut store, key(1, 0)), Some(PlanRung::Greedy));
+        assert_eq!(rung(&mut store, key(2, 1)), None);
+    }
+
+    #[test]
+    fn a_put_that_only_names_the_rung_reaches_the_log() {
+        let path = scratch("rung-only");
+        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        store.put(key(1, 0), &plan(3), 10.0).unwrap(); // as an older build writes it
+        drop(store);
+
+        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        assert_eq!(store.get_shared(&key(1, 0)).unwrap().rung, None);
+        let same = Arc::new(plan(3));
+        let lp = Some(PlanRung::FullLp);
+        assert_eq!(
+            store.put_shared(key(1, 0), &same, 10.0, lp),
+            Ok(PutOutcome::Full),
+            "same content, same makespan, new knowledge"
+        );
+        assert_eq!(
+            store.put_shared(key(1, 0), &same, 10.0, lp),
+            Ok(PutOutcome::Unchanged)
+        );
+        // "Unknown" is not news about a record that knows.
+        assert_eq!(
+            store.put(key(1, 0), &plan(3), 10.0),
+            Ok(PutOutcome::Unchanged)
+        );
+        drop(store);
+
+        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        assert_eq!(store.recovery().records_loaded, 2);
+        let hit = store.get_shared(&key(1, 0)).unwrap();
+        assert_eq!((hit.rung, &*hit.schedule), (lp, &plan(3)));
+    }
+
+    #[test]
+    fn a_record_is_verified_once_and_then_shared() {
+        let path = scratch("shared");
+        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        let written = Arc::new(plan(3));
+        store.put_shared(key(1, 0), &written, 10.0, None).unwrap();
+        store.put(key(1, 1), &plan(4), 9.0).unwrap(); // a delta on it
+        // What this process wrote it need not re-verify to read.
+        let hit = store.get_shared(&key(1, 0)).unwrap();
+        assert!(Arc::ptr_eq(&hit.schedule, &written));
+        assert_eq!(store.digest_passes.get(), 0);
+        drop(store);
+
+        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        let first = store.get_shared(&key(1, 1)).unwrap();
+        assert!(first.via_delta);
+        assert_eq!(store.digest_passes.get(), 2, "base and delta link");
+        let second = store.get_shared(&key(1, 1)).unwrap();
+        assert_eq!(first, second);
+        assert!(Arc::ptr_eq(&first.schedule, &second.schedule));
+        assert_eq!(store.get(&key(1, 1)).unwrap().schedule, plan(4));
+        assert_eq!(store.digest_passes.get(), 2, "later reads hash nothing");
+        assert_eq!(store.stats().hits, 3);
+    }
+
+    #[test]
+    fn a_record_corrupted_before_its_first_read_is_quarantined() {
+        // A checksum-valid frame whose schedule is not the one its
+        // digest names: only the first read's digest pass can tell.
+        let path = scratch("first-read");
+        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        store.put(key(1, 0), &plan(3), 10.0).unwrap();
+        drop(store);
+        let forged = PlanRecord {
+            key: key(2, 0),
+            makespan_ms: 10.0,
+            digest: plan(3).content_digest(),
+            rung: Some(PlanRung::FullLp),
+            body: RecordBody::Full(Arc::new(plan(4))),
+        };
+        let mut file = open_append(&path).unwrap();
+        file.write_all(&log::encode_frame(&record::encode(&forged)))
+            .unwrap();
+        drop(file);
+
+        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        assert_eq!(store.recovery().records_loaded, 2);
+        assert_eq!(store.get_shared(&key(2, 0)), None);
+        assert_eq!(store.get_shared(&key(2, 0)), None);
+        let stats = store.stats();
+        assert_eq!((stats.quarantines, stats.misses, stats.hits), (1, 2, 0));
+        assert!(store.get_shared(&key(1, 0)).is_some());
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!
 //! 1. `open` never panics and never fails on corruption;
 //! 2. every plan served afterwards is byte-identical to a plan that
-//!    was legitimately stored under that key — corruption may cost
-//!    entries, it can never alter one;
+//!    was legitimately stored under that key, and carries the rung that
+//!    plan was stored with — corruption may cost entries, it can never
+//!    alter one;
 //! 3. truncation recovers exactly the longest valid prefix: every
 //!    record fully inside the cut is served, nothing beyond it is;
 //! 4. recovery is self-stabilizing: a second open of the repaired file
@@ -16,11 +17,12 @@
 
 use hios_core::Schedule;
 use hios_graph::OpId;
-use hios_store::{PlanKey, PlanStore, StoreOptions};
+use hios_store::{PlanKey, PlanRung, PlanStore, StoreOptions};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -73,52 +75,64 @@ fn plan(mix: &mut Mix, ops: u32) -> Schedule {
     ])
 }
 
+/// What one put stored: the plan and the rung recorded with it.
+type Stored = (Schedule, Option<PlanRung>);
+
 /// One appended record: its byte range in the log and what it stored.
 struct Frame {
     start: usize,
     end: usize,
     key: PlanKey,
-    schedule: Schedule,
+    stored: Stored,
 }
 
-/// Builds a log of `n` puts; returns the file path, the frames
-/// actually appended and, per key, every schedule legitimately stored
-/// under it.
-fn build_log(mix: &mut Mix, n: usize) -> (PathBuf, Vec<Frame>, HashMap<PlanKey, Vec<Schedule>>) {
+const RUNGS: [Option<PlanRung>; 4] = [
+    None,
+    Some(PlanRung::FullLp),
+    Some(PlanRung::InterLp),
+    Some(PlanRung::Greedy),
+];
+
+/// Builds a log of `n` ranked puts; returns the file path, the frames
+/// actually appended and, per key, every (plan, rung) legitimately
+/// stored under it.
+fn build_log(mix: &mut Mix, n: usize) -> (PathBuf, Vec<Frame>, HashMap<PlanKey, Vec<Stored>>) {
     let path = scratch();
     let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
     let mut frames: Vec<Frame> = Vec::new();
-    let mut legit: HashMap<PlanKey, Vec<Schedule>> = HashMap::new();
+    let mut legit: HashMap<PlanKey, Vec<Stored>> = HashMap::new();
     let mut size = fs::metadata(&path).unwrap().len() as usize;
     for i in 0..n {
         let k = key(1 + mix.below(3) as u64, mix.below(4) as u64);
         let ops = 4 + mix.below(8) as u32;
-        let s = plan(mix, ops);
-        store.put(k, &s, 5.0 + i as f64).unwrap();
+        let stored = (plan(mix, ops), RUNGS[mix.below(RUNGS.len())]);
+        store
+            .put_shared(k, &Arc::new(stored.0.clone()), 5.0 + i as f64, stored.1)
+            .unwrap();
         let end = fs::metadata(&path).unwrap().len() as usize;
         if end > size {
             frames.push(Frame {
                 start: size,
                 end,
                 key: k,
-                schedule: s.clone(),
+                stored: stored.clone(),
             });
         }
         size = end;
-        legit.entry(k).or_default().push(s);
+        legit.entry(k).or_default().push(stored);
     }
     (path, frames, legit)
 }
 
 /// Opens the damaged log and checks invariants 1, 2 and 4.
-fn check_recovery(path: &PathBuf, legit: &HashMap<PlanKey, Vec<Schedule>>) {
+fn check_recovery(path: &PathBuf, legit: &HashMap<PlanKey, Vec<Stored>>) {
     let mut store = PlanStore::open(path, StoreOptions::default())
         .expect("corruption must never fail open — only typed misses are allowed");
-    for (k, plans) in legit {
-        if let Some(hit) = store.get(k) {
+    for (k, stored) in legit {
+        if let Some(hit) = store.get_shared(k) {
             assert!(
-                plans.contains(&hit.schedule),
-                "served a plan never stored under {k:?}"
+                stored.contains(&(Schedule::clone(&hit.schedule), hit.rung)),
+                "served a plan or a rung never stored under {k:?}"
             );
         }
     }
@@ -166,14 +180,16 @@ proptest! {
         // The longest valid prefix, exactly: per key, the last record
         // fully inside the cut must be served verbatim; keys whose
         // every record was torn off must miss.
-        let mut expect: HashMap<PlanKey, &Schedule> = HashMap::new();
+        let mut expect: HashMap<PlanKey, &Stored> = HashMap::new();
         for f in frames.iter().filter(|f| f.end <= cut) {
-            expect.insert(f.key, &f.schedule);
+            expect.insert(f.key, &f.stored);
         }
         let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
         for k in legit.keys() {
-            match (store.get(k), expect.get(k)) {
-                (Some(hit), Some(want)) => prop_assert_eq!(&hit.schedule, *want),
+            match (store.get_shared(k), expect.get(k)) {
+                (Some(hit), Some(want)) => {
+                    prop_assert_eq!((&*hit.schedule, hit.rung), (&want.0, want.1))
+                }
                 (None, None) => {}
                 (Some(_), None) => prop_assert!(false, "served {k:?} with no surviving record"),
                 (None, Some(_)) => prop_assert!(false, "record inside the valid prefix for {k:?} must be served"),
