@@ -37,7 +37,7 @@ use hios_cost::CostTable;
 use hios_graph::Graph;
 use hios_store::{PlanKey, PlanRung, PlanStore, RecoveryReport, StoreStats};
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Cost view where slot `i` prices as physical GPU `gpu_map[i]`.
@@ -226,9 +226,10 @@ pub struct CachedPlan {
     /// enters the cache (miss, upgrade, re-rank, first adoption from the
     /// store) draws a fresh id, and an id is only ever handed out again
     /// with the schedule it was issued for (the store returning a plan
-    /// this ladder has already adopted or persisted), so equal ids mean
-    /// the same schedule — what lets a caller memoise anything derived
-    /// from it without an invalidation protocol.
+    /// this ladder has already adopted or persisted, a re-rank replayed
+    /// from the verdict memo), so equal ids mean the same schedule —
+    /// what lets a caller memoise anything derived from it without an
+    /// invalidation protocol.
     pub plan_id: u64,
     /// [`Schedule::content_digest`] of `schedule`.
     digest: u64,
@@ -263,15 +264,114 @@ pub(crate) struct Chosen {
 }
 
 /// What the un-keyed entry points derive from `(g, cost, alive)` on
-/// every call and the keyed ones are handed: the slot → GPU map and the
-/// cache key of the slot-priced problem.  `None` with no GPU alive.
-fn resolve(g: &Graph, cost: &CostTable, alive: &[bool]) -> Option<(Vec<usize>, ScheduleCacheKey)> {
+/// every call and the keyed ones are handed: the slot → GPU map, the
+/// slot-priced table and the cache key of the problem it prices.  `None`
+/// with no GPU alive.
+fn resolve<'a>(
+    g: &Graph,
+    cost: &'a CostTable,
+    alive: &[bool],
+) -> Option<(Vec<usize>, Cow<'a, CostTable>, ScheduleCacheKey)> {
     let gpu_map = alive_slots(alive);
     if gpu_map.is_empty() {
         return None;
     }
-    let key = ScheduleCacheKey::for_platform(g, alive, &slot_cost(cost, &gpu_map));
-    Some((gpu_map, key))
+    let slots = slot_cost(cost, &gpu_map);
+    let key = ScheduleCacheKey::for_platform(g, alive, &slots);
+    Some((gpu_map, slots, key))
+}
+
+/// Opaque name of the platform state a re-price ranks its candidates
+/// on.  The caller's promise: under equal names its `eval` prices every
+/// schedule of a cache key to the same bits, and a name is never handed
+/// out again for a different state — which is what lets the ladder
+/// remember a verdict instead of reaching it again.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct PlatformState(pub u64);
+
+/// Who challenged the incumbent of a [`Contest`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Challenger {
+    /// The greedy pass of a platform-change re-rank.
+    Greedy,
+    /// The full HIOS-LP pass of an idle-time upgrade.
+    FullLp,
+}
+
+/// One re-price: `challenger` against the cached plan whose content
+/// digest is `incumbent`, for the problem `key`, priced on `state`.
+/// Both challengers are deterministic in the key, and `eval` in (key,
+/// state), so these four name the outcome exactly.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct Contest {
+    key: ScheduleCacheKey,
+    state: PlatformState,
+    incumbent: u64,
+    challenger: Challenger,
+}
+
+impl Contest {
+    fn new(
+        key: &ScheduleCacheKey,
+        state: PlatformState,
+        incumbent: &CachedPlan,
+        challenger: Challenger,
+    ) -> Self {
+        Contest {
+            key: *key,
+            state,
+            incumbent: incumbent.digest,
+            challenger,
+        }
+    }
+}
+
+/// How a [`Contest`] ended.
+#[derive(Clone, Debug)]
+enum Verdict {
+    /// The incumbent stays: greedy did not beat it, or full LP lost to it.
+    Kept,
+    /// The greedy challenger took the key as this plan — replayed with
+    /// the id and the price it won under.
+    Replaced(CachedPlan),
+}
+
+/// Verdicts remembered per ladder.  `serve_chaos` (six tenants under a
+/// flapping GPU, a link degrade and recalibrations) reaches under a
+/// hundred contests; beyond the bound the oldest is forgotten and, if
+/// ever asked again, reached again.
+const VERDICT_MEMO_SLOTS: usize = 256;
+
+/// Re-rank is a replay: the verdicts of past [`Contest`]s, oldest first
+/// out.  Nothing is ever invalidated — a contest names everything its
+/// outcome depends on, so a verdict that stops applying simply stops
+/// being asked for (a state that left the caller's table, a key a
+/// recalibration retired).  It outlives the cache entries it is about:
+/// the same plan re-entering the cache (re-adopted, or re-computed by a
+/// deterministic rung) meets the same verdict.
+#[derive(Default)]
+struct VerdictMemo {
+    verdicts: HashMap<Contest, Verdict>,
+    /// Insertion order of `verdicts`' keys.
+    order: VecDeque<Contest>,
+}
+
+impl VerdictMemo {
+    fn get(&self, contest: &Contest) -> Option<&Verdict> {
+        self.verdicts.get(contest)
+    }
+
+    /// Keeps the verdict of a contest [`VerdictMemo::get`] just missed.
+    fn remember(&mut self, contest: Contest, verdict: Verdict) {
+        if self.order.len() == VERDICT_MEMO_SLOTS {
+            if let Some(oldest) = self.order.pop_front() {
+                self.verdicts.remove(&oldest);
+            }
+        }
+        let unasked = self.verdicts.insert(contest, verdict).is_none();
+        debug_assert!(unasked, "{contest:?} was decided twice");
+        self.order.push_back(contest);
+    }
 }
 
 /// The ladder: schedule cache + shared evaluation workspace + counters,
@@ -288,12 +388,12 @@ pub struct AnytimeLadder {
     store_io_errors: u64,
     /// Last [`CachedPlan::plan_id`] issued.
     plans_issued: u64,
-    /// Per cache key, the content digest of the plan a full HIOS-LP pass
-    /// was pitted against and lost to, on the platform as it has been
-    /// since the last [`AnytimeLadder::platform_changed`].  Outlives the
-    /// cache entry: the same plan re-entering the cache (re-adopted, or
-    /// re-computed by a deterministic rung) would beat LP again.
-    lp_lost: HashMap<ScheduleCacheKey, u64>,
+    /// How every remembered re-rank and lost idle-time upgrade ended.
+    verdicts: VerdictMemo,
+    /// Re-ranks actually computed — each one greedy pass and two `eval`
+    /// calls; replayed verdicts (and their debug re-checks) not counted.
+    #[cfg(test)]
+    reranks_computed: u64,
     /// Per durable key, the `(content digest, plan id)` of the plan this
     /// ladder last persisted under it or adopted from it — content it
     /// computed or has validated once already, so the store handing it
@@ -313,7 +413,9 @@ impl AnytimeLadder {
             upgrades: 0,
             store_io_errors: 0,
             plans_issued: 0,
-            lp_lost: HashMap::new(),
+            verdicts: VerdictMemo::default(),
+            #[cfg(test)]
+            reranks_computed: 0,
             known: HashMap::new(),
         }
     }
@@ -394,7 +496,7 @@ impl AnytimeLadder {
         policy: Policy,
         cap: RungCap,
     ) -> Result<LadderDecision, ServeError> {
-        let (gpu_map, key) = resolve(g, cost, alive).ok_or(ServeError::NoCapacity)?;
+        let (gpu_map, _, key) = resolve(g, cost, alive).ok_or(ServeError::NoCapacity)?;
         let chosen = self.decide_keyed(
             g,
             cost,
@@ -571,15 +673,16 @@ impl AnytimeLadder {
     /// schedule costs *on the platform as it is now* (e.g. simulated
     /// under the current fault scaling), not by nominal makespan: the
     /// LP's nominally-optimal plan can be slower than a greedy one when
-    /// the links it leans on are degraded.
+    /// the links it leans on are degraded.  `state` names that platform
+    /// ([`PlatformState`]).
     ///
     /// HIOS-LP is deterministic, so a pass that loses to the cached plan
-    /// would lose to it again: the verdict is remembered per key and
-    /// plan content — through evictions, re-adoptions and re-misses that
-    /// bring the same plan back — and the pass skipped until a different
-    /// plan takes the key, or the caller reports through
-    /// [`AnytimeLadder::platform_changed`] that `eval` now ranks
-    /// differently.
+    /// would lose to it again on the same state: the verdict is
+    /// remembered per key, state and plan content — through evictions,
+    /// re-adoptions and re-misses that bring the same plan back, and
+    /// through any number of other states in between — and the pass
+    /// skipped until a different plan takes the key or `state` is one
+    /// this plan has not been challenged on.
     ///
     /// Returns whether the cache improved.  An improvement is also
     /// persisted to the attached store under `epoch`, so idle-time
@@ -590,62 +693,72 @@ impl AnytimeLadder {
         cost: &CostTable,
         alive: &[bool],
         epoch: u64,
+        state: PlatformState,
         eval: impl Fn(&Schedule) -> f64,
     ) -> bool {
-        let Some((gpu_map, key)) = resolve(g, cost, alive) else {
+        let Some((_, slots, key)) = resolve(g, cost, alive) else {
             return false;
         };
-        self.upgrade_keyed(g, cost, &gpu_map, &key, epoch, eval)
+        self.upgrade_keyed(g, &slots, &key, epoch, state, eval)
     }
 
-    /// Whether [`AnytimeLadder::upgrade`] for `key` would change
-    /// nothing: the cached plan already is the full-LP one (computed
-    /// here, or recorded as such by the store it was adopted from), or
-    /// full LP was tried against it on the platform as it is and lost.
-    pub(crate) fn upgrade_settled(&self, key: &ScheduleCacheKey) -> bool {
-        matches!(self.cache.peek(key), Some(plan)
-            if plan.rung == Rung::FullLp || self.lp_lost.get(key) == Some(&plan.digest))
+    /// Whether [`AnytimeLadder::upgrade`] for `key` on `state` would
+    /// change nothing: the cached plan already is the full-LP one
+    /// (computed here, or recorded as such by the store it was adopted
+    /// from), or full LP was tried against it on this state and lost.
+    pub(crate) fn upgrade_settled(&self, key: &ScheduleCacheKey, state: PlatformState) -> bool {
+        self.cache.peek(key).is_some_and(|plan| {
+            let lost = Contest::new(key, state, plan, Challenger::FullLp);
+            plan.rung == Rung::FullLp || self.verdicts.get(&lost).is_some()
+        })
     }
 
     /// [`AnytimeLadder::upgrade`] for a caller that already holds the
-    /// slot map and the key.
+    /// key and `slots`, the table priced on the key's alive slots.
     pub(crate) fn upgrade_keyed(
         &mut self,
         g: &Graph,
-        cost: &CostTable,
-        gpu_map: &[usize],
+        slots: &CostTable,
         key: &ScheduleCacheKey,
         epoch: u64,
+        state: PlatformState,
         eval: impl Fn(&Schedule) -> f64,
     ) -> bool {
-        if self.upgrade_settled(key) {
+        let m = key.num_alive();
+        if self.upgrade_settled(key, state) {
+            // The memo's check: a remembered loss is a loss again.
+            if cfg!(debug_assertions) {
+                if let Some(old) = self.cache.peek(key).filter(|p| p.rung != Rung::FullLp) {
+                    let (lp, ..) = self.run_lp(g, slots, m, true);
+                    let wins = eval(&lp) <= eval(&old.schedule);
+                    debug_assert!(
+                        !wins,
+                        "full LP now beats plan {} it lost to on {state:?}",
+                        old.plan_id
+                    );
+                }
+            }
             return false;
         }
-        let (schedule, ..) = self.run_lp(g, &slot_cost(cost, gpu_map), gpu_map.len(), true);
+        let (schedule, ..) = self.run_lp(g, slots, m, true);
         self.upgrades += 1;
         let new_ms = eval(&schedule);
-        let plan = self.plan(Arc::new(schedule), new_ms, Rung::FullLp);
-        let improved = self.cache.insert_if_better(
-            *key,
-            plan.clone(),
-            // `<=` so an equal-cost full-LP plan still records the rung
-            // upgrade and stops future re-upgrades.  The incumbent is
-            // re-evaluated: its stored makespan may predate a fault.
-            |new, old| new.makespan_ms <= eval(&old.schedule),
-        );
-        if improved {
-            self.store_put(key, epoch, &plan);
-        } else if let Some(incumbent) = self.cache.peek(key) {
-            self.lp_lost.insert(*key, incumbent.digest);
+        // `<=` so an equal-cost full-LP plan still records the rung
+        // upgrade and stops future re-upgrades.  The incumbent is
+        // re-evaluated: its stored makespan may predate a fault.
+        let lost_to = self.cache.peek(key).filter(|old| {
+            let wins = new_ms <= eval(&old.schedule);
+            !wins
+        });
+        if let Some(old) = lost_to {
+            let contest = Contest::new(key, state, old, Challenger::FullLp);
+            self.verdicts.remember(contest, Verdict::Kept);
+            return false;
         }
-        improved
-    }
-
-    /// Tells the ladder that what schedules cost has changed (a fault
-    /// was folded into the platform, a GPU healed), so every remembered
-    /// "full LP lost to this plan" verdict is void.
-    pub fn platform_changed(&mut self) {
-        self.lp_lost.clear();
+        let plan = self.plan(Arc::new(schedule), new_ms, Rung::FullLp);
+        self.cache.insert_if_better(*key, plan.clone(), |_, _| true);
+        self.store_put(key, epoch, &plan);
+        true
     }
 
     /// Platform-change re-rank: after a fault (or a heal) changes what
@@ -654,41 +767,100 @@ impl AnytimeLadder {
     /// winner.  A nominally-optimal cached plan can lean on a link that
     /// just degraded; serving it blindly would be slower than greedy.
     ///
+    /// The greedy pass is deterministic too, so the outcome is a
+    /// function of the key, `state` ([`PlatformState`]) and the
+    /// incumbent's content: the first time it is computed, every later
+    /// time — a flapping GPU revisits the same few states on every edge
+    /// — replayed, down to the winner's plan id and price.
+    ///
     /// Returns whether the cache changed.
     pub fn rerank(
         &mut self,
         g: &Graph,
         cost: &CostTable,
         alive: &[bool],
+        state: PlatformState,
         eval: impl Fn(&Schedule) -> f64,
     ) -> bool {
-        let Some((gpu_map, key)) = resolve(g, cost, alive) else {
+        let Some((_, slots, key)) = resolve(g, cost, alive) else {
             return false;
         };
-        self.rerank_keyed(g, cost, &gpu_map, &key, eval)
+        self.rerank_keyed(g, &slots, &key, state, eval)
     }
 
     /// [`AnytimeLadder::rerank`] for a caller that already holds the
-    /// slot map and the key.
+    /// key and `slots`, the table priced on the key's alive slots.
     pub(crate) fn rerank_keyed(
         &mut self,
         g: &Graph,
-        cost: &CostTable,
-        gpu_map: &[usize],
+        slots: &CostTable,
         key: &ScheduleCacheKey,
+        state: PlatformState,
         eval: impl Fn(&Schedule) -> f64,
     ) -> bool {
         let Some(old) = self.cache.peek(key) else {
             return false; // nothing cached: the miss path will schedule
         };
-        let old_ms = eval(&old.schedule);
-        let Ok((schedule, _)) = self.run_greedy(g, &slot_cost(cost, gpu_map), gpu_map.len()) else {
-            return false;
+        let contest = Contest::new(key, state, old, Challenger::Greedy);
+        let incumbent = Arc::clone(&old.schedule);
+        let m = key.num_alive();
+        let verdict = match self.verdicts.get(&contest) {
+            Some(verdict) => {
+                let verdict = verdict.clone();
+                // The memo's check: debug builds (every `cargo test`)
+                // reach each replayed verdict again and compare winner
+                // and price bits; release builds pay nothing.
+                if cfg!(debug_assertions) {
+                    let fresh = self.greedy_challenge(g, slots, m, &incumbent, &eval);
+                    debug_assert!(
+                        match (&verdict, &fresh) {
+                            (Verdict::Kept, None) => true,
+                            (Verdict::Replaced(plan), Some((schedule, ms))) =>
+                                plan.digest == schedule.content_digest()
+                                    && plan.makespan_ms.to_bits() == ms.to_bits(),
+                            _ => false,
+                        },
+                        "remembered {verdict:?} of {contest:?} diverged from a fresh re-rank"
+                    );
+                }
+                verdict
+            }
+            None => {
+                #[cfg(test)]
+                {
+                    self.reranks_computed += 1;
+                }
+                let verdict = match self.greedy_challenge(g, slots, m, &incumbent, &eval) {
+                    // Only a challenger that enters the cache is a plan.
+                    Some((schedule, ms)) => {
+                        Verdict::Replaced(self.plan(Arc::new(schedule), ms, Rung::Greedy))
+                    }
+                    None => Verdict::Kept,
+                };
+                self.verdicts.remember(contest, verdict.clone());
+                verdict
+            }
         };
+        match verdict {
+            Verdict::Kept => false,
+            Verdict::Replaced(plan) => self.cache.insert_if_better(*key, plan, |_, _| true),
+        }
+    }
+
+    /// The greedy candidate for `slots` and its price, if it beats
+    /// `incumbent` under `eval`.
+    fn greedy_challenge(
+        &mut self,
+        g: &Graph,
+        slots: &CostTable,
+        m: usize,
+        incumbent: &Schedule,
+        eval: &impl Fn(&Schedule) -> f64,
+    ) -> Option<(Schedule, f64)> {
+        let old_ms = eval(incumbent);
+        let (schedule, _) = self.run_greedy(g, slots, m).ok()?;
         let new_ms = eval(&schedule);
-        let plan = self.plan(Arc::new(schedule), new_ms, Rung::Greedy);
-        self.cache
-            .insert_if_better(*key, plan, |new, _| new.makespan_ms < old_ms)
+        (new_ms < old_ms).then_some((schedule, new_ms))
     }
 
     /// Best rung the budget, the queue, the request's slack, and the
@@ -852,10 +1024,16 @@ impl AnytimeLadder {
         self.upgrades
     }
 
-    /// Plans that ever entered (or were offered to) the cache.
+    /// Plans that ever entered the cache.
     #[cfg(test)]
     pub(crate) fn plans_issued(&self) -> u64 {
         self.plans_issued
+    }
+
+    /// Platform-change re-ranks computed, not replayed.
+    #[cfg(test)]
+    pub(crate) fn reranks_computed(&self) -> u64 {
+        self.reranks_computed
     }
 }
 
@@ -972,8 +1150,9 @@ mod tests {
                 .map(|r| r.makespan)
                 .unwrap_or(f64::INFINITY)
         };
-        assert!(ladder.upgrade(&g, &cost, &alive, 0, eval));
-        assert!(!ladder.upgrade(&g, &cost, &alive, 0, eval)); // already top quality
+        let state = PlatformState(0);
+        assert!(ladder.upgrade(&g, &cost, &alive, 0, state, eval));
+        assert!(!ladder.upgrade(&g, &cost, &alive, 0, state, eval)); // already top quality
         let after = ladder
             .decide(&g, &cost, &alive, 0, f64::INFINITY, 0, Policy::Anytime)
             .unwrap();
@@ -993,16 +1172,17 @@ mod tests {
         let mut ladder = AnytimeLadder::new(cfg);
         let inf = f64::INFINITY;
         let both = [true, true];
+        let [a, b, c] = [0, 1, 2].map(PlatformState);
         let greedy = ladder
             .decide(&g, &cost, &both, 0, inf, 0, Policy::Anytime)
             .unwrap();
         assert_eq!(greedy.rung, Rung::Greedy);
         // A platform on which the cached greedy plan beats anything else.
         let greedy_wins = |s: &Schedule| if *s == *greedy.schedule { 1.0 } else { 2.0 };
-        assert!(!ladder.upgrade(&g, &cost, &both, 0, greedy_wins));
+        assert!(!ladder.upgrade(&g, &cost, &both, 0, a, greedy_wins));
         assert_eq!(ladder.upgrades(), 1);
         // LP is deterministic: it would lose again, so it is not run.
-        assert!(!ladder.upgrade(&g, &cost, &both, 0, greedy_wins));
+        assert!(!ladder.upgrade(&g, &cost, &both, 0, a, greedy_wins));
         assert_eq!(ladder.upgrades(), 1);
         let hit = ladder
             .decide(&g, &cost, &both, 0, inf, 0, Policy::Anytime)
@@ -1022,8 +1202,8 @@ mod tests {
                 assert_eq!(d.rung, Rung::Greedy, "capacity 1 must miss");
                 let current = d.schedule;
                 let incumbent_wins = |s: &Schedule| if *s == *current { 1.0 } else { 2.0 };
-                assert!(!ladder.upgrade(&g, &cost, alive, 0, incumbent_wins));
-                assert!(!ladder.upgrade(&g, &cost, alive, 0, incumbent_wins));
+                assert!(!ladder.upgrade(&g, &cost, alive, 0, a, incumbent_wins));
+                assert!(!ladder.upgrade(&g, &cost, alive, 0, a, incumbent_wins));
                 // One pass for `both` (above), one for `one` (round 0).
                 assert_eq!(ladder.upgrades(), 2, "round {round}");
             }
@@ -1041,14 +1221,24 @@ mod tests {
             "a recomputed plan is a new id"
         );
 
-        // A platform change voids every verdict: LP runs again (once per
-        // key and generation), and now wins.
-        ladder.platform_changed();
+        // A verdict holds on the state it was reached on, and only there:
+        // a state this plan has not been challenged on runs LP (once),
+        // and coming back to A afterwards asks nothing again.
+        assert!(!ladder.upgrade(&g, &cost, &both, 0, b, greedy_wins));
+        assert_eq!(ladder.upgrades(), 3);
+        for state in [a, b, a] {
+            assert!(!ladder.upgrade(&g, &cost, &both, 0, state, greedy_wins));
+        }
+        assert_eq!(ladder.upgrades(), 3);
+        // A third state, and on this one LP wins.
         let lp_wins = |s: &Schedule| if *s == *greedy.schedule { 2.0 } else { 1.0 };
-        assert!(ladder.upgrade(&g, &cost, &both, 0, lp_wins));
-        assert_eq!(ladder.upgrades(), 3);
-        assert!(!ladder.upgrade(&g, &cost, &both, 0, lp_wins)); // already top quality
-        assert_eq!(ladder.upgrades(), 3);
+        assert!(ladder.upgrade(&g, &cost, &both, 0, c, lp_wins));
+        assert_eq!(ladder.upgrades(), 4);
+        for state in [a, b, c] {
+            // Already top quality, wherever it is asked.
+            assert!(!ladder.upgrade(&g, &cost, &both, 0, state, lp_wins));
+        }
+        assert_eq!(ladder.upgrades(), 4);
     }
 
     #[test]
@@ -1236,6 +1426,132 @@ mod tests {
         let counts = ladder.rung_counts();
         assert_eq!(counts[Rung::Greedy.index()], 1);
         assert_eq!(counts[Rung::FullLp.index()], 1);
+    }
+
+    // ---- verdict memo --------------------------------------------------
+
+    use hios_sim::{Scaling, SimConfig, simulate_scaled};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+
+    /// Three physical states of a 3-GPU box, picked so that rankings
+    /// flip on the fixture: healthy (full LP < inter-GPU LP < greedy on
+    /// every alive set), GPU 1 at quarter speed (greedy beats both LP
+    /// plans on three GPUs), the 0<->1 link degraded (the inter-GPU LP
+    /// plan beats the full one on GPUs 0-1).
+    fn platform_pool() -> [Scaling; 3] {
+        let healthy = Scaling::identity(3);
+        let mut slow_gpu = healthy.clone();
+        slow_gpu.gpu[1] = 4.0;
+        let mut slow_link = healthy.clone();
+        slow_link.link[1] = 4.0;
+        slow_link.link[3] = 4.0;
+        [healthy, slow_gpu, slow_link]
+    }
+
+    /// What of `key`'s cache entry a replayed verdict must reproduce.
+    fn entry(ladder: &AnytimeLadder, key: &ScheduleCacheKey) -> Option<(u64, Rung, u64)> {
+        let plan = ladder.cache.peek(key)?;
+        Some((plan.digest, plan.rung, plan.makespan_ms.to_bits()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Differential check of the verdict memo: one random history of
+        /// dispatches, re-ranks and idle upgrades over three alive sets
+        /// and three platform states, through a cache small enough to
+        /// evict — run on a ladder that is told the states by name (so
+        /// verdicts replay) and, through the same code, on one that is
+        /// told a never-repeating name (so every verdict is computed).
+        #[test]
+        fn replayed_verdicts_leave_the_cache_as_computed_ones_do(
+            (seed, capacity) in (0u64..u64::MAX, 1usize..=3)
+        ) {
+            let (g, cost) = fixture();
+            let pool = platform_pool();
+            let masks = [[true, true, true], [true, true, false], [false, true, true]];
+            let keys = masks.map(|alive| resolve(&g, &cost, &alive).unwrap().2);
+            let cfg = LadderConfig {
+                cache_capacity: capacity,
+                ..LadderConfig::default()
+            };
+            let mut replaying = AnytimeLadder::new(cfg);
+            let mut computing = AnytimeLadder::new(cfg);
+            let mut rng = TestRng::for_case("verdict-memo", seed);
+            // Re-ranks and upgrades that had something to decide.
+            let mut contests = [0u64; 2];
+            for step in 0..80u64 {
+                let at = rng.below(3) as usize;
+                let alive = &masks[at];
+                let on = rng.below(3) as usize;
+                let scale = pool[on].project(&alive_slots(alive));
+                let eval = |s: &Schedule| {
+                    simulate_scaled(&g, &cost, s, &SimConfig::analytical(), &scale)
+                        .map_or(f64::INFINITY, |r| r.makespan)
+                };
+                let op = rng.below(4);
+                // What a miss can afford: full LP, inter-GPU LP or greedy.
+                let slack = [f64::INFINITY, 10.0, 1.0][rng.below(3) as usize];
+                let names = [PlatformState(on as u64), PlatformState(1000 + step)];
+                let before = entry(&computing, &keys[at]);
+                contests[0] += u64::from(op == 0 && before.is_some());
+                contests[1] += u64::from(op == 1 && before.is_none_or(|e| e.1 != Rung::FullLp));
+                let mut changed = [false; 2];
+                for (i, ladder) in [&mut replaying, &mut computing].into_iter().enumerate() {
+                    changed[i] = match op {
+                        0 => ladder.rerank(&g, &cost, alive, names[i], eval),
+                        1 => ladder.upgrade(&g, &cost, alive, 0, names[i], eval),
+                        _ => {
+                            ladder
+                                .decide(&g, &cost, alive, 0, slack, 0, Policy::Anytime)
+                                .unwrap();
+                            false
+                        }
+                    };
+                }
+                prop_assert_eq!((step, changed[0]), (step, changed[1]));
+                for key in &keys {
+                    prop_assert_eq!(
+                        (step, entry(&replaying, key)),
+                        (step, entry(&computing, key))
+                    );
+                }
+            }
+            prop_assert_eq!(replaying.cache_evictions(), computing.cache_evictions());
+            // The never-repeating name really never hit; the pool's did.
+            prop_assert_eq!([computing.reranks_computed, computing.upgrades()], contests);
+            prop_assert!(replaying.reranks_computed <= computing.reranks_computed);
+            prop_assert!(replaying.upgrades() <= computing.upgrades());
+        }
+    }
+
+    #[test]
+    fn the_verdict_memo_forgets_its_oldest_verdict_at_the_bound() {
+        let (g, cost) = fixture();
+        let mut ladder = AnytimeLadder::new(LadderConfig::default());
+        let alive = [true, true];
+        ladder
+            .decide(&g, &cost, &alive, 0, f64::INFINITY, 0, Policy::Anytime)
+            .unwrap();
+        let nominal = |s: &Schedule| {
+            hios_sim::simulate(&g, &cost, s, &SimConfig::analytical())
+                .map_or(f64::INFINITY, |r| r.makespan)
+        };
+        let slots = VERDICT_MEMO_SLOTS as u64;
+        for state in 0..=slots {
+            ladder.rerank(&g, &cost, &alive, PlatformState(state), nominal);
+        }
+        assert_eq!(ladder.reranks_computed, slots + 1);
+        assert_eq!(ladder.verdicts.verdicts.len(), VERDICT_MEMO_SLOTS);
+        assert_eq!(ladder.verdicts.order.len(), VERDICT_MEMO_SLOTS);
+        // The newest verdict replays; the oldest was dropped to make room
+        // for it and is reached again.
+        ladder.rerank(&g, &cost, &alive, PlatformState(slots), nominal);
+        assert_eq!(ladder.reranks_computed, slots + 1);
+        ladder.rerank(&g, &cost, &alive, PlatformState(0), nominal);
+        assert_eq!(ladder.reranks_computed, slots + 2);
+        assert_eq!(ladder.verdicts.verdicts.len(), VERDICT_MEMO_SLOTS);
     }
 
     // ---- durable store rung -------------------------------------------
@@ -1444,7 +1760,7 @@ mod tests {
                     .decide(g, cost, &alive, 0, inf, 0, Policy::Anytime)
                     .unwrap();
                 assert_eq!(d.rung, Rung::FullLp);
-                let key = PlanKey::from_cache_key(&resolve(g, cost, &alive).unwrap().1, 0);
+                let key = PlanKey::from_cache_key(&resolve(g, cost, &alive).unwrap().2, 0);
                 store
                     .put(key, &d.schedule, eval(g, cost, &d.schedule))
                     .unwrap();
@@ -1463,7 +1779,8 @@ mod tests {
                     .decide(g, cost, &alive, 0, inf, 0, Policy::Anytime)
                     .unwrap();
                 assert_eq!(d.rung, Rung::Store);
-                ladder.upgrade(g, cost, &alive, 0, |s| eval(g, cost, s));
+                let on_profile = |s: &Schedule| eval(g, cost, s);
+                ladder.upgrade(g, cost, &alive, 0, PlatformState(0), on_profile);
             }
         }
         assert_eq!(ladder.upgrades(), tenants.len() as u64);
@@ -1482,7 +1799,8 @@ mod tests {
                 .decide(g, cost, &alive, 0, inf, 0, Policy::Anytime)
                 .unwrap();
             assert_eq!(d.rung, Rung::Store, "the decision still names the store");
-            assert!(!restarted.upgrade(g, cost, &alive, 0, |s| eval(g, cost, s)));
+            let on_profile = |s: &Schedule| eval(g, cost, s);
+            assert!(!restarted.upgrade(g, cost, &alive, 0, PlatformState(0), on_profile));
         }
         assert_eq!(restarted.upgrades(), 0);
         assert_eq!(restarted.store_stats().unwrap().puts_full, 0);

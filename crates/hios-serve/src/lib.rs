@@ -61,8 +61,8 @@ pub use fleet::{
 };
 pub use health::{ClusterHealth, HealthConfig, HealthSample, HealthView};
 pub use ladder::{
-    AnytimeLadder, CACHE_HIT_COST_MS, CachedPlan, LadderConfig, LadderDecision, Policy, Rung,
-    RungCap, STORE_HIT_COST_MS,
+    AnytimeLadder, CACHE_HIT_COST_MS, CachedPlan, LadderConfig, LadderDecision, PlatformState,
+    Policy, Rung, RungCap, STORE_HIT_COST_MS,
 };
 pub use report::{ClassStats, ServeReport, history_digest, summarize};
 pub use request::{Disposition, PriorityClass, Request, RequestRecord, ServeError, ShedReason};

@@ -32,7 +32,7 @@
 use crate::breaker::BreakerBank;
 use crate::brownout::{BrownoutController, BrownoutTelemetry, OverloadConfig};
 use crate::ladder::{
-    AnytimeLadder, Chosen, LadderConfig, Policy, RungCap, greedy_cost_ms, slot_cost,
+    AnytimeLadder, Chosen, LadderConfig, PlatformState, Policy, RungCap, greedy_cost_ms, slot_cost,
 };
 use crate::report::{ReportInputs, ServeReport, summarize};
 use crate::request::{Disposition, Request, RequestRecord, ServeError, ShedReason};
@@ -266,6 +266,12 @@ fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// Whether two scalings are the same bit for bit (never hashed, never
+/// compared with `==`: `-0.0`, NaN payloads and `+∞` stay distinct).
+fn same_scaling(a: &Scaling, b: &Scaling) -> bool {
+    bits_eq(&a.gpu, &b.gpu) && bits_eq(&a.link, &b.link)
+}
+
 impl TimelineMemo {
     fn new(models: usize) -> Self {
         TimelineMemo {
@@ -303,10 +309,7 @@ impl TimelineMemo {
         };
         let slots = &mut self.per_model[mi];
         let hit = slots.iter().position(|t| {
-            t.plan_id == plan_id
-                && t.alive_mask == alive_mask
-                && bits_eq(&t.scale.gpu, &scale.gpu)
-                && bits_eq(&t.scale.link, &scale.link)
+            t.plan_id == plan_id && t.alive_mask == alive_mask && same_scaling(&t.scale, scale)
         });
         if let Some(i) = hit {
             slots[..=i].rotate_right(1);
@@ -342,6 +345,58 @@ impl TimelineMemo {
         );
         debug_assert!(slots.len() <= TIMELINE_MEMO_SLOTS);
         Some(timeline)
+    }
+}
+
+/// Physical platform states kept by name.  A flapping GPU with a
+/// degraded link alternates between a handful; compounding slowdowns
+/// mint new ones and the stalest falls out.
+const PLATFORM_STATE_SLOTS: usize = 16;
+
+/// The known-fault [`Scaling`] of the physical platform, with a name for
+/// the ladder's verdict memo: every re-price of one server simulates on
+/// the model's planning table (named by the cache key) under this
+/// scaling projected onto the key's alive mask, so per key the scaling
+/// names what `eval` returns.  States are interned bit for bit, most
+/// recent first; a name is never issued twice, so a state that fell out
+/// of the table and comes back is a new one and the verdicts reached on
+/// its old name age out of the ladder unasked.
+struct PlatformModel {
+    scaling: Scaling,
+    /// `(state, name)`; the head is `scaling`'s.
+    seen: Vec<(Scaling, PlatformState)>,
+    issued: u64,
+}
+
+impl PlatformModel {
+    fn healthy(m: usize) -> Self {
+        let scaling = Scaling::identity(m);
+        PlatformModel {
+            seen: vec![(scaling.clone(), PlatformState(0))],
+            scaling,
+            issued: 0,
+        }
+    }
+
+    /// Name of the state the platform is in.
+    fn state(&self) -> PlatformState {
+        self.seen[0].1
+    }
+
+    /// Folds the lasting effect of a detected fault (or a heal) into the
+    /// platform and names the state it leaves.
+    fn apply_fault(&mut self, kind: &FaultKind) {
+        self.scaling.apply_fault(kind);
+        let now = &self.scaling;
+        match self.seen.iter().position(|(s, _)| same_scaling(s, now)) {
+            Some(i) => self.seen[..=i].rotate_right(1),
+            None => {
+                self.issued += 1;
+                self.seen.truncate(PLATFORM_STATE_SLOTS - 1);
+                self.seen
+                    .insert(0, (now.clone(), PlatformState(self.issued)));
+            }
+        }
     }
 }
 
@@ -487,7 +542,10 @@ pub(crate) struct Server<'a> {
     keys: Vec<ModelKeys>,
     memo: TimelineMemo,
     overload: Option<OverloadState>,
-    scaling: Scaling,
+    platform: PlatformModel,
+    /// `(alive mask, platform state)` of every platform-change re-rank.
+    #[cfg(test)]
+    reranked_on: Vec<(u64, PlatformState)>,
     healthy_at: Vec<f64>,
     ladder: AnytimeLadder,
     /// Per-model calibration epoch: bumped every time a drift alarm
@@ -720,7 +778,9 @@ impl<'a> Server<'a> {
                 ctl: BrownoutController::new(oc.brownout),
                 budget: RetryBudget::new(oc.retry_budget),
             }),
-            scaling: Scaling::identity(m),
+            platform: PlatformModel::healthy(m),
+            #[cfg(test)]
+            reranked_on: Vec::new(),
             healthy_at: vec![0.0; m],
             ladder,
             epochs: vec![0; models.len()],
@@ -1121,7 +1181,7 @@ impl<'a> Server<'a> {
     /// timeline the profile predicts (the same plan without the drift
     /// factors).  Both timelines come from the memo.
     fn launch(&mut self, mi: usize, chosen: Chosen, t0: f64) -> Option<(Attempt, f64)> {
-        self.slots.scale(&self.scaling, self.drift, t0);
+        self.slots.scale(&self.platform.scaling, self.drift, t0);
         let (schedule, plan_id) = (chosen.schedule, chosen.plan_id);
         let (model, sim, slots) = (&self.models[mi], &self.cfg.sim, &self.slots);
         let memo = &mut self.memo;
@@ -1242,17 +1302,17 @@ impl<'a> Server<'a> {
     // ---- completion / watchdog ----------------------------------------
 
     fn on_completion(&mut self, token: u64) {
-        let Some(fl) = &self.in_flight else { return };
-        if fl.token != token {
-            return; // stale: this attempt was invalidated
-        }
-        if self.occurred_undetected_disruption() {
+        // A stale token: this attempt was invalidated.
+        let Some(fl) = self.in_flight.take_if(|fl| fl.token == token) else {
+            return;
+        };
+        if self.occurred_undetected_disruption(&fl) {
             // A fault has physically happened but is not yet detected:
             // this completion is phantom.  The detection event owns the
             // request's fate.
+            self.in_flight = Some(fl);
             return;
         }
-        let fl = self.in_flight.take().expect("checked above");
         let i = fl.req;
         let mi = self.states[i].request.model;
         self.complete(i);
@@ -1290,18 +1350,19 @@ impl<'a> Server<'a> {
         }
     }
 
-    /// Re-rank every model's cached plan for the current alive set
-    /// against a greedy candidate, evaluated under the current fault
-    /// scaling.  Called whenever the platform changes (fault detected,
-    /// GPU healed): the nominally-best cached plan may lean on hardware
-    /// that just degraded — or hardware that just came back.
-    fn rerank_cache(&mut self) {
-        // What schedules cost just changed, so "LP lost to this plan"
-        // verdicts reached on the old platform no longer hold.
-        self.ladder.platform_changed();
+    /// Folds a detected fault (or a heal) into the platform model, then
+    /// re-ranks every model's cached plan for the current alive set
+    /// against a greedy candidate on the state that leaves: the
+    /// nominally-best cached plan may lean on hardware that just
+    /// degraded — or hardware that just came back.
+    fn platform_fault(&mut self, kind: &FaultKind) {
+        self.platform.apply_fault(kind);
         for mi in 0..self.models.len() {
             self.reprice(mi, false);
         }
+        #[cfg(test)]
+        self.reranked_on
+            .push((self.slots.mask, self.platform.state()));
     }
 
     /// Re-prices model `mi`'s cached plan for the current alive set on
@@ -1315,13 +1376,15 @@ impl<'a> Server<'a> {
             return;
         }
         let key = self.plan_key(mi);
+        let state = self.platform.state();
         // Asked after every idle completion: answer "nothing to try"
-        // before pricing anything.
-        if upgrade && self.ladder.upgrade_settled(&key) {
+        // before pricing anything.  (Debug builds price anyway, so the
+        // ladder can re-check a remembered loss.)
+        if upgrade && !cfg!(debug_assertions) && self.ladder.upgrade_settled(&key, state) {
             return;
         }
         let gpu_map = &self.slots.gpu_map;
-        let scale = self.scaling.project(gpu_map);
+        let scale = self.platform.scaling.project(gpu_map);
         let sim_cfg = &self.cfg.sim;
         let model = &self.models[mi];
         let planning = planning_table(&self.calib, model, mi);
@@ -1335,9 +1398,9 @@ impl<'a> Server<'a> {
         if upgrade {
             let epoch = self.epochs[mi];
             self.ladder
-                .upgrade_keyed(g, planning, gpu_map, &key, epoch, eval);
+                .upgrade_keyed(g, &slots, &key, epoch, state, eval);
         } else {
-            self.ladder.rerank_keyed(g, planning, gpu_map, &key, eval);
+            self.ladder.rerank_keyed(g, &slots, &key, state, eval);
         }
     }
 
@@ -1353,13 +1416,10 @@ impl<'a> Server<'a> {
         self.try_dispatch();
     }
 
-    /// Whether a fault that disrupts the current in-flight attempt has
+    /// Whether a fault that disrupts the in-flight attempt `fl` has
     /// occurred but not yet been detected (its consequences own the
     /// attempt, so any completion before detection is phantom).
-    fn occurred_undetected_disruption(&mut self) -> bool {
-        let Some(fl) = &self.in_flight else {
-            return false;
-        };
+    fn occurred_undetected_disruption(&mut self, fl: &InFlight) -> bool {
         let now = self.clock.now_ms();
         // Candidates are the signals with `at_ms <= now <= detected_ms`.
         // On a sorted stream the clock only moves forward, so signals
@@ -1382,7 +1442,7 @@ impl<'a> Server<'a> {
         };
         live.iter()
             .filter(|sig| sig.at_ms <= now && sig.detected_ms >= now)
-            .any(|sig| signal_disrupts(sig, fl))
+            .any(|sig| disruption(sig, fl).is_some())
     }
 
     fn on_watchdog(&mut self, token: u64) {
@@ -1408,10 +1468,8 @@ impl<'a> Server<'a> {
     fn on_fault(&mut self, s: usize) {
         let sig = self.signals[s];
         let now = self.now();
-        // 1. Persist the fault in the platform model.
-        self.scaling.apply_fault(&sig.kind);
         if let Some(gpu) = sig.kind.gpu_target() {
-            // 2. The GPU is repaired `gpu_repair_ms` from now; trip its
+            // 1. The GPU is repaired `gpu_repair_ms` from now; trip its
             // breaker.  (An already-open breaker keeps its pending probe;
             // the pushed-out heal horizon makes that probe fail and
             // re-arm.)
@@ -1426,43 +1484,39 @@ impl<'a> Server<'a> {
             // instead of waiting out `gpu_repair_ms`.
             self.healthy_at[gpu] = now;
         }
-        // The platform changed under the cache: re-rank cached plans
-        // against a greedy candidate at the new scaling.
-        self.rerank_cache();
+        // 2. Persist the fault in the platform model; the platform
+        // changed under the cache, so re-rank the cached plans on it.
+        self.platform_fault(&sig.kind);
         // 3. Invalidate in-flight work the fault touches.
-        let Some(fl) = &self.in_flight else { return };
-        if !signal_disrupts(&sig, fl) {
+        let Some(mut fl) = self.in_flight.take() else {
             return;
-        }
-        match sig.kind {
-            FaultKind::OpHang { op } => {
+        };
+        match disruption(&sig, &fl) {
+            None => self.in_flight = Some(fl),
+            Some(Disruption::Hang(op)) => {
                 // Arm the watchdog; the hang itself is silent.
                 let token = self.fresh_token();
-                let fl = self.in_flight.as_mut().expect("checked above");
                 fl.token = token;
                 fl.hung_op = Some(op);
-                let mut op_finish_abs =
-                    std::mem::replace(&mut fl.run, Attempt::Stitched(Vec::new())).into_abs();
+                let mut op_finish_abs = fl.run.into_abs();
                 op_finish_abs[op.index()] = f64::INFINITY;
                 fl.run = Attempt::Stitched(op_finish_abs);
+                self.in_flight = Some(fl);
                 self.events
                     .push(now + WATCHDOG_MS, Event::Watchdog { token });
             }
-            FaultKind::GpuFailStop { gpu } | FaultKind::GpuSlowdown { gpu, .. } => {
-                self.disrupt(ServeError::GpuFault { gpu });
+            Some(Disruption::Gpu(gpu)) => self.disrupt(fl, ServeError::GpuFault { gpu }),
+            Some(Disruption::Link(from, to)) => {
+                self.disrupt(fl, ServeError::LinkFault { from, to });
             }
-            FaultKind::LinkFail { from, to } | FaultKind::LinkDegrade { from, to, .. } => {
-                self.disrupt(ServeError::LinkFault { from, to });
-            }
-            FaultKind::GpuHeal { .. } => unreachable!("heals never disrupt"),
         }
     }
 
-    /// The in-flight attempt is invalid from `now` on.  Try an in-place
-    /// repair (finished operators keep their results, the remainder is
-    /// rescheduled onto the surviving GPUs); fall back to a full retry.
-    fn disrupt(&mut self, err: ServeError) {
-        let fl = self.in_flight.take().expect("disrupt without in-flight");
+    /// The attempt `fl`, taken out of flight, is invalid from `now` on.
+    /// Try an in-place repair (finished operators keep their results,
+    /// the remainder is rescheduled onto the surviving GPUs); fall back
+    /// to a full retry.
+    fn disrupt(&mut self, fl: InFlight, err: ServeError) {
         let i = fl.req;
         let now = self.now();
         if fl.hung_op.is_some() {
@@ -1518,7 +1572,7 @@ impl<'a> Server<'a> {
         // The remainder resumes on the survivors, on the platform as it
         // is at `resume` (known faults times drift).
         debug_assert_eq!(outcome.gpu_map, self.slots.gpu_map);
-        self.slots.scale(&self.scaling, self.drift, resume);
+        self.slots.scale(&self.platform.scaling, self.drift, resume);
         let resumed = simulate_scaled(
             &map.sub,
             &sub_cost,
@@ -1627,8 +1681,7 @@ impl<'a> Server<'a> {
         if now >= self.healthy_at[gpu] {
             self.breakers.gpu(gpu).probe_success(now);
             // Repaired or replaced: the GPU runs at full speed again.
-            self.scaling.apply_fault(&FaultKind::GpuHeal { gpu });
-            self.rerank_cache();
+            self.platform_fault(&FaultKind::GpuHeal { gpu });
             self.try_dispatch();
         } else {
             let next = self.breakers.gpu(gpu).probe_failure(now);
@@ -1637,22 +1690,36 @@ impl<'a> Server<'a> {
     }
 }
 
-/// Whether fault `sig` invalidates the in-flight attempt `fl`.
-fn signal_disrupts(sig: &FaultSignal, fl: &InFlight) -> bool {
+/// How a fault invalidates an in-flight attempt.
+enum Disruption {
+    /// An operator still to finish hangs.
+    Hang(OpId),
+    /// A serving GPU failed or slowed.
+    Gpu(usize),
+    /// A link between two serving GPUs failed or degraded.
+    Link(usize, usize),
+}
+
+/// How fault `sig` invalidates the in-flight attempt `fl`, if it does.
+fn disruption(sig: &FaultSignal, fl: &InFlight) -> Option<Disruption> {
     let serves = |gpu: usize| fl.serving >> gpu & 1 == 1;
     match sig.kind {
-        FaultKind::GpuFailStop { gpu } | FaultKind::GpuSlowdown { gpu, .. } => serves(gpu),
+        FaultKind::GpuFailStop { gpu } | FaultKind::GpuSlowdown { gpu, .. } => {
+            serves(gpu).then_some(Disruption::Gpu(gpu))
+        }
         FaultKind::LinkFail { from, to } | FaultKind::LinkDegrade { from, to, .. } => {
-            fl.serving.count_ones() > 1 && serves(from) && serves(to)
+            (fl.serving.count_ones() > 1 && serves(from) && serves(to))
+                .then_some(Disruption::Link(from, to))
         }
         // Hang plans may target a larger tenant's operator ids: an
         // operator this graph does not have cannot hang.
         FaultKind::OpHang { op } => fl
             .run
             .op_finish_abs(op.index())
-            .is_some_and(|finish| finish > sig.at_ms),
+            .is_some_and(|finish| finish > sig.at_ms)
+            .then_some(Disruption::Hang(op)),
         // A heal only adds capacity; it never invalidates work.
-        FaultKind::GpuHeal { .. } => false,
+        FaultKind::GpuHeal { .. } => None,
     }
 }
 
@@ -2030,12 +2097,150 @@ mod tests {
         let mut srv = Server::build(&models, &FaultPlan::none(), &drift, &cfg).unwrap();
         srv.run_trace(&trace);
         let (simulated, plans) = (srv.memo.simulated, srv.ladder.plans_issued());
+        // An id is drawn only for a plan that enters the cache (a losing
+        // idle-time challenger draws none), and every plan that entered
+        // was served: as many simulations as ids.
+        assert_eq!(simulated, plans, "simulations, plans");
         assert!(
-            simulated >= models.len() as u64 && simulated <= plans,
-            "{simulated} simulations for {plans} plans"
+            plans >= models.len() as u64 && plans <= 2 * models.len() as u64,
+            "{plans} plans"
         );
-        assert!(plans <= 2 * models.len() as u64, "{plans} plans");
         assert_eq!(srv.into_outcome().report.completed, 10_000);
+    }
+
+    #[test]
+    fn platform_states_are_named_bit_for_bit_and_never_twice() {
+        let fail = FaultKind::GpuFailStop { gpu: 2 };
+        let heal = FaultKind::GpuHeal { gpu: 2 };
+        let mut platform = PlatformModel::healthy(3);
+        let healthy = platform.state();
+        platform.apply_fault(&fail);
+        let down = platform.state();
+        assert_ne!(down, healthy);
+        // A transient fault leaves the state it found; a flap revisits
+        // the two it alternates between.
+        platform.apply_fault(&FaultKind::OpHang { op: OpId(0) });
+        assert_eq!(platform.state(), down);
+        for _ in 0..3 {
+            platform.apply_fault(&heal);
+            assert_eq!(platform.state(), healthy);
+            platform.apply_fault(&fail);
+            assert_eq!(platform.state(), down);
+        }
+        assert_eq!(platform.seen.len(), 2);
+        // Compounding slowdowns are new states every time; the table
+        // stays bounded, and a state that fell out of it comes back
+        // under a new name.
+        let mut named = vec![healthy, down];
+        for _ in 0..PLATFORM_STATE_SLOTS {
+            platform.apply_fault(&FaultKind::GpuSlowdown {
+                gpu: 0,
+                factor: 1.5,
+            });
+            assert!(!named.contains(&platform.state()));
+            named.push(platform.state());
+        }
+        assert_eq!(platform.seen.len(), PLATFORM_STATE_SLOTS);
+        assert!(same_scaling(&platform.seen[0].0, &platform.scaling));
+        platform.apply_fault(&FaultKind::GpuHeal { gpu: 0 });
+        assert!(bits_eq(&platform.scaling.gpu, &[1.0, 1.0, f64::INFINITY]));
+        assert!(!named.contains(&platform.state()));
+    }
+
+    #[test]
+    fn a_flapping_gpu_reranks_each_platform_state_once() {
+        // `flapping_gpu_with_link_degrade` of tests/golden_digests.rs, and
+        // the same shape ten times longer: GPU 2 flaps and the 0 -> 1
+        // link degrades mid-run, so the platform changes on every edge
+        // but is only ever in a handful of states.  Each (tenant, alive
+        // set, state, incumbent) is ranked once; every other edge replays
+        // the verdict — and, this being a debug build, re-reaches it and
+        // compares.
+        use crate::workload::{ClassMix, generate_trace_with_classes, trace_span_ms};
+        use hios_sim::{FaultScript, FlapSpec};
+        let models = vec![model(41, 24), model(42, 36), model(43, 48)];
+        let tenants = models.len() as u64;
+        let cfg = ServeConfig::new(3);
+        let nominal: Vec<f64> = models
+            .iter()
+            .map(|m| bounds::combined_bound(&m.graph, &m.cost, cfg.num_gpus))
+            .collect();
+        let mean_ms = nominal.iter().sum::<f64>() / nominal.len() as f64;
+        let drift = DriftPlan::none();
+        // (platform changes, distinct (alive mask, state) points re-ranked
+        // on, re-ranks computed, history digest).
+        let flapping = |requests: usize, cycles: u32| {
+            let trace = generate_trace_with_classes(
+                &WorkloadConfig {
+                    requests,
+                    arrival_rate_rps: 0.18 * 1000.0 / mean_ms,
+                    deadline_factor: 60.0,
+                    seed: 29,
+                },
+                &nominal,
+                &ClassMix::default(),
+            );
+            let span = trace_span_ms(&trace);
+            let period = span / f64::from(cycles + 2);
+            let script = FaultScript {
+                flaps: vec![FlapSpec {
+                    gpu: 2,
+                    first_fail_ms: 0.05 * span,
+                    down_ms: 0.15 * period,
+                    up_ms: 0.85 * period,
+                    cycles,
+                }],
+                raw: vec![FaultEvent {
+                    at_ms: 0.4 * span,
+                    kind: FaultKind::LinkDegrade {
+                        from: 0,
+                        to: 1,
+                        factor: 3.0,
+                    },
+                }],
+                ..FaultScript::default()
+            };
+            let faults = script.compile(&models[0].graph, 3).unwrap();
+            let mut srv = Server::build(&models, &faults, &drift, &cfg).unwrap();
+            srv.run_trace(&trace);
+            let changes = srv.reranked_on.len() as u64;
+            srv.reranked_on
+                .sort_by_key(|&(mask, state)| (mask, state.0));
+            srv.reranked_on.dedup();
+            let points = srv.reranked_on.len() as u64;
+            let computed = srv.ladder.reranks_computed();
+            (
+                changes,
+                points,
+                computed,
+                srv.into_outcome().report.history_digest,
+            )
+        };
+        // One greedy pass and two simulations per computed re-rank; a
+        // tenant meets a point with at most two incumbents (the plan of
+        // its first miss and the idle upgrade's).
+        let (changes, points, computed, digest) = flapping(300, 6);
+        assert!(
+            changes >= 13 && points <= 6,
+            "{changes} changes, {points} points"
+        );
+        assert!(
+            computed >= tenants && computed <= 2 * tenants * points,
+            "{computed} re-ranks computed on {points} points"
+        );
+        // `FLAP_LINK_DEGRADE` of tests/golden_digests.rs.
+        assert_eq!(digest, 0xea1f_d922_b149_8b8b);
+
+        // Ten times the edges are the same points again.
+        let (changes, points, long_run, _) = flapping(3000, 60);
+        assert!(
+            changes >= 121 && points <= 6,
+            "{changes} changes, {points} points"
+        );
+        assert!(
+            long_run <= 2 * tenants * points && 10 * long_run <= changes * tenants,
+            "{long_run} re-ranks computed on {points} points for {changes} platform changes"
+        );
     }
 
     #[test]
