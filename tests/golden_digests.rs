@@ -368,3 +368,235 @@ const RAMP_DRIFT: &str =
     "0xb97a3c0592c33837 cache=(289, 10) rungs=[289, 0, 0, 1, 9] evict=0 store=(0,0,0,0)";
 const HETERO: &str =
     "0x2289560be14df02e cache=(196, 4) rungs=[196, 0, 0, 0, 4] evict=0 store=(0,0,0,0)";
+
+// ---- fleet pump tie-breaks ----------------------------------------------
+//
+// The scenarios above leave the order of equal-instant fleet events to
+// chance (continuous arrival times never collide with a heartbeat).  The
+// three below put arrivals *exactly* on a heartbeat, on a partition heal
+// and on a cluster kill, so the pump's tie-breaks — cluster step before
+// fleet event, arrival before fault / heal / heartbeat, trace position
+// among equal arrivals — are part of the pinned history.
+
+const FLEET_CLUSTERS: usize = 4;
+
+/// The fleet report counters a routing change would move.
+fn pin_fleet(out: &hios::serve::FleetOutcome) -> String {
+    let r = &out.report;
+    format!(
+        "{:#018x} rerouted={} hedges=({},{},{},{}) sheds=(failover {}, dead {}, partitioned {}, backpressure {}, unroutable {})",
+        r.history_digest,
+        r.rerouted,
+        r.hedges_issued,
+        r.hedge_wins_secondary,
+        r.hedge_cancelled,
+        r.hedge_wasted,
+        r.failover_sheds,
+        r.dead_cluster_sheds,
+        r.partitioned_sheds,
+        r.backpressure_sheds,
+        r.no_routable_sheds,
+    )
+}
+
+/// Instants of the tie-break scenario, all exact `f64`s the pump itself
+/// computes (`k × heartbeat_ms` by repeated addition, the heal as
+/// `partition instant + heal_ms`).
+struct TieInstants {
+    heartbeat_ms: f64,
+    partition_ms: f64,
+    heal_after_ms: f64,
+    kill_ms: f64,
+    pair_ms: f64,
+}
+
+impl TieInstants {
+    fn heal_ms(&self) -> f64 {
+        self.partition_ms + self.heal_after_ms
+    }
+}
+
+/// Moves the not-yet-moved request of `tenant` arriving nearest to
+/// `at_ms` onto exactly `at_ms`, keeping its relative deadline.
+fn snap(tr: &mut [Request], moved: &mut Vec<u64>, tenant: usize, at_ms: f64) {
+    let r = tr
+        .iter_mut()
+        .filter(|r| r.model == tenant && !moved.contains(&r.id))
+        .min_by(|a, b| {
+            (a.arrival_ms - at_ms)
+                .abs()
+                .total_cmp(&(b.arrival_ms - at_ms).abs())
+        })
+        .expect("every tenant has requests");
+    r.deadline_ms += at_ms - r.arrival_ms;
+    r.arrival_ms = at_ms;
+    moved.push(r.id);
+}
+
+/// Four small-queue clusters near saturation, hedging on, a partition
+/// and a kill; one arrival per tenant on each of the heartbeat, heal and
+/// kill instants, a burst on the heartbeat, and a two-tenant pair on an
+/// instant of its own.
+fn tie_break_scenario(
+    policy: hios::serve::RouterPolicy,
+) -> (
+    Vec<ServedModel>,
+    Vec<Request>,
+    FleetFaults,
+    FleetConfig,
+    TieInstants,
+) {
+    let models = tenants();
+    let mut tr = trace(&models, GPUS, 480, 1.0, 20.0);
+    let nominal = nominal_ms(&models, GPUS);
+    for r in tr.iter_mut().filter(|r| r.class == PriorityClass::Gold) {
+        r.deadline_ms = r.arrival_ms + 3.5 * nominal[r.model];
+    }
+    let span = trace_span_ms(&tr);
+    let mut cfg = FleetConfig::new(FLEET_CLUSTERS, GPUS);
+    cfg.router.policy = policy;
+    cfg.hedge = policy == hios::serve::RouterPolicy::Failover;
+    // Small queues and an unsmoothed health view: one heartbeat's sample
+    // decides backpressure, so *when* the burst is counted shows.
+    cfg.health.alpha = 1.0;
+    cfg.health.backpressure_fill = 0.5;
+    // A period that is exact in binary, so `k` additions land on `k × 0.25`.
+    cfg.health.heartbeat_ms = 0.25;
+    for c in &mut cfg.clusters {
+        c.queue_capacity = 4;
+    }
+    // The k-th heartbeat fires at the period added k times.
+    let beats = (0.2 * span / cfg.health.heartbeat_ms).round() as usize;
+    let at = TieInstants {
+        heartbeat_ms: (0..beats).fold(0.0, |t, _| t + cfg.health.heartbeat_ms),
+        partition_ms: 0.3 * span,
+        heal_after_ms: 0.1 * span,
+        kill_ms: 0.6 * span,
+        pair_ms: 0.5 * span,
+    };
+    let router = hios::serve::Router::new(cfg.router, FLEET_CLUSTERS).unwrap();
+    let killed = router.ranked(0)[0];
+    let partitioned = (0..3)
+        .map(|tenant| router.ranked(tenant)[0])
+        .find(|&c| c != killed)
+        .expect("three tenants do not all hash to one cluster");
+    let mut moved = Vec::new();
+    for tenant in 0..3 {
+        snap(&mut tr, &mut moved, tenant, at.heal_ms());
+        snap(&mut tr, &mut moved, tenant, at.kill_ms);
+        // Four per tenant on the heartbeat: a burst the sample either
+        // sees queued or does not.
+        for _ in 0..4 {
+            snap(&mut tr, &mut moved, tenant, at.heartbeat_ms);
+        }
+    }
+    // Two more for the doomed cluster's own tenant, so the drain at the
+    // kill instant has same-instant arrivals to re-route.
+    snap(&mut tr, &mut moved, 0, at.kill_ms);
+    snap(&mut tr, &mut moved, 0, at.kill_ms);
+    snap(&mut tr, &mut moved, 0, at.pair_ms);
+    snap(&mut tr, &mut moved, 1, at.pair_ms);
+    let faults = FleetFaults {
+        per_cluster: Vec::new(),
+        cluster_events: vec![
+            ClusterFaultEvent {
+                at_ms: at.partition_ms,
+                cluster: partitioned,
+                kind: ClusterFaultKind::PartitionRouter {
+                    heal_ms: at.heal_after_ms,
+                },
+            },
+            ClusterFaultEvent {
+                at_ms: at.kill_ms,
+                cluster: killed,
+                kind: ClusterFaultKind::ClusterKill,
+            },
+        ],
+    };
+    (models, tr, faults, cfg, at)
+}
+
+/// A permutation of `tr` that keeps equal-instant arrivals in their
+/// relative order (the pump breaks those ties by trace position): a
+/// stable sort by a hash of the arrival instant.
+fn shuffled(tr: &[Request]) -> Vec<Request> {
+    let mut out = tr.to_vec();
+    out.sort_by_key(|r| {
+        r.arrival_ms
+            .to_bits()
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(29)
+    });
+    out
+}
+
+#[test]
+fn fleet_arrivals_on_heartbeat_heal_and_kill_instants() {
+    use hios::serve::{FleetDisposition, RouterPolicy};
+    let (models, tr, faults, cfg, at) = tie_break_scenario(RouterPolicy::Failover);
+    let (partitioned, killed) = (
+        faults.cluster_events[0].cluster,
+        faults.cluster_events[1].cluster,
+    );
+    let out = serve_fleet(&models, &tr, &faults, &cfg).unwrap();
+    assert_eq!(out.records.len(), 480);
+    assert_eq!(out.report.cluster_kills, 1);
+    assert_eq!(out.report.partitions, 1);
+    assert!(out.report.hedges_issued > 0);
+    assert!(out.report.backpressure_sheds > 0);
+    for instant in [at.heartbeat_ms, at.heal_ms(), at.kill_ms, at.pair_ms] {
+        let n = tr.iter().filter(|r| r.arrival_ms == instant).count();
+        assert!(n >= 2, "{n} arrivals at {instant}");
+    }
+    // An arrival on the kill instant is routed before the kill fires: it
+    // enters the dying cluster and is drained off it at the same instant.
+    assert!(
+        out.records
+            .iter()
+            .any(|r| r.request.arrival_ms == at.kill_ms
+                && matches!(r.disposition, FleetDisposition::Rerouted { from, at_ms, .. }
+                if from == killed && at_ms == at.kill_ms)),
+        "no kill-instant arrival was rerouted off cluster {killed}"
+    );
+    // An arrival on the heal instant is routed before the heal: the
+    // partitioned cluster is still out of its reach.
+    for r in out
+        .records
+        .iter()
+        .filter(|r| r.request.arrival_ms == at.heal_ms())
+    {
+        let on = match r.disposition.terminal() {
+            FleetDisposition::Completed { cluster, .. } => Some(*cluster),
+            FleetDisposition::Shed { cluster, .. } => *cluster,
+            _ => None,
+        };
+        assert_ne!(on, Some(partitioned), "request {}", r.request.id);
+    }
+    assert_eq!(pin_fleet(&out), FLEET_TIES);
+}
+
+#[test]
+fn fleet_shuffled_trace_serves_like_its_sorted_self() {
+    use hios::serve::RouterPolicy;
+    let (models, tr, faults, cfg, _) = tie_break_scenario(RouterPolicy::Failover);
+    let shuffled = shuffled(&tr);
+    assert_ne!(shuffled, tr);
+    let out = serve_fleet(&models, &shuffled, &faults, &cfg).unwrap();
+    assert_eq!(pin_fleet(&out), FLEET_TIES);
+}
+
+#[test]
+fn fleet_static_hash_under_a_kill() {
+    use hios::serve::RouterPolicy;
+    let (models, tr, faults, cfg, _) = tie_break_scenario(RouterPolicy::StaticHash);
+    let out = serve_fleet(&models, &tr, &faults, &cfg).unwrap();
+    assert_eq!(out.records.len(), 480);
+    assert_eq!(out.report.cluster_kills, 1);
+    assert_eq!((out.report.rerouted, out.report.hedges_issued), (0, 0));
+    assert!(out.report.dead_cluster_sheds > 0);
+    assert!(out.report.partitioned_sheds > 0);
+    assert_eq!(pin_fleet(&out), FLEET_STATIC_HASH);
+}
+
+const FLEET_TIES: &str = "0x65405821be3e02e4 rerouted=2 hedges=(90,21,37,0) sheds=(failover 0, dead 0, partitioned 0, backpressure 16, unroutable 0)";
+const FLEET_STATIC_HASH: &str = "0xa4d4ceebb4f2b6ca rerouted=0 hedges=(0,0,0,0) sheds=(failover 0, dead 69, partitioned 16, backpressure 0, unroutable 0)";
