@@ -3,13 +3,19 @@
 //!
 //! Each cluster is a full [`crate::server`] instance — its own
 //! `hios-sim` platform, breakers, brownout controller, and retry budget
-//! — stepped as a coroutine by the fleet pump.  The pump interleaves
-//! cluster events and fleet events (arrivals, cluster faults, partition
-//! heals, health heartbeats) in strict virtual-time order, with ties
-//! broken deterministically (cluster before fleet, lower cluster index
-//! first), so a fleet run is as replayable as a single-cluster run:
-//! same inputs, same seed, bit-identical outcome digest, regardless of
-//! thread count.
+//! — stepped as a coroutine by the fleet pump.  The pump is a three-way
+//! merge, in strict virtual-time order, of the clusters' own events, the
+//! trace's arrivals (read off a cursor sorted by arrival instant — they
+//! are known up front and never queued) and the few fleet events that
+//! are scheduled as the run goes (cluster faults, partition heals,
+//! health heartbeats).  Ties are broken deterministically — cluster
+//! before arrival before queued event; lower cluster index, trace
+//! position, push order within each — so a fleet run is as replayable
+//! as a single-cluster run: same inputs, same seed, bit-identical
+//! outcome digest, regardless of thread count.  A request costs the
+//! fleet layer no allocation of its own: the routable set is a bitmask,
+//! each tenant's cluster ranking is computed once, and a request's
+//! first copy lives inline in its slot.
 //!
 //! The robustness machinery on top:
 //!
@@ -39,7 +45,7 @@
 use crate::health::{HealthConfig, HealthSample, HealthView};
 use crate::report::{ClassStats, Fnv, OutcomeFold};
 use crate::request::{Disposition, PriorityClass, Request, RequestRecord, ServeError, ShedReason};
-use crate::router::{Router, RouterConfig, RouterPolicy};
+use crate::router::{Choice, Ranking, Router, RouterConfig, RouterPolicy};
 use crate::server::{self, ServeConfig, ServeOutcome, ServedModel, Server};
 use hios_sim::{
     ClusterFaultEvent, ClusterFaultKind, DriftPlan, EventQueue, FaultEvent, FaultKind, FaultPlan,
@@ -403,29 +409,83 @@ struct Branch {
     idx: usize,
     /// Still pending inside a cluster.
     live: bool,
-    /// This copy's shed, parked until the last live branch dies.
-    shed: Option<FleetDisposition>,
-    /// Failover hops this copy took.
+    /// This copy's shed, parked while its sibling is still live (so only
+    /// ever set on a hedged request).
+    shed: Option<Box<FleetDisposition>>,
+    /// Failover hops this copy took (empty, unallocated, unless its
+    /// cluster was killed under it).
     hops: Vec<Hop>,
 }
 
-/// One logical fleet request across all its copies.
+impl Branch {
+    /// The first copy of a request the router has not placed (yet).
+    const UNPLACED: Branch = Branch {
+        cluster: 0,
+        idx: 0,
+        live: false,
+        shed: None,
+        hops: Vec::new(),
+    };
+
+    /// A copy about to be admitted into `cluster`.
+    fn bound_for(cluster: usize) -> Self {
+        Branch {
+            cluster,
+            live: true,
+            ..Branch::UNPLACED
+        }
+    }
+}
+
+/// The fleet's state for one trace entry (`reqs[i]` is `trace[i]`) across
+/// its copies.  A request has at most two — a re-route moves a copy, it
+/// does not add one — so the first lives inline and the hedged twin in
+/// [`Fleet::twins`].
 struct FleetReq {
-    request: Request,
-    branches: Vec<Branch>,
-    hedged: bool,
+    first: Branch,
+    /// The hedged twin's slot in [`Fleet::twins`], once one was issued.
+    twin: Option<usize>,
     terminal: Option<FleetDisposition>,
 }
 
+// 300k of these are the fleet layer's working set; a `Vec<Branch>` per
+// request once made that 640 B each.
+const _: () = assert!(std::mem::size_of::<FleetReq>() <= 192);
+
+/// A hedged twin: the second copy of `reqs[fi]`.
+struct Twin {
+    fi: usize,
+    branch: Branch,
+}
+
+/// Names one physical copy: what a cluster's state index maps back to.
+#[derive(Clone, Copy, Debug)]
+enum CopyRef {
+    /// The first-issued copy of `reqs[fi]`.
+    First(usize),
+    /// `twins[ti]`.
+    Twin(usize),
+}
+
+/// A fleet event that waits on the queue.  Arrivals never do: the trace
+/// is known up front, so the pump reads them off a sorted cursor.
 enum FleetEvent {
-    /// Trace index arrives at the router.
-    Arrival(usize),
-    /// Cluster fault event index (kill or partition) fires.
-    Fault(usize),
+    /// A cluster kill or router partition fires.
+    Fault(ClusterFaultEvent),
     /// A router partition to this cluster heals.
     PartitionHeal(usize),
     /// Periodic health heartbeat across all live clusters.
     Heartbeat,
+}
+
+/// What the pump processes next.
+enum Next {
+    /// Cluster `ci` steps its own earliest event.
+    Cluster(usize),
+    /// Trace entry `ti` arrives at the router.
+    Arrival(usize),
+    /// The head of the fleet event queue fires.
+    Queued,
 }
 
 struct Cluster<'a> {
@@ -433,8 +493,8 @@ struct Cluster<'a> {
     alive: bool,
     /// Consumed-records watermark into `srv.outcomes()`.
     seen: usize,
-    /// State index → (fleet request index, branch index).
-    copy_map: Vec<(usize, usize)>,
+    /// State index → the copy it stands for.
+    copy_map: Vec<CopyRef>,
     /// Terminal outcomes since the last heartbeat.
     window_outcomes: u64,
     /// Misses (shed or late) among them.
@@ -443,15 +503,28 @@ struct Cluster<'a> {
 
 struct Fleet<'a> {
     cfg: &'a FleetConfig,
+    trace: &'a [Request],
     clusters: Vec<Cluster<'a>>,
-    router: Router,
+    /// Each tenant's cluster ranking, fixed for the run.
+    rankings: Vec<Ranking>,
     health: HealthView,
+    /// Faults, heals and heartbeats — a handful of entries at any time.
     events: EventQueue<FleetEvent>,
-    cluster_faults: Vec<ClusterFaultEvent>,
+    /// Trace positions by arrival instant, trace position among equals.
+    arrivals: Vec<usize>,
+    /// Arrivals already routed: `arrivals[arrived..]` are still to come.
+    arrived: usize,
+    /// One per trace entry, in trace order.
     reqs: Vec<FleetReq>,
+    twins: Vec<Twin>,
     /// Fleet requests without a terminal disposition yet.
     open: usize,
     now: f64,
+    ctr: FleetCounters,
+}
+
+#[derive(Default)]
+struct FleetCounters {
     hedges_issued: u64,
     hedge_wins_secondary: u64,
     hedge_cancelled: u64,
@@ -474,10 +547,47 @@ fn wrap_hops(hops: &[Hop], inner: FleetDisposition) -> FleetDisposition {
 }
 
 impl<'a> Fleet<'a> {
-    fn routable_mask(&self) -> Vec<bool> {
+    /// The clusters the router may place new work on, as a bitmask.
+    fn routable(&self) -> u16 {
         (0..self.clusters.len())
-            .map(|c| self.clusters[c].alive && self.health.routable(c))
-            .collect()
+            .filter(|&c| self.clusters[c].alive && self.health.routable(c))
+            .fold(0, |mask, c| mask | 1 << c)
+    }
+
+    /// The failover choice for `tenant` right now.
+    fn choose(&self, tenant: usize) -> Option<Choice> {
+        self.rankings[tenant].choose(self.routable(), |c| self.clusters[c].srv.queue_depth())
+    }
+
+    /// The fleet request `copy` belongs to.
+    fn owner(&self, copy: CopyRef) -> usize {
+        match copy {
+            CopyRef::First(fi) => fi,
+            CopyRef::Twin(ti) => self.twins[ti].fi,
+        }
+    }
+
+    fn branch(&self, copy: CopyRef) -> &Branch {
+        match copy {
+            CopyRef::First(fi) => &self.reqs[fi].first,
+            CopyRef::Twin(ti) => &self.twins[ti].branch,
+        }
+    }
+
+    fn branch_mut(&mut self, copy: CopyRef) -> &mut Branch {
+        match copy {
+            CopyRef::First(fi) => &mut self.reqs[fi].first,
+            CopyRef::Twin(ti) => &mut self.twins[ti].branch,
+        }
+    }
+
+    /// The other copy of `copy`'s request, if it exists and is pending.
+    fn live_sibling(&self, copy: CopyRef) -> Option<CopyRef> {
+        let sibling = match copy {
+            CopyRef::First(fi) => CopyRef::Twin(self.reqs[fi].twin?),
+            CopyRef::Twin(ti) => CopyRef::First(self.twins[ti].fi),
+        };
+        self.branch(sibling).live.then_some(sibling)
     }
 
     /// Settles `fi` with its terminal disposition.
@@ -487,41 +597,44 @@ impl<'a> Fleet<'a> {
         self.open -= 1;
     }
 
-    /// Injects a fresh copy of `fi` into cluster `ci`.
-    fn inject_branch(&mut self, fi: usize, ci: usize) {
-        let bi = self.reqs[fi].branches.len();
-        self.reqs[fi].branches.push(Branch {
-            cluster: ci,
-            idx: 0,
-            live: true,
-            shed: None,
-            hops: Vec::new(),
-        });
-        self.admit(fi, bi);
+    /// Admits `copy` into the cluster its branch names, records which
+    /// copy the cluster's new state index stands for, and drains any
+    /// records the injection produced synchronously (immediate sheds,
+    /// cascaded dispatch sheds).
+    fn admit(&mut self, copy: CopyRef) {
+        let fi = self.owner(copy);
+        let ci = self.branch(copy).cluster;
+        let idx = self.clusters[ci].srv.inject(self.trace[fi], self.now);
+        debug_assert_eq!(self.clusters[ci].copy_map.len(), idx);
+        self.clusters[ci].copy_map.push(copy);
+        self.branch_mut(copy).idx = idx;
+        self.consume(ci);
     }
 
-    /// Admits branch `bi` of `fi` into the cluster the branch names,
-    /// records which copy the cluster's new state index stands for, and
-    /// drains any records the injection produced synchronously
-    /// (immediate sheds, cascaded dispatch sheds).
-    fn admit(&mut self, fi: usize, bi: usize) {
-        let ci = self.reqs[fi].branches[bi].cluster;
-        let idx = self.clusters[ci]
-            .srv
-            .inject(self.reqs[fi].request, self.now);
-        debug_assert_eq!(self.clusters[ci].copy_map.len(), idx);
-        self.clusters[ci].copy_map.push((fi, bi));
-        self.reqs[fi].branches[bi].idx = idx;
-        self.consume(ci);
+    /// Places the first copy of `fi` on cluster `ci`.
+    fn inject_first(&mut self, fi: usize, ci: usize) {
+        self.reqs[fi].first = Branch::bound_for(ci);
+        self.admit(CopyRef::First(fi));
+    }
+
+    /// Issues the hedged twin of `fi` on cluster `ci`.
+    fn inject_twin(&mut self, fi: usize, ci: usize) {
+        let ti = self.twins.len();
+        self.twins.push(Twin {
+            fi,
+            branch: Branch::bound_for(ci),
+        });
+        self.reqs[fi].twin = Some(ti);
+        self.ctr.hedges_issued += 1;
+        self.admit(CopyRef::Twin(ti));
     }
 
     /// Routes a fresh arrival.
     fn route_fresh(&mut self, fi: usize) {
-        let request = self.reqs[fi].request;
-        let tenant = request.model as u64;
+        let request = self.trace[fi];
         match self.cfg.router.policy {
             RouterPolicy::StaticHash => {
-                let target = self.router.static_target(tenant);
+                let target = self.rankings[request.model].top();
                 if !self.clusters[target].alive || self.health.cluster(target).dead {
                     let d = FleetDisposition::Shed {
                         cluster: Some(target),
@@ -537,16 +650,11 @@ impl<'a> Fleet<'a> {
                     };
                     self.finish(fi, d);
                 } else {
-                    self.inject_branch(fi, target);
+                    self.inject_first(fi, target);
                 }
             }
             RouterPolicy::Failover => {
-                let routable = self.routable_mask();
-                let clusters = &self.clusters;
-                let choice = self
-                    .router
-                    .choose(tenant, &routable, |c| clusters[c].srv.queue_depth());
-                let Some(choice) = choice else {
+                let Some(choice) = self.choose(request.model) else {
                     let d = FleetDisposition::Shed {
                         cluster: None,
                         at_ms: self.now,
@@ -576,12 +684,10 @@ impl<'a> Fleet<'a> {
                     }
                     _ => None,
                 };
-                self.inject_branch(fi, choice.primary);
+                self.inject_first(fi, choice.primary);
                 if let Some(target) = hedge_target {
                     if self.reqs[fi].terminal.is_none() {
-                        self.reqs[fi].hedged = true;
-                        self.hedges_issued += 1;
-                        self.inject_branch(fi, target);
+                        self.inject_twin(fi, target);
                     }
                 }
             }
@@ -600,14 +706,14 @@ impl<'a> Fleet<'a> {
                 (terminal_idx[c.seen], records[c.seen].clone())
             };
             self.clusters[ci].seen += 1;
-            let (fi, bi) = self.clusters[ci].copy_map[idx];
-            self.on_branch_record(ci, fi, bi, record);
+            let copy = self.clusters[ci].copy_map[idx];
+            self.on_branch_record(ci, copy, record);
         }
     }
 
     /// Folds one cluster-level record into the fleet request it belongs
     /// to.
-    fn on_branch_record(&mut self, ci: usize, fi: usize, bi: usize, record: RequestRecord) {
+    fn on_branch_record(&mut self, ci: usize, copy: CopyRef, record: RequestRecord) {
         let miss = match &record.disposition {
             Disposition::Completed { met_deadline, .. } => !met_deadline,
             Disposition::Shed { .. } => true,
@@ -616,10 +722,11 @@ impl<'a> Fleet<'a> {
         if miss {
             self.clusters[ci].window_misses += 1;
         }
-        self.reqs[fi].branches[bi].live = false;
+        let fi = self.owner(copy);
+        self.branch_mut(copy).live = false;
         if self.reqs[fi].terminal.is_some() {
             // The twin already settled this request; late work is waste.
-            self.hedge_wasted += 1;
+            self.ctr.hedge_wasted += 1;
             return;
         }
         match record.disposition {
@@ -630,9 +737,8 @@ impl<'a> Fleet<'a> {
                 met_deadline,
                 repairs,
             } => {
-                let hedged = self.reqs[fi].hedged;
-                if hedged && bi == 1 {
-                    self.hedge_wins_secondary += 1;
+                if matches!(copy, CopyRef::Twin(_)) {
+                    self.ctr.hedge_wins_secondary += 1;
                 }
                 let inner = FleetDisposition::Completed {
                     cluster: ci,
@@ -641,22 +747,19 @@ impl<'a> Fleet<'a> {
                     attempts,
                     met_deadline,
                     repairs,
-                    hedged,
+                    hedged: self.reqs[fi].twin.is_some(),
                 };
-                let wrapped = wrap_hops(&self.reqs[fi].branches[bi].hops, inner);
-                // First completion wins: cancel the live twin so it
+                let wrapped = wrap_hops(&self.branch(copy).hops, inner);
+                // First completion wins: cancel the live sibling so it
                 // neither runs nor records.
-                for obi in 0..self.reqs[fi].branches.len() {
-                    if obi == bi || !self.reqs[fi].branches[obi].live {
-                        continue;
-                    }
-                    let oc = self.reqs[fi].branches[obi].cluster;
-                    let oidx = self.reqs[fi].branches[obi].idx;
-                    self.reqs[fi].branches[obi].live = false;
+                if let Some(other) = self.live_sibling(copy) {
+                    let b = self.branch_mut(other);
+                    b.live = false;
+                    let (oc, oidx) = (b.cluster, b.idx);
                     if self.clusters[oc].alive {
                         self.clusters[oc].srv.touch(self.now);
                         self.clusters[oc].srv.cancel(oidx);
-                        self.hedge_cancelled += 1;
+                        self.ctr.hedge_cancelled += 1;
                         // Cancelling may free a slot and shed other
                         // queued requests at dispatch — drain them.
                         self.consume(oc);
@@ -670,25 +773,32 @@ impl<'a> Fleet<'a> {
                     at_ms,
                     reason: FleetShedReason::Cluster(reason),
                 };
-                let wrapped = wrap_hops(&self.reqs[fi].branches[bi].hops, inner);
-                self.reqs[fi].branches[bi].shed = Some(wrapped);
-                self.settle_if_all_dead(fi);
+                self.on_branch_shed(copy, inner);
             }
         }
     }
 
-    /// When no branch of `fi` is live and no terminal is set, the
-    /// first-issued copy's parked shed becomes the request's fate.
-    fn settle_if_all_dead(&mut self, fi: usize) {
-        if self.reqs[fi].terminal.is_some() || self.reqs[fi].branches.iter().any(|b| b.live) {
+    /// `copy` (no longer live) ended in `shed`.  While its sibling is
+    /// still pending the shed is parked on the copy; once no copy is
+    /// live, the first-issued copy's shed becomes the request's fate.
+    fn on_branch_shed(&mut self, copy: CopyRef, shed: FleetDisposition) {
+        let fi = self.owner(copy);
+        debug_assert!(self.reqs[fi].terminal.is_none() && !self.branch(copy).live);
+        let wrapped = wrap_hops(&self.branch(copy).hops, shed);
+        if self.live_sibling(copy).is_some() {
+            self.branch_mut(copy).shed = Some(Box::new(wrapped));
             return;
         }
-        let d = self.reqs[fi]
-            .branches
-            .iter()
-            .find_map(|b| b.shed.clone())
-            .expect("a settled branch parks its shed");
-        self.finish(fi, d);
+        let fate = match copy {
+            CopyRef::First(_) => wrapped,
+            // A first copy that was drained while this twin carried the
+            // request on parked nothing; the twin's shed then stands.
+            CopyRef::Twin(_) => match self.reqs[fi].first.shed.take() {
+                Some(parked) => *parked,
+                None => wrapped,
+            },
+        };
+        self.finish(fi, fate);
     }
 
     /// Kills cluster `ci`: drains its pending work and, under the
@@ -697,63 +807,49 @@ impl<'a> Fleet<'a> {
         if !self.clusters[ci].alive {
             return;
         }
-        self.cluster_kills += 1;
+        self.ctr.cluster_kills += 1;
         self.consume(ci);
         self.clusters[ci].srv.touch(self.now);
         self.clusters[ci].alive = false;
         self.health.mark_dead(ci);
         let drained = self.clusters[ci].srv.drain();
         for (idx, _) in drained {
-            let (fi, bi) = self.clusters[ci].copy_map[idx];
-            self.reqs[fi].branches[bi].live = false;
-            if self.reqs[fi].terminal.is_some() {
+            let copy = self.clusters[ci].copy_map[idx];
+            self.branch_mut(copy).live = false;
+            if self.reqs[self.owner(copy)].terminal.is_some() {
                 continue;
             }
-            let twin_alive = self.reqs[fi]
-                .branches
-                .iter()
-                .enumerate()
-                .any(|(obi, b)| obi != bi && b.live);
-            if twin_alive {
+            if self.live_sibling(copy).is_some() {
                 // The hedged twin carries the request forward.
                 continue;
             }
             match self.cfg.router.policy {
-                RouterPolicy::Failover => self.reroute(fi, bi, ci),
+                RouterPolicy::Failover => self.reroute(copy, ci),
                 RouterPolicy::StaticHash => {
                     let inner = FleetDisposition::Shed {
                         cluster: Some(ci),
                         at_ms: self.now,
                         reason: FleetShedReason::DeadCluster { cluster: ci },
                     };
-                    let wrapped = wrap_hops(&self.reqs[fi].branches[bi].hops, inner);
-                    self.reqs[fi].branches[bi].shed = Some(wrapped);
-                    self.settle_if_all_dead(fi);
+                    self.on_branch_shed(copy, inner);
                 }
             }
         }
     }
 
-    /// Re-routes branch `bi` of `fi` off killed cluster `from`, shedding
-    /// with a typed reason when no feasible target exists.
-    fn reroute(&mut self, fi: usize, bi: usize, from: usize) {
-        let request = self.reqs[fi].request;
+    /// Re-routes `copy` off killed cluster `from`, shedding with a typed
+    /// reason when no feasible target exists.
+    fn reroute(&mut self, copy: CopyRef, from: usize) {
+        let request = self.trace[self.owner(copy)];
         let failover_shed = |fleet: &mut Fleet<'a>, reason: FailoverReason| {
             let inner = FleetDisposition::FailoverShed {
                 from,
                 at_ms: fleet.now,
                 reason,
             };
-            let wrapped = wrap_hops(&fleet.reqs[fi].branches[bi].hops, inner);
-            fleet.reqs[fi].branches[bi].shed = Some(wrapped);
-            fleet.settle_if_all_dead(fi);
+            fleet.on_branch_shed(copy, inner);
         };
-        let routable = self.routable_mask();
-        let clusters = &self.clusters;
-        let choice = self.router.choose(request.model as u64, &routable, |c| {
-            clusters[c].srv.queue_depth()
-        });
-        let Some(choice) = choice else {
+        let Some(choice) = self.choose(request.model) else {
             failover_shed(self, FailoverReason::NoRoutableCluster);
             return;
         };
@@ -775,15 +871,16 @@ impl<'a> Fleet<'a> {
             failover_shed(self, FailoverReason::Backpressure);
             return;
         }
-        let b = &mut self.reqs[fi].branches[bi];
+        let at_ms = self.now;
+        let b = self.branch_mut(copy);
         b.hops.push(Hop {
             from,
             to: target,
-            at_ms: self.now,
+            at_ms,
         });
         b.cluster = target;
         b.live = true;
-        self.admit(fi, bi);
+        self.admit(copy);
     }
 
     /// Samples every live cluster into the health view and re-arms the
@@ -805,7 +902,8 @@ impl<'a> Fleet<'a> {
             c.window_misses = 0;
             self.health.heartbeat(ci, sample);
         }
-        let work_left = self.events.peek_time().is_some()
+        let work_left = self.arrived < self.arrivals.len()
+            || self.events.peek_time().is_some()
             || self
                 .clusters
                 .iter()
@@ -818,26 +916,19 @@ impl<'a> Fleet<'a> {
 
     fn handle(&mut self, ev: FleetEvent) {
         match ev {
-            FleetEvent::Arrival(ti) => {
-                let fi = ti; // requests are pre-created in trace order
-                self.route_fresh(fi);
-            }
-            FleetEvent::Fault(k) => {
-                let e = self.cluster_faults[k];
-                match e.kind {
-                    ClusterFaultKind::ClusterKill => self.on_cluster_kill(e.cluster),
-                    ClusterFaultKind::PartitionRouter { heal_ms } => {
-                        if self.clusters[e.cluster].alive {
-                            self.partitions += 1;
-                            self.health.set_reachable(e.cluster, false);
-                            self.events
-                                .push(self.now + heal_ms, FleetEvent::PartitionHeal(e.cluster));
-                        }
+            FleetEvent::Fault(e) => match e.kind {
+                ClusterFaultKind::ClusterKill => self.on_cluster_kill(e.cluster),
+                ClusterFaultKind::PartitionRouter { heal_ms } => {
+                    if self.clusters[e.cluster].alive {
+                        self.ctr.partitions += 1;
+                        self.health.set_reachable(e.cluster, false);
+                        self.events
+                            .push(self.now + heal_ms, FleetEvent::PartitionHeal(e.cluster));
                     }
-                    // Degrades were lowered into the cluster's own plan.
-                    ClusterFaultKind::ClusterDegrade { .. } => {}
                 }
-            }
+                // Degrades were lowered into the cluster's own plan.
+                ClusterFaultKind::ClusterDegrade { .. } => {}
+            },
             FleetEvent::PartitionHeal(ci) => {
                 if self.clusters[ci].alive {
                     self.health.set_reachable(ci, true);
@@ -846,14 +937,71 @@ impl<'a> Fleet<'a> {
             FleetEvent::Heartbeat => self.on_heartbeat(),
         }
     }
+
+    /// The earliest pending event and its instant — a three-way merge of
+    /// the live clusters' own queues, the arrival cursor and the fleet
+    /// event queue.  Equal instants go cluster first (lower index among
+    /// clusters), then arrival (trace position among arrivals), then
+    /// queued event (push order): a completion landing on the very kill
+    /// instant still counts before the drain, and an arrival on a fault,
+    /// heal or heartbeat instant is routed on the view from before it.
+    fn next(&self) -> Option<(f64, Next)> {
+        let cluster = self
+            .clusters
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.alive)
+            .filter_map(|(ci, c)| c.srv.next_event_ms().map(|t| (t, ci)))
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let arrival = self
+            .arrivals
+            .get(self.arrived)
+            .map(|&ti| (self.trace[ti].arrival_ms, Next::Arrival(ti)));
+        let queued = self.events.peek_time().map(|t| (t, Next::Queued));
+        let fleet = match (arrival, queued) {
+            (Some(a), Some(q)) if a.0.total_cmp(&q.0).is_gt() => Some(q),
+            (arrival, queued) => arrival.or(queued),
+        };
+        match (cluster, fleet) {
+            (Some((tc, _)), Some((tf, next))) if tf < tc => Some((tf, next)),
+            (Some((tc, ci)), _) => Some((tc, Next::Cluster(ci))),
+            (None, fleet) => fleet,
+        }
+    }
+
+    /// Runs every cluster and the router to quiescence.
+    fn pump(&mut self) {
+        while let Some((t, next)) = self.next() {
+            match next {
+                Next::Cluster(ci) => {
+                    self.clusters[ci].srv.step();
+                    self.now = self.now.max(t);
+                    self.consume(ci);
+                }
+                Next::Arrival(ti) => {
+                    self.arrived += 1;
+                    self.now = self.now.max(t);
+                    self.route_fresh(ti);
+                }
+                Next::Queued => {
+                    if let Some((_, ev)) = self.events.pop() {
+                        self.now = self.now.max(t);
+                        self.handle(ev);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Serves `trace` across a fleet of clusters under `faults`.
 ///
-/// Deterministic: the pump orders cluster and fleet events by virtual
-/// time with fixed tie-breaks (cluster before fleet, lower cluster index
-/// first), so the outcome digest is bit-identical across runs and rayon
-/// thread counts.
+/// Deterministic: the pump orders cluster events, arrivals and fleet
+/// events by virtual time with fixed tie-breaks (cluster before arrival
+/// before fault, heal or heartbeat; lower cluster index first; trace
+/// position among equal arrivals, so an unsorted trace serves like its
+/// sorted self), and the outcome digest is bit-identical across runs and
+/// rayon thread counts.
 pub fn serve_fleet(
     models: &[ServedModel],
     trace: &[Request],
@@ -873,32 +1021,38 @@ pub fn serve_fleet(
     validate_cluster_events(&faults.cluster_events, n)
         .map_err(|e| server::bad_options(format!("fleet faults: {e}")))?;
     for ccfg in &cfg.clusters {
-        server::validate(models, trace, ccfg)?;
+        server::validate_config(models, ccfg)?;
     }
+    server::validate_trace(models, trace)?;
 
     // Stable-sort the cluster events by time (validation already ran).
     let mut cluster_faults = faults.cluster_events.clone();
     cluster_faults.sort_by(|a, b| a.at_ms.total_cmp(&b.at_ms));
 
     // Lower degrades into the target cluster's own GPU-level plan, where
-    // the normal detection/repair loop sees them.
+    // the normal detection/repair loop sees them; kills and partitions
+    // wait on the fleet's queue, and the first heartbeat behind them.
     let mut plans: Vec<FaultPlan> = if faults.per_cluster.is_empty() {
         (0..n).map(|_| FaultPlan::none()).collect()
     } else {
         faults.per_cluster.clone()
     };
+    let mut events = EventQueue::new();
     for e in &cluster_faults {
         if let ClusterFaultKind::ClusterDegrade { factor } = e.kind {
-            let mut events = plans[e.cluster].events.clone();
+            let mut lowered = plans[e.cluster].events.clone();
             for gpu in 0..cfg.clusters[e.cluster].num_gpus {
-                events.push(FaultEvent {
+                lowered.push(FaultEvent {
                     at_ms: e.at_ms,
                     kind: FaultKind::GpuSlowdown { gpu, factor },
                 });
             }
-            plans[e.cluster] = FaultPlan::new(events);
+            plans[e.cluster] = FaultPlan::new(lowered);
+        } else {
+            events.push(e.at_ms, FleetEvent::Fault(*e));
         }
     }
+    events.push(cfg.health.heartbeat_ms, FleetEvent::Heartbeat);
 
     let drift = DriftPlan::none();
     let mut clusters = Vec::with_capacity(n);
@@ -913,96 +1067,58 @@ pub fn serve_fleet(
         });
     }
 
+    // Requests arrive by instant, trace position among equal instants
+    // (the sort is stable), as in `Server::run_trace`.
+    let mut arrivals: Vec<usize> = (0..trace.len()).collect();
+    arrivals.sort_by(|&a, &b| trace[a].arrival_ms.total_cmp(&trace[b].arrival_ms));
+
     let mut fleet = Fleet {
         cfg,
+        trace,
         clusters,
-        router,
+        rankings: (0..models.len())
+            .map(|tenant| router.ranking(tenant as u64))
+            .collect(),
         health,
-        events: EventQueue::new(),
-        cluster_faults,
+        events,
+        arrivals,
+        arrived: 0,
         reqs: trace
             .iter()
-            .map(|&request| FleetReq {
-                request,
-                branches: Vec::new(),
-                hedged: false,
+            .map(|_| FleetReq {
+                first: Branch::UNPLACED,
+                twin: None,
                 terminal: None,
             })
             .collect(),
+        twins: Vec::new(),
         open: trace.len(),
         now: 0.0,
-        hedges_issued: 0,
-        hedge_wins_secondary: 0,
-        hedge_cancelled: 0,
-        hedge_wasted: 0,
-        cluster_kills: 0,
-        partitions: 0,
+        ctr: FleetCounters::default(),
     };
+    fleet.pump();
 
-    for (ti, r) in trace.iter().enumerate() {
-        fleet.events.push(r.arrival_ms, FleetEvent::Arrival(ti));
-    }
-    for (k, e) in fleet.cluster_faults.clone().iter().enumerate() {
-        if !matches!(e.kind, ClusterFaultKind::ClusterDegrade { .. }) {
-            fleet.events.push(e.at_ms, FleetEvent::Fault(k));
-        }
-    }
-    fleet
-        .events
-        .push(cfg.health.heartbeat_ms, FleetEvent::Heartbeat);
-
-    loop {
-        let next_cluster = fleet
-            .clusters
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.alive)
-            .filter_map(|(ci, c)| c.srv.next_event_ms().map(|t| (t, ci)))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let next_fleet = fleet.events.peek_time();
-        match (next_cluster, next_fleet) {
-            (None, None) => break,
-            // Ties step the cluster first, so completions landing at the
-            // very kill instant still count before the drain.
-            (Some((tc, ci)), tf) if tf.is_none() || tc <= tf.unwrap() => {
-                fleet.clusters[ci].srv.step();
-                fleet.now = fleet.now.max(tc);
-                fleet.consume(ci);
-            }
-            _ => {
-                let (t, ev) = fleet.events.pop().expect("peeked non-empty");
-                fleet.now = fleet.now.max(t);
-                fleet.handle(ev);
-            }
-        }
-    }
-
-    debug_assert_eq!(fleet.open, 0, "fleet pump drained with open requests");
     let horizon_ms = fleet.now;
+    // Every `terminal` is set: the cursor routed every arrival, which
+    // settled it at the router or injected a copy; a cluster terminates
+    // every copy it holds before its queue runs dry, or is killed and
+    // drained; and each copy's end settles its request unless the sibling
+    // is still live to do so.
+    debug_assert_eq!(fleet.open, 0, "fleet pump drained with open requests");
     let mut records: Vec<FleetRecord> = fleet
         .reqs
         .into_iter()
-        .map(|r| FleetRecord {
-            disposition: r
-                .terminal
-                .expect("every fleet request ends in exactly one typed disposition"),
-            request: r.request,
+        .zip(trace)
+        .filter_map(|(r, &request)| {
+            r.terminal.map(|disposition| FleetRecord {
+                request,
+                disposition,
+            })
         })
         .collect();
     records.sort_by_key(|r| r.request.id);
 
-    let report = summarize_fleet(
-        &records,
-        horizon_ms,
-        FleetCounters {
-            hedges_issued: fleet.hedges_issued,
-            hedge_wins_secondary: fleet.hedge_wins_secondary,
-            hedge_cancelled: fleet.hedge_cancelled,
-            hedge_wasted: fleet.hedge_wasted,
-            cluster_kills: fleet.cluster_kills,
-            partitions: fleet.partitions,
-        },
-    );
+    let report = summarize_fleet(&records, horizon_ms, fleet.ctr);
     let clusters = fleet
         .clusters
         .into_iter()
@@ -1013,15 +1129,6 @@ pub fn serve_fleet(
         report,
         clusters,
     })
-}
-
-struct FleetCounters {
-    hedges_issued: u64,
-    hedge_wins_secondary: u64,
-    hedge_cancelled: u64,
-    hedge_wasted: u64,
-    cluster_kills: usize,
-    partitions: usize,
 }
 
 fn summarize_fleet(records: &[FleetRecord], horizon_ms: f64, ctr: FleetCounters) -> FleetReport {
@@ -1062,7 +1169,9 @@ fn summarize_fleet(records: &[FleetRecord], horizon_ms: f64, ctr: FleetCounters)
                     FailoverReason::Backpressure => backpressure_sheds += 1,
                 }
             }
-            FleetDisposition::Rerouted { .. } => unreachable!("terminal() unwraps reroutes"),
+            // `terminal()` recurses through every `Rerouted`, so it never
+            // returns one.
+            FleetDisposition::Rerouted { .. } => debug_assert!(false, "terminal() is a leaf"),
         }
     }
     let f = fold.finish(horizon_ms);
@@ -1271,6 +1380,66 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_completion_on_an_arrival_instant_is_stepped_first() {
+        let models = models();
+        let mut cfg = FleetConfig::new(1, 2);
+        cfg.clusters[0].queue_capacity = 1;
+        let request = |id: u64, arrival_ms: f64| Request {
+            id,
+            model: 0,
+            arrival_ms,
+            deadline_ms: arrival_ms + 1.0e6,
+            class: PriorityClass::Gold,
+        };
+        // Request 0 runs while request 1 fills the one-slot queue.
+        let mut trace = vec![request(0, 0.0), request(1, 0.001)];
+        let alone = serve_fleet(&models, &trace, &FleetFaults::none(), &cfg).unwrap();
+        let FleetDisposition::Completed { finish_ms, .. } = alone.records[0].disposition else {
+            panic!("{:?}", alone.records[0]);
+        };
+        // Request 2 arrives on the instant request 0 completes: the
+        // cluster steps first, so the slot request 1 leaves is free.
+        trace.push(request(2, finish_ms));
+        let out = serve_fleet(&models, &trace, &FleetFaults::none(), &cfg).unwrap();
+        assert_eq!(out.records[0], alone.records[0]);
+        assert!(
+            out.records[2].disposition.completed(),
+            "{:?}",
+            out.records[2]
+        );
+    }
+
+    #[test]
+    fn the_fleet_report_does_not_depend_on_record_order() {
+        let models = models();
+        let trace = trace(300, 100.0, 3);
+        let span = trace.last().unwrap().arrival_ms;
+        let out = serve_fleet(
+            &models,
+            &trace,
+            &kill(1, span * 0.5),
+            &FleetConfig::new(4, 2),
+        );
+        let out = out.unwrap();
+        let latency_of = |r: &FleetRecord| match r.disposition.terminal() {
+            FleetDisposition::Completed { latency_ms, .. } => *latency_ms,
+            _ => f64::INFINITY,
+        };
+        let mut sorted = out.records;
+        sorted.sort_by(|a, b| latency_of(a).total_cmp(&latency_of(b)));
+        let mut shuffled = sorted.clone();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, (i * 7919 + 13) % (i + 1));
+        }
+        assert_ne!(shuffled, sorted);
+        let report = |records: &[FleetRecord]| FleetReport {
+            history_digest: 0,
+            ..summarize_fleet(records, out.report.horizon_ms, FleetCounters::default())
+        };
+        assert_eq!(report(&shuffled), report(&sorted));
     }
 
     #[test]

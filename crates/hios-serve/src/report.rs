@@ -118,14 +118,30 @@ pub struct ServeReport {
     pub history_digest: u64,
 }
 
-/// Deterministic percentile of `sorted` (ascending): the smallest value
-/// with at least `p`·n values at or below it (nearest-rank).
+/// Position of the nearest-rank `p`-th percentile among `n >= 1` values
+/// in ascending order: the smallest with at least `p`·n at or below it.
+fn rank_index(n: usize, p: f64) -> usize {
+    let rank = (p * n as f64).ceil() as usize;
+    rank.clamp(1, n) - 1
+}
+
+/// Deterministic percentile of `sorted` (ascending, by `total_cmp`).
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return f64::NAN;
     }
-    let rank = (p * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    sorted[rank_index(sorted.len(), p)]
+}
+
+/// [`percentile`] of `values` in any order, by selection instead of a
+/// sort.  `total_cmp` is a total order in which equal means bit-equal, so
+/// the value at a rank is the same bits whichever way it is reached.
+fn percentile_unsorted(values: &mut [f64], p: f64) -> f64 {
+    if values.is_empty() {
+        return f64::NAN;
+    }
+    let at = rank_index(values.len(), p);
+    *values.select_nth_unstable_by(at, f64::total_cmp).1
 }
 
 /// Fraction of `total` requests not among the `kept` ones (`0` — not
@@ -243,11 +259,10 @@ impl OutcomeFold {
             }
         };
         for (stats, lat) in self.stats.iter_mut().zip(&mut self.latencies) {
-            lat.sort_by(f64::total_cmp);
             stats.p99_ms = if lat.is_empty() {
                 0.0
             } else {
-                percentile(lat, 0.99)
+                percentile_unsorted(lat, 0.99)
             };
             // Misses are late completions plus every shed.
             stats.miss_rate = lost_fraction(stats.total, stats.on_time);
@@ -344,7 +359,8 @@ pub fn summarize(records: &[RequestRecord], inputs: &ReportInputs) -> ServeRepor
         }
     }
     let f = fold.finish(inputs.horizon_ms);
-    latencies.sort_by(f64::total_cmp);
+    // Unstable is exact here: equal under `total_cmp` means bit-equal.
+    latencies.sort_unstable_by(f64::total_cmp);
     let mean_ms = if latencies.is_empty() {
         f64::NAN
     } else {
@@ -393,6 +409,8 @@ pub fn summarize(records: &[RequestRecord], inputs: &ReportInputs) -> ServeRepor
 mod tests {
     use super::*;
     use crate::request::{PriorityClass, Request};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     fn rec_class(id: u64, class: PriorityClass, disposition: Disposition) -> RequestRecord {
         RequestRecord {
@@ -547,6 +565,100 @@ mod tests {
         assert_eq!(r.class_stats[1].shed, 1);
         assert_eq!(r.class_stats[2].shed, 1);
         assert_eq!(r.class_stats[2].miss_rate, 1.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The percentile read by selection is the bits a full sort puts
+        /// at that rank — over samples thick with duplicates, both zeros
+        /// and sub-normals, where `total_cmp` and `<` disagree.
+        #[test]
+        fn selection_reads_the_percentile_a_sort_reads(
+            (seed, n) in (0u64..u64::MAX, 1usize..=300)
+        ) {
+            let values = latencies(&mut TestRng::for_case("selection", seed), n);
+            let mut sorted = values.clone();
+            sorted.sort_by(f64::total_cmp);
+            for p in [0.5, 0.95, 0.99] {
+                let mut scratch = values.clone();
+                prop_assert_eq!(
+                    percentile_unsorted(&mut scratch, p).to_bits(),
+                    percentile(&sorted, p).to_bits()
+                );
+            }
+        }
+
+        /// A report is a function of the multiset of outcomes: records
+        /// in a shuffled order give the report their sorted order gives
+        /// (all but the digest, which hashes the stream in order).
+        #[test]
+        fn reports_do_not_depend_on_record_order(
+            (seed, n) in (0u64..u64::MAX, 1usize..=200)
+        ) {
+            let mut rng = TestRng::for_case("record-order", seed);
+            let mut sorted: Vec<RequestRecord> = latencies(&mut rng, n)
+                .into_iter()
+                .enumerate()
+                .map(|(i, latency)| {
+                    let class = PriorityClass::from_index(rng.below(3) as usize);
+                    let disposition = if rng.below(5) == 0 {
+                        Disposition::Shed {
+                            at_ms: latency,
+                            reason: ShedReason::QueueFull { capacity: 4 },
+                        }
+                    } else {
+                        Disposition::Completed {
+                            finish_ms: latency,
+                            latency_ms: latency,
+                            attempts: 1,
+                            met_deadline: rng.below(4) != 0,
+                            repairs: 0,
+                        }
+                    };
+                    rec_class(i as u64, class, disposition)
+                })
+                .collect();
+            let latency_of = |r: &RequestRecord| match r.disposition {
+                Disposition::Completed { latency_ms, .. } => latency_ms,
+                Disposition::Shed { at_ms, .. } => at_ms,
+            };
+            sorted.sort_by(|a, b| latency_of(a).total_cmp(&latency_of(b)));
+            let mut shuffled = sorted.clone();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            let of_sorted = summarize(&sorted, &inputs());
+            let of_shuffled = ServeReport {
+                history_digest: of_sorted.history_digest,
+                ..summarize(&shuffled, &inputs())
+            };
+            // `mean_ms` is NaN with no completions; compare reports as text.
+            prop_assert_eq!(format!("{of_shuffled:?}"), format!("{of_sorted:?}"));
+        }
+    }
+
+    /// `n` latencies: a third from a small pool (duplicates, `±0.0`,
+    /// sub-normals), the rest uniform.
+    fn latencies(rng: &mut TestRng, n: usize) -> Vec<f64> {
+        const POOL: [f64; 7] = [
+            0.0,
+            -0.0,
+            5e-324,
+            f64::MIN_POSITIVE / 4.0,
+            1.5,
+            1.5000000000000002,
+            97.25,
+        ];
+        (0..n)
+            .map(|_| {
+                if rng.below(3) == 0 {
+                    POOL[rng.below(POOL.len() as u64) as usize]
+                } else {
+                    100.0 * rng.unit_f64()
+                }
+            })
+            .collect()
     }
 
     #[test]

@@ -63,11 +63,54 @@ pub struct Choice {
     pub hedge: Option<usize>,
 }
 
+/// Largest fleet a [`Router`] places over; a routable set is therefore
+/// one `u16` bitmask and a ranking one fixed array.
+pub(crate) const MAX_CLUSTERS: usize = 16;
+
 /// Deterministic per-tenant placement over `n` clusters.
 #[derive(Clone, Debug)]
 pub struct Router {
     cfg: RouterConfig,
     n: usize,
+}
+
+/// One tenant's clusters by descending rendezvous weight.  A pure
+/// function of `(seed, tenant, n)`, so the fleet computes it once per
+/// tenant and every routing decision after that only filters it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Ranking {
+    order: [u8; MAX_CLUSTERS],
+    n: u8,
+}
+
+impl Ranking {
+    fn clusters(&self) -> impl Iterator<Item = usize> + '_ {
+        self.order[..usize::from(self.n)]
+            .iter()
+            .map(|&c| usize::from(c))
+    }
+
+    /// The health-blind top choice.
+    pub(crate) fn top(&self) -> usize {
+        usize::from(self.order[0])
+    }
+
+    /// The failover choice among the clusters whose bit is set in
+    /// `routable`: see [`Router::choose`].
+    pub(crate) fn choose(&self, routable: u16, depth: impl Fn(usize) -> usize) -> Option<Choice> {
+        let mut top2 = self.clusters().filter(|&c| routable & (1 << c) != 0);
+        let a = top2.next()?;
+        Some(match top2.next() {
+            Some(b) if depth(b) < depth(a) => Choice {
+                primary: b,
+                hedge: Some(a),
+            },
+            runner_up => Choice {
+                primary: a,
+                hedge: runner_up,
+            },
+        })
+    }
 }
 
 /// splitmix64 finalizer: the same mixer the retry jitter and the
@@ -82,9 +125,9 @@ fn mix64(mut x: u64) -> u64 {
 impl Router {
     /// A router over `n` clusters.
     pub fn new(cfg: RouterConfig, n: usize) -> Result<Self, ServeError> {
-        if n == 0 || n > 16 {
+        if n == 0 || n > MAX_CLUSTERS {
             return Err(ServeError::Scheduler(SchedulerError::BadOptions(format!(
-                "router: fleet size must be in 1..=16, got {n}"
+                "router: fleet size must be in 1..={MAX_CLUSTERS}, got {n}"
             ))));
         }
         Ok(Router { cfg, n })
@@ -95,19 +138,32 @@ impl Router {
         mix64(mix64(self.cfg.seed ^ tenant).wrapping_add(cluster as u64))
     }
 
+    /// `tenant`'s ranking.  Weights are 64-bit hashes; a collision would
+    /// need two of ≤16 clusters to hash identically, so ties break by
+    /// index purely for paranoia's sake.
+    pub(crate) fn ranking(&self, tenant: u64) -> Ranking {
+        let mut weights = [0u64; MAX_CLUSTERS];
+        let mut order = [0u8; MAX_CLUSTERS];
+        for c in 0..self.n {
+            weights[c] = self.weight(tenant, c);
+            order[c] = c as u8; // n <= MAX_CLUSTERS
+        }
+        order[..self.n].sort_unstable_by_key(|&c| (std::cmp::Reverse(weights[usize::from(c)]), c));
+        Ranking {
+            order,
+            n: self.n as u8,
+        }
+    }
+
     /// Every cluster, ranked by descending rendezvous weight for
-    /// `tenant`.  Weights are 64-bit hashes; a collision would need two
-    /// of ≤16 clusters to hash identically, so ties break by index
-    /// purely for paranoia's sake.
+    /// `tenant`.
     pub fn ranked(&self, tenant: u64) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.n).collect();
-        order.sort_by_key(|&c| (std::cmp::Reverse(self.weight(tenant, c)), c));
-        order
+        self.ranking(tenant).clusters().collect()
     }
 
     /// The health-blind static-hash target: top-1 of the full ranking.
     pub fn static_target(&self, tenant: u64) -> usize {
-        self.ranked(tenant)[0]
+        self.ranking(tenant).top()
     }
 
     /// The failover choice: among the two highest-ranked clusters with
@@ -120,36 +176,13 @@ impl Router {
         routable: &[bool],
         depth: impl Fn(usize) -> usize,
     ) -> Option<Choice> {
-        let mut top2 = [None::<usize>; 2];
-        for c in self.ranked(tenant) {
-            if !routable[c] {
-                continue;
-            }
-            if top2[0].is_none() {
-                top2[0] = Some(c);
-            } else {
-                top2[1] = Some(c);
-                break;
-            }
-        }
-        let a = top2[0]?;
-        let Some(b) = top2[1] else {
-            return Some(Choice {
-                primary: a,
-                hedge: None,
-            });
-        };
-        if depth(b) < depth(a) {
-            Some(Choice {
-                primary: b,
-                hedge: Some(a),
-            })
-        } else {
-            Some(Choice {
-                primary: a,
-                hedge: Some(b),
-            })
-        }
+        let mask = routable
+            .iter()
+            .take(self.n)
+            .enumerate()
+            .filter(|&(_, &up)| up)
+            .fold(0u16, |mask, (c, _)| mask | 1 << c);
+        self.ranking(tenant).choose(mask, depth)
     }
 }
 
@@ -215,6 +248,69 @@ mod tests {
             .unwrap();
         assert_eq!(flipped.primary, r.ranked(7)[1]);
         assert_eq!(flipped.hedge, Some(first));
+    }
+
+    /// `Router::choose` as it stood before rankings were precomputed: a
+    /// fresh `Vec` ranking, sorted by re-hashing, scanned for the top two.
+    fn choose_by_sorting(
+        r: &Router,
+        tenant: u64,
+        routable: &[bool],
+        depth: impl Fn(usize) -> usize,
+    ) -> Option<Choice> {
+        let mut order: Vec<usize> = (0..r.n).collect();
+        order.sort_by_key(|&c| (std::cmp::Reverse(r.weight(tenant, c)), c));
+        let mut top2 = [None::<usize>; 2];
+        for c in order {
+            if !routable[c] {
+                continue;
+            }
+            if top2[0].is_none() {
+                top2[0] = Some(c);
+            } else {
+                top2[1] = Some(c);
+                break;
+            }
+        }
+        let a = top2[0]?;
+        let Some(b) = top2[1] else {
+            return Some(Choice {
+                primary: a,
+                hedge: None,
+            });
+        };
+        if depth(b) < depth(a) {
+            Some(Choice {
+                primary: b,
+                hedge: Some(a),
+            })
+        } else {
+            Some(Choice {
+                primary: a,
+                hedge: Some(b),
+            })
+        }
+    }
+
+    #[test]
+    fn precomputed_ranking_chooses_what_sorting_per_call_chose() {
+        let r = router(4);
+        let depths: [fn(usize) -> usize; 3] = [|_| 0, |c| c, |c| 3 - c];
+        let mut cases = 0;
+        for tenant in 0..64u64 {
+            let ranking = r.ranking(tenant);
+            for mask in 0..16u16 {
+                let routable: Vec<bool> = (0..4).map(|c| mask & (1 << c) != 0).collect();
+                for depth in depths {
+                    let want = choose_by_sorting(&r, tenant, &routable, depth);
+                    assert_eq!(ranking.choose(mask, depth), want, "{tenant} {mask:#06b}");
+                    assert_eq!(r.choose(tenant, &routable, depth), want);
+                    cases += 1;
+                }
+            }
+            assert_eq!(ranking.top(), r.ranked(tenant)[0]);
+        }
+        assert_eq!(cases, 3_072);
     }
 
     #[test]

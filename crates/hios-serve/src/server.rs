@@ -619,11 +619,19 @@ pub(crate) fn bad_options(msg: String) -> ServeError {
     ServeError::Scheduler(SchedulerError::BadOptions(msg))
 }
 
+/// [`validate_config`] then [`validate_trace`]: everything one cluster
+/// needs checked before it serves `trace`.
 pub(crate) fn validate(
     models: &[ServedModel],
     trace: &[Request],
     cfg: &ServeConfig,
 ) -> Result<(), ServeError> {
+    validate_config(models, cfg)?;
+    validate_trace(models, trace)
+}
+
+/// Checks `cfg` and that every model is servable under it.
+pub(crate) fn validate_config(models: &[ServedModel], cfg: &ServeConfig) -> Result<(), ServeError> {
     let bad = |msg: String| Err(bad_options(msg));
     if cfg.num_gpus == 0 || cfg.num_gpus > 64 {
         return bad(format!("num_gpus must be in 1..=64, got {}", cfg.num_gpus));
@@ -667,20 +675,6 @@ pub(crate) fn validate(
             return bad(format!("overload: {msg}"));
         }
     }
-    if let Some(r) = trace.iter().find(|r| r.model >= models.len()) {
-        return bad(format!(
-            "request {} targets model {} of {}",
-            r.id,
-            r.model,
-            models.len()
-        ));
-    }
-    if let Some(r) = trace
-        .iter()
-        .find(|r| !(r.arrival_ms.is_finite() && r.deadline_ms.is_finite()))
-    {
-        return bad(format!("request {} has non-finite instants", r.id));
-    }
     if !(cfg.gpu_repair_ms.is_finite() && cfg.gpu_repair_ms > 0.0) {
         return bad(format!(
             "gpu_repair_ms must be positive and finite, got {}",
@@ -692,6 +686,29 @@ pub(crate) fn validate(
             "detection_ms must be non-negative, got {}",
             cfg.detection_ms
         ));
+    }
+    Ok(())
+}
+
+/// Checks that every request names a served model and finite instants
+/// (they land on event queues, which accept nothing else).
+pub(crate) fn validate_trace(models: &[ServedModel], trace: &[Request]) -> Result<(), ServeError> {
+    if let Some(r) = trace.iter().find(|r| r.model >= models.len()) {
+        return Err(bad_options(format!(
+            "request {} targets model {} of {}",
+            r.id,
+            r.model,
+            models.len()
+        )));
+    }
+    if let Some(r) = trace
+        .iter()
+        .find(|r| !(r.arrival_ms.is_finite() && r.deadline_ms.is_finite()))
+    {
+        return Err(bad_options(format!(
+            "request {} has non-finite instants",
+            r.id
+        )));
     }
     Ok(())
 }

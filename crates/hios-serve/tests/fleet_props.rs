@@ -13,6 +13,8 @@
 //!
 //! `fleet_of_one_equals_serve` pins the layering itself: one cluster
 //! behind a static-hash router with no hedging is exactly [`serve`].
+//! `a_shuffled_trace_serves_like_its_sorted_self` pins the arrival
+//! cursor: requests are routed by arrival instant, not trace position.
 //!
 //! A separate (non-property) test pins the digest across rayon thread
 //! counts: the vendored rayon reads `RAYON_NUM_THREADS` per parallel
@@ -24,7 +26,9 @@ use hios_graph::{LayeredDagConfig, generate_layered_dag};
 use hios_serve::fleet::{FleetConfig, FleetFaults, serve_fleet};
 use hios_serve::generate_trace_with_classes;
 use hios_serve::router::RouterPolicy;
-use hios_serve::{ClassMix, Disposition, Request, ServeConfig, ServedModel, WorkloadConfig};
+use hios_serve::{
+    ClassMix, Disposition, PriorityClass, Request, ServeConfig, ServedModel, WorkloadConfig,
+};
 use hios_serve::{serve, trace_span_ms};
 use hios_sim::{ClusterFaultEvent, ClusterFaultKind, FaultKind, FaultPlan};
 use proptest::prelude::*;
@@ -210,6 +214,50 @@ fn fleet_digest_is_identical_at_one_and_four_rayon_threads() {
         let d4 = run(seed);
         std::env::remove_var("RAYON_NUM_THREADS");
         assert_eq!(d1, d4, "seed {seed}: digest differs across thread counts");
+    }
+}
+
+#[test]
+fn a_shuffled_trace_serves_like_its_sorted_self() {
+    let models = models();
+    let nominal = bounds::combined_bound(&models[0].graph, &models[0].cost, 2);
+    for seed in 1..=6u64 {
+        let mut sorted = trace(&models, 200, 900.0, seed);
+        // Tight Golds, so hedged twins are in play.
+        for r in sorted.iter_mut().filter(|r| r.class == PriorityClass::Gold) {
+            r.deadline_ms = r.arrival_ms + 3.0 * nominal;
+        }
+        let span = trace_span_ms(&sorted);
+        let faults = FleetFaults {
+            per_cluster: Vec::new(),
+            cluster_events: vec![
+                ClusterFaultEvent {
+                    at_ms: 0.3 * span,
+                    cluster: 1,
+                    kind: ClusterFaultKind::PartitionRouter {
+                        heal_ms: 0.2 * span,
+                    },
+                },
+                ClusterFaultEvent {
+                    at_ms: 0.6 * span,
+                    cluster: 0,
+                    kind: ClusterFaultKind::ClusterKill,
+                },
+            ],
+        };
+        let cfg = FleetConfig::new(3, 2);
+        // Distinct Poisson instants: any permutation is the same workload.
+        let mut mix = Mix(seed);
+        let mut shuffled = sorted.clone();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, mix.below(i as u64 + 1) as usize);
+        }
+        assert_ne!(shuffled, sorted);
+        let a = serve_fleet(&models, &sorted, &faults, &cfg).unwrap();
+        let b = serve_fleet(&models, &shuffled, &faults, &cfg).unwrap();
+        assert!(a.report.hedges_issued > 0 && a.report.cluster_kills == 1);
+        assert_eq!(a.report, b.report, "seed {seed}");
+        assert_eq!(a.records, b.records, "seed {seed}");
     }
 }
 
