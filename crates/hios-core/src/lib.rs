@@ -24,7 +24,7 @@
 //! Both run on a reusable, allocation-free evaluation engine
 //! ([`eval::EvalWorkspace`], [`eval::ListState`]) whose fast paths are
 //! differential-tested against the pre-optimization implementations kept
-//! in [`reference`].
+//! in [`reference`](mod@reference).
 //!
 //! With the `rayon` feature (on by default) the candidate trials of
 //! Alg. 1 and Alg. 3 fan out to a thread pool on large instances;

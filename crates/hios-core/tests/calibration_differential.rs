@@ -7,9 +7,7 @@
 //! calibration on a drift-free deployment changes nothing.
 
 use hios_core::{Algorithm, SchedulerOptions, run_scheduler};
-use hios_cost::{
-    CalibratedTable, CalibrationConfig, Calibrator, CostTable, RandomCostConfig, random_cost_table,
-};
+use hios_cost::{CalibratedTable, Calibrator, CostTable, RandomCostConfig, random_cost_table};
 use hios_graph::{Graph, LayeredDagConfig, generate_layered_dag};
 
 fn instance(seed: u64) -> (Graph, CostTable) {
@@ -32,7 +30,7 @@ fn zero_drift_calibration_is_bit_identical_for_all_six_algorithms() {
 
         // A calibrator that has seen plenty of traffic — all of it
         // exactly matching the profile's predictions.
-        let mut cal = Calibrator::new(m, g.num_ops(), CalibrationConfig::default());
+        let mut cal = Calibrator::new(m, g.num_ops());
         for round in 0..5 {
             for gpu in 0..m {
                 for v in g.op_ids() {
@@ -71,7 +69,7 @@ fn zero_drift_calibration_is_bit_identical_for_all_six_algorithms() {
 fn drifted_calibration_changes_plans_but_stays_valid() {
     let (g, base) = instance(7);
     let m = 3;
-    let mut cal = Calibrator::new(m, g.num_ops(), CalibrationConfig::default());
+    let mut cal = Calibrator::new(m, g.num_ops());
     // GPU 2 sustains a 4x slowdown across every operator.
     for _ in 0..6 {
         for v in g.op_ids() {

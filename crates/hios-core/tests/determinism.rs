@@ -11,8 +11,8 @@ use hios_core::lp::{HiosLpConfig, schedule_hios_lp};
 use hios_core::mr::{HiosMrConfig, schedule_hios_mr};
 use hios_core::repair::{RepairConfig, RepairPolicy, repair_schedule};
 use hios_cost::{
-    CalibratedTable, CalibrationConfig, Calibrator, CostTable, DeviceCosts, RandomCostConfig,
-    Topology, random_cost_table,
+    CalibratedTable, Calibrator, CostTable, DeviceCosts, RandomCostConfig, Topology,
+    random_cost_table,
 };
 use hios_graph::{LayeredDagConfig, generate_layered_dag};
 
@@ -74,7 +74,7 @@ fn lp_and_mr_outputs_are_thread_count_invariant() {
     // replay, the overlay bits and the schedules on top must all be
     // thread-count invariant.
     let calibrate = || {
-        let mut cal = Calibrator::new(4, g.num_ops(), CalibrationConfig::default());
+        let mut cal = Calibrator::new(4, g.num_ops());
         for round in 0..4u32 {
             for v in g.op_ids() {
                 // GPU 1 drifts ~2.5x with a deterministic per-op wobble;

@@ -34,94 +34,45 @@ use hios_graph::OpId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Knobs of the calibration loop.  [`CalibrationConfig::default`] matches
-/// the serving layer's deployment defaults; [`CalibrationConfig::validate`]
-/// rejects non-finite or out-of-range settings with a message.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CalibrationConfig {
-    /// EWMA gain `α ∈ (0, 1]` for the per-cell mean/variance estimators.
-    /// Larger adapts faster but is noisier.
-    pub alpha: f64,
-    /// Inflation multiplier `k ≥ 0`: planning prices use `mean + k·σ`.
-    /// `k = 0` plans on the point estimate; `k = 1` on roughly the 84th
-    /// percentile of the observed ratio distribution.
-    pub k_sigma: f64,
-    /// Per-observation slack of the CUSUM statistic: deviations of
-    /// `|r − 1|` below this are treated as noise and never accumulate.
-    pub cusum_slack: f64,
-    /// Alarm threshold of the CUSUM statistic: the accumulated excess
-    /// deviation that declares a cell drifted and quarantines it.
-    pub cusum_threshold: f64,
-    /// Lower clamp of any correction factor (guards against a stream of
-    /// near-zero ratios pricing an operator at ~0 and breaking
-    /// `validate`'s strict positivity).
-    pub min_factor: f64,
-    /// Upper clamp of any correction factor (guards against outliers
-    /// pricing an operator at `+inf`).
-    pub max_factor: f64,
-    /// Graceful-degradation trigger: when more than this fraction of a
-    /// GPU's cells are quarantined, the whole row is priced at the GPU's
-    /// worst observed correction (the profile is no longer trustworthy
-    /// cell-by-cell).
-    pub degrade_fraction: f64,
-}
+/// EWMA gain `α ∈ (0, 1]` of the per-cell mean/variance estimators.
+/// Larger adapts faster but is noisier.
+const ALPHA: f64 = 0.25;
+/// Inflation multiplier `k ≥ 0`: planning prices use `mean + k·σ`, at
+/// `k = 1` roughly the 84th percentile of the observed ratio.
+const K_SIGMA: f64 = 1.0;
+/// Per-observation slack of the CUSUM statistic: deviations of
+/// `|r − 1|` below this are treated as noise and never accumulate.
+const CUSUM_SLACK: f64 = 0.1;
+/// Alarm threshold of the CUSUM statistic: the accumulated excess
+/// deviation that declares a cell drifted and quarantines it.
+const CUSUM_THRESHOLD: f64 = 1.5;
+/// Lower clamp of any correction factor: a stream of near-zero ratios
+/// cannot price an operator at ~0 and break [`CostTable::validate`]'s
+/// strict positivity.
+pub const MIN_FACTOR: f64 = 0.05;
+/// Upper clamp of any correction factor: an outlier cannot price an
+/// operator at `+inf`.
+pub const MAX_FACTOR: f64 = 64.0;
+/// Graceful-degradation trigger: when more than this fraction of a
+/// GPU's cells are quarantined, the whole row is priced at the GPU's
+/// worst observed correction (the profile is no longer trustworthy
+/// cell-by-cell).
+const DEGRADE_FRACTION: f64 = 0.5;
 
-impl Default for CalibrationConfig {
-    fn default() -> Self {
-        CalibrationConfig {
-            alpha: 0.25,
-            k_sigma: 1.0,
-            cusum_slack: 0.1,
-            cusum_threshold: 1.5,
-            min_factor: 0.05,
-            max_factor: 64.0,
-            degrade_fraction: 0.5,
-        }
-    }
-}
+const _: () = {
+    assert!(ALPHA > 0.0 && ALPHA <= 1.0);
+    assert!(K_SIGMA >= 0.0 && K_SIGMA.is_finite());
+    assert!(CUSUM_SLACK >= 0.0 && CUSUM_SLACK.is_finite());
+    assert!(CUSUM_THRESHOLD > 0.0 && CUSUM_THRESHOLD.is_finite());
+    assert!(MIN_FACTOR > 0.0 && MIN_FACTOR <= MAX_FACTOR && MAX_FACTOR.is_finite());
+    assert!(DEGRADE_FRACTION > 0.0 && DEGRADE_FRACTION <= 1.0);
+};
 
-impl CalibrationConfig {
-    /// Rejects non-finite or out-of-range knobs.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.alpha > 0.0 && self.alpha <= 1.0) {
-            return Err(format!("calibration alpha {} outside (0, 1]", self.alpha));
-        }
-        if !(self.k_sigma >= 0.0 && self.k_sigma.is_finite()) {
-            return Err(format!(
-                "calibration k_sigma {} must be finite >= 0",
-                self.k_sigma
-            ));
-        }
-        if !(self.cusum_slack >= 0.0 && self.cusum_slack.is_finite()) {
-            return Err(format!(
-                "cusum_slack {} must be finite >= 0",
-                self.cusum_slack
-            ));
-        }
-        if !(self.cusum_threshold > 0.0 && self.cusum_threshold.is_finite()) {
-            return Err(format!(
-                "cusum_threshold {} must be finite > 0",
-                self.cusum_threshold
-            ));
-        }
-        if !(self.min_factor > 0.0 && self.min_factor.is_finite()) {
-            return Err(format!("min_factor {} must be finite > 0", self.min_factor));
-        }
-        if !(self.max_factor >= self.min_factor && self.max_factor.is_finite()) {
-            return Err(format!(
-                "max_factor {} must be finite >= min_factor {}",
-                self.max_factor, self.min_factor
-            ));
-        }
-        if !(self.degrade_fraction > 0.0 && self.degrade_fraction <= 1.0) {
-            return Err(format!(
-                "degrade_fraction {} outside (0, 1]",
-                self.degrade_fraction
-            ));
-        }
-        Ok(())
-    }
-}
+/// Switch of the calibration loop: `Some(CalibrationConfig::default())`
+/// in a serving config turns it on.  Its settings are this module's
+/// constants, checked at compile time.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CalibrationConfig {}
 
 /// Typed rejection of a single calibration observation.  A rejected
 /// observation leaves the calibrator untouched; long-running callers log
@@ -175,7 +126,7 @@ pub enum DriftDirection {
 
 /// A CUSUM detector crossed its threshold: the cell's cost is drifting.
 /// Emitted once per quarantine — the cell's detector resets and the cell
-/// stops raising further alarms until released.
+/// raises no further alarms.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DriftAlarm {
     /// Physical GPU of the drifted cell.
@@ -282,11 +233,6 @@ impl CusumDetector {
             None
         }
     }
-
-    /// Current value of the larger accumulator (for diagnostics).
-    pub fn statistic(&self) -> f64 {
-        self.pos.max(self.neg)
-    }
 }
 
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -304,7 +250,6 @@ struct Cell {
 /// [`CalibratedTable::refresh`], so observation ingestion stays O(1).
 #[derive(Clone, Debug)]
 pub struct Calibrator {
-    cfg: CalibrationConfig,
     num_gpus: usize,
     num_ops: usize,
     cells: Vec<Cell>,
@@ -317,20 +262,14 @@ pub struct Calibrator {
 
 impl Calibrator {
     /// A nominal calibrator over an `num_gpus × num_ops` cell grid.
-    pub fn new(num_gpus: usize, num_ops: usize, cfg: CalibrationConfig) -> Self {
+    pub fn new(num_gpus: usize, num_ops: usize) -> Self {
         Calibrator {
-            cfg,
             num_gpus,
             num_ops,
             cells: vec![Cell::default(); num_gpus * num_ops],
             epoch: 0,
             identity: true,
         }
-    }
-
-    /// The configuration the calibrator runs with.
-    pub fn config(&self) -> &CalibrationConfig {
-        &self.cfg
     }
 
     /// GPUs covered by the cell grid.
@@ -370,24 +309,19 @@ impl Calibrator {
                 predicted_ms,
             });
         }
-        let ratio = (observed_ms / predicted_ms).clamp(self.cfg.min_factor, self.cfg.max_factor);
+        let ratio = (observed_ms / predicted_ms).clamp(MIN_FACTOR, MAX_FACTOR);
         if ratio != 1.0 {
             self.identity = false;
         }
-        let (alpha, slack, threshold) = (
-            self.cfg.alpha,
-            self.cfg.cusum_slack,
-            self.cfg.cusum_threshold,
-        );
         let idx = self.cell_index(gpu, op);
         let cell = &mut self.cells[idx];
-        cell.stats.observe(ratio, alpha);
+        cell.stats.observe(ratio, ALPHA);
         // Quarantined cells keep learning (so the correction tracks the
         // drift) but stop alarming: one alarm per quarantine.
         if cell.quarantined {
             return Ok(None);
         }
-        if let Some(direction) = cell.cusum.observe(ratio, slack, threshold) {
+        if let Some(direction) = cell.cusum.observe(ratio, CUSUM_SLACK, CUSUM_THRESHOLD) {
             cell.quarantined = true;
             self.epoch += 1;
             return Ok(Some(DriftAlarm {
@@ -395,7 +329,7 @@ impl Calibrator {
                 op,
                 direction,
                 mean_ratio: cell.stats.mean(),
-                cusum: threshold,
+                cusum: CUSUM_THRESHOLD,
             }));
         }
         Ok(None)
@@ -408,11 +342,11 @@ impl Calibrator {
         if cell.stats.count() == 0 {
             return 1.0;
         }
-        let robust = cell.stats.robust(self.cfg.k_sigma);
+        let robust = cell.stats.robust(K_SIGMA);
         if robust.is_finite() {
-            robust.clamp(self.cfg.min_factor, self.cfg.max_factor)
+            robust.clamp(MIN_FACTOR, MAX_FACTOR)
         } else {
-            self.cfg.max_factor
+            MAX_FACTOR
         }
     }
 
@@ -434,7 +368,7 @@ impl Calibrator {
     /// quarantined that per-cell corrections are no longer trustworthy and
     /// the whole row prices at the worst observed correction.
     pub fn device_degraded(&self, gpu: usize) -> bool {
-        self.quarantined_fraction(gpu) > self.cfg.degrade_fraction
+        self.quarantined_fraction(gpu) > DEGRADE_FRACTION
     }
 
     /// Worst (largest) correction across `gpu`'s row — the degradation
@@ -443,23 +377,6 @@ impl Calibrator {
         (0..self.num_ops)
             .map(|i| self.correction(gpu, OpId(i as u32)))
             .fold(1.0, f64::max)
-    }
-
-    /// Releases every quarantine flag and resets the detectors (the
-    /// estimators keep their learned means): called by operators once the
-    /// underlying cause — e.g. a noisy co-tenant — is resolved.
-    pub fn release_quarantines(&mut self) {
-        let mut released = false;
-        for cell in &mut self.cells {
-            if cell.quarantined {
-                cell.quarantined = false;
-                cell.cusum = CusumDetector::default();
-                released = true;
-            }
-        }
-        if released {
-            self.epoch += 1;
-        }
     }
 
     /// True while every observation ever folded in was exactly nominal:
@@ -507,7 +424,8 @@ impl Calibrator {
 /// leaving utilizations, transfers, topology links and concurrency
 /// parameters untouched.  The overlay always passes
 /// [`CostTable::validate`] whenever the base table does: corrections are
-/// clamped to `[min_factor, max_factor]` and products to finite positives.
+/// clamped to [`MIN_FACTOR`]`..=`[`MAX_FACTOR`] and products to finite
+/// positives.
 #[derive(Clone, Debug)]
 pub struct CalibratedTable {
     base: CostTable,
@@ -618,7 +536,7 @@ impl CalibratedTable {
                 let base = self.base.device.exec_ms[base_class][i];
                 let scaled = base * corr;
                 // The base entry may be huge; clamp the product so the
-                // overlay stays validate-clean even at max_factor.
+                // overlay stays validate-clean even at MAX_FACTOR.
                 row.push(if scaled.is_finite() && scaled > 0.0 {
                     scaled
                 } else {
@@ -676,7 +594,7 @@ mod tests {
 
     #[test]
     fn nominal_observations_keep_identity() {
-        let mut cal = Calibrator::new(2, 4, CalibrationConfig::default());
+        let mut cal = Calibrator::new(2, 4);
         for _ in 0..50 {
             for gpu in 0..2 {
                 for i in 0..4 {
@@ -701,7 +619,7 @@ mod tests {
 
     #[test]
     fn sustained_drift_raises_one_alarm_and_quarantines() {
-        let mut cal = Calibrator::new(2, 4, CalibrationConfig::default());
+        let mut cal = Calibrator::new(2, 4);
         let mut alarms = vec![];
         for _ in 0..10 {
             if let Some(a) = cal.observe(1, OpId(2), 2.0, 1.0).unwrap() {
@@ -721,18 +639,11 @@ mod tests {
         let c = cal.correction(1, OpId(2));
         assert!(c > 1.2 && c <= 2.5, "correction {c}");
         assert!(!cal.is_identity());
-
-        cal.release_quarantines();
-        assert!(!cal.is_quarantined(1, OpId(2)));
-        assert!(
-            cal.correction(1, OpId(2)) > 1.0,
-            "estimates survive release"
-        );
     }
 
     #[test]
     fn speedup_drift_alarms_faster() {
-        let mut cal = Calibrator::new(1, 1, CalibrationConfig::default());
+        let mut cal = Calibrator::new(1, 1);
         let mut direction = None;
         for _ in 0..20 {
             if let Some(a) = cal.observe(0, OpId(0), 0.5, 1.0).unwrap() {
@@ -745,8 +656,7 @@ mod tests {
 
     #[test]
     fn outliers_alone_do_not_alarm() {
-        let cfg = CalibrationConfig::default();
-        let mut cal = Calibrator::new(1, 1, cfg);
+        let mut cal = Calibrator::new(1, 1);
         // One huge outlier inside a nominal stream: CUSUM decays it away.
         assert!(cal.observe(0, OpId(0), 1.6, 1.0).unwrap().is_none());
         for _ in 0..30 {
@@ -757,7 +667,7 @@ mod tests {
 
     #[test]
     fn bad_observations_are_rejected_and_ignored() {
-        let mut cal = Calibrator::new(1, 2, CalibrationConfig::default());
+        let mut cal = Calibrator::new(1, 2);
         let fp = cal.fingerprint();
         assert!(matches!(
             cal.observe(0, OpId(0), f64::NAN, 1.0),
@@ -795,7 +705,7 @@ mod tests {
     fn overlay_prices_drifted_gpu_higher() {
         let g = graph(4);
         let b = base(4);
-        let mut cal = Calibrator::new(3, 4, CalibrationConfig::default());
+        let mut cal = Calibrator::new(3, 4);
         for _ in 0..8 {
             for i in 0..4 {
                 let _ = cal.observe(2, OpId(i), 3.0, 1.0).unwrap();
@@ -826,11 +736,7 @@ mod tests {
     fn degraded_row_prices_worst_case() {
         let n = 4;
         let g = graph(n);
-        let cfg = CalibrationConfig {
-            degrade_fraction: 0.5,
-            ..CalibrationConfig::default()
-        };
-        let mut cal = Calibrator::new(2, n, cfg);
+        let mut cal = Calibrator::new(2, n);
         // Quarantine 3 of 4 cells on GPU 1 with different magnitudes.
         for (op, factor) in [(0u32, 2.0), (1, 4.0), (2, 3.0)] {
             for _ in 0..8 {
@@ -859,7 +765,7 @@ mod tests {
 
     #[test]
     fn fingerprint_tracks_calibration_state() {
-        let mut cal = Calibrator::new(2, 2, CalibrationConfig::default());
+        let mut cal = Calibrator::new(2, 2);
         let fp0 = cal.fingerprint();
         let _ = cal.observe(0, OpId(0), 1.5, 1.0).unwrap();
         let fp1 = cal.fingerprint();
@@ -872,47 +778,6 @@ mod tests {
         }
         assert!(t.refresh(&cal), "more drift, new overlay");
         assert_ne!(t.table().platform_fingerprint(), pf1);
-    }
-
-    #[test]
-    fn config_validation_rejects_bad_knobs() {
-        assert!(CalibrationConfig::default().validate().is_ok());
-        for bad in [
-            CalibrationConfig {
-                alpha: 0.0,
-                ..Default::default()
-            },
-            CalibrationConfig {
-                alpha: f64::NAN,
-                ..Default::default()
-            },
-            CalibrationConfig {
-                k_sigma: -1.0,
-                ..Default::default()
-            },
-            CalibrationConfig {
-                cusum_slack: f64::INFINITY,
-                ..Default::default()
-            },
-            CalibrationConfig {
-                cusum_threshold: 0.0,
-                ..Default::default()
-            },
-            CalibrationConfig {
-                min_factor: 0.0,
-                ..Default::default()
-            },
-            CalibrationConfig {
-                max_factor: 0.01,
-                ..Default::default()
-            },
-            CalibrationConfig {
-                degrade_fraction: 1.5,
-                ..Default::default()
-            },
-        ] {
-            assert!(bad.validate().is_err(), "{bad:?} should be rejected");
-        }
     }
 
     #[test]
@@ -933,7 +798,7 @@ mod tests {
             ConcurrencyParams::default(),
             0.005,
         );
-        let mut cal = Calibrator::new(3, n, CalibrationConfig::default());
+        let mut cal = Calibrator::new(3, n);
         for _ in 0..8 {
             let _ = cal.observe(0, OpId(0), 2.0, 1.0).unwrap();
         }

@@ -3,9 +3,8 @@
 //! [`CostTable::validate`], and bad inputs must be rejected without
 //! mutating calibrator state.
 
-use hios_cost::{
-    CalibratedTable, CalibrationConfig, Calibrator, CostTable, RandomCostConfig, random_cost_table,
-};
+use hios_cost::uncertainty::{MAX_FACTOR, MIN_FACTOR};
+use hios_cost::{CalibratedTable, Calibrator, CostTable, RandomCostConfig, random_cost_table};
 use hios_graph::{Graph, LayeredDagConfig, OpId, generate_layered_dag};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -51,7 +50,7 @@ proptest! {
     {
         let (g, base) = instance(ops, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xca11b);
-        let mut cal = Calibrator::new(gpus, g.num_ops(), CalibrationConfig::default());
+        let mut cal = Calibrator::new(gpus, g.num_ops());
         let mut table = CalibratedTable::new(base, gpus);
         for _ in 0..n_obs {
             let gpu = rng.random_range(0..gpus);
@@ -75,12 +74,11 @@ proptest! {
             let sub: Vec<usize> = (1..gpus).collect();
             prop_assert!(table.table().restrict_gpus(&sub).validate(&g).is_ok());
         }
-        // Corrections are always inside the configured clamp.
-        let cfg = *cal.config();
+        // Corrections are always inside the clamp.
         for gpu in 0..gpus {
             for i in 0..g.num_ops() {
                 let c = cal.correction(gpu, OpId(i as u32));
-                prop_assert!(c.is_finite() && c >= cfg.min_factor && c <= cfg.max_factor,
+                prop_assert!(c.is_finite() && (MIN_FACTOR..=MAX_FACTOR).contains(&c),
                     "correction {c} escaped clamp at gpu {gpu} op {i}");
             }
         }
@@ -95,7 +93,7 @@ proptest! {
         let (g, base) = instance(ops, seed);
         let base_fp = base.platform_fingerprint();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1de277);
-        let mut cal = Calibrator::new(gpus, g.num_ops(), CalibrationConfig::default());
+        let mut cal = Calibrator::new(gpus, g.num_ops());
         let mut table = CalibratedTable::new(base, gpus);
         for _ in 0..n_obs {
             let gpu = rng.random_range(0..gpus);

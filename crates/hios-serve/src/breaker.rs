@@ -16,58 +16,29 @@
 //! fails again shortly after would otherwise cycle open → closed → open
 //! forever at the *base* timeout — each heal resets the backoff that
 //! the doubling built up.  The breaker therefore remembers when it last
-//! closed; a re-trip within [`FlapConfig::window_ms`] counts as a flap,
-//! and once [`FlapConfig::threshold`] consecutive flaps accumulate, a
-//! closing probe *keeps* an escalated timeout (multiplied by
-//! [`FlapConfig::escalation`], capped at [`FlapConfig::max_timeout_ms`])
-//! instead of resetting to base — quarantining the flapping GPU for
-//! progressively longer stretches.
+//! closed; a re-trip within [`FLAP_WINDOW_MS`] counts as a flap, and
+//! once [`FLAP_THRESHOLD`] consecutive flaps accumulate, a closing probe
+//! *keeps* an escalated timeout (multiplied by [`FLAP_ESCALATION`],
+//! capped at [`MAX_QUARANTINE_MS`]) instead of resetting to base —
+//! quarantining the flapping GPU for progressively longer stretches.
 //!
 //! All transitions run on the virtual clock, so breaker histories are
 //! bit-identical across runs and thread counts.
 
-/// Flap-detection knobs.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FlapConfig {
-    /// A re-trip within this long after a close counts as a flap, ms.
-    pub window_ms: f64,
-    /// Consecutive flaps before quarantine escalation kicks in.
-    pub threshold: u32,
-    /// Timeout multiplier applied at each escalated close (`> 1`).
-    pub escalation: f64,
-    /// Upper bound on the escalated timeout, ms.
-    pub max_timeout_ms: f64,
-}
+/// A re-trip within this long after a close counts as a flap, ms.
+pub const FLAP_WINDOW_MS: f64 = 50.0;
+/// Consecutive flaps before quarantine escalation kicks in.
+pub const FLAP_THRESHOLD: u32 = 2;
+/// Timeout multiplier applied at each escalated close.
+pub const FLAP_ESCALATION: f64 = 4.0;
+/// Upper bound on the escalated timeout, ms.
+pub const MAX_QUARANTINE_MS: f64 = 1000.0;
 
-impl Default for FlapConfig {
-    fn default() -> Self {
-        FlapConfig {
-            window_ms: 50.0,
-            threshold: 2,
-            escalation: 4.0,
-            max_timeout_ms: 1000.0,
-        }
-    }
-}
-
-impl FlapConfig {
-    /// Rejects non-finite or degenerate knobs.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.window_ms >= 0.0 && self.window_ms.is_finite()) {
-            return Err(format!("window_ms {} must be finite >= 0", self.window_ms));
-        }
-        if !(self.escalation > 1.0 && self.escalation.is_finite()) {
-            return Err(format!("escalation {} must be finite > 1", self.escalation));
-        }
-        if !(self.max_timeout_ms > 0.0 && self.max_timeout_ms.is_finite()) {
-            return Err(format!(
-                "max_timeout_ms {} must be finite > 0",
-                self.max_timeout_ms
-            ));
-        }
-        Ok(())
-    }
-}
+const _: () = {
+    assert!(FLAP_WINDOW_MS >= 0.0 && FLAP_WINDOW_MS.is_finite());
+    assert!(FLAP_ESCALATION > 1.0 && FLAP_ESCALATION.is_finite());
+    assert!(MAX_QUARANTINE_MS > 0.0 && MAX_QUARANTINE_MS.is_finite());
+};
 
 /// State of one breaker.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -90,7 +61,6 @@ pub struct CircuitBreaker {
     base_timeout_ms: f64,
     timeout_ms: f64,
     opens: u64,
-    flap: FlapConfig,
     /// When the breaker last closed, ms (−∞ before the first close, so
     /// the first trip is never a flap).
     last_close_ms: f64,
@@ -101,25 +71,17 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    /// A closed breaker whose first open lasts `reset_timeout_ms`, with
-    /// default flap detection.
+    /// A closed breaker whose first open lasts `reset_timeout_ms`.
     pub fn new(reset_timeout_ms: f64) -> Self {
-        CircuitBreaker::with_flap(reset_timeout_ms, FlapConfig::default())
-    }
-
-    /// A closed breaker with explicit flap-detection knobs.
-    pub fn with_flap(reset_timeout_ms: f64, flap: FlapConfig) -> Self {
         assert!(
             reset_timeout_ms.is_finite() && reset_timeout_ms > 0.0,
             "reset timeout must be positive and finite"
         );
-        flap.validate().expect("invalid flap config");
         CircuitBreaker {
             state: BreakerState::Closed,
             base_timeout_ms: reset_timeout_ms,
             timeout_ms: reset_timeout_ms,
             opens: 0,
-            flap,
             last_close_ms: f64::NEG_INFINITY,
             flaps: 0,
             escalations: 0,
@@ -158,7 +120,7 @@ impl CircuitBreaker {
     /// as a flap cycle; one arriving later proves the close was stable
     /// and clears the flap record.
     pub fn trip(&mut self, now_ms: f64) -> f64 {
-        if now_ms - self.last_close_ms <= self.flap.window_ms {
+        if now_ms - self.last_close_ms <= FLAP_WINDOW_MS {
             self.flaps = self.flaps.saturating_add(1);
         } else {
             self.flaps = 0;
@@ -183,7 +145,7 @@ impl CircuitBreaker {
 
     /// Records a successful probe at `now_ms`: the breaker closes.  A
     /// well-behaved GPU gets its timeout reset to base; one with
-    /// [`FlapConfig::threshold`] flaps on record instead keeps an
+    /// [`FLAP_THRESHOLD`] flaps on record instead keeps an
     /// *escalated* timeout — its next open quarantines it for longer.
     pub fn probe_success(&mut self, now_ms: f64) {
         debug_assert_eq!(
@@ -193,9 +155,8 @@ impl CircuitBreaker {
         );
         self.state = BreakerState::Closed;
         self.last_close_ms = now_ms;
-        if self.flaps >= self.flap.threshold {
-            self.timeout_ms =
-                (self.timeout_ms * self.flap.escalation).min(self.flap.max_timeout_ms);
+        if self.flaps >= FLAP_THRESHOLD {
+            self.timeout_ms = (self.timeout_ms * FLAP_ESCALATION).min(MAX_QUARANTINE_MS);
             self.escalations += 1;
         } else {
             self.timeout_ms = self.base_timeout_ms;
@@ -222,16 +183,11 @@ pub struct BreakerBank {
 }
 
 impl BreakerBank {
-    /// `m` closed breakers with default flap detection.
+    /// `m` closed breakers.
     pub fn new(m: usize, reset_timeout_ms: f64) -> Self {
-        BreakerBank::with_flap(m, reset_timeout_ms, FlapConfig::default())
-    }
-
-    /// `m` closed breakers with explicit flap-detection knobs.
-    pub fn with_flap(m: usize, reset_timeout_ms: f64, flap: FlapConfig) -> Self {
         BreakerBank {
             breakers: (0..m)
-                .map(|_| CircuitBreaker::with_flap(reset_timeout_ms, flap))
+                .map(|_| CircuitBreaker::new(reset_timeout_ms))
                 .collect(),
         }
     }
@@ -314,13 +270,7 @@ mod tests {
 
     #[test]
     fn flapping_escalates_quarantine_and_stability_clears_it() {
-        let flap = FlapConfig {
-            window_ms: 50.0,
-            threshold: 2,
-            escalation: 4.0,
-            max_timeout_ms: 1000.0,
-        };
-        let mut b = CircuitBreaker::with_flap(10.0, flap);
+        let mut b = CircuitBreaker::new(10.0);
         // Cycle 1: trip → heal; re-trip 5 ms after the close = flap 1.
         b.trip(0.0);
         assert!(b.try_half_open(10.0));
@@ -338,7 +288,7 @@ mod tests {
         assert_eq!(b.escalations(), 1);
         // The escalated timeout quarantines the next open 4× longer.
         assert_eq!(b.trip(45.0), 45.0 + 40.0);
-        // Repeated flapping keeps escalating, capped at max_timeout_ms.
+        // Repeated flapping keeps escalating, capped at MAX_QUARANTINE_MS.
         for _ in 0..10 {
             let BreakerState::Open { until_ms } = b.state() else {
                 panic!("open")

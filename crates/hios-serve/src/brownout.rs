@@ -30,7 +30,6 @@
 
 use crate::ladder::RungCap;
 use crate::request::PriorityClass;
-use crate::retry::RetryBudgetConfig;
 
 /// Degradation level, deepest last.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
@@ -99,93 +98,40 @@ impl BrownoutLevel {
     }
 }
 
-/// Knobs of the brownout state machine.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BrownoutConfig {
-    /// EWMA smoothing factor for the deadline-miss indicator, in
-    /// `(0, 1]` (higher = more reactive).
-    pub alpha: f64,
-    /// Weight of queue fill in the pressure blend, in `[0, 1]`; the
-    /// miss EWMA gets `1 - queue_weight`.
-    pub queue_weight: f64,
-    /// Pressure thresholds to *enter* levels 1..=3 (ascending).
-    pub enter: [f64; 3],
-    /// Pressure thresholds to *exit* back below levels 1..=3; each must
-    /// sit strictly below the matching enter threshold (hysteresis).
-    pub exit: [f64; 3],
-    /// Minimum time at a level before de-escalating, ms.
-    pub min_dwell_ms: f64,
-}
+/// EWMA smoothing factor of the deadline-miss indicator, in `(0, 1]`
+/// (higher = more reactive).
+const MISS_ALPHA: f64 = 0.15;
+/// Weight of queue fill in the pressure blend, in `[0, 1]`; the miss
+/// EWMA gets `1 - QUEUE_WEIGHT`.
+const QUEUE_WEIGHT: f64 = 0.5;
+/// Pressure thresholds to *enter* levels 1..=3 (ascending).
+const ENTER: [f64; 3] = [0.40, 0.60, 0.80];
+/// Pressure thresholds to *exit* back below levels 1..=3.
+const EXIT: [f64; 3] = [0.25, 0.40, 0.55];
+/// Minimum time at a level before de-escalating, ms.
+const MIN_DWELL_MS: f64 = 25.0;
 
-impl Default for BrownoutConfig {
-    fn default() -> Self {
-        BrownoutConfig {
-            alpha: 0.15,
-            queue_weight: 0.5,
-            enter: [0.40, 0.60, 0.80],
-            exit: [0.25, 0.40, 0.55],
-            min_dwell_ms: 25.0,
-        }
+// Every exit threshold sits strictly below its enter threshold (the
+// hysteresis that keeps a signal hovering at a boundary from
+// oscillating), and the enter thresholds ascend inside `[0, 1]`.
+const _: () = {
+    assert!(MISS_ALPHA > 0.0 && MISS_ALPHA <= 1.0);
+    assert!(QUEUE_WEIGHT >= 0.0 && QUEUE_WEIGHT <= 1.0);
+    assert!(MIN_DWELL_MS >= 0.0 && MIN_DWELL_MS.is_finite());
+    let mut i = 0;
+    while i < 3 {
+        assert!(ENTER[i] <= 1.0 && EXIT[i] >= 0.0 && EXIT[i] < ENTER[i]);
+        assert!(i == 0 || ENTER[i - 1] < ENTER[i]);
+        i += 1;
     }
-}
+};
 
-impl BrownoutConfig {
-    /// Rejects non-finite knobs, thresholds outside `[0, 1]`,
-    /// non-ascending enter thresholds, and any exit threshold not
-    /// strictly below its enter threshold (which would defeat the
-    /// hysteresis and allow oscillation).
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.alpha > 0.0 && self.alpha <= 1.0) {
-            return Err(format!("alpha {} must be in (0, 1]", self.alpha));
-        }
-        if !(self.queue_weight >= 0.0 && self.queue_weight <= 1.0) {
-            return Err(format!(
-                "queue_weight {} must be in [0, 1]",
-                self.queue_weight
-            ));
-        }
-        if !(self.min_dwell_ms >= 0.0 && self.min_dwell_ms.is_finite()) {
-            return Err(format!(
-                "min_dwell_ms {} must be finite >= 0",
-                self.min_dwell_ms
-            ));
-        }
-        for i in 0..3 {
-            let (en, ex) = (self.enter[i], self.exit[i]);
-            if !(en.is_finite() && ex.is_finite() && (0.0..=1.0).contains(&en) && ex >= 0.0) {
-                return Err(format!("thresholds ({en}, {ex}) must be finite in [0, 1]"));
-            }
-            if ex >= en {
-                return Err(format!(
-                    "exit threshold {ex} must sit strictly below enter threshold {en} \
-                     (hysteresis)"
-                ));
-            }
-            if i > 0 && self.enter[i] <= self.enter[i - 1] {
-                return Err(format!("enter thresholds must ascend: {:?}", self.enter));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Overload-hardening configuration attached to the server: the
-/// brownout state machine plus the global retry budget.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct OverloadConfig {
-    /// Brownout state machine.
-    pub brownout: BrownoutConfig,
-    /// Retry-storm guard.
-    pub retry_budget: RetryBudgetConfig,
-}
-
-impl OverloadConfig {
-    /// Validates both halves.
-    pub fn validate(&self) -> Result<(), String> {
-        self.brownout.validate()?;
-        self.retry_budget.validate()
-    }
-}
+/// Switch of overload hardening: `Some(OverloadConfig::default())` in a
+/// serving config attaches the brownout state machine and the global retry
+/// budget.  Their settings are the constants of this module and of
+/// [`crate::retry`], checked at compile time.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OverloadConfig {}
 
 /// What the controller did over a run, for reports and benches.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -208,12 +154,9 @@ pub struct BrownoutTelemetry {
 /// both are O(1) and allocation-free on the hot path.
 #[derive(Clone, Debug)]
 pub struct BrownoutController {
-    cfg: BrownoutConfig,
     level: BrownoutLevel,
     /// EWMA of the deadline-miss indicator (1 = missed), in `[0, 1]`.
     miss_ewma: f64,
-    /// Last computed pressure, for telemetry.
-    pressure: f64,
     /// When the current level was entered, ms.
     entered_ms: f64,
     /// Last instant the telemetry clock advanced to, ms.
@@ -221,15 +164,12 @@ pub struct BrownoutController {
     telemetry: BrownoutTelemetry,
 }
 
-impl BrownoutController {
-    /// A controller at Normal level; panics on an invalid config.
-    pub fn new(cfg: BrownoutConfig) -> Self {
-        cfg.validate().expect("invalid brownout config");
+impl Default for BrownoutController {
+    /// A controller at Normal level.
+    fn default() -> Self {
         BrownoutController {
-            cfg,
             level: BrownoutLevel::Normal,
             miss_ewma: 0.0,
-            pressure: 0.0,
             entered_ms: 0.0,
             last_seen_ms: 0.0,
             telemetry: BrownoutTelemetry {
@@ -240,15 +180,12 @@ impl BrownoutController {
             },
         }
     }
+}
 
+impl BrownoutController {
     /// Current level.
     pub fn level(&self) -> BrownoutLevel {
         self.level
-    }
-
-    /// Current blended pressure, in `[0, 1]`.
-    pub fn pressure(&self) -> f64 {
-        self.pressure
     }
 
     /// Feeds one terminal outcome (completion or non-brownout shed)
@@ -257,7 +194,7 @@ impl BrownoutController {
     /// controller in its deepest level after the load drops.
     pub fn observe_outcome(&mut self, now_ms: f64, missed: bool, queue_fill: f64) {
         let x = if missed { 1.0 } else { 0.0 };
-        self.miss_ewma += self.cfg.alpha * (x - self.miss_ewma);
+        self.miss_ewma += MISS_ALPHA * (x - self.miss_ewma);
         self.reassess(now_ms, queue_fill);
     }
 
@@ -265,14 +202,14 @@ impl BrownoutController {
     /// Returns the (possibly new) level.
     pub fn reassess(&mut self, now_ms: f64, queue_fill: f64) -> BrownoutLevel {
         let q = queue_fill.clamp(0.0, 1.0);
-        self.pressure = self.cfg.queue_weight * q + (1.0 - self.cfg.queue_weight) * self.miss_ewma;
+        let pressure = QUEUE_WEIGHT * q + (1.0 - QUEUE_WEIGHT) * self.miss_ewma;
         self.advance_clock(now_ms);
 
         // Escalate: jump straight to the deepest level whose enter
         // threshold the pressure clears.
         let mut target = self.level;
         for lvl in (1..=3).rev() {
-            if self.pressure >= self.cfg.enter[lvl - 1] {
+            if pressure >= ENTER[lvl - 1] {
                 target = target.max(BrownoutLevel::from_index(lvl));
                 break;
             }
@@ -285,8 +222,8 @@ impl BrownoutController {
         // De-escalate: one level per step, dwell-gated, against the
         // exit threshold of the level being left.
         if self.level > BrownoutLevel::Normal
-            && now_ms - self.entered_ms >= self.cfg.min_dwell_ms
-            && self.pressure <= self.cfg.exit[self.level.index() - 1]
+            && now_ms - self.entered_ms >= MIN_DWELL_MS
+            && pressure <= EXIT[self.level.index() - 1]
         {
             let down = BrownoutLevel::from_index(self.level.index() - 1);
             self.transition(now_ms, down);
@@ -321,45 +258,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_config_is_valid_with_hysteresis() {
-        let cfg = BrownoutConfig::default();
-        cfg.validate().unwrap();
-        for i in 0..3 {
-            assert!(cfg.exit[i] < cfg.enter[i]);
-        }
-        OverloadConfig::default().validate().unwrap();
-    }
-
-    #[test]
-    fn bad_configs_are_rejected() {
-        let bad = [
-            BrownoutConfig {
-                alpha: 0.0,
-                ..BrownoutConfig::default()
-            },
-            BrownoutConfig {
-                queue_weight: 1.5,
-                ..BrownoutConfig::default()
-            },
-            BrownoutConfig {
-                exit: [0.40, 0.40, 0.55], // exit[0] == enter[0]
-                ..BrownoutConfig::default()
-            },
-            BrownoutConfig {
-                enter: [0.60, 0.60, 0.80], // not ascending
-                ..BrownoutConfig::default()
-            },
-            BrownoutConfig {
-                min_dwell_ms: f64::NAN,
-                ..BrownoutConfig::default()
-            },
-        ];
-        for cfg in bad {
-            assert!(cfg.validate().is_err(), "{cfg:?}");
-        }
-    }
-
-    #[test]
     fn levels_shed_and_cap_monotonically() {
         use PriorityClass::*;
         assert!(!BrownoutLevel::Normal.sheds(Bronze));
@@ -380,7 +278,7 @@ mod tests {
 
     #[test]
     fn quiet_signal_stays_normal() {
-        let mut c = BrownoutController::new(BrownoutConfig::default());
+        let mut c = BrownoutController::default();
         for i in 0..200 {
             let now = i as f64;
             c.observe_outcome(now, false, 0.1);
@@ -394,7 +292,7 @@ mod tests {
 
     #[test]
     fn saturation_escalates_to_gold_only_and_recovers() {
-        let mut c = BrownoutController::new(BrownoutConfig::default());
+        let mut c = BrownoutController::default();
         // Full queue, every deadline missed → pressure → 1.
         let mut now = 0.0;
         for _ in 0..100 {
@@ -436,7 +334,7 @@ mod tests {
 
     #[test]
     fn escalation_can_skip_levels() {
-        let mut c = BrownoutController::new(BrownoutConfig::default());
+        let mut c = BrownoutController::default();
         // One reassessment with a saturated queue: pressure 0.5 from the
         // queue alone ≥ enter[0] 0.40 but < enter[1] 0.60.
         assert_eq!(c.reassess(1.0, 1.0), BrownoutLevel::CapLadder);
@@ -449,22 +347,21 @@ mod tests {
 
     #[test]
     fn dwell_blocks_immediate_deescalation() {
-        let cfg = BrownoutConfig {
-            min_dwell_ms: 50.0,
-            ..BrownoutConfig::default()
-        };
-        let mut c = BrownoutController::new(cfg);
-        assert_eq!(c.reassess(10.0, 1.0), BrownoutLevel::CapLadder);
+        let mut c = BrownoutController::default();
+        let entered = 10.0;
+        assert_eq!(c.reassess(entered, 1.0), BrownoutLevel::CapLadder);
         // Pressure collapses instantly, but the dwell holds the level.
-        assert_eq!(c.reassess(11.0, 0.0), BrownoutLevel::CapLadder);
-        assert_eq!(c.reassess(59.0, 0.0), BrownoutLevel::CapLadder);
+        assert_eq!(c.reassess(entered + 1.0, 0.0), BrownoutLevel::CapLadder);
+        let almost = entered + MIN_DWELL_MS - 1.0;
+        assert_eq!(c.reassess(almost, 0.0), BrownoutLevel::CapLadder);
         // After the dwell it may step down.
-        assert_eq!(c.reassess(60.0, 0.0), BrownoutLevel::Normal);
+        let after = entered + MIN_DWELL_MS;
+        assert_eq!(c.reassess(after, 0.0), BrownoutLevel::Normal);
     }
 
     #[test]
     fn hysteresis_prevents_boundary_oscillation() {
-        let mut c = BrownoutController::new(BrownoutConfig::default());
+        let mut c = BrownoutController::default();
         // Queue fill hovering exactly at the level-1 enter boundary
         // (pressure 0.40): enters once, then stays — the exit threshold
         // 0.25 is never reached.
@@ -485,7 +382,7 @@ mod tests {
 
     #[test]
     fn telemetry_accounts_all_time() {
-        let mut c = BrownoutController::new(BrownoutConfig::default());
+        let mut c = BrownoutController::default();
         c.reassess(10.0, 1.0);
         c.reassess(40.0, 1.0);
         let t = c.finish(100.0);

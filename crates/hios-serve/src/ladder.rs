@@ -263,10 +263,10 @@ pub(crate) struct Chosen {
     pub(crate) plan_id: Option<u64>,
 }
 
-/// What the un-keyed entry points derive from `(g, cost, alive)` on
-/// every call and the keyed ones are handed: the slot → GPU map, the
-/// slot-priced table and the cache key of the problem it prices.  `None`
-/// with no GPU alive.
+/// What the un-keyed [`AnytimeLadder::decide`] derives from `(g, cost,
+/// alive)` on every call and the keyed entry points are handed: the slot
+/// → GPU map, the slot-priced table and the cache key of the problem it
+/// prices.  `None` with no GPU alive.
 fn resolve<'a>(
     g: &Graph,
     cost: &'a CostTable,
@@ -469,33 +469,6 @@ impl AnytimeLadder {
         epoch: u64,
         policy: Policy,
     ) -> Result<LadderDecision, ServeError> {
-        self.decide_capped(
-            g,
-            cost,
-            alive,
-            queue_depth,
-            slack_ms,
-            epoch,
-            policy,
-            RungCap::Full,
-        )
-    }
-
-    /// [`AnytimeLadder::decide`] with an explicit brownout rung cap: the
-    /// anytime policy never *computes* a rung above `cap` (cache and
-    /// store hits still answer — they cost nothing extra).
-    #[allow(clippy::too_many_arguments)]
-    pub fn decide_capped(
-        &mut self,
-        g: &Graph,
-        cost: &CostTable,
-        alive: &[bool],
-        queue_depth: usize,
-        slack_ms: f64,
-        epoch: u64,
-        policy: Policy,
-        cap: RungCap,
-    ) -> Result<LadderDecision, ServeError> {
         let (gpu_map, _, key) = resolve(g, cost, alive).ok_or(ServeError::NoCapacity)?;
         let chosen = self.decide_keyed(
             g,
@@ -506,7 +479,7 @@ impl AnytimeLadder {
             slack_ms,
             epoch,
             policy,
-            cap,
+            RungCap::Full,
         )?;
         Ok(LadderDecision {
             schedule: chosen.schedule,
@@ -518,11 +491,14 @@ impl AnytimeLadder {
         })
     }
 
-    /// [`AnytimeLadder::decide_capped`] for a caller that already holds
-    /// what [`resolve`] derives (so `gpu_map` is not empty) — the serving
-    /// loop computes the fingerprints behind `key` once per model and
-    /// planning table, not once per dispatch.  A cache hit touches
-    /// neither `g` nor `cost`.
+    /// [`AnytimeLadder::decide`] with an explicit brownout rung cap: the
+    /// anytime policy never *computes* a rung above `cap` (cache and
+    /// store hits still answer — they cost nothing extra).
+    ///
+    /// The caller already holds what `resolve` derives (so `gpu_map` is
+    /// not empty) — the serving loop computes the fingerprints behind
+    /// `key` once per model and planning table, not once per dispatch.
+    /// A cache hit touches neither `g` nor `cost`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn decide_keyed(
         &mut self,
@@ -664,8 +640,19 @@ impl AnytimeLadder {
         }
     }
 
+    /// Whether [`AnytimeLadder::upgrade_keyed`] for `key` on `state` would
+    /// change nothing: the cached plan already is the full-LP one
+    /// (computed here, or recorded as such by the store it was adopted
+    /// from), or full LP was tried against it on this state and lost.
+    pub(crate) fn upgrade_settled(&self, key: &ScheduleCacheKey, state: PlatformState) -> bool {
+        self.cache.peek(key).is_some_and(|plan| {
+            let lost = Contest::new(key, state, plan, Challenger::FullLp);
+            plan.rung == Rung::FullLp || self.verdicts.get(&lost).is_some()
+        })
+    }
+
     /// Idle-time upgrade: with the backend drained, spend CPU cycles
-    /// running full HIOS-LP for `(g, alive)` and keep the result iff it
+    /// running full HIOS-LP for `key` and keep the result iff it
     /// beats the cached plan.  Runs off the request path (the GPUs are
     /// idle), so it is never charged to a request's latency.
     ///
@@ -687,34 +674,9 @@ impl AnytimeLadder {
     /// Returns whether the cache improved.  An improvement is also
     /// persisted to the attached store under `epoch`, so idle-time
     /// quality survives a restart.
-    pub fn upgrade(
-        &mut self,
-        g: &Graph,
-        cost: &CostTable,
-        alive: &[bool],
-        epoch: u64,
-        state: PlatformState,
-        eval: impl Fn(&Schedule) -> f64,
-    ) -> bool {
-        let Some((_, slots, key)) = resolve(g, cost, alive) else {
-            return false;
-        };
-        self.upgrade_keyed(g, &slots, &key, epoch, state, eval)
-    }
-
-    /// Whether [`AnytimeLadder::upgrade`] for `key` on `state` would
-    /// change nothing: the cached plan already is the full-LP one
-    /// (computed here, or recorded as such by the store it was adopted
-    /// from), or full LP was tried against it on this state and lost.
-    pub(crate) fn upgrade_settled(&self, key: &ScheduleCacheKey, state: PlatformState) -> bool {
-        self.cache.peek(key).is_some_and(|plan| {
-            let lost = Contest::new(key, state, plan, Challenger::FullLp);
-            plan.rung == Rung::FullLp || self.verdicts.get(&lost).is_some()
-        })
-    }
-
-    /// [`AnytimeLadder::upgrade`] for a caller that already holds the
-    /// key and `slots`, the table priced on the key's alive slots.
+    ///
+    /// The caller holds the key and `slots`, the table priced on the
+    /// key's alive slots.
     pub(crate) fn upgrade_keyed(
         &mut self,
         g: &Graph,
@@ -762,7 +724,7 @@ impl AnytimeLadder {
     }
 
     /// Platform-change re-rank: after a fault (or a heal) changes what
-    /// schedules actually cost, pit the cached plan for `(g, alive)`
+    /// schedules actually cost, pit the cached plan for `key`
     /// against a fresh greedy candidate under `eval` and keep the
     /// winner.  A nominally-optimal cached plan can lean on a link that
     /// just degraded; serving it blindly would be slower than greedy.
@@ -774,22 +736,9 @@ impl AnytimeLadder {
     /// — replayed, down to the winner's plan id and price.
     ///
     /// Returns whether the cache changed.
-    pub fn rerank(
-        &mut self,
-        g: &Graph,
-        cost: &CostTable,
-        alive: &[bool],
-        state: PlatformState,
-        eval: impl Fn(&Schedule) -> f64,
-    ) -> bool {
-        let Some((_, slots, key)) = resolve(g, cost, alive) else {
-            return false;
-        };
-        self.rerank_keyed(g, &slots, &key, state, eval)
-    }
-
-    /// [`AnytimeLadder::rerank`] for a caller that already holds the
-    /// key and `slots`, the table priced on the key's alive slots.
+    ///
+    /// The caller holds the key and `slots`, the table priced on the
+    /// key's alive slots.
     pub(crate) fn rerank_keyed(
         &mut self,
         g: &Graph,
@@ -1055,6 +1004,34 @@ mod tests {
         (g, cost)
     }
 
+    /// [`AnytimeLadder::upgrade_keyed`] on the problem `resolve` derives
+    /// from `(g, cost, alive)`, at epoch 0.
+    fn upgrade(
+        ladder: &mut AnytimeLadder,
+        g: &Graph,
+        cost: &CostTable,
+        alive: &[bool],
+        state: PlatformState,
+        eval: impl Fn(&Schedule) -> f64,
+    ) -> bool {
+        let (_, slots, key) = resolve(g, cost, alive).unwrap();
+        ladder.upgrade_keyed(g, &slots, &key, 0, state, eval)
+    }
+
+    /// [`AnytimeLadder::rerank_keyed`] on the problem `resolve` derives
+    /// from `(g, cost, alive)`.
+    fn rerank(
+        ladder: &mut AnytimeLadder,
+        g: &Graph,
+        cost: &CostTable,
+        alive: &[bool],
+        state: PlatformState,
+        eval: impl Fn(&Schedule) -> f64,
+    ) -> bool {
+        let (_, slots, key) = resolve(g, cost, alive).unwrap();
+        ladder.rerank_keyed(g, &slots, &key, state, eval)
+    }
+
     #[test]
     fn anytime_caches_after_the_first_dispatch() {
         let (g, cost) = fixture();
@@ -1151,8 +1128,8 @@ mod tests {
                 .unwrap_or(f64::INFINITY)
         };
         let state = PlatformState(0);
-        assert!(ladder.upgrade(&g, &cost, &alive, 0, state, eval));
-        assert!(!ladder.upgrade(&g, &cost, &alive, 0, state, eval)); // already top quality
+        assert!(upgrade(&mut ladder, &g, &cost, &alive, state, eval));
+        assert!(!upgrade(&mut ladder, &g, &cost, &alive, state, eval)); // already top quality
         let after = ladder
             .decide(&g, &cost, &alive, 0, f64::INFINITY, 0, Policy::Anytime)
             .unwrap();
@@ -1179,10 +1156,10 @@ mod tests {
         assert_eq!(greedy.rung, Rung::Greedy);
         // A platform on which the cached greedy plan beats anything else.
         let greedy_wins = |s: &Schedule| if *s == *greedy.schedule { 1.0 } else { 2.0 };
-        assert!(!ladder.upgrade(&g, &cost, &both, 0, a, greedy_wins));
+        assert!(!upgrade(&mut ladder, &g, &cost, &both, a, greedy_wins));
         assert_eq!(ladder.upgrades(), 1);
         // LP is deterministic: it would lose again, so it is not run.
-        assert!(!ladder.upgrade(&g, &cost, &both, 0, a, greedy_wins));
+        assert!(!upgrade(&mut ladder, &g, &cost, &both, a, greedy_wins));
         assert_eq!(ladder.upgrades(), 1);
         let hit = ladder
             .decide(&g, &cost, &both, 0, inf, 0, Policy::Anytime)
@@ -1202,8 +1179,8 @@ mod tests {
                 assert_eq!(d.rung, Rung::Greedy, "capacity 1 must miss");
                 let current = d.schedule;
                 let incumbent_wins = |s: &Schedule| if *s == *current { 1.0 } else { 2.0 };
-                assert!(!ladder.upgrade(&g, &cost, alive, 0, a, incumbent_wins));
-                assert!(!ladder.upgrade(&g, &cost, alive, 0, a, incumbent_wins));
+                assert!(!upgrade(&mut ladder, &g, &cost, alive, a, incumbent_wins));
+                assert!(!upgrade(&mut ladder, &g, &cost, alive, a, incumbent_wins));
                 // One pass for `both` (above), one for `one` (round 0).
                 assert_eq!(ladder.upgrades(), 2, "round {round}");
             }
@@ -1224,19 +1201,19 @@ mod tests {
         // A verdict holds on the state it was reached on, and only there:
         // a state this plan has not been challenged on runs LP (once),
         // and coming back to A afterwards asks nothing again.
-        assert!(!ladder.upgrade(&g, &cost, &both, 0, b, greedy_wins));
+        assert!(!upgrade(&mut ladder, &g, &cost, &both, b, greedy_wins));
         assert_eq!(ladder.upgrades(), 3);
         for state in [a, b, a] {
-            assert!(!ladder.upgrade(&g, &cost, &both, 0, state, greedy_wins));
+            assert!(!upgrade(&mut ladder, &g, &cost, &both, state, greedy_wins));
         }
         assert_eq!(ladder.upgrades(), 3);
         // A third state, and on this one LP wins.
         let lp_wins = |s: &Schedule| if *s == *greedy.schedule { 2.0 } else { 1.0 };
-        assert!(ladder.upgrade(&g, &cost, &both, 0, c, lp_wins));
+        assert!(upgrade(&mut ladder, &g, &cost, &both, c, lp_wins));
         assert_eq!(ladder.upgrades(), 4);
         for state in [a, b, c] {
             // Already top quality, wherever it is asked.
-            assert!(!ladder.upgrade(&g, &cost, &both, 0, state, lp_wins));
+            assert!(!upgrade(&mut ladder, &g, &cost, &both, state, lp_wins));
         }
         assert_eq!(ladder.upgrades(), 4);
     }
@@ -1326,48 +1303,28 @@ mod tests {
             ..LadderConfig::default()
         });
         let inf = f64::INFINITY;
+        let capped = |ladder: &mut AnytimeLadder, alive: &[bool], cap| {
+            let (gpu_map, _, key) = resolve(&g, &cost, alive).unwrap();
+            ladder
+                .decide_keyed(&g, &cost, &gpu_map, &key, 0, inf, 0, Policy::Anytime, cap)
+                .unwrap()
+                .rung
+        };
         // Capped at InterLp: full LP is affordable but forbidden.
-        let d = ladder
-            .decide_capped(
-                &g,
-                &cost,
-                &[true, true],
-                0,
-                inf,
-                0,
-                Policy::Anytime,
-                RungCap::InterLp,
-            )
-            .unwrap();
-        assert_eq!(d.rung, Rung::InterLp);
+        assert_eq!(
+            capped(&mut ladder, &[true, true], RungCap::InterLp),
+            Rung::InterLp
+        );
         // Under the deepest cap a *different* platform goes greedy.
-        let d = ladder
-            .decide_capped(
-                &g,
-                &cost,
-                &[true, false],
-                0,
-                inf,
-                0,
-                Policy::Anytime,
-                RungCap::Greedy,
-            )
-            .unwrap();
-        assert_eq!(d.rung, Rung::Greedy);
+        assert_eq!(
+            capped(&mut ladder, &[true, false], RungCap::Greedy),
+            Rung::Greedy
+        );
         // But the cached inter-LP plan still answers under any cap.
-        let d = ladder
-            .decide_capped(
-                &g,
-                &cost,
-                &[true, true],
-                0,
-                inf,
-                0,
-                Policy::Anytime,
-                RungCap::Greedy,
-            )
-            .unwrap();
-        assert_eq!(d.rung, Rung::Cached);
+        assert_eq!(
+            capped(&mut ladder, &[true, true], RungCap::Greedy),
+            Rung::Cached
+        );
         // The uncapped wrapper is the Full cap.
         let mut fresh = AnytimeLadder::new(LadderConfig {
             budget: SchedBudget::unlimited(),
@@ -1500,8 +1457,8 @@ mod tests {
                 let mut changed = [false; 2];
                 for (i, ladder) in [&mut replaying, &mut computing].into_iter().enumerate() {
                     changed[i] = match op {
-                        0 => ladder.rerank(&g, &cost, alive, names[i], eval),
-                        1 => ladder.upgrade(&g, &cost, alive, 0, names[i], eval),
+                        0 => rerank(ladder, &g, &cost, alive, names[i], eval),
+                        1 => upgrade(ladder, &g, &cost, alive, names[i], eval),
                         _ => {
                             ladder
                                 .decide(&g, &cost, alive, 0, slack, 0, Policy::Anytime)
@@ -1540,16 +1497,30 @@ mod tests {
         };
         let slots = VERDICT_MEMO_SLOTS as u64;
         for state in 0..=slots {
-            ladder.rerank(&g, &cost, &alive, PlatformState(state), nominal);
+            rerank(
+                &mut ladder,
+                &g,
+                &cost,
+                &alive,
+                PlatformState(state),
+                nominal,
+            );
         }
         assert_eq!(ladder.reranks_computed, slots + 1);
         assert_eq!(ladder.verdicts.verdicts.len(), VERDICT_MEMO_SLOTS);
         assert_eq!(ladder.verdicts.order.len(), VERDICT_MEMO_SLOTS);
         // The newest verdict replays; the oldest was dropped to make room
         // for it and is reached again.
-        ladder.rerank(&g, &cost, &alive, PlatformState(slots), nominal);
+        rerank(
+            &mut ladder,
+            &g,
+            &cost,
+            &alive,
+            PlatformState(slots),
+            nominal,
+        );
         assert_eq!(ladder.reranks_computed, slots + 1);
-        ladder.rerank(&g, &cost, &alive, PlatformState(0), nominal);
+        rerank(&mut ladder, &g, &cost, &alive, PlatformState(0), nominal);
         assert_eq!(ladder.reranks_computed, slots + 2);
         assert_eq!(ladder.verdicts.verdicts.len(), VERDICT_MEMO_SLOTS);
     }
@@ -1780,7 +1751,7 @@ mod tests {
                     .unwrap();
                 assert_eq!(d.rung, Rung::Store);
                 let on_profile = |s: &Schedule| eval(g, cost, s);
-                ladder.upgrade(g, cost, &alive, 0, PlatformState(0), on_profile);
+                upgrade(&mut ladder, g, cost, &alive, PlatformState(0), on_profile);
             }
         }
         assert_eq!(ladder.upgrades(), tenants.len() as u64);
@@ -1800,7 +1771,14 @@ mod tests {
                 .unwrap();
             assert_eq!(d.rung, Rung::Store, "the decision still names the store");
             let on_profile = |s: &Schedule| eval(g, cost, s);
-            assert!(!restarted.upgrade(g, cost, &alive, 0, PlatformState(0), on_profile));
+            assert!(!upgrade(
+                &mut restarted,
+                g,
+                cost,
+                &alive,
+                PlatformState(0),
+                on_profile
+            ));
         }
         assert_eq!(restarted.upgrades(), 0);
         assert_eq!(restarted.store_stats().unwrap().puts_full, 0);

@@ -51,10 +51,8 @@ pub mod router;
 pub mod server;
 pub mod workload;
 
-pub use breaker::{BreakerBank, BreakerState, CircuitBreaker, FlapConfig};
-pub use brownout::{
-    BrownoutConfig, BrownoutController, BrownoutLevel, BrownoutTelemetry, OverloadConfig,
-};
+pub use breaker::{BreakerBank, BreakerState, CircuitBreaker};
+pub use brownout::{BrownoutController, BrownoutLevel, BrownoutTelemetry, OverloadConfig};
 pub use fleet::{
     FailoverReason, FleetConfig, FleetDisposition, FleetFaults, FleetOutcome, FleetRecord,
     FleetReport, FleetShedReason, fleet_history_digest, serve_fleet,
@@ -66,7 +64,7 @@ pub use ladder::{
 };
 pub use report::{ClassStats, ServeReport, history_digest, summarize};
 pub use request::{Disposition, PriorityClass, Request, RequestRecord, ServeError, ShedReason};
-pub use retry::{RetryBudget, RetryBudgetConfig};
+pub use retry::RetryBudget;
 pub use router::{Choice, Router, RouterConfig, RouterPolicy};
 pub use server::{ServeConfig, ServeOutcome, ServedModel, StoreConfig, serve, serve_drift};
 pub use workload::{

@@ -80,14 +80,6 @@ pub struct Request {
     pub class: PriorityClass,
 }
 
-impl Request {
-    /// Slack remaining at `now_ms`, ms (negative when the deadline has
-    /// already passed).
-    pub fn slack_at(&self, now_ms: f64) -> f64 {
-        self.deadline_ms - now_ms
-    }
-}
-
 /// Why the admission controller (or the retry loop) refused a request.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ShedReason {
@@ -278,17 +270,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slack_and_disposition_helpers() {
-        let r = Request {
-            id: 7,
-            model: 0,
-            arrival_ms: 10.0,
-            deadline_ms: 60.0,
-            class: PriorityClass::Gold,
-        };
-        assert_eq!(r.slack_at(20.0), 40.0);
-        assert!(r.slack_at(100.0) < 0.0);
-
+    fn disposition_helpers() {
         let done = Disposition::Completed {
             finish_ms: 50.0,
             latency_ms: 40.0,

@@ -40,51 +40,28 @@ pub(crate) fn backoff_ms(request_id: u64, attempts: u32) -> f64 {
     backoff + JITTER_MS * unit_hash(request_id, attempts)
 }
 
-/// Knobs of the global retry budget.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RetryBudgetConfig {
-    /// Tumbling-window length, ms.
-    pub window_ms: f64,
-    /// Retries allowed per window as a fraction of the window's fresh
-    /// admissions.
-    pub fraction: f64,
-    /// Retries always allowed per window regardless of admissions, so a
-    /// lone failed request on an idle server can still retry.
-    pub floor: u32,
-}
+/// Tumbling-window length of the global retry budget, ms.
+const BUDGET_WINDOW_MS: f64 = 50.0;
+/// Retries allowed per window as a fraction of the window's fresh
+/// admissions.
+const BUDGET_FRACTION: f64 = 0.2;
+/// Retries always allowed per window regardless of admissions, so a
+/// lone failed request on an idle server can still retry.
+const BUDGET_FLOOR: u64 = 1;
 
-impl Default for RetryBudgetConfig {
-    fn default() -> Self {
-        RetryBudgetConfig {
-            window_ms: 50.0,
-            fraction: 0.2,
-            floor: 1,
-        }
-    }
-}
-
-impl RetryBudgetConfig {
-    /// Rejects a non-positive window or a non-finite/negative fraction.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.window_ms > 0.0 && self.window_ms.is_finite()) {
-            return Err(format!("window_ms {} must be finite > 0", self.window_ms));
-        }
-        if !(self.fraction >= 0.0 && self.fraction.is_finite()) {
-            return Err(format!("fraction {} must be finite >= 0", self.fraction));
-        }
-        Ok(())
-    }
-}
+const _: () = {
+    assert!(BUDGET_WINDOW_MS > 0.0 && BUDGET_WINDOW_MS.is_finite());
+    assert!(BUDGET_FRACTION >= 0.0 && BUDGET_FRACTION.is_finite());
+};
 
 /// Server-global retry-storm guard: a tumbling window counting fresh
 /// admissions and retries, denying retries past
-/// `floor + fraction × admissions`.
+/// `BUDGET_FLOOR + BUDGET_FRACTION × admissions`.
 ///
 /// Driven entirely by the virtual clock, so it is deterministic and
 /// free at any thread count.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RetryBudget {
-    cfg: RetryBudgetConfig,
     /// Start of the current window, ms.
     window_start_ms: f64,
     /// Fresh admissions in the current window.
@@ -96,23 +73,11 @@ pub struct RetryBudget {
 }
 
 impl RetryBudget {
-    /// A fresh budget; panics on an invalid config.
-    pub fn new(cfg: RetryBudgetConfig) -> Self {
-        cfg.validate().expect("invalid retry budget config");
-        RetryBudget {
-            cfg,
-            window_start_ms: 0.0,
-            admissions: 0,
-            retries: 0,
-            denied: 0,
-        }
-    }
-
     /// Advances the tumbling window to the one containing `now_ms`.
     fn roll(&mut self, now_ms: f64) {
-        if now_ms - self.window_start_ms >= self.cfg.window_ms {
-            let windows = ((now_ms - self.window_start_ms) / self.cfg.window_ms).floor();
-            self.window_start_ms += windows * self.cfg.window_ms;
+        if now_ms - self.window_start_ms >= BUDGET_WINDOW_MS {
+            let windows = ((now_ms - self.window_start_ms) / BUDGET_WINDOW_MS).floor();
+            self.window_start_ms += windows * BUDGET_WINDOW_MS;
             self.admissions = 0;
             self.retries = 0;
         }
@@ -127,7 +92,7 @@ impl RetryBudget {
     /// Asks for one retry token at `now_ms`; `true` grants it.
     pub fn try_retry(&mut self, now_ms: f64) -> bool {
         self.roll(now_ms);
-        let cap = self.cfg.floor as u64 + (self.cfg.fraction * f64::from(self.admissions)) as u64;
+        let cap = BUDGET_FLOOR + (BUDGET_FRACTION * f64::from(self.admissions)) as u64;
         if u64::from(self.retries) < cap {
             self.retries += 1;
             true
@@ -192,11 +157,7 @@ mod tests {
 
     #[test]
     fn retry_budget_caps_retries_per_window() {
-        let mut b = RetryBudget::new(RetryBudgetConfig {
-            window_ms: 50.0,
-            fraction: 0.2,
-            floor: 1,
-        });
+        let mut b = RetryBudget::default();
         // 10 admissions → cap = 1 + 0.2·10 = 3 retries this window.
         for _ in 0..10 {
             b.note_admission(5.0);
@@ -215,31 +176,10 @@ mod tests {
 
     #[test]
     fn retry_budget_floor_allows_idle_server_retry() {
-        let mut b = RetryBudget::new(RetryBudgetConfig::default());
+        let mut b = RetryBudget::default();
         // No admissions at all — the floor still grants one retry.
         assert!(b.try_retry(0.0));
         assert!(!b.try_retry(1.0));
-    }
-
-    #[test]
-    fn bad_budget_configs_are_rejected() {
-        assert!(
-            RetryBudgetConfig {
-                window_ms: 0.0,
-                ..RetryBudgetConfig::default()
-            }
-            .validate()
-            .is_err()
-        );
-        assert!(
-            RetryBudgetConfig {
-                fraction: f64::NAN,
-                ..RetryBudgetConfig::default()
-            }
-            .validate()
-            .is_err()
-        );
-        assert!(RetryBudgetConfig::default().validate().is_ok());
     }
 
     #[test]

@@ -83,7 +83,8 @@ pub struct ServeConfig {
     /// the calibrator, drift alarms re-price planning and invalidate
     /// stale cached schedules), `None` plans on the static profile
     /// forever.  With no drift present, enabling calibration is
-    /// bit-identical to leaving it off.
+    /// bit-identical to leaving it off.  Its settings are the constants
+    /// of [`hios_cost::uncertainty`].
     pub calibration: Option<CalibrationConfig>,
     /// Durable plan store: `Some` opens (and crash-recovers) the
     /// append-only plan log at startup and gives the anytime ladder a
@@ -95,7 +96,8 @@ pub struct ServeConfig {
     /// controller ([`crate::brownout`]) and the global retry budget;
     /// `None` admits everything until the queue overflows.  A controller
     /// that never leaves Normal level (no overload, no faults) is
-    /// bit-identical to `None`.
+    /// bit-identical to `None`.  Its settings are the constants of
+    /// [`crate::brownout`] and [`crate::retry`].
     pub overload: Option<OverloadConfig>,
     /// Execution-engine semantics.
     pub sim: SimConfig,
@@ -665,16 +667,6 @@ pub(crate) fn validate_config(models: &[ServedModel], cfg: &ServeConfig) -> Resu
             ));
         }
     }
-    if let Some(ccfg) = &cfg.calibration {
-        if let Err(msg) = ccfg.validate() {
-            return bad(format!("calibration: {msg}"));
-        }
-    }
-    if let Some(oc) = &cfg.overload {
-        if let Err(msg) = oc.validate() {
-            return bad(format!("overload: {msg}"));
-        }
-    }
     if !(cfg.gpu_repair_ms.is_finite() && cfg.gpu_repair_ms > 0.0) {
         return bad(format!(
             "gpu_repair_ms must be positive and finite, got {}",
@@ -738,11 +730,11 @@ impl<'a> Server<'a> {
         if let Err(e) = faults.validate_platform(m) {
             return Err(bad_options(format!("fault plan: {e}")));
         }
-        let calib: Vec<CalibState> = match &cfg.calibration {
-            Some(ccfg) => models
+        let calib: Vec<CalibState> = match cfg.calibration {
+            Some(_) => models
                 .iter()
                 .map(|model| CalibState {
-                    cal: Calibrator::new(m, model.graph.num_ops(), *ccfg),
+                    cal: Calibrator::new(m, model.graph.num_ops()),
                     table: CalibratedTable::new(model.cost.clone(), m),
                 })
                 .collect(),
@@ -791,9 +783,9 @@ impl<'a> Server<'a> {
                 })
                 .collect(),
             memo: TimelineMemo::new(models.len()),
-            overload: cfg.overload.map(|oc| OverloadState {
-                ctl: BrownoutController::new(oc.brownout),
-                budget: RetryBudget::new(oc.retry_budget),
+            overload: cfg.overload.map(|_| OverloadState {
+                ctl: BrownoutController::default(),
+                budget: RetryBudget::default(),
             }),
             platform: PlatformModel::healthy(m),
             #[cfg(test)]
@@ -2078,19 +2070,8 @@ mod tests {
     }
 
     #[test]
-    fn bad_drift_and_calibration_setups_are_typed_errors() {
+    fn bad_drift_setups_are_typed_errors() {
         let models = vec![model(8, 20)];
-        let mut cfg = ServeConfig::new(2);
-        cfg.calibration = Some(CalibrationConfig {
-            alpha: 0.0,
-            ..CalibrationConfig::default()
-        });
-        let err = serve(&models, &[], &FaultPlan::new(vec![]), &cfg).unwrap_err();
-        assert!(matches!(
-            err,
-            ServeError::Scheduler(SchedulerError::BadOptions(_))
-        ));
-
         let cfg = ServeConfig::new(2);
         let drift = DriftPlan::ramp(5, 0.0, 1.0, 1.0, 2.0, 2); // unknown GPU
         let err = serve_drift(&models, &[], &FaultPlan::new(vec![]), &drift, &cfg).unwrap_err();

@@ -3,7 +3,8 @@
 //! probe backoff, and the flap-detection guarantee that a GPU cycling
 //! fail/heal is eventually quarantined at the escalation cap.
 
-use hios_serve::{BreakerBank, CircuitBreaker, FlapConfig};
+use hios_serve::breaker::{FLAP_WINDOW_MS, MAX_QUARANTINE_MS};
+use hios_serve::{BreakerBank, CircuitBreaker};
 use proptest::prelude::*;
 
 /// Deterministic unit-interval stream for in-test sequences (the shim
@@ -92,10 +93,7 @@ proptest! {
     fn flapping_gpu_is_eventually_quarantined_at_the_cap(
         (base, seed) in (1.0f64..5.0, 0u64..1 << 32)
     ) {
-        let flap = FlapConfig::default();
-        let cap = flap.max_timeout_ms;
-        let window = flap.window_ms;
-        let mut b = CircuitBreaker::with_flap(base, flap);
+        let mut b = CircuitBreaker::new(base);
         let mut now = 0.0;
         let mut longest_open = 0.0f64;
         for k in 0..30 {
@@ -105,12 +103,12 @@ proptest! {
             prop_assert!(b.try_half_open(now));
             b.probe_success(now);
             // Re-fail strictly within the flap window of the close.
-            now += 0.8 * window * unit(seed, k);
+            now += 0.8 * FLAP_WINDOW_MS * unit(seed, k);
         }
         prop_assert!(b.escalations() >= 1, "flapping never escalated");
         prop_assert!(
-            longest_open >= cap,
-            "quarantine never reached the cap: longest {longest_open} < {cap}"
+            longest_open >= MAX_QUARANTINE_MS,
+            "quarantine never reached the cap: longest {longest_open} < {MAX_QUARANTINE_MS}"
         );
     }
 }
@@ -123,9 +121,7 @@ proptest! {
     fn stable_close_resets_the_quarantine_to_base(
         (base, cycles) in (1.0f64..5.0, 3usize..10)
     ) {
-        let flap = FlapConfig::default();
-        let window = flap.window_ms;
-        let mut b = CircuitBreaker::with_flap(base, flap);
+        let mut b = CircuitBreaker::new(base);
         let mut now = 0.0;
         for _ in 0..cycles {
             let until = b.trip(now);
@@ -137,15 +133,15 @@ proptest! {
         prop_assert!(b.escalations() >= 1);
         // Stay up past the window: the next trip is not a flap, and its
         // successful probe drops the timeout back to base.
-        now += window + 1.0;
+        now += FLAP_WINDOW_MS + 1.0;
         let until = b.trip(now);
         prop_assert_eq!(b.flaps(), 0);
         now = until;
         prop_assert!(b.try_half_open(now));
         b.probe_success(now);
-        let reopened = b.trip(now + window + 1.0);
+        let reopened = b.trip(now + FLAP_WINDOW_MS + 1.0);
         prop_assert!(
-            (reopened - (now + window + 1.0) - base).abs() < 1e-9,
+            (reopened - (now + FLAP_WINDOW_MS + 1.0) - base).abs() < 1e-9,
             "timeout must be back at base"
         );
     }

@@ -12,10 +12,10 @@ use hios_core::bounds;
 use hios_cost::AnalyticCostModel;
 use hios_graph::{LayeredDagConfig, generate_layered_dag};
 use hios_serve::{
-    ClassMix, OverloadConfig, PriorityClass, Request, RetryBudgetConfig, ServeConfig, ServeOutcome,
-    ServedModel, WorkloadConfig, generate_trace_with_classes, serve,
+    ClassMix, OverloadConfig, PriorityClass, Request, ServeConfig, ServeOutcome, ServedModel,
+    WorkloadConfig, generate_trace_with_classes, serve,
 };
-use hios_sim::{DomainKill, FaultKind, FaultPlan, FaultScript, FlapSpec, host_domains};
+use hios_sim::{DomainKill, FaultEvent, FaultKind, FaultPlan, FaultScript, FlapSpec, host_domains};
 
 const GPUS: usize = 3;
 
@@ -157,33 +157,30 @@ fn domain_kill_after_flapping_terminates_everything() {
 fn exhausted_retry_budget_is_a_typed_shed() {
     let models = vec![model(6, 30)];
     let mut cfg = ServeConfig::new(2);
-    // A zero budget: every retry the per-request policy would allow is
-    // denied by the server-global guard.
-    cfg.overload = Some(OverloadConfig {
-        retry_budget: RetryBudgetConfig {
-            window_ms: 50.0,
-            fraction: 0.0,
-            floor: 0,
-        },
-        ..OverloadConfig::default()
-    });
-    let trace = vec![Request {
-        id: 0,
-        model: 0,
-        arrival_ms: 0.0,
-        deadline_ms: 1.0e6,
-        class: PriorityClass::Gold,
-    }];
-    // Hang the sink operator: the watchdog converts it into a retry,
-    // which the empty budget denies.
-    let faults = FaultPlan::single(
-        0.2,
-        FaultKind::OpHang {
+    cfg.overload = Some(OverloadConfig::default());
+    // Two admissions in one budget window buy the floor's one retry and
+    // no more (the fraction's share of two rounds down to zero).
+    let trace: Vec<Request> = (0..2)
+        .map(|id| Request {
+            id,
+            model: 0,
+            arrival_ms: 0.0,
+            deadline_ms: 1.0e6,
+            class: PriorityClass::Gold,
+        })
+        .collect();
+    // Hang the sink operator twice: the watchdog converts each hang into
+    // a retry; the first is granted, the second denied by the
+    // server-global guard.
+    let hang = |at_ms| FaultEvent {
+        at_ms,
+        kind: FaultKind::OpHang {
             op: hios_graph::OpId(29),
         },
-    );
+    };
+    let faults = FaultPlan::new(vec![hang(0.2), hang(6.0)]);
     let out = serve(&models, &trace, &faults, &cfg).expect("well-formed serving setup");
-    assert_eq!(out.report.completed, 0);
+    assert_eq!(out.report.completed, 1);
     assert_eq!(out.report.shed_retry_budget, 1);
     assert_eq!(out.report.retry_budget_denied, 1);
 }

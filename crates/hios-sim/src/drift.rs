@@ -1,7 +1,7 @@
 //! Time-varying cost drift: gradual, unannounced deviation of execution
 //! speed from the profiled cost model.
 //!
-//! [`fault::FaultPlan`] models *step* disruptions — a GPU dies or jumps
+//! [`crate::fault::FaultPlan`] models *step* disruptions — a GPU dies or jumps
 //! to a fixed slowdown at a known instant.  Production drift is the
 //! other failure mode: contention from co-tenants, clock throttling and
 //! thermal effects bend operator latencies *gradually*, with no discrete

@@ -7,7 +7,7 @@
 //! in an append-only, checksummed record log so restarted servers
 //! warm-start from the plans a previous process already computed.
 //!
-//! Design (DESIGN.md §12):
+//! Design (DESIGN.md §9.6):
 //!
 //! * **Content addressing.**  Plans are keyed by [`PlanKey`] — graph
 //!   fingerprint, platform fingerprint, alive-GPU mask and calibration

@@ -2,7 +2,7 @@
 //!
 //! The build container has no access to crates.io, so the workspace vendors
 //! a minimal `serde` whose `Serialize`/`Deserialize` traits convert through
-//! a JSON [`Value`] tree.  This proc-macro derives those traits for the
+//! a JSON `serde::Value` tree.  This proc-macro derives those traits for the
 //! shapes the HIOS crates actually use:
 //!
 //! * structs with named fields (`#[serde(skip)]` supported, filled from
