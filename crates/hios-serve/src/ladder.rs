@@ -1545,7 +1545,7 @@ mod tests {
 
     fn with_store(cfg: LadderConfig, path: &std::path::Path) -> AnytimeLadder {
         let mut ladder = AnytimeLadder::new(cfg);
-        ladder.attach_store(PlanStore::open(path, StoreOptions::default()).unwrap());
+        ladder.attach_store(PlanStore::open(path, StoreOptions).unwrap());
         ladder
     }
 
@@ -1725,7 +1725,7 @@ mod tests {
         let mut keys = Vec::new();
         {
             let mut plain = AnytimeLadder::new(cfg);
-            let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+            let mut store = PlanStore::open(&path, StoreOptions).unwrap();
             for (g, cost) in &tenants {
                 let d = plain
                     .decide(g, cost, &alive, 0, inf, 0, Policy::Anytime)
@@ -1759,7 +1759,7 @@ mod tests {
         drop(ladder);
 
         // The reopened log knows, and a restarted ladder runs no pass.
-        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        let mut store = PlanStore::open(&path, StoreOptions).unwrap();
         for key in &keys {
             assert_eq!(store.get_shared(key).unwrap().rung, Some(PlanRung::FullLp));
         }

@@ -111,22 +111,17 @@ const WATCHDOG_MS: f64 = 5.0;
 /// Initial breaker reset timeout, ms (doubles on each failed probe).
 const BREAKER_RESET_MS: f64 = 20.0;
 
-/// Where the durable plan log lives and how it behaves.
+/// Where the durable plan log lives.
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
     /// Path of the append-only plan log file.
     pub path: PathBuf,
-    /// Store knobs (delta-chain depth bound).
-    pub options: StoreOptions,
 }
 
 impl StoreConfig {
-    /// A store at `path` with default options.
+    /// A store at `path`.
     pub fn at(path: impl Into<PathBuf>) -> Self {
-        StoreConfig {
-            path: path.into(),
-            options: StoreOptions::default(),
-        }
+        StoreConfig { path: path.into() }
     }
 }
 
@@ -679,13 +674,10 @@ pub(crate) struct Server<'a> {
     events: EventQueue<Event>,
     queue: VecDeque<usize>,
     states: Vec<ReqState>,
-    signals: Vec<FaultSignal>,
-    /// `signals` is sorted by both `at_ms` and `detected_ms` (what
-    /// [`FaultPlan::signals`] yields for a sorted plan), so the ones a
+    /// Sorted by both `at_ms` and `detected_ms`, so the ones a
     /// completion must inspect are one contiguous run.
-    signals_sorted: bool,
-    /// First signal not yet detected strictly before now; only advanced
-    /// while `signals_sorted`.
+    signals: Vec<FaultSignal>,
+    /// First signal not yet detected strictly before now.
     first_live_signal: usize,
     next_token: u64,
     in_flight: Option<InFlight>,
@@ -898,14 +890,10 @@ impl<'a> Server<'a> {
             // must), so `Err` here means the file itself is unusable
             // (permissions, unsupported newer format) — a deployment error
             // worth surfacing, not absorbing.
-            let store = PlanStore::open(&sc.path, sc.options).map_err(ServeError::Store)?;
+            let store = PlanStore::open(&sc.path, StoreOptions).map_err(ServeError::Store)?;
             ladder.attach_store(store);
         }
         let signals = faults.signals(cfg.detection_ms);
-        let signals_sorted = signals
-            .windows(2)
-            .all(|w| w[0].at_ms <= w[1].at_ms && w[0].detected_ms <= w[1].detected_ms);
-        debug_assert!(signals_sorted, "fault plan events are not in time order");
         let mut events = EventQueue::new();
         for (s, sig) in signals.iter().enumerate() {
             events.push(sig.detected_ms, Event::FaultDetected(s));
@@ -920,7 +908,6 @@ impl<'a> Server<'a> {
             queue: VecDeque::new(),
             states: Vec::new(),
             signals,
-            signals_sorted,
             first_live_signal: 0,
             next_token: 0,
             in_flight: None,
@@ -1558,26 +1545,19 @@ impl<'a> Server<'a> {
     fn occurred_undetected_disruption(&mut self, fl: &InFlight) -> bool {
         let now = self.clock.now_ms();
         // Candidates are the signals with `at_ms <= now <= detected_ms`.
-        // On a sorted stream the clock only moves forward, so signals
-        // detected before now never qualify again (the cursor) and the
-        // first one still in the future ends the run; an unsorted stream
-        // is scanned whole.  Either way the same signals are tested, in
-        // the same order.
-        let live = if self.signals_sorted {
-            let signals = &self.signals;
-            while signals
-                .get(self.first_live_signal)
-                .is_some_and(|sig| sig.detected_ms < now)
-            {
-                self.first_live_signal += 1;
-            }
-            let rest = &signals[self.first_live_signal..];
-            &rest[..rest.partition_point(|sig| sig.at_ms <= now)]
-        } else {
-            &self.signals[..]
-        };
-        live.iter()
-            .filter(|sig| sig.at_ms <= now && sig.detected_ms >= now)
+        // The clock only moves forward, so signals detected before now
+        // never qualify again (the cursor) and the first one still in the
+        // future ends the run.
+        let signals = &self.signals;
+        while signals
+            .get(self.first_live_signal)
+            .is_some_and(|sig| sig.detected_ms < now)
+        {
+            self.first_live_signal += 1;
+        }
+        let rest = &signals[self.first_live_signal..];
+        rest[..rest.partition_point(|sig| sig.at_ms <= now)]
+            .iter()
             .any(|sig| disruption(sig, fl).is_some())
     }
 
@@ -2127,6 +2107,39 @@ mod tests {
                 "{what}: {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn an_unsorted_fault_plan_serves_like_its_sorted_self() {
+        use crate::fleet::{FleetConfig, FleetFaults, serve_fleet};
+        let models = vec![model(3, 36)];
+        let mut cfg = ServeConfig::new(3);
+        cfg.gpu_repair_ms = 4.0;
+        let trace = trace_for(&models, &cfg, &wl(60, 2000.0, 500.0));
+        let fail = |at_ms, gpu| FaultEvent {
+            at_ms,
+            kind: FaultKind::GpuFailStop { gpu },
+        };
+        // `events` is public: nothing stops a caller building it unsorted.
+        let unsorted = FaultPlan {
+            events: vec![fail(9.0, 2), fail(3.0, 1), fail(9.0, 0)],
+        };
+        let sorted = FaultPlan::new(unsorted.events.clone());
+        assert_ne!(unsorted, sorted);
+
+        let one = serve(&models, &trace, &unsorted, &cfg).unwrap();
+        assert!(one.report.breaker_opens >= 2);
+        let want = serve(&models, &trace, &sorted, &cfg).unwrap();
+        assert_eq!(one.report.history_digest, want.report.history_digest);
+
+        let fleet = FleetConfig::new(2, 3);
+        let per_cluster = |plan: &FaultPlan| FleetFaults {
+            per_cluster: vec![plan.clone(), FaultPlan::none()],
+            cluster_events: Vec::new(),
+        };
+        let one = serve_fleet(&models, &trace, &per_cluster(&unsorted), &fleet).unwrap();
+        let want = serve_fleet(&models, &trace, &per_cluster(&sorted), &fleet).unwrap();
+        assert_eq!(one.report.history_digest, want.report.history_digest);
     }
 
     #[test]

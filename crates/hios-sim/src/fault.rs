@@ -325,21 +325,26 @@ impl FaultPlan {
 
     /// Exports the plan as the detection-ordered signal stream a
     /// serving-layer watchdog would emit: each event surfaces
-    /// `detection_ms` after it fires.  Uniform detection latency keeps
-    /// the stream sorted, and ties keep plan order.
+    /// `detection_ms` after it fires.  `events` is public and may be
+    /// unsorted, so the stream is sorted by firing time (stable, exactly
+    /// as [`FaultPlan::new`] sorts); uniform detection latency keeps it
+    /// sorted by detection time too, and ties keep plan order.
     pub fn signals(&self, detection_ms: f64) -> Vec<FaultSignal> {
         assert!(
             detection_ms.is_finite() && detection_ms >= 0.0,
             "detection latency must be finite and >= 0, got {detection_ms}"
         );
-        self.events
+        let mut signals: Vec<FaultSignal> = self
+            .events
             .iter()
             .map(|e| FaultSignal {
                 at_ms: e.at_ms,
                 detected_ms: e.at_ms + detection_ms,
                 kind: e.kind,
             })
-            .collect()
+            .collect();
+        signals.sort_by(|a, b| a.at_ms.total_cmp(&b.at_ms));
+        signals
     }
 
     /// Checks every event against the platform alone (`m` GPUs): finite,
@@ -777,6 +782,17 @@ mod tests {
         assert!(
             sigs.windows(2)
                 .all(|w| w[0].detected_ms <= w[1].detected_ms)
+        );
+
+        // A plan built unsorted through the public field exports the
+        // same stream as its sorted self.
+        let mut shuffled = p.events.clone();
+        shuffled.reverse();
+        let unsorted = FaultPlan { events: shuffled };
+        assert_ne!(unsorted, p);
+        assert_eq!(
+            unsorted.signals(0.5),
+            FaultPlan::new(unsorted.events.clone()).signals(0.5)
         );
     }
 

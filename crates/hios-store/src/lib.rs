@@ -13,9 +13,9 @@
 //!   fingerprint, platform fingerprint, alive-GPU mask and calibration
 //!   epoch — and every record carries the
 //!   [`Schedule::content_digest`](hios_core::Schedule::content_digest)
-//!   of the *full* plan it denotes.  A plan is served only if the
-//!   reconstructed schedule's digest matches the record's; a mismatch
-//!   is quarantined into a typed miss, never a wrong plan.
+//!   of the plan it holds.  A plan is served only if its digest
+//!   matches the record's; a mismatch is quarantined into a typed miss,
+//!   never a wrong plan.
 //! * **Append-only log, atomic commits.**  Normal puts append one
 //!   checksummed frame and flush; file creation, corruption repair and
 //!   compaction go through a write-to-temp + rename commit so a crash
@@ -27,13 +27,16 @@
 //!   fails to decode is skipped and counted.  Corruption never makes
 //!   `open` fail — only real I/O errors and a log written by a *newer*
 //!   build ([`StoreError::Incompatible`]) do.
-//! * **Delta records.**  A record stores either a full plan or a
-//!   parent key plus a [`PlanDelta`]; replay is depth-bounded
-//!   ([`StoreOptions::max_delta_depth`]) and digest-verified at every
-//!   link, so drift-repair chains stay cheap without compounding risk.
-//! * **Verify once, then share.**  That reconstruction and digest check
-//!   run on the *first* read of a record in a process; the verified plan
-//!   is kept with the record as an `Arc<Schedule>` and every later
+//! * **Full plans only.**  Every record holds a whole plan.  Earlier
+//!   builds could also write a *delta* record (a plan as edits against
+//!   a parent plan); this build reads one as a record that fails to
+//!   decode — skipped and counted in
+//!   [`RecoveryReport::records_quarantined`] — so its key serves the
+//!   newest full record stored under it, or misses.  The next
+//!   [`PlanStore::invalidate_stale`] compaction drops its bytes.
+//! * **Verify once, then share.**  The digest check runs on the
+//!   *first* read of a record in a process; the record's plan is an
+//!   `Arc<Schedule>` and every later
 //!   [`PlanStore::get_shared`] hands out the same `Arc` — no copy, no
 //!   second hash.  A plan written by this process
 //!   ([`PlanStore::put_shared`]) is its own verified content.
@@ -58,12 +61,10 @@
 
 #![warn(missing_docs)]
 
-mod delta;
 mod log;
 mod record;
 mod store;
 
-pub use delta::{DeltaError, PlanDelta, StageEdit};
 pub use record::{PlanKey, PlanRung, RECORD_FORMAT_VERSION};
 pub use store::{
     PlanStore, PutOutcome, RecoveryReport, STORE_FORMAT_VERSION, SharedPlan, StoreError,

@@ -6,16 +6,26 @@
 //! u16 version | u8 kind | ( u8 tag | u32 len | bytes )*
 //! ```
 //!
-//! | tag | field | bytes | in |
-//! |-----|-------|-------|----|
-//! | 1 | key ([`PlanKey`]) | 36 | every record |
-//! | 2 | makespan, `f64` bits | 8 | every record |
-//! | 3 | content digest of the full plan | 8 | every record |
-//! | 4 | schedule (versioned JSON envelope) | n | full records |
-//! | 5 | parent key | 36 | delta records |
-//! | 6 | delta (versioned JSON envelope) | n | delta records |
-//! | 7 | parent content digest | 8 | delta records |
-//! | 8 | producing rung ([`PlanRung`]) | 1 | optional |
+//! `kind` is 1, a full plan.  Kind 2 (a delta against a parent plan)
+//! is **retired**, never to be reused: this build decodes it as
+//! malformed, so `open` skips such a record and counts it in
+//! [`RecoveryReport::records_quarantined`](crate::RecoveryReport::records_quarantined).
+//!
+//! | tag | field | bytes |
+//! |-----|-------|-------|
+//! | 1 | key ([`PlanKey`]) | 36 |
+//! | 2 | makespan, `f64` bits | 8 |
+//! | 3 | content digest of the plan | 8 |
+//! | 4 | schedule (versioned JSON envelope) | n |
+//! | 5 | retired (delta parent key) | — |
+//! | 6 | retired (delta body) | — |
+//! | 7 | retired (delta parent digest) | — |
+//! | 8 | producing rung ([`PlanRung`]), optional | 1 |
+//!
+//! Tags 1–4 are in every record.  Retired tags are never reused; a
+//! reader skips them like any tag it does not know.  Retiring kind 2
+//! moved no format version: full records encode as they always did, so
+//! a log this build writes still opens in a build that wrote deltas.
 //!
 //! The TLV body makes the format forward-tolerant: a reader skips tags
 //! it does not know, so a future minor writer can add fields without
@@ -31,11 +41,9 @@
 //! The payload
 //! is binary — not JSON — because the key fingerprints are full-range
 //! `u64`s and the vendored JSON tree stores numbers as `f64`, which
-//! silently rounds integers above 2^53.  The embedded schedule and
-//! delta bodies *are* JSON (their fields are small integers) via their
-//! own versioned envelopes.
+//! silently rounds integers above 2^53.  The embedded schedule *is*
+//! JSON (its fields are small integers) via its own versioned envelope.
 
-use crate::delta::{DeltaError, PlanDelta};
 use hios_core::ScheduleCacheKey;
 use hios_core::{Schedule, ScheduleCodecError};
 use serde::Value;
@@ -45,15 +53,11 @@ use std::sync::Arc;
 pub const RECORD_FORMAT_VERSION: u16 = 1;
 
 const KIND_FULL: u8 = 1;
-const KIND_DELTA: u8 = 2;
 
 const TAG_KEY: u8 = 1;
 const TAG_MAKESPAN: u8 = 2;
 const TAG_DIGEST: u8 = 3;
 const TAG_SCHEDULE: u8 = 4;
-const TAG_PARENT: u8 = 5;
-const TAG_DELTA: u8 = 6;
-const TAG_PARENT_DIGEST: u8 = 7;
 const TAG_RUNG: u8 = 8;
 
 /// The scheduling pass that produced a stored plan — what the serving
@@ -125,14 +129,6 @@ impl PlanKey {
         }
     }
 
-    /// The scheduling problem regardless of platform drift and epoch:
-    /// the family within which delta parents are chosen (a plan for
-    /// the same graph on the same alive set is the natural diff base
-    /// even if the pricing has drifted).
-    pub(crate) fn problem(&self) -> (u64, u64, u32) {
-        (self.graph_fp, self.alive_mask, self.num_gpus)
-    }
-
     pub(crate) fn encode(&self) -> [u8; KEY_LEN] {
         let mut out = [0u8; KEY_LEN];
         out[0..8].copy_from_slice(&self.graph_fp.to_le_bytes());
@@ -157,44 +153,26 @@ impl PlanKey {
     }
 }
 
-/// One decoded record: a plan (full or delta-encoded) under its key.
+/// One decoded record: a plan under its key.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct PlanRecord {
     pub key: PlanKey,
     pub makespan_ms: f64,
-    /// [`Schedule::content_digest`] of the *full* plan this record
-    /// denotes (after delta replay, for delta records).
+    /// [`Schedule::content_digest`] of `plan`, as the writer took it.
     pub digest: u64,
     /// What computed the plan; `None` when the writer did not say.
     pub rung: Option<PlanRung>,
-    pub body: RecordBody,
-}
-
-/// How the plan is stored.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) enum RecordBody {
-    /// The whole schedule, shared with every reader it is served to.
-    Full(Arc<Schedule>),
-    /// Edits against an earlier record.  The parent is pinned by key
-    /// *and* content digest: a later put can rebind the parent key to
-    /// a different plan, and replaying this delta against that plan
-    /// would reconstruct garbage (caught by the digest check, but as a
-    /// lost entry).  Pinning the digest keeps the chain resolvable as
-    /// long as any record of that exact plan survives.
-    Delta {
-        parent: PlanKey,
-        parent_digest: u64,
-        delta: PlanDelta,
-    },
+    /// The schedule, shared with every reader it is served to.
+    pub plan: Arc<Schedule>,
 }
 
 /// Outcome of decoding one checksum-valid payload.
 pub(crate) enum RecordDecode {
     Ok(Box<PlanRecord>),
-    /// Written by a newer build (record, schedule or delta envelope).
+    /// Written by a newer build (record or schedule envelope).
     Incompatible,
     /// Structurally broken despite a valid checksum (a buggy or hostile
-    /// writer, not bit rot).
+    /// writer, not bit rot), or of a retired kind.
     Malformed,
 }
 
@@ -208,10 +186,7 @@ fn put_field(out: &mut Vec<u8>, tag: u8, bytes: &[u8]) {
 pub(crate) fn encode(rec: &PlanRecord) -> Vec<u8> {
     let mut out = Vec::with_capacity(128);
     out.extend_from_slice(&RECORD_FORMAT_VERSION.to_le_bytes());
-    out.push(match rec.body {
-        RecordBody::Full(_) => KIND_FULL,
-        RecordBody::Delta { .. } => KIND_DELTA,
-    });
+    out.push(KIND_FULL);
     put_field(&mut out, TAG_KEY, &rec.key.encode());
     put_field(
         &mut out,
@@ -219,24 +194,9 @@ pub(crate) fn encode(rec: &PlanRecord) -> Vec<u8> {
         &rec.makespan_ms.to_bits().to_le_bytes(),
     );
     put_field(&mut out, TAG_DIGEST, &rec.digest.to_le_bytes());
-    match &rec.body {
-        RecordBody::Full(schedule) => {
-            let json = serde_json::to_string(&schedule.to_value_versioned())
-                .expect("value tree serialization is infallible");
-            put_field(&mut out, TAG_SCHEDULE, json.as_bytes());
-        }
-        RecordBody::Delta {
-            parent,
-            parent_digest,
-            delta,
-        } => {
-            put_field(&mut out, TAG_PARENT, &parent.encode());
-            put_field(&mut out, TAG_PARENT_DIGEST, &parent_digest.to_le_bytes());
-            let json = serde_json::to_string(&delta.to_value())
-                .expect("value tree serialization is infallible");
-            put_field(&mut out, TAG_DELTA, json.as_bytes());
-        }
-    }
+    let json = serde_json::to_string(&rec.plan.to_value_versioned())
+        .expect("value tree serialization is infallible");
+    put_field(&mut out, TAG_SCHEDULE, json.as_bytes());
     // Last and only when known, so a rung-less record is byte-identical
     // to what a build without the field writes.
     if let Some(rung) = rec.rung {
@@ -254,15 +214,14 @@ pub(crate) fn decode(payload: &[u8]) -> RecordDecode {
     if version > RECORD_FORMAT_VERSION {
         return RecordDecode::Incompatible;
     }
-    let kind = payload[2];
+    if payload[2] != KIND_FULL {
+        return RecordDecode::Malformed; // a retired delta, or garbage
+    }
 
     let mut key = None;
     let mut makespan = None;
     let mut digest = None;
     let mut schedule_bytes: Option<&[u8]> = None;
-    let mut parent = None;
-    let mut parent_digest = None;
-    let mut delta_bytes: Option<&[u8]> = None;
     let mut rung = None;
 
     let mut pos = 3usize;
@@ -296,14 +255,6 @@ pub(crate) fn decode(payload: &[u8]) -> RecordDecode {
                 digest = Some(u64::from_le_bytes(bytes.try_into().expect("8 bytes")));
             }
             TAG_SCHEDULE => schedule_bytes = Some(bytes),
-            TAG_PARENT => parent = PlanKey::decode(bytes),
-            TAG_PARENT_DIGEST => {
-                if bytes.len() != 8 {
-                    return RecordDecode::Malformed;
-                }
-                parent_digest = Some(u64::from_le_bytes(bytes.try_into().expect("8 bytes")));
-            }
-            TAG_DELTA => delta_bytes = Some(bytes),
             TAG_RUNG => {
                 let &[byte] = bytes else {
                     return RecordDecode::Malformed;
@@ -314,71 +265,55 @@ pub(crate) fn decode(payload: &[u8]) -> RecordDecode {
         }
     }
 
-    let (Some(key), Some(makespan_ms), Some(digest)) = (key, makespan, digest) else {
+    let (Some(key), Some(makespan_ms), Some(digest), Some(schedule_bytes)) =
+        (key, makespan, digest, schedule_bytes)
+    else {
         return RecordDecode::Malformed;
     };
     if !makespan_ms.is_finite() || makespan_ms < 0.0 {
         return RecordDecode::Malformed;
     }
-    let body = match kind {
-        KIND_FULL => {
-            let Some(bytes) = schedule_bytes else {
-                return RecordDecode::Malformed;
-            };
-            match parse_schedule(bytes) {
-                Ok(s) => RecordBody::Full(Arc::new(s)),
-                Err(ParseFail::Incompatible) => return RecordDecode::Incompatible,
-                Err(ParseFail::Malformed) => return RecordDecode::Malformed,
-            }
-        }
-        KIND_DELTA => {
-            let (Some(parent), Some(parent_digest), Some(bytes)) =
-                (parent, parent_digest, delta_bytes)
-            else {
-                return RecordDecode::Malformed;
-            };
-            match parse_delta(bytes) {
-                Ok(d) => RecordBody::Delta {
-                    parent,
-                    parent_digest,
-                    delta: d,
-                },
-                Err(ParseFail::Incompatible) => return RecordDecode::Incompatible,
-                Err(ParseFail::Malformed) => return RecordDecode::Malformed,
-            }
-        }
-        _ => return RecordDecode::Malformed,
-    };
-    RecordDecode::Ok(Box::new(PlanRecord {
-        key,
-        makespan_ms,
-        digest,
-        rung,
-        body,
-    }))
+    match parse_schedule(schedule_bytes) {
+        Ok(plan) => RecordDecode::Ok(Box::new(PlanRecord {
+            key,
+            makespan_ms,
+            digest,
+            rung,
+            plan: Arc::new(plan),
+        })),
+        Err(e) => e,
+    }
 }
 
-enum ParseFail {
-    Incompatible,
-    Malformed,
-}
-
-fn parse_schedule(bytes: &[u8]) -> Result<Schedule, ParseFail> {
-    let text = std::str::from_utf8(bytes).map_err(|_| ParseFail::Malformed)?;
-    let value: Value = serde_json::from_str(text).map_err(|_| ParseFail::Malformed)?;
+fn parse_schedule(bytes: &[u8]) -> Result<Schedule, RecordDecode> {
+    let text = std::str::from_utf8(bytes).map_err(|_| RecordDecode::Malformed)?;
+    let value: Value = serde_json::from_str(text).map_err(|_| RecordDecode::Malformed)?;
     Schedule::from_value_versioned(&value).map_err(|e| match e {
-        ScheduleCodecError::Incompatible { .. } => ParseFail::Incompatible,
-        ScheduleCodecError::Malformed(_) => ParseFail::Malformed,
+        ScheduleCodecError::Incompatible { .. } => RecordDecode::Incompatible,
+        ScheduleCodecError::Malformed(_) => RecordDecode::Malformed,
     })
 }
 
-fn parse_delta(bytes: &[u8]) -> Result<PlanDelta, ParseFail> {
-    let text = std::str::from_utf8(bytes).map_err(|_| ParseFail::Malformed)?;
-    let value: Value = serde_json::from_str(text).map_err(|_| ParseFail::Malformed)?;
-    PlanDelta::from_value(&value).map_err(|e| match e {
-        DeltaError::Incompatible { .. } => ParseFail::Incompatible,
-        _ => ParseFail::Malformed,
-    })
+/// A delta record (retired kind 2) byte for byte as the builds that
+/// wrote them encoded it: `delta_json` is the delta envelope, the
+/// makespan is 9 ms, and the record names no rung.
+#[cfg(test)]
+pub(crate) fn retired_delta_payload(
+    key: PlanKey,
+    parent: PlanKey,
+    parent_digest: u64,
+    digest: u64,
+    delta_json: &str,
+) -> Vec<u8> {
+    let mut out = RECORD_FORMAT_VERSION.to_le_bytes().to_vec();
+    out.push(2);
+    put_field(&mut out, TAG_KEY, &key.encode());
+    put_field(&mut out, TAG_MAKESPAN, &9.0f64.to_bits().to_le_bytes());
+    put_field(&mut out, TAG_DIGEST, &digest.to_le_bytes());
+    put_field(&mut out, 5, &parent.encode());
+    put_field(&mut out, 7, &parent_digest.to_le_bytes());
+    put_field(&mut out, 6, delta_json.as_bytes());
+    out
 }
 
 #[cfg(test)]
@@ -407,36 +342,42 @@ mod tests {
         assert_eq!(PlanKey::decode(&[0u8; 10]), None);
     }
 
+    /// A delta record as the builds that wrote them encoded it: the plan
+    /// of epoch 1 as one edited stage against the plan of epoch 0.
+    fn parent_build_delta() -> Vec<u8> {
+        let child = Schedule::from_gpu_orders(vec![vec![OpId(0), OpId(2)], vec![OpId(1), OpId(3)]]);
+        retired_delta_payload(
+            key(1),
+            key(0),
+            plan().content_digest(),
+            child.content_digest(),
+            r#"{"v":1,"gpus":[[null,null],[null,[3]]]}"#,
+        )
+    }
+
     #[test]
-    fn full_and_delta_records_round_trip() {
+    fn full_records_round_trip() {
         let s = plan();
         let full = PlanRecord {
             key: key(0),
             makespan_ms: 12.5,
             digest: s.content_digest(),
             rung: Some(PlanRung::FullLp),
-            body: RecordBody::Full(Arc::new(s.clone())),
+            plan: Arc::new(s),
         };
         match decode(&encode(&full)) {
             RecordDecode::Ok(rec) => assert_eq!(*rec, full),
             _ => panic!("full record must round-trip"),
         }
+    }
 
-        let delta = PlanRecord {
-            key: key(1),
-            makespan_ms: 11.0,
-            digest: s.content_digest(),
-            rung: None,
-            body: RecordBody::Delta {
-                parent: key(0),
-                parent_digest: s.content_digest(),
-                delta: PlanDelta::diff(&s, &s),
-            },
-        };
-        match decode(&encode(&delta)) {
-            RecordDecode::Ok(rec) => assert_eq!(*rec, delta),
-            _ => panic!("delta record must round-trip"),
-        }
+    #[test]
+    fn a_parent_build_delta_record_is_malformed() {
+        // Checksum-valid and well-formed TLV, but of the retired kind.
+        assert!(matches!(
+            decode(&parent_build_delta()),
+            RecordDecode::Malformed
+        ));
     }
 
     #[test]
@@ -447,7 +388,7 @@ mod tests {
             makespan_ms: 1.0,
             digest: s.content_digest(),
             rung: None,
-            body: RecordBody::Full(Arc::new(s)),
+            plan: Arc::new(s),
         };
         let mut extended = encode(&full);
         put_field(&mut extended, 250, b"future field");
@@ -499,6 +440,10 @@ mod tests {
                 bytes.push(x as u8);
             }
             let _ = decode(&bytes);
+        }
+        let delta = parent_build_delta();
+        for len in 0..=delta.len() {
+            let _ = decode(&delta[..len]);
         }
         assert!(matches!(decode(&[]), RecordDecode::Malformed));
         assert!(matches!(

@@ -1,9 +1,8 @@
-//! The durable plan store: open/recover, get with digest-verified
-//! replay, put with delta compression, epoch-based invalidation.
+//! The durable plan store: open/recover, digest-verified get, put,
+//! epoch-based invalidation.
 
-use crate::delta::PlanDelta;
 use crate::log::{self, LogScan};
-use crate::record::{self, PlanKey, PlanRecord, PlanRung, RecordBody, RecordDecode};
+use crate::record::{self, PlanKey, PlanRecord, PlanRung, RecordDecode};
 use hios_core::Schedule;
 use std::collections::{HashMap, HashSet};
 use std::ffi::OsString;
@@ -60,27 +59,18 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// Tunables for a [`PlanStore`].
-#[derive(Clone, Copy, Debug)]
-pub struct StoreOptions {
-    /// Maximum delta links a stored plan may sit behind; deeper chains
-    /// are stored as full plans on write and refused (quarantined) on
-    /// read.  Bounds both replay cost and compounded-corruption risk.
-    pub max_delta_depth: u32,
-}
-
-impl Default for StoreOptions {
-    fn default() -> Self {
-        StoreOptions { max_delta_depth: 8 }
-    }
-}
+/// Tunables for a [`PlanStore`].  There are none; [`PlanStore::open`]
+/// takes the default.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct StoreOptions;
 
 /// What [`PlanStore::open`] found and repaired.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Records decoded and indexed (including superseded duplicates).
     pub records_loaded: usize,
-    /// Checksum-valid records that failed to decode and were skipped.
+    /// Checksum-valid records that failed to decode and were skipped,
+    /// among them the delta records older builds wrote.
     pub records_quarantined: usize,
     /// Records written by a newer build, skipped but kept on disk.
     pub incompatible_records: usize,
@@ -100,12 +90,12 @@ pub struct StoreStats {
     pub hits: u64,
     /// `get`s that found nothing servable (includes quarantined ones).
     pub misses: u64,
-    /// Entries dropped at `get` time: digest mismatch, broken or
-    /// over-deep delta chain.  Every quarantine is also a miss.
+    /// Entries dropped because their plan does not match the recorded
+    /// content digest.  Every quarantine at `get` time is also a miss.
     pub quarantines: u64,
-    /// Records appended storing a full plan.
+    /// Records appended.
     pub puts_full: u64,
-    /// Records appended storing a delta.
+    /// Always 0: every record is a full plan.
     pub puts_delta: u64,
     /// Entries dropped by [`PlanStore::invalidate_stale`].
     pub invalidated: u64,
@@ -116,8 +106,6 @@ pub struct StoreStats {
 pub enum PutOutcome {
     /// Appended as a full plan.
     Full,
-    /// Appended as a delta against an earlier plan.
-    Delta,
     /// Identical to the incumbent record; nothing written.
     Unchanged,
 }
@@ -125,25 +113,21 @@ pub enum PutOutcome {
 /// A plan served from the store.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StoredPlan {
-    /// The reconstructed, digest-verified schedule.
+    /// The digest-verified schedule.
     pub schedule: Schedule,
     /// The makespan recorded when the plan was stored.
     pub makespan_ms: f64,
-    /// Whether delta replay was involved in reconstruction.
-    pub via_delta: bool,
 }
 
 /// A plan served from the store without copying it: what
 /// [`PlanStore::get_shared`] returns.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SharedPlan {
-    /// The reconstructed, digest-verified schedule, shared with the
-    /// store (and with every other reader of the same record).
+    /// The digest-verified schedule, shared with the store (and with
+    /// every other reader of the same record).
     pub schedule: Arc<Schedule>,
     /// The makespan recorded when the plan was stored.
     pub makespan_ms: f64,
-    /// Whether delta replay was involved in reconstruction.
-    pub via_delta: bool,
     /// The scheduling pass that produced the plan, when the writer
     /// recorded it.
     pub rung: Option<PlanRung>,
@@ -152,22 +136,14 @@ pub struct SharedPlan {
     pub digest: u64,
 }
 
-/// The full plan a record denotes, known good: reconstructed and checked
-/// against the record's content digest on the first read, or the very
-/// plan the digest was taken from on a put.
-#[derive(Clone, Debug)]
-struct Resolved {
-    plan: Arc<Schedule>,
-    /// Delta links between the record and a full one.
-    depth: u32,
-}
-
 #[derive(Debug)]
 struct Slot {
     rec: PlanRecord,
-    /// Filled once per process, so a record is replayed and hashed at
-    /// most once however often it is read.
-    resolved: Option<Resolved>,
+    /// Whether `rec.plan` is known to match `rec.digest`: checked on the
+    /// first read, or true from the start for the very plan a put took
+    /// the digest from.  So a record is hashed at most once per process
+    /// however often it is read.
+    verified: bool,
 }
 
 /// A durable, content-addressed plan store over one append-only log
@@ -175,16 +151,9 @@ struct Slot {
 #[derive(Debug)]
 pub struct PlanStore {
     path: PathBuf,
-    opts: StoreOptions,
     file: File,
     records: Vec<Slot>,
     index: HashMap<PlanKey, usize>,
-    /// Record per `(key, content digest)` — what delta parents pin, so
-    /// a chain stays resolvable after its parent key is rebound to a
-    /// different plan by a later put.
-    index_by_digest: HashMap<(PlanKey, u64), usize>,
-    /// Latest key per scheduling problem, the delta-parent candidate.
-    latest_by_problem: HashMap<(u64, u64, u32), PlanKey>,
     recovery: RecoveryReport,
     stats: StoreStats,
     /// Content-digest passes spent verifying reads.
@@ -246,7 +215,7 @@ impl PlanStore {
     /// records are skipped — all tallied in [`PlanStore::recovery`].
     /// Only real I/O errors and a log written by a newer build
     /// ([`StoreError::Incompatible`]) are errors.
-    pub fn open(path: impl Into<PathBuf>, opts: StoreOptions) -> Result<PlanStore, StoreError> {
+    pub fn open(path: impl Into<PathBuf>, _opts: StoreOptions) -> Result<PlanStore, StoreError> {
         let path = path.into();
         let bytes = match fs::read(&path) {
             Ok(b) => Some(b),
@@ -289,11 +258,8 @@ impl PlanStore {
         let mut store = PlanStore {
             file: open_append(&path)?,
             path,
-            opts,
             records: Vec::with_capacity(payloads.len()),
             index: HashMap::new(),
-            index_by_digest: HashMap::new(),
-            latest_by_problem: HashMap::new(),
             recovery,
             stats: StoreStats::default(),
             #[cfg(test)]
@@ -301,7 +267,7 @@ impl PlanStore {
         };
         for payload in payloads {
             match record::decode(&payload) {
-                RecordDecode::Ok(rec) => store.admit(*rec, None),
+                RecordDecode::Ok(rec) => store.admit(*rec, false),
                 RecordDecode::Incompatible => store.recovery.incompatible_records += 1,
                 RecordDecode::Malformed => store.recovery.records_quarantined += 1,
             }
@@ -310,115 +276,50 @@ impl PlanStore {
         Ok(store)
     }
 
-    fn admit(&mut self, rec: PlanRecord, resolved: Option<Resolved>) {
-        let key = rec.key;
-        let digest = rec.digest;
-        let idx = self.records.len();
-        self.records.push(Slot { rec, resolved });
-        self.index.insert(key, idx);
-        self.index_by_digest.insert((key, digest), idx);
-        self.latest_by_problem.insert(key.problem(), key);
+    fn admit(&mut self, rec: PlanRecord, verified: bool) {
+        self.index.insert(rec.key, self.records.len());
+        self.records.push(Slot { rec, verified });
     }
 
-    /// Whether `plan` is the content a record's digest names.
-    fn verified(&self, plan: &Schedule, recorded: u64) -> bool {
-        #[cfg(test)]
-        self.digest_passes.set(self.digest_passes.get() + 1);
-        plan.content_digest() == recorded
-    }
-
-    /// The full plan record `top` denotes.  The first call replays its
-    /// delta chain (down to a full record, or to a link already
-    /// resolved) and verifies every link's digest; the result is kept
-    /// with the record, so later calls only clone the `Arc`.  `Err`
-    /// means the record (or its chain) is unservable.
-    fn resolve(&mut self, top: usize) -> Result<Resolved, ()> {
-        let mut chain = Vec::new();
-        let mut idx = top;
-        let base = loop {
-            let slot = &self.records[idx];
-            if let Some(known) = &slot.resolved {
-                break known.clone();
-            }
-            match &slot.rec.body {
-                RecordBody::Full(plan) => {
-                    if !self.verified(plan, slot.rec.digest) {
-                        return Err(());
-                    }
-                    break Resolved {
-                        plan: Arc::clone(plan),
-                        depth: 0,
-                    };
-                }
-                RecordBody::Delta {
-                    parent,
-                    parent_digest,
-                    ..
-                } => {
-                    if chain.len() as u32 >= self.opts.max_delta_depth {
-                        return Err(()); // over-deep or cyclic chain
-                    }
-                    chain.push(idx);
-                    idx = *self
-                        .index_by_digest
-                        .get(&(*parent, *parent_digest))
-                        .ok_or(())?;
-                }
-            }
-        };
-        let depth = base.depth + chain.len() as u32;
-        if depth > self.opts.max_delta_depth {
-            return Err(());
+    /// Whether record `idx`'s plan is the content its digest names.  The
+    /// first call hashes the plan; the answer is kept with the record.
+    fn verify(&mut self, idx: usize) -> bool {
+        let slot = &mut self.records[idx];
+        if !slot.verified {
+            #[cfg(test)]
+            self.digest_passes.set(self.digest_passes.get() + 1);
+            slot.verified = slot.rec.plan.content_digest() == slot.rec.digest;
         }
-        let mut plan = base.plan;
-        for &idx in chain.iter().rev() {
-            let rec = &self.records[idx].rec;
-            let RecordBody::Delta { delta, .. } = &rec.body else {
-                return Err(());
-            };
-            plan = Arc::new(delta.apply(&plan).map_err(|_| ())?);
-            if !self.verified(&plan, rec.digest) {
-                return Err(());
-            }
-        }
-        let resolved = Resolved { plan, depth };
-        self.records[top].resolved = Some(resolved.clone());
-        Ok(resolved)
+        slot.verified
     }
 
     /// Looks up `key`; `None` is a typed miss.  A present entry is
-    /// served only if its (possibly delta-replayed) reconstruction
-    /// matches the recorded content digest; anything else — digest
-    /// mismatch, broken parent chain, over-deep replay — quarantines
-    /// the entry and reports a miss.  This is the invariant the whole
-    /// store exists to uphold: corruption can cost a warm start, it
-    /// can never serve a wrong plan.
+    /// served only if its plan matches the recorded content digest; a
+    /// mismatch quarantines the entry and reports a miss.  This is the
+    /// invariant the whole store exists to uphold: corruption can cost
+    /// a warm start, it can never serve a wrong plan.
     ///
     /// The check runs on the first read of a record in this process;
-    /// the verified plan is then kept and later reads share it.
+    /// later reads share the verified plan.
     pub fn get_shared(&mut self, key: &PlanKey) -> Option<SharedPlan> {
         let Some(&idx) = self.index.get(key) else {
             self.stats.misses += 1;
             return None;
         };
-        match self.resolve(idx) {
-            Ok(Resolved { plan, depth }) => {
-                self.stats.hits += 1;
-                let rec = &self.records[idx].rec;
-                Some(SharedPlan {
-                    schedule: plan,
-                    makespan_ms: rec.makespan_ms,
-                    via_delta: depth > 0,
-                    rung: rec.rung,
-                    digest: rec.digest,
-                })
-            }
-            Err(()) => {
-                self.quarantine(key);
-                self.stats.misses += 1;
-                None
-            }
+        if !self.verify(idx) {
+            self.index.remove(key);
+            self.stats.quarantines += 1;
+            self.stats.misses += 1;
+            return None;
         }
+        self.stats.hits += 1;
+        let rec = &self.records[idx].rec;
+        Some(SharedPlan {
+            schedule: Arc::clone(&rec.plan),
+            makespan_ms: rec.makespan_ms,
+            rung: rec.rung,
+            digest: rec.digest,
+        })
     }
 
     /// [`PlanStore::get_shared`] with an owned copy of the schedule and
@@ -427,23 +328,12 @@ impl PlanStore {
         self.get_shared(key).map(|hit| StoredPlan {
             schedule: Schedule::clone(&hit.schedule),
             makespan_ms: hit.makespan_ms,
-            via_delta: hit.via_delta,
         })
-    }
-
-    fn quarantine(&mut self, key: &PlanKey) {
-        self.index.remove(key);
-        if self.latest_by_problem.get(&key.problem()) == Some(key) {
-            self.latest_by_problem.remove(&key.problem());
-        }
-        self.stats.quarantines += 1;
     }
 
     /// Persists `plan` under `key` with the rung that produced it
     /// (`None`: not known): appends one checksummed frame and flushes.
-    /// Stores a delta against the latest plan of the same scheduling
-    /// problem when that is smaller and keeps the replay chain within
-    /// bounds.  A put that tells the incumbent record nothing new — same
+    /// A put that tells the incumbent record nothing new — same
     /// content, same makespan, and no rung the record does not already
     /// carry — writes nothing; one that only names the rung is written,
     /// which is how a log from a build without the field learns it.
@@ -457,6 +347,33 @@ impl PlanStore {
         makespan_ms: f64,
         rung: Option<PlanRung>,
     ) -> Result<PutOutcome, StoreError> {
+        self.put_with(key, plan, makespan_ms, rung, || Arc::clone(plan))
+    }
+
+    /// [`PlanStore::put_shared`] of `schedule`, rung unknown; the
+    /// schedule is copied only if the put writes a record.
+    pub fn put(
+        &mut self,
+        key: PlanKey,
+        schedule: &Schedule,
+        makespan_ms: f64,
+    ) -> Result<PutOutcome, StoreError> {
+        self.put_with(key, schedule, makespan_ms, None, || {
+            Arc::new(schedule.clone())
+        })
+    }
+
+    /// The put both public forms share: `plan` is hashed and checked
+    /// against the incumbent record, and `share` is called for the `Arc`
+    /// to keep only once a frame will be written.
+    fn put_with(
+        &mut self,
+        key: PlanKey,
+        plan: &Schedule,
+        makespan_ms: f64,
+        rung: Option<PlanRung>,
+        share: impl FnOnce() -> Arc<Schedule>,
+    ) -> Result<PutOutcome, StoreError> {
         let digest = plan.content_digest();
         if let Some(&idx) = self.index.get(&key) {
             let old = &self.records[idx].rec;
@@ -467,68 +384,21 @@ impl PlanStore {
                 return Ok(PutOutcome::Unchanged);
             }
         }
-
-        let full = PlanRecord {
+        let rec = PlanRecord {
             key,
             makespan_ms,
             digest,
             rung,
-            body: RecordBody::Full(Arc::clone(plan)),
+            plan: share(),
         };
-        let full_bytes = record::encode(&full);
-        let mut chosen = (full, full_bytes, PutOutcome::Full, 0);
-
-        let parent = self
-            .latest_by_problem
-            .get(&key.problem())
-            .filter(|&&parent_key| parent_key != key)
-            .and_then(|parent_key| Some((*parent_key, *self.index.get(parent_key)?)));
-        if let Some((parent_key, parent_idx)) = parent {
-            if let Ok(parent) = self.resolve(parent_idx) {
-                if parent.depth < self.opts.max_delta_depth {
-                    let rec = PlanRecord {
-                        key,
-                        makespan_ms,
-                        digest,
-                        rung,
-                        body: RecordBody::Delta {
-                            parent: parent_key,
-                            parent_digest: self.records[parent_idx].rec.digest,
-                            delta: PlanDelta::diff(&parent.plan, plan),
-                        },
-                    };
-                    let bytes = record::encode(&rec);
-                    if bytes.len() < chosen.1.len() {
-                        chosen = (rec, bytes, PutOutcome::Delta, parent.depth + 1);
-                    }
-                }
-            }
-        }
-        let (rec, bytes, outcome, depth) = chosen;
-
-        let frame = log::encode_frame(&bytes);
+        let frame = log::encode_frame(&record::encode(&rec));
         self.file
             .write_all(&frame)
             .map_err(|e| StoreError::io("append", &e))?;
         self.file.flush().map_err(|e| StoreError::io("flush", &e))?;
-        match outcome {
-            PutOutcome::Full => self.stats.puts_full += 1,
-            PutOutcome::Delta => self.stats.puts_delta += 1,
-            PutOutcome::Unchanged => {}
-        }
-        let plan = Arc::clone(plan);
-        self.admit(rec, Some(Resolved { plan, depth }));
-        Ok(outcome)
-    }
-
-    /// [`PlanStore::put_shared`] of a copy of `schedule`, rung unknown.
-    pub fn put(
-        &mut self,
-        key: PlanKey,
-        schedule: &Schedule,
-        makespan_ms: f64,
-    ) -> Result<PutOutcome, StoreError> {
-        self.put_shared(key, &Arc::new(schedule.clone()), makespan_ms, None)
+        self.stats.puts_full += 1;
+        self.admit(rec, true);
+        Ok(PutOutcome::Full)
     }
 
     /// Extends the serving ladder's `invalidate_stale` to the durable
@@ -537,9 +407,8 @@ impl PlanStore {
     /// plans survive — they are priced against the base profile a
     /// restarted process calibrates from, so they are exactly the
     /// warm-start inventory — as does the current epoch.  Dropping
-    /// compacts the log (survivors rewritten as full records with their
-    /// recorded rungs, delta parents may be purged) through an atomic
-    /// temp + rename commit.
+    /// compacts the log (survivors rewritten with their recorded
+    /// rungs) through an atomic temp + rename commit.
     /// Returns how many entries were dropped.
     pub fn invalidate_stale(
         &mut self,
@@ -556,38 +425,26 @@ impl PlanStore {
             return Ok(0);
         }
 
-        let mut survivors: Vec<(usize, PlanKey)> = self
+        let mut survivors: Vec<usize> = self
             .index
             .iter()
             .filter(|(k, _)| !stale.contains(k))
-            .map(|(k, &i)| (i, *k))
+            .map(|(_, &i)| i)
             .collect();
-        survivors.sort_unstable_by_key(|&(i, _)| i);
-
-        // Materialize before dropping anything: a survivor's delta
-        // parent may be stale, so it must be re-rooted as a full plan.
-        let mut rebuilt = Vec::with_capacity(survivors.len());
-        for &(idx, key) in &survivors {
-            match self.resolve(idx) {
-                Ok(Resolved { plan, .. }) => {
-                    let old = &self.records[idx].rec;
-                    let rec = PlanRecord {
-                        key,
-                        makespan_ms: old.makespan_ms,
-                        digest: old.digest, // what `resolve` just checked `plan` against
-                        rung: old.rung,
-                        body: RecordBody::Full(Arc::clone(&plan)),
-                    };
-                    rebuilt.push((rec, plan));
-                }
-                // An unservable chain surfaces here instead of at the
-                // next get; drop it with the same accounting.
-                Err(()) => self.stats.quarantines += 1,
-            }
-        }
+        survivors.sort_unstable();
+        // Verify before rewriting, so compaction never turns a record
+        // whose plan no longer matches its digest into a fresh frame.
+        // One that fails is dropped with a get's accounting.
+        let before = survivors.len();
+        survivors.retain(|&idx| self.verify(idx));
+        self.stats.quarantines += (before - survivors.len()) as u64;
+        let kept: Vec<PlanRecord> = survivors
+            .iter()
+            .map(|&idx| self.records[idx].rec.clone())
+            .collect();
 
         let mut image = log::encode_header(STORE_FORMAT_VERSION).to_vec();
-        for (rec, _) in &rebuilt {
+        for rec in &kept {
             image.extend_from_slice(&log::encode_frame(&record::encode(rec)));
         }
         write_atomic(&self.path, &image)?;
@@ -595,10 +452,8 @@ impl PlanStore {
 
         self.records.clear();
         self.index.clear();
-        self.index_by_digest.clear();
-        self.latest_by_problem.clear();
-        for (rec, plan) in rebuilt {
-            self.admit(rec, Some(Resolved { plan, depth: 0 }));
+        for rec in kept {
+            self.admit(rec, true);
         }
         self.stats.invalidated += stale.len() as u64;
         Ok(stale.len())
@@ -671,14 +526,14 @@ mod tests {
     #[test]
     fn put_get_survives_reopen_bit_identically() {
         let path = scratch("reopen");
-        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        let mut store = PlanStore::open(&path, StoreOptions).unwrap();
         assert!(store.is_empty());
         assert_eq!(store.put(key(1, 0), &plan(3), 10.0), Ok(PutOutcome::Full));
         assert_eq!(store.get(&key(1, 0)).unwrap().schedule, plan(3));
         let before = fs::read(&path).unwrap();
         drop(store);
 
-        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        let mut store = PlanStore::open(&path, StoreOptions).unwrap();
         assert_eq!(
             fs::read(&path).unwrap(),
             before,
@@ -694,14 +549,13 @@ mod tests {
         let hit = store.get(&key(1, 0)).unwrap();
         assert_eq!(hit.schedule, plan(3));
         assert_eq!(hit.makespan_ms, 10.0);
-        assert!(!hit.via_delta);
         assert_eq!(store.stats().hits, 1);
     }
 
     #[test]
     fn unchanged_put_writes_nothing() {
         let path = scratch("unchanged");
-        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        let mut store = PlanStore::open(&path, StoreOptions).unwrap();
         store.put(key(1, 0), &plan(3), 10.0).unwrap();
         let size = fs::metadata(&path).unwrap().len();
         assert_eq!(
@@ -712,43 +566,9 @@ mod tests {
     }
 
     #[test]
-    fn near_identical_plans_store_as_deltas_and_replay() {
-        let path = scratch("delta");
-        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
-        store.put(key(1, 0), &plan(3), 10.0).unwrap();
-        for e in 1..=4u64 {
-            let outcome = store
-                .put(key(1, e), &plan(3 + e as u32), 10.0 - e as f64)
-                .unwrap();
-            assert_eq!(outcome, PutOutcome::Delta, "epoch {e} should delta-chain");
-        }
-        drop(store);
-        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
-        for e in 0..=4u64 {
-            let hit = store.get(&key(1, e)).unwrap();
-            assert_eq!(hit.schedule, plan(3 + e as u32));
-            assert_eq!(hit.via_delta, e > 0);
-        }
-    }
-
-    #[test]
-    fn delta_depth_is_bounded_on_write() {
-        let path = scratch("depth");
-        let opts = StoreOptions { max_delta_depth: 2 };
-        let mut store = PlanStore::open(&path, opts).unwrap();
-        store.put(key(1, 0), &plan(3), 9.0).unwrap();
-        assert_eq!(store.put(key(1, 1), &plan(4), 9.0), Ok(PutOutcome::Delta));
-        assert_eq!(store.put(key(1, 2), &plan(5), 9.0), Ok(PutOutcome::Delta));
-        // Parent is already at the depth bound: falls back to full.
-        assert_eq!(store.put(key(1, 3), &plan(6), 9.0), Ok(PutOutcome::Full));
-        assert_eq!(store.get(&key(1, 3)).unwrap().schedule, plan(6));
-    }
-
-    #[test]
     fn invalidate_stale_purges_intermediates_keeps_base_and_current() {
         let path = scratch("epochs");
-        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
-        // Epoch 3 is delta-encoded against a parent the purge drops.
+        let mut store = PlanStore::open(&path, StoreOptions).unwrap();
         let rungs = [
             Some(PlanRung::Greedy),
             None,
@@ -773,9 +593,8 @@ mod tests {
         assert!(store.contains(&key(2, 1)));
         drop(store);
 
-        // The compaction is durable and survivors were re-rooted as
-        // full plans even though their delta parents are gone.
-        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        // The compaction is durable …
+        let mut store = PlanStore::open(&path, StoreOptions).unwrap();
         assert_eq!(store.len(), 3);
         assert_eq!(store.get(&key(1, 3)).unwrap().schedule, plan(6));
         assert_eq!(store.get(&key(1, 0)).unwrap().schedule, plan(3));
@@ -790,11 +609,11 @@ mod tests {
     #[test]
     fn a_put_that_only_names_the_rung_reaches_the_log() {
         let path = scratch("rung-only");
-        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        let mut store = PlanStore::open(&path, StoreOptions).unwrap();
         store.put(key(1, 0), &plan(3), 10.0).unwrap(); // as an older build writes it
         drop(store);
 
-        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        let mut store = PlanStore::open(&path, StoreOptions).unwrap();
         assert_eq!(store.get_shared(&key(1, 0)).unwrap().rung, None);
         let same = Arc::new(plan(3));
         let lp = Some(PlanRung::FullLp);
@@ -814,7 +633,7 @@ mod tests {
         );
         drop(store);
 
-        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        let mut store = PlanStore::open(&path, StoreOptions).unwrap();
         assert_eq!(store.recovery().records_loaded, 2);
         let hit = store.get_shared(&key(1, 0)).unwrap();
         assert_eq!((hit.rung, &*hit.schedule), (lp, &plan(3)));
@@ -823,25 +642,24 @@ mod tests {
     #[test]
     fn a_record_is_verified_once_and_then_shared() {
         let path = scratch("shared");
-        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        let mut store = PlanStore::open(&path, StoreOptions).unwrap();
         let written = Arc::new(plan(3));
         store.put_shared(key(1, 0), &written, 10.0, None).unwrap();
-        store.put(key(1, 1), &plan(4), 9.0).unwrap(); // a delta on it
+        store.put(key(1, 1), &plan(4), 9.0).unwrap();
         // What this process wrote it need not re-verify to read.
         let hit = store.get_shared(&key(1, 0)).unwrap();
         assert!(Arc::ptr_eq(&hit.schedule, &written));
         assert_eq!(store.digest_passes.get(), 0);
         drop(store);
 
-        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        let mut store = PlanStore::open(&path, StoreOptions).unwrap();
         let first = store.get_shared(&key(1, 1)).unwrap();
-        assert!(first.via_delta);
-        assert_eq!(store.digest_passes.get(), 2, "base and delta link");
+        assert_eq!(store.digest_passes.get(), 1, "one pass over the record");
         let second = store.get_shared(&key(1, 1)).unwrap();
         assert_eq!(first, second);
         assert!(Arc::ptr_eq(&first.schedule, &second.schedule));
         assert_eq!(store.get(&key(1, 1)).unwrap().schedule, plan(4));
-        assert_eq!(store.digest_passes.get(), 2, "later reads hash nothing");
+        assert_eq!(store.digest_passes.get(), 1, "later reads hash nothing");
         assert_eq!(store.stats().hits, 3);
     }
 
@@ -850,7 +668,7 @@ mod tests {
         // A checksum-valid frame whose schedule is not the one its
         // digest names: only the first read's digest pass can tell.
         let path = scratch("first-read");
-        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        let mut store = PlanStore::open(&path, StoreOptions).unwrap();
         store.put(key(1, 0), &plan(3), 10.0).unwrap();
         drop(store);
         let forged = PlanRecord {
@@ -858,14 +676,14 @@ mod tests {
             makespan_ms: 10.0,
             digest: plan(3).content_digest(),
             rung: Some(PlanRung::FullLp),
-            body: RecordBody::Full(Arc::new(plan(4))),
+            plan: Arc::new(plan(4)),
         };
         let mut file = open_append(&path).unwrap();
         file.write_all(&log::encode_frame(&record::encode(&forged)))
             .unwrap();
         drop(file);
 
-        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        let mut store = PlanStore::open(&path, StoreOptions).unwrap();
         assert_eq!(store.recovery().records_loaded, 2);
         assert_eq!(store.get_shared(&key(2, 0)), None);
         assert_eq!(store.get_shared(&key(2, 0)), None);
@@ -875,16 +693,70 @@ mod tests {
     }
 
     #[test]
+    fn a_parent_build_log_with_a_delta_record_still_opens() {
+        // Two full records, then a delta (a retired record kind) under
+        // the second one's key, as builds that wrote deltas framed it.
+        let path = scratch("parent-delta");
+        let mut store = PlanStore::open(&path, StoreOptions).unwrap();
+        store.put(key(1, 0), &plan(3), 10.0).unwrap();
+        store.put(key(1, 2), &plan(4), 9.0).unwrap();
+        drop(store);
+        let full_records = fs::read(&path).unwrap();
+        let delta = record::retired_delta_payload(
+            key(1, 2),
+            key(1, 0),
+            plan(3).content_digest(),
+            plan(5).content_digest(),
+            r#"{"v":1,"gpus":[[null,null],[null,[5]]]}"#,
+        );
+        let mut file = open_append(&path).unwrap();
+        file.write_all(&log::encode_frame(&delta)).unwrap();
+        drop(file);
+        let with_delta = fs::read(&path).unwrap();
+
+        let mut store = PlanStore::open(&path, StoreOptions).unwrap();
+        assert_eq!(
+            *store.recovery(),
+            RecoveryReport {
+                records_loaded: 2,
+                records_quarantined: 1,
+                ..RecoveryReport::default()
+            }
+        );
+        // The delta's key serves the older full plan stored under it.
+        assert_eq!(store.get(&key(1, 2)).unwrap().schedule, plan(4));
+        assert_eq!(store.get(&key(1, 0)).unwrap().schedule, plan(3));
+        drop(store);
+
+        let mut store = PlanStore::open(&path, StoreOptions).unwrap();
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            with_delta,
+            "reopen rewrites nothing"
+        );
+        assert_eq!(store.recovery().records_quarantined, 1);
+
+        // Compaction keeps both full records and drops the delta's bytes.
+        store.put(key(1, 1), &plan(6), 9.5).unwrap();
+        assert_eq!(store.invalidate_stale(1, 2), Ok(1));
+        assert_eq!(fs::read(&path).unwrap(), full_records);
+        drop(store);
+        let mut store = PlanStore::open(&path, StoreOptions).unwrap();
+        assert_eq!(store.recovery().records_quarantined, 0);
+        assert_eq!(store.get(&key(1, 2)).unwrap().schedule, plan(4));
+    }
+
+    #[test]
     fn header_corruption_resets_with_sidecar_not_error() {
         let path = scratch("header");
-        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        let mut store = PlanStore::open(&path, StoreOptions).unwrap();
         store.put(key(1, 0), &plan(3), 9.0).unwrap();
         drop(store);
         let mut bytes = fs::read(&path).unwrap();
         bytes[2] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
 
-        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        let mut store = PlanStore::open(&path, StoreOptions).unwrap();
         assert!(store.recovery().reset);
         assert!(store.is_empty());
         assert_eq!(
@@ -903,7 +775,7 @@ mod tests {
     #[test]
     fn repeated_corruption_never_overwrites_earlier_sidecars() {
         let path = scratch("requarantine");
-        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        let mut store = PlanStore::open(&path, StoreOptions).unwrap();
         store.put(key(1, 0), &plan(3), 9.0).unwrap();
         drop(store);
         let first = {
@@ -912,11 +784,11 @@ mod tests {
             fs::write(&path, &bytes).unwrap();
             bytes
         };
-        drop(PlanStore::open(&path, StoreOptions::default()).unwrap());
+        drop(PlanStore::open(&path, StoreOptions).unwrap());
 
         // Second corruption of the store's lifetime: the fresh evidence
         // lands in `.quarantine.1`; `.quarantine.0` is untouched.
-        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        let mut store = PlanStore::open(&path, StoreOptions).unwrap();
         store.put(key(2, 0), &plan(4), 9.0).unwrap();
         drop(store);
         let second = {
@@ -925,7 +797,7 @@ mod tests {
             fs::write(&path, &bytes).unwrap();
             bytes
         };
-        let store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        let store = PlanStore::open(&path, StoreOptions).unwrap();
         assert!(store.recovery().reset);
         assert_eq!(
             fs::read(sibling(&path, ".quarantine.0")).unwrap(),
@@ -938,12 +810,12 @@ mod tests {
     #[test]
     fn newer_file_format_is_typed_incompatible() {
         let path = scratch("newer");
-        drop(PlanStore::open(&path, StoreOptions::default()).unwrap());
+        drop(PlanStore::open(&path, StoreOptions).unwrap());
         let mut bytes = fs::read(&path).unwrap();
         bytes[8..12].copy_from_slice(&(STORE_FORMAT_VERSION + 1).to_le_bytes());
         fs::write(&path, &bytes).unwrap();
         assert_eq!(
-            PlanStore::open(&path, StoreOptions::default()).err(),
+            PlanStore::open(&path, StoreOptions).err(),
             Some(StoreError::Incompatible {
                 found: STORE_FORMAT_VERSION + 1,
                 supported: STORE_FORMAT_VERSION

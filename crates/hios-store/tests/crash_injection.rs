@@ -17,7 +17,7 @@
 
 use hios_core::Schedule;
 use hios_graph::OpId;
-use hios_store::{PlanKey, PlanRung, PlanStore, StoreOptions};
+use hios_store::{PlanKey, PlanRung, PlanStore, STORE_FORMAT_VERSION, StoreError, StoreOptions};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::fs;
@@ -98,7 +98,7 @@ const RUNGS: [Option<PlanRung>; 4] = [
 /// stored under it.
 fn build_log(mix: &mut Mix, n: usize) -> (PathBuf, Vec<Frame>, HashMap<PlanKey, Vec<Stored>>) {
     let path = scratch();
-    let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+    let mut store = PlanStore::open(&path, StoreOptions).unwrap();
     let mut frames: Vec<Frame> = Vec::new();
     let mut legit: HashMap<PlanKey, Vec<Stored>> = HashMap::new();
     let mut size = fs::metadata(&path).unwrap().len() as usize;
@@ -126,7 +126,7 @@ fn build_log(mix: &mut Mix, n: usize) -> (PathBuf, Vec<Frame>, HashMap<PlanKey, 
 
 /// Opens the damaged log and checks invariants 1, 2 and 4.
 fn check_recovery(path: &PathBuf, legit: &HashMap<PlanKey, Vec<Stored>>) {
-    let mut store = PlanStore::open(path, StoreOptions::default())
+    let mut store = PlanStore::open(path, StoreOptions)
         .expect("corruption must never fail open — only typed misses are allowed");
     for (k, stored) in legit {
         if let Some(hit) = store.get_shared(k) {
@@ -140,7 +140,7 @@ fn check_recovery(path: &PathBuf, legit: &HashMap<PlanKey, Vec<Stored>>) {
 
     // Self-stabilization: reopening the repaired file is a no-op.
     drop(store);
-    let mut store = PlanStore::open(path, StoreOptions::default()).unwrap();
+    let mut store = PlanStore::open(path, StoreOptions).unwrap();
     assert_eq!(
         fs::read(path).unwrap(),
         repaired,
@@ -155,7 +155,7 @@ fn check_recovery(path: &PathBuf, legit: &HashMap<PlanKey, Vec<Stored>>) {
     store.put(fresh_key, &fresh, 1.25).unwrap();
     let appended = fs::read(path).unwrap();
     drop(store);
-    let mut store = PlanStore::open(path, StoreOptions::default()).unwrap();
+    let mut store = PlanStore::open(path, StoreOptions).unwrap();
     assert_eq!(fs::read(path).unwrap(), appended);
     let hit = store
         .get(&fresh_key)
@@ -184,7 +184,7 @@ proptest! {
         for f in frames.iter().filter(|f| f.end <= cut) {
             expect.insert(f.key, &f.stored);
         }
-        let mut store = PlanStore::open(&path, StoreOptions::default()).unwrap();
+        let mut store = PlanStore::open(&path, StoreOptions).unwrap();
         for k in legit.keys() {
             match (store.get_shared(k), expect.get(k)) {
                 (Some(hit), Some(want)) => {
@@ -201,13 +201,28 @@ proptest! {
     fn bit_flips_never_surface_an_altered_plan((seed, n, flips) in (0u64..u64::MAX, 2usize..10, 1usize..4)) {
         let mut mix = Mix(seed);
         let (path, _, legit) = build_log(&mut mix, n);
-        let mut bytes = fs::read(&path).unwrap();
+        let pristine = fs::read(&path).unwrap();
+        let mut bytes = pristine.clone();
         for _ in 0..flips {
             let at = mix.below(bytes.len());
             bytes[at] ^= 1 << mix.below(8);
         }
         fs::write(&path, &bytes).unwrap();
-        check_recovery(&path, &legit);
+
+        // A flip that raises the header's version (bytes 8..12) behind an
+        // intact magic reads as a log from a newer build: `open` refuses
+        // it with a typed error and leaves the file alone.  Every other
+        // flip, a version of 0 included, is corruption and must recover.
+        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+        if bytes[..8] == pristine[..8] && version > STORE_FORMAT_VERSION {
+            prop_assert!(matches!(
+                PlanStore::open(&path, StoreOptions),
+                Err(StoreError::Incompatible { found, .. }) if found == version
+            ));
+            prop_assert_eq!(fs::read(&path).unwrap(), bytes);
+        } else {
+            check_recovery(&path, &legit);
+        }
     }
 
     #[test]
@@ -223,9 +238,8 @@ proptest! {
         // Re-emit every frame in a deterministically shuffled order,
         // then duplicate one — the image two interleaved writers (or a
         // replayed append) would leave.  Every frame is checksum-valid,
-        // so recovery must load them all; a delta whose parent now
-        // resolves to a different plan digest-mismatches into a typed
-        // miss rather than a wrong plan.
+        // so recovery must load them all, and each key serves whichever
+        // of its plans now comes last.
         let mut order: Vec<usize> = (0..frames.len()).collect();
         for i in (1..order.len()).rev() {
             order.swap(i, mix.below(i + 1));
@@ -278,7 +292,7 @@ proptest! {
                 let cut = mix.below(bytes.len()) + 1;
                 fs::write(&path, &bytes[..cut]).unwrap();
             }
-            let mut store = PlanStore::open(&path, StoreOptions::default())
+            let mut store = PlanStore::open(&path, StoreOptions)
                 .expect("corruption must never fail open");
             let quarantined = store.recovery().reset || store.recovery().torn_tail;
             // Keep the log non-trivial for the next round.
