@@ -46,7 +46,7 @@ use crate::health::{HealthConfig, HealthSample, HealthView};
 use crate::report::{ClassStats, Fnv, OutcomeFold};
 use crate::request::{Disposition, PriorityClass, Request, RequestRecord, ServeError, ShedReason};
 use crate::router::{Choice, Ranking, Router, RouterConfig, RouterPolicy};
-use crate::server::{self, ServeConfig, ServeOutcome, ServedModel, Server};
+use crate::server::{self, Arrivals, ServeConfig, ServeOutcome, ServedModel, Server};
 use hios_sim::{
     ClusterFaultEvent, ClusterFaultKind, DriftPlan, EventQueue, FaultEvent, FaultKind, FaultPlan,
     validate_cluster_events,
@@ -405,7 +405,7 @@ struct Hop {
 /// One physical copy of a request (the original, or its hedged twin).
 struct Branch {
     cluster: usize,
-    /// State index inside the owning cluster's server.
+    /// Slot inside the owning cluster's server (meaningful while live).
     idx: usize,
     /// Still pending inside a cluster.
     live: bool,
@@ -493,7 +493,8 @@ struct Cluster<'a> {
     alive: bool,
     /// Consumed-records watermark into `srv.outcomes()`.
     seen: usize,
-    /// State index → the copy it stands for.
+    /// Server slot → the copy it stands for, overwritten when the server
+    /// recycles the slot ([`Fleet::admit`]).
     copy_map: Vec<CopyRef>,
     /// Terminal outcomes since the last heartbeat.
     window_outcomes: u64,
@@ -510,9 +511,9 @@ struct Fleet<'a> {
     health: HealthView,
     /// Faults, heals and heartbeats — a handful of entries at any time.
     events: EventQueue<FleetEvent>,
-    /// Trace positions by arrival instant, trace position among equals.
-    arrivals: Vec<usize>,
-    /// Arrivals already routed: `arrivals[arrived..]` are still to come.
+    /// The trace's arrival order.
+    arrivals: Arrivals,
+    /// Arrivals already routed: the `arrived`-th is the next to come.
     arrived: usize,
     /// One per trace entry, in trace order.
     reqs: Vec<FleetReq>,
@@ -604,9 +605,25 @@ impl<'a> Fleet<'a> {
     fn admit(&mut self, copy: CopyRef) {
         let fi = self.owner(copy);
         let ci = self.branch(copy).cluster;
-        let idx = self.clusters[ci].srv.inject(self.trace[fi], self.now);
-        debug_assert_eq!(self.clusters[ci].copy_map.len(), idx);
-        self.clusters[ci].copy_map.push(copy);
+        let c = &mut self.clusters[ci];
+        // The server recycles a slot once its request is terminal, and
+        // the slot's `copy_map` entry is overwritten here.  Sound because
+        // every record the cluster pushed was mapped back before this
+        // injection: every call into a cluster that can push one
+        // (`inject`, `step`, `cancel`) is followed by a `consume` of it.
+        debug_assert_eq!(
+            c.seen,
+            c.srv.outcomes().1.len(),
+            "cluster {ci}: records unread"
+        );
+        let idx = c.srv.inject(self.trace[fi], self.now);
+        match c.copy_map.get_mut(idx) {
+            Some(entry) => *entry = copy,
+            None => {
+                debug_assert_eq!(c.copy_map.len(), idx);
+                c.copy_map.push(copy);
+            }
+        }
         self.branch_mut(copy).idx = idx;
         self.consume(ci);
     }
@@ -956,7 +973,7 @@ impl<'a> Fleet<'a> {
         let arrival = self
             .arrivals
             .get(self.arrived)
-            .map(|&ti| (self.trace[ti].arrival_ms, Next::Arrival(ti)));
+            .map(|ti| (self.trace[ti].arrival_ms, Next::Arrival(ti)));
         let queued = self.events.peek_time().map(|t| (t, Next::Queued));
         let fleet = match (arrival, queued) {
             (Some(a), Some(q)) if a.0.total_cmp(&q.0).is_gt() => Some(q),
@@ -1067,11 +1084,6 @@ pub fn serve_fleet(
         });
     }
 
-    // Requests arrive by instant, trace position among equal instants
-    // (the sort is stable), as in `Server::run_trace`.
-    let mut arrivals: Vec<usize> = (0..trace.len()).collect();
-    arrivals.sort_by(|&a, &b| trace[a].arrival_ms.total_cmp(&trace[b].arrival_ms));
-
     let mut fleet = Fleet {
         cfg,
         trace,
@@ -1081,7 +1093,7 @@ pub fn serve_fleet(
             .collect(),
         health,
         events,
-        arrivals,
+        arrivals: Arrivals::of(trace),
         arrived: 0,
         reqs: trace
             .iter()

@@ -58,7 +58,8 @@ pub struct ServeReport {
     pub miss_rate: f64,
     /// Shed fraction of the trace.
     pub shed_rate: f64,
-    /// Median end-to-end latency of completions, ms.
+    /// Median end-to-end latency of completions, ms (0 with none, like
+    /// the three below, so reports stay comparable with `==`).
     pub p50_ms: f64,
     /// 95th-percentile latency, ms.
     pub p95_ms: f64,
@@ -125,23 +126,49 @@ fn rank_index(n: usize, p: f64) -> usize {
     rank.clamp(1, n) - 1
 }
 
-/// Deterministic percentile of `sorted` (ascending, by `total_cmp`).
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    sorted[rank_index(sorted.len(), p)]
-}
-
-/// [`percentile`] of `values` in any order, by selection instead of a
-/// sort.  `total_cmp` is a total order in which equal means bit-equal, so
-/// the value at a rank is the same bits whichever way it is reached.
+/// The nearest-rank `p`-th percentile of `values` in any order, by
+/// selection instead of a sort; 0 (not NaN) for no values.  `total_cmp`
+/// is a total order in which equal means bit-equal, so the value at a
+/// rank is the same bits whichever way it is reached.
 fn percentile_unsorted(values: &mut [f64], p: f64) -> f64 {
     if values.is_empty() {
-        return f64::NAN;
+        return 0.0;
     }
     let at = rank_index(values.len(), p);
     *values.select_nth_unstable_by(at, f64::total_cmp).1
+}
+
+/// Ascending runs (by `total_cmp`) merged into one ascending stream.
+/// Values equal under `total_cmp` are bit-equal, so the stream is the
+/// bits one sort of the union would give, whichever run yields a tie.
+struct Merged<'a>([&'a [f64]; 3]);
+
+impl Iterator for Merged<'_> {
+    type Item = f64;
+
+    fn next(&mut self) -> Option<f64> {
+        let mut least: Option<(usize, f64)> = None;
+        for (k, run) in self.0.iter().enumerate() {
+            if let Some(&x) = run.first() {
+                if least.is_none_or(|(_, y)| x.total_cmp(&y).is_lt()) {
+                    least = Some((k, x));
+                }
+            }
+        }
+        let (k, x) = least?;
+        self.0[k] = &self.0[k][1..];
+        Some(x)
+    }
+}
+
+/// Run-wide latency figures of a [`ServeReport`], all 0 with no
+/// completions.
+#[derive(Default)]
+struct RunLatency {
+    p50_ms: f64,
+    p95_ms: f64,
+    p99_ms: f64,
+    mean_ms: f64,
 }
 
 /// Fraction of `total` requests not among the `kept` ones (`0` — not
@@ -250,7 +277,7 @@ impl OutcomeFold {
         s.shed += 1;
     }
 
-    pub(crate) fn finish(mut self, horizon_ms: f64) -> OutcomeTotals {
+    pub(crate) fn finish(&mut self, horizon_ms: f64) -> OutcomeTotals {
         let goodput_rps = |on_time: usize| {
             if horizon_ms > 0.0 {
                 on_time as f64 / (horizon_ms / 1000.0)
@@ -259,11 +286,7 @@ impl OutcomeFold {
             }
         };
         for (stats, lat) in self.stats.iter_mut().zip(&mut self.latencies) {
-            stats.p99_ms = if lat.is_empty() {
-                0.0
-            } else {
-                percentile_unsorted(lat, 0.99)
-            };
+            stats.p99_ms = percentile_unsorted(lat, 0.99);
             // Misses are late completions plus every shed.
             stats.miss_rate = lost_fraction(stats.total, stats.on_time);
             stats.goodput_rps = goodput_rps(stats.on_time);
@@ -278,6 +301,41 @@ impl OutcomeFold {
             on_time,
             miss_rate: lost_fraction(total, on_time),
             goodput_rps: goodput_rps(on_time),
+        }
+    }
+
+    /// Percentiles and mean over every class's completions.  Each class's
+    /// latencies are sorted in place and read in one merged ascending
+    /// pass, so no latency is copied: the mean sums them in the order one
+    /// sort of them all would give, and so to the same bits.
+    fn run_latency(&mut self) -> RunLatency {
+        for lat in &mut self.latencies {
+            // Unstable is exact here: equal under `total_cmp` is bit-equal.
+            lat.sort_unstable_by(f64::total_cmp);
+        }
+        let n = self.latencies.iter().map(Vec::len).sum();
+        if n == 0 {
+            return RunLatency::default();
+        }
+        let ranks = [0.50, 0.95, 0.99].map(|p| rank_index(n, p));
+        let mut at_rank = [0.0; 3];
+        let sum: f64 = Merged(self.latencies.each_ref().map(Vec::as_slice))
+            .enumerate()
+            .map(|(i, x)| {
+                for (value, &rank) in at_rank.iter_mut().zip(&ranks) {
+                    if i == rank {
+                        *value = x;
+                    }
+                }
+                x
+            })
+            .sum();
+        let [p50_ms, p95_ms, p99_ms] = at_rank;
+        RunLatency {
+            p50_ms,
+            p95_ms,
+            p99_ms,
+            mean_ms: sum / n as f64,
         }
     }
 }
@@ -322,7 +380,6 @@ pub struct ReportInputs {
 
 /// Folds per-request records and loop counters into a report.
 pub fn summarize(records: &[RequestRecord], inputs: &ReportInputs) -> ServeReport {
-    let mut latencies: Vec<f64> = Vec::new();
     let mut fold = OutcomeFold::default();
     let mut admitted = 0usize;
     let (mut shed_queue, mut shed_deadline, mut shed_retries) = (0usize, 0usize, 0usize);
@@ -335,7 +392,6 @@ pub fn summarize(records: &[RequestRecord], inputs: &ReportInputs) -> ServeRepor
                 ..
             } => {
                 admitted += 1;
-                latencies.push(*latency_ms);
                 fold.note_completed(r.request.class, *latency_ms, *met_deadline);
             }
             Disposition::Shed { reason, .. } => {
@@ -359,13 +415,7 @@ pub fn summarize(records: &[RequestRecord], inputs: &ReportInputs) -> ServeRepor
         }
     }
     let f = fold.finish(inputs.horizon_ms);
-    // Unstable is exact here: equal under `total_cmp` means bit-equal.
-    latencies.sort_unstable_by(f64::total_cmp);
-    let mean_ms = if latencies.is_empty() {
-        f64::NAN
-    } else {
-        latencies.iter().sum::<f64>() / latencies.len() as f64
-    };
+    let latency = fold.run_latency();
     ServeReport {
         total: f.total,
         admitted,
@@ -378,10 +428,10 @@ pub fn summarize(records: &[RequestRecord], inputs: &ReportInputs) -> ServeRepor
         shed_retry_budget,
         miss_rate: f.miss_rate,
         shed_rate: lost_fraction(f.total, f.completed),
-        p50_ms: percentile(&latencies, 0.50),
-        p95_ms: percentile(&latencies, 0.95),
-        p99_ms: percentile(&latencies, 0.99),
-        mean_ms,
+        p50_ms: latency.p50_ms,
+        p95_ms: latency.p95_ms,
+        p99_ms: latency.p99_ms,
+        mean_ms: latency.mean_ms,
         goodput_rps: f.goodput_rps,
         horizon_ms: inputs.horizon_ms,
         attempts: inputs.attempts,
@@ -478,14 +528,39 @@ mod tests {
         }
     }
 
+    /// The `p`-th percentile of `sorted` as one sort of every value reads
+    /// it: the oracle for selection and for the merged pass.
+    fn percentile(sorted: &[f64], p: f64) -> f64 {
+        sorted[rank_index(sorted.len(), p)]
+    }
+
     #[test]
     fn percentiles_use_nearest_rank() {
-        let xs: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&xs, 0.50), 50.0);
-        assert_eq!(percentile(&xs, 0.95), 95.0);
-        assert_eq!(percentile(&xs, 0.99), 99.0);
-        assert_eq!(percentile(&[7.0], 0.99), 7.0);
-        assert!(percentile(&[], 0.5).is_nan());
+        let mut xs: Vec<f64> = (1..=100).rev().map(f64::from).collect();
+        assert_eq!(percentile_unsorted(&mut xs, 0.50), 50.0);
+        assert_eq!(percentile_unsorted(&mut xs, 0.95), 95.0);
+        assert_eq!(percentile_unsorted(&mut xs, 0.99), 99.0);
+        assert_eq!(percentile_unsorted(&mut [7.0], 0.99), 7.0);
+        assert_eq!(percentile_unsorted(&mut [], 0.5), 0.0);
+    }
+
+    #[test]
+    fn a_report_without_completions_is_equal_to_itself() {
+        let shed = |id| {
+            rec(
+                id,
+                Disposition::Shed {
+                    at_ms: 1.0,
+                    reason: ShedReason::QueueFull { capacity: 1 },
+                },
+            )
+        };
+        let r = summarize(&[shed(0), shed(1)], &inputs());
+        assert_eq!(
+            (r.p50_ms, r.p95_ms, r.p99_ms, r.mean_ms),
+            (0.0, 0.0, 0.0, 0.0)
+        );
+        assert_eq!(r, r.clone());
     }
 
     #[test]
@@ -633,8 +708,29 @@ mod tests {
                 history_digest: of_sorted.history_digest,
                 ..summarize(&shuffled, &inputs())
             };
-            // `mean_ms` is NaN with no completions; compare reports as text.
-            prop_assert_eq!(format!("{of_shuffled:?}"), format!("{of_sorted:?}"));
+            prop_assert_eq!(of_shuffled, of_sorted);
+        }
+
+        /// The run-wide figures read off the per-class runs are the bits
+        /// one sort of every latency gives: each percentile at its rank,
+        /// and the mean summed in ascending order.
+        #[test]
+        fn merged_classes_read_what_one_sort_reads(
+            (seed, n) in (0u64..u64::MAX, 1usize..=300)
+        ) {
+            let mut rng = TestRng::for_case("merged", seed);
+            let mut all = latencies(&mut rng, n);
+            let mut fold = OutcomeFold::default();
+            for &x in &all {
+                fold.note_completed(PriorityClass::from_index(rng.below(3) as usize), x, true);
+            }
+            let got = fold.run_latency();
+            all.sort_by(f64::total_cmp);
+            for (p, got) in [(0.50, got.p50_ms), (0.95, got.p95_ms), (0.99, got.p99_ms)] {
+                prop_assert_eq!(got.to_bits(), percentile(&all, p).to_bits());
+            }
+            let mean = all.iter().sum::<f64>() / n as f64;
+            prop_assert_eq!(got.mean_ms.to_bits(), mean.to_bits());
         }
     }
 

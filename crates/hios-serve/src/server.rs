@@ -152,9 +152,12 @@ pub struct ServeOutcome {
     pub report: ServeReport,
 }
 
+/// What waits on the event queue.  Fault signals do not: they are known
+/// at build and merged from a cursor ([`Server::step`]).  `Retry` is the
+/// only event that names a request slot, so the slot stays held
+/// ([`Hold::Backoff`] / [`Hold::Withdrawn`]) until it fires.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Event {
-    FaultDetected(usize),
     Completion { token: u64 },
     Watchdog { token: u64 },
     BreakerProbe { gpu: usize },
@@ -629,29 +632,30 @@ impl Lesson {
     }
 }
 
+/// One request slot of [`Server::states`].
 struct ReqState {
     request: Request,
+    /// Injection sequence number: a drain returns retry-pending copies
+    /// in this order, whichever slots they hold.
+    seq: u64,
     attempts: u32,
     repairs: u32,
-    /// Set by the fleet layer when a hedged twin won or a failover
-    /// drained this copy: pending events for it become no-ops and it
-    /// produces no terminal record.  Never set in single-cluster runs.
-    cancelled: bool,
-    /// A backoff timer holds this request (it sits in the event queue,
-    /// not the FIFO); a fleet drain must collect it from here.
-    retry_pending: bool,
+    hold: Hold,
 }
 
-impl ReqState {
-    fn fresh(request: Request) -> Self {
-        ReqState {
-            request,
-            attempts: 0,
-            repairs: 0,
-            cancelled: false,
-            retry_pending: false,
-        }
-    }
+/// Who holds a request slot (DESIGN §9.1, *Slot lifetime*).
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Hold {
+    /// Nobody: the slot is on the free list.
+    Free,
+    /// The loop: the request is queued or in flight.
+    Live,
+    /// A backoff timer: the request sits in the event queue, not the
+    /// FIFO, and a fleet drain must collect it from here.
+    Backoff,
+    /// A backoff timer, for a copy the fleet layer withdrew while it
+    /// backed off: its `Retry` frees the slot and does nothing else.
+    Withdrawn,
 }
 
 /// Live overload-hardening state: the brownout state machine plus the
@@ -673,12 +677,22 @@ pub(crate) struct Server<'a> {
     clock: VirtualClock,
     events: EventQueue<Event>,
     queue: VecDeque<usize>,
+    /// Request slots, recycled through `free_slots`: one per request the
+    /// loop still holds, so the table grows with the requests live at
+    /// once, not with the trace.
     states: Vec<ReqState>,
+    free_slots: Vec<usize>,
+    /// Requests injected so far: the next [`ReqState::seq`].
+    injected: u64,
     /// Sorted by both `at_ms` and `detected_ms`, so the ones a
-    /// completion must inspect are one contiguous run.
+    /// completion must inspect are one contiguous run, and detection
+    /// order is index order.
     signals: Vec<FaultSignal>,
     /// First signal not yet detected strictly before now.
     first_live_signal: usize,
+    /// First signal whose detection is not yet processed: the cursor
+    /// [`Server::step`] merges with the event queue.
+    next_signal: usize,
     next_token: u64,
     in_flight: Option<InFlight>,
     breakers: BreakerBank,
@@ -709,9 +723,11 @@ pub(crate) struct Server<'a> {
     /// EWMA of inter-arrival gaps (infinite until two arrivals), ms.
     ewma_gap_ms: f64,
     records: Vec<RequestRecord>,
-    /// State index of each record, in push order — the fleet layer maps
+    /// Slot of each record, in push order — the fleet layer maps
     /// terminal records back to its own request copies through this
     /// (request ids alone are ambiguous: a hedged twin shares its id).
+    /// The slot is free by the time the record is read, and is reused
+    /// only by a later [`Server::inject`].
     terminal_idx: Vec<usize>,
     attempts_total: u64,
     repairs_total: u64,
@@ -847,6 +863,43 @@ pub(crate) fn validate_trace(models: &[ServedModel], trace: &[Request]) -> Resul
     Ok(())
 }
 
+/// A trace's arrival order: by instant (`total_cmp`), trace position
+/// among equal instants, so an unsorted trace serves like its sorted
+/// self.  A trace already in that order — every generated one — is read
+/// in place; any other is stable-sorted into a permutation once.
+pub(crate) struct Arrivals {
+    len: usize,
+    /// `None` when the trace is its own arrival order.
+    order: Option<Vec<usize>>,
+}
+
+impl Arrivals {
+    pub(crate) fn of(trace: &[Request]) -> Self {
+        let by_instant = |a: &Request, b: &Request| a.arrival_ms.total_cmp(&b.arrival_ms);
+        let order = (!trace.is_sorted_by(|a, b| by_instant(a, b).is_le())).then(|| {
+            let mut order: Vec<usize> = (0..trace.len()).collect();
+            order.sort_by(|&a, &b| by_instant(&trace[a], &trace[b]));
+            order
+        });
+        Arrivals {
+            len: trace.len(),
+            order,
+        }
+    }
+
+    /// Trace position of the `k`-th arrival, if there is one.
+    pub(crate) fn get(&self, k: usize) -> Option<usize> {
+        match &self.order {
+            Some(order) => order.get(k).copied(),
+            None => (k < self.len).then_some(k),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+}
+
 impl<'a> Server<'a> {
     /// Constructs an empty serving loop: platform, breakers, ladder,
     /// store, overload controller, and the fault plan's detection
@@ -894,9 +947,13 @@ impl<'a> Server<'a> {
             ladder.attach_store(store);
         }
         let signals = faults.signals(cfg.detection_ms);
-        let mut events = EventQueue::new();
-        for (s, sig) in signals.iter().enumerate() {
-            events.push(sig.detected_ms, Event::FaultDetected(s));
+        // The clock advances to every detection instant: a finite firing
+        // instant plus the detection latency must not overflow.
+        if let Some(sig) = signals.iter().find(|sig| !sig.detected_ms.is_finite()) {
+            return Err(bad_options(format!(
+                "fault plan: the fault at {} ms is detected at {}",
+                sig.at_ms, sig.detected_ms
+            )));
         }
         Ok(Server {
             models,
@@ -904,11 +961,14 @@ impl<'a> Server<'a> {
             drift,
             calib,
             clock: VirtualClock::new(),
-            events,
+            events: EventQueue::new(),
             queue: VecDeque::new(),
             states: Vec::new(),
+            free_slots: Vec::new(),
+            injected: 0,
             signals,
             first_live_signal: 0,
+            next_signal: 0,
             next_token: 0,
             in_flight: None,
             breakers: BreakerBank::new(m, BREAKER_RESET_MS),
@@ -951,21 +1011,20 @@ impl<'a> Server<'a> {
     /// Serves `trace` to the end: every request injected at its arrival
     /// instant, every event stepped.
     fn run_trace(&mut self, trace: &[Request]) {
-        self.states.reserve(trace.len());
         self.records.reserve(trace.len());
         self.terminal_idx.reserve(trace.len());
-        // Requests arrive by instant, trace position among equal instants
-        // (the sort is stable), so an unsorted trace serves like its
-        // sorted self.
-        let mut order: Vec<usize> = (0..trace.len()).collect();
-        order.sort_by(|&a, &b| trace[a].arrival_ms.total_cmp(&trace[b].arrival_ms));
-        let mut arrivals = order.into_iter().map(|i| trace[i]).peekable();
+        let arrivals = Arrivals::of(trace);
+        let mut arrived = 0;
         loop {
             // An arrival due no later than the next scheduled event is
             // admitted before it.
             let next_event = self.next_event_ms();
-            let due = |r: &Request| next_event.is_none_or(|t| r.arrival_ms.total_cmp(&t).is_le());
-            if let Some(r) = arrivals.next_if(due) {
+            let due = arrivals
+                .get(arrived)
+                .map(|ti| trace[ti])
+                .filter(|r| next_event.is_none_or(|t| r.arrival_ms.total_cmp(&t).is_le()));
+            if let Some(r) = due {
+                arrived += 1;
                 self.inject(r, r.arrival_ms);
             } else if !self.step() {
                 break;
@@ -973,8 +1032,16 @@ impl<'a> Server<'a> {
         }
     }
 
-    /// Processes the next scheduled event; `false` when none remain.
+    /// Processes the next scheduled event — the next fault signal or
+    /// the head of the event queue, whichever is due first; `false` when
+    /// none remain.
     pub(crate) fn step(&mut self) -> bool {
+        if let Some(sig) = self.signal_due() {
+            self.next_signal += 1;
+            self.clock.advance_to(sig.detected_ms);
+            self.on_fault(sig);
+            return true;
+        }
         match self.events.pop() {
             Some((t, ev)) => {
                 self.clock.advance_to(t);
@@ -985,15 +1052,37 @@ impl<'a> Server<'a> {
         }
     }
 
+    /// The next fault signal, if it is due no later than the head of the
+    /// event queue.  A tie goes to the signal, as it did when every
+    /// signal was pushed onto the queue at build and so held its lowest
+    /// sequence numbers.
+    fn signal_due(&self) -> Option<FaultSignal> {
+        let sig = *self.signals.get(self.next_signal)?;
+        let head = self.events.peek_time();
+        head.is_none_or(|t| sig.detected_ms.total_cmp(&t).is_le())
+            .then_some(sig)
+    }
+
     /// Instant of the next scheduled event, if any.
     pub(crate) fn next_event_ms(&self) -> Option<f64> {
-        self.events.peek_time()
+        let signal = self
+            .signals
+            .get(self.next_signal)
+            .map(|sig| sig.detected_ms);
+        signal
+            .into_iter()
+            .chain(self.events.peek_time())
+            .min_by(f64::total_cmp)
     }
 
     /// Tears the drained loop down into its outcome.
     pub(crate) fn into_outcome(mut self) -> ServeOutcome {
         debug_assert!(self.queue.is_empty(), "drained loop left queued requests");
         debug_assert!(self.in_flight.is_none(), "drained loop left in-flight work");
+        // What only the loop read goes before the report is built.
+        drop(self.states);
+        drop(self.free_slots);
+        drop(self.terminal_idx);
         let mut records = self.records;
         records.sort_by_key(|r| r.request.id);
         let horizon_ms = self.clock.now_ms();
@@ -1037,15 +1126,50 @@ impl<'a> Server<'a> {
     // watermark.
 
     /// Admits `request` as if it arrived at `now_ms` (the cluster clock
-    /// advances there first) and returns its state index.  The index —
-    /// not the request id — names this copy in later records: a hedged
-    /// twin shares the id but never the index.
+    /// advances there first) and returns its slot.  The slot — not the
+    /// request id — names this copy in later records: a hedged twin
+    /// shares the id but never a slot with its sibling.  A slot is
+    /// reused once its request is terminal or withdrawn, so a caller
+    /// mapping records back through slots must read every record pushed
+    /// before its next `inject`.
     pub(crate) fn inject(&mut self, request: Request, now_ms: f64) -> usize {
         self.clock.advance_to(now_ms);
-        let i = self.states.len();
-        self.states.push(ReqState::fresh(request));
+        let state = ReqState {
+            request,
+            seq: self.injected,
+            attempts: 0,
+            repairs: 0,
+            hold: Hold::Live,
+        };
+        self.injected += 1;
+        let i = match self.free_slots.pop() {
+            Some(i) => {
+                self.states[i] = state;
+                i
+            }
+            None => {
+                self.states.push(state);
+                self.states.len() - 1
+            }
+        };
         self.on_arrival(i);
         i
+    }
+
+    /// Returns slot `i` to the free list: its request was recorded
+    /// terminal, withdrawn from the queue or flight, or withdrawn while
+    /// backing off and its `Retry` has fired.
+    fn release(&mut self, i: usize) {
+        debug_assert!(matches!(self.states[i].hold, Hold::Live | Hold::Withdrawn));
+        self.states[i].hold = Hold::Free;
+        self.free_slots.push(i);
+    }
+
+    /// Slots the table has ever needed at once: the most requests the
+    /// loop held together.
+    #[cfg(test)]
+    fn slots_allocated(&self) -> usize {
+        self.states.len()
     }
 
     /// Advances the cluster clock without processing anything — so a
@@ -1055,51 +1179,55 @@ impl<'a> Server<'a> {
         self.clock.advance_to(now_ms);
     }
 
-    /// Withdraws request `i` without a terminal record (its fate is
-    /// owned elsewhere — a hedged twin completed, or a failover already
-    /// re-routed it).  Pending events for it become no-ops; freed
-    /// backend capacity is re-dispatched immediately.
+    /// Withdraws the request in slot `i` without a terminal record (its
+    /// fate is owned elsewhere — a hedged twin completed, or a failover
+    /// already re-routed it).  Pending events for it become no-ops; freed
+    /// backend capacity is re-dispatched immediately.  A slot already
+    /// free (its record pushed but not yet read by the caller) or
+    /// already withdrawn is left alone.
     pub(crate) fn cancel(&mut self, i: usize) {
-        if self.states[i].cancelled {
-            return;
+        match self.states[i].hold {
+            Hold::Free | Hold::Withdrawn => {}
+            // `on_retry` frees the slot when the backoff timer fires.
+            Hold::Backoff => self.states[i].hold = Hold::Withdrawn,
+            Hold::Live => {
+                if let Some(pos) = self.queue.iter().position(|&q| q == i) {
+                    self.queue.remove(pos);
+                    self.release(i);
+                } else if self.in_flight.as_ref().is_some_and(|fl| fl.req == i) {
+                    // The scheduled Completion/Watchdog event goes stale
+                    // with the in-flight attempt cleared.
+                    self.in_flight = None;
+                    self.release(i);
+                    self.try_dispatch();
+                }
+            }
         }
-        self.states[i].cancelled = true;
-        if let Some(pos) = self.queue.iter().position(|&q| q == i) {
-            self.queue.remove(pos);
-            return;
-        }
-        if self.in_flight.as_ref().is_some_and(|fl| fl.req == i) {
-            // The scheduled Completion/Watchdog event goes stale with the
-            // in-flight slot cleared.
-            self.in_flight = None;
-            self.try_dispatch();
-        }
-        // A retry-pending request needs nothing more: `on_retry` checks
-        // the cancelled flag when its backoff timer fires.
     }
 
     /// Withdraws every live request — queued (FIFO order), in-flight,
-    /// then retry-pending (state order) — marking each cancelled, and
-    /// returns them for re-routing.  Used when the cluster dies; the
+    /// then retry-pending (injection order) — and returns them with
+    /// their slots for re-routing.  Used when the cluster dies; the
     /// loop's remaining events are then abandoned unstepped.
     pub(crate) fn drain(&mut self) -> Vec<(usize, Request)> {
         let mut out: Vec<(usize, Request)> = self
             .queue
-            .iter()
-            .map(|&i| (i, self.states[i].request))
+            .drain(..)
+            .map(|i| (i, self.states[i].request))
             .collect();
-        self.queue.clear();
         if let Some(fl) = self.in_flight.take() {
             out.push((fl.req, self.states[fl.req].request));
         }
-        for (i, st) in self.states.iter().enumerate() {
-            if st.retry_pending && !st.cancelled {
-                out.push((i, st.request));
-            }
-        }
         for &(i, _) in &out {
-            self.states[i].cancelled = true;
-            self.states[i].retry_pending = false;
+            self.release(i);
+        }
+        let mut backoff: Vec<usize> = (0..self.states.len())
+            .filter(|&i| self.states[i].hold == Hold::Backoff)
+            .collect();
+        backoff.sort_unstable_by_key(|&i| self.states[i].seq);
+        for i in backoff {
+            self.states[i].hold = Hold::Withdrawn;
+            out.push((i, self.states[i].request));
         }
         out
     }
@@ -1137,7 +1265,6 @@ impl<'a> Server<'a> {
 
     fn handle(&mut self, ev: Event) {
         match ev {
-            Event::FaultDetected(s) => self.on_fault(s),
             Event::Completion { token } => self.on_completion(token),
             Event::Watchdog { token } => self.on_watchdog(token),
             Event::BreakerProbe { gpu } => self.on_probe(gpu),
@@ -1227,6 +1354,7 @@ impl<'a> Server<'a> {
                 reason,
             },
         });
+        self.release(i);
         if !brownout_shed {
             let (now, fill) = (self.now(), self.queue_fill());
             if let Some(ov) = &mut self.overload {
@@ -1366,7 +1494,20 @@ impl<'a> Server<'a> {
             run,
             hung_op: None,
         });
-        self.events.push(finish_ms, Event::Completion { token });
+        // Finite: both callers filter for a finite makespan and add it
+        // to a finite start — now plus a modeled scheduling cost, which
+        // is finite for any model size.
+        self.schedule(finish_ms, Event::Completion { token });
+    }
+
+    /// Queues `event` at `at_ms`.  [`EventQueue::push`] panics on a
+    /// non-finite instant, so each caller says why its instant is
+    /// finite, and debug builds check it here.  Every instant the clock
+    /// reaches is finite too: trace instants are validated, signal
+    /// detections checked in [`Server::build`], and the rest are these.
+    fn schedule(&mut self, at_ms: f64, event: Event) {
+        debug_assert!(at_ms.is_finite(), "{event:?} at {at_ms} ms");
+        self.events.push(at_ms, event);
     }
 
     fn fresh_token(&mut self) -> u64 {
@@ -1467,6 +1608,7 @@ impl<'a> Server<'a> {
                 repairs: st.repairs,
             },
         });
+        self.release(i);
         let fill = self.queue_fill();
         if let Some(ov) = &mut self.overload {
             ov.ctl.observe_outcome(now, !met_deadline, fill);
@@ -1581,8 +1723,7 @@ impl<'a> Server<'a> {
 
     // ---- faults --------------------------------------------------------
 
-    fn on_fault(&mut self, s: usize) {
-        let sig = self.signals[s];
+    fn on_fault(&mut self, sig: FaultSignal) {
         let now = self.now();
         if let Some(gpu) = sig.kind.gpu_target() {
             // 1. The GPU is repaired `gpu_repair_ms` from now; trip its
@@ -1592,7 +1733,10 @@ impl<'a> Server<'a> {
             self.healthy_at[gpu] = now + self.cfg.gpu_repair_ms;
             if self.breakers.peek(gpu).admits() {
                 let until = self.breakers.gpu(gpu).trip(now);
-                self.events.push(until, Event::BreakerProbe { gpu });
+                // Finite: now plus the breaker's timeout — its base, an
+                // escalation capped at MAX_QUARANTINE_MS, or (half-open)
+                // a doubled one it already waited out, so at most now.
+                self.schedule(until, Event::BreakerProbe { gpu });
             }
         } else if let Some(gpu) = sig.kind.heal_target() {
             // A scripted heal (the "up" edge of a flapping GPU): the heal
@@ -1618,8 +1762,8 @@ impl<'a> Server<'a> {
                 op_finish_abs[op.index()] = f64::INFINITY;
                 fl.run = Attempt::Stitched(op_finish_abs);
                 self.in_flight = Some(fl);
-                self.events
-                    .push(now + WATCHDOG_MS, Event::Watchdog { token });
+                // Finite: now plus a constant.
+                self.schedule(now + WATCHDOG_MS, Event::Watchdog { token });
             }
             Some(Disruption::Gpu(gpu)) => self.disrupt(fl, ServeError::GpuFault { gpu }),
             Some(Disruption::Link(from, to)) => {
@@ -1759,8 +1903,9 @@ impl<'a> Server<'a> {
         };
         if granted {
             let backoff = retry::backoff_ms(self.states[i].request.id, attempts);
-            self.states[i].retry_pending = true;
-            self.events.push(now + backoff, Event::Retry { req: i });
+            self.states[i].hold = Hold::Backoff;
+            // Finite: the backoff's doubling is capped (≤ 2¹⁷ + 1 ms).
+            self.schedule(now + backoff, Event::Retry { req: i });
         } else {
             self.shed(
                 i,
@@ -1773,10 +1918,14 @@ impl<'a> Server<'a> {
     }
 
     fn on_retry(&mut self, i: usize) {
-        self.states[i].retry_pending = false;
-        if self.states[i].cancelled {
-            return; // withdrawn by the fleet layer while backing off
+        if self.states[i].hold == Hold::Withdrawn {
+            // Withdrawn by the fleet layer while backing off: the timer
+            // was the slot's last holder.
+            self.release(i);
+            return;
         }
+        debug_assert_eq!(self.states[i].hold, Hold::Backoff);
+        self.states[i].hold = Hold::Live;
         let req = self.states[i].request;
         if let Some(reason) = self.deadline_hopeless(&req) {
             self.shed(i, reason);
@@ -1801,7 +1950,10 @@ impl<'a> Server<'a> {
             self.try_dispatch();
         } else {
             let next = self.breakers.gpu(gpu).probe_failure(now);
-            self.events.push(next, Event::BreakerProbe { gpu });
+            // Finite: a probe fails only before `healthy_at`, a finite
+            // detection instant plus `gpu_repair_ms`, and it waited out
+            // the timeout it doubles, so `next` < 3 × `healthy_at`.
+            self.schedule(next, Event::BreakerProbe { gpu });
         }
     }
 }
@@ -2140,6 +2292,172 @@ mod tests {
         let one = serve_fleet(&models, &trace, &per_cluster(&unsorted), &fleet).unwrap();
         let want = serve_fleet(&models, &trace, &per_cluster(&sorted), &fleet).unwrap();
         assert_eq!(one.report.history_digest, want.report.history_digest);
+    }
+
+    #[test]
+    fn a_signal_detected_on_a_timer_instant_goes_first() {
+        // GPU 1 fails at 1.0, detected at 1.5: its breaker trips and will
+        // probe at 1.5 + 20.  It fails again at 21.0, detected exactly on
+        // that probe's instant.  The signal goes first, as it did when
+        // every signal held the event queue's lowest sequence numbers:
+        // the probe then meets the pushed-out heal horizon, fails, and
+        // doubles the timeout.  Probe first would have closed the breaker
+        // and let the signal re-trip it for the base 20 ms.
+        use crate::breaker::BreakerState;
+        let models = vec![model(3, 36)];
+        let mut cfg = ServeConfig::new(3);
+        cfg.gpu_repair_ms = 10.0;
+        let fail = |at_ms| FaultEvent {
+            at_ms,
+            kind: FaultKind::GpuFailStop { gpu: 1 },
+        };
+        let faults = FaultPlan::new(vec![fail(1.0), fail(21.0)]);
+        let drift = DriftPlan::none();
+        let mut srv = Server::build(&models, &faults, &drift, &cfg).unwrap();
+        while srv.next_event_ms().is_some_and(|t| t <= 21.5) {
+            assert!(srv.step());
+        }
+        assert_eq!(
+            srv.breakers.peek(1).state(),
+            BreakerState::Open { until_ms: 61.5 }
+        );
+    }
+
+    fn gold(id: u64, arrival_ms: f64) -> Request {
+        Request {
+            id,
+            model: 0,
+            arrival_ms,
+            deadline_ms: arrival_ms + 1.0e6,
+            class: PriorityClass::Gold,
+        }
+    }
+
+    #[test]
+    fn a_withdrawn_backoff_keeps_its_slot_until_its_retry_fires() {
+        // A hang fails the only request's attempt and it backs off; the
+        // fleet layer then withdraws it (a hedged twin won).  Its `Retry`
+        // still names its slot, so the requests injected meanwhile must
+        // get other slots, or the timer would queue one of them twice.
+        let models = vec![model(6, 30)];
+        let cfg = ServeConfig::new(2);
+        let faults = FaultPlan::single(0.2, FaultKind::OpHang { op: OpId(29) });
+        let drift = DriftPlan::none();
+        let mut srv = Server::build(&models, &faults, &drift, &cfg).unwrap();
+        let hung = srv.inject(gold(0, 0.0), 0.0);
+        while srv.states[hung].hold != Hold::Backoff {
+            assert!(srv.step(), "the hang must end in a backoff");
+        }
+        srv.cancel(hung);
+        assert_eq!(srv.states[hung].hold, Hold::Withdrawn);
+        let now = srv.now();
+        let fresh: Vec<usize> = (1..=30).map(|id| srv.inject(gold(id, now), now)).collect();
+        assert!(!fresh.contains(&hung), "slot {hung} reused under its timer");
+        while srv.states[hung].hold == Hold::Withdrawn {
+            assert!(srv.step(), "the withdrawn backoff's retry must fire");
+        }
+        assert_eq!(srv.states[hung].hold, Hold::Free);
+        assert!(srv.records.len() < fresh.len(), "work left when it fired");
+        while srv.step() {}
+        // Every fresh request ran once and ended once; the withdrawn one
+        // left no record.
+        let mut ids: Vec<u64> = srv.records.iter().map(|r| r.request.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (1..=30).collect::<Vec<u64>>());
+        for r in &srv.records {
+            assert!(
+                matches!(r.disposition, Disposition::Completed { attempts: 1, .. }),
+                "{r:?}"
+            );
+        }
+        // Its slot is back in circulation.
+        assert!(srv.free_slots.contains(&hung));
+        assert_eq!(srv.slots_allocated(), 1 + fresh.len());
+    }
+
+    #[test]
+    fn a_kill_after_out_of_order_slot_reuse_drains_backoffs_in_injection_order() {
+        let models = vec![model(3, 36)];
+        let cfg = ServeConfig::new(2);
+        let drift = DriftPlan::none();
+        let mut srv = Server::build(&models, &FaultPlan::none(), &drift, &cfg).unwrap();
+        for id in 0..4 {
+            assert_eq!(srv.inject(gold(id, 0.0), 0.0), id as usize);
+        }
+        // Requests 0 and 1 complete, freeing slots 0 then 1; the next two
+        // arrivals take them last freed first.
+        while srv.records.len() < 2 {
+            assert!(srv.step());
+        }
+        let now = srv.now();
+        assert_eq!(srv.inject(gold(4, now), now), 1);
+        assert_eq!(srv.inject(gold(5, now), now), 0);
+        // Request 2 is in flight; 3, 4 and 5 fail at dispatch, as on a
+        // scheduler error, and back off in slots 3, 1, 0.
+        assert_eq!(srv.in_flight.as_ref().map(|fl| fl.req), Some(2));
+        assert_eq!(srv.queue, [3, 1, 0]);
+        while let Some(slot) = srv.queue.pop_front() {
+            srv.states[slot].attempts += 1;
+            srv.fail_attempt(slot, ServeError::NoCapacity);
+            assert_eq!(srv.states[slot].hold, Hold::Backoff);
+        }
+        // The kill: in flight first, then the backoffs as injected.
+        let drained: Vec<(usize, u64)> = srv.drain().iter().map(|&(s, r)| (s, r.id)).collect();
+        assert_eq!(drained, [(2, 2), (3, 3), (1, 4), (0, 5)]);
+        for slot in [3, 1, 0] {
+            assert_eq!(srv.states[slot].hold, Hold::Withdrawn);
+        }
+        // Their timers still fire, free the slots and record nothing.
+        while srv.step() {}
+        assert_eq!(srv.records.len(), 2);
+        assert_eq!(srv.free_slots.len(), srv.slots_allocated());
+    }
+
+    #[test]
+    fn slots_grow_with_the_requests_held_at_once_not_with_the_trace() {
+        let models = vec![model(1, 24), model(2, 30), model(3, 36)];
+        let cfg = ServeConfig::new(3);
+        let nominal: Vec<f64> = models
+            .iter()
+            .map(|m| bounds::combined_bound(&m.graph, &m.cost, cfg.num_gpus))
+            .collect();
+        let mean_ms = nominal.iter().sum::<f64>() / nominal.len() as f64;
+        let trace = generate_trace(
+            &WorkloadConfig {
+                requests: 20_000,
+                arrival_rate_rps: 0.5 * 1000.0 / mean_ms,
+                deadline_factor: 40.0,
+                seed: 11,
+            },
+            &nominal,
+        );
+        let drift = DriftPlan::none();
+        let mut srv = Server::build(&models, &FaultPlan::none(), &drift, &cfg).unwrap();
+        srv.run_trace(&trace);
+        // The queue, the attempt in flight, and the arrival being admitted
+        // or shed.
+        let held = srv.slots_allocated();
+        assert!(
+            (2..=cfg.queue_capacity + 2).contains(&held),
+            "{held} slots for 20 000 requests"
+        );
+        assert_eq!(srv.into_outcome().report.total, 20_000);
+    }
+
+    #[test]
+    fn runs_that_shed_everything_report_equal() {
+        // No completion: every latency figure is 0, not NaN, so the two
+        // reports are `==` as ClassStats promises.
+        let models = vec![model(5, 30)];
+        let cfg = ServeConfig::new(2);
+        let mut trace = trace_for(&models, &cfg, &wl(5, 50.0, 3.0));
+        for r in &mut trace {
+            r.deadline_ms = r.arrival_ms;
+        }
+        let run = || serve(&models, &trace, &FaultPlan::none(), &cfg).unwrap();
+        let (a, b) = (run(), run());
+        assert_eq!(a.report.completed, 0);
+        assert_eq!(a.report, b.report);
     }
 
     #[test]

@@ -1,12 +1,18 @@
-//! What the fleet layer allocates per request, counted exactly.
+//! What a request allocates and holds in the serving stack, counted
+//! exactly.
 //!
 //! A counting `#[global_allocator]` (hence a test binary of its own)
-//! tallies the allocations made on the calling thread while
-//! [`serve_fleet`] runs.  Every request is a schedule-cache hit after the
-//! first per tenant, so what grows with the trace is the serving loop
-//! itself: amortised `Vec` growth and nothing else.  Before the pump
-//! carried each request once this was three allocations per routed
-//! request (a routable mask, a ranking, a branch list).
+//! tallies the allocations made on the calling thread while [`serve`] or
+//! [`serve_fleet`] runs, and the heap bytes live on its account with
+//! their high-water mark.  Every request is a schedule-cache hit after
+//! the first per tenant, so what grows with the trace is the serving loop
+//! itself.  Allocations: amortised `Vec` growth and nothing else — before
+//! the pump carried each request once this was three allocations per
+//! routed request (a routable mask, a ranking, a branch list).  Peak
+//! bytes: what the outcome keeps per request (its records), what
+//! building it costs (the id sort and the report's latencies), and no
+//! per-request serving state — before request slots were recycled every
+//! request ever seen kept one.
 //!
 //! Release builds only: a debug build re-simulates every dispatch-memo
 //! hit to assert the replay (about forty allocations a request), which
@@ -17,8 +23,10 @@ use hios_cost::AnalyticCostModel;
 use hios_graph::{LayeredDagConfig, generate_layered_dag};
 use hios_serve::fleet::{FleetConfig, FleetFaults, FleetOutcome, serve_fleet};
 use hios_serve::{
-    ClassMix, PriorityClass, Request, ServedModel, WorkloadConfig, generate_trace_with_classes,
+    ClassMix, PriorityClass, Request, ServeConfig, ServedModel, WorkloadConfig,
+    generate_trace_with_classes, serve,
 };
+use hios_sim::FaultPlan;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -28,29 +36,51 @@ thread_local! {
     /// Allocations (fresh and grown) made by this thread.  `const`
     /// initialised and `Copy`: touching it never allocates.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Heap bytes allocated minus freed by this thread (a block freed by
+    /// another thread stays on the allocating thread's account).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The most `LIVE` has been since [`peak_above`] last reset it.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count() {
     ALLOCS.with(|n| n.set(n.get() + 1));
 }
 
+/// Moves this thread's live bytes by `delta` (a realloc by its net
+/// change) and keeps the high-water mark.
+fn hold(delta: i64) {
+    let live = LIVE.with(|live| {
+        live.set(live.get() + delta);
+        live.get()
+    });
+    PEAK.with(|peak| peak.set(peak.get().max(live)));
+}
+
+fn bytes(n: usize) -> i64 {
+    i64::try_from(n).unwrap_or(i64::MAX)
+}
+
 // SAFETY: every call is forwarded unchanged to `System`; the only
-// addition is a thread-local counter bump, which neither allocates nor
+// addition is thread-local bookkeeping, which neither allocates nor
 // unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        hold(bytes(layout.size()));
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        hold(-bytes(layout.size()));
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        hold(bytes(new_size) - bytes(layout.size()));
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -58,6 +88,15 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+/// Runs `f`; returns the most heap bytes it held on this thread above
+/// what was live when it started, and its result.
+fn peak_above<R>(f: impl FnOnce() -> R) -> (i64, R) {
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(base));
+    let out = f();
+    (PEAK.with(Cell::get) - base, out)
+}
 
 fn models() -> Vec<ServedModel> {
     [(5u64, 12), (6, 16), (7, 14)]
@@ -154,5 +193,57 @@ fn a_hedged_request_costs_at_most_one_allocation_more() {
     assert!(
         per_hedge <= 1.0,
         "{per_hedge} allocations per added hedge ({small} with {few} hedges, {large} with {added} more)"
+    );
+}
+
+/// Peak heap bytes per request added between an `N`- and a `2N`-request
+/// run of `run`, each served from a trace built before counting starts.
+fn peak_per_added_request<R>(
+    models: &[ServedModel],
+    run: impl Fn(&[Request]) -> R,
+) -> (f64, i64, i64) {
+    const N: usize = 8_000;
+    let small_trace = trace(models, N, 40.0);
+    let large_trace = trace(models, 2 * N, 40.0);
+    let (small, _) = peak_above(|| run(&small_trace));
+    let (large, _) = peak_above(|| run(&large_trace));
+    ((large - small) as f64 / N as f64, small, large)
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "debug builds re-simulate every memo hit")]
+fn a_served_request_holds_its_record_and_little_else() {
+    let models = models();
+    let cfg = ServeConfig::new(2);
+    let (per_request, small, large) = peak_per_added_request(&models, |trace| {
+        let out = serve(&models, trace, &FaultPlan::none(), &cfg).unwrap();
+        assert_eq!(out.report.completed, trace.len());
+        out
+    });
+    // 192: the 96-byte record and the id sort's scratch copy of it.  It
+    // was 256 with a 56-byte state per request ever seen and an 8-byte
+    // arrival index, both live through the sort.
+    assert!(
+        per_request <= 200.0,
+        "{per_request} peak bytes per added request ({small} B, then {large} B)"
+    );
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "debug builds re-simulate every memo hit")]
+fn a_routed_request_holds_its_records_and_little_else() {
+    let models = models();
+    let cfg = FleetConfig::new(4, 2);
+    let (per_request, small, large) = peak_per_added_request(&models, |trace| {
+        let out = serve_fleet(&models, trace, &FleetFaults::none(), &cfg).unwrap();
+        assert_eq!(out.report.completed, trace.len());
+        out
+    });
+    // 416: the fleet's per-request state and record, the cluster's
+    // record and the sorts' scratch.  It was 534 with a state and a copy
+    // map entry per copy ever injected and an arrival index.
+    assert!(
+        per_request <= 440.0,
+        "{per_request} peak bytes per added request ({small} B, then {large} B)"
     );
 }
