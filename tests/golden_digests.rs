@@ -661,3 +661,110 @@ fn fleet_static_hash_under_a_kill() {
 
 const FLEET_TIES: &str = "0x65405821be3e02e4 rerouted=2 hedges=(90,21,37,0) sheds=(failover 0, dead 0, partitioned 0, backpressure 16, unroutable 0)";
 const FLEET_STATIC_HASH: &str = "0xa4d4ceebb4f2b6ca rerouted=0 hedges=(0,0,0,0) sheds=(failover 0, dead 69, partitioned 16, backpressure 0, unroutable 0)";
+
+// ---- what the clusters keep ------------------------------------------------
+//
+// The fleet goldens above pin each cluster's records only where the
+// `FLEET` string does; the tie-break scenario pins none.  The one below
+// pins every cluster's record stream of that scenario (hedges,
+// re-routes, backpressure and a kill), and a trace whose ids are neither
+// unique nor in trace order, through both entries: equal ids keep the
+// order their outcomes were produced in within a cluster's records, and
+// trace order among a fleet's.
+
+#[test]
+fn cluster_records_of_the_tie_break_scenario_and_a_duplicate_id_trace() {
+    use hios::serve::{Disposition, FleetDisposition, RouterPolicy};
+    let (models, tr, faults, cfg, _) = tie_break_scenario(RouterPolicy::Failover);
+    let out = serve_fleet(&models, &tr, &faults, &cfg).unwrap();
+    assert_eq!(pin_fleet(&out), FLEET_TIES);
+    let clusters: Vec<String> = out.clusters.iter().map(pin).collect();
+    assert_eq!(clusters.join(" | "), FLEET_TIES_CLUSTERS);
+
+    // A tight Gold (hedged by the fleet) and, on its arrival instant just
+    // behind it in the trace, a Silver of the same tenant under the same
+    // id whose deadline is already gone: it is shed at once, so it ends
+    // before the Gold does.  Two other ids swap places.
+    let mut tr = trace(&models, GPUS, 240, 0.2, 20.0);
+    let nominal = nominal_ms(&models, GPUS);
+    for r in tr.iter_mut().filter(|r| r.class == PriorityClass::Gold) {
+        r.deadline_ms = r.arrival_ms + 3.5 * nominal[r.model];
+    }
+    // The Gold that finds the server idle: the longest gap behind it.
+    let g = (1..tr.len() - 1)
+        .filter(|&i| tr[i].class == PriorityClass::Gold)
+        .max_by(|&i, &j| {
+            let gap = |k: usize| tr[k].arrival_ms - tr[k - 1].arrival_ms;
+            gap(i).total_cmp(&gap(j))
+        })
+        .expect("a Gold request");
+    tr[g + 1] = Request {
+        id: tr[g].id,
+        model: tr[g].model,
+        arrival_ms: tr[g].arrival_ms,
+        deadline_ms: tr[g].arrival_ms,
+        class: PriorityClass::Silver,
+    };
+    let (a, b) = (10, 200);
+    let (ida, idb) = (tr[a].id, tr[b].id);
+    tr[a].id = idb;
+    tr[b].id = ida;
+    let dup = tr[g].id;
+
+    let one = serve(&models, &tr, &FaultPlan::none(), &ServeConfig::new(GPUS)).unwrap();
+    let same: Vec<&Disposition> = one
+        .records
+        .iter()
+        .filter(|r| r.request.id == dup)
+        .map(|r| &r.disposition)
+        .collect();
+    assert!(
+        matches!(
+            same[..],
+            [Disposition::Shed { .. }, Disposition::Completed { .. }]
+        ),
+        "{same:?}"
+    );
+
+    let fleet = serve_fleet(
+        &models,
+        &tr,
+        &FleetFaults::none(),
+        &FleetConfig::new(3, GPUS),
+    )
+    .unwrap();
+    assert_eq!(fleet.records.len(), tr.len());
+    let same: Vec<&hios::serve::FleetRecord> = fleet
+        .records
+        .iter()
+        .filter(|r| r.request.id == dup)
+        .collect();
+    assert!(
+        matches!(
+            (
+                &same[0].request.class,
+                &same[0].disposition,
+                &same[1].disposition
+            ),
+            (
+                PriorityClass::Gold,
+                FleetDisposition::Completed { hedged: true, .. },
+                FleetDisposition::Shed { .. }
+            )
+        ),
+        "{same:?}"
+    );
+    let clusters: Vec<String> = fleet.clusters.iter().map(pin).collect();
+    assert_eq!(
+        format!(
+            "{} / {} / {}",
+            pin(&one),
+            pin_fleet(&fleet),
+            clusters.join(" | ")
+        ),
+        DUPLICATE_IDS
+    );
+}
+
+const FLEET_TIES_CLUSTERS: &str = "0x8c742f8fa2295139 cache=(75, 2) rungs=[75, 0, 0, 0, 2] evict=0 store=(0,0,0,0) | 0x069d669a0f70a9d6 cache=(131, 1) rungs=[131, 0, 0, 0, 1] evict=0 store=(0,0,0,0) | 0x36d593e26989b3b5 cache=(119, 3) rungs=[119, 0, 0, 0, 3] evict=0 store=(0,0,0,0) | 0x930930e2415fb0c1 cache=(120, 3) rungs=[120, 0, 0, 0, 3] evict=0 store=(0,0,0,0)";
+const DUPLICATE_IDS: &str = "0x96b0056ac18a2e1a cache=(224, 3) rungs=[224, 0, 0, 0, 3] evict=0 store=(0,0,0,0) / 0x32ab01a21110122a rerouted=0 hedges=(47,0,44,0) sheds=(failover 0, dead 0, partitioned 0, backpressure 0, unroutable 0) / 0x77802cb589c5ae15 cache=(94, 2) rungs=[94, 0, 0, 0, 2] evict=0 store=(0,0,0,0) | 0xcc13c4a65b4b77f7 cache=(79, 1) rungs=[79, 0, 0, 0, 1] evict=0 store=(0,0,0,0) | 0xe2b369094e21dbea cache=(103, 3) rungs=[103, 0, 0, 0, 3] evict=0 store=(0,0,0,0)";
