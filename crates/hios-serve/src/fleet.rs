@@ -46,7 +46,9 @@ use crate::health::{HealthConfig, HealthSample, HealthView};
 use crate::report::{ClassStats, Fnv, OutcomeFold};
 use crate::request::{Disposition, PriorityClass, Request, RequestRecord, ServeError, ShedReason};
 use crate::router::{Choice, Ranking, Router, RouterConfig, RouterPolicy};
-use crate::server::{self, Arrivals, ServeConfig, ServeOutcome, ServedModel, Server};
+use crate::server::{
+    self, Arrivals, Placement, ServeConfig, ServeOutcome, ServedModel, Server, Ties,
+};
 use hios_sim::{
     ClusterFaultEvent, ClusterFaultKind, DriftPlan, EventQueue, FaultEvent, FaultKind, FaultPlan,
     validate_cluster_events,
@@ -407,7 +409,8 @@ struct Branch {
     cluster: usize,
     /// Slot inside the owning cluster's server (meaningful while live).
     idx: usize,
-    /// Still pending inside a cluster.
+    /// Its cluster may still hand off a record of it: it is pending
+    /// there, or it was cancelled after its record was pushed.
     live: bool,
     /// This copy's shed, parked while its sibling is still live (so only
     /// ever set on a hedged request).
@@ -418,7 +421,7 @@ struct Branch {
 }
 
 impl Branch {
-    /// The first copy of a request the router has not placed (yet).
+    /// A copy the router has not placed (yet).
     const UNPLACED: Branch = Branch {
         cluster: 0,
         idx: 0,
@@ -437,38 +440,52 @@ impl Branch {
     }
 }
 
-/// The fleet's state for one trace entry (`reqs[i]` is `trace[i]`) across
-/// its copies.  A request has at most two — a re-route moves a copy, it
-/// does not add one — so the first lives inline and the hedged twin in
-/// [`Fleet::twins`].
-struct FleetReq {
-    first: Branch,
-    /// The hedged twin's slot in [`Fleet::twins`], once one was issued.
-    twin: Option<usize>,
-    terminal: Option<FleetDisposition>,
+/// The fleet's state for one request it still holds, in a slot of
+/// [`Fleet::slots`] recycled through [`Fleet::free`] (DESIGN §9.8).  A
+/// request has at most two copies — a re-route moves a copy, it does not
+/// add one — the first-issued and, once hedged, its twin.
+struct FleetSlot {
+    /// The request's trace position.
+    ti: usize,
+    /// The first-issued copy, then the twin (unplaced unless `hedged`).
+    copies: [Branch; 2],
+    hedged: bool,
+    /// Its fate is written.
+    settled: bool,
 }
 
-// 300k of these are the fleet layer's working set; a `Vec<Branch>` per
-// request once made that 640 B each.
-const _: () = assert!(std::mem::size_of::<FleetReq>() <= 192);
-
-/// A hedged twin: the second copy of `reqs[fi]`.
-struct Twin {
-    fi: usize,
-    branch: Branch,
-}
-
-/// Names one physical copy: what a cluster's state index maps back to.
+/// Names one physical copy: copy `k` (0 the first-issued, 1 the hedged
+/// twin) of the request in fleet slot `slot`.  A cluster holds it as the
+/// copy's tag.
 #[derive(Clone, Copy, Debug)]
-enum CopyRef {
-    /// The first-issued copy of `reqs[fi]`.
-    First(usize),
-    /// `twins[ti]`.
-    Twin(usize),
+struct CopyRef {
+    slot: usize,
+    k: usize,
+}
+
+impl CopyRef {
+    fn tag(self) -> usize {
+        self.slot << 1 | self.k
+    }
+
+    fn of_tag(tag: usize) -> Self {
+        CopyRef {
+            slot: tag >> 1,
+            k: tag & 1,
+        }
+    }
+
+    fn sibling(self) -> Self {
+        CopyRef {
+            k: 1 - self.k,
+            ..self
+        }
+    }
 }
 
 /// A fleet event that waits on the queue.  Arrivals never do: the trace
 /// is known up front, so the pump reads them off a sorted cursor.
+#[derive(Debug)]
 enum FleetEvent {
     /// A cluster kill or router partition fires.
     Fault(ClusterFaultEvent),
@@ -491,15 +508,85 @@ enum Next {
 struct Cluster<'a> {
     srv: Server<'a>,
     alive: bool,
-    /// Consumed-records watermark into `srv.outcomes()`.
-    seen: usize,
-    /// Server slot → the copy it stands for, overwritten when the server
-    /// recycles the slot ([`Fleet::admit`]).
-    copy_map: Vec<CopyRef>,
+    /// Each record this cluster pushed that is its request's fate, as
+    /// the fate's position in [`Fleet::records`], in push order ...
+    fates: Vec<usize>,
+    /// ... and every other one whole, with its push index: the two
+    /// rebuild the cluster's records at the end.
+    side: Vec<(usize, RequestRecord)>,
     /// Terminal outcomes since the last heartbeat.
     window_outcomes: u64,
     /// Misses (shed or late) among them.
     window_misses: u64,
+}
+
+impl Cluster<'_> {
+    /// The cluster's outcome over the records it pushed.
+    fn into_outcome(self, fleet: &[FleetRecord]) -> ServeOutcome {
+        let records = rebuild(self.fates, self.side, fleet);
+        self.srv.outcome(records)
+    }
+}
+
+/// A cluster's records, rebuilt in push order — each from the fate it
+/// became, or taken whole — then sorted by id, stably, as a server's own
+/// are.
+fn rebuild(
+    fates: Vec<usize>,
+    side: Vec<(usize, RequestRecord)>,
+    fleet: &[FleetRecord],
+) -> Vec<RequestRecord> {
+    let mut records = Vec::with_capacity(fates.len() + side.len());
+    let mut side = side.into_iter().peekable();
+    for at in fates {
+        while let Some((_, record)) = side.next_if(|(pushed, _)| *pushed == records.len()) {
+            records.push(record);
+        }
+        records.extend(sole_copy_record(&fleet[at]));
+    }
+    records.extend(side.map(|(_, record)| record));
+    if !records.is_sorted_by_key(|r| r.request.id) {
+        records.sort_by_key(|r| r.request.id);
+    }
+    records
+}
+
+/// The record a request's only copy pushed, read back from the fate it
+/// became: a `Completed` or cluster `Shed` leaf carries all of it.
+fn sole_copy_record(r: &FleetRecord) -> Option<RequestRecord> {
+    let disposition = match &r.disposition {
+        &FleetDisposition::Completed {
+            finish_ms,
+            latency_ms,
+            attempts,
+            met_deadline,
+            repairs,
+            ..
+        } => Disposition::Completed {
+            finish_ms,
+            latency_ms,
+            attempts,
+            met_deadline,
+            repairs,
+        },
+        FleetDisposition::Shed {
+            at_ms,
+            reason: FleetShedReason::Cluster(reason),
+            ..
+        } => Disposition::Shed {
+            at_ms: *at_ms,
+            reason: reason.clone(),
+        },
+        // A sole copy took no hop, and only the router sheds otherwise.
+        other => {
+            debug_assert!(false, "{other:?} is no cluster record");
+            return None;
+        }
+    };
+    Some(RequestRecord {
+        request: r.request,
+        disposition,
+    })
 }
 
 struct Fleet<'a> {
@@ -515,9 +602,14 @@ struct Fleet<'a> {
     arrivals: Arrivals,
     /// Arrivals already routed: the `arrived`-th is the next to come.
     arrived: usize,
-    /// One per trace entry, in trace order.
-    reqs: Vec<FleetReq>,
-    twins: Vec<Twin>,
+    /// Where each trace entry's fate lands in `records`.
+    placement: Placement,
+    /// One fate per trace entry, each written in its final place: the
+    /// outcome's records.
+    records: Vec<FleetRecord>,
+    /// The requests the fleet holds, one slot each.
+    slots: Vec<FleetSlot>,
+    free: Vec<usize>,
     /// Fleet requests without a terminal disposition yet.
     open: usize,
     now: f64,
@@ -548,6 +640,116 @@ fn wrap_hops(hops: &[Hop], inner: FleetDisposition) -> FleetDisposition {
 }
 
 impl<'a> Fleet<'a> {
+    /// Validates the inputs and sets the run up: one server per cluster,
+    /// degrades lowered into their plans, kills, partitions and the
+    /// first heartbeat queued.
+    fn build(
+        models: &'a [ServedModel],
+        trace: &'a [Request],
+        faults: &FleetFaults,
+        cfg: &'a FleetConfig,
+        drift: &'a DriftPlan,
+    ) -> Result<Self, ServeError> {
+        let n = cfg.clusters.len();
+        let router = Router::new(cfg.router, n)?;
+        let health = HealthView::new(cfg.health, n)?;
+        if !faults.per_cluster.is_empty() && faults.per_cluster.len() != n {
+            return Err(server::bad_options(format!(
+                "fleet faults: {} per-cluster plans for {} clusters",
+                faults.per_cluster.len(),
+                n
+            )));
+        }
+        validate_cluster_events(&faults.cluster_events, n)
+            .map_err(|e| server::bad_options(format!("fleet faults: {e}")))?;
+        for ccfg in &cfg.clusters {
+            server::validate_config(models, ccfg)?;
+        }
+        server::validate_trace(models, trace)?;
+
+        // Stable-sort the cluster events by time (validation already ran).
+        let mut cluster_faults = faults.cluster_events.clone();
+        cluster_faults.sort_by(|a, b| a.at_ms.total_cmp(&b.at_ms));
+
+        // Lower degrades into the target cluster's own GPU-level plan,
+        // where the normal detection/repair loop sees them; kills and
+        // partitions wait on the fleet's queue.
+        let mut plans: Vec<FaultPlan> = if faults.per_cluster.is_empty() {
+            (0..n).map(|_| FaultPlan::none()).collect()
+        } else {
+            faults.per_cluster.clone()
+        };
+        for e in &cluster_faults {
+            if let ClusterFaultKind::ClusterDegrade { factor } = e.kind {
+                let mut lowered = plans[e.cluster].events.clone();
+                for gpu in 0..cfg.clusters[e.cluster].num_gpus {
+                    lowered.push(FaultEvent {
+                        at_ms: e.at_ms,
+                        kind: FaultKind::GpuSlowdown { gpu, factor },
+                    });
+                }
+                plans[e.cluster] = FaultPlan::new(lowered);
+            }
+        }
+        let mut clusters = Vec::with_capacity(n);
+        for (ci, ccfg) in cfg.clusters.iter().enumerate() {
+            clusters.push(Cluster {
+                srv: Server::build(models, &plans[ci], drift, ccfg)?,
+                alive: true,
+                fates: Vec::new(),
+                side: Vec::new(),
+                window_outcomes: 0,
+                window_misses: 0,
+            });
+        }
+
+        // Placeholders until `finish` writes each fate in its place.
+        let unwritten = FleetRecord {
+            request: server::UNWRITTEN,
+            disposition: FleetDisposition::Shed {
+                cluster: None,
+                at_ms: f64::NAN,
+                reason: FleetShedReason::NoRoutableCluster,
+            },
+        };
+        let mut fleet = Fleet {
+            cfg,
+            trace,
+            clusters,
+            rankings: (0..models.len())
+                .map(|tenant| router.ranking(tenant as u64))
+                .collect(),
+            health,
+            events: EventQueue::new(),
+            arrivals: Arrivals::of(trace),
+            arrived: 0,
+            placement: Placement::of(trace, Ties::Trace),
+            records: vec![unwritten; trace.len()],
+            slots: Vec::new(),
+            free: Vec::new(),
+            open: trace.len(),
+            now: 0.0,
+            ctr: FleetCounters::default(),
+        };
+        for e in cluster_faults {
+            if !matches!(e.kind, ClusterFaultKind::ClusterDegrade { .. }) {
+                // Finite: `validate_cluster_events` checked it.
+                fleet.schedule(e.at_ms, FleetEvent::Fault(e));
+            }
+        }
+        // Finite: `HealthView::new` checked the period.
+        fleet.schedule(cfg.health.heartbeat_ms, FleetEvent::Heartbeat);
+        Ok(fleet)
+    }
+
+    /// Queues `event` at `at_ms`.  [`EventQueue::push`] panics on a
+    /// non-finite instant, so each caller says why its instant is
+    /// finite, and debug builds check it here.
+    fn schedule(&mut self, at_ms: f64, event: FleetEvent) {
+        debug_assert!(at_ms.is_finite(), "{event:?} at {at_ms} ms");
+        self.events.push(at_ms, event);
+    }
+
     /// The clusters the router may place new work on, as a bitmask.
     fn routable(&self) -> u16 {
         (0..self.clusters.len())
@@ -560,95 +762,106 @@ impl<'a> Fleet<'a> {
         self.rankings[tenant].choose(self.routable(), |c| self.clusters[c].srv.queue_depth())
     }
 
-    /// The fleet request `copy` belongs to.
-    fn owner(&self, copy: CopyRef) -> usize {
-        match copy {
-            CopyRef::First(fi) => fi,
-            CopyRef::Twin(ti) => self.twins[ti].fi,
-        }
+    /// The request in fleet slot `s`.
+    fn request(&self, s: usize) -> Request {
+        self.trace[self.slots[s].ti]
     }
 
     fn branch(&self, copy: CopyRef) -> &Branch {
-        match copy {
-            CopyRef::First(fi) => &self.reqs[fi].first,
-            CopyRef::Twin(ti) => &self.twins[ti].branch,
-        }
+        &self.slots[copy.slot].copies[copy.k]
     }
 
     fn branch_mut(&mut self, copy: CopyRef) -> &mut Branch {
-        match copy {
-            CopyRef::First(fi) => &mut self.reqs[fi].first,
-            CopyRef::Twin(ti) => &mut self.twins[ti].branch,
-        }
+        &mut self.slots[copy.slot].copies[copy.k]
     }
 
     /// The other copy of `copy`'s request, if it exists and is pending.
     fn live_sibling(&self, copy: CopyRef) -> Option<CopyRef> {
-        let sibling = match copy {
-            CopyRef::First(fi) => CopyRef::Twin(self.reqs[fi].twin?),
-            CopyRef::Twin(ti) => CopyRef::First(self.twins[ti].fi),
-        };
+        let sibling = copy.sibling();
         self.branch(sibling).live.then_some(sibling)
     }
 
-    /// Settles `fi` with its terminal disposition.
-    fn finish(&mut self, fi: usize, d: FleetDisposition) {
-        debug_assert!(self.reqs[fi].terminal.is_none());
-        self.reqs[fi].terminal = Some(d);
-        self.open -= 1;
-    }
-
-    /// Admits `copy` into the cluster its branch names, records which
-    /// copy the cluster's new state index stands for, and drains any
-    /// records the injection produced synchronously (immediate sheds,
-    /// cascaded dispatch sheds).
-    fn admit(&mut self, copy: CopyRef) {
-        let fi = self.owner(copy);
-        let ci = self.branch(copy).cluster;
-        let c = &mut self.clusters[ci];
-        // The server recycles a slot once its request is terminal, and
-        // the slot's `copy_map` entry is overwritten here.  Sound because
-        // every record the cluster pushed was mapped back before this
-        // injection: every call into a cluster that can push one
-        // (`inject`, `step`, `cancel`) is followed by a `consume` of it.
-        debug_assert_eq!(
-            c.seen,
-            c.srv.outcomes().1.len(),
-            "cluster {ci}: records unread"
-        );
-        let idx = c.srv.inject(self.trace[fi], self.now);
-        match c.copy_map.get_mut(idx) {
-            Some(entry) => *entry = copy,
+    /// A slot for trace entry `ti`, just arrived.
+    fn hold(&mut self, ti: usize) -> usize {
+        let slot = FleetSlot {
+            ti,
+            copies: [Branch::UNPLACED, Branch::UNPLACED],
+            hedged: false,
+            settled: false,
+        };
+        match self.free.pop() {
+            Some(s) => {
+                self.slots[s] = slot;
+                s
+            }
             None => {
-                debug_assert_eq!(c.copy_map.len(), idx);
-                c.copy_map.push(copy);
+                self.slots.push(slot);
+                self.slots.len() - 1
             }
         }
+    }
+
+    /// Frees slot `s` once its request is settled and no cluster can
+    /// still hand off a record naming it: until then a late record would
+    /// land on whichever request reused the slot.
+    fn release_if_done(&mut self, s: usize) {
+        let slot = &self.slots[s];
+        if slot.settled && !slot.copies.iter().any(|b| b.live) {
+            debug_assert!(!self.free.contains(&s), "slot {s} freed twice");
+            self.free.push(s);
+        }
+    }
+
+    /// Settles the request in slot `s`: its fate is written in its place.
+    fn finish(&mut self, s: usize, disposition: FleetDisposition) {
+        let slot = &mut self.slots[s];
+        debug_assert!(!slot.settled);
+        slot.settled = true;
+        let request = self.trace[slot.ti];
+        self.records[self.placement.at(slot.ti)] = FleetRecord {
+            request,
+            disposition,
+        };
+        self.open -= 1;
+        self.release_if_done(s);
+    }
+
+    /// Admits `copy` into the cluster its branch names, records the
+    /// cluster's slot for it, and takes any records the injection
+    /// produced synchronously (immediate sheds, cascaded dispatch sheds).
+    fn admit(&mut self, copy: CopyRef) {
+        let request = self.request(copy.slot);
+        let ci = self.branch(copy).cluster;
+        let srv = &mut self.clusters[ci].srv;
+        // The server reuses a slot once its request is terminal, and
+        // `cancel` names a copy by slot: sound because every record a
+        // cluster pushed was taken before this injection — every call
+        // into a cluster that can push one (`inject`, `step`, `cancel`)
+        // is followed by a `consume` of it.
+        debug_assert!(!srv.records_waiting(), "cluster {ci}: records untaken");
+        let idx = srv.inject(request, copy.tag(), self.now);
         self.branch_mut(copy).idx = idx;
         self.consume(ci);
     }
 
-    /// Places the first copy of `fi` on cluster `ci`.
-    fn inject_first(&mut self, fi: usize, ci: usize) {
-        self.reqs[fi].first = Branch::bound_for(ci);
-        self.admit(CopyRef::First(fi));
+    /// Places the first copy of the request in slot `s` on cluster `ci`.
+    fn inject_first(&mut self, s: usize, ci: usize) {
+        self.slots[s].copies[0] = Branch::bound_for(ci);
+        self.admit(CopyRef { slot: s, k: 0 });
     }
 
-    /// Issues the hedged twin of `fi` on cluster `ci`.
-    fn inject_twin(&mut self, fi: usize, ci: usize) {
-        let ti = self.twins.len();
-        self.twins.push(Twin {
-            fi,
-            branch: Branch::bound_for(ci),
-        });
-        self.reqs[fi].twin = Some(ti);
+    /// Issues the hedged twin of the request in slot `s` on cluster `ci`.
+    fn inject_twin(&mut self, s: usize, ci: usize) {
+        self.slots[s].copies[1] = Branch::bound_for(ci);
+        self.slots[s].hedged = true;
         self.ctr.hedges_issued += 1;
-        self.admit(CopyRef::Twin(ti));
+        self.admit(CopyRef { slot: s, k: 1 });
     }
 
-    /// Routes a fresh arrival.
-    fn route_fresh(&mut self, fi: usize) {
-        let request = self.trace[fi];
+    /// Routes trace entry `ti`, just arrived.
+    fn route_fresh(&mut self, ti: usize) {
+        let request = self.trace[ti];
+        let s = self.hold(ti);
         match self.cfg.router.policy {
             RouterPolicy::StaticHash => {
                 let target = self.rankings[request.model].top();
@@ -658,16 +871,16 @@ impl<'a> Fleet<'a> {
                         at_ms: self.now,
                         reason: FleetShedReason::DeadCluster { cluster: target },
                     };
-                    self.finish(fi, d);
+                    self.finish(s, d);
                 } else if !self.health.cluster(target).reachable {
                     let d = FleetDisposition::Shed {
                         cluster: Some(target),
                         at_ms: self.now,
                         reason: FleetShedReason::Partitioned { cluster: target },
                     };
-                    self.finish(fi, d);
+                    self.finish(s, d);
                 } else {
-                    self.inject_first(fi, target);
+                    self.inject_first(s, target);
                 }
             }
             RouterPolicy::Failover => {
@@ -677,7 +890,7 @@ impl<'a> Fleet<'a> {
                         at_ms: self.now,
                         reason: FleetShedReason::NoRoutableCluster,
                     };
-                    self.finish(fi, d);
+                    self.finish(s, d);
                     return;
                 };
                 let over_primary = self.health.overloaded(choice.primary);
@@ -690,7 +903,7 @@ impl<'a> Fleet<'a> {
                         at_ms: self.now,
                         reason: FleetShedReason::Backpressure,
                     };
-                    self.finish(fi, d);
+                    self.finish(s, d);
                     return;
                 }
                 let hedge_target = match choice.hedge {
@@ -701,30 +914,20 @@ impl<'a> Fleet<'a> {
                     }
                     _ => None,
                 };
-                self.inject_first(fi, choice.primary);
+                self.inject_first(s, choice.primary);
                 if let Some(target) = hedge_target {
-                    if self.reqs[fi].terminal.is_none() {
-                        self.inject_twin(fi, target);
+                    if !self.slots[s].settled {
+                        self.inject_twin(s, target);
                     }
                 }
             }
         }
     }
 
-    /// Drains new records from cluster `ci` past its watermark.
+    /// Takes every record cluster `ci` has handed off, in push order.
     fn consume(&mut self, ci: usize) {
-        loop {
-            let (idx, record) = {
-                let c = &self.clusters[ci];
-                let (terminal_idx, records) = c.srv.outcomes();
-                if c.seen >= records.len() {
-                    return;
-                }
-                (terminal_idx[c.seen], records[c.seen].clone())
-            };
-            self.clusters[ci].seen += 1;
-            let copy = self.clusters[ci].copy_map[idx];
-            self.on_branch_record(ci, copy, record);
+        while let Some((tag, record)) = self.clusters[ci].srv.take_record() {
+            self.on_branch_record(ci, CopyRef::of_tag(tag), record);
         }
     }
 
@@ -735,15 +938,24 @@ impl<'a> Fleet<'a> {
             Disposition::Completed { met_deadline, .. } => !met_deadline,
             Disposition::Shed { .. } => true,
         };
-        self.clusters[ci].window_outcomes += 1;
+        let c = &mut self.clusters[ci];
+        c.window_outcomes += 1;
         if miss {
-            self.clusters[ci].window_misses += 1;
+            c.window_misses += 1;
         }
-        let fi = self.owner(copy);
-        self.branch_mut(copy).live = false;
-        if self.reqs[fi].terminal.is_some() {
+        let slot = &mut self.slots[copy.slot];
+        slot.copies[copy.k].live = false;
+        // The request's only copy: its record will be its fate's leaf, so
+        // the cluster keeps where that lands rather than the record.
+        if copy.k == 0 && !slot.hedged && slot.copies[0].hops.is_empty() {
+            c.fates.push(self.placement.at(slot.ti));
+        } else {
+            c.side.push((c.fates.len() + c.side.len(), record.clone()));
+        }
+        if slot.settled {
             // The twin already settled this request; late work is waste.
             self.ctr.hedge_wasted += 1;
+            self.release_if_done(copy.slot);
             return;
         }
         match record.disposition {
@@ -754,7 +966,7 @@ impl<'a> Fleet<'a> {
                 met_deadline,
                 repairs,
             } => {
-                if matches!(copy, CopyRef::Twin(_)) {
+                if copy.k == 1 {
                     self.ctr.hedge_wins_secondary += 1;
                 }
                 let inner = FleetDisposition::Completed {
@@ -764,25 +976,15 @@ impl<'a> Fleet<'a> {
                     attempts,
                     met_deadline,
                     repairs,
-                    hedged: self.reqs[fi].twin.is_some(),
+                    hedged: self.slots[copy.slot].hedged,
                 };
                 let wrapped = wrap_hops(&self.branch(copy).hops, inner);
+                self.finish(copy.slot, wrapped);
                 // First completion wins: cancel the live sibling so it
                 // neither runs nor records.
                 if let Some(other) = self.live_sibling(copy) {
-                    let b = self.branch_mut(other);
-                    b.live = false;
-                    let (oc, oidx) = (b.cluster, b.idx);
-                    if self.clusters[oc].alive {
-                        self.clusters[oc].srv.touch(self.now);
-                        self.clusters[oc].srv.cancel(oidx);
-                        self.ctr.hedge_cancelled += 1;
-                        // Cancelling may free a slot and shed other
-                        // queued requests at dispatch — drain them.
-                        self.consume(oc);
-                    }
+                    self.cancel(other);
                 }
-                self.finish(fi, wrapped);
             }
             Disposition::Shed { at_ms, reason } => {
                 let inner = FleetDisposition::Shed {
@@ -795,27 +997,46 @@ impl<'a> Fleet<'a> {
         }
     }
 
+    /// Withdraws `copy`, whose sibling settled its request, from its
+    /// cluster.  A copy whose record was already pushed stays live until
+    /// that record is taken — and wasted.
+    fn cancel(&mut self, copy: CopyRef) {
+        let (oc, oidx) = (self.branch(copy).cluster, self.branch(copy).idx);
+        let pending = self.clusters[oc].alive && {
+            let srv = &mut self.clusters[oc].srv;
+            srv.touch(self.now);
+            self.ctr.hedge_cancelled += 1;
+            srv.cancel(oidx)
+        };
+        self.branch_mut(copy).live = pending;
+        self.release_if_done(copy.slot);
+        if self.clusters[oc].alive {
+            // Cancelling may free a slot and shed other queued requests
+            // at dispatch — take them.
+            self.consume(oc);
+        }
+    }
+
     /// `copy` (no longer live) ended in `shed`.  While its sibling is
     /// still pending the shed is parked on the copy; once no copy is
     /// live, the first-issued copy's shed becomes the request's fate.
     fn on_branch_shed(&mut self, copy: CopyRef, shed: FleetDisposition) {
-        let fi = self.owner(copy);
-        debug_assert!(self.reqs[fi].terminal.is_none() && !self.branch(copy).live);
+        debug_assert!(!self.slots[copy.slot].settled && !self.branch(copy).live);
         let wrapped = wrap_hops(&self.branch(copy).hops, shed);
         if self.live_sibling(copy).is_some() {
             self.branch_mut(copy).shed = Some(Box::new(wrapped));
             return;
         }
-        let fate = match copy {
-            CopyRef::First(_) => wrapped,
+        let fate = match copy.k {
+            0 => wrapped,
             // A first copy that was drained while this twin carried the
             // request on parked nothing; the twin's shed then stands.
-            CopyRef::Twin(_) => match self.reqs[fi].first.shed.take() {
+            _ => match self.slots[copy.slot].copies[0].shed.take() {
                 Some(parked) => *parked,
                 None => wrapped,
             },
         };
-        self.finish(fi, fate);
+        self.finish(copy.slot, fate);
     }
 
     /// Kills cluster `ci`: drains its pending work and, under the
@@ -829,11 +1050,11 @@ impl<'a> Fleet<'a> {
         self.clusters[ci].srv.touch(self.now);
         self.clusters[ci].alive = false;
         self.health.mark_dead(ci);
-        let drained = self.clusters[ci].srv.drain();
-        for (idx, _) in drained {
-            let copy = self.clusters[ci].copy_map[idx];
+        for tag in self.clusters[ci].srv.drain() {
+            let copy = CopyRef::of_tag(tag);
             self.branch_mut(copy).live = false;
-            if self.reqs[self.owner(copy)].terminal.is_some() {
+            if self.slots[copy.slot].settled {
+                self.release_if_done(copy.slot);
                 continue;
             }
             if self.live_sibling(copy).is_some() {
@@ -857,7 +1078,7 @@ impl<'a> Fleet<'a> {
     /// Re-routes `copy` off killed cluster `from`, shedding with a typed
     /// reason when no feasible target exists.
     fn reroute(&mut self, copy: CopyRef, from: usize) {
-        let request = self.trace[self.owner(copy)];
+        let request = self.request(copy.slot);
         let failover_shed = |fleet: &mut Fleet<'a>, reason: FailoverReason| {
             let inner = FleetDisposition::FailoverShed {
                 from,
@@ -925,9 +1146,11 @@ impl<'a> Fleet<'a> {
                 .clusters
                 .iter()
                 .any(|c| c.alive && c.srv.next_event_ms().is_some());
-        if work_left {
-            let period = self.health.config().heartbeat_ms;
-            self.events.push(self.now + period, FleetEvent::Heartbeat);
+        let at_ms = self.now + self.health.config().heartbeat_ms;
+        // A beat past the largest finite instant would come after every
+        // event left, with nothing left to sample: it is skipped.
+        if work_left && at_ms.is_finite() {
+            self.schedule(at_ms, FleetEvent::Heartbeat);
         }
     }
 
@@ -939,8 +1162,9 @@ impl<'a> Fleet<'a> {
                     if self.clusters[e.cluster].alive {
                         self.ctr.partitions += 1;
                         self.health.set_reachable(e.cluster, false);
-                        self.events
-                            .push(self.now + heal_ms, FleetEvent::PartitionHeal(e.cluster));
+                        // Finite: `validate_cluster_events` rejects a
+                        // heal instant that overflows.
+                        self.schedule(e.at_ms + heal_ms, FleetEvent::PartitionHeal(e.cluster));
                     }
                 }
                 // Degrades were lowered into the cluster's own plan.
@@ -986,27 +1210,67 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// Runs every cluster and the router to quiescence.
-    fn pump(&mut self) {
-        while let Some((t, next)) = self.next() {
-            match next {
-                Next::Cluster(ci) => {
-                    self.clusters[ci].srv.step();
+    /// Processes the earliest pending event; `false` when none remain.
+    fn advance(&mut self) -> bool {
+        let Some((t, next)) = self.next() else {
+            return false;
+        };
+        match next {
+            Next::Cluster(ci) => {
+                self.clusters[ci].srv.step();
+                self.now = self.now.max(t);
+                self.consume(ci);
+            }
+            Next::Arrival(ti) => {
+                self.arrived += 1;
+                self.now = self.now.max(t);
+                self.route_fresh(ti);
+            }
+            Next::Queued => {
+                if let Some((_, ev)) = self.events.pop() {
                     self.now = self.now.max(t);
-                    self.consume(ci);
-                }
-                Next::Arrival(ti) => {
-                    self.arrived += 1;
-                    self.now = self.now.max(t);
-                    self.route_fresh(ti);
-                }
-                Next::Queued => {
-                    if let Some((_, ev)) = self.events.pop() {
-                        self.now = self.now.max(t);
-                        self.handle(ev);
-                    }
+                    self.handle(ev);
                 }
             }
+        }
+        true
+    }
+
+    /// Runs every cluster and the router to quiescence.
+    fn pump(&mut self) {
+        while self.advance() {}
+    }
+
+    /// Tears the drained pump down into the run's outcome.
+    fn into_outcome(self) -> FleetOutcome {
+        // Every fate is written: the cursor routed every arrival, which
+        // settled it at the router or injected a copy; a cluster
+        // terminates every copy it holds before its queue runs dry, or is
+        // killed and drained; and each copy's end settles its request
+        // unless the sibling is still live to do so.
+        debug_assert_eq!(self.open, 0, "fleet pump drained with open requests");
+        let Fleet {
+            records,
+            clusters,
+            ctr,
+            now: horizon_ms,
+            placement,
+            slots,
+            arrivals,
+            ..
+        } = self;
+        // What only the pump read goes before the clusters' records are
+        // rebuilt.
+        drop((placement, slots, arrivals));
+        let clusters = clusters
+            .into_iter()
+            .map(|c| c.into_outcome(&records))
+            .collect();
+        let report = summarize_fleet(&records, horizon_ms, ctr);
+        FleetOutcome {
+            records,
+            report,
+            clusters,
         }
     }
 }
@@ -1025,122 +1289,10 @@ pub fn serve_fleet(
     faults: &FleetFaults,
     cfg: &FleetConfig,
 ) -> Result<FleetOutcome, ServeError> {
-    let n = cfg.clusters.len();
-    let router = Router::new(cfg.router, n)?;
-    let health = HealthView::new(cfg.health, n)?;
-    if !faults.per_cluster.is_empty() && faults.per_cluster.len() != n {
-        return Err(server::bad_options(format!(
-            "fleet faults: {} per-cluster plans for {} clusters",
-            faults.per_cluster.len(),
-            n
-        )));
-    }
-    validate_cluster_events(&faults.cluster_events, n)
-        .map_err(|e| server::bad_options(format!("fleet faults: {e}")))?;
-    for ccfg in &cfg.clusters {
-        server::validate_config(models, ccfg)?;
-    }
-    server::validate_trace(models, trace)?;
-
-    // Stable-sort the cluster events by time (validation already ran).
-    let mut cluster_faults = faults.cluster_events.clone();
-    cluster_faults.sort_by(|a, b| a.at_ms.total_cmp(&b.at_ms));
-
-    // Lower degrades into the target cluster's own GPU-level plan, where
-    // the normal detection/repair loop sees them; kills and partitions
-    // wait on the fleet's queue, and the first heartbeat behind them.
-    let mut plans: Vec<FaultPlan> = if faults.per_cluster.is_empty() {
-        (0..n).map(|_| FaultPlan::none()).collect()
-    } else {
-        faults.per_cluster.clone()
-    };
-    let mut events = EventQueue::new();
-    for e in &cluster_faults {
-        if let ClusterFaultKind::ClusterDegrade { factor } = e.kind {
-            let mut lowered = plans[e.cluster].events.clone();
-            for gpu in 0..cfg.clusters[e.cluster].num_gpus {
-                lowered.push(FaultEvent {
-                    at_ms: e.at_ms,
-                    kind: FaultKind::GpuSlowdown { gpu, factor },
-                });
-            }
-            plans[e.cluster] = FaultPlan::new(lowered);
-        } else {
-            events.push(e.at_ms, FleetEvent::Fault(*e));
-        }
-    }
-    events.push(cfg.health.heartbeat_ms, FleetEvent::Heartbeat);
-
     let drift = DriftPlan::none();
-    let mut clusters = Vec::with_capacity(n);
-    for (ci, ccfg) in cfg.clusters.iter().enumerate() {
-        clusters.push(Cluster {
-            srv: Server::build(models, &plans[ci], &drift, ccfg)?,
-            alive: true,
-            seen: 0,
-            copy_map: Vec::new(),
-            window_outcomes: 0,
-            window_misses: 0,
-        });
-    }
-
-    let mut fleet = Fleet {
-        cfg,
-        trace,
-        clusters,
-        rankings: (0..models.len())
-            .map(|tenant| router.ranking(tenant as u64))
-            .collect(),
-        health,
-        events,
-        arrivals: Arrivals::of(trace),
-        arrived: 0,
-        reqs: trace
-            .iter()
-            .map(|_| FleetReq {
-                first: Branch::UNPLACED,
-                twin: None,
-                terminal: None,
-            })
-            .collect(),
-        twins: Vec::new(),
-        open: trace.len(),
-        now: 0.0,
-        ctr: FleetCounters::default(),
-    };
+    let mut fleet = Fleet::build(models, trace, faults, cfg, &drift)?;
     fleet.pump();
-
-    let horizon_ms = fleet.now;
-    // Every `terminal` is set: the cursor routed every arrival, which
-    // settled it at the router or injected a copy; a cluster terminates
-    // every copy it holds before its queue runs dry, or is killed and
-    // drained; and each copy's end settles its request unless the sibling
-    // is still live to do so.
-    debug_assert_eq!(fleet.open, 0, "fleet pump drained with open requests");
-    let mut records: Vec<FleetRecord> = fleet
-        .reqs
-        .into_iter()
-        .zip(trace)
-        .filter_map(|(r, &request)| {
-            r.terminal.map(|disposition| FleetRecord {
-                request,
-                disposition,
-            })
-        })
-        .collect();
-    records.sort_by_key(|r| r.request.id);
-
-    let report = summarize_fleet(&records, horizon_ms, fleet.ctr);
-    let clusters = fleet
-        .clusters
-        .into_iter()
-        .map(|c| c.srv.into_outcome())
-        .collect();
-    Ok(FleetOutcome {
-        records,
-        report,
-        clusters,
-    })
+    Ok(fleet.into_outcome())
 }
 
 fn summarize_fleet(records: &[FleetRecord], horizon_ms: f64, ctr: FleetCounters) -> FleetReport {
@@ -1574,5 +1726,347 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), trace.len(), "one disposition per request");
+    }
+
+    #[test]
+    fn a_partition_heal_past_the_largest_instant_is_a_typed_error() {
+        let models = models();
+        let trace = trace(10, 50.0, 1);
+        // Each value is finite; their sum, the heal instant, is not.
+        let faults = FleetFaults {
+            per_cluster: Vec::new(),
+            cluster_events: vec![ClusterFaultEvent {
+                at_ms: 1.0e308,
+                cluster: 0,
+                kind: ClusterFaultKind::PartitionRouter { heal_ms: 1.0e308 },
+            }],
+        };
+        let err = serve_fleet(&models, &trace, &faults, &FleetConfig::new(2, 2)).unwrap_err();
+        assert!(
+            matches!(err, ServeError::Scheduler(SchedulerError::BadOptions(_))),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn a_heartbeat_past_the_largest_instant_is_skipped() {
+        let models = models();
+        let mut cfg = FleetConfig::new(2, 2);
+        cfg.health.heartbeat_ms = 1.0e308;
+        // The first beat fires with this arrival still to come; the next
+        // would be due at +inf.
+        let trace = [Request {
+            id: 0,
+            model: 0,
+            arrival_ms: 1.5e308,
+            deadline_ms: 1.6e308,
+            class: PriorityClass::Gold,
+        }];
+        let out = serve_fleet(&models, &trace, &FleetFaults::none(), &cfg).unwrap();
+        assert!(out.records[0].disposition.completed(), "{:?}", out.records);
+        assert_eq!(out.report.horizon_ms, 1.5e308);
+    }
+
+    /// A fleet over `trace` driven by hand: every arrival counts as
+    /// routed, so the pump only steps clusters and fleet events.
+    fn by_hand<'a>(
+        models: &'a [ServedModel],
+        trace: &'a [Request],
+        cfg: &'a FleetConfig,
+        drift: &'a DriftPlan,
+    ) -> Fleet<'a> {
+        let mut fleet = Fleet::build(models, trace, &FleetFaults::none(), cfg, drift).unwrap();
+        fleet.arrived = trace.len();
+        fleet
+    }
+
+    /// Places trace entry `ti`'s first copy on cluster `ci`.
+    fn place(fleet: &mut Fleet, ti: usize, ci: usize) -> usize {
+        let s = fleet.hold(ti);
+        fleet.inject_first(s, ci);
+        s
+    }
+
+    /// Gold requests of model 0 arriving at 0 with `slack_ms` to go.
+    fn golds(n: u64, slack_ms: f64) -> Vec<Request> {
+        (0..n)
+            .map(|id| Request {
+                id,
+                model: 0,
+                arrival_ms: 0.0,
+                deadline_ms: slack_ms,
+                class: PriorityClass::Gold,
+            })
+            .collect()
+    }
+
+    /// The cluster record a completed fate's leaf stands for.
+    fn completed_record(r: &FleetRecord) -> RequestRecord {
+        let &FleetDisposition::Completed {
+            finish_ms,
+            latency_ms,
+            attempts,
+            met_deadline,
+            repairs,
+            ..
+        } = r.disposition.terminal()
+        else {
+            panic!("{r:?} did not complete");
+        };
+        RequestRecord {
+            request: r.request,
+            disposition: Disposition::Completed {
+                finish_ms,
+                latency_ms,
+                attempts,
+                met_deadline,
+                repairs,
+            },
+        }
+    }
+
+    #[test]
+    fn a_rerouted_first_copy_lands_beside_its_shed_twin_in_push_order() {
+        let models = models();
+        let mut cfg = FleetConfig::new(2, 2);
+        for c in &mut cfg.clusters {
+            c.queue_capacity = 1;
+        }
+        let drift = DriftPlan::none();
+        let trace = golds(4, 1.0e6);
+        let mut fleet = by_hand(&models, &trace, &cfg, &drift);
+        // 0 runs on cluster 1 with 1 queued behind it; 2 runs on cluster
+        // 0 with 3 queued, and 3's twin finds cluster 1's queue full.
+        place(&mut fleet, 0, 1);
+        place(&mut fleet, 1, 1);
+        place(&mut fleet, 2, 0);
+        let x = place(&mut fleet, 3, 0);
+        fleet.inject_twin(x, 1);
+        assert!(
+            fleet.slots[x].copies[1].shed.is_some(),
+            "the twin's shed parks"
+        );
+        // Once cluster 1 has room, cluster 0 dies under request 3, which
+        // fails over onto cluster 1 and completes there.
+        while fleet.clusters[1].srv.queue_depth() > 0 {
+            assert!(fleet.advance());
+        }
+        let kill_ms = fleet.now;
+        fleet.on_cluster_kill(0);
+        fleet.pump();
+        let out = fleet.into_outcome();
+        let FleetDisposition::Rerouted {
+            from: 0,
+            to: 1,
+            at_ms,
+            outcome,
+        } = &out.records[3].disposition
+        else {
+            panic!("{:?}", out.records[3]);
+        };
+        assert_eq!(*at_ms, kill_ms);
+        assert!(matches!(
+            **outcome,
+            FleetDisposition::Completed {
+                cluster: 1,
+                hedged: true,
+                ..
+            }
+        ));
+        let twin_shed = RequestRecord {
+            request: trace[3],
+            disposition: Disposition::Shed {
+                at_ms: 0.0,
+                reason: ShedReason::QueueFull { capacity: 1 },
+            },
+        };
+        // Both of request 3's records, in the order cluster 1 pushed them.
+        let expected = vec![
+            completed_record(&out.records[0]),
+            completed_record(&out.records[1]),
+            twin_shed,
+            completed_record(&out.records[3]),
+        ];
+        assert_eq!(out.clusters[1].records, expected);
+        assert_eq!(out.clusters[0].records, [completed_record(&out.records[2])]);
+    }
+
+    #[test]
+    fn a_parked_first_copy_shed_stands_after_its_twin_sheds() {
+        let models = models();
+        let cfg = FleetConfig::new(2, 2);
+        let drift = DriftPlan::none();
+        let bound = bounds::combined_bound(&models[0].graph, &models[0].cost, 2);
+        // Request 2 is admissible on arrival, but not once it has waited
+        // behind 0 (on cluster 0) or 1 (on cluster 1).
+        let mut trace = golds(3, 1.0e6);
+        trace[2].deadline_ms = 1.5 * bound;
+        let mut fleet = by_hand(&models, &trace, &cfg, &drift);
+        place(&mut fleet, 0, 0);
+        place(&mut fleet, 1, 1);
+        let x = place(&mut fleet, 2, 0);
+        fleet.inject_twin(x, 1);
+        fleet.pump();
+        let out = fleet.into_outcome();
+        let shed_after = |r: &FleetRecord| {
+            let FleetDisposition::Completed { finish_ms, .. } = r.disposition else {
+                panic!("{r:?}");
+            };
+            Disposition::Shed {
+                at_ms: finish_ms,
+                reason: ShedReason::DeadlineUnmeetable {
+                    bound_finish_ms: finish_ms + bound,
+                    deadline_ms: trace[2].deadline_ms,
+                },
+            }
+        };
+        let (first, twin) = (shed_after(&out.records[0]), shed_after(&out.records[1]));
+        let Disposition::Shed { at_ms, reason } = first.clone() else {
+            unreachable!()
+        };
+        // The first copy shed first, on cluster 0, and its shed stands.
+        assert_eq!(
+            out.records[2].disposition,
+            FleetDisposition::Shed {
+                cluster: Some(0),
+                at_ms,
+                reason: FleetShedReason::Cluster(reason),
+            }
+        );
+        let record = |disposition| RequestRecord {
+            request: trace[2],
+            disposition,
+        };
+        assert_eq!(
+            out.clusters[0].records,
+            [completed_record(&out.records[0]), record(first)]
+        );
+        assert_eq!(
+            out.clusters[1].records,
+            [completed_record(&out.records[1]), record(twin)]
+        );
+    }
+
+    #[test]
+    fn a_twin_record_taken_after_its_sibling_won_is_wasted_in_its_cluster() {
+        let models = models();
+        let cfg = FleetConfig::new(2, 2);
+        let drift = DriftPlan::none();
+        let trace = golds(2, 1.0e6);
+        let mut fleet = by_hand(&models, &trace, &cfg, &drift);
+        let x = place(&mut fleet, 0, 0);
+        fleet.inject_twin(x, 1);
+        // Both copies complete at one instant.  Cluster 1's record waits
+        // untaken while cluster 0's wins: the cancel finds the twin's
+        // server slot already free.
+        let t = fleet.clusters[1].srv.next_event_ms().unwrap();
+        assert!(fleet.clusters[1].srv.step());
+        assert!(fleet.clusters[1].srv.records_waiting());
+        assert_eq!(fleet.clusters[0].srv.next_event_ms(), Some(t));
+        assert!(fleet.clusters[0].srv.step());
+        fleet.now = t;
+        fleet.consume(0);
+        // The late record was the twin's: wasted, and only then is the
+        // slot free for the next request.
+        assert_eq!((fleet.ctr.hedge_wasted, fleet.ctr.hedge_cancelled), (1, 1));
+        assert_eq!(fleet.free, [x]);
+        assert_eq!(place(&mut fleet, 1, 1), x);
+        fleet.pump();
+        let out = fleet.into_outcome();
+        assert!(matches!(
+            out.records[0].disposition,
+            FleetDisposition::Completed {
+                cluster: 0,
+                hedged: true,
+                ..
+            }
+        ));
+        assert_eq!(out.clusters[0].records, [completed_record(&out.records[0])]);
+        let mut twin = completed_record(&out.records[0]);
+        twin.request = trace[0];
+        assert_eq!(
+            out.clusters[1].records,
+            [twin, completed_record(&out.records[1])]
+        );
+        assert_eq!(out.report.hedge_wasted, 1);
+    }
+
+    #[test]
+    fn a_cluster_rebuilds_its_records_in_push_order() {
+        // Pushed: a side record, two sole-copy fates of one shared id, two
+        // side records in a row, a fate, a side record.  Equal ids keep
+        // that order through the id sort.
+        let request = |id| Request {
+            id,
+            model: 0,
+            arrival_ms: 0.0,
+            deadline_ms: 1.0,
+            class: PriorityClass::Gold,
+        };
+        let shed = |id, at_ms| RequestRecord {
+            request: request(id),
+            disposition: Disposition::Shed {
+                at_ms,
+                reason: ShedReason::QueueFull { capacity: 1 },
+            },
+        };
+        let fate = |id, at_ms| FleetRecord {
+            request: request(id),
+            disposition: FleetDisposition::Shed {
+                cluster: Some(0),
+                at_ms,
+                reason: FleetShedReason::Cluster(ShedReason::QueueFull { capacity: 1 }),
+            },
+        };
+        let fleet = [fate(7, 1.0), fate(7, 2.0), fate(7, 5.0)];
+        let side = vec![
+            (0, shed(9, 0.0)),
+            (3, shed(7, 3.0)),
+            (4, shed(7, 4.0)),
+            (6, shed(3, 6.0)),
+        ];
+        let rebuilt = rebuild(vec![0, 1, 2], side, &fleet);
+        let pushed: Vec<(u64, f64)> = rebuilt
+            .iter()
+            .map(|r| match r.disposition {
+                Disposition::Shed { at_ms, .. } => (r.request.id, at_ms),
+                Disposition::Completed { .. } => unreachable!(),
+            })
+            .collect();
+        assert_eq!(
+            pushed,
+            [
+                (3, 6.0),
+                (7, 1.0),
+                (7, 2.0),
+                (7, 3.0),
+                (7, 4.0),
+                (7, 5.0),
+                (9, 0.0)
+            ]
+        );
+    }
+
+    #[test]
+    fn fleet_clusters_upgrade_the_last_served_plan_when_idle() {
+        let models = models();
+        let mut cfg = FleetConfig::new(3, 2);
+        cfg.hedge = false;
+        let trace = trace(300, 20.0, 7);
+        let out = serve_fleet(&models, &trace, &FleetFaults::none(), &cfg).unwrap();
+        for (ci, c) in out.clusters.iter().enumerate() {
+            assert!(c.report.upgrades > 0, "cluster {ci} never upgraded");
+            // Every copy is its request's only one: each record is read
+            // back from the fate it became.
+            let expected: Vec<RequestRecord> = out
+                .records
+                .iter()
+                .filter(|r| {
+                    matches!(r.disposition, FleetDisposition::Completed { cluster, .. } if cluster == ci)
+                })
+                .map(completed_record)
+                .collect();
+            assert_eq!(c.records, expected, "cluster {ci}");
+        }
     }
 }

@@ -35,7 +35,7 @@ use crate::ladder::{
     AnytimeLadder, Chosen, LadderConfig, PlatformState, Policy, RungCap, greedy_cost_ms, slot_cost,
 };
 use crate::report::{ReportInputs, ServeReport, summarize};
-use crate::request::{Disposition, Request, RequestRecord, ServeError, ShedReason};
+use crate::request::{Disposition, PriorityClass, Request, RequestRecord, ServeError, ShedReason};
 use crate::retry::{self, RetryBudget};
 use hios_core::repair::{RepairConfig, RepairPolicy, repair_schedule};
 use hios_core::{
@@ -635,6 +635,10 @@ impl Lesson {
 /// One request slot of [`Server::states`].
 struct ReqState {
     request: Request,
+    /// The caller's name for this copy, handed back with its record
+    /// ([`Sink`]): its trace position under `serve_drift`, the fleet's
+    /// copy reference in a cluster.
+    tag: usize,
     /// Injection sequence number: a drain returns retry-pending copies
     /// in this order, whichever slots they hold.
     seq: u64,
@@ -656,6 +660,23 @@ enum Hold {
     /// A backoff timer, for a copy the fleet layer withdrew while it
     /// backed off: its `Retry` frees the slot and does nothing else.
     Withdrawn,
+}
+
+/// Where a server's terminal records go (DESIGN §9.1, *The terminal
+/// sink*): each is written once, to where its caller keeps it.
+enum Sink {
+    /// `serve_drift`'s: every record straight to its place in the
+    /// id-sorted outcome, found from the trace position it was injected
+    /// under.
+    Placed {
+        records: Vec<RequestRecord>,
+        placement: Placement,
+        /// Records written so far: every position, by the end.
+        written: usize,
+    },
+    /// A fleet cluster's: `(tag, record)` in push order, until the fleet
+    /// moves them out ([`Server::take_record`]).
+    HandOff(VecDeque<(usize, RequestRecord)>),
 }
 
 /// Live overload-hardening state: the brownout state machine plus the
@@ -722,13 +743,10 @@ pub(crate) struct Server<'a> {
     last_arrival_ms: f64,
     /// EWMA of inter-arrival gaps (infinite until two arrivals), ms.
     ewma_gap_ms: f64,
-    records: Vec<RequestRecord>,
-    /// Slot of each record, in push order — the fleet layer maps
-    /// terminal records back to its own request copies through this
-    /// (request ids alone are ambiguous: a hedged twin shares its id).
-    /// The slot is free by the time the record is read, and is reused
-    /// only by a later [`Server::inject`].
-    terminal_idx: Vec<usize>,
+    sink: Sink,
+    /// Model of the most recent terminal record: the one whose plan
+    /// idle time upgrades.
+    last_model: Option<usize>,
     attempts_total: u64,
     repairs_total: u64,
     alarms_total: u64,
@@ -900,6 +918,89 @@ impl Arrivals {
     }
 }
 
+/// What a placed record holds until its own is written.
+pub(crate) const UNWRITTEN: Request = Request {
+    id: 0,
+    model: 0,
+    arrival_ms: f64::NAN,
+    deadline_ms: f64::NAN,
+    class: PriorityClass::Gold,
+};
+
+/// How trace entries that share an id order among themselves in an
+/// id-sorted outcome.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Ties {
+    /// In the order their records are written: `serve` once pushed its
+    /// records as they came, then stable-sorted them by id.
+    Terminal,
+    /// In trace order: the fleet once collected its fates in trace
+    /// order, then stable-sorted them by id.
+    Trace,
+}
+
+/// Where each trace entry's record lands in an outcome sorted by request
+/// id, so that a record is written once, in its final place, and never
+/// sorted.  A trace whose ids strictly increase in trace order — every
+/// generated one — places entry `i` at `i`; any other is stable-sorted
+/// by id into a table once.
+pub(crate) struct Placement {
+    /// Trace position → its position, or the first of its id's positions
+    /// under [`Ties::Terminal`]; `None` when that is the trace position.
+    at: Option<Vec<usize>>,
+    /// `(first position, records placed)` of every id that more than one
+    /// entry shares, by position (under [`Ties::Terminal`] only).
+    shared: Vec<(usize, usize)>,
+}
+
+impl Placement {
+    pub(crate) fn of(trace: &[Request], ties: Ties) -> Self {
+        let mut placement = Placement {
+            at: None,
+            shared: Vec::new(),
+        };
+        if trace.is_sorted_by(|a, b| a.id < b.id) {
+            return placement;
+        }
+        let mut order: Vec<usize> = (0..trace.len()).collect();
+        order.sort_by_key(|&i| trace[i].id);
+        let mut at = vec![0; trace.len()];
+        let mut first = 0;
+        for (k, &i) in order.iter().enumerate() {
+            if k > 0 && trace[order[k - 1]].id != trace[i].id {
+                first = k;
+            }
+            at[i] = match ties {
+                Ties::Trace => k,
+                Ties::Terminal => first,
+            };
+            if ties == Ties::Terminal && k == first + 1 {
+                placement.shared.push((first, 0));
+            }
+        }
+        placement.at = Some(at);
+        placement
+    }
+
+    /// Position of trace entry `i` when ties keep trace order.
+    pub(crate) fn at(&self, i: usize) -> usize {
+        self.at.as_ref().map_or(i, |at| at[i])
+    }
+
+    /// Position of trace entry `i`'s record, written now.
+    fn place(&mut self, i: usize) -> usize {
+        let first = self.at(i);
+        match self.shared.binary_search_by_key(&first, |&(p, _)| p) {
+            Ok(g) => {
+                let placed = &mut self.shared[g].1;
+                *placed += 1;
+                first + *placed - 1
+            }
+            Err(_) => first,
+        }
+    }
+}
+
 impl<'a> Server<'a> {
     /// Constructs an empty serving loop: platform, breakers, ladder,
     /// store, overload controller, and the fault plan's detection
@@ -998,8 +1099,8 @@ impl<'a> Server<'a> {
                 .collect(),
             last_arrival_ms: f64::NAN,
             ewma_gap_ms: f64::INFINITY,
-            records: Vec::new(),
-            terminal_idx: Vec::new(),
+            sink: Sink::HandOff(VecDeque::new()),
+            last_model: None,
             attempts_total: 0,
             repairs_total: 0,
             alarms_total: 0,
@@ -1009,23 +1110,32 @@ impl<'a> Server<'a> {
     }
 
     /// Serves `trace` to the end: every request injected at its arrival
-    /// instant, every event stepped.
+    /// instant, every event stepped, every record placed.
     fn run_trace(&mut self, trace: &[Request]) {
-        self.records.reserve(trace.len());
-        self.terminal_idx.reserve(trace.len());
+        let unwritten = RequestRecord {
+            request: UNWRITTEN,
+            disposition: Disposition::Shed {
+                at_ms: f64::NAN,
+                reason: ShedReason::QueueFull { capacity: 0 },
+            },
+        };
+        self.sink = Sink::Placed {
+            records: vec![unwritten; trace.len()],
+            placement: Placement::of(trace, Ties::Terminal),
+            written: 0,
+        };
         let arrivals = Arrivals::of(trace);
         let mut arrived = 0;
         loop {
             // An arrival due no later than the next scheduled event is
             // admitted before it.
             let next_event = self.next_event_ms();
-            let due = arrivals
-                .get(arrived)
-                .map(|ti| trace[ti])
-                .filter(|r| next_event.is_none_or(|t| r.arrival_ms.total_cmp(&t).is_le()));
-            if let Some(r) = due {
+            let due = arrivals.get(arrived).filter(|&ti| {
+                next_event.is_none_or(|t| trace[ti].arrival_ms.total_cmp(&t).is_le())
+            });
+            if let Some(ti) = due {
                 arrived += 1;
-                self.inject(r, r.arrival_ms);
+                self.inject(trace[ti], ti, trace[ti].arrival_ms);
             } else if !self.step() {
                 break;
             }
@@ -1075,16 +1185,31 @@ impl<'a> Server<'a> {
             .min_by(f64::total_cmp)
     }
 
-    /// Tears the drained loop down into its outcome.
-    pub(crate) fn into_outcome(mut self) -> ServeOutcome {
+    /// Tears `serve_drift`'s drained loop down into its outcome: the
+    /// placed records are already in id order.
+    fn into_outcome(mut self) -> ServeOutcome {
+        let records = match std::mem::replace(&mut self.sink, Sink::HandOff(VecDeque::new())) {
+            Sink::Placed {
+                records, written, ..
+            } => {
+                debug_assert_eq!(written, records.len(), "positions left unwritten");
+                records
+            }
+            // Handed off as they came: the caller holds them.
+            Sink::HandOff(_) => Vec::new(),
+        };
+        self.outcome(records)
+    }
+
+    /// Tears the drained loop down into its outcome over `records`, its
+    /// terminal records sorted by request id.
+    pub(crate) fn outcome(mut self, records: Vec<RequestRecord>) -> ServeOutcome {
         debug_assert!(self.queue.is_empty(), "drained loop left queued requests");
         debug_assert!(self.in_flight.is_none(), "drained loop left in-flight work");
+        debug_assert!(records.is_sorted_by_key(|r| r.request.id));
         // What only the loop read goes before the report is built.
         drop(self.states);
         drop(self.free_slots);
-        drop(self.terminal_idx);
-        let mut records = self.records;
-        records.sort_by_key(|r| r.request.id);
         let horizon_ms = self.clock.now_ms();
         let retry_budget_denied = self.overload.as_ref().map_or(0, |ov| ov.budget.denied());
         let brownout = match self.overload.take() {
@@ -1121,21 +1246,21 @@ impl<'a> Server<'a> {
     // `serve_drift` drives one loop from a trace; the fleet layer
     // (`crate::fleet`) drives N of them under one router.  Both admit
     // requests through `inject` and advance the loop through `step`;
-    // the fleet additionally withdraws work (`cancel`, `drain`) and reads
-    // terminal records back through the `(terminal_idx, records)`
-    // watermark.
+    // the fleet additionally withdraws work (`cancel`, `drain`) and
+    // takes the terminal records handed off to it (`take_record`).
 
     /// Admits `request` as if it arrived at `now_ms` (the cluster clock
-    /// advances there first) and returns its slot.  The slot — not the
-    /// request id — names this copy in later records: a hedged twin
-    /// shares the id but never a slot with its sibling.  A slot is
-    /// reused once its request is terminal or withdrawn, so a caller
-    /// mapping records back through slots must read every record pushed
-    /// before its next `inject`.
-    pub(crate) fn inject(&mut self, request: Request, now_ms: f64) -> usize {
+    /// advances there first) under the caller's `tag`, and returns its
+    /// slot.  The tag — not the request id — names this copy in its
+    /// record: a hedged twin shares the id but never a tag with its
+    /// sibling.  The slot is what `cancel` takes; it is reused once its
+    /// request is terminal or withdrawn, so a caller cancelling by slot
+    /// takes every record handed off before its next `inject`.
+    pub(crate) fn inject(&mut self, request: Request, tag: usize, now_ms: f64) -> usize {
         self.clock.advance_to(now_ms);
         let state = ReqState {
             request,
+            tag,
             seq: self.injected,
             attempts: 0,
             repairs: 0,
@@ -1182,12 +1307,14 @@ impl<'a> Server<'a> {
     /// Withdraws the request in slot `i` without a terminal record (its
     /// fate is owned elsewhere — a hedged twin completed, or a failover
     /// already re-routed it).  Pending events for it become no-ops; freed
-    /// backend capacity is re-dispatched immediately.  A slot already
-    /// free (its record pushed but not yet read by the caller) or
-    /// already withdrawn is left alone.
-    pub(crate) fn cancel(&mut self, i: usize) {
+    /// backend capacity is re-dispatched immediately.  Returns whether a
+    /// record of it is still to be taken: a slot already free had its
+    /// record pushed before the caller took it.  A slot already
+    /// withdrawn is left alone.
+    pub(crate) fn cancel(&mut self, i: usize) -> bool {
         match self.states[i].hold {
-            Hold::Free | Hold::Withdrawn => {}
+            Hold::Free => return true,
+            Hold::Withdrawn => {}
             // `on_retry` frees the slot when the backoff timer fires.
             Hold::Backoff => self.states[i].hold = Hold::Withdrawn,
             Hold::Live => {
@@ -1203,33 +1330,28 @@ impl<'a> Server<'a> {
                 }
             }
         }
+        false
     }
 
     /// Withdraws every live request — queued (FIFO order), in-flight,
-    /// then retry-pending (injection order) — and returns them with
-    /// their slots for re-routing.  Used when the cluster dies; the
-    /// loop's remaining events are then abandoned unstepped.
-    pub(crate) fn drain(&mut self) -> Vec<(usize, Request)> {
-        let mut out: Vec<(usize, Request)> = self
-            .queue
-            .drain(..)
-            .map(|i| (i, self.states[i].request))
-            .collect();
-        if let Some(fl) = self.in_flight.take() {
-            out.push((fl.req, self.states[fl.req].request));
-        }
-        for &(i, _) in &out {
+    /// then retry-pending (injection order) — and returns their tags for
+    /// re-routing.  Used when the cluster dies; the loop's remaining
+    /// events are then abandoned unstepped.
+    pub(crate) fn drain(&mut self) -> Vec<usize> {
+        let mut out: Vec<usize> = self.queue.drain(..).collect();
+        out.extend(self.in_flight.take().map(|fl| fl.req));
+        for &i in &out {
             self.release(i);
         }
         let mut backoff: Vec<usize> = (0..self.states.len())
             .filter(|&i| self.states[i].hold == Hold::Backoff)
             .collect();
         backoff.sort_unstable_by_key(|&i| self.states[i].seq);
-        for i in backoff {
+        for &i in &backoff {
             self.states[i].hold = Hold::Withdrawn;
-            out.push((i, self.states[i].request));
         }
-        out
+        out.extend(backoff);
+        out.iter().map(|&i| self.states[i].tag).collect()
     }
 
     /// Requests currently holding FIFO slots.
@@ -1253,10 +1375,18 @@ impl<'a> Server<'a> {
         self.bound_full[mi]
     }
 
-    /// Terminal records produced so far, in push order, with the state
-    /// index of each.
-    pub(crate) fn outcomes(&self) -> (&[usize], &[RequestRecord]) {
-        (&self.terminal_idx, &self.records)
+    /// The oldest terminal record not yet taken, with its copy's tag
+    /// (`None` under `serve_drift`, whose records are placed).
+    pub(crate) fn take_record(&mut self) -> Option<(usize, RequestRecord)> {
+        match &mut self.sink {
+            Sink::HandOff(waiting) => waiting.pop_front(),
+            Sink::Placed { .. } => None,
+        }
+    }
+
+    /// Whether handed-off records wait to be taken.
+    pub(crate) fn records_waiting(&self) -> bool {
+        matches!(&self.sink, Sink::HandOff(waiting) if !waiting.is_empty())
     }
 
     fn now(&self) -> f64 {
@@ -1346,15 +1476,8 @@ impl<'a> Server<'a> {
         // level in place after the load drops.  Every other shed is a
         // genuine miss signal.
         let brownout_shed = matches!(reason, ShedReason::Brownout { .. });
-        self.terminal_idx.push(i);
-        self.records.push(RequestRecord {
-            request: self.states[i].request,
-            disposition: Disposition::Shed {
-                at_ms: self.now(),
-                reason,
-            },
-        });
-        self.release(i);
+        let at_ms = self.now();
+        self.terminate(i, Disposition::Shed { at_ms, reason });
         if !brownout_shed {
             let (now, fill) = (self.now(), self.queue_fill());
             if let Some(ov) = &mut self.overload {
@@ -1597,22 +1720,40 @@ impl<'a> Server<'a> {
         let st = &self.states[i];
         let now = self.now();
         let met_deadline = now <= st.request.deadline_ms;
-        self.terminal_idx.push(i);
-        self.records.push(RequestRecord {
-            request: st.request,
-            disposition: Disposition::Completed {
-                finish_ms: now,
-                latency_ms: now - st.request.arrival_ms,
-                attempts: st.attempts,
-                met_deadline,
-                repairs: st.repairs,
-            },
-        });
-        self.release(i);
+        let disposition = Disposition::Completed {
+            finish_ms: now,
+            latency_ms: now - st.request.arrival_ms,
+            attempts: st.attempts,
+            met_deadline,
+            repairs: st.repairs,
+        };
+        self.terminate(i, disposition);
         let fill = self.queue_fill();
         if let Some(ov) = &mut self.overload {
             ov.ctl.observe_outcome(now, !met_deadline, fill);
         }
+    }
+
+    /// Writes slot `i`'s terminal record to the sink and frees the slot.
+    fn terminate(&mut self, i: usize, disposition: Disposition) {
+        let st = &self.states[i];
+        self.last_model = Some(st.request.model);
+        let record = RequestRecord {
+            request: st.request,
+            disposition,
+        };
+        match &mut self.sink {
+            Sink::Placed {
+                records,
+                placement,
+                written,
+            } => {
+                records[placement.place(st.tag)] = record;
+                *written += 1;
+            }
+            Sink::HandOff(waiting) => waiting.push_back((st.tag, record)),
+        }
+        self.release(i);
     }
 
     /// Folds a detected fault (or a heal) into the platform model, then
@@ -1674,8 +1815,8 @@ impl<'a> Server<'a> {
     /// then dispatch whatever queued meanwhile.
     fn idle_work(&mut self) {
         if self.queue.is_empty() {
-            if let Some(last) = self.records.last() {
-                self.reprice(last.request.model, true);
+            if let Some(mi) = self.last_model {
+                self.reprice(mi, true);
             }
         }
         self.try_dispatch();
@@ -2333,6 +2474,19 @@ mod tests {
         }
     }
 
+    /// Injects `request` under its id as the tag.
+    fn inject(srv: &mut Server, request: Request, now_ms: f64) -> usize {
+        srv.inject(request, request.id as usize, now_ms)
+    }
+
+    /// The records a server driven without a trace has handed off.
+    fn handed_off<'s>(srv: &'s Server) -> Vec<&'s RequestRecord> {
+        match &srv.sink {
+            Sink::HandOff(waiting) => waiting.iter().map(|(_, r)| r).collect(),
+            Sink::Placed { .. } => Vec::new(),
+        }
+    }
+
     #[test]
     fn a_withdrawn_backoff_keeps_its_slot_until_its_retry_fires() {
         // A hang fails the only request's attempt and it backs off; the
@@ -2344,27 +2498,32 @@ mod tests {
         let faults = FaultPlan::single(0.2, FaultKind::OpHang { op: OpId(29) });
         let drift = DriftPlan::none();
         let mut srv = Server::build(&models, &faults, &drift, &cfg).unwrap();
-        let hung = srv.inject(gold(0, 0.0), 0.0);
+        let hung = inject(&mut srv, gold(0, 0.0), 0.0);
         while srv.states[hung].hold != Hold::Backoff {
             assert!(srv.step(), "the hang must end in a backoff");
         }
-        srv.cancel(hung);
+        assert!(!srv.cancel(hung), "no record of it is pending");
         assert_eq!(srv.states[hung].hold, Hold::Withdrawn);
         let now = srv.now();
-        let fresh: Vec<usize> = (1..=30).map(|id| srv.inject(gold(id, now), now)).collect();
+        let fresh: Vec<usize> = (1..=30)
+            .map(|id| inject(&mut srv, gold(id, now), now))
+            .collect();
         assert!(!fresh.contains(&hung), "slot {hung} reused under its timer");
         while srv.states[hung].hold == Hold::Withdrawn {
             assert!(srv.step(), "the withdrawn backoff's retry must fire");
         }
         assert_eq!(srv.states[hung].hold, Hold::Free);
-        assert!(srv.records.len() < fresh.len(), "work left when it fired");
+        assert!(
+            handed_off(&srv).len() < fresh.len(),
+            "work left when it fired"
+        );
         while srv.step() {}
         // Every fresh request ran once and ended once; the withdrawn one
         // left no record.
-        let mut ids: Vec<u64> = srv.records.iter().map(|r| r.request.id).collect();
+        let mut ids: Vec<u64> = handed_off(&srv).iter().map(|r| r.request.id).collect();
         ids.sort_unstable();
         assert_eq!(ids, (1..=30).collect::<Vec<u64>>());
-        for r in &srv.records {
+        for r in handed_off(&srv) {
             assert!(
                 matches!(r.disposition, Disposition::Completed { attempts: 1, .. }),
                 "{r:?}"
@@ -2382,16 +2541,16 @@ mod tests {
         let drift = DriftPlan::none();
         let mut srv = Server::build(&models, &FaultPlan::none(), &drift, &cfg).unwrap();
         for id in 0..4 {
-            assert_eq!(srv.inject(gold(id, 0.0), 0.0), id as usize);
+            assert_eq!(inject(&mut srv, gold(id, 0.0), 0.0), id as usize);
         }
         // Requests 0 and 1 complete, freeing slots 0 then 1; the next two
         // arrivals take them last freed first.
-        while srv.records.len() < 2 {
+        while handed_off(&srv).len() < 2 {
             assert!(srv.step());
         }
         let now = srv.now();
-        assert_eq!(srv.inject(gold(4, now), now), 1);
-        assert_eq!(srv.inject(gold(5, now), now), 0);
+        assert_eq!(inject(&mut srv, gold(4, now), now), 1);
+        assert_eq!(inject(&mut srv, gold(5, now), now), 0);
         // Request 2 is in flight; 3, 4 and 5 fail at dispatch, as on a
         // scheduler error, and back off in slots 3, 1, 0.
         assert_eq!(srv.in_flight.as_ref().map(|fl| fl.req), Some(2));
@@ -2401,15 +2560,15 @@ mod tests {
             srv.fail_attempt(slot, ServeError::NoCapacity);
             assert_eq!(srv.states[slot].hold, Hold::Backoff);
         }
-        // The kill: in flight first, then the backoffs as injected.
-        let drained: Vec<(usize, u64)> = srv.drain().iter().map(|&(s, r)| (s, r.id)).collect();
-        assert_eq!(drained, [(2, 2), (3, 3), (1, 4), (0, 5)]);
+        // The kill: in flight first, then the backoffs as injected (their
+        // tags are their ids).
+        assert_eq!(srv.drain(), [2, 3, 4, 5]);
         for slot in [3, 1, 0] {
             assert_eq!(srv.states[slot].hold, Hold::Withdrawn);
         }
         // Their timers still fire, free the slots and record nothing.
         while srv.step() {}
-        assert_eq!(srv.records.len(), 2);
+        assert_eq!(handed_off(&srv).len(), 2);
         assert_eq!(srv.free_slots.len(), srv.slots_allocated());
     }
 

@@ -9,10 +9,11 @@
 //! itself.  Allocations: amortised `Vec` growth and nothing else — before
 //! the pump carried each request once this was three allocations per
 //! routed request (a routable mask, a ranking, a branch list).  Peak
-//! bytes: what the outcome keeps per request (its records), what
-//! building it costs (the id sort and the report's latencies), and no
-//! per-request serving state — before request slots were recycled every
-//! request ever seen kept one.
+//! bytes: what the outcome keeps per request (its records, each written
+//! once in its place) and what building it costs (the report's
+//! latencies), and no per-request serving state — before request slots
+//! were recycled every request ever seen kept one, and before records
+//! were placed they were cloned and sorted through scratch copies.
 //!
 //! Release builds only: a debug build re-simulates every dispatch-memo
 //! hit to assert the replay (about forty allocations a request), which
@@ -197,14 +198,18 @@ fn a_hedged_request_costs_at_most_one_allocation_more() {
 }
 
 /// Peak heap bytes per request added between an `N`- and a `2N`-request
-/// run of `run`, each served from a trace built before counting starts.
+/// run of `run`, each served from a trace built (by `shape`) before
+/// counting starts.
 fn peak_per_added_request<R>(
     models: &[ServedModel],
+    shape: impl Fn(&mut [Request]),
     run: impl Fn(&[Request]) -> R,
 ) -> (f64, i64, i64) {
     const N: usize = 8_000;
-    let small_trace = trace(models, N, 40.0);
-    let large_trace = trace(models, 2 * N, 40.0);
+    let mut small_trace = trace(models, N, 40.0);
+    let mut large_trace = trace(models, 2 * N, 40.0);
+    shape(&mut small_trace);
+    shape(&mut large_trace);
     let (small, _) = peak_above(|| run(&small_trace));
     let (large, _) = peak_above(|| run(&large_trace));
     ((large - small) as f64 / N as f64, small, large)
@@ -215,35 +220,70 @@ fn peak_per_added_request<R>(
 fn a_served_request_holds_its_record_and_little_else() {
     let models = models();
     let cfg = ServeConfig::new(2);
-    let (per_request, small, large) = peak_per_added_request(&models, |trace| {
-        let out = serve(&models, trace, &FaultPlan::none(), &cfg).unwrap();
-        assert_eq!(out.report.completed, trace.len());
-        out
-    });
-    // 192: the 96-byte record and the id sort's scratch copy of it.  It
-    // was 256 with a 56-byte state per request ever seen and an 8-byte
-    // arrival index, both live through the sort.
+    let (per_request, small, large) = peak_per_added_request(
+        &models,
+        |_| {},
+        |trace| {
+            let out = serve(&models, trace, &FaultPlan::none(), &cfg).unwrap();
+            assert_eq!(out.report.completed, trace.len());
+            out
+        },
+    );
+    // 106: the 96-byte record, written once in its place, and the
+    // report's latency.  It was 192 while the records were pushed and
+    // then id-sorted through a scratch copy, and 256 before that with a
+    // 56-byte state per request ever seen.
     assert!(
-        per_request <= 200.0,
+        per_request <= 120.0,
         "{per_request} peak bytes per added request ({small} B, then {large} B)"
     );
+}
+
+/// Serves each trace fault-free on four clusters, checking that nothing
+/// is shed.
+fn fleet_run(models: &[ServedModel]) -> impl Fn(&[Request]) -> FleetOutcome + '_ {
+    let cfg = FleetConfig::new(4, 2);
+    move |trace| {
+        let out = serve_fleet(models, trace, &FleetFaults::none(), &cfg).unwrap();
+        assert_eq!(out.report.completed, trace.len());
+        out
+    }
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "debug builds re-simulate every memo hit")]
 fn a_routed_request_holds_its_records_and_little_else() {
     let models = models();
-    let cfg = FleetConfig::new(4, 2);
-    let (per_request, small, large) = peak_per_added_request(&models, |trace| {
-        let out = serve_fleet(&models, trace, &FleetFaults::none(), &cfg).unwrap();
-        assert_eq!(out.report.completed, trace.len());
-        out
-    });
-    // 416: the fleet's per-request state and record, the cluster's
-    // record and the sorts' scratch.  It was 534 with a state and a copy
-    // map entry per copy ever injected and an arrival index.
+    let (per_request, small, large) = peak_per_added_request(&models, |_| {}, fleet_run(&models));
+    // 218: the 112-byte fate written in its place, the 96-byte cluster
+    // record rebuilt from it at the end, and the report's latency.  It
+    // was 416 with a 144-byte state per request for the whole run, a
+    // clone of every cluster record and the id sorts' scratch, and 534
+    // before that.
     assert!(
-        per_request <= 440.0,
+        per_request <= 300.0,
+        "{per_request} peak bytes per added request ({small} B, then {large} B)"
+    );
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "debug builds re-simulate every memo hit")]
+fn a_routed_request_of_an_id_unsorted_trace_holds_little_more() {
+    let models = models();
+    // Neighbours trade ids: the fates are placed through a permutation,
+    // and each cluster's records are sorted once rebuilt.
+    let swap_ids = |trace: &mut [Request]| {
+        for pair in trace.chunks_exact_mut(2) {
+            let id = pair[0].id;
+            pair[0].id = pair[1].id;
+            pair[1].id = id;
+        }
+    };
+    let (per_request, small, large) = peak_per_added_request(&models, swap_ids, fleet_run(&models));
+    // 218, as for a sorted trace: the permutation is gone before the
+    // cluster records are rebuilt.
+    assert!(
+        per_request <= 300.0,
         "{per_request} peak bytes per added request ({small} B, then {large} B)"
     );
 }

@@ -511,8 +511,9 @@ pub struct ClusterFaultEvent {
 }
 
 /// Checks cluster-scope events against a fleet of `clusters` clusters:
-/// indices in range, times finite and non-negative, factors/durations
-/// sane, and at least one cluster never killed (kills are permanent, so
+/// indices in range, times (heal instants included) finite and
+/// non-negative, factors/durations sane, and at least one cluster never
+/// killed (kills are permanent, so
 /// killing all of them would strand every future request).
 pub fn validate_cluster_events(
     events: &[ClusterFaultEvent],
@@ -539,7 +540,8 @@ pub fn validate_cluster_events(
                 }
             }
             ClusterFaultKind::PartitionRouter { heal_ms } => {
-                if !heal_ms.is_finite() || heal_ms <= 0.0 {
+                // The heal fires at `at_ms + heal_ms`: an instant too.
+                if !heal_ms.is_finite() || heal_ms <= 0.0 || !(e.at_ms + heal_ms).is_finite() {
                     return Err(FaultPlanError::BadDuration(heal_ms));
                 }
             }
@@ -1033,6 +1035,12 @@ mod tests {
         assert_eq!(
             validate_cluster_events(&[ev(1.0, 0, unhealed)], 4),
             Err(FaultPlanError::BadDuration(0.0))
+        );
+        // Each finite, but the heal instant they add up to is not.
+        let never = ClusterFaultKind::PartitionRouter { heal_ms: 1.0e308 };
+        assert_eq!(
+            validate_cluster_events(&[ev(1.0e308, 0, never)], 4),
+            Err(FaultPlanError::BadDuration(1.0e308))
         );
         let two_kills = [ev(1.0, 0, kill), ev(2.0, 1, kill)];
         assert_eq!(
