@@ -60,7 +60,7 @@ pub use api::{
     Algorithm, SchedBudget, ScheduleOutcome, SchedulerError, SchedulerOptions,
     modeled_sched_cost_ms, run_scheduler, run_scheduler_with,
 };
-pub use cache::{ScheduleCache, ScheduleCacheKey, graph_fingerprint};
+pub use cache::{ScheduleCacheKey, graph_fingerprint};
 pub use eval::{EvalError, EvalResult, EvalWorkspace, evaluate, evaluate_with, list_schedule};
 pub use repair::{
     RepairConfig, RepairError, RepairOutcome, RepairPolicy, SubgraphMap, alive_slots,

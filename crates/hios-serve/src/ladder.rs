@@ -26,18 +26,19 @@
 //! upgrader has run full HIOS-LP for a platform, every later hit serves
 //! that schedule at cached cost.
 
+use crate::lru::Lru;
 use crate::request::ServeError;
+use crate::server::bad_options;
 use hios_core::eval::evaluate_with;
 use hios_core::lp::{HiosLpConfig, schedule_hios_lp};
 use hios_core::{
-    Algorithm, EvalWorkspace, SchedBudget, Schedule, ScheduleCache, ScheduleCacheKey,
-    SchedulerError, alive_slots, greedy_schedule, modeled_sched_cost_ms,
+    Algorithm, EvalWorkspace, SchedBudget, Schedule, ScheduleCacheKey, SchedulerError, alive_slots,
+    greedy_schedule, modeled_sched_cost_ms,
 };
 use hios_cost::CostTable;
 use hios_graph::Graph;
 use hios_store::{PlanKey, PlanRung, PlanStore, RecoveryReport, StoreStats};
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Cost view where slot `i` prices as physical GPU `gpu_map[i]`.
@@ -338,47 +339,16 @@ enum Verdict {
 
 /// Verdicts remembered per ladder.  `serve_chaos` (six tenants under a
 /// flapping GPU, a link degrade and recalibrations) reaches under a
-/// hundred contests; beyond the bound the oldest is forgotten and, if
-/// ever asked again, reached again.
+/// hundred contests; beyond the bound the least recently asked is
+/// forgotten and, if ever asked again, reached again.
 const VERDICT_MEMO_SLOTS: usize = 256;
-
-/// Re-rank is a replay: the verdicts of past [`Contest`]s, oldest first
-/// out.  Nothing is ever invalidated — a contest names everything its
-/// outcome depends on, so a verdict that stops applying simply stops
-/// being asked for (a state that left the caller's table, a key a
-/// recalibration retired).  It outlives the cache entries it is about:
-/// the same plan re-entering the cache (re-adopted, or re-computed by a
-/// deterministic rung) meets the same verdict.
-#[derive(Default)]
-struct VerdictMemo {
-    verdicts: HashMap<Contest, Verdict>,
-    /// Insertion order of `verdicts`' keys.
-    order: VecDeque<Contest>,
-}
-
-impl VerdictMemo {
-    fn get(&self, contest: &Contest) -> Option<&Verdict> {
-        self.verdicts.get(contest)
-    }
-
-    /// Keeps the verdict of a contest [`VerdictMemo::get`] just missed.
-    fn remember(&mut self, contest: Contest, verdict: Verdict) {
-        if self.order.len() == VERDICT_MEMO_SLOTS {
-            if let Some(oldest) = self.order.pop_front() {
-                self.verdicts.remove(&oldest);
-            }
-        }
-        let unasked = self.verdicts.insert(contest, verdict).is_none();
-        debug_assert!(unasked, "{contest:?} was decided twice");
-        self.order.push_back(contest);
-    }
-}
 
 /// The ladder: schedule cache + shared evaluation workspace + counters,
 /// optionally backed by a durable plan store.
 pub struct AnytimeLadder {
     cfg: LadderConfig,
-    cache: ScheduleCache<CachedPlan>,
+    /// Best-known plan per problem, at most `cfg.cache_capacity`.
+    cache: Lru<ScheduleCacheKey, CachedPlan>,
     /// Durable warm-start tier; `None` serves from the memory cache
     /// alone.
     store: Option<PlanStore>,
@@ -388,35 +358,37 @@ pub struct AnytimeLadder {
     store_io_errors: u64,
     /// Last [`CachedPlan::plan_id`] issued.
     plans_issued: u64,
-    /// How every remembered re-rank and lost idle-time upgrade ended.
-    verdicts: VerdictMemo,
-    /// Re-ranks actually computed — each one greedy pass and two `eval`
-    /// calls; replayed verdicts (and their debug re-checks) not counted.
-    #[cfg(test)]
-    reranks_computed: u64,
+    /// Re-rank and idle-time upgrade are replays: how every remembered
+    /// re-rank and lost upgrade ended.  Nothing is ever invalidated — a
+    /// contest names everything its outcome depends on, so a verdict that
+    /// stops applying simply stops being asked for (a state that left the
+    /// caller's table, a key a recalibration retired).  It outlives the
+    /// cache entries it is about: the same plan re-entering the cache
+    /// (re-adopted, or re-computed by a deterministic rung) meets the same
+    /// verdict.
+    verdicts: Lru<Contest, Verdict>,
     /// Per durable key, the `(content digest, plan id)` of the plan this
     /// ladder last persisted under it or adopted from it — content it
     /// computed or has validated once already, so the store handing it
-    /// back needs no second validation and no second id.
-    known: HashMap<PlanKey, (u64, u64)>,
+    /// back needs no second validation and no second id.  Unbounded.
+    known: Lru<PlanKey, (u64, u64)>,
 }
 
 impl AnytimeLadder {
-    /// A fresh ladder.
+    /// A fresh ladder.  A `cache_capacity` of 0 caches nothing: every
+    /// dispatch is a miss.
     pub fn new(cfg: LadderConfig) -> Self {
         AnytimeLadder {
             cfg,
-            cache: ScheduleCache::with_capacity(cfg.cache_capacity),
+            cache: Lru::new(cfg.cache_capacity),
             store: None,
             ws: EvalWorkspace::new(),
             rung_counts: [0; 5],
             upgrades: 0,
             store_io_errors: 0,
             plans_issued: 0,
-            verdicts: VerdictMemo::default(),
-            #[cfg(test)]
-            reranks_computed: 0,
-            known: HashMap::new(),
+            verdicts: Lru::new(VERDICT_MEMO_SLOTS),
+            known: Lru::new(usize::MAX),
         }
     }
 
@@ -469,6 +441,12 @@ impl AnytimeLadder {
         epoch: u64,
         policy: Policy,
     ) -> Result<LadderDecision, ServeError> {
+        if alive.len() > 64 {
+            return Err(bad_options(format!(
+                "alive mask of {} GPUs exceeds the 64-bit cache key",
+                alive.len()
+            )));
+        }
         let (gpu_map, _, key) = resolve(g, cost, alive).ok_or(ServeError::NoCapacity)?;
         let chosen = self.decide_keyed(
             g,
@@ -516,7 +494,8 @@ impl AnytimeLadder {
         let n = g.num_ops();
         match policy {
             Policy::GreedyOnly => {
-                let (schedule, nominal_ms) = self.run_greedy(g, &slot_cost(cost, gpu_map), m)?;
+                let (schedule, nominal_ms) =
+                    run_greedy(&mut self.ws, g, &slot_cost(cost, gpu_map), m)?;
                 self.rung_counts[Rung::Greedy.index()] += 1;
                 Ok(Chosen {
                     schedule: Arc::new(schedule),
@@ -528,7 +507,7 @@ impl AnytimeLadder {
             }
             Policy::FixedFullLp => {
                 let (schedule, nominal_ms, sched_cost_ms) =
-                    self.run_lp(g, &slot_cost(cost, gpu_map), m, true);
+                    run_lp(self.cfg.window, g, &slot_cost(cost, gpu_map), m, true);
                 self.rung_counts[Rung::FullLp.index()] += 1;
                 Ok(Chosen {
                     schedule: Arc::new(schedule),
@@ -598,7 +577,7 @@ impl AnytimeLadder {
         let durable = PlanKey::from_cache_key(key, epoch);
         let hit = self.store.as_mut()?.get_shared(&durable)?;
         let plan_id = match self.known.get(&durable) {
-            Some(&(digest, plan_id)) if digest == hit.digest => plan_id,
+            Some(&mut (digest, plan_id)) if digest == hit.digest => plan_id,
             _ => {
                 if hit.schedule.gpus.len() != m || hit.schedule.validate_full(g, None).is_err() {
                     return None; // fingerprint collision or foreign plan
@@ -640,17 +619,6 @@ impl AnytimeLadder {
         }
     }
 
-    /// Whether [`AnytimeLadder::upgrade_keyed`] for `key` on `state` would
-    /// change nothing: the cached plan already is the full-LP one
-    /// (computed here, or recorded as such by the store it was adopted
-    /// from), or full LP was tried against it on this state and lost.
-    pub(crate) fn upgrade_settled(&self, key: &ScheduleCacheKey, state: PlatformState) -> bool {
-        self.cache.peek(key).is_some_and(|plan| {
-            let lost = Contest::new(key, state, plan, Challenger::FullLp);
-            plan.rung == Rung::FullLp || self.verdicts.get(&lost).is_some()
-        })
-    }
-
     /// Idle-time upgrade: with the backend drained, spend CPU cycles
     /// running full HIOS-LP for `key` and keep the result iff it
     /// beats the cached plan.  Runs off the request path (the GPUs are
@@ -663,58 +631,68 @@ impl AnytimeLadder {
     /// the links it leans on are degraded.  `state` names that platform
     /// ([`PlatformState`]).
     ///
-    /// HIOS-LP is deterministic, so a pass that loses to the cached plan
-    /// would lose to it again on the same state: the verdict is
-    /// remembered per key, state and plan content — through evictions,
-    /// re-adoptions and re-misses that bring the same plan back, and
-    /// through any number of other states in between — and the pass
-    /// skipped until a different plan takes the key or `state` is one
-    /// this plan has not been challenged on.
+    /// Nothing changes when the cached plan already is the full-LP one
+    /// (computed here, or recorded as such by the store it was adopted
+    /// from).  HIOS-LP is deterministic, so a pass that loses to the
+    /// cached plan would lose to it again on the same state: the verdict
+    /// is remembered per key, state and plan content — through
+    /// evictions, re-adoptions and re-misses that bring the same plan
+    /// back, and through any number of other states in between — and the
+    /// pass skipped until a different plan takes the key or `state` is
+    /// one this plan has not been challenged on.
     ///
     /// Returns whether the cache improved.  An improvement is also
     /// persisted to the attached store under `epoch`, so idle-time
     /// quality survives a restart.
     ///
-    /// The caller holds the key and `slots`, the table priced on the
-    /// key's alive slots.
+    /// The caller holds the key; `eval` prices a schedule on the table
+    /// `planning` restricted to `gpu_map`'s slots, which is derived only
+    /// when something is priced.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn upgrade_keyed(
         &mut self,
         g: &Graph,
-        slots: &CostTable,
+        planning: &CostTable,
+        gpu_map: &[usize],
         key: &ScheduleCacheKey,
         epoch: u64,
         state: PlatformState,
-        eval: impl Fn(&Schedule) -> f64,
+        eval: impl Fn(&CostTable, &Schedule) -> f64,
     ) -> bool {
-        let m = key.num_alive();
-        if self.upgrade_settled(key, state) {
-            // The memo's check: a remembered loss is a loss again.
-            if cfg!(debug_assertions) {
-                if let Some(old) = self.cache.peek(key).filter(|p| p.rung != Rung::FullLp) {
-                    let (lp, ..) = self.run_lp(g, slots, m, true);
-                    let wins = eval(&lp) <= eval(&old.schedule);
-                    debug_assert!(
-                        !wins,
-                        "full LP now beats plan {} it lost to on {state:?}",
-                        old.plan_id
-                    );
-                }
-            }
+        let window = self.cfg.window;
+        // The full-LP challenger, its price, and whether it beats
+        // `incumbent` — `<=` so an equal-cost full-LP plan still records
+        // the rung upgrade and stops future re-upgrades.  The incumbent is
+        // re-evaluated: its stored makespan may predate a fault.
+        let challenge = |incumbent: Option<&Schedule>| {
+            let slots = slot_cost(planning, gpu_map);
+            let (schedule, ..) = run_lp(window, g, &slots, gpu_map.len(), true);
+            let new_ms = eval(&slots, &schedule);
+            let wins = incumbent.is_none_or(|old| new_ms <= eval(&slots, old));
+            (schedule, new_ms, wins)
+        };
+        let held = self.cache.peek(key);
+        if held.is_some_and(|plan| plan.rung == Rung::FullLp) {
             return false;
         }
-        let (schedule, ..) = self.run_lp(g, slots, m, true);
+        let contest = held.map(|plan| Contest::new(key, state, plan, Challenger::FullLp));
+        let incumbent = held.map(|plan| Arc::clone(&plan.schedule));
+        if let Some(contest) = &contest {
+            let fresh = || challenge(incumbent.as_deref()).2;
+            if self
+                .verdicts
+                .recall(contest, fresh, |_, &wins| !wins)
+                .is_some()
+            {
+                return false;
+            }
+        }
+        let (schedule, new_ms, wins) = challenge(incumbent.as_deref());
         self.upgrades += 1;
-        let new_ms = eval(&schedule);
-        // `<=` so an equal-cost full-LP plan still records the rung
-        // upgrade and stops future re-upgrades.  The incumbent is
-        // re-evaluated: its stored makespan may predate a fault.
-        let lost_to = self.cache.peek(key).filter(|old| {
-            let wins = new_ms <= eval(&old.schedule);
-            !wins
-        });
-        if let Some(old) = lost_to {
-            let contest = Contest::new(key, state, old, Challenger::FullLp);
-            self.verdicts.remember(contest, Verdict::Kept);
+        if !wins {
+            if let Some(contest) = contest {
+                self.verdicts.insert(contest, Verdict::Kept);
+            }
             return false;
         }
         let plan = self.plan(Arc::new(schedule), new_ms, Rung::FullLp);
@@ -735,58 +713,45 @@ impl AnytimeLadder {
     /// time — a flapping GPU revisits the same few states on every edge
     /// — replayed, down to the winner's plan id and price.
     ///
-    /// Returns whether the cache changed.
-    ///
-    /// The caller holds the key and `slots`, the table priced on the
-    /// key's alive slots.
+    /// Returns whether the cache changed.  The arguments are
+    /// [`AnytimeLadder::upgrade_keyed`]'s.
     pub(crate) fn rerank_keyed(
         &mut self,
         g: &Graph,
-        slots: &CostTable,
+        planning: &CostTable,
+        gpu_map: &[usize],
         key: &ScheduleCacheKey,
         state: PlatformState,
-        eval: impl Fn(&Schedule) -> f64,
+        eval: impl Fn(&CostTable, &Schedule) -> f64,
     ) -> bool {
         let Some(old) = self.cache.peek(key) else {
             return false; // nothing cached: the miss path will schedule
         };
         let contest = Contest::new(key, state, old, Challenger::Greedy);
         let incumbent = Arc::clone(&old.schedule);
-        let m = key.num_alive();
-        let verdict = match self.verdicts.get(&contest) {
-            Some(verdict) => {
-                let verdict = verdict.clone();
-                // The memo's check: debug builds (every `cargo test`)
-                // reach each replayed verdict again and compare winner
-                // and price bits; release builds pay nothing.
-                if cfg!(debug_assertions) {
-                    let fresh = self.greedy_challenge(g, slots, m, &incumbent, &eval);
-                    debug_assert!(
-                        match (&verdict, &fresh) {
-                            (Verdict::Kept, None) => true,
-                            (Verdict::Replaced(plan), Some((schedule, ms))) =>
-                                plan.digest == schedule.content_digest()
-                                    && plan.makespan_ms.to_bits() == ms.to_bits(),
-                            _ => false,
-                        },
-                        "remembered {verdict:?} of {contest:?} diverged from a fresh re-rank"
-                    );
-                }
-                verdict
+        let ws = &mut self.ws;
+        let mut challenge = || greedy_challenge(ws, g, planning, gpu_map, &incumbent, &eval);
+        // A replay names the winner by its content and price bits: the
+        // check recomputes no plan id.
+        let same = |verdict: &Verdict, fresh: &Option<(Schedule, f64)>| match (verdict, fresh) {
+            (Verdict::Kept, None) => true,
+            (Verdict::Replaced(plan), Some((schedule, ms))) => {
+                plan.digest == schedule.content_digest()
+                    && plan.makespan_ms.to_bits() == ms.to_bits()
             }
+            _ => false,
+        };
+        let verdict = match self.verdicts.recall(&contest, &mut challenge, same) {
+            Some(verdict) => verdict.clone(),
             None => {
-                #[cfg(test)]
-                {
-                    self.reranks_computed += 1;
-                }
-                let verdict = match self.greedy_challenge(g, slots, m, &incumbent, &eval) {
+                let verdict = match challenge() {
                     // Only a challenger that enters the cache is a plan.
                     Some((schedule, ms)) => {
                         Verdict::Replaced(self.plan(Arc::new(schedule), ms, Rung::Greedy))
                     }
                     None => Verdict::Kept,
                 };
-                self.verdicts.remember(contest, verdict.clone());
+                self.verdicts.insert(contest, verdict.clone());
                 verdict
             }
         };
@@ -794,22 +759,6 @@ impl AnytimeLadder {
             Verdict::Kept => false,
             Verdict::Replaced(plan) => self.cache.insert_if_better(*key, plan, |_, _| true),
         }
-    }
-
-    /// The greedy candidate for `slots` and its price, if it beats
-    /// `incumbent` under `eval`.
-    fn greedy_challenge(
-        &mut self,
-        g: &Graph,
-        slots: &CostTable,
-        m: usize,
-        incumbent: &Schedule,
-        eval: &impl Fn(&Schedule) -> f64,
-    ) -> Option<(Schedule, f64)> {
-        let old_ms = eval(incumbent);
-        let (schedule, _) = self.run_greedy(g, slots, m).ok()?;
-        let new_ms = eval(&schedule);
-        (new_ms < old_ms).then_some((schedule, new_ms))
     }
 
     /// Best rung the budget, the queue, the request's slack, and the
@@ -851,51 +800,14 @@ impl AnytimeLadder {
         // always-affordable greedy plan rather than panic mid-dispatch.
         debug_assert!(!matches!(rung, Rung::Cached | Rung::Store));
         match rung {
-            Rung::FullLp | Rung::InterLp => Ok(self.run_lp(g, cost, m, rung == Rung::FullLp)),
+            Rung::FullLp | Rung::InterLp => {
+                Ok(run_lp(self.cfg.window, g, cost, m, rung == Rung::FullLp))
+            }
             Rung::Cached | Rung::Store | Rung::Greedy => {
-                let (schedule, nominal) = self.run_greedy(g, cost, m)?;
+                let (schedule, nominal) = run_greedy(&mut self.ws, g, cost, m)?;
                 Ok((schedule, nominal, greedy_cost_ms(g.num_ops())))
             }
         }
-    }
-
-    /// HIOS-LP on `m` slots — with the intra-GPU pass (Alg. 1 + Alg. 2)
-    /// or the inter-GPU phase alone: the schedule, its nominal latency,
-    /// and the modeled scheduling time of the pass, ms.
-    fn run_lp(&self, g: &Graph, cost: &CostTable, m: usize, intra: bool) -> (Schedule, f64, f64) {
-        let window = self.cfg.window;
-        let out = schedule_hios_lp(
-            g,
-            cost,
-            HiosLpConfig {
-                num_gpus: m,
-                window,
-                intra,
-            },
-        );
-        let algo = if intra {
-            Algorithm::HiosLp
-        } else {
-            Algorithm::InterGpuLp
-        };
-        let sched_cost_ms = modeled_sched_cost_ms(algo, g.num_ops(), m, window);
-        (out.schedule, out.latency, sched_cost_ms)
-    }
-
-    fn run_greedy(
-        &mut self,
-        g: &Graph,
-        cost: &CostTable,
-        m: usize,
-    ) -> Result<(Schedule, f64), ServeError> {
-        let schedule = greedy_schedule(g, cost, m);
-        let eval = evaluate_with(&mut self.ws, g, cost, &schedule).map_err(|error| {
-            ServeError::Scheduler(SchedulerError::Infeasible {
-                algorithm: Algorithm::Sequential,
-                error,
-            })
-        })?;
-        Ok((schedule, eval.latency))
     }
 
     /// Calibration invalidation: drops every cached plan for the graph
@@ -934,7 +846,7 @@ impl AnytimeLadder {
             self.known.retain(|k, _| k.graph_fp != gfp);
         }
         self.cache
-            .retain(|k| k.graph_fp != gfp || k.platform_fp == current_platform_fp)
+            .retain(|k, _| k.graph_fp != gfp || k.platform_fp == current_platform_fp)
     }
 
     /// `(hits, misses)` of the schedule cache.
@@ -979,11 +891,74 @@ impl AnytimeLadder {
         self.plans_issued
     }
 
-    /// Platform-change re-ranks computed, not replayed.
+    /// Re-rank and lost-upgrade verdicts reached, not replayed: the
+    /// verdict memo's misses.
     #[cfg(test)]
-    pub(crate) fn reranks_computed(&self) -> u64 {
-        self.reranks_computed
+    pub(crate) fn verdicts_reached(&self) -> u64 {
+        self.verdicts.stats().1
     }
+}
+
+/// HIOS-LP with window `window` on `m` slots — with the intra-GPU pass
+/// (Alg. 1 + Alg. 2) or the inter-GPU phase alone: the schedule, its
+/// nominal latency, and the modeled scheduling time of the pass, ms.
+fn run_lp(
+    window: usize,
+    g: &Graph,
+    cost: &CostTable,
+    m: usize,
+    intra: bool,
+) -> (Schedule, f64, f64) {
+    let out = schedule_hios_lp(
+        g,
+        cost,
+        HiosLpConfig {
+            num_gpus: m,
+            window,
+            intra,
+        },
+    );
+    let algo = if intra {
+        Algorithm::HiosLp
+    } else {
+        Algorithm::InterGpuLp
+    };
+    let sched_cost_ms = modeled_sched_cost_ms(algo, g.num_ops(), m, window);
+    (out.schedule, out.latency, sched_cost_ms)
+}
+
+/// The greedy pass on `m` slots: the schedule and its nominal latency.
+fn run_greedy(
+    ws: &mut EvalWorkspace,
+    g: &Graph,
+    cost: &CostTable,
+    m: usize,
+) -> Result<(Schedule, f64), ServeError> {
+    let schedule = greedy_schedule(g, cost, m);
+    let eval = evaluate_with(ws, g, cost, &schedule).map_err(|error| {
+        ServeError::Scheduler(SchedulerError::Infeasible {
+            algorithm: Algorithm::Sequential,
+            error,
+        })
+    })?;
+    Ok((schedule, eval.latency))
+}
+
+/// The greedy candidate for `planning` on `gpu_map`'s slots and its
+/// price, if it beats `incumbent` under `eval`.
+fn greedy_challenge(
+    ws: &mut EvalWorkspace,
+    g: &Graph,
+    planning: &CostTable,
+    gpu_map: &[usize],
+    incumbent: &Schedule,
+    eval: &impl Fn(&CostTable, &Schedule) -> f64,
+) -> Option<(Schedule, f64)> {
+    let slots = slot_cost(planning, gpu_map);
+    let old_ms = eval(&slots, incumbent);
+    let (schedule, _) = run_greedy(ws, g, &slots, gpu_map.len()).ok()?;
+    let new_ms = eval(&slots, &schedule);
+    (new_ms < old_ms).then_some((schedule, new_ms))
 }
 
 #[cfg(test)]
@@ -1014,8 +989,8 @@ mod tests {
         state: PlatformState,
         eval: impl Fn(&Schedule) -> f64,
     ) -> bool {
-        let (_, slots, key) = resolve(g, cost, alive).unwrap();
-        ladder.upgrade_keyed(g, &slots, &key, 0, state, eval)
+        let (gpu_map, _, key) = resolve(g, cost, alive).unwrap();
+        ladder.upgrade_keyed(g, cost, &gpu_map, &key, 0, state, |_, s| eval(s))
     }
 
     /// [`AnytimeLadder::rerank_keyed`] on the problem `resolve` derives
@@ -1028,8 +1003,8 @@ mod tests {
         state: PlatformState,
         eval: impl Fn(&Schedule) -> f64,
     ) -> bool {
-        let (_, slots, key) = resolve(g, cost, alive).unwrap();
-        ladder.rerank_keyed(g, &slots, &key, state, eval)
+        let (gpu_map, _, key) = resolve(g, cost, alive).unwrap();
+        ladder.rerank_keyed(g, cost, &gpu_map, &key, state, |_, s| eval(s))
     }
 
     #[test]
@@ -1048,6 +1023,43 @@ mod tests {
         assert_eq!(second.nominal_ms, first.nominal_ms);
         assert!(second.sched_cost_ms < first.sched_cost_ms);
         assert_eq!(ladder.cache_stats(), (1, 1));
+    }
+
+    #[test]
+    fn a_capacity_zero_cache_remembers_nothing() {
+        let (g, cost) = fixture();
+        let mut ladder = AnytimeLadder::new(LadderConfig {
+            cache_capacity: 0,
+            ..LadderConfig::default()
+        });
+        for _ in 0..2 {
+            let d = ladder
+                .decide(
+                    &g,
+                    &cost,
+                    &[true, true],
+                    0,
+                    f64::INFINITY,
+                    0,
+                    Policy::Anytime,
+                )
+                .unwrap();
+            assert_ne!(d.rung, Rung::Cached);
+        }
+        assert_eq!(ladder.cache_stats(), (0, 2));
+    }
+
+    #[test]
+    fn more_than_64_gpus_is_a_typed_error() {
+        let (g, cost) = fixture();
+        let mut ladder = AnytimeLadder::new(LadderConfig::default());
+        let err = ladder
+            .decide(&g, &cost, &[true; 65], 0, f64::INFINITY, 0, Policy::Anytime)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ServeError::Scheduler(SchedulerError::BadOptions(_))
+        ));
     }
 
     #[test]
@@ -1436,8 +1448,10 @@ mod tests {
             let mut replaying = AnytimeLadder::new(cfg);
             let mut computing = AnytimeLadder::new(cfg);
             let mut rng = TestRng::for_case("verdict-memo", seed);
-            // Re-ranks and upgrades that had something to decide.
+            // Re-ranks and upgrades that had an incumbent to decide
+            // against, and upgrades that had none.
             let mut contests = [0u64; 2];
+            let mut unopposed = 0;
             for step in 0..80u64 {
                 let at = rng.below(3) as usize;
                 let alive = &masks[at];
@@ -1453,7 +1467,8 @@ mod tests {
                 let names = [PlatformState(on as u64), PlatformState(1000 + step)];
                 let before = entry(&computing, &keys[at]);
                 contests[0] += u64::from(op == 0 && before.is_some());
-                contests[1] += u64::from(op == 1 && before.is_none_or(|e| e.1 != Rung::FullLp));
+                contests[1] += u64::from(op == 1 && before.is_some_and(|e| e.1 != Rung::FullLp));
+                unopposed += u64::from(op == 1 && before.is_none());
                 let mut changed = [false; 2];
                 for (i, ladder) in [&mut replaying, &mut computing].into_iter().enumerate() {
                     changed[i] = match op {
@@ -1477,14 +1492,15 @@ mod tests {
             }
             prop_assert_eq!(replaying.cache_evictions(), computing.cache_evictions());
             // The never-repeating name really never hit; the pool's did.
-            prop_assert_eq!([computing.reranks_computed, computing.upgrades()], contests);
-            prop_assert!(replaying.reranks_computed <= computing.reranks_computed);
+            prop_assert_eq!(computing.verdicts.stats(), (0, contests[0] + contests[1]));
+            prop_assert_eq!(computing.upgrades(), contests[1] + unopposed);
+            prop_assert!(replaying.verdicts_reached() <= computing.verdicts_reached());
             prop_assert!(replaying.upgrades() <= computing.upgrades());
         }
     }
 
     #[test]
-    fn the_verdict_memo_forgets_its_oldest_verdict_at_the_bound() {
+    fn the_verdict_memo_forgets_its_least_recently_used_verdict_at_the_bound() {
         let (g, cost) = fixture();
         let mut ladder = AnytimeLadder::new(LadderConfig::default());
         let alive = [true, true];
@@ -1506,10 +1522,9 @@ mod tests {
                 nominal,
             );
         }
-        assert_eq!(ladder.reranks_computed, slots + 1);
-        assert_eq!(ladder.verdicts.verdicts.len(), VERDICT_MEMO_SLOTS);
-        assert_eq!(ladder.verdicts.order.len(), VERDICT_MEMO_SLOTS);
-        // The newest verdict replays; the oldest was dropped to make room
+        assert_eq!(ladder.verdicts_reached(), slots + 1);
+        assert_eq!(ladder.verdicts.len(), VERDICT_MEMO_SLOTS);
+        // The newest verdict replays; the least recently used was dropped to make room
         // for it and is reached again.
         rerank(
             &mut ladder,
@@ -1519,10 +1534,10 @@ mod tests {
             PlatformState(slots),
             nominal,
         );
-        assert_eq!(ladder.reranks_computed, slots + 1);
+        assert_eq!(ladder.verdicts_reached(), slots + 1);
         rerank(&mut ladder, &g, &cost, &alive, PlatformState(0), nominal);
-        assert_eq!(ladder.reranks_computed, slots + 2);
-        assert_eq!(ladder.verdicts.verdicts.len(), VERDICT_MEMO_SLOTS);
+        assert_eq!(ladder.verdicts_reached(), slots + 2);
+        assert_eq!(ladder.verdicts.len(), VERDICT_MEMO_SLOTS);
     }
 
     // ---- durable store rung -------------------------------------------

@@ -44,6 +44,7 @@ mod brownout;
 pub mod fleet;
 mod health;
 mod ladder;
+mod lru;
 pub mod report;
 mod request;
 mod retry;
