@@ -9,7 +9,8 @@
 # one before it touched), then
 #   cargo test -q -p hios-serve
 #   cargo test -q --test golden_digests
-# run in debug.  A failure kills the mutant, and so does a build failure.
+# run in debug, both to the end.  A failure kills the mutant, and so does
+# a build failure.
 # Per mutant it prints the first failing test, whether the memo table's
 # check fired (`a memo hit diverged from its recomputation`) and the
 # seconds taken.  Exits non-zero when a mutant survives or a patch no
@@ -41,13 +42,10 @@ for patch in "${patches[@]}"; do
         continue
     fi
     start=$SECONDS
-    if (cd "$copy" && cargo test -q -p hios-serve && cargo test -q --test golden_digests) \
-        > "$log" 2>&1; then
-        verdict=SURVIVED
-        bad=1
-    else
-        verdict=killed
-    fi
+    verdict=SURVIVED
+    (cd "$copy" && cargo test -q --no-fail-fast -p hios-serve) > "$log" 2>&1 || verdict=killed
+    (cd "$copy" && cargo test -q --test golden_digests) >> "$log" 2>&1 || verdict=killed
+    [ "$verdict" = killed ] || bad=1
     check=no
     grep -q "a memo hit diverged from its recomputation" "$log" && check=yes
     by="$(sed -n 's/^---- \(.*\) stdout ----$/\1/p' "$log" | head -n 1)"
