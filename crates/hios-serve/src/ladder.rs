@@ -1845,6 +1845,44 @@ mod tests {
     }
 
     #[test]
+    fn other_content_under_a_known_key_is_validated_under_a_fresh_id() {
+        // In a run the ladder is its store's only writer, so the content
+        // under a key it knows does not change; were the log to hold
+        // other content there (another writer), the store rung must not
+        // hand it out under the id of the plan it replaced.
+        let (g, cost) = fixture();
+        let cfg = LadderConfig {
+            budget: SchedBudget::unlimited(),
+            cache_capacity: 1,
+            ..LadderConfig::default()
+        };
+        let path = scratch();
+        let inf = f64::INFINITY;
+        let (both, one) = ([true, true], [true, false]);
+        let mut ladder = with_store(cfg, &path);
+        let computed = ladder
+            .decide(&g, &cost, &both, 0, inf, 0, Policy::Anytime)
+            .unwrap();
+        let (_, slots, key) = resolve(&g, &cost, &both).unwrap();
+        let (other, other_ms) = run_greedy(&mut EvalWorkspace::new(), &g, &slots, 2).unwrap();
+        assert_ne!(other.content_digest(), computed.schedule.content_digest());
+        let store = ladder.store.as_mut().unwrap();
+        let other = Arc::new(other);
+        store
+            .put_shared(PlanKey::from_cache_key(&key, 0), &other, other_ms, None)
+            .unwrap();
+        ladder
+            .decide(&g, &cost, &one, 0, inf, 0, Policy::Anytime)
+            .unwrap();
+        let back = ladder
+            .decide(&g, &cost, &both, 0, inf, 0, Policy::Anytime)
+            .unwrap();
+        assert_eq!((back.rung, &back.schedule), (Rung::Store, &other));
+        assert_ne!(back.plan_id, computed.plan_id, "other content, other id");
+        assert_eq!(ladder.plans_issued(), 3);
+    }
+
+    #[test]
     fn corrupted_log_replans_instead_of_serving_garbage() {
         let (g, cost) = fixture();
         let path = scratch();

@@ -2760,6 +2760,48 @@ mod tests {
     }
 
     #[test]
+    fn a_verdict_replays_only_on_the_platform_state_it_was_reached_on() {
+        // The ladder tests' fixture: on three healthy GPUs greedy loses
+        // to the full-LP plan; with GPU 1 at quarter speed it wins.  A
+        // hang leaves the healthy state (and its name) as it found it;
+        // the slowdown is a new state under a new name, so its re-rank
+        // is reached, not replayed.  A replay there — a name issued
+        // twice, or the state left out of the verdict's key — would be
+        // a wrong verdict, and the table's check fails it.
+        use crate::ladder::Rung;
+        let m = model(5, 40);
+        let mut ladder = AnytimeLadder::new(LadderConfig {
+            budget: hios_core::SchedBudget::unlimited(),
+            ..LadderConfig::default()
+        });
+        let alive = [true; 3];
+        let inf = f64::INFINITY;
+        let first = ladder.decide(&m.graph, &m.cost, &alive, 0, inf, 0, Policy::Anytime);
+        assert_eq!(first.unwrap().rung, Rung::FullLp);
+        let key = ScheduleCacheKey::for_platform(&m.graph, &alive, &m.cost);
+        let mut platform = PlatformModel::healthy(3);
+        let sim = SimConfig::analytical();
+        let mut changed = Vec::new();
+        for kind in [
+            FaultKind::OpHang { op: OpId(0) },
+            FaultKind::GpuSlowdown {
+                gpu: 1,
+                factor: 4.0,
+            },
+        ] {
+            platform.apply_fault(&kind);
+            let scale = &platform.scaling.0;
+            let eval = |slots: &CostTable, schedule: &Schedule| {
+                simulate_scaled(&m.graph, slots, schedule, &sim, scale)
+                    .map_or(f64::INFINITY, |r| r.makespan)
+            };
+            let state = platform.state;
+            changed.push(ladder.rerank_keyed(&m.graph, &m.cost, &[0, 1, 2], &key, state, eval));
+        }
+        assert_eq!(changed, [false, true]);
+    }
+
+    #[test]
     fn a_flapping_gpu_reranks_each_platform_state_once() {
         // `flapping_gpu_with_link_degrade` of tests/golden_digests.rs, and
         // the same shape ten times longer: GPU 2 flaps and the 0 -> 1
