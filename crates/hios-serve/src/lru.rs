@@ -29,13 +29,22 @@ impl<K: PartialEq, V> Lru<K, V> {
         }
     }
 
-    fn position(&self, key: &K) -> Option<usize> {
+    /// Where the entry `key` names is.  A lookup key may borrow what an
+    /// entry's key owns (`K: PartialEq<Q>`), so that a lookup allocates
+    /// nothing.
+    fn position<Q: ?Sized>(&self, key: &Q) -> Option<usize>
+    where
+        K: PartialEq<Q>,
+    {
         self.entries.iter().position(|(k, _)| k == key)
     }
 
     /// Looks `key` up, counting a hit or a miss; a hit becomes the most
     /// recently used entry.
-    pub(crate) fn get(&mut self, key: &K) -> Option<&mut V> {
+    pub(crate) fn get<Q: ?Sized>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        K: PartialEq<Q>,
+    {
         let Some(i) = self.position(key) else {
             self.misses += 1;
             return None;
@@ -52,12 +61,15 @@ impl<K: PartialEq, V> Lru<K, V> {
     /// run can observe (a plan id, a counter).  On a miss the caller
     /// computes the entry and inserts it.
     #[track_caller]
-    pub(crate) fn recall<F>(
+    pub(crate) fn recall<Q: ?Sized, F>(
         &mut self,
-        key: &K,
+        key: &Q,
         fresh: impl FnOnce() -> F,
         same: impl FnOnce(&V, &F) -> bool,
-    ) -> Option<&mut V> {
+    ) -> Option<&mut V>
+    where
+        K: PartialEq<Q>,
+    {
         let hit = self.get(key)?;
         if cfg!(debug_assertions) {
             assert!(
@@ -69,7 +81,10 @@ impl<K: PartialEq, V> Lru<K, V> {
     }
 
     /// Looks `key` up without counting it or refreshing its recency.
-    pub(crate) fn peek(&self, key: &K) -> Option<&V> {
+    pub(crate) fn peek<Q: ?Sized>(&self, key: &Q) -> Option<&V>
+    where
+        K: PartialEq<Q>,
+    {
         self.position(key).map(|i| &self.entries[i].1)
     }
 

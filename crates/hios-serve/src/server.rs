@@ -241,17 +241,15 @@ fn bits(xs: &[f64]) -> impl Iterator<Item = u64> + '_ {
 #[derive(Clone)]
 struct ScalingBits(Scaling);
 
-impl PartialEq for ScalingBits {
-    fn eq(&self, other: &Self) -> bool {
-        bits(&self.0.gpu).eq(bits(&other.0.gpu)) && bits(&self.0.link).eq(bits(&other.0.link))
+impl PartialEq<Scaling> for ScalingBits {
+    fn eq(&self, other: &Scaling) -> bool {
+        bits(&self.0.gpu).eq(bits(&other.gpu)) && bits(&self.0.link).eq(bits(&other.link))
     }
 }
 
-impl ScalingBits {
-    /// Takes `scale`'s factors into the buffers already held.
-    fn assign(&mut self, scale: &Scaling) {
-        self.0.gpu.clone_from(&scale.gpu);
-        self.0.link.clone_from(&scale.link);
+impl PartialEq for ScalingBits {
+    fn eq(&self, other: &Self) -> bool {
+        *self == other.0
     }
 }
 
@@ -262,11 +260,19 @@ impl ScalingBits {
 const TIMELINE_MEMO_SLOTS: usize = 8;
 
 /// What names one memoised [`simulate_scaled`] run of a model.
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 struct TimelineKey {
     plan_id: u64,
     alive_mask: u64,
     scale: ScalingBits,
+}
+
+/// A lookup compares `(plan_id, alive_mask, scaling)` with the scaling
+/// borrowed, so that it allocates nothing.
+impl PartialEq<(u64, u64, &Scaling)> for TimelineKey {
+    fn eq(&self, &(plan_id, alive_mask, scale): &(u64, u64, &Scaling)) -> bool {
+        self.plan_id == plan_id && self.alive_mask == alive_mask && self.scale == *scale
+    }
 }
 
 /// Dispatch is a replay: `simulate_scaled(graph, cost, schedule, sim,
@@ -293,20 +299,12 @@ struct TimelineKey {
 struct TimelineMemo {
     /// At most [`TIMELINE_MEMO_SLOTS`] per model.
     per_model: Vec<Lru<TimelineKey, Arc<Timeline>>>,
-    /// The key of the lookup in hand, refilled in place so that a lookup
-    /// allocates nothing.
-    probe: TimelineKey,
 }
 
 impl TimelineMemo {
     fn new(models: usize) -> Self {
         TimelineMemo {
             per_model: (0..models).map(|_| Lru::new(TIMELINE_MEMO_SLOTS)).collect(),
-            probe: TimelineKey {
-                plan_id: 0,
-                alive_mask: 0,
-                scale: ScalingBits(Scaling::identity(0)),
-            },
         }
     }
 
@@ -336,20 +334,21 @@ impl TimelineMemo {
         let Some(plan_id) = plan_id else {
             return simulate().map(Arc::new);
         };
-        let key = &mut self.probe;
-        key.plan_id = plan_id;
-        key.alive_mask = alive_mask;
-        key.scale.assign(scale);
         let memo = &mut self.per_model[mi];
         let same = |held: &Arc<Timeline>, fresh: &Option<Timeline>| {
             fresh.as_ref().is_some_and(|fresh| fresh.same_bits(held))
         };
-        if let Some(held) = memo.recall(key, simulate, same) {
+        if let Some(held) = memo.recall(&(plan_id, alive_mask, scale), simulate, same) {
             return Some(Arc::clone(held));
         }
         let timeline = Arc::new(simulate()?);
         memo.retain(|k, _| k.alive_mask != alive_mask || k.plan_id == plan_id);
-        memo.insert(key.clone(), Arc::clone(&timeline));
+        let key = TimelineKey {
+            plan_id,
+            alive_mask,
+            scale: ScalingBits(scale.clone()),
+        };
+        memo.insert(key, Arc::clone(&timeline));
         Some(timeline)
     }
 }
@@ -1775,21 +1774,17 @@ impl<'a> Server<'a> {
             return;
         }
         let key = self.plan_key(mi);
-        let state = self.platform.state;
-        // The known-fault scaling on the slots, into the dispatch path's
-        // buffer: a re-price that prices nothing allocates nothing.
-        let slots = &mut self.slots;
-        self.platform
-            .scaling
-            .0
-            .project_into(&slots.gpu_map, &mut slots.fault_scale);
-        let (model, sim_cfg, scale) = (&self.models[mi], &self.cfg.sim, &slots.fault_scale);
+        let (platform, gpu_map) = (&self.platform, &self.slots.gpu_map);
+        let (model, sim_cfg) = (&self.models[mi], &self.cfg.sim);
+        // Projected only when something is priced: a re-price that prices
+        // nothing allocates nothing.
         let eval = |slot_cost: &CostTable, schedule: &Schedule| {
-            simulate_scaled(&model.graph, slot_cost, schedule, sim_cfg, scale)
+            let scale = platform.scaling.0.project(gpu_map);
+            simulate_scaled(&model.graph, slot_cost, schedule, sim_cfg, &scale)
                 .map(|r| r.makespan)
                 .unwrap_or(f64::INFINITY)
         };
-        let (g, gpu_map) = (&model.graph, &slots.gpu_map);
+        let (g, state) = (&model.graph, platform.state);
         let planning = planning_table(&self.calib, model, mi);
         if upgrade {
             let epoch = self.epochs[mi];

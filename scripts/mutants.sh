@@ -5,16 +5,15 @@
 #   scripts/mutants.sh [patch...]        (default: every corpus patch)
 #
 # Each patch is applied to a fresh `git archive HEAD` copy (all copies
-# share one target directory, so a mutant rebuilds only what it and the
-# one before it touched), then
-#   cargo test -q -p hios-serve
+# share one target directory, so a mutant rebuilds only the crates the
+# corpus edits and what depends on them), then
+#   cargo test -q --no-fail-fast -p hios-serve
 #   cargo test -q --test golden_digests
 # run in debug, both to the end.  A failure kills the mutant, and so does
-# a build failure.
-# Per mutant it prints the first failing test, whether the memo table's
-# check fired (`a memo hit diverged from its recomputation`) and the
-# seconds taken.  Exits non-zero when a mutant survives or a patch no
-# longer applies.
+# a build failure.  Per mutant it prints the first failing test (and how
+# many more failed), whether the memo table's check fired (`a memo hit
+# diverged from its recomputation`) and the seconds taken.  Exits
+# non-zero when a mutant survives or a patch no longer applies.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -48,7 +47,10 @@ for patch in "${patches[@]}"; do
     [ "$verdict" = killed ] || bad=1
     check=no
     grep -q "a memo hit diverged from its recomputation" "$log" && check=yes
-    by="$(sed -n 's/^---- \(.*\) stdout ----$/\1/p' "$log" | head -n 1)"
+    failed="$(sed -n 's/^---- \(.*\) stdout ----$/\1/p' "$log")"
+    by="$(head -n 1 <<< "$failed")"
+    more=$(( $(grep -c . <<< "$failed") - 1 ))
+    (( more <= 0 )) || by="$by (+$more more)"
     [ -n "$by" ] || { grep -q '^error' "$log" && by="(build)"; } || true
     printf '%-36s %-8s %-6s %5d  %s\n' "$name" "$verdict" "$check" $((SECONDS - start)) "$by"
 done
