@@ -29,9 +29,9 @@ impl<K: PartialEq, V> Lru<K, V> {
         }
     }
 
-    /// Where the entry `key` names is.  A lookup key may borrow what an
-    /// entry's key owns (`K: PartialEq<Q>`), so that a lookup allocates
-    /// nothing.
+    /// The index of the entry under `key`.  A lookup key may borrow what
+    /// an entry's key owns (`K: PartialEq<Q>`), so that a lookup
+    /// allocates nothing.
     fn position<Q: ?Sized>(&self, key: &Q) -> Option<usize>
     where
         K: PartialEq<Q>,
@@ -101,9 +101,11 @@ impl<K: PartialEq, V> Lru<K, V> {
             }
             None => {
                 self.entries.insert(0, (key, value));
-                let evicted = (self.entries.len() > self.capacity).then(|| self.entries.pop());
-                self.evictions += u64::from(evicted.is_some());
-                evicted.flatten()
+                if self.entries.len() <= self.capacity {
+                    return None;
+                }
+                self.evictions += 1;
+                self.entries.pop()
             }
         }
     }
