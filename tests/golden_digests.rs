@@ -768,3 +768,135 @@ fn cluster_records_of_the_tie_break_scenario_and_a_duplicate_id_trace() {
 
 const FLEET_TIES_CLUSTERS: &str = "0x8c742f8fa2295139 cache=(75, 2) rungs=[75, 0, 0, 0, 2] evict=0 store=(0,0,0,0) | 0x069d669a0f70a9d6 cache=(131, 1) rungs=[131, 0, 0, 0, 1] evict=0 store=(0,0,0,0) | 0x36d593e26989b3b5 cache=(119, 3) rungs=[119, 0, 0, 0, 3] evict=0 store=(0,0,0,0) | 0x930930e2415fb0c1 cache=(120, 3) rungs=[120, 0, 0, 0, 3] evict=0 store=(0,0,0,0)";
 const DUPLICATE_IDS: &str = "0x96b0056ac18a2e1a cache=(224, 3) rungs=[224, 0, 0, 0, 3] evict=0 store=(0,0,0,0) / 0x32ab01a21110122a rerouted=0 hedges=(47,0,44,0) sheds=(failover 0, dead 0, partitioned 0, backpressure 0, unroutable 0) / 0x77802cb589c5ae15 cache=(94, 2) rungs=[94, 0, 0, 0, 2] evict=0 store=(0,0,0,0) | 0xcc13c4a65b4b77f7 cache=(79, 1) rungs=[79, 0, 0, 0, 1] evict=0 store=(0,0,0,0) | 0xe2b369094e21dbea cache=(103, 3) rungs=[103, 0, 0, 0, 3] evict=0 store=(0,0,0,0)";
+
+// ---- outcomes that carry a deadline or an error -----------------------------
+//
+// No scenario above ends a request in a retry shed or a failover shed.
+// The two below do: a hang storm that exhausts one request's retries
+// and the retry budget, and a cluster kill that drains requests whose
+// deadlines no surviving cluster can meet.
+
+/// A sparse trace under a storm of hangs, with the overload controller
+/// (and so the retry budget) on and Gold deadlines at 3x the bound.
+/// The storm is twenty bursts of an op-20 hang every 50 µs for 10 ms,
+/// 5.5 ms apart: every burst holds the attempt in flight until its
+/// last hang, and the watchdog plus any backoff lands the retry in the
+/// next burst.
+fn hang_storm() -> ServeOutcome {
+    let models = tenants();
+    let mut cfg = ServeConfig::new(GPUS);
+    cfg.overload = Some(OverloadConfig::default());
+    let mut tr = trace(&models, GPUS, 300, 0.01, 5000.0);
+    let nominal = nominal_ms(&models, GPUS);
+    for r in tr.iter_mut().filter(|r| r.class == PriorityClass::Gold) {
+        r.deadline_ms = r.arrival_ms + 3.0 * nominal[r.model];
+    }
+    let span = trace_span_ms(&tr);
+    let (burst_ms, quiet_ms, every_ms) = (10.0, 5.5, 0.05);
+    let faults = FaultPlan::new(
+        (0..20)
+            .flat_map(|k| {
+                let start = 0.3 * span + f64::from(k) * (burst_ms + quiet_ms);
+                (0..200).map(move |j| FaultEvent {
+                    at_ms: start + f64::from(j) * every_ms,
+                    kind: FaultKind::OpHang { op: OpId(20) },
+                })
+            })
+            .collect(),
+    );
+    serve(&models, &tr, &faults, &cfg).unwrap()
+}
+
+/// Three clusters, one killed halfway through; just before the kill,
+/// six requests of the killed cluster's tenant arrive at one instant,
+/// every second one with a deadline 1.2 bounds out.  The drain finds
+/// the loose ones still queued and re-routes them; a tight one no
+/// cluster can finish in time is a failover shed.
+fn kill_draining_tight_deadlines() -> hios::serve::FleetOutcome {
+    let models = tenants();
+    let mut tr = trace(&models, GPUS, 360, 0.45, 20.0);
+    let nominal = nominal_ms(&models, GPUS);
+    let span = trace_span_ms(&tr);
+    let cfg = FleetConfig::new(3, GPUS);
+    let killed = hios::serve::Router::new(cfg.router, 3).unwrap().ranked(0)[0];
+    let kill_ms = 0.5 * span;
+    let at_ms = kill_ms - 0.5 * nominal[0];
+    let mut moved = Vec::new();
+    for k in 0..6 {
+        snap(&mut tr, &mut moved, 0, at_ms);
+        if k % 2 == 1 {
+            let id = moved[k];
+            let r = tr.iter_mut().find(|r| r.id == id).unwrap();
+            r.deadline_ms = at_ms + 1.2 * nominal[0];
+        }
+    }
+    let faults = FleetFaults {
+        per_cluster: Vec::new(),
+        cluster_events: vec![ClusterFaultEvent {
+            at_ms: kill_ms,
+            cluster: killed,
+            kind: ClusterFaultKind::ClusterKill,
+        }],
+    };
+    serve_fleet(&models, &tr, &faults, &cfg).unwrap()
+}
+
+#[test]
+fn a_hang_storm_and_a_kill_that_drains_tight_deadlines() {
+    use hios::serve::{Disposition, FailoverReason, FleetDisposition, FleetShedReason, ShedReason};
+    let storm = hang_storm();
+    let sheds = |pick: fn(&ShedReason) -> bool| {
+        storm
+            .records
+            .iter()
+            .filter(|r| matches!(&r.disposition, Disposition::Shed { reason, .. } if pick(reason)))
+            .count()
+    };
+    let counts = [
+        sheds(|r| matches!(r, ShedReason::DeadlineUnmeetable { .. })),
+        sheds(|r| matches!(r, ShedReason::RetriesExhausted { .. })),
+        sheds(|r| matches!(r, ShedReason::RetryBudgetExhausted { .. })),
+    ];
+    assert!(counts.iter().all(|&n| n >= 1), "{counts:?}");
+
+    let fleet = kill_draining_tight_deadlines();
+    let ends = |pick: fn(&FleetDisposition) -> bool| {
+        fleet
+            .records
+            .iter()
+            .filter(|r| pick(r.disposition.terminal()))
+            .count()
+    };
+    let counts = [
+        ends(|d| {
+            matches!(
+                d,
+                FleetDisposition::Shed {
+                    reason: FleetShedReason::Cluster(_),
+                    ..
+                }
+            )
+        }),
+        ends(|d| {
+            matches!(
+                d,
+                FleetDisposition::FailoverShed {
+                    reason: FailoverReason::DeadlineInfeasible { .. },
+                    ..
+                }
+            )
+        }),
+    ];
+    assert!(counts.iter().all(|&n| n >= 1), "{counts:?}");
+    assert!(fleet.report.rerouted >= 1);
+    let clusters: Vec<String> = fleet.clusters.iter().map(pin).collect();
+    let got = format!(
+        "{} / {} / {}",
+        pin(&storm),
+        pin_fleet(&fleet),
+        clusters.join(" | ")
+    );
+    assert_eq!(got, STORM_AND_DRAIN);
+}
+
+const STORM_AND_DRAIN: &str = "0xede61fb334ec8fcb cache=(291, 3) rungs=[291, 0, 2, 0, 1] evict=0 store=(0,0,0,0) / 0x61a806a9c1f46449 rerouted=2 hedges=(0,0,0,0) sheds=(failover 1, dead 0, partitioned 0, backpressure 0, unroutable 0) / 0xe2b75896e2c71e9b cache=(54, 1) rungs=[54, 0, 0, 0, 1] evict=0 store=(0,0,0,0) | 0x6f1fe6ee0de2defe cache=(137, 3) rungs=[137, 0, 0, 0, 3] evict=0 store=(0,0,0,0) | 0x433dce0194dcc155 cache=(160, 3) rungs=[160, 0, 0, 0, 3] evict=0 store=(0,0,0,0)";
