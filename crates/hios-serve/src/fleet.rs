@@ -111,12 +111,11 @@ impl FleetFaults {
 /// Why failover gave up on re-routing a drained request.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FailoverReason {
-    /// Every routable target's admission bound lands past the deadline.
+    /// Every routable target's admission bound lands past the deadline
+    /// (the record's own `request.deadline_ms`).
     DeadlineInfeasible {
         /// Earliest bounded finish on the best target, ms.
         bound_finish_ms: f64,
-        /// The request's deadline, ms.
-        deadline_ms: f64,
     },
     /// No cluster is routable (all dead or partitioned).
     NoRoutableCluster,
@@ -246,6 +245,10 @@ pub struct FleetRecord {
     pub disposition: FleetDisposition,
 }
 
+// A 40-byte request and a 48-byte fate (a shed's cluster, instant and
+// 16-byte reason, or a completion's cluster, two instants and counts).
+const _: () = assert!(std::mem::size_of::<FleetRecord>() <= 88);
+
 /// Aggregate statistics of one fleet run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FleetReport {
@@ -308,9 +311,10 @@ pub struct FleetOutcome {
 /// FNV-1a digest of a fleet outcome stream.  Same constants as
 /// [`crate::report::history_digest`]; `Rerouted` chains are folded
 /// recursively, so two runs agree iff every request took the same path
-/// to the same fate.
+/// to the same fate.  A failover shed folds the request's deadline where
+/// its reason would carry one.
 pub(crate) fn fleet_history_digest(records: &[FleetRecord]) -> u64 {
-    fn fold(h: &mut Fnv, d: &FleetDisposition) {
+    fn fold(h: &mut Fnv, d: &FleetDisposition, deadline_ms: f64) {
         match d {
             FleetDisposition::Completed {
                 cluster,
@@ -362,7 +366,7 @@ pub(crate) fn fleet_history_digest(records: &[FleetRecord]) -> u64 {
                 h.eat(*from as u64);
                 h.eat(*to as u64);
                 h.eat(at_ms.to_bits());
-                fold(h, outcome);
+                fold(h, outcome, deadline_ms);
             }
             FleetDisposition::FailoverShed {
                 from,
@@ -373,10 +377,7 @@ pub(crate) fn fleet_history_digest(records: &[FleetRecord]) -> u64 {
                 h.eat(*from as u64);
                 h.eat(at_ms.to_bits());
                 match reason {
-                    FailoverReason::DeadlineInfeasible {
-                        bound_finish_ms,
-                        deadline_ms,
-                    } => {
+                    FailoverReason::DeadlineInfeasible { bound_finish_ms } => {
                         h.eat(30);
                         h.eat(bound_finish_ms.to_bits());
                         h.eat(deadline_ms.to_bits());
@@ -390,7 +391,7 @@ pub(crate) fn fleet_history_digest(records: &[FleetRecord]) -> u64 {
     let mut h = Fnv::new();
     for r in records {
         h.eat(r.request.id);
-        fold(&mut h, &r.disposition);
+        fold(&mut h, &r.disposition, r.request.deadline_ms);
     }
     h.finish()
 }
@@ -1094,13 +1095,7 @@ impl<'a> Fleet<'a> {
         let target = choice.primary;
         let bound_finish_ms = self.now + self.clusters[target].srv.bound_ms(request.model);
         if bound_finish_ms > request.deadline_ms {
-            failover_shed(
-                self,
-                FailoverReason::DeadlineInfeasible {
-                    bound_finish_ms,
-                    deadline_ms: request.deadline_ms,
-                },
-            );
+            failover_shed(self, FailoverReason::DeadlineInfeasible { bound_finish_ms });
             return;
         }
         let over_all = self.health.overloaded(target)
@@ -1916,7 +1911,6 @@ mod tests {
                 at_ms: finish_ms,
                 reason: ShedReason::DeadlineUnmeetable {
                     bound_finish_ms: finish_ms + bound,
-                    deadline_ms: trace[2].deadline_ms,
                 },
             }
         };

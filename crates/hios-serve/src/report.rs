@@ -624,7 +624,7 @@ mod tests {
                     at_ms: 2.0,
                     reason: ShedReason::RetryBudgetExhausted {
                         attempts: 2,
-                        last_error: crate::request::ServeError::NoCapacity,
+                        last_error: Box::new(crate::request::ServeError::NoCapacity),
                     },
                 },
             ),

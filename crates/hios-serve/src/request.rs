@@ -89,20 +89,20 @@ pub enum ShedReason {
         capacity: usize,
     },
     /// Even a provable lower bound on the finish time misses the
-    /// deadline, so running the request could only waste GPU time.
+    /// deadline, so running the request could only waste GPU time.  The
+    /// deadline it misses is the record's own `request.deadline_ms`.
     DeadlineUnmeetable {
         /// The lower bound on completion, ms (absolute).
         bound_finish_ms: f64,
-        /// The request's deadline, ms (absolute).
-        deadline_ms: f64,
     },
     /// The request was aborted by faults more times than the retry
     /// policy allows.
     RetriesExhausted {
         /// Attempts made before giving up.
         attempts: u32,
-        /// The error that killed the final attempt.
-        last_error: ServeError,
+        /// The error that killed the final attempt (boxed: these sheds
+        /// are rare, and an inline error would widen every record).
+        last_error: Box<ServeError>,
     },
     /// The brownout controller refused the request's class at the
     /// current degradation level.
@@ -116,8 +116,9 @@ pub enum ShedReason {
     RetryBudgetExhausted {
         /// Attempts made before the budget denied the retry.
         attempts: u32,
-        /// The error that killed the final attempt.
-        last_error: ServeError,
+        /// The error that killed the final attempt (boxed: these sheds
+        /// are rare, and an inline error would widen every record).
+        last_error: Box<ServeError>,
     },
 }
 
@@ -127,13 +128,9 @@ impl fmt::Display for ShedReason {
             ShedReason::QueueFull { capacity } => {
                 write!(f, "queue full (capacity {capacity})")
             }
-            ShedReason::DeadlineUnmeetable {
-                bound_finish_ms,
-                deadline_ms,
-            } => write!(
+            ShedReason::DeadlineUnmeetable { bound_finish_ms } => write!(
                 f,
-                "deadline unmeetable: lower bound finishes at {bound_finish_ms:.3} ms, \
-                 deadline {deadline_ms:.3} ms"
+                "deadline unmeetable: lower bound finishes at {bound_finish_ms:.3} ms"
             ),
             ShedReason::RetriesExhausted {
                 attempts,
@@ -265,6 +262,17 @@ pub struct RequestRecord {
     pub disposition: Disposition,
 }
 
+// One record per request is what a run keeps, so a widened field must
+// fail the build rather than surface as resident-memory drift.
+const _: () = {
+    // A tag and one word: a bound, a capacity, or an attempt count
+    // beside a boxed error.
+    assert!(std::mem::size_of::<ShedReason>() <= 16);
+    // A 40-byte request and a 32-byte disposition (a shed's instant and
+    // 16-byte reason, or a completion's two instants and three counts).
+    assert!(std::mem::size_of::<RequestRecord>() <= 72);
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,14 +303,14 @@ mod tests {
         assert!(e.to_string().contains("op 3"));
         let s = ShedReason::RetriesExhausted {
             attempts: 4,
-            last_error: e.clone(),
+            last_error: Box::new(e.clone()),
         };
         assert!(s.to_string().contains("4 attempts"));
         let b = ShedReason::Brownout { level: 3 };
         assert!(b.to_string().contains("level 3"));
         let rb = ShedReason::RetryBudgetExhausted {
             attempts: 2,
-            last_error: e,
+            last_error: Box::new(e),
         };
         assert!(rb.to_string().contains("retry budget"));
     }

@@ -1460,10 +1460,8 @@ impl<'a> Server<'a> {
     /// or any future heal — misses the deadline.
     fn deadline_hopeless(&self, req: &Request) -> Option<ShedReason> {
         let bound_finish_ms = self.now() + self.bound_full[req.model];
-        (bound_finish_ms > req.deadline_ms).then_some(ShedReason::DeadlineUnmeetable {
-            bound_finish_ms,
-            deadline_ms: req.deadline_ms,
-        })
+        (bound_finish_ms > req.deadline_ms)
+            .then_some(ShedReason::DeadlineUnmeetable { bound_finish_ms })
     }
 
     fn shed(&mut self, i: usize, reason: ShedReason) {
@@ -2016,7 +2014,7 @@ impl<'a> Server<'a> {
                 i,
                 ShedReason::RetriesExhausted {
                     attempts,
-                    last_error: err,
+                    last_error: Box::new(err),
                 },
             );
             return;
@@ -2039,7 +2037,7 @@ impl<'a> Server<'a> {
                 i,
                 ShedReason::RetryBudgetExhausted {
                     attempts,
-                    last_error: err,
+                    last_error: Box::new(err),
                 },
             );
         }
@@ -2302,6 +2300,80 @@ mod tests {
             panic!("request must complete");
         };
         assert_eq!(attempts, 2, "hang must force exactly one retry");
+    }
+
+    /// Faults that hang op 29 of `gold(0, 1.0)` (the sink of `model(6,
+    /// 30)`) a microsecond into each of its first `hangs` attempts, with
+    /// the instant a microsecond into the attempt after them.  Each
+    /// retry starts when its backoff ends, the watchdog's delay after the
+    /// hang.
+    fn hang_every_attempt(hangs: u32) -> (Vec<FaultEvent>, f64) {
+        const INTO_MS: f64 = 1.0e-3;
+        let mut at_ms = 1.0 + INTO_MS;
+        let mut events = Vec::new();
+        for attempts in 1..=hangs {
+            events.push(FaultEvent {
+                at_ms,
+                kind: FaultKind::OpHang { op: OpId(29) },
+            });
+            at_ms = at_ms + WATCHDOG_MS + retry::backoff_ms(0, attempts) + INTO_MS;
+        }
+        (events, at_ms)
+    }
+
+    #[test]
+    fn a_request_out_of_retries_on_a_fail_stop_records_the_gpu_that_failed() {
+        let models = vec![model(6, 30)];
+        let mut cfg = ServeConfig::new(2);
+        cfg.detection_ms = 0.0;
+        cfg.gpu_repair_ms = 1.0e6;
+        // GPU 0 is down for the whole run, so when GPU 1 fails under the
+        // fourth attempt no survivor is left to repair it onto.
+        let (mut events, fourth_ms) = hang_every_attempt(3);
+        events.push(FaultEvent {
+            at_ms: 0.0,
+            kind: FaultKind::GpuFailStop { gpu: 0 },
+        });
+        events.push(FaultEvent {
+            at_ms: fourth_ms,
+            kind: FaultKind::GpuFailStop { gpu: 1 },
+        });
+        let out = serve(&models, &[gold(0, 1.0)], &FaultPlan::new(events), &cfg).unwrap();
+        assert_eq!(
+            out.records[0].disposition,
+            Disposition::Shed {
+                at_ms: fourth_ms,
+                reason: ShedReason::RetriesExhausted {
+                    attempts: 4,
+                    last_error: Box::new(ServeError::GpuFault { gpu: 1 }),
+                },
+            }
+        );
+    }
+
+    #[test]
+    fn a_retry_budget_denial_records_the_error_that_ended_the_attempt() {
+        let models = vec![model(6, 30)];
+        let mut cfg = ServeConfig::new(2);
+        cfg.detection_ms = 0.0;
+        cfg.overload = Some(OverloadConfig::default());
+        // One admission buys one retry per budget window: the second hang
+        // is denied its retry.
+        let (events, _) = hang_every_attempt(2);
+        let out = serve(&models, &[gold(0, 1.0)], &FaultPlan::new(events), &cfg).unwrap();
+        let Disposition::Shed { reason, .. } = &out.records[0].disposition else {
+            panic!("{:?}", out.records[0]);
+        };
+        assert_eq!(
+            *reason,
+            ShedReason::RetryBudgetExhausted {
+                attempts: 2,
+                last_error: Box::new(ServeError::WatchdogTimeout {
+                    op: OpId(29),
+                    waited_ms: WATCHDOG_MS,
+                }),
+            }
+        );
     }
 
     #[test]
