@@ -311,8 +311,8 @@ pub struct FleetOutcome {
 /// FNV-1a digest of a fleet outcome stream.  Same constants as
 /// [`crate::report::history_digest`]; `Rerouted` chains are folded
 /// recursively, so two runs agree iff every request took the same path
-/// to the same fate.  A failover shed folds the request's deadline where
-/// its reason would carry one.
+/// to the same fate.  A deadline-infeasible failover shed folds its
+/// request's deadline, which the reason does not repeat.
 pub(crate) fn fleet_history_digest(records: &[FleetRecord]) -> u64 {
     fn fold(h: &mut Fnv, d: &FleetDisposition, deadline_ms: f64) {
         match d {
