@@ -33,7 +33,7 @@
 //! * `zero_lost` — every cell accounts for every request with exactly
 //!   one typed disposition;
 //! * `deterministic` — the fault-free fleet run is digest-identical
-//!   across repetitions and rayon thread counts.
+//!   across repetitions.
 //!
 //! `--validate` turns all four headline criteria into hard assertions.
 
@@ -354,30 +354,24 @@ pub(crate) fn fleet(cfg: &RunCfg) -> Table {
     let mut headline = verdict(&outs);
 
     // Determinism: the fault-free failover run must be digest-identical
-    // across repetitions and rayon thread counts.  (Sequential on
-    // purpose: RAYON_NUM_THREADS is process-global.)
+    // across repetitions.
     let base_digest = outs
         .iter()
         .find(|o| o.cfg.shape == "none" && o.cfg.failover)
         .expect("fault-free failover cell")
         .report
         .history_digest;
-    let rerun = |threads: Option<&str>| {
-        if let Some(n) = threads {
-            std::env::set_var("RAYON_NUM_THREADS", n);
-        }
-        let out = run_fleet(&models, &trace, "none", true, hot);
-        std::env::remove_var("RAYON_NUM_THREADS");
-        out.report.history_digest
-    };
-    let deterministic = [None, Some("1"), Some("4")]
-        .into_iter()
-        .all(|threads| rerun(threads) == base_digest);
+    let deterministic = (0..2).all(|_| {
+        run_fleet(&models, &trace, "none", true, hot)
+            .report
+            .history_digest
+            == base_digest
+    });
 
     headline.criterion(
         "deterministic",
         deterministic,
-        "fault-free fleet run must be digest-identical across reps and thread counts",
+        "fault-free fleet run must be digest-identical across repetitions",
     );
 
     Study::new(

@@ -28,7 +28,7 @@ pub(crate) const NO_GPU: u32 = u32::MAX;
 
 /// Flat CSR adjacency + dense cost arrays for one `(graph, cost table,
 /// GPU count)` triple.  Built once per scheduler invocation and shared
-/// (immutably) by all candidate trials, including rayon workers.
+/// (immutably) by all candidate trials.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct DenseContext {
     n: usize,

@@ -1431,8 +1431,8 @@ impl ListState {
     /// `touch`/`gen` are the caller's stamp buffer (entries `== gen`
     /// mean "a predecessor changed"); `lat0` is the makespan over the
     /// operators ordered before `ops[0]` (unchanged by construction).
-    /// `prune` is re-read before each operator; the call aborts and
-    /// returns `false` as soon as the running makespan *exceeds* it.
+    /// The call aborts and returns `false` as soon as the running
+    /// makespan *exceeds* `bound`.
     /// Returns `true` when the state is a complete schedule of all
     /// placed operators (clean GPUs adopt `base`'s interval lists
     /// verbatim).
@@ -1447,7 +1447,7 @@ impl ListState {
         lat0: f64,
         touch: &mut [u32],
         gen: u32,
-        prune: impl Fn() -> f64,
+        bound: f64,
     ) -> bool {
         let num_gpus = base.busy_iv.len();
         self.start.clone_from(&base.start);
@@ -1515,8 +1515,7 @@ impl ListState {
                     touch[w as usize] = gen;
                 }
             }
-            let bar = prune();
-            if self.latency > bar {
+            if self.latency > bound {
                 return false;
             }
         }

@@ -28,10 +28,9 @@
 //! paths are differential-tested against the pre-optimization
 //! implementations kept in [`reference`](mod@reference).
 //!
-//! With the `rayon` feature (on by default) the candidate trials of
-//! Alg. 1 and Alg. 3 fan out to a thread pool on large instances;
-//! results are bit-identical at any thread count.  The evaluation core is
-//! data-oriented — dense `u32` indices over flat structure-of-arrays
+//! The candidate trials of Alg. 1 and Alg. 3 run sequentially, each a
+//! plain argmin with the paper's lowest-GPU-index tie-break.  The
+//! evaluation core is data-oriented — dense `u32` indices over flat structure-of-arrays
 //! buffers (the dense scheduling context, the CSR stage graph inside
 //! [`eval::EvalWorkspace`]) — written as plain fixed-stride loops the
 //! compiler can autovectorize.
@@ -48,7 +47,6 @@ pub mod exact;
 pub mod ios;
 pub mod lp;
 pub mod mr;
-mod par;
 pub mod priority;
 pub mod reference;
 pub mod repair;

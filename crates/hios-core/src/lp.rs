@@ -5,14 +5,12 @@
 
 use crate::dense::{DenseContext, NO_GPU};
 use crate::eval::{ListState, evaluate};
-use crate::par::{LP_PAR_MIN_OPS, map_candidates};
 use crate::priority::priorities;
 use crate::schedule::Schedule;
 use crate::window::parallelize;
 use hios_cost::CostTable;
 use hios_graph::paths::priority_order;
 use hios_graph::{Graph, OpId};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of HIOS-LP.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,13 +72,6 @@ pub fn longest_valid_path(
 
 /// Reusable buffers of the longest-valid-path DP, pooled across the
 /// extraction rounds of one [`schedule_hios_lp`] run.
-/// Pooled per-trial scratch: list state, placement map, touch stamps,
-/// and the touch generation counter, recycled across HIOS-LP steps.
-type TrialScratch = (ListState, Vec<u32>, Vec<u32>, u32);
-
-/// One fanned-out trial: the candidate GPU index plus its scratch.
-type GpuTrial = (u32, ListState, Vec<u32>, Vec<u32>, u32);
-
 #[derive(Clone, Debug, Default)]
 struct PathScratch {
     head_ext: Vec<f64>,
@@ -263,28 +254,24 @@ pub fn schedule_hios_lp(g: &Graph, cost: &CostTable, cfg: HiosLpConfig) -> LpOut
     // `base` (everything on the path's GPU from the first path operator
     // on, plus the downstream closure of any operator whose finish time
     // actually changed).  The result is bit-identical to list-scheduling
-    // each trial from scratch.  Trials stay independent (pooled
-    // state/placement/stamp buffers) and can run in parallel; a shared
-    // atomic latency bound lets a trial abort once it is *strictly*
-    // worse than a finished competitor — strict comparison keeps the
-    // lowest-GPU-index tie-break exact and an aborted trial reports
-    // +inf, which never wins under `<`.
+    // each trial from scratch.  The trials share one state, placement
+    // map and stamp buffer; a winning trial is swapped into `best`, and
+    // the round's best into `base`.  The best latency so far is the
+    // abort bound: a trial stops once it is *strictly* worse, which
+    // keeps the lowest-GPU-index tie-break exact.
     let mut base = ListState::new(n, cfg.num_gpus);
-    let mut trial_states: Vec<ListState> = (0..cfg.num_gpus)
-        .map(|_| ListState::new(n, cfg.num_gpus))
-        .collect();
-    let mut trial_places: Vec<Vec<u32>> = (0..cfg.num_gpus).map(|_| vec![NO_GPU; n]).collect();
-    let mut trial_touch: Vec<Vec<u32>> = (0..cfg.num_gpus).map(|_| vec![0u32; n]).collect();
-    let mut trial_gens: Vec<u32> = vec![0; cfg.num_gpus];
+    let mut best = ListState::new(n, cfg.num_gpus);
+    let mut trial = ListState::new(n, cfg.num_gpus);
+    let mut place: Vec<u32> = vec![NO_GPU; n];
+    let mut touch: Vec<u32> = vec![0; n];
+    let mut gen = 0u32;
     let mut scratch = PathScratch::new(n);
     let mut path: Vec<u32> = Vec::new();
-    let bound = AtomicU64::new(f64::INFINITY.to_bits());
-    let fan_out = cfg.num_gpus >= 2 && n >= LP_PAR_MIN_OPS;
 
     // Committed execution time per GPU, used only to order the trials so
-    // the likely winner runs first and tightens the shared bound; the
-    // winner is still the latency-minimal trial with ties to the lowest
-    // GPU index, whatever the order.
+    // the likely winner runs first and tightens the bound; the winner is
+    // still the latency-minimal trial with ties to the lowest GPU index,
+    // whatever the order.
     let mut gpu_load = vec![0.0f64; cfg.num_gpus];
     let mut trial_order: Vec<u32> = (0..cfg.num_gpus as u32).collect();
 
@@ -309,83 +296,45 @@ pub fn schedule_hios_lp(g: &Graph, cost: &CostTable, cfg: HiosLpConfig) -> LpOut
             lat0 = lat0.max(base.op_finish(v));
         }
         let tail = &order_u32[cut..];
-        let committed_ref = &committed;
-        let path_ref = &path;
-        let ctx_ref = &ctx;
-        let base_ref = &base;
-        let bound_ref = &bound;
-        let pos_ref: &[usize] = &pos;
-        bound.store(f64::INFINITY.to_bits(), Ordering::Relaxed);
         trial_order.sort_unstable_by(|&x, &y| {
             gpu_load[x as usize]
                 .partial_cmp(&gpu_load[y as usize])
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(x.cmp(&y))
         });
-        let mut pool: Vec<TrialScratch> = trial_states
-            .drain(..)
-            .zip(trial_places.drain(..))
-            .zip(trial_touch.drain(..))
-            .zip(trial_gens.drain(..))
-            .map(|(((st, pl), tc), gen)| (st, pl, tc, gen))
-            .collect();
-        let trials: Vec<GpuTrial> = trial_order
-            .iter()
-            .map(|&gi| {
-                let (st, pl, tc, gen) = pool.pop().expect("one pooled state per GPU");
-                (gi, st, pl, tc, gen)
-            })
-            .collect();
-        let results = map_candidates(trials, fan_out, move |(gi, mut st, mut pl, mut tc, gen)| {
-            let gen = gen.wrapping_add(1);
-            let gen = if gen == 0 {
-                tc.fill(0);
-                1
-            } else {
-                gen
-            };
-            pl.copy_from_slice(committed_ref);
-            for &v in path_ref {
-                pl[v as usize] = gi;
-            }
-            let done = st.replay_incremental(
-                ctx_ref,
-                base_ref,
-                tail,
-                pos_ref,
-                &pl,
-                lat0,
-                &mut tc,
-                gen,
-                || f64::from_bits(bound_ref.load(Ordering::Relaxed)),
-            );
-            let lat = if done {
-                bound_ref.fetch_min(st.latency().to_bits(), Ordering::Relaxed);
-                st.latency()
-            } else {
-                f64::INFINITY
-            };
-            (gi, lat, st, pl, tc, gen)
-        });
         let mut best_latency = f64::INFINITY;
         let mut best_gpu = u32::MAX;
-        for &(gi, latency, ..) in &results {
-            if latency < best_latency || (latency == best_latency && gi < best_gpu) {
+        for &gi in &trial_order {
+            gen = gen.wrapping_add(1);
+            if gen == 0 {
+                touch.fill(0);
+                gen = 1;
+            }
+            place.copy_from_slice(&committed);
+            for &v in &path {
+                place[v as usize] = gi;
+            }
+            let done = trial.replay_incremental(
+                &ctx,
+                &base,
+                tail,
+                &pos,
+                &place,
+                lat0,
+                &mut touch,
+                gen,
+                best_latency,
+            );
+            let latency = trial.latency();
+            if done && (latency < best_latency || (latency == best_latency && gi < best_gpu)) {
                 best_latency = latency;
                 best_gpu = gi;
+                std::mem::swap(&mut best, &mut trial);
             }
         }
         // The winning trial *is* the new committed schedule: swap it in
         // as the next round's base and recycle the old base's buffers.
-        for (gi, _lat, mut st, pl, tc, gen) in results {
-            if gi == best_gpu {
-                std::mem::swap(&mut base, &mut st);
-            }
-            trial_states.push(st);
-            trial_places.push(pl);
-            trial_touch.push(tc);
-            trial_gens.push(gen);
-        }
+        std::mem::swap(&mut base, &mut best);
         for &v in &path {
             committed[v as usize] = best_gpu;
             gpu_load[best_gpu as usize] += ctx.exec(best_gpu as usize, v);

@@ -10,7 +10,6 @@
 //! but only locally optimal, which is why the paper's HIOS-LP beats it.
 
 use crate::dense::DenseContext;
-use crate::par::{map_candidates, mr_par_threshold};
 use crate::priority::priority_order;
 use crate::schedule::Schedule;
 use crate::window::parallelize;
@@ -127,69 +126,51 @@ pub fn schedule_hios_mr(g: &Graph, cost: &CostTable, cfg: HiosMrConfig) -> MrOut
     // random-access walk into one sequential copy plus an O(1) append,
     // and the busy-time fold accumulates in the same ascending-`l` order
     // as the reference's from-scratch recompute, so every float matches
-    // bitwise.  The `k` trials of a row only read the shared previous
-    // generation, so they stay independent and fan out via
-    // `map_candidates` on large instances; merging their row proposals
-    // back sequentially in ascending `k` with a strict `<` keeps the
-    // recorded `gprev` bit-identical to the reference's k-inner loop.
+    // bitwise.  Folding each trial's proposals straight into the row in
+    // ascending `k` with a strict `<` keeps the recorded `gprev`
+    // bit-identical to the reference's k-inner loop.
     let mut cur_bufs: Vec<ReplayBuf> = (0..m).map(|_| ReplayBuf::new(n, m)).collect();
     let mut nxt_bufs: Vec<ReplayBuf> = (0..m).map(|_| ReplayBuf::new(n, m)).collect();
     // Row 1 reads the schedule "v_0 on GPU 0".
     cur_bufs[0].fin[0] = t[0];
     cur_bufs[0].gpu[0] = 0;
     cur_bufs[0].busy[0] = t[0];
-    // Row-proposal scratch, pooled across rows (hot loop).
-    let mut rows: Vec<Vec<f64>> = (0..m).map(|_| vec![f64::INFINITY; m]).collect();
 
     for i in 1..n {
         let vi = order_u32[i];
         let jmax = m.min(i + 1);
         let kmax = m.min(i);
-        let fan_out = kmax >= 2 && i * kmax >= mr_par_threshold();
-        let trials: Vec<(usize, Vec<f64>)> = (0..kmax)
-            .map(|k| (k, rows.pop().expect("pool holds m >= kmax rows")))
-            .collect();
-        let prev_row = &t[(i - 1) * m..i * m];
-        let bufs_ref = &cur_bufs;
-        let ctx_ref = &ctx;
-        let pos_ref = &pos;
-        let results = map_candidates(trials, fan_out, |(k, mut row): (usize, Vec<f64>)| {
+        let (done, rest) = t.split_at_mut(i * m);
+        let prev_row = &done[(i - 1) * m..];
+        let t_row = &mut rest[..m];
+        let gp_row = &mut gprev[i * m..(i + 1) * m];
+        for (k, buf) in cur_bufs.iter().enumerate().take(kmax) {
             if !prev_row[k].is_finite() {
-                return (false, row);
+                continue;
             }
-            let buf = &bufs_ref[k];
             // Earliest start of v_i on every GPU j (lines 13-19): GPU-j
             // busy time, then data arrivals.
-            for (j, slot) in row.iter_mut().enumerate().take(jmax) {
+            for j in 0..jmax {
                 let mut ready = buf.busy[j];
-                for &u in ctx_ref.preds(vi) {
-                    let l = pos_ref[u as usize] as usize;
+                for &u in ctx.preds(vi) {
+                    let l = pos[u as usize] as usize;
                     debug_assert!(l < i, "priority order is topological");
                     let gl = buf.gpu[l] as usize;
                     let arrival = if gl == j {
                         buf.fin[l]
                     } else {
-                        buf.fin[l] + ctx_ref.transfer(u, gl, j)
+                        buf.fin[l] + ctx.transfer(u, gl, j)
                     };
                     if arrival > ready {
                         ready = arrival;
                     }
                 }
-                *slot = ready + ctx_ref.exec(j, vi);
-            }
-            (true, row)
-        });
-        let (t_row, gp_row) = (&mut t[i * m..(i + 1) * m], &mut gprev[i * m..(i + 1) * m]);
-        for (k, (valid, row)) in results.into_iter().enumerate() {
-            if valid {
-                for j in 0..jmax {
-                    if row[j] < t_row[j] {
-                        t_row[j] = row[j];
-                        gp_row[j] = k as u32;
-                    }
+                let finish = ready + ctx.exec(j, vi);
+                if finish < t_row[j] {
+                    t_row[j] = finish;
+                    gp_row[j] = k as u32;
                 }
             }
-            rows.push(row);
         }
         // Extend this row's winners into next row's replay buffers:
         // next trial j reads the schedule recorded at (i, j), i.e. the

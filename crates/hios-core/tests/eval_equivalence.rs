@@ -10,7 +10,10 @@ use hios_core::mr::{HiosMrConfig, schedule_hios_mr};
 use hios_core::reference;
 use hios_core::schedule::{GpuSchedule, Schedule, Stage};
 use hios_core::window::parallelize;
-use hios_cost::{CostTable, RandomCostConfig, random_cost_table};
+use hios_cost::{
+    CalibratedTable, Calibrator, CostTable, DeviceCosts, RandomCostConfig, Topology,
+    random_cost_table,
+};
 use hios_graph::{Graph, LayeredDagConfig, OpId, generate_layered_dag};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -190,7 +193,7 @@ proptest! {
     // Scheduler-level equivalence runs the full pipelines; fewer cases.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Prefix-cached parallel candidate search == reference HIOS-LP.
+    /// Incremental candidate trials == reference HIOS-LP.
     #[test]
     fn hios_lp_matches_reference((ops, layers, gpus, intra, seed) in
         (16usize..64, 3usize..7, 1usize..5, 0u8..2, 0u64..1_000_000))
@@ -334,6 +337,110 @@ proptest! {
             let slow = reference::schedule_hios_mr(&g, &cost, mr_cfg);
             prop_assert_eq!(bits(fast.latency), bits(slow.latency));
             prop_assert_eq!(fast.schedule, slow.schedule);
+        }
+    }
+}
+
+/// A genuinely heterogeneous 4-GPU expansion of a flat table: device
+/// class `c` runs `1 + c/4` slower, link class `l` transfers `1 + l/8`
+/// slower.
+fn hetero_table(flat: &CostTable) -> CostTable {
+    let m = 4usize;
+    let scale = |row: &[f64], f: f64| row.iter().map(|x| x * f).collect::<Vec<f64>>();
+    let device = DeviceCosts {
+        exec_ms: (0..m)
+            .map(|c| scale(&flat.device.exec_ms[0], 1.0 + c as f64 / 4.0))
+            .collect(),
+        util: vec![flat.device.util[0].clone(); m],
+    };
+    let transfer_ms = (0..m * m)
+        .map(|l| scale(&flat.transfer_ms[0], 1.0 + l as f64 / 8.0))
+        .collect();
+    CostTable::heterogeneous(
+        format!("{} (hetero)", flat.source),
+        device,
+        transfer_ms,
+        Topology::hetero((0..m).collect(), (0..m * m).collect()),
+        flat.concurrency,
+        flat.launch_overhead_ms,
+    )
+}
+
+/// The calibrated overlay of a fixed drifted-observation stream: GPU 1
+/// drifts ~2.5x with a deterministic per-operator wobble, GPU 3 drifts
+/// mildly, GPUs 0 and 2 stay nominal.
+fn calibrated_table(g: &Graph, cost: &CostTable) -> CostTable {
+    let mut cal = Calibrator::new(4, g.num_ops());
+    for round in 0..4u32 {
+        for v in g.op_ids() {
+            let wobble = 1.0 + f64::from((v.index() as u32 ^ round) % 7) / 100.0;
+            let predicted = cost.exec(v);
+            let _ = cal
+                .observe(1, v, predicted * 2.5 * wobble, predicted)
+                .unwrap();
+            let _ = cal.observe(3, v, predicted * 1.3, predicted).unwrap();
+            let _ = cal.observe(0, v, predicted, predicted).unwrap();
+        }
+    }
+    let mut t = CalibratedTable::new(cost.clone(), 4);
+    assert!(t.refresh(&cal), "the drift must move planning prices");
+    t.table().clone()
+}
+
+/// Both schedulers equal the reference on one 600-operator instance,
+/// at M = 2 and 4, with and without the intra-GPU pass, on the flat
+/// table, a heterogeneous one and a calibrated overlay.
+#[test]
+fn schedulers_match_reference_on_flat_heterogeneous_and_calibrated_tables() {
+    let g = generate_layered_dag(&LayeredDagConfig {
+        ops: 600,
+        layers: 60,
+        deps: 1200,
+        seed: 3,
+    })
+    .unwrap();
+    let flat = random_cost_table(&g, &RandomCostConfig::paper_default(3));
+    let tables = [
+        ("flat", flat.clone()),
+        ("hetero", hetero_table(&flat)),
+        ("calibrated", calibrated_table(&g, &flat)),
+    ];
+    for (name, cost) in &tables {
+        for m in [2usize, 4] {
+            for intra in [false, true] {
+                let lp_cfg = HiosLpConfig {
+                    num_gpus: m,
+                    window: 4,
+                    intra,
+                };
+                let fast = schedule_hios_lp(&g, cost, lp_cfg);
+                let slow = reference::schedule_hios_lp(&g, cost, lp_cfg);
+                assert_eq!(
+                    fast.schedule, slow.schedule,
+                    "LP {name} m={m} intra={intra}"
+                );
+                assert_eq!(
+                    bits(fast.latency),
+                    bits(slow.latency),
+                    "LP {name} m={m} intra={intra}"
+                );
+                let mr_cfg = HiosMrConfig {
+                    num_gpus: m,
+                    window: 4,
+                    intra,
+                };
+                let fast = schedule_hios_mr(&g, cost, mr_cfg);
+                let slow = reference::schedule_hios_mr(&g, cost, mr_cfg);
+                assert_eq!(
+                    fast.schedule, slow.schedule,
+                    "MR {name} m={m} intra={intra}"
+                );
+                assert_eq!(
+                    bits(fast.latency),
+                    bits(slow.latency),
+                    "MR {name} m={m} intra={intra}"
+                );
+            }
         }
     }
 }

@@ -1276,8 +1276,7 @@ impl<'a> Fleet<'a> {
 /// events by virtual time with fixed tie-breaks (cluster before arrival
 /// before fault, heal or heartbeat; lower cluster index first; trace
 /// position among equal arrivals, so an unsorted trace serves like its
-/// sorted self), and the outcome digest is bit-identical across runs and
-/// rayon thread counts.
+/// sorted self), and the outcome digest is bit-identical across runs.
 pub fn serve_fleet(
     models: &[ServedModel],
     trace: &[Request],

