@@ -140,8 +140,8 @@ pub fn schedule_hios_mr(g: &Graph, cost: &CostTable, cfg: HiosMrConfig) -> MrOut
         let vi = order_u32[i];
         let jmax = m.min(i + 1);
         let kmax = m.min(i);
-        let (done, rest) = t.split_at_mut(i * m);
-        let prev_row = &done[(i - 1) * m..];
+        let (filled, rest) = t.split_at_mut(i * m);
+        let prev_row = &filled[(i - 1) * m..];
         let t_row = &mut rest[..m];
         let gp_row = &mut gprev[i * m..(i + 1) * m];
         for (k, buf) in cur_bufs.iter().enumerate().take(kmax) {

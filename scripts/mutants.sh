@@ -26,7 +26,7 @@ copy="$tmp/copy"
 # mutant changed is rebuilt from its restored text.
 mapfile -t edited < <(sed -n 's|^+++ b/||p' "${patches[@]}" | sort -u)
 
-printf '%-38s %-8s %-6s %5s  %s\n' mutant verdict check secs "killed by"
+printf '%-40s %-8s %-6s %5s  %s\n' mutant verdict check secs "killed by"
 bad=0
 for patch in "${patches[@]}"; do
     name="$(basename "$patch" .patch)"
@@ -36,7 +36,7 @@ for patch in "${patches[@]}"; do
     git -C "$root" archive HEAD | tar -x -C "$copy"
     (cd "$copy" && touch "${edited[@]}")
     if ! (cd "$copy" && git apply "$patch"); then
-        printf '%-38s %-8s\n' "$name" NOAPPLY
+        printf '%-40s %-8s\n' "$name" NOAPPLY
         bad=1
         continue
     fi
@@ -52,6 +52,6 @@ for patch in "${patches[@]}"; do
     more=$(( $(grep -c . <<< "$failed") - 1 ))
     (( more <= 0 )) || by="$by (+$more more)"
     [ -n "$by" ] || { grep -q '^error' "$log" && by="(build)"; } || true
-    printf '%-38s %-8s %-6s %5d  %s\n' "$name" "$verdict" "$check" $((SECONDS - start)) "$by"
+    printf '%-40s %-8s %-6s %5d  %s\n' "$name" "$verdict" "$check" $((SECONDS - start)) "$by"
 done
 exit $bad
