@@ -30,7 +30,7 @@ use hios_graph::{Graph, OpId};
 /// (k bounded by the stage
 /// count), so 1e-9 keeps every short-circuit conservative by several
 /// orders of magnitude.
-pub(crate) const CUTOFF_GUARD: f64 = 1e-9;
+const CUTOFF_GUARD: f64 = 1e-9;
 
 /// Errors raised while evaluating a schedule.
 #[derive(Clone, Debug, PartialEq)]
@@ -125,13 +125,14 @@ pub struct EvalWorkspace {
     /// `merged_latency_bounded`, invalidated by `relax`.
     tail: Vec<f64>,
     tail_dirty: bool,
-    /// Ancestors of the critical stage (the first stage attaining the
-    /// baseline latency): stamp array built lazily by
-    /// `merged_latency_bounded` with one reverse sweep per `relax`.  A
-    /// merge whose absorbed range contains no ancestor of the critical
-    /// stage cannot move its finish, so the candidate is bounded below by
-    /// the baseline latency before any re-relaxation.
-    crit_anc: Vec<u32>,
+    /// Tight chains into the critical stage (the first stage attaining
+    /// the baseline latency): stamp array built lazily by
+    /// `merged_latency_bounded` with one reverse sweep per `relax` along
+    /// predecessor edges whose arrival equals the successor's start.  A
+    /// merge whose absorbed range holds no stamped stage cannot lower the
+    /// critical stage's finish, so the candidate is bounded below by the
+    /// baseline latency before any re-relaxation.
+    crit_chain: Vec<u32>,
     crit_stamp: u32,
     crit_finish: f64,
     crit_dirty: bool,
@@ -149,8 +150,8 @@ pub struct EvalWorkspace {
     snap_latency: f64,
     snap_valid: bool,
     /// Whether the last `merged_latency_bounded` call completed the
-    /// incremental wave (as opposed to short-circuiting or taking the
-    /// checked path) — the precondition for `snapshot_candidate`.
+    /// incremental wave (as opposed to short-circuiting or finding a
+    /// cycle) — the precondition for `snapshot_candidate`.
     last_eval_wave: bool,
     /// Merged stage `(start, finish)` of the last `merged_stage_finish`.
     last_merged: (f64, f64),
@@ -405,16 +406,20 @@ impl EvalWorkspace {
     /// `cutoff` — like the window pass, which accepts a merge only when
     /// it is strictly better than the best latency seen — therefore make
     /// bit-identical decisions at a fraction of the cost: most rejected
-    /// candidates are dismissed from the merged stage's structural suffix
-    /// bound alone, without re-relaxing anything downstream.
+    /// candidates are dismissed because they absorb no stage of a tight
+    /// chain into the critical stage, and most of the rest by the merged
+    /// stage's structural suffix bound, without re-relaxing anything
+    /// downstream.
     ///
     /// The proof obligation for every short-circuit is `true latency >=
-    /// cutoff`.  Each bound is `(exact finish of some stage in the merged
-    /// schedule) + (structural longest suffix path from it)`; the sum is
-    /// a lower bound of the true latency up to floating-point rounding of
-    /// the suffix accumulation, which a relative guard of `1e-9` —
-    /// orders of magnitude above the worst-case accumulated rounding of
-    /// the longest representable chains — makes conservative.
+    /// cutoff` (or a circular wait).  The tight-chain exit returns the
+    /// baseline latency, which the merged schedule provably reaches
+    /// exactly.  The suffix bound is `(exact finish of the merged stage) +
+    /// (structural longest suffix path from it)`; the sum is a lower
+    /// bound of the true latency up to floating-point rounding of the
+    /// suffix accumulation, which a relative guard of `1e-9` — orders of
+    /// magnitude above the worst-case accumulated rounding of the longest
+    /// representable chains — makes conservative.
     pub(crate) fn merged_latency_bounded(
         &mut self,
         cost: &CostTable,
@@ -428,17 +433,6 @@ impl EvalWorkspace {
         self.last_eval_wave = false;
         let a = self.gpu_base[gpu] + first;
         let b = self.gpu_base[gpu] + last;
-
-        // New mark generation (reset on the unlikely wrap).
-        if self.mark_gen == u32::MAX {
-            self.mark.iter_mut().for_each(|m| *m = 0);
-            self.mark_gen = 0;
-        }
-        self.mark_gen += 1;
-        let gen = self.mark_gen;
-        for s in a..=b {
-            self.mark[s] = gen;
-        }
 
         // Top baseline finishes, rebuilt once per relax in one pass (no
         // full sort): the max unmarked baseline finish below is then
@@ -471,16 +465,27 @@ impl EvalWorkspace {
             self.tail_dirty = false;
         }
 
-        // Ancestors of the critical stage, rebuilt once per relax
+        // Tight chains into the critical stage, rebuilt once per relax
         // (reverse sweep from the first stage attaining the baseline
-        // latency).  The re-relaxation wave below only ever touches
-        // descendants of the absorbed range, so when the range holds no
-        // ancestor of the critical stage that stage's finish — the
-        // baseline latency — is final in the merged schedule too and
-        // bounds the candidate from below *exactly* (no rounding guard
-        // needed).  Most rejected candidates exit here: the typical
-        // rejection is a merge that leaves the critical path, often on
-        // another GPU, untouched.
+        // latency L).  An edge `p -> s` is *tight* when its arrival is
+        // bitwise `start[s]`; every stage with a positive start has one,
+        // as the relaxation sets each start to one predecessor's exact
+        // arrival.  Claim: when the absorbed range holds no stamped
+        // stage, every stamped stage finishes no earlier in the merged
+        // schedule, so the critical stage still finishes at L.  A merge
+        // changes only the absorbed stages and their descendants, and
+        // keeps every edge between two unabsorbed stages.  Induct in
+        // topological order over the stamped stages: one whose start is
+        // 0 trivially starts no earlier; any other has a tight stamped
+        // predecessor `p` outside the range, whose merged finish is
+        // `>= finish[p]` by induction, so, IEEE `+` and `max` being
+        // monotone, its merged start is `>= finish[p] + w = start[s]` and
+        // its finish `>= start[s] + dur[s]`.  L then bounds the candidate
+        // from below *exactly* (no rounding guard needed), and a merge
+        // that closes a cycle reports `Err` instead, which also rejects
+        // it.  Most rejected candidates exit here: only a merge that
+        // absorbs a stamped stage can lower the latency, and a GPU's
+        // chain of stages is rarely tight throughout.
         if self.crit_dirty {
             let mut crit = 0usize;
             for s in 1..self.n_stages {
@@ -489,21 +494,23 @@ impl EvalWorkspace {
                 }
             }
             self.crit_finish = self.finish[crit];
-            if self.crit_anc.len() != self.n_stages || self.crit_stamp == u32::MAX {
-                self.crit_anc.clear();
-                self.crit_anc.resize(self.n_stages, 0);
+            if self.crit_chain.len() != self.n_stages || self.crit_stamp == u32::MAX {
+                self.crit_chain.clear();
+                self.crit_chain.resize(self.n_stages, 0);
                 self.crit_stamp = 0;
             }
             self.crit_stamp += 1;
             let stamp = self.crit_stamp;
-            self.crit_anc[crit] = stamp;
+            self.crit_chain[crit] = stamp;
             self.worklist.clear();
             self.worklist.push(crit);
             while let Some(s) = self.worklist.pop() {
+                let start = self.start[s].to_bits();
                 for e in self.pred_off[s] as usize..self.pred_off[s + 1] as usize {
                     let p = self.pred_idx[e] as usize;
-                    if self.crit_anc[p] != stamp {
-                        self.crit_anc[p] = stamp;
+                    let tight = (self.finish[p] + self.pred_w[e]).to_bits() == start;
+                    if tight && self.crit_chain[p] != stamp {
+                        self.crit_chain[p] = stamp;
                         self.worklist.push(p);
                     }
                 }
@@ -512,41 +519,24 @@ impl EvalWorkspace {
         }
         if self.crit_finish >= cutoff {
             let stamp = self.crit_stamp;
-            if !(a..=b).any(|s| self.crit_anc[s] == stamp) {
+            if !(a..=b).any(|s| self.crit_chain[s] == stamp) {
                 return Ok(self.crit_finish);
             }
         }
 
-        // Cycle pre-filter on baseline topological positions.  A circular
-        // wait needs an external predecessor of the absorbed range that is
-        // also reachable *from* the range; any stage reachable from range
-        // member `s` has a topological position above `topo_pos[s]`, so if
-        // every external predecessor sits below the range's minimum
-        // position, no cycle is possible and the full reachability sweep
-        // can be skipped.
-        let mut range_min_pos = u32::MAX;
+        if self.closes_cycle(a, b) {
+            return Err(EvalError::StageCycle);
+        }
+        let gen = self.next_gen();
         for s in a..=b {
-            range_min_pos = range_min_pos.min(self.topo_pos[s]);
-        }
-        let mut cycle_possible = false;
-        'scan: for s in a..=b {
-            for e in self.pred_off[s] as usize..self.pred_off[s + 1] as usize {
-                let p = self.pred_idx[e] as usize;
-                if (p < a || p > b) && self.topo_pos[p] > range_min_pos {
-                    cycle_possible = true;
-                    break 'scan;
-                }
-            }
-        }
-        if cycle_possible {
-            return self.merged_latency_checked(cost, sched, gpu, first, last, a, b, gen, cutoff);
+            self.mark[s] = gen;
         }
 
         // The merged stage: fresh concurrent query over the union of the
         // absorbed stages' operators (in drain order, matching what a
         // materialized merge would ask), started at the max over external
-        // predecessor arrivals; every external predecessor is provably
-        // unaffected here, so its baseline finish is final.
+        // predecessor arrivals; no external predecessor descends from the
+        // range (that would be a cycle), so its baseline finish is final.
         let merged_finish = self.merged_stage_finish(cost, sched, gpu, first, last, a, b);
 
         // Pre-wave cutoff: the merged stage's finish is exact, so its
@@ -599,19 +589,10 @@ impl EvalWorkspace {
             self.c_start[t] = st;
             self.c_finish[t] = f;
             self.affected.push(t);
-            // In-wave cutoff: `f` is this stage's exact merged finish
-            // (topological pop order), so `f + tail` bounds the final
-            // latency; once it provably reaches `cutoff` the candidate is
-            // rejected either way and the rest of the wave is moot.
-            let bound = f + self.tail[t];
-            if bound * (1.0 - CUTOFF_GUARD) >= cutoff {
-                self.heap.clear();
-                return Ok(bound);
-            }
             if f.to_bits() != self.finish[t].to_bits() {
                 for e in self.succ_off[t] as usize..self.succ_off[t + 1] as usize {
                     let u = self.succ_idx[e] as usize;
-                    debug_assert!(!(u >= a && u <= b), "pre-filter rejects cycles");
+                    debug_assert!(!(u >= a && u <= b), "the cycle test rejects these");
                     if self.mark[u] != gen {
                         self.mark[u] = gen;
                         self.heap
@@ -629,8 +610,8 @@ impl EvalWorkspace {
     /// same `(gpu, first, last)` range can apply it instead of re-running
     /// the wave.  Call right after a [`merged_latency_bounded`] call
     /// returned an exact (below-cutoff) latency `latency` the caller
-    /// intends to commit; a no-op when that call short-circuited or took
-    /// the checked path.  Invalidated by any `relax` or commit.
+    /// intends to commit; a no-op when that call short-circuited or found
+    /// a cycle.  Invalidated by any `relax` or commit.
     ///
     /// [`merged_latency_bounded`]: EvalWorkspace::merged_latency_bounded
     pub(crate) fn snapshot_candidate(
@@ -712,9 +693,9 @@ impl EvalWorkspace {
         (bound * (1.0 - CUTOFF_GUARD) >= cutoff).then_some(bound)
     }
 
-    /// Operator union, duration query and start of the merged stage
-    /// (shared by both `merged_latency` paths; the `concurrent_on` call
-    /// keeps the profiling-meter side effect of a materialized merge).
+    /// Operator union, duration query and start of the merged stage (the
+    /// `concurrent_on` call keeps the profiling-meter side effect of a
+    /// materialized merge).
     #[allow(clippy::too_many_arguments)]
     fn merged_stage_finish(
         &mut self,
@@ -784,128 +765,71 @@ impl EvalWorkspace {
         latency
     }
 
-    /// The conservative `merged_latency` path for candidates the
-    /// topological pre-filter could not clear: full reachability sweep
-    /// from the absorbed range (doubling as the circular-wait check of
-    /// Alg. 2 line 10) followed by a restricted Kahn re-relaxation of
-    /// everything reachable.
-    #[allow(clippy::too_many_arguments)]
-    fn merged_latency_checked(
-        &mut self,
-        cost: &CostTable,
-        sched: &Schedule,
-        gpu: usize,
-        first: usize,
-        last: usize,
-        a: usize,
-        b: usize,
-        gen: u32,
-        cutoff: f64,
-    ) -> Result<f64, EvalError> {
-        // Affected set: the absorbed stages and everything reachable from
-        // them.  An edge from outside the absorbed range *back into* it
-        // means the merged stage would transitively wait on itself — the
-        // circular wait Alg. 2 line 10 rejects.
-        self.affected.clear();
-        for s in a..=b {
-            for e in self.succ_off[s] as usize..self.succ_off[s + 1] as usize {
-                let t = self.succ_idx[e] as usize;
-                if t >= a && t <= b {
-                    continue; // internal chain/data edge, absorbed
-                }
-                if self.mark[t] != gen {
-                    self.mark[t] = gen;
-                    self.affected.push(t);
-                }
-            }
+    /// Whether merging the absorbed range `a..=b` closes a circular wait
+    /// (Alg. 2 line 10).  It does exactly when some external predecessor
+    /// of the range is reachable from the range.  Every stage reachable
+    /// from range member `s` sits after `topo_pos[s]` in the baseline
+    /// order, so only external predecessors after the range's first
+    /// position are suspects, and a path from the range to a suspect
+    /// visits only positions up to that suspect's.  The forward search
+    /// from the range is therefore bounded by the latest suspect's
+    /// position, and most candidates have no suspect at all.
+    fn closes_cycle(&mut self, a: usize, b: usize) -> bool {
+        let in_range = |s: usize| s >= a && s <= b;
+        let (range_min_pos, limit) = self.suspect_limit(a, b);
+        if limit == range_min_pos {
+            return false;
         }
-        let mut i = 0;
-        while i < self.affected.len() {
-            let s = self.affected[i];
-            i += 1;
-            for e in self.succ_off[s] as usize..self.succ_off[s + 1] as usize {
-                let t = self.succ_idx[e] as usize;
-                if t >= a && t <= b {
-                    return Err(EvalError::StageCycle);
-                }
-                if self.mark[t] != gen {
-                    self.mark[t] = gen;
-                    self.affected.push(t);
-                }
-            }
-        }
-
-        let merged_finish = self.merged_stage_finish(cost, sched, gpu, first, last, a, b);
-
-        // Same pre-wave cutoff as the fast path (the cycle sweep above
-        // already proved no suffix path re-enters the range, so the
-        // baseline tails are valid for the merged schedule here too).
-        if let Some(bound) = self.range_suffix_bound(a, b, merged_finish, cutoff) {
-            return Ok(bound);
-        }
-
-        // Restricted Kahn over the affected set: starts seeded from
-        // unaffected predecessors' baseline finishes, in-degrees counted
-        // over marked predecessors only.
-        for idx in 0..self.affected.len() {
-            let t = self.affected[idx];
-            let mut st = 0.0f64;
-            let mut deg = 0u32;
-            for e in self.pred_off[t] as usize..self.pred_off[t + 1] as usize {
-                let p = self.pred_idx[e] as usize;
-                let w = self.pred_w[e];
-                if self.mark[p] == gen {
-                    deg += 1;
-                } else {
-                    let arrival = self.finish[p] + w;
-                    if arrival > st {
-                        st = arrival;
-                    }
-                }
-            }
-            self.c_start[t] = st;
-            self.indeg_w[t] = deg;
-        }
-        // Release the merged stage's outgoing edges first.
+        let gen = self.next_gen();
         self.worklist.clear();
-        for s in a..=b {
-            for e in self.succ_off[s] as usize..self.succ_off[s + 1] as usize {
-                let t = self.succ_idx[e] as usize;
-                if t >= a && t <= b {
-                    continue;
-                }
-                let arrival = merged_finish + self.succ_w[e];
-                if arrival > self.c_start[t] {
-                    self.c_start[t] = arrival;
-                }
-                self.indeg_w[t] -= 1;
-                if self.indeg_w[t] == 0 {
-                    self.worklist.push(t);
-                }
-            }
-        }
-        let mut done = 0usize;
+        self.worklist.extend(a..=b);
         while let Some(s) = self.worklist.pop() {
-            done += 1;
-            let f = self.c_start[s] + self.stage_dur[s];
-            self.c_finish[s] = f;
             for e in self.succ_off[s] as usize..self.succ_off[s + 1] as usize {
                 let t = self.succ_idx[e] as usize;
-                let w = self.succ_w[e];
-                debug_assert!(!(t >= a && t <= b), "cycle check above rejects these");
-                if self.c_start[t] < f + w {
-                    self.c_start[t] = f + w;
+                if in_range(t) {
+                    if in_range(s) {
+                        continue; // internal chain/data edge, absorbed
+                    }
+                    return true;
                 }
-                self.indeg_w[t] -= 1;
-                if self.indeg_w[t] == 0 {
+                if self.topo_pos[t] <= limit && self.mark[t] != gen {
+                    self.mark[t] = gen;
                     self.worklist.push(t);
                 }
             }
         }
-        if done != self.affected.len() {
-            return Err(EvalError::StageCycle);
+        false
+    }
+
+    /// The absorbed range's first baseline position, and the latest
+    /// position of an external predecessor of the range — the first
+    /// position again when no external predecessor sits after it (no
+    /// suspect: the merge is acyclic).
+    fn suspect_limit(&self, a: usize, b: usize) -> (u32, u32) {
+        let mut range_min_pos = u32::MAX;
+        for s in a..=b {
+            range_min_pos = range_min_pos.min(self.topo_pos[s]);
         }
-        Ok(self.candidate_latency(merged_finish, gen))
+        let mut limit = range_min_pos;
+        for s in a..=b {
+            for e in self.pred_off[s] as usize..self.pred_off[s + 1] as usize {
+                let p = self.pred_idx[e] as usize;
+                if p < a || p > b {
+                    limit = limit.max(self.topo_pos[p]);
+                }
+            }
+        }
+        (range_min_pos, limit)
+    }
+
+    /// A fresh `mark` generation (the stamps reset on the unlikely wrap).
+    fn next_gen(&mut self) -> u32 {
+        if self.mark_gen == u32::MAX {
+            self.mark.iter_mut().for_each(|m| *m = 0);
+            self.mark_gen = 0;
+        }
+        self.mark_gen += 1;
+        self.mark_gen
     }
 
     /// Commits an accepted merge of old stages `first..=last` on `gpu`
@@ -958,30 +882,17 @@ impl EvalWorkspace {
         // the merged stage needs a fresh concurrent query.
         self.stage_dur[a] = cost.concurrent_on(gpu, &sched.gpus[gpu].stages[first].ops);
 
-        // Same topological pre-filter as `merged_latency_bounded`: when
-        // every external predecessor of the absorbed range sits at or
-        // before the range's minimum baseline position, the merge is
-        // acyclic, the baseline topological order stays valid for the
-        // merged graph (the merged stage inherits that minimum position;
-        // every successor of a range member already sat strictly after
-        // it), and the committed times can be produced by the same exact
+        // When no external predecessor of the absorbed range sits after
+        // the range's minimum baseline position (no cycle suspect), the
+        // baseline topological order stays valid for the merged graph
+        // (the merged stage inherits that minimum position; every
+        // successor of a range member already sat strictly after it), and
+        // the committed times can be produced by the same exact
         // changed-only wave the candidate evaluation runs — no full
-        // re-relaxation.  Only the rare pre-filter miss falls back to
+        // re-relaxation.  Only a merge with a suspect falls back to
         // `relax`.
-        let mut range_min_pos = u32::MAX;
-        for s in a..=b {
-            range_min_pos = range_min_pos.min(self.topo_pos[s]);
-        }
-        let mut incremental = true;
-        'scan: for s in a..=b {
-            for e in self.pred_off[s] as usize..self.pred_off[s + 1] as usize {
-                let p = self.pred_idx[e] as usize;
-                if (p < a || p > b) && self.topo_pos[p] > range_min_pos {
-                    incremental = false;
-                    break 'scan;
-                }
-            }
-        }
+        let (range_min_pos, limit) = self.suspect_limit(a, b);
+        let incremental = limit == range_min_pos;
 
         let mut latency = f64::NAN;
         if incremental && self.snap_valid && self.snap_key == (gpu, first, last) {
@@ -997,7 +908,7 @@ impl EvalWorkspace {
             latency = self.snap_latency;
         } else if incremental {
             // Merged stage times from external predecessors, whose
-            // baseline finishes are final (the pre-filter placed them all
+            // baseline finishes are final (no suspect: they all sit
             // at or before the range, so none descends from it).
             let mut merged_start = 0.0f64;
             for s in a..=b {
@@ -1017,12 +928,7 @@ impl EvalWorkspace {
             // Exact changed-only wave over the old ids (identical to the
             // candidate path with no cutoff), recording starts too so the
             // results can be applied as the new baseline.
-            if self.mark_gen == u32::MAX {
-                self.mark.iter_mut().for_each(|m| *m = 0);
-                self.mark_gen = 0;
-            }
-            self.mark_gen += 1;
-            let gen = self.mark_gen;
+            let gen = self.next_gen();
             for s in a..=b {
                 self.mark[s] = gen;
             }
@@ -1066,7 +972,7 @@ impl EvalWorkspace {
                 if f.to_bits() != self.finish[t].to_bits() {
                     for e in self.succ_off[t] as usize..self.succ_off[t + 1] as usize {
                         let u = self.succ_idx[e] as usize;
-                        debug_assert!(!(u >= a && u <= b), "pre-filter rejects cycles");
+                        debug_assert!(!(u >= a && u <= b), "no suspect, no cycle");
                         if self.mark[u] != gen {
                             self.mark[u] = gen;
                             self.heap
@@ -1629,6 +1535,9 @@ mod tests {
     use crate::schedule::{GpuSchedule, Stage};
     use hios_cost::{ConcurrencyParams, CostTable};
     use hios_graph::GraphBuilder;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn uniform_cost(n: usize, exec: f64, util: f64, transfer: f64) -> CostTable {
         CostTable::homogeneous(
@@ -1833,6 +1742,158 @@ mod tests {
             ws.merged_latency(&cost, &s, 0, 0, 1),
             Err(EvalError::StageCycle)
         );
+    }
+
+    /// `merged_latency_bounded`'s contract on every window of `sched`
+    /// that the window pass could ask about (mutually independent
+    /// operators), at the baseline latency, at `below` and at `+∞`: a
+    /// result below the cutoff is the exact latency of the materialized
+    /// merge, bit for bit; a result at or above it stands for an exact
+    /// latency at or above the cutoff, or a circular wait.  Returns how
+    /// many windows were checked (0 when the schedule itself has a
+    /// circular wait).
+    fn check_bounded_contract(g: &Graph, cost: &CostTable, sched: &Schedule, below: f64) -> usize {
+        let mut ws = EvalWorkspace::new();
+        ws.prepare(g, cost, sched, true).unwrap();
+        let Ok(baseline) = ws.relax() else {
+            return 0;
+        };
+        let mut windows = 0;
+        for (gpu, stages) in sched.gpus.iter().enumerate() {
+            let n = stages.stages.len();
+            for first in 0..n {
+                for last in first + 1..n.min(first + 4) {
+                    let merged = crate::reference::merge_stages(sched, gpu, first, last);
+                    let exact = match crate::reference::evaluate(g, cost, &merged) {
+                        Err(EvalError::Structure(_)) => continue,
+                        r => r.map(|r| r.latency),
+                    };
+                    windows += 1;
+                    for cutoff in [baseline, below, f64::INFINITY] {
+                        let at = format!("gpu {gpu} stages {first}..={last} cutoff {cutoff}");
+                        match ws.merged_latency_bounded(cost, sched, gpu, first, last, cutoff) {
+                            Ok(l) if l < cutoff => {
+                                assert_eq!(
+                                    exact.clone().map(f64::to_bits),
+                                    Ok(l.to_bits()),
+                                    "{at}"
+                                );
+                            }
+                            Ok(_) => match &exact {
+                                Ok(e) => assert!(*e >= cutoff, "{at}: exact {e} is below"),
+                                Err(e) => assert_eq!(*e, EvalError::StageCycle, "{at}"),
+                            },
+                            Err(e) => assert_eq!(exact, Err(e), "{at}"),
+                        }
+                    }
+                }
+            }
+        }
+        windows
+    }
+
+    /// A random schedule: operators on random GPUs in priority order, and
+    /// random runs of mutually independent consecutive operators grouped
+    /// into one stage (which may still close a cross-GPU circular wait).
+    fn random_grouped_schedule(
+        g: &Graph,
+        cost: &CostTable,
+        gpus: usize,
+        rng: &mut StdRng,
+    ) -> Schedule {
+        let mut stages: Vec<Vec<Stage>> = vec![Vec::new(); gpus];
+        for v in crate::priority::priority_order(g, cost) {
+            let gpu = &mut stages[rng.random_range(0..gpus)];
+            match gpu.last_mut() {
+                Some(s)
+                    if s.ops.len() < 3
+                        && rng.random_range(0..3usize) == 0
+                        && s.ops.iter().all(|&u| !g.has_edge(u, v)) =>
+                {
+                    s.ops.push(v);
+                }
+                _ => gpu.push(Stage::solo(v)),
+            }
+        }
+        Schedule {
+            gpus: stages
+                .into_iter()
+                .map(|stages| GpuSchedule { stages })
+                .collect(),
+        }
+    }
+
+    /// A cost table whose times are small multiples of 0.5 ms, with
+    /// zero-cost transfers mixed in: stage arrivals tie often.
+    fn tied_cost(n: usize, rng: &mut StdRng) -> CostTable {
+        CostTable::homogeneous(
+            "ties",
+            (0..n)
+                .map(|_| 0.5 * rng.random_range(1..5u32) as f64)
+                .collect(),
+            (0..n)
+                .map(|_| 0.3 * rng.random_range(1..4u32) as f64)
+                .collect(),
+            (0..n)
+                .map(|_| 0.5 * rng.random_range(0..3u32) as f64)
+                .collect(),
+            ConcurrencyParams {
+                contention_alpha: 0.15,
+                stream_overhead_ms: 0.0,
+            },
+            0.0,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn merged_latency_bounded_keeps_its_contract(
+            ((ops, layers, gpus), seed, ties, frac) in
+                ((8usize..40, 2usize..6, 1usize..4), 0u64..1_000_000, 0usize..2, 0.5f64..1.0))
+        {
+            let g = hios_graph::generate_layered_dag(&hios_graph::LayeredDagConfig {
+                ops,
+                layers,
+                deps: ops * 2,
+                seed,
+            })
+            .unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cost = if ties == 1 {
+                tied_cost(ops, &mut rng)
+            } else {
+                hios_cost::random_cost_table(&g, &hios_cost::RandomCostConfig::paper_default(seed))
+            };
+            let sched = random_grouped_schedule(&g, &cost, gpus, &mut rng);
+            let baseline = evaluate(&g, &cost, &sched).map_or(0.0, |r| r.latency);
+            check_bounded_contract(&g, &cost, &sched, baseline * frac);
+        }
+    }
+
+    #[test]
+    fn merged_latency_bounded_keeps_its_contract_on_tied_arrivals() {
+        // GPU0: [a][b][c][d], GPU1: [x][y]; x -> c and a -> y cross
+        // GPU0's chain.  c's start ties b's finish over a zero-weight
+        // chain edge with x's arrival (1 + 1 = 2): two tight
+        // predecessors at one instant.
+        let mut bld = GraphBuilder::new();
+        let a = bld.add_synthetic("a", &[]);
+        let b = bld.add_synthetic("b", &[]);
+        let x = bld.add_synthetic("x", &[]);
+        let c = bld.add_synthetic("c", &[x]);
+        let y = bld.add_synthetic("y", &[a]);
+        let d = bld.add_synthetic("d", &[y]);
+        let g = bld.build();
+        let cost = uniform_cost(6, 1.0, 0.3, 1.0);
+        let sched = Schedule::from_gpu_orders(vec![vec![a, b, c, d], vec![x, y]]);
+        let r = evaluate(&g, &cost, &sched).unwrap();
+        assert_eq!(r.stage_times[0][2].0, r.stage_times[0][1].1);
+        assert_eq!(r.stage_times[0][2].0, r.stage_times[1][0].1 + 1.0);
+        for below in [0.0, r.latency - 1.0, r.latency - 0.5] {
+            assert_eq!(check_bounded_contract(&g, &cost, &sched, below), 7);
+        }
     }
 
     #[test]

@@ -64,9 +64,23 @@ pub fn longest_valid_path(
 ) -> Vec<OpId> {
     let ctx = DenseContext::build(g, cost, 1);
     let mut scratch = PathScratch::new(g.num_ops());
-    let reverse_topo: Vec<u32> = reverse_topo.iter().map(|v| v.0).collect();
+    let by_index: Vec<u32> = (0..g.num_ops() as u32)
+        .filter(|&v| !scheduled[v as usize])
+        .collect();
+    let by_rev_prio: Vec<u32> = reverse_topo
+        .iter()
+        .map(|v| v.0)
+        .filter(|&v| !scheduled[v as usize])
+        .collect();
     let mut path = Vec::new();
-    longest_valid_path_dense(&mut scratch, &ctx, &reverse_topo, scheduled, &mut path);
+    longest_valid_path_dense(
+        &mut scratch,
+        &ctx,
+        &by_index,
+        &by_rev_prio,
+        scheduled,
+        &mut path,
+    );
     path.into_iter().map(OpId).collect()
 }
 
@@ -96,28 +110,32 @@ impl PathScratch {
 /// [`longest_valid_path`] over dense indices and reusable scratch — the
 /// per-round workhorse of [`schedule_hios_lp`].  Identical DP, identical
 /// tie-breaks; the dense arrays hold the exact [`CostTable`] values.
+///
+/// `by_index` and `by_rev_prio` list exactly the unscheduled operators,
+/// in ascending index order and in reverse priority order, so a round
+/// walks only what is left of `G'`.  Entries of scheduled operators in
+/// `scratch` are stale and never read.
 fn longest_valid_path_dense(
     scratch: &mut PathScratch,
     ctx: &DenseContext,
-    reverse_topo: &[u32],
+    by_index: &[u32],
+    by_rev_prio: &[u32],
     scheduled: &[bool],
     path: &mut Vec<u32>,
 ) {
-    let n = ctx.num_ops();
-    debug_assert_eq!(scheduled.len(), n);
+    debug_assert_eq!(scheduled.len(), ctx.num_ops());
+    debug_assert_eq!(by_index.len(), by_rev_prio.len());
     path.clear();
 
     // Boundary classification + extension weights.
     let head_ext = &mut scratch.head_ext;
     let tail_ext = &mut scratch.tail_ext;
     let free = &mut scratch.free;
-    for v in 0..n {
+    for &v in by_index {
+        let v = v as usize;
         head_ext[v] = 0.0;
         tail_ext[v] = 0.0;
         free[v] = true;
-        if scheduled[v] {
-            continue;
-        }
         for &u in ctx.preds(v as u32) {
             if scheduled[u as usize] {
                 free[v] = false;
@@ -137,11 +155,8 @@ fn longest_valid_path_dense(
     // contributed by stepping into w.
     let f_val = &mut scratch.f_val;
     let next = &mut scratch.next;
-    for &v in reverse_topo {
+    for &v in by_rev_prio {
         let vi = v as usize;
-        if scheduled[vi] {
-            continue;
-        }
         let mut best = tail_ext[vi];
         let mut choice = u32::MAX;
         for &w in ctx.succs(v) {
@@ -166,17 +181,15 @@ fn longest_valid_path_dense(
         next[vi] = choice;
     }
 
-    // Best start vertex: any unscheduled vertex, head extension included.
+    // Best start vertex: any unscheduled vertex, head extension included
+    // (index order: ties go to the lowest index).
     let mut start = u32::MAX;
     let mut best_score = f64::NEG_INFINITY;
-    for v in 0..n {
-        if scheduled[v] {
-            continue;
-        }
-        let score = head_ext[v] + f_val[v];
+    for &v in by_index {
+        let score = head_ext[v as usize] + f_val[v as usize];
         if score > best_score {
             best_score = score;
-            start = v as u32;
+            start = v;
         }
     }
     if start == u32::MAX {
@@ -234,7 +247,10 @@ pub fn schedule_hios_lp(g: &Graph, cost: &CostTable, cfg: HiosLpConfig) -> LpOut
     let order = priority_order(g, &prio);
     let ctx = DenseContext::build(g, cost, cfg.num_gpus);
     let order_u32: Vec<u32> = order.iter().map(|v| v.0).collect();
-    let reverse_topo: Vec<u32> = order_u32.iter().rev().copied().collect();
+    // The unscheduled operators, in index order and in reverse priority
+    // order: compacted after every round.
+    let mut by_index: Vec<u32> = (0..n as u32).collect();
+    let mut by_rev_prio: Vec<u32> = order_u32.iter().rev().copied().collect();
     // Position of each operator in the priority order.
     let mut pos = vec![0usize; n];
     for (i, &v) in order.iter().enumerate() {
@@ -242,8 +258,6 @@ pub fn schedule_hios_lp(g: &Graph, cost: &CostTable, cfg: HiosLpConfig) -> LpOut
     }
 
     let mut scheduled = vec![false; n];
-    let mut committed: Vec<u32> = vec![NO_GPU; n];
-    let mut remaining = n;
     let mut paths: Vec<Vec<OpId>> = Vec::new();
 
     // Candidate-search state.  The committed operators' full list
@@ -258,7 +272,9 @@ pub fn schedule_hios_lp(g: &Graph, cost: &CostTable, cfg: HiosLpConfig) -> LpOut
     // map and stamp buffer; a winning trial is swapped into `best`, and
     // the round's best into `base`.  The best latency so far is the
     // abort bound: a trial stops once it is *strictly* worse, which
-    // keeps the lowest-GPU-index tie-break exact.
+    // keeps the lowest-GPU-index tie-break exact.  `place` holds the
+    // committed GPU of every operator outside the round's path, so a
+    // trial writes only the path's entries.
     let mut base = ListState::new(n, cfg.num_gpus);
     let mut best = ListState::new(n, cfg.num_gpus);
     let mut trial = ListState::new(n, cfg.num_gpus);
@@ -275,15 +291,23 @@ pub fn schedule_hios_lp(g: &Graph, cost: &CostTable, cfg: HiosLpConfig) -> LpOut
     let mut gpu_load = vec![0.0f64; cfg.num_gpus];
     let mut trial_order: Vec<u32> = (0..cfg.num_gpus as u32).collect();
 
-    while remaining > 0 {
-        longest_valid_path_dense(&mut scratch, &ctx, &reverse_topo, &scheduled, &mut path);
+    while !by_index.is_empty() {
+        longest_valid_path_dense(
+            &mut scratch,
+            &ctx,
+            &by_index,
+            &by_rev_prio,
+            &scheduled,
+            &mut path,
+        );
         debug_assert!(!path.is_empty());
         let mut cut = n;
         for &v in &path {
             scheduled[v as usize] = true;
             cut = cut.min(pos[v as usize]);
         }
-        remaining -= path.len();
+        by_index.retain(|&v| !scheduled[v as usize]);
+        by_rev_prio.retain(|&v| !scheduled[v as usize]);
 
         // Try the whole path on every GPU, keep the best (Alg. 1 lines
         // 8-16); ties go to the lowest GPU index, so the first path lands
@@ -310,7 +334,6 @@ pub fn schedule_hios_lp(g: &Graph, cost: &CostTable, cfg: HiosLpConfig) -> LpOut
                 touch.fill(0);
                 gen = 1;
             }
-            place.copy_from_slice(&committed);
             for &v in &path {
                 place[v as usize] = gi;
             }
@@ -336,7 +359,7 @@ pub fn schedule_hios_lp(g: &Graph, cost: &CostTable, cfg: HiosLpConfig) -> LpOut
         // as the next round's base and recycle the old base's buffers.
         std::mem::swap(&mut base, &mut best);
         for &v in &path {
-            committed[v as usize] = best_gpu;
+            place[v as usize] = best_gpu;
             gpu_load[best_gpu as usize] += ctx.exec(best_gpu as usize, v);
         }
         paths.push(path.iter().map(|&v| OpId(v)).collect());
@@ -346,7 +369,7 @@ pub fn schedule_hios_lp(g: &Graph, cost: &CostTable, cfg: HiosLpConfig) -> LpOut
     let latency = evaluate(g, cost, &schedule)
         .expect("inter-GPU schedule is feasible by construction")
         .latency;
-    let gpu_of = committed;
+    let gpu_of = place;
 
     if cfg.intra {
         let (schedule, latency) = parallelize(g, cost, schedule, cfg.window);
@@ -390,19 +413,27 @@ mod profile {
             let n = g.num_ops();
             let ctx = DenseContext::build(&g, &cost, 1);
             let order = priority_order(&g, &priorities(&g, &cost));
-            let reverse_topo: Vec<u32> = order.iter().rev().map(|v| v.0).collect();
+            let mut by_rev_prio: Vec<u32> = order.iter().rev().map(|v| v.0).collect();
+            let mut by_index: Vec<u32> = (0..n as u32).collect();
             let mut scheduled = vec![false; n];
             let mut scratch = PathScratch::new(n);
             let mut path = Vec::new();
-            let mut remaining = n;
             let mut rounds = 0usize;
             let s = Instant::now();
-            while remaining > 0 {
-                longest_valid_path_dense(&mut scratch, &ctx, &reverse_topo, &scheduled, &mut path);
+            while !by_index.is_empty() {
+                longest_valid_path_dense(
+                    &mut scratch,
+                    &ctx,
+                    &by_index,
+                    &by_rev_prio,
+                    &scheduled,
+                    &mut path,
+                );
                 for &v in &path {
                     scheduled[v as usize] = true;
                 }
-                remaining -= path.len();
+                by_index.retain(|&v| !scheduled[v as usize]);
+                by_rev_prio.retain(|&v| !scheduled[v as usize]);
                 rounds += 1;
             }
             println!(
