@@ -9,7 +9,8 @@
 # corpus edits and what depends on them), then
 #   cargo test -q --no-fail-fast -p hios-serve
 #   cargo test -q --test golden_digests
-# run in debug, both to the end.  A failure kills the mutant, and so does
+#   cargo test -q --no-fail-fast -p hios-core --lib   (patches to hios-core)
+# run in debug, each to the end.  A failure kills the mutant, and so does
 # a build failure.  Per mutant it prints the first failing test (and how
 # many more failed), whether the memo table's check fired (`a memo hit
 # diverged from its recomputation`) and the seconds taken.  Exits
@@ -44,12 +45,15 @@ for patch in "${patches[@]}"; do
     verdict=SURVIVED
     (cd "$copy" && cargo test -q --no-fail-fast -p hios-serve) > "$log" 2>&1 || verdict=killed
     (cd "$copy" && cargo test -q --test golden_digests) >> "$log" 2>&1 || verdict=killed
+    if grep -q '^+++ b/crates/hios-core/' "$patch"; then
+        (cd "$copy" && cargo test -q --no-fail-fast -p hios-core --lib) >> "$log" 2>&1 || verdict=killed
+    fi
     [ "$verdict" = killed ] || bad=1
     check=no
     grep -q "a memo hit diverged from its recomputation" "$log" && check=yes
     failed="$(sed -n 's/^---- \(.*\) stdout ----$/\1/p' "$log")"
     by="$(head -n 1 <<< "$failed")"
-    more=$(( $(grep -c . <<< "$failed") - 1 ))
+    more=$(( $(grep -c . <<< "$failed" || true) - 1 ))
     (( more <= 0 )) || by="$by (+$more more)"
     [ -n "$by" ] || { grep -q '^error' "$log" && by="(build)"; } || true
     printf '%-40s %-8s %-6s %5d  %s\n' "$name" "$verdict" "$check" $((SECONDS - start)) "$by"
