@@ -506,14 +506,20 @@ impl EvalWorkspace {
             self.worklist.push(crit);
             while let Some(s) = self.worklist.pop() {
                 let start = self.start[s].to_bits();
+                let mut has_tight = self.start[s] == 0.0;
                 for e in self.pred_off[s] as usize..self.pred_off[s + 1] as usize {
                     let p = self.pred_idx[e] as usize;
                     let tight = (self.finish[p] + self.pred_w[e]).to_bits() == start;
+                    has_tight |= tight;
                     if tight && self.crit_chain[p] != stamp {
                         self.crit_chain[p] = stamp;
                         self.worklist.push(p);
                     }
                 }
+                debug_assert!(
+                    has_tight,
+                    "a positive start is a predecessor's exact arrival"
+                );
             }
             self.crit_dirty = false;
         }
