@@ -1207,6 +1207,10 @@ pub struct ListScheduleResult {
 pub(crate) struct ListState {
     start: Vec<f64>,
     finish: Vec<f64>,
+    /// The ready time each operator was placed with (`NaN` while
+    /// unscheduled): the lower end of its reuse window in
+    /// [`ListState::replay_incremental`].
+    ready: Vec<f64>,
     /// Sorted busy intervals per GPU, structure-of-arrays: `(start,
     /// finish)` pairs in `busy_iv`, the matching operator ids in
     /// `busy_op` (the gap search only touches the times).
@@ -1220,6 +1224,7 @@ impl Clone for ListState {
         ListState {
             start: self.start.clone(),
             finish: self.finish.clone(),
+            ready: self.ready.clone(),
             busy_iv: self.busy_iv.clone(),
             busy_op: self.busy_op.clone(),
             latency: self.latency,
@@ -1232,6 +1237,7 @@ impl Clone for ListState {
         // recycled across candidate searches without reallocating.
         self.start.clone_from(&source.start);
         self.finish.clone_from(&source.finish);
+        self.ready.clone_from(&source.ready);
         self.busy_iv.clone_from(&source.busy_iv);
         self.busy_op.clone_from(&source.busy_op);
         self.latency = source.latency;
@@ -1252,6 +1258,8 @@ impl ListState {
         self.start.resize(num_ops, f64::NAN);
         self.finish.clear();
         self.finish.resize(num_ops, f64::NAN);
+        self.ready.clear();
+        self.ready.resize(num_ops, f64::NAN);
         self.busy_iv.truncate(num_gpus);
         for b in &mut self.busy_iv {
             b.clear();
@@ -1340,6 +1348,26 @@ impl ListState {
     /// that turn.  By induction every operator ends with the fold's
     /// exact bits, whether copied or recomputed.
     ///
+    /// A *touched* operator (a predecessor's finish changed) on a clean
+    /// GPU may still keep `base`'s slot: its *reuse window*.  The gap scan
+    /// (`reference::earliest_gap`, which `place_op` equals) holds `s_i(r)
+    /// = max(r, bf_0, .., bf_{i-1})` at interval `i`, and its fit test
+    /// `s + dur <= bs_i + 1e-12` is monotone in `s` (IEEE `+` and `max`
+    /// are).  Let the scan from `r0` stop at index `k` with start `s0`.
+    /// For any `r` in `[r0, s0]`, every interval before `k` still fails
+    /// the test (`s_i(r) >= s_i(r0)`), and `s_k(r) = s0` exactly: either
+    /// `s0 = r0 = r`, or `s0` is the largest `bf` before `k` and `r <=
+    /// s0`.  So on one interval set the scan returns the same index and
+    /// the same bits for every ready time in `[r0, s0]`.  A clean GPU's
+    /// interval set at the operator's turn is `base`'s, the set `base`
+    /// placed it on from `r0 = base.ready[v]`; so when the new ready time
+    /// falls in `[base.ready[v], base.start[v]]` the operator keeps
+    /// `base`'s start and finish, its GPU stays clean and no successor is
+    /// touched.  A reused operator keeps `base.ready[v]`, which is still
+    /// the lower end of a window on the same interval set.  Debug builds
+    /// re-place every reused operator by the reference scan and assert
+    /// the same bits and insertion index.
+    ///
     /// `touch`/`gen` are the caller's stamp buffer (entries `== gen`
     /// mean "a predecessor changed"); `lat0` is the makespan over the
     /// operators ordered before `ops[0]` (unchanged by construction).
@@ -1364,6 +1392,7 @@ impl ListState {
         let num_gpus = base.busy_iv.len();
         self.start.clone_from(&base.start);
         self.finish.clone_from(&base.finish);
+        self.ready.clone_from(&base.ready);
         self.busy_iv.resize(num_gpus, Vec::new());
         self.busy_op.resize(num_gpus, Vec::new());
         for g in 0..num_gpus {
@@ -1383,27 +1412,13 @@ impl ListState {
             let gvu = gv as usize;
             let gbit = 1u64 << gvu;
             let is_new = base.finish[vi].is_nan();
-            if !is_new && touch[vi] != gen && dirty & gbit == 0 {
+            let clean = dirty & gbit == 0;
+            if !is_new && touch[vi] != gen && clean {
                 // No predecessor changed and the GPU's interval set is
                 // still `base`'s: the fold would reproduce `base`'s
                 // values, which `self` already holds.
                 self.latency = self.latency.max(self.finish[vi]);
                 continue;
-            }
-            if dirty & gbit == 0 {
-                // First divergence on this GPU: materialize the fold's
-                // interval set at this turn — `base`'s operators on the
-                // GPU that are ordered before `v` (time-sorted order is
-                // preserved by filtering).
-                let siv = &mut self.busy_iv[gvu];
-                let sop = &mut self.busy_op[gvu];
-                for (k, &op) in base.busy_op[gvu].iter().enumerate() {
-                    if pos[op as usize] < pos[vi] {
-                        siv.push(base.busy_iv[gvu][k]);
-                        sop.push(op);
-                    }
-                }
-                dirty |= gbit;
             }
             let mut ready = 0.0f64;
             for &u in ctx.preds(v) {
@@ -1421,6 +1436,31 @@ impl ListState {
                 ready = ready.max(arrival);
             }
             let dur = ctx.exec(gvu, v);
+            if !is_new && clean && base.ready[vi] <= ready && ready <= base.start[vi] {
+                // Inside the reuse window: the scan over `base`'s
+                // interval set repeats `base`'s slot.
+                debug_assert!(
+                    reuse_is_exact(base, pos, v, gvu, ready, dur),
+                    "a reused slot differs from the reference scan"
+                );
+                self.latency = self.latency.max(self.finish[vi]);
+                continue;
+            }
+            if clean {
+                // First divergence on this GPU: materialize the fold's
+                // interval set at this turn — `base`'s operators on the
+                // GPU that are ordered before `v` (time-sorted order is
+                // preserved by filtering).
+                let siv = &mut self.busy_iv[gvu];
+                let sop = &mut self.busy_op[gvu];
+                for (k, &op) in base.busy_op[gvu].iter().enumerate() {
+                    if pos[op as usize] < pos[vi] {
+                        siv.push(base.busy_iv[gvu][k]);
+                        sop.push(op);
+                    }
+                }
+                dirty |= gbit;
+            }
             self.place_op(v, gvu, ready, dur);
             if self.finish[vi].to_bits() != base.finish[vi].to_bits() {
                 for &w in ctx.succs(v) {
@@ -1445,6 +1485,7 @@ impl ListState {
     /// starting no sooner than `ready` (shared by both schedule paths).
     #[inline]
     fn place_op(&mut self, v: u32, gv: usize, ready: f64, dur: f64) {
+        self.ready[v as usize] = ready;
         // Intervals with finish <= ready can never host the operator nor
         // move `s` beyond `ready`, so skip them with a binary search
         // instead of a linear scan; the backward walk guards the fuzzy
@@ -1503,6 +1544,32 @@ impl ListState {
                 .collect(),
         }
     }
+}
+
+/// Whether the reference scan over `base`'s interval set on `gv` at
+/// `v`'s turn (its operators ordered before `v`) places `v`, ready at
+/// `ready`, at `base`'s exact start, finish and insertion index — the
+/// debug check of every reuse in [`ListState::replay_incremental`].
+fn reuse_is_exact(
+    base: &ListState,
+    pos: &[usize],
+    v: u32,
+    gv: usize,
+    ready: f64,
+    dur: f64,
+) -> bool {
+    let vi = v as usize;
+    let earlier = |&(_, &op): &(&(f64, f64), &u32)| pos[op as usize] < pos[vi];
+    let busy = || base.busy_iv[gv].iter().zip(&base.busy_op[gv]);
+    let (at, s) =
+        crate::reference::earliest_gap(busy().filter(earlier).map(|(&iv, _)| iv), ready, dur);
+    let base_at = busy()
+        .take_while(|&(_, &op)| op != v)
+        .filter(earlier)
+        .count();
+    s.to_bits() == base.start[vi].to_bits()
+        && (s + dur).to_bits() == base.finish[vi].to_bits()
+        && at == base_at
 }
 
 /// Priority-ordered list scheduling with sequential execution per GPU
@@ -1900,6 +1967,283 @@ mod tests {
         for below in [0.0, r.latency - 1.0, r.latency - 0.5] {
             assert_eq!(check_bounded_contract(&g, &cost, &sched, below), 7);
         }
+    }
+
+    /// Where `place_op` puts an operator of length `dur` ready at `ready`
+    /// on a GPU already busy over `busy`: its insertion index, start and
+    /// finish.
+    fn place_on(busy: &[(f64, f64)], ready: f64, dur: f64) -> (usize, f64, f64) {
+        let mut st = ListState::new(1, 1);
+        st.busy_iv[0] = busy.to_vec();
+        st.busy_op[0] = vec![u32::MAX; busy.len()];
+        st.place_op(0, 0, ready, dur);
+        let at = st.busy_op[0].iter().position(|&op| op == 0).unwrap();
+        (at, st.start[0], st.finish[0])
+    }
+
+    #[test]
+    fn the_gap_scan_repeats_its_slot_across_the_reuse_window() {
+        // Busy lists at >= 1e4 ms with adjacent intervals, ready times
+        // tied to interval ends and starts, durations at and below the
+        // 1e-12 fit slack: every ready time in `[r0, s0]` must get the
+        // slot `r0` got, from `place_op` and from the reference scan.
+        let mut rng = StdRng::seed_from_u64(37);
+        let mut wide = 0;
+        for case in 0..4000 {
+            // Dyadic steps tie exactly; decimal ones round.
+            let q = if case % 2 == 0 { 0.25 } else { 0.1 };
+            let mut t = 1e4 + q * rng.random_range(0..40u32) as f64;
+            let mut busy = Vec::new();
+            for _ in 0..rng.random_range(0..8usize) {
+                if rng.random_range(0..3u32) > 0 {
+                    t += q * rng.random_range(1..12u32) as f64;
+                }
+                let len = match rng.random_range(0..6u32) {
+                    0 => 1e-13,
+                    _ => q * rng.random_range(1..12u32) as f64,
+                };
+                busy.push((t, t + len));
+                t += len;
+            }
+            let dur = match rng.random_range(0..5u32) {
+                0 => 0.0,
+                1 => 1e-12,
+                2 => 5e-13,
+                _ => q * rng.random_range(1..10u32) as f64,
+            };
+            let r0 = match (rng.random_range(0..4u32), busy.as_slice()) {
+                (0, [_, ..]) => busy[rng.random_range(0..busy.len())].1,
+                (1, [_, ..]) => busy[rng.random_range(0..busy.len())].0 - dur,
+                _ => 1e4 + q * rng.random_range(0..200u32) as f64,
+            };
+            let (k0, s0) = crate::reference::earliest_gap(busy.iter().copied(), r0, dur);
+            let at_r0 = place_on(&busy, r0, dur);
+            assert_eq!(
+                (at_r0.0, at_r0.1.to_bits(), at_r0.2.to_bits()),
+                (k0, s0.to_bits(), (s0 + dur).to_bits()),
+                "case {case}: place_op differs from the reference scan at r0"
+            );
+            wide += usize::from(s0 > r0);
+            let interior = r0 + (s0 - r0) * rng.random_range(0.0..1.0f64);
+            for r1 in [r0, r0.next_up(), interior.clamp(r0, s0), s0] {
+                if r1 > s0 {
+                    continue;
+                }
+                let (k1, s1) = crate::reference::earliest_gap(busy.iter().copied(), r1, dur);
+                assert_eq!(
+                    (k1, s1.to_bits()),
+                    (k0, s0.to_bits()),
+                    "case {case}: r1 {r1}"
+                );
+                let at_r1 = place_on(&busy, r1, dur);
+                assert_eq!(
+                    (at_r1.0, at_r1.1.to_bits(), at_r1.2.to_bits()),
+                    (at_r0.0, at_r0.1.to_bits(), at_r0.2.to_bits()),
+                    "case {case}: r1 {r1}"
+                );
+            }
+        }
+        assert!(wide > 400, "only {wide} windows wider than one point");
+    }
+
+    /// Every time, interval and order of two states, as bits.
+    type StateBits = (Vec<u64>, Vec<u64>, Vec<Vec<(u64, u64)>>, Vec<Vec<u32>>, u64);
+
+    fn state_bits(st: &ListState) -> StateBits {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (
+            bits(&st.start),
+            bits(&st.finish),
+            st.busy_iv
+                .iter()
+                .map(|b| b.iter().map(|&(s, f)| (s.to_bits(), f.to_bits())).collect())
+                .collect(),
+            st.busy_op.clone(),
+            st.latency.to_bits(),
+        )
+    }
+
+    /// Replays rounds the way HIOS-LP's trials do: each operator joins in
+    /// a random round, each round tries its batch on every GPU in turn
+    /// over the committed state, and the lowest-latency trial (ties to the
+    /// lower GPU) is committed, the states rotating through three
+    /// buffers.  Every trial must equal a from-scratch
+    /// `ListState::schedule` of the same placements, bit for bit.
+    /// Returns how many operators ended a trial in a slot kept from
+    /// another ready time (the reuse window fired, then or earlier).
+    fn check_replays(
+        g: &Graph,
+        cost: &CostTable,
+        gpus: usize,
+        rounds: usize,
+        rng: &mut StdRng,
+    ) -> usize {
+        let n = g.num_ops();
+        let ctx = DenseContext::build(g, cost, gpus);
+        let order = crate::priority::priority_order(g, cost);
+        let order_u32: Vec<u32> = order.iter().map(|v| v.0).collect();
+        let mut pos = vec![0usize; n];
+        for (i, v) in order.iter().enumerate() {
+            pos[v.index()] = i;
+        }
+        let round_of: Vec<usize> = (0..n).map(|_| rng.random_range(0..rounds)).collect();
+        let mut place = vec![NO_GPU; n];
+        let mut base = ListState::new(n, gpus);
+        let mut best = ListState::new(n, gpus);
+        let mut trial = ListState::new(n, gpus);
+        let mut touch = vec![0u32; n];
+        let mut gen = 0;
+        let mut kept = 0;
+        for round in 0..rounds {
+            let batch: Vec<usize> = (0..n).filter(|&v| round_of[v] == round).collect();
+            let Some(cut) = batch.iter().map(|&v| pos[v]).min() else {
+                continue;
+            };
+            let lat0 = order_u32[..cut]
+                .iter()
+                .fold(0.0f64, |l, &v| l.max(base.op_finish(v)));
+            let mut best_latency = f64::INFINITY;
+            let mut best_gpu = 0;
+            for gi in 0..gpus as u32 {
+                for &v in &batch {
+                    place[v] = gi;
+                }
+                gen += 1;
+                let done = trial.replay_incremental(
+                    &ctx,
+                    &base,
+                    &order_u32[cut..],
+                    &pos,
+                    &place,
+                    lat0,
+                    &mut touch,
+                    gen,
+                    f64::INFINITY,
+                );
+                assert!(done);
+                let mut scratch = ListState::new(n, gpus);
+                scratch.schedule(g, cost, &order, |v| {
+                    (place[v.index()] != NO_GPU).then_some(place[v.index()])
+                });
+                assert_eq!(
+                    state_bits(&trial),
+                    state_bits(&scratch),
+                    "round {round} gpu {gi}"
+                );
+                for v in (0..n as u32).filter(|&v| place[v as usize] != NO_GPU) {
+                    let gv = place[v as usize] as usize;
+                    let mut ready = 0.0f64;
+                    for &u in ctx.preds(v) {
+                        let (gu, f) = (place[u as usize] as usize, trial.finish[u as usize]);
+                        if gu == gv {
+                            ready = ready.max(f);
+                        } else if gu != NO_GPU as usize {
+                            ready = ready.max(f + ctx.transfer(u, gu, gv));
+                        }
+                    }
+                    kept += usize::from(ready.to_bits() != trial.ready[v as usize].to_bits());
+                }
+                if trial.latency() < best_latency {
+                    best_latency = trial.latency();
+                    best_gpu = gi;
+                    std::mem::swap(&mut best, &mut trial);
+                }
+            }
+            for &v in &batch {
+                place[v] = best_gpu;
+            }
+            std::mem::swap(&mut base, &mut best);
+        }
+        kept
+    }
+
+    #[test]
+    fn replay_incremental_matches_a_from_scratch_schedule() {
+        let mut rng = StdRng::seed_from_u64(20);
+        let mut kept = 0;
+        for case in 0..64 {
+            let ops = rng.random_range(8..60usize);
+            let seed = rng.random_range(0..1_000_000u64);
+            let g = hios_graph::generate_layered_dag(&hios_graph::LayeredDagConfig {
+                ops,
+                layers: rng.random_range(2..8usize),
+                deps: ops * 2,
+                seed,
+            })
+            .unwrap();
+            let cost = if case % 2 == 0 {
+                tied_cost(ops, &mut rng)
+            } else {
+                hios_cost::random_cost_table(&g, &hios_cost::RandomCostConfig::paper_default(seed))
+            };
+            let (gpus, rounds) = (rng.random_range(1..5usize), rng.random_range(2..8usize));
+            kept += check_replays(&g, &cost, gpus, rounds, &mut rng);
+        }
+        assert!(kept > 0, "the reuse window never fired");
+    }
+
+    #[test]
+    fn a_fallen_ready_time_declines_the_reuse_and_takes_an_earlier_gap() {
+        // GPU0 runs x0, then x; y (after x) and z share GPU1; w (after
+        // x0) and v (after z) share GPU2.  Adding p to GPU0 between x0
+        // and x delays x and so y, which frees GPU1's head for z: v's
+        // ready time falls from 10 to 3, below the window `[10, 10]` it
+        // was placed from, and an earlier gap on its still-clean GPU —
+        // ahead of w's [4, 7) — now takes it.
+        let mut bld = GraphBuilder::new();
+        let x0 = bld.add_synthetic("x0", &[]);
+        let p = bld.add_synthetic("p", &[]);
+        let x = bld.add_synthetic("x", &[]);
+        let y = bld.add_synthetic("y", &[x]);
+        let z = bld.add_synthetic("z", &[]);
+        let w = bld.add_synthetic("w", &[x0]);
+        let v = bld.add_synthetic("v", &[z]);
+        let g = bld.build();
+        let cost = CostTable::homogeneous(
+            "fallen",
+            vec![1.0, 3.0, 1.0, 5.0, 3.0, 3.0, 1.0],
+            vec![1.0; 7],
+            vec![3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            ConcurrencyParams::default(),
+            0.0,
+        );
+        let order = [x0, p, x, y, z, w, v];
+        let order_u32: Vec<u32> = order.iter().map(|v| v.0).collect();
+        let pos: Vec<usize> = (0..7).collect();
+        let mut place = vec![0, NO_GPU, 0, 1, 1, 2, 2];
+        let gpu_of = |place: &[u32]| {
+            let place = place.to_vec();
+            move |v: OpId| (place[v.index()] != NO_GPU).then_some(place[v.index()])
+        };
+        let mut base = ListState::new(7, 3);
+        base.schedule(&g, &cost, &order, gpu_of(&place));
+        assert_eq!((base.ready[v.index()], base.start[v.index()]), (10.0, 10.0));
+
+        place[p.index()] = 0;
+        let ctx = DenseContext::build(&g, &cost, 3);
+        let mut trial = ListState::new(7, 3);
+        let mut touch = vec![0u32; 7];
+        let lat0 = base.op_finish(x0.0);
+        assert!(trial.replay_incremental(
+            &ctx,
+            &base,
+            &order_u32[1..],
+            &pos,
+            &place,
+            lat0,
+            &mut touch,
+            1,
+            f64::INFINITY
+        ));
+        assert_eq!(trial.finish[z.index()], 3.0, "v's ready time falls to 3");
+        assert_eq!(
+            (trial.start[v.index()], trial.finish[v.index()]),
+            (3.0, 4.0)
+        );
+        assert_eq!(trial.busy_op[2], vec![v.0, w.0]);
+        let mut scratch = ListState::new(7, 3);
+        scratch.schedule(&g, &cost, &order, gpu_of(&place));
+        assert_eq!(state_bits(&trial), state_bits(&scratch));
     }
 
     #[test]

@@ -67,6 +67,7 @@ pub fn longest_valid_path(
     let by_index: Vec<u32> = (0..g.num_ops() as u32)
         .filter(|&v| !scheduled[v as usize])
         .collect();
+    scratch.classify(&ctx, &by_index, scheduled);
     let by_rev_prio: Vec<u32> = reverse_topo
         .iter()
         .map(|v| v.0)
@@ -86,6 +87,14 @@ pub fn longest_valid_path(
 
 /// Reusable buffers of the longest-valid-path DP, pooled across the
 /// extraction rounds of one [`schedule_hios_lp`] run.
+///
+/// The boundary classification (`head_ext`, `tail_ext`, `free`) of every
+/// unscheduled operator survives the rounds: a round changes it only for
+/// the unscheduled neighbours of the path it scheduled
+/// ([`PathScratch::classify_scheduled`]).  Each value is a `max` over the
+/// operator's scheduled neighbours from `0.0`, and `max` is exact and
+/// order-free, so the kept values equal a from-scratch classification
+/// ([`PathScratch::classify`]) bit for bit.
 #[derive(Clone, Debug, Default)]
 struct PathScratch {
     head_ext: Vec<f64>,
@@ -96,6 +105,7 @@ struct PathScratch {
 }
 
 impl PathScratch {
+    /// Buffers for `n` operators, classified as if none were scheduled.
     fn new(n: usize) -> Self {
         PathScratch {
             head_ext: vec![0.0; n],
@@ -105,6 +115,75 @@ impl PathScratch {
             next: vec![u32::MAX; n],
         }
     }
+
+    /// Classifies the operators of `unscheduled` from scratch: an
+    /// operator is free when no neighbour is scheduled; its head (tail)
+    /// extension is the heaviest edge from a scheduled predecessor (to a
+    /// scheduled successor).
+    fn classify(&mut self, ctx: &DenseContext, unscheduled: &[u32], scheduled: &[bool]) {
+        for &v in unscheduled {
+            let v = v as usize;
+            self.head_ext[v] = 0.0;
+            self.tail_ext[v] = 0.0;
+            self.free[v] = true;
+            for &u in ctx.preds(v as u32) {
+                if scheduled[u as usize] {
+                    self.free[v] = false;
+                    self.head_ext[v] = self.head_ext[v].max(ctx.transfer_worst(u));
+                }
+            }
+            for &w in ctx.succs(v as u32) {
+                if scheduled[w as usize] {
+                    self.free[v] = false;
+                    self.tail_ext[v] = self.tail_ext[v].max(ctx.transfer_worst(v as u32));
+                }
+            }
+        }
+    }
+
+    /// Updates the classification after `path` was scheduled (`scheduled`
+    /// already marks it): each unscheduled predecessor of a path operator
+    /// gains a scheduled successor, each unscheduled successor a
+    /// scheduled predecessor.  No other operator's neighbourhood changed.
+    fn classify_scheduled(&mut self, ctx: &DenseContext, path: &[u32], scheduled: &[bool]) {
+        for &v in path {
+            for &u in ctx.preds(v) {
+                if !scheduled[u as usize] {
+                    let u = u as usize;
+                    self.free[u] = false;
+                    self.tail_ext[u] = self.tail_ext[u].max(ctx.transfer_worst(u as u32));
+                }
+            }
+            for &w in ctx.succs(v) {
+                if !scheduled[w as usize] {
+                    let w = w as usize;
+                    self.free[w] = false;
+                    self.head_ext[w] = self.head_ext[w].max(ctx.transfer_worst(v));
+                }
+            }
+        }
+    }
+}
+
+/// One extraction round of Alg. 1 (lines 5-6): the longest valid path
+/// into `path`, marked in `scheduled`, dropped from the unscheduled
+/// lists, and the kept classification updated for its neighbours.
+fn extract_path(
+    scratch: &mut PathScratch,
+    ctx: &DenseContext,
+    by_index: &mut Vec<u32>,
+    by_rev_prio: &mut Vec<u32>,
+    scheduled: &mut [bool],
+    path: &mut Vec<u32>,
+) {
+    longest_valid_path_dense(scratch, ctx, by_index, by_rev_prio, scheduled, path);
+    debug_assert!(!path.is_empty());
+    for &v in path.iter() {
+        scheduled[v as usize] = true;
+    }
+    by_index.retain(|&v| !scheduled[v as usize]);
+    by_rev_prio.retain(|&v| !scheduled[v as usize]);
+    scratch.classify_scheduled(ctx, path, scheduled);
 }
 
 /// [`longest_valid_path`] over dense indices and reusable scratch — the
@@ -113,8 +192,9 @@ impl PathScratch {
 ///
 /// `by_index` and `by_rev_prio` list exactly the unscheduled operators,
 /// in ascending index order and in reverse priority order, so a round
-/// walks only what is left of `G'`.  Entries of scheduled operators in
-/// `scratch` are stale and never read.
+/// walks only what is left of `G'`; `scratch` must hold their
+/// classification.  Entries of scheduled operators in `scratch` are stale
+/// and never read.
 fn longest_valid_path_dense(
     scratch: &mut PathScratch,
     ctx: &DenseContext,
@@ -126,29 +206,9 @@ fn longest_valid_path_dense(
     debug_assert_eq!(scheduled.len(), ctx.num_ops());
     debug_assert_eq!(by_index.len(), by_rev_prio.len());
     path.clear();
-
-    // Boundary classification + extension weights.
-    let head_ext = &mut scratch.head_ext;
-    let tail_ext = &mut scratch.tail_ext;
-    let free = &mut scratch.free;
-    for &v in by_index {
-        let v = v as usize;
-        head_ext[v] = 0.0;
-        tail_ext[v] = 0.0;
-        free[v] = true;
-        for &u in ctx.preds(v as u32) {
-            if scheduled[u as usize] {
-                free[v] = false;
-                head_ext[v] = head_ext[v].max(ctx.transfer_worst(u));
-            }
-        }
-        for &w in ctx.succs(v as u32) {
-            if scheduled[w as usize] {
-                free[v] = false;
-                tail_ext[v] = tail_ext[v].max(ctx.transfer_worst(v as u32));
-            }
-        }
-    }
+    let head_ext = &scratch.head_ext;
+    let tail_ext = &scratch.tail_ext;
+    let free = &scratch.free;
 
     // F(v): best path value starting at v (continuing only through free
     // vertices, allowed to end at a boundary vertex).  C(w) is the value
@@ -292,22 +352,15 @@ pub fn schedule_hios_lp(g: &Graph, cost: &CostTable, cfg: HiosLpConfig) -> LpOut
     let mut trial_order: Vec<u32> = (0..cfg.num_gpus as u32).collect();
 
     while !by_index.is_empty() {
-        longest_valid_path_dense(
+        extract_path(
             &mut scratch,
             &ctx,
-            &by_index,
-            &by_rev_prio,
-            &scheduled,
+            &mut by_index,
+            &mut by_rev_prio,
+            &mut scheduled,
             &mut path,
         );
-        debug_assert!(!path.is_empty());
-        let mut cut = n;
-        for &v in &path {
-            scheduled[v as usize] = true;
-            cut = cut.min(pos[v as usize]);
-        }
-        by_index.retain(|&v| !scheduled[v as usize]);
-        by_rev_prio.retain(|&v| !scheduled[v as usize]);
+        let cut = path.iter().map(|&v| pos[v as usize]).min().unwrap_or(n);
 
         // Try the whole path on every GPU, keep the best (Alg. 1 lines
         // 8-16); ties go to the lowest GPU index, so the first path lands
@@ -408,7 +461,8 @@ mod profile {
         .unwrap();
         let cost = hios_cost::random_cost_table(&g, &hios_cost::RandomCostConfig::paper_default(7));
         // Path extraction alone (its round sequence does not depend on
-        // the GPU assignments, so this times the real per-round DP).
+        // the GPU assignments, so this times the real per-round DP and
+        // classification update).
         {
             let n = g.num_ops();
             let ctx = DenseContext::build(&g, &cost, 1);
@@ -421,19 +475,14 @@ mod profile {
             let mut rounds = 0usize;
             let s = Instant::now();
             while !by_index.is_empty() {
-                longest_valid_path_dense(
+                extract_path(
                     &mut scratch,
                     &ctx,
-                    &by_index,
-                    &by_rev_prio,
-                    &scheduled,
+                    &mut by_index,
+                    &mut by_rev_prio,
+                    &mut scheduled,
                     &mut path,
                 );
-                for &v in &path {
-                    scheduled[v as usize] = true;
-                }
-                by_index.retain(|&v| !scheduled[v as usize]);
-                by_rev_prio.retain(|&v| !scheduled[v as usize]);
                 rounds += 1;
             }
             println!(
@@ -478,6 +527,63 @@ mod tests {
             .map(|p| p.iter().map(|v| v.0).collect())
             .collect();
         assert_eq!(as_idx, vec![vec![0, 1, 3, 5, 7], vec![2, 4], vec![6]]);
+    }
+
+    #[test]
+    fn kept_classification_matches_a_from_scratch_one_every_round() {
+        let mut instances = vec![(fig4().0, fig4_cost())];
+        for seed in 0..12 {
+            let ops = 20 + 10 * seed as usize;
+            let g = hios_graph::generate_layered_dag(&hios_graph::LayeredDagConfig {
+                ops,
+                layers: 3 + seed as usize,
+                deps: ops * 2,
+                seed,
+            })
+            .unwrap();
+            let cost =
+                hios_cost::random_cost_table(&g, &hios_cost::RandomCostConfig::paper_default(seed));
+            instances.push((g, cost));
+        }
+        for (i, (g, cost)) in instances.iter().enumerate() {
+            let n = g.num_ops();
+            let ctx = DenseContext::build(g, cost, 1);
+            let order = priority_order(g, &priorities(g, cost));
+            let mut by_index: Vec<u32> = (0..n as u32).collect();
+            let mut by_rev_prio: Vec<u32> = order.iter().rev().map(|v| v.0).collect();
+            let mut scheduled = vec![false; n];
+            let mut kept = PathScratch::new(n);
+            let mut path = Vec::new();
+            let mut bounded = 0;
+            for round in 0.. {
+                if by_index.is_empty() {
+                    break;
+                }
+                extract_path(
+                    &mut kept,
+                    &ctx,
+                    &mut by_index,
+                    &mut by_rev_prio,
+                    &mut scheduled,
+                    &mut path,
+                );
+                let mut fresh = PathScratch::new(n);
+                fresh.classify(&ctx, &by_index, &scheduled);
+                for &v in &by_index {
+                    let v = v as usize;
+                    let class = |s: &PathScratch| {
+                        (s.head_ext[v].to_bits(), s.tail_ext[v].to_bits(), s.free[v])
+                    };
+                    assert_eq!(
+                        class(&kept),
+                        class(&fresh),
+                        "instance {i} round {round} op {v}"
+                    );
+                    bounded += usize::from(!fresh.free[v]);
+                }
+            }
+            assert!(bounded > 0, "instance {i} never had a boundary operator");
+        }
     }
 
     #[test]

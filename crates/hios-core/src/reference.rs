@@ -148,15 +148,7 @@ pub fn list_schedule(
         // Find the earliest gap on gv of length >= t(v) starting >= ready.
         let dur = cost.exec_on(gv, v);
         let intervals = &mut busy[gv];
-        let mut s = ready;
-        let mut pos = intervals.len();
-        for (i, &(bs, bf, _)) in intervals.iter().enumerate() {
-            if s + dur <= bs + 1e-12 {
-                pos = i;
-                break;
-            }
-            s = s.max(bf);
-        }
+        let (pos, s) = earliest_gap(intervals.iter().map(|&(bs, bf, _)| (bs, bf)), ready, dur);
         let f = s + dur;
         intervals.insert(pos, (s, f, v));
         start[v.index()] = s;
@@ -173,6 +165,27 @@ pub fn list_schedule(
         finish,
         gpu_order,
     }
+}
+
+/// The reference gap scan: where an operator of length `dur`, ready at
+/// `ready`, goes among the time-sorted busy `intervals` — the insertion
+/// index and start of the earliest gap that fits it, or after the last
+/// interval.
+pub(crate) fn earliest_gap(
+    intervals: impl IntoIterator<Item = (f64, f64)>,
+    ready: f64,
+    dur: f64,
+) -> (usize, f64) {
+    let mut s = ready;
+    let mut len = 0;
+    for (i, (bs, bf)) in intervals.into_iter().enumerate() {
+        if s + dur <= bs + 1e-12 {
+            return (i, s);
+        }
+        s = s.max(bf);
+        len = i + 1;
+    }
+    (len, s)
 }
 
 /// Returns a copy of `sched` with stages `first..=last` on `gpu` merged

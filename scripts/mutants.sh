@@ -9,7 +9,8 @@
 # corpus edits and what depends on them), then
 #   cargo test -q --no-fail-fast -p hios-serve
 #   cargo test -q --test golden_digests
-#   cargo test -q --no-fail-fast -p hios-core --lib   (patches to hios-core)
+#   cargo test -q --no-fail-fast -p hios-core   (patches to hios-core: its
+#     in-crate tests and the `eval_equivalence` reference differential)
 # run in debug, each to the end.  A failure kills the mutant, and so does
 # a build failure.  Per mutant it prints the first failing test (and how
 # many more failed), whether the memo table's check fired (`a memo hit
@@ -46,7 +47,7 @@ for patch in "${patches[@]}"; do
     (cd "$copy" && cargo test -q --no-fail-fast -p hios-serve) > "$log" 2>&1 || verdict=killed
     (cd "$copy" && cargo test -q --test golden_digests) >> "$log" 2>&1 || verdict=killed
     if grep -q '^+++ b/crates/hios-core/' "$patch"; then
-        (cd "$copy" && cargo test -q --no-fail-fast -p hios-core --lib) >> "$log" 2>&1 || verdict=killed
+        (cd "$copy" && cargo test -q --no-fail-fast -p hios-core) >> "$log" 2>&1 || verdict=killed
     fi
     [ "$verdict" = killed ] || bad=1
     check=no
