@@ -223,17 +223,20 @@ pub(crate) struct CachedPlan {
     /// none), so a plan that was the full-LP one before an eviction or a
     /// restart still is.
     pub rung: Rung,
-    /// Identity of this plan within its ladder: every schedule that
-    /// enters the cache (miss, upgrade, re-rank, first adoption from the
-    /// store) draws a fresh id, and an id is only ever handed out again
-    /// with the schedule it was issued for (the store returning a plan
-    /// this ladder has already adopted or persisted, a re-rank replayed
-    /// from the verdict memo), so equal ids mean the same schedule —
-    /// what lets a caller memoise anything derived from it without an
-    /// invalidation protocol.
-    pub plan_id: u64,
     /// [`Schedule::content_digest`] of `schedule`.
     digest: u64,
+}
+
+impl CachedPlan {
+    /// A cache entry for a newly computed schedule.
+    fn new(schedule: Arc<Schedule>, makespan_ms: f64, rung: Rung) -> Self {
+        CachedPlan {
+            digest: schedule.content_digest(),
+            schedule,
+            makespan_ms,
+            rung,
+        }
+    }
 }
 
 /// What one ladder consultation produced.
@@ -249,9 +252,6 @@ pub struct LadderDecision {
     pub rung: Rung,
     /// Modeled scheduling time to charge to the virtual clock, ms.
     pub sched_cost_ms: f64,
-    /// `CachedPlan::plan_id` of the schedule; `None` under the fixed
-    /// baselines, whose schedules never enter the cache.
-    pub plan_id: Option<u64>,
 }
 
 /// [`LadderDecision`] minus the slot map, for the keyed entry point
@@ -261,7 +261,10 @@ pub(crate) struct Chosen {
     pub(crate) nominal_ms: f64,
     pub(crate) rung: Rung,
     pub(crate) sched_cost_ms: f64,
-    pub(crate) plan_id: Option<u64>,
+    /// Whether `schedule` is a cached plan's, shared with every dispatch
+    /// of that plan; `false` under the fixed baselines, whose schedules
+    /// never enter the cache.
+    pub(crate) cached: bool,
 }
 
 /// What the un-keyed [`AnytimeLadder::decide`] derives from `(g, cost,
@@ -333,7 +336,7 @@ enum Verdict {
     /// The incumbent stays: greedy did not beat it, or full LP lost to it.
     Kept,
     /// The greedy challenger took the key as this plan — replayed with
-    /// the id and the price it won under.
+    /// the schedule and the price it won under.
     Replaced(CachedPlan),
 }
 
@@ -356,8 +359,6 @@ pub struct AnytimeLadder {
     rung_counts: [u64; 5],
     upgrades: u64,
     store_io_errors: u64,
-    /// Last [`CachedPlan::plan_id`] issued.
-    plans_issued: u64,
     /// Re-rank and idle-time upgrade are replays: how every remembered
     /// re-rank and lost upgrade ended.  Nothing is ever invalidated — a
     /// contest names everything its outcome depends on, so a verdict that
@@ -367,11 +368,11 @@ pub struct AnytimeLadder {
     /// (re-adopted, or re-computed by a deterministic rung) meets the same
     /// verdict.
     verdicts: Lru<Contest, Verdict>,
-    /// Per durable key, the `(content digest, plan id)` of the plan this
-    /// ladder last persisted under it or adopted from it — content it
-    /// computed or has validated once already, so the store handing it
-    /// back needs no second validation and no second id.  Unbounded.
-    known: Lru<PlanKey, (u64, u64)>,
+    /// Per durable key, the content digest of the plan this ladder last
+    /// persisted under it or adopted from it — content it computed or
+    /// has validated once already, so the store handing it back needs no
+    /// second validation.  Unbounded.
+    known: Lru<PlanKey, u64>,
 }
 
 impl AnytimeLadder {
@@ -386,26 +387,8 @@ impl AnytimeLadder {
             rung_counts: [0; 5],
             upgrades: 0,
             store_io_errors: 0,
-            plans_issued: 0,
             verdicts: Lru::new(VERDICT_MEMO_SLOTS),
             known: Lru::new(usize::MAX),
-        }
-    }
-
-    /// The next never-issued plan id.
-    fn fresh_id(&mut self) -> u64 {
-        self.plans_issued += 1;
-        self.plans_issued
-    }
-
-    /// A cache entry for a newly computed schedule, under a fresh id.
-    fn plan(&mut self, schedule: Arc<Schedule>, makespan_ms: f64, rung: Rung) -> CachedPlan {
-        CachedPlan {
-            digest: schedule.content_digest(),
-            schedule,
-            makespan_ms,
-            rung,
-            plan_id: self.fresh_id(),
         }
     }
 
@@ -465,7 +448,6 @@ impl AnytimeLadder {
             nominal_ms: chosen.nominal_ms,
             rung: chosen.rung,
             sched_cost_ms: chosen.sched_cost_ms,
-            plan_id: chosen.plan_id,
         })
     }
 
@@ -502,7 +484,7 @@ impl AnytimeLadder {
                     nominal_ms,
                     rung: Rung::Greedy,
                     sched_cost_ms: greedy_cost_ms(n),
-                    plan_id: None,
+                    cached: false,
                 })
             }
             Policy::FixedFullLp => {
@@ -514,7 +496,7 @@ impl AnytimeLadder {
                     nominal_ms,
                     rung: Rung::FullLp,
                     sched_cost_ms,
-                    plan_id: None,
+                    cached: false,
                 })
             }
             Policy::Anytime => {
@@ -525,7 +507,7 @@ impl AnytimeLadder {
                         nominal_ms: plan.makespan_ms,
                         rung: Rung::Cached,
                         sched_cost_ms: CACHE_HIT_COST_MS,
-                        plan_id: Some(plan.plan_id),
+                        cached: true,
                     });
                 }
                 if let Some(plan) = self.store_lookup(g, key, m, epoch) {
@@ -535,21 +517,21 @@ impl AnytimeLadder {
                         nominal_ms: plan.makespan_ms,
                         rung: Rung::Store,
                         sched_cost_ms: STORE_HIT_COST_MS,
-                        plan_id: Some(plan.plan_id),
+                        cached: true,
                     });
                 }
                 let rung = self.pick_rung(n, m, queue_depth, slack_ms, cap);
                 let (schedule, nominal_ms, sched_cost_ms) =
                     self.run_rung(rung, g, &slot_cost(cost, gpu_map), m)?;
                 self.rung_counts[rung.index()] += 1;
-                let plan = self.plan(Arc::new(schedule), nominal_ms, rung);
+                let plan = CachedPlan::new(Arc::new(schedule), nominal_ms, rung);
                 self.store_put(key, epoch, &plan);
                 let chosen = Chosen {
                     schedule: Arc::clone(&plan.schedule),
                     nominal_ms,
                     rung,
                     sched_cost_ms,
-                    plan_id: Some(plan.plan_id),
+                    cached: true,
                 };
                 self.cache
                     .insert_if_better(*key, plan, |new, old| new.makespan_ms < old.makespan_ms);
@@ -566,7 +548,7 @@ impl AnytimeLadder {
     /// plan is a miss, never a dispatch.  Both checks are per content,
     /// not per read: the store verifies a record once and shares the
     /// result, and content this ladder already validated (or computed
-    /// and persisted itself) comes back under the id it was issued.
+    /// and persisted itself) is not validated again.
     fn store_lookup(
         &mut self,
         g: &Graph,
@@ -576,22 +558,17 @@ impl AnytimeLadder {
     ) -> Option<CachedPlan> {
         let durable = PlanKey::from_cache_key(key, epoch);
         let hit = self.store.as_mut()?.get_shared(&durable)?;
-        let plan_id = match self.known.get(&durable) {
-            Some(&mut (digest, plan_id)) if digest == hit.digest => plan_id,
-            _ => {
-                if hit.schedule.gpus.len() != m || hit.schedule.validate_full(g, None).is_err() {
-                    return None; // fingerprint collision or foreign plan
-                }
-                let plan_id = self.fresh_id();
-                self.known.insert(durable, (hit.digest, plan_id));
-                plan_id
+        let trusted = self.known.get(&durable).is_some_and(|d| *d == hit.digest);
+        if !trusted {
+            if hit.schedule.gpus.len() != m || hit.schedule.validate_full(g, None).is_err() {
+                return None; // fingerprint collision or foreign plan
             }
-        };
+            self.known.insert(durable, hit.digest);
+        }
         let plan = CachedPlan {
             schedule: hit.schedule,
             makespan_ms: hit.makespan_ms,
             rung: hit.rung.map_or(Rung::Store, Rung::from),
-            plan_id,
             digest: hit.digest,
         };
         self.cache.insert_if_better(*key, plan.clone(), |new, old| {
@@ -613,7 +590,7 @@ impl AnytimeLadder {
         let rung = plan.rung.recorded();
         match store.put_shared(durable, &plan.schedule, plan.makespan_ms, rung) {
             Ok(_) => {
-                self.known.insert(durable, (plan.digest, plan.plan_id));
+                self.known.insert(durable, plan.digest);
             }
             Err(_) => self.store_io_errors += 1,
         }
@@ -695,7 +672,7 @@ impl AnytimeLadder {
             }
             return false;
         }
-        let plan = self.plan(Arc::new(schedule), new_ms, Rung::FullLp);
+        let plan = CachedPlan::new(Arc::new(schedule), new_ms, Rung::FullLp);
         self.cache.insert_if_better(*key, plan.clone(), |_, _| true);
         self.store_put(key, epoch, &plan);
         true
@@ -711,7 +688,7 @@ impl AnytimeLadder {
     /// function of the key, `state` ([`PlatformState`]) and the
     /// incumbent's content: the first time it is computed, every later
     /// time — a flapping GPU revisits the same few states on every edge
-    /// — replayed, down to the winner's plan id and price.
+    /// — replayed, down to the winner's schedule and price.
     ///
     /// Returns whether the cache changed.  The arguments are
     /// [`AnytimeLadder::upgrade_keyed`]'s.
@@ -731,8 +708,7 @@ impl AnytimeLadder {
         let incumbent = Arc::clone(&old.schedule);
         let ws = &mut self.ws;
         let mut challenge = || greedy_challenge(ws, g, planning, gpu_map, &incumbent, &eval);
-        // A replay names the winner by its content and price bits: the
-        // check recomputes no plan id.
+        // A replay names the winner by its content and price bits.
         let same = |verdict: &Verdict, fresh: &Option<(Schedule, f64)>| match (verdict, fresh) {
             (Verdict::Kept, None) => true,
             (Verdict::Replaced(plan), Some((schedule, ms))) => {
@@ -747,7 +723,7 @@ impl AnytimeLadder {
                 let verdict = match challenge() {
                     // Only a challenger that enters the cache is a plan.
                     Some((schedule, ms)) => {
-                        Verdict::Replaced(self.plan(Arc::new(schedule), ms, Rung::Greedy))
+                        Verdict::Replaced(CachedPlan::new(Arc::new(schedule), ms, Rung::Greedy))
                     }
                     None => Verdict::Kept,
                 };
@@ -883,12 +859,6 @@ impl AnytimeLadder {
     /// Idle-time upgrade passes run.
     pub fn upgrades(&self) -> u64 {
         self.upgrades
-    }
-
-    /// Plans that ever entered the cache.
-    #[cfg(test)]
-    pub(crate) fn plans_issued(&self) -> u64 {
-        self.plans_issued
     }
 
     /// Re-rank and lost-upgrade verdicts reached, not replayed: the
@@ -1176,7 +1146,8 @@ mod tests {
         let hit = ladder
             .decide(&g, &cost, &both, 0, inf, 0, Policy::Anytime)
             .unwrap();
-        assert_eq!((hit.rung, hit.plan_id), (Rung::Cached, greedy.plan_id));
+        assert_eq!(hit.rung, Rung::Cached);
+        assert!(Arc::ptr_eq(&hit.schedule, &greedy.schedule));
 
         // An eviction does not forget the verdict: two keys alternating
         // through one cache slot evict each other on every dispatch, the
@@ -1205,9 +1176,9 @@ mod tests {
             (again.rung, &again.schedule),
             (Rung::Cached, &greedy.schedule)
         );
-        assert_ne!(
-            again.plan_id, greedy.plan_id,
-            "a recomputed plan is a new id"
+        assert!(
+            !Arc::ptr_eq(&again.schedule, &greedy.schedule),
+            "a recomputed plan is a new plan"
         );
 
         // A verdict holds on the state it was reached on, and only there:
@@ -1800,7 +1771,7 @@ mod tests {
     }
 
     #[test]
-    fn a_readopted_plan_keeps_its_id_and_is_validated_once() {
+    fn a_readopted_plan_is_the_same_plan_and_is_validated_once() {
         let (g, cost) = fixture();
         let cfg = LadderConfig {
             budget: SchedBudget::unlimited(),
@@ -1822,34 +1793,47 @@ mod tests {
                 .decide(&g, &cost, &both, 0, inf, 0, Policy::Anytime)
                 .unwrap();
             assert_eq!(back.rung, Rung::Store);
-            assert_eq!(back.plan_id, computed.plan_id, "same content, same id");
-            assert!(Arc::ptr_eq(&back.schedule, &computed.schedule));
+            assert!(
+                Arc::ptr_eq(&back.schedule, &computed.schedule),
+                "the same plan"
+            );
         }
-        assert_eq!(ladder.plans_issued(), 2, "one id per key, ever");
+        // A lookup that misses `known` is a validation: nothing this
+        // ladder computed itself is validated.
+        assert_eq!(ladder.known.stats(), (5, 0));
         drop(ladder);
 
-        // A restart adopts each stored plan under one new id.
+        // A restart validates each stored plan once, and adopts it as one
+        // plan with the content it was computed with.
         let mut warm = with_store(cfg, &path);
-        let mut ids = Vec::new();
-        for _ in 0..3 {
-            for alive in [&both, &one] {
+        let mut adopted: Vec<Arc<Schedule>> = Vec::new();
+        for round in 0..3 {
+            for (i, alive) in [&both, &one].into_iter().enumerate() {
                 let d = warm
                     .decide(&g, &cost, alive, 0, inf, 0, Policy::Anytime)
                     .unwrap();
                 assert_eq!(d.rung, Rung::Store);
-                ids.push(d.plan_id);
+                if round == 0 {
+                    adopted.push(d.schedule);
+                } else {
+                    assert!(Arc::ptr_eq(&d.schedule, &adopted[i]), "round {round}");
+                }
             }
         }
-        assert_eq!(warm.plans_issued(), 2);
-        assert!(ids.chunks(2).all(|pair| pair == &ids[..2]));
+        assert_eq!(warm.known.stats(), (4, 2));
+        assert_eq!(
+            adopted[0].content_digest(),
+            computed.schedule.content_digest()
+        );
     }
 
     #[test]
-    fn other_content_under_a_known_key_is_validated_under_a_fresh_id() {
+    fn other_content_under_a_known_key_is_validated_again() {
         // In a run the ladder is its store's only writer, so the content
         // under a key it knows does not change; were the log to hold
-        // other content there (another writer), the store rung must not
-        // hand it out under the id of the plan it replaced.
+        // other content there (another writer), the store rung must
+        // validate it before it serves it — and refuse it if it is not a
+        // plan for this problem.
         let (g, cost) = fixture();
         let cfg = LadderConfig {
             budget: SchedBudget::unlimited(),
@@ -1863,23 +1847,40 @@ mod tests {
         let computed = ladder
             .decide(&g, &cost, &both, 0, inf, 0, Policy::Anytime)
             .unwrap();
+        let single = ladder
+            .decide(&g, &cost, &one, 0, inf, 0, Policy::Anytime)
+            .unwrap();
         let (_, slots, key) = resolve(&g, &cost, &both).unwrap();
+        let durable = PlanKey::from_cache_key(&key, 0);
+        let put = |ladder: &mut AnytimeLadder, plan: &Arc<Schedule>, ms: f64| {
+            let store = ladder.store.as_mut().unwrap();
+            store.put_shared(durable, plan, ms, None).unwrap();
+        };
+
+        // The one-GPU plan under the two-GPU key has the wrong slot count.
+        put(&mut ladder, &single.schedule, single.nominal_ms);
+        let back = ladder
+            .decide(&g, &cost, &both, 0, inf, 0, Policy::Anytime)
+            .unwrap();
+        assert_eq!(back.rung, Rung::FullLp, "a foreign plan is a miss");
+        assert_eq!(*back.schedule, *computed.schedule);
+
+        // A valid plan is validated and served as what it is.
         let (other, other_ms) = run_greedy(&mut EvalWorkspace::new(), &g, &slots, 2).unwrap();
         assert_ne!(other.content_digest(), computed.schedule.content_digest());
-        let store = ladder.store.as_mut().unwrap();
         let other = Arc::new(other);
-        store
-            .put_shared(PlanKey::from_cache_key(&key, 0), &other, other_ms, None)
-            .unwrap();
+        put(&mut ladder, &other, other_ms);
         ladder
             .decide(&g, &cost, &one, 0, inf, 0, Policy::Anytime)
             .unwrap();
         let back = ladder
             .decide(&g, &cost, &both, 0, inf, 0, Policy::Anytime)
             .unwrap();
-        assert_eq!((back.rung, &back.schedule), (Rung::Store, &other));
-        assert_ne!(back.plan_id, computed.plan_id, "other content, other id");
-        assert_eq!(ladder.plans_issued(), 3);
+        assert_eq!(back.rung, Rung::Store);
+        assert!(
+            Arc::ptr_eq(&back.schedule, &other),
+            "other content, other plan"
+        );
     }
 
     #[test]

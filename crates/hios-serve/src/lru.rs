@@ -58,7 +58,7 @@ impl<K: PartialEq, V> Lru<K, V> {
     /// the serving layer.  A debug build (every `cargo test`) recomputes
     /// each hit with `fresh` and asserts `same(remembered, &fresh)`; a
     /// release build never calls `fresh`.  `fresh` must draw nothing a
-    /// run can observe (a plan id, a counter).  On a miss the caller
+    /// run can observe (a counter, a name).  On a miss the caller
     /// computes the entry and inserts it.
     #[track_caller]
     pub(crate) fn recall<Q: ?Sized, F>(

@@ -259,19 +259,28 @@ impl PartialEq for ScalingBits {
 /// change leaves the old scaling's entries to age out.
 const TIMELINE_MEMO_SLOTS: usize = 8;
 
-/// What names one memoised [`simulate_scaled`] run of a model.
-#[derive(PartialEq)]
+/// What names one memoised [`simulate_scaled`] run of a model.  The plan
+/// is compared by identity, like [`LessonKey`]'s: holding the `Arc`
+/// keeps its address from being reused while it is a key.
 struct TimelineKey {
-    plan_id: u64,
+    schedule: Arc<Schedule>,
     alive_mask: u64,
     scale: ScalingBits,
 }
 
-/// A lookup compares `(plan_id, alive_mask, scaling)` with the scaling
+/// A lookup compares `(schedule, alive_mask, scaling)` with both
 /// borrowed, so that it allocates nothing.
-impl PartialEq<(u64, u64, &Scaling)> for TimelineKey {
-    fn eq(&self, &(plan_id, alive_mask, scale): &(u64, u64, &Scaling)) -> bool {
-        self.plan_id == plan_id && self.alive_mask == alive_mask && self.scale == *scale
+impl PartialEq<(&Arc<Schedule>, u64, &Scaling)> for TimelineKey {
+    fn eq(&self, &(schedule, alive_mask, scale): &(&Arc<Schedule>, u64, &Scaling)) -> bool {
+        Arc::ptr_eq(&self.schedule, schedule)
+            && self.alive_mask == alive_mask
+            && self.scale == *scale
+    }
+}
+
+impl PartialEq for TimelineKey {
+    fn eq(&self, other: &Self) -> bool {
+        *self == (&other.schedule, other.alive_mask, &other.scale.0)
     }
 }
 
@@ -279,17 +288,17 @@ impl PartialEq<(u64, u64, &Scaling)> for TimelineKey {
 /// scaling)` is a pure function from t = 0, and for one server the
 /// graph, the execution cost table and the sim config are fixed per
 /// model — so per model, (which schedule, which scaling) names its
-/// result exactly.  The schedule is named by its
-/// [`crate::ladder::CachedPlan::plan_id`] — never issued for a second
-/// schedule, and kept by a plan that leaves the cache and comes back
-/// from the store — so nothing ever has to be invalidated: a replaced
-/// plan's id simply stops being asked for.  The
+/// result exactly.  The schedule is named by the `Arc` the ladder shares
+/// it through: a cached plan is one `Arc` for as long as it lives — the
+/// store hands back the very `Arc` it was given or recovered, and a
+/// replayed re-rank re-inserts its own plan — so nothing ever has to be
+/// invalidated: a replaced plan simply stops being asked for.  The
 /// scaling is held and compared bit for bit.  The alive mask says which
 /// cache slot the plan came from: the ladder keeps one plan per (model,
-/// alive set), so a new plan id under a mask means the mask's older ids
+/// alive set), so a new plan under a mask means the mask's older plans
 /// are dead, and their timelines are dropped rather than left to age
 /// out (a tenant churning through a small cache would otherwise pin
-/// [`TIMELINE_MEMO_SLOTS`] dead timelines).
+/// [`TIMELINE_MEMO_SLOTS`] dead timelines and their plans).
 ///
 /// Only the two per-request simulations go through here (the dispatch
 /// itself and the calibrator's drift-free prediction of it).  Re-pricing,
@@ -308,9 +317,9 @@ impl TimelineMemo {
         }
     }
 
-    /// The timeline of `schedule` (cached plan `plan_id`, or a one-off
-    /// schedule when `None`) for model `mi` under `scale`; `None` when
-    /// it cannot run to a finite finish (an operator on a dead GPU, a
+    /// The timeline of `schedule` (a cached plan's when `cached`, else a
+    /// one-off schedule) for model `mi` under `scale`; `None` when it
+    /// cannot run to a finite finish (an operator on a dead GPU, a
     /// transfer over a stalled link).
     #[allow(clippy::too_many_arguments)]
     fn timeline(
@@ -318,8 +327,8 @@ impl TimelineMemo {
         mi: usize,
         model: &ServedModel,
         sim: &SimConfig,
-        schedule: &Schedule,
-        plan_id: Option<u64>,
+        schedule: &Arc<Schedule>,
+        cached: bool,
         alive_mask: u64,
         scale: &Scaling,
     ) -> Option<Arc<Timeline>> {
@@ -331,20 +340,20 @@ impl TimelineMemo {
                 op_finish: r.op_finish,
             })
         };
-        let Some(plan_id) = plan_id else {
+        if !cached {
             return simulate().map(Arc::new);
-        };
+        }
         let memo = &mut self.per_model[mi];
         let same = |held: &Arc<Timeline>, fresh: &Option<Timeline>| {
             fresh.as_ref().is_some_and(|fresh| fresh.same_bits(held))
         };
-        if let Some(held) = memo.recall(&(plan_id, alive_mask, scale), simulate, same) {
+        if let Some(held) = memo.recall(&(schedule, alive_mask, scale), simulate, same) {
             return Some(Arc::clone(held));
         }
         let timeline = Arc::new(simulate()?);
-        memo.retain(|k, _| k.alive_mask != alive_mask || k.plan_id == plan_id);
+        memo.retain(|k, _| k.alive_mask != alive_mask || Arc::ptr_eq(&k.schedule, schedule));
         let key = TimelineKey {
-            plan_id,
+            schedule: Arc::clone(schedule),
             alive_mask,
             scale: ScalingBits(scale.clone()),
         };
@@ -1571,11 +1580,11 @@ impl<'a> Server<'a> {
     /// factors).  Both timelines come from the memo.
     fn launch(&mut self, mi: usize, chosen: Chosen, t0: f64) -> Option<(Attempt, f64)> {
         self.slots.scale(&self.platform.scaling.0, self.drift, t0);
-        let (schedule, plan_id) = (chosen.schedule, chosen.plan_id);
+        let (schedule, cached) = (chosen.schedule, chosen.cached);
         let (model, sim, slots) = (&self.models[mi], &self.cfg.sim, &self.slots);
         let memo = &mut self.memo;
         let mut timeline =
-            |scale| memo.timeline(mi, model, sim, &schedule, plan_id, slots.mask, scale);
+            |scale| memo.timeline(mi, model, sim, &schedule, cached, slots.mask, scale);
         let actual = timeline(&slots.slot_scale)?;
         let predicted = if self.calib.is_empty() {
             None
@@ -2762,6 +2771,15 @@ mod tests {
         memo.per_model.iter().map(|memo| memo.stats().1).sum()
     }
 
+    /// Dispatches answered by a rung that computed a plan.
+    fn computed(report: &ServeReport) -> u64 {
+        use crate::ladder::Rung;
+        [Rung::FullLp, Rung::InterLp, Rung::Greedy]
+            .map(|rung| report.rungs[rung.index()])
+            .iter()
+            .sum()
+    }
+
     #[test]
     fn fault_free_dispatch_simulates_each_plan_once() {
         // 10 000 dispatches of three tenants: the only real simulations
@@ -2775,16 +2793,49 @@ mod tests {
         let drift = DriftPlan::none();
         let mut srv = Server::build(&models, &FaultPlan::none(), &drift, &cfg).unwrap();
         srv.run_trace(&trace);
-        let (simulated, plans) = (simulated(&srv.memo), srv.ladder.plans_issued());
-        // An id is drawn only for a plan that enters the cache (a losing
-        // idle-time challenger draws none), and every plan that entered
-        // was served: as many simulations as ids.
+        let simulated = simulated(&srv.memo);
+        let report = srv.into_outcome().report;
+        // A plan enters the cache per dispatch that computed one and per
+        // idle-time upgrade that won — here every pass run wins (one that
+        // lost would enter nothing, and leave the count one short) — and
+        // every plan that entered was served: as many simulations as plans.
+        let plans = computed(&report) + report.upgrades;
         assert_eq!(simulated, plans, "simulations, plans");
         assert!(
             plans >= models.len() as u64 && plans <= 2 * models.len() as u64,
             "{plans} plans"
         );
-        assert_eq!(srv.into_outcome().report.completed, 10_000);
+        assert_eq!(report.completed, 10_000);
+    }
+
+    #[test]
+    fn a_timeline_is_keyed_by_its_plan_not_by_equal_content() {
+        // A plan recomputed into a new `Arc` is a new plan to the memo:
+        // under one mask and one scaling, two `Arc`s of equal content are
+        // two entries, and a lookup of one never answers with the other's.
+        let m = model(5, 40);
+        let mut ladder = AnytimeLadder::new(LadderConfig::default());
+        let inf = f64::INFINITY;
+        let d = ladder.decide(&m.graph, &m.cost, &[true; 3], 0, inf, 0, Policy::GreedyOnly);
+        let a = d.unwrap().schedule;
+        let b = Arc::new(Schedule::clone(&a));
+        let (sim, scale, mask) = (SimConfig::analytical(), Scaling::identity(3), 0b111);
+        let key = TimelineKey {
+            schedule: Arc::clone(&a),
+            alive_mask: mask,
+            scale: ScalingBits(scale.clone()),
+        };
+        assert!(key == (&a, mask, &scale));
+        assert!(key != (&b, mask, &scale));
+
+        let mut memo = TimelineMemo::new(1);
+        let mut timeline = |s: &Arc<Schedule>| memo.timeline(0, &m, &sim, s, true, mask, &scale);
+        let (ta, tb) = (timeline(&a).unwrap(), timeline(&b).unwrap());
+        assert!(!Arc::ptr_eq(&ta, &tb) && ta.same_bits(&tb));
+        assert!(Arc::ptr_eq(&timeline(&b).unwrap(), &tb));
+        assert!(!Arc::ptr_eq(&timeline(&a).unwrap(), &tb));
+        // `b` displaced `a` under the mask, and `a` displaced `b` back.
+        assert_eq!(memo.per_model[0].stats(), (1, 3));
     }
 
     #[test]
@@ -2972,8 +3023,8 @@ mod tests {
         // golden store scenario: six tenants through three cache slots,
         // cold then restart-warm on one log.  Every cache miss after a
         // tenant's first is a re-adoption from the store; none of them
-        // may cost an LP pass, a plan id or a simulation — and, this
-        // being a debug build, every memo hit on a re-adopted id was
+        // may cost an LP pass, a new plan or a simulation — and, this
+        // being a debug build, every memo hit on a re-adopted plan was
         // re-simulated and compared bit for bit.
         use crate::ladder::Rung;
         use crate::workload::{ClassMix, generate_trace_with_classes};
@@ -3012,10 +3063,14 @@ mod tests {
         for _phase in ["cold", "warm"] {
             let mut srv = Server::build(&models, &FaultPlan::none(), &drift, &cfg).unwrap();
             srv.run_trace(&trace);
-            let (simulated, plans) = (simulated(&srv.memo), srv.ladder.plans_issued());
+            let simulated = simulated(&srv.memo);
+            let report = srv.into_outcome().report;
+            // Plans are computed, upgraded or read from the log at open;
+            // the store hands a re-adopted plan back as the plan it was.
+            let loaded = report.store_recovery.records_loaded as u64;
+            let plans = computed(&report) + report.upgrades + loaded;
             assert!(plans <= 2 * tenants, "{plans} plans");
             assert!(simulated <= plans, "{simulated} simulations, {plans} plans");
-            let report = srv.into_outcome().report;
             assert!(report.rungs[Rung::Store.index()] > 100 && report.cache_evictions > 100);
             upgrades.push(report.upgrades);
             digests.push(report.history_digest);
