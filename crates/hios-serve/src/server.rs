@@ -2812,7 +2812,8 @@ mod tests {
     fn a_timeline_is_keyed_by_its_plan_not_by_equal_content() {
         // A plan recomputed into a new `Arc` is a new plan to the memo:
         // under one mask and one scaling, two `Arc`s of equal content are
-        // two entries, and a lookup of one never answers with the other's.
+        // each simulated into an entry of their own, and a lookup of one
+        // never answers with the other's.
         let m = model(5, 40);
         let mut ladder = AnytimeLadder::new(LadderConfig::default());
         let inf = f64::INFINITY;
