@@ -1203,6 +1203,12 @@ pub struct ListScheduleResult {
 /// per-trial states (reusing their allocations) and extend each trial
 /// independently.  The result is bit-identical to running each trial from
 /// scratch.
+///
+/// Each GPU's busy intervals are kept twice: as the sorted interval list
+/// the gap scan is defined on, and as its *busy runs* (see [`Run`]), the
+/// view [`ListState::place_op`] walks.  Every write to an interval list
+/// updates or rebuilds that GPU's runs; debug builds assert after every
+/// placement, materialization and adoption that they equal a rebuild.
 #[derive(Debug, Default)]
 pub(crate) struct ListState {
     start: Vec<f64>,
@@ -1216,7 +1222,125 @@ pub(crate) struct ListState {
     /// `busy_op` (the gap search only touches the times).
     busy_iv: Vec<Vec<(f64, f64)>>,
     busy_op: Vec<Vec<u32>>,
+    /// The busy runs of each GPU's `busy_iv`, in interval order.
+    busy_run: Vec<Vec<Run>>,
     latency: f64,
+}
+
+/// A maximal stretch of one GPU's busy intervals in which every interval
+/// starts no later than the largest finish before it in the stretch: the
+/// gaps inside a run have width zero or less.  Run finishes rise strictly,
+/// and each run starts after the one before it finishes.
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    /// Start of the run's first interval.
+    start: f64,
+    /// Largest finish over the run's intervals.
+    finish: f64,
+    /// Index of the run's first interval in its GPU's `busy_iv`.
+    first: usize,
+}
+
+/// Adds interval `i` = `(bs, bf)` to `runs`, which cover the intervals
+/// before `i` of the same list.
+fn extend_runs(runs: &mut Vec<Run>, i: usize, (bs, bf): (f64, f64)) {
+    match runs.last_mut() {
+        Some(r) if bs <= r.finish => r.finish = r.finish.max(bf),
+        _ => runs.push(Run {
+            start: bs,
+            finish: bf,
+            first: i,
+        }),
+    }
+}
+
+/// Rebuilds `runs` from one GPU's interval list.
+fn rebuild_runs(runs: &mut Vec<Run>, intervals: &[(f64, f64)]) {
+    runs.clear();
+    for (i, &iv) in intervals.iter().enumerate() {
+        extend_runs(runs, i, iv);
+    }
+}
+
+/// The run scan of [`ListState::place_op`]: the index of the run whose
+/// first interval hosts an operator of length `dur` ready at `ready`
+/// (`runs.len()` to append) and its start.
+fn earliest_run(runs: &[Run], ready: f64, dur: f64) -> (usize, f64) {
+    let mut s = ready;
+    let k0 = runs.partition_point(|r| r.finish <= ready);
+    for (k, r) in runs.iter().enumerate().skip(k0) {
+        if s + dur <= r.start + 1e-12 {
+            return (k, s);
+        }
+        s = s.max(r.finish);
+    }
+    (runs.len(), s)
+}
+
+/// Patches `runs` to a rebuild's after interval `(s, f)` was inserted at
+/// index `pos`, just before run `k`'s first interval (or appended, `k =
+/// runs.len()`): it joins run `k - 1` when it starts by that run's
+/// finish, absorbs the runs it now reaches, and every later run's first
+/// interval moves up one.
+fn insert_before_run(runs: &mut Vec<Run>, k: usize, pos: usize, (s, f): (f64, f64)) {
+    let (lo, mut run) = match k.checked_sub(1) {
+        Some(p) if s <= runs[p].finish => (
+            p,
+            Run {
+                finish: runs[p].finish.max(f),
+                ..runs[p]
+            },
+        ),
+        _ => (
+            k,
+            Run {
+                start: s,
+                finish: f,
+                first: pos,
+            },
+        ),
+    };
+    let mut hi = k;
+    while let Some(next) = runs.get(hi).filter(|r| r.start <= run.finish) {
+        run.finish = run.finish.max(next.finish);
+        hi += 1;
+    }
+    if lo == hi {
+        runs.insert(lo, run);
+    } else {
+        runs[lo] = run;
+        runs.drain(lo + 1..hi);
+    }
+    for r in &mut runs[lo + 1..] {
+        r.first += 1;
+    }
+}
+
+/// Whether `runs` equal, bit for bit, a rebuild from `intervals` (the
+/// debug invariant of [`ListState`]).
+fn runs_agree(intervals: &[(f64, f64)], runs: &[Run]) -> bool {
+    let mut fresh = Vec::new();
+    rebuild_runs(&mut fresh, intervals);
+    let bits = |r: &Run| (r.start.to_bits(), r.finish.to_bits(), r.first);
+    fresh.len() == runs.len() && fresh.iter().zip(runs).all(|(a, b)| bits(a) == bits(b))
+}
+
+/// Whether an operator of length `dur` may take the run scan on a GPU
+/// whose runs end at `last` (`NEG_INFINITY` when idle), ready at `ready`.
+///
+/// With `T = max(last, ready)` this holds only if `dur - 1e-12 > eps·(T +
+/// dur)` exactly (`eps` = `f64::EPSILON`), which is what the proof in
+/// [`ListState::place_op`] needs.  The test itself rounds, so it asks for
+/// twice that.  `2·eps` is a power of two and scales `fl(T + dur)`
+/// exactly (no underflow: a passing `dur` exceeds `1e-12`).  With `u =
+/// eps/2`, `fl(T + dur)` is at least `(T + dur)(1 - u)` and `fl(dur -
+/// 1e-12)` at most `(dur - 1e-12)(1 + u)`.  So a pass gives `dur -
+/// 1e-12 > 2·eps·(T + dur)·(1 - u)/(1 + u)`, which is more than
+/// `eps·(T + dur)`.  With the factor 1 the rounding could admit a
+/// borderline operator.  `NaN` and infinite times fail the test.
+#[inline]
+fn run_scan_is_exact(last: f64, ready: f64, dur: f64) -> bool {
+    dur - 1e-12 > 2.0 * f64::EPSILON * (last.max(ready) + dur)
 }
 
 impl Clone for ListState {
@@ -1227,6 +1351,7 @@ impl Clone for ListState {
             ready: self.ready.clone(),
             busy_iv: self.busy_iv.clone(),
             busy_op: self.busy_op.clone(),
+            busy_run: self.busy_run.clone(),
             latency: self.latency,
         }
     }
@@ -1240,6 +1365,7 @@ impl Clone for ListState {
         self.ready.clone_from(&source.ready);
         self.busy_iv.clone_from(&source.busy_iv);
         self.busy_op.clone_from(&source.busy_op);
+        self.busy_run.clone_from(&source.busy_run);
         self.latency = source.latency;
     }
 }
@@ -1270,6 +1396,11 @@ impl ListState {
             b.clear();
         }
         self.busy_op.resize(num_gpus, Vec::new());
+        self.busy_run.truncate(num_gpus);
+        for b in &mut self.busy_run {
+            b.clear();
+        }
+        self.busy_run.resize(num_gpus, Vec::new());
         self.latency = 0.0;
     }
 
@@ -1395,9 +1526,11 @@ impl ListState {
         self.ready.clone_from(&base.ready);
         self.busy_iv.resize(num_gpus, Vec::new());
         self.busy_op.resize(num_gpus, Vec::new());
+        self.busy_run.resize(num_gpus, Vec::new());
         for g in 0..num_gpus {
             self.busy_iv[g].clear();
             self.busy_op[g].clear();
+            self.busy_run[g].clear();
         }
         self.latency = lat0;
         debug_assert!(num_gpus <= 64);
@@ -1450,15 +1583,21 @@ impl ListState {
                 // First divergence on this GPU: materialize the fold's
                 // interval set at this turn — `base`'s operators on the
                 // GPU that are ordered before `v` (time-sorted order is
-                // preserved by filtering).
+                // preserved by filtering) — and rebuild its runs.
                 let siv = &mut self.busy_iv[gvu];
                 let sop = &mut self.busy_op[gvu];
+                let runs = &mut self.busy_run[gvu];
                 for (k, &op) in base.busy_op[gvu].iter().enumerate() {
                     if pos[op as usize] < pos[vi] {
+                        extend_runs(runs, siv.len(), base.busy_iv[gvu][k]);
                         siv.push(base.busy_iv[gvu][k]);
                         sop.push(op);
                     }
                 }
+                debug_assert!(
+                    runs_agree(siv, runs),
+                    "busy runs differ from a rebuild of the intervals"
+                );
                 dirty |= gbit;
             }
             self.place_op(v, gvu, ready, dur);
@@ -1471,60 +1610,86 @@ impl ListState {
                 return false;
             }
         }
-        // Clean GPUs never diverged: their interval lists are `base`'s.
+        // Clean GPUs never diverged: their interval lists and runs are
+        // `base`'s.
         for g in 0..num_gpus {
             if dirty & (1u64 << g) == 0 {
                 self.busy_iv[g].clone_from(&base.busy_iv[g]);
                 self.busy_op[g].clone_from(&base.busy_op[g]);
+                self.busy_run[g].clone_from(&base.busy_run[g]);
+                debug_assert!(
+                    runs_agree(&self.busy_iv[g], &self.busy_run[g]),
+                    "busy runs differ from a rebuild of the intervals"
+                );
             }
         }
         true
     }
 
     /// Inserts `v` into the earliest gap on `gv` of length >= `dur`
-    /// starting no sooner than `ready` (shared by both schedule paths).
+    /// starting no sooner than `ready` (shared by both schedule paths):
+    /// the insertion index and bits of `reference::earliest_gap` over the
+    /// GPU's intervals, found by walking its busy runs instead.
+    ///
+    /// **Why the run scan is exact.**  Times are never negative (`ready`
+    /// is a `max` from `0.0`, and durations are `>= 0`), so every
+    /// interval has `0 <= bs <= bf`.  The reference holds `s = max(ready,
+    /// bf_0, .., bf_{i-1})` at interval `i` and stops at the first `i`
+    /// with `fl(s + dur) <= fl(bs_i + 1e-12)`.  Take any interval (all
+    /// have `bs <= T = max(last run finish, ready)`) that the reference
+    /// reaches with `s >= bs`.  Rounding is monotone and within `u =
+    /// eps/2` relative, so `fl(s + dur) >= fl(bs + dur) >=
+    /// fl(bs + 1e-12) + (dur - 1e-12 - eps·(bs + dur))`.  That exceeds
+    /// `fl(bs + 1e-12)` once `dur - 1e-12` exceeds `eps·(T + dur)`, which
+    /// [`run_scan_is_exact`] guarantees, and then the interval cannot
+    /// host the operator.  That covers (a) every interval of a run with
+    /// `finish <= ready`, where `s >= ready >= bf >= bs`, and (b) every
+    /// interval of a run but its first, where `s` is at least the run's
+    /// running max finish, which is `>= bs` by the definition of a run.
+    /// So only first intervals can host the operator.  There the
+    /// reference's `s` is `max(ready, max bf before)`, which is
+    /// `max(ready, finish of the run before)` as run finishes rise.  The
+    /// run scan starts at `s = ready` from the first run with `finish >
+    /// ready` (a binary search; the runs it skips have `finish <= ready`)
+    /// and folds `s = max(s, finish)` over each run it passes: the same
+    /// `max` over the same values, so it tests the same `s`, bit for bit.
+    /// Past the last run both append with that `s`.  An operator the
+    /// guard turns away (a duration at or near `1e-12`, or a `NaN` or
+    /// infinite time) takes the reference scan itself, and the GPU's runs
+    /// are rebuilt.
+    ///
+    /// After an insert before run `k` the runs are patched to what a
+    /// rebuild gives: the new interval joins run `k - 1` when it starts by
+    /// that run's finish, the runs it now reaches (`start <= finish`) are
+    /// absorbed, and every later run's `first` moves up one.
     #[inline]
     fn place_op(&mut self, v: u32, gv: usize, ready: f64, dur: f64) {
         self.ready[v as usize] = ready;
-        // Intervals with finish <= ready can never host the operator nor
-        // move `s` beyond `ready`, so skip them with a binary search
-        // instead of a linear scan; the backward walk guards the fuzzy
-        // 1e-12 acceptance at the boundary.  A zero-length operator
-        // (dur <= 1e-12) could still slot *between* such intervals, so it
-        // keeps the full scan.
         let intervals = &mut self.busy_iv[gv];
-        // Append fast path: when every interval finishes by `ready` the
-        // search below degenerates to `pos = len`, `s = ready` (finishes
-        // are ascending, so checking the last suffices; a near-zero `dur`
-        // could still slot fuzzily between earlier intervals, so it takes
-        // the full scan).
-        if dur > 1e-12 && intervals.last().is_none_or(|&(_, lf)| lf <= ready) {
-            let f = ready + dur;
-            intervals.push((ready, f));
-            self.busy_op[gv].push(v);
-            self.start[v as usize] = ready;
-            self.finish[v as usize] = f;
-            self.latency = self.latency.max(f);
-            return;
-        }
-        let mut s = ready;
-        let mut from = 0usize;
-        if dur > 1e-12 {
-            from = intervals.partition_point(|&(_, bf)| bf <= ready);
-            while from > 0 && intervals[from - 1].1 > ready {
-                from -= 1;
-            }
-        }
-        let mut pos = intervals.len();
-        for (i, &(bs, bf)) in intervals.iter().enumerate().skip(from) {
-            if s + dur <= bs + 1e-12 {
-                pos = i;
-                break;
-            }
-            s = s.max(bf);
-        }
+        let runs = &mut self.busy_run[gv];
+        let last = runs.last().map_or(f64::NEG_INFINITY, |r| r.finish);
+        let (pos, s) = if run_scan_is_exact(last, ready, dur) {
+            // Append fast path: every run finishes by `ready`.
+            let (k, s) = if last <= ready {
+                (runs.len(), ready)
+            } else {
+                earliest_run(runs, ready, dur)
+            };
+            let pos = runs.get(k).map_or(intervals.len(), |r| r.first);
+            intervals.insert(pos, (s, s + dur));
+            insert_before_run(runs, k, pos, (s, s + dur));
+            (pos, s)
+        } else {
+            let (pos, s) = crate::reference::earliest_gap(intervals.iter().copied(), ready, dur);
+            intervals.insert(pos, (s, s + dur));
+            rebuild_runs(runs, intervals);
+            (pos, s)
+        };
+        debug_assert!(
+            runs_agree(intervals, runs),
+            "busy runs differ from a rebuild of the intervals"
+        );
         let f = s + dur;
-        intervals.insert(pos, (s, f));
         self.busy_op[gv].insert(pos, v);
         self.start[v as usize] = s;
         self.finish[v as usize] = f;
@@ -1969,13 +2134,24 @@ mod tests {
         }
     }
 
+    impl ListState {
+        /// A one-GPU state for `num_ops` operators whose GPU is already
+        /// busy over `busy`, held by no operator.  Its runs are built from
+        /// the intervals, so no test holds a state where they disagree.
+        fn busy_over(num_ops: usize, busy: &[(f64, f64)]) -> Self {
+            let mut st = ListState::new(num_ops, 1);
+            st.busy_iv[0] = busy.to_vec();
+            st.busy_op[0] = vec![u32::MAX; busy.len()];
+            rebuild_runs(&mut st.busy_run[0], busy);
+            st
+        }
+    }
+
     /// Where `place_op` puts an operator of length `dur` ready at `ready`
     /// on a GPU already busy over `busy`: its insertion index, start and
     /// finish.
     fn place_on(busy: &[(f64, f64)], ready: f64, dur: f64) -> (usize, f64, f64) {
-        let mut st = ListState::new(1, 1);
-        st.busy_iv[0] = busy.to_vec();
-        st.busy_op[0] = vec![u32::MAX; busy.len()];
+        let mut st = ListState::busy_over(1, busy);
         st.place_op(0, 0, ready, dur);
         let at = st.busy_op[0].iter().position(|&op| op == 0).unwrap();
         (at, st.start[0], st.finish[0])
@@ -2044,6 +2220,87 @@ mod tests {
             }
         }
         assert!(wide > 400, "only {wide} windows wider than one point");
+    }
+
+    #[test]
+    fn place_op_equals_the_reference_scan_on_every_placement() {
+        // Sequences of placements on one GPU at >= 1e4 and >= 1e6 ms, so
+        // every busy list, with its zero-length intervals and the fuzzy
+        // (<= 1e-12) overlaps of near-zero operators, is `place_op`'s
+        // own.  Ready times tie to interval starts and finishes, and
+        // durations sit at and around the 1e-12 fit slack and the run
+        // scan's threshold.  Each placement must equal the reference scan
+        // over the same list in insertion index and bits, and the runs a
+        // rebuild from the intervals.
+        let mut rng = StdRng::seed_from_u64(40);
+        let (mut scanned, mut fell_back, mut overlaps) = (0, 0, 0);
+        for case in 0..600 {
+            let origin = if case % 2 == 0 { 1e4 } else { 1e6 };
+            // Dyadic steps tie exactly; decimal ones round.
+            let q = if case % 4 < 2 { 0.25 } else { 0.1 };
+            let n = 40;
+            let mut st = ListState::new(n, 1);
+            for v in 0..n as u32 {
+                let last = st.busy_run[0]
+                    .last()
+                    .map_or(f64::NEG_INFINITY, |r| r.finish);
+                let busy = st.busy_iv[0].clone();
+                let pick = |rng: &mut StdRng| busy[rng.random_range(0..busy.len())];
+                let ready = match rng.random_range(0..6u32) {
+                    0 if !busy.is_empty() => pick(&mut rng).0,
+                    1 if !busy.is_empty() => pick(&mut rng).0.next_up(),
+                    2 | 3 if !busy.is_empty() => pick(&mut rng).1,
+                    _ => origin + q * rng.random_range(0..160u32) as f64,
+                };
+                // The smallest duration the run scan takes here, give or
+                // take the rounding of this expression.
+                let t = last.max(ready);
+                let threshold = (1e-12 + 2.0 * f64::EPSILON * t) / (1.0 - 2.0 * f64::EPSILON);
+                let ulps = rng.random_range(0..4u32);
+                let dur = match rng.random_range(0..9u32) {
+                    0 => 0.0,
+                    1 => 5e-13,
+                    2 => 1e-12,
+                    3 => 1e-12f64.next_up(),
+                    4 => (0..ulps).fold(threshold, |d, _| d.next_up()),
+                    5 => (0..ulps).fold(threshold, |d, _| d.next_down()),
+                    _ => q * rng.random_range(1..12u32) as f64,
+                };
+                if run_scan_is_exact(last, ready, dur) {
+                    // Appends take the run scan's fast path.
+                    scanned += usize::from(last > ready);
+                } else {
+                    fell_back += 1;
+                }
+                let (at, s) = crate::reference::earliest_gap(busy.iter().copied(), ready, dur);
+                st.place_op(v, 0, ready, dur);
+                let vi = v as usize;
+                let got = st.busy_op[0].iter().position(|&op| op == v).unwrap();
+                assert_eq!(
+                    (got, st.start[vi].to_bits(), st.finish[vi].to_bits()),
+                    (at, s.to_bits(), (s + dur).to_bits()),
+                    "case {case} op {v}: ready {ready:e} dur {dur:e} on {busy:?}"
+                );
+                assert!(
+                    runs_agree(&st.busy_iv[0], &st.busy_run[0]),
+                    "case {case} op {v}"
+                );
+                let iv = &st.busy_iv[0];
+                overlaps += usize::from(iv.get(at + 1).is_some_and(|&(bs, _)| iv[at].1 > bs));
+            }
+        }
+        assert!(
+            scanned > 5_000,
+            "the run scan walked runs for only {scanned} placements"
+        );
+        assert!(
+            fell_back > 5_000,
+            "the fallback took only {fell_back} placements"
+        );
+        assert!(
+            overlaps > 500,
+            "only {overlaps} fuzzy overlaps were created"
+        );
     }
 
     /// Every time, interval and order of two states, as bits.
