@@ -1337,7 +1337,8 @@ fn runs_agree(intervals: &[(f64, f64)], runs: &[Run]) -> bool {
 /// 1e-12)` at most `(dur - 1e-12)(1 + u)`.  So a pass gives `dur -
 /// 1e-12 > 2·eps·(T + dur)·(1 - u)/(1 + u)`, which is more than
 /// `eps·(T + dur)`.  With the factor 1 the rounding could admit a
-/// borderline operator.  `NaN` and infinite times fail the test.
+/// borderline operator.  An infinite time, or a `NaN` or infinite
+/// duration, fails the test.
 #[inline]
 fn run_scan_is_exact(last: f64, ready: f64, dur: f64) -> bool {
     dur - 1e-12 > 2.0 * f64::EPSILON * (last.max(ready) + dur)
@@ -1654,9 +1655,9 @@ impl ListState {
     /// and folds `s = max(s, finish)` over each run it passes: the same
     /// `max` over the same values, so it tests the same `s`, bit for bit.
     /// Past the last run both append with that `s`.  An operator the
-    /// guard turns away (a duration at or near `1e-12`, or a `NaN` or
-    /// infinite time) takes the reference scan itself, and the GPU's runs
-    /// are rebuilt.
+    /// guard turns away (a duration at or near `1e-12`, a `NaN` or
+    /// infinite duration, or an infinite time) takes the reference scan
+    /// itself, and the GPU's runs are rebuilt.
     ///
     /// After an insert before run `k` the runs are patched to what a
     /// rebuild gives: the new interval joins run `k - 1` when it starts by
@@ -2226,8 +2227,8 @@ mod tests {
     fn place_op_equals_the_reference_scan_on_every_placement() {
         // Sequences of placements on one GPU at >= 1e4 and >= 1e6 ms, so
         // every busy list, with its zero-length intervals and the fuzzy
-        // (<= 1e-12) overlaps of near-zero operators, is `place_op`'s
-        // own.  Ready times tie to interval starts and finishes, and
+        // overlaps (within the rounded 1e-12 fit slack) of near-zero
+        // operators, is `place_op`'s own.  Ready times tie to interval starts and finishes, and
         // durations sit at and around the 1e-12 fit slack and the run
         // scan's threshold.  Each placement must equal the reference scan
         // over the same list in insertion index and bits, and the runs a
