@@ -1,24 +1,22 @@
-//! Latency semantics: the stage-synchronous evaluator (paper §III-A) and
-//! the priority-ordered list scheduler used inside Alg. 1 and Alg. 3.
+//! Latency semantics: the stage-synchronous evaluator (paper §III-A).
 //!
-//! Both come in two layers:
+//! It comes in two layers:
 //!
-//! * the original entry points [`evaluate`] and [`list_schedule`], whose
-//!   signatures and results are unchanged; and
-//! * the reusable engine underneath — [`EvalWorkspace`] (an arena holding
+//! * the original entry point [`evaluate`], whose signature and result
+//!   are unchanged; and
+//! * the reusable engine underneath, [`EvalWorkspace`] (an arena holding
 //!   the CSR stage graph, cached stage durations and all relaxation
 //!   scratch, reused across evaluations so the inner loops are
-//!   allocation-free) and `ListState` (a resettable, clonable
-//!   list-scheduling state with binary-search gap lookup).
+//!   allocation-free).
 //!
 //! [`EvalWorkspace::merged_latency`] additionally answers the sliding
 //! window pass's question — "what would the latency be if stages
 //! `first..=last` were merged?" — *incrementally*, re-relaxing only the
 //! stages downstream of the merge instead of cloning and re-evaluating
 //! the whole schedule.  All fast paths are differential-tested to be
-//! bit-identical to [`crate::reference`].
+//! bit-identical to [`crate::reference`].  The list scheduler of Alg. 1
+//! and Alg. 3 lives in [`crate::list`].
 
-use crate::dense::{DenseContext, NO_GPU};
 use crate::schedule::{Schedule, ScheduleError};
 use hios_cost::CostTable;
 use hios_graph::{Graph, OpId};
@@ -1182,595 +1180,10 @@ pub fn evaluate_with(
     })
 }
 
-/// Result of list-scheduling a (possibly partial) operator placement.
-#[derive(Clone, Debug)]
-pub struct ListScheduleResult {
-    /// Makespan over the scheduled operators, ms.
-    pub latency: f64,
-    /// Start time per operator (`f64::NAN` for unscheduled ones).
-    pub start: Vec<f64>,
-    /// Finish time per operator (`f64::NAN` for unscheduled ones).
-    pub finish: Vec<f64>,
-    /// Execution order realized on each GPU.
-    pub gpu_order: Vec<Vec<OpId>>,
-}
-
-/// Resettable, clonable state of an insertion-based list schedule.
-///
-/// HIOS-LP's candidate search runs `M` list schedules per path that share
-/// everything up to the first path operator; keeping the state as a value
-/// lets the scheduler build that shared prefix once, `clone_from` it into
-/// per-trial states (reusing their allocations) and extend each trial
-/// independently.  The result is bit-identical to running each trial from
-/// scratch.
-///
-/// Each GPU's busy intervals are kept twice: as the sorted interval list
-/// the gap scan is defined on, and as its *busy runs* (see [`Run`]), the
-/// view [`ListState::place_op`] walks.  Every write to an interval list
-/// updates or rebuilds that GPU's runs; debug builds assert after every
-/// placement, materialization and adoption that they equal a rebuild.
-#[derive(Debug, Default)]
-pub(crate) struct ListState {
-    start: Vec<f64>,
-    finish: Vec<f64>,
-    /// The ready time each operator was placed with (`NaN` while
-    /// unscheduled): the lower end of its reuse window in
-    /// [`ListState::replay_incremental`].
-    ready: Vec<f64>,
-    /// Sorted busy intervals per GPU, structure-of-arrays: `(start,
-    /// finish)` pairs in `busy_iv`, the matching operator ids in
-    /// `busy_op` (the gap search only touches the times).
-    busy_iv: Vec<Vec<(f64, f64)>>,
-    busy_op: Vec<Vec<u32>>,
-    /// The busy runs of each GPU's `busy_iv`, in interval order.
-    busy_run: Vec<Vec<Run>>,
-    latency: f64,
-}
-
-/// A maximal stretch of one GPU's busy intervals in which every interval
-/// starts no later than the largest finish before it in the stretch: the
-/// gaps inside a run have width zero or less.  Run finishes rise strictly,
-/// and each run starts after the one before it finishes.
-#[derive(Clone, Copy, Debug)]
-struct Run {
-    /// Start of the run's first interval.
-    start: f64,
-    /// Largest finish over the run's intervals.
-    finish: f64,
-    /// Index of the run's first interval in its GPU's `busy_iv`.
-    first: usize,
-}
-
-/// Adds interval `i` = `(bs, bf)` to `runs`, which cover the intervals
-/// before `i` of the same list.
-fn extend_runs(runs: &mut Vec<Run>, i: usize, (bs, bf): (f64, f64)) {
-    match runs.last_mut() {
-        Some(r) if bs <= r.finish => r.finish = r.finish.max(bf),
-        _ => runs.push(Run {
-            start: bs,
-            finish: bf,
-            first: i,
-        }),
-    }
-}
-
-/// Rebuilds `runs` from one GPU's interval list.
-fn rebuild_runs(runs: &mut Vec<Run>, intervals: &[(f64, f64)]) {
-    runs.clear();
-    for (i, &iv) in intervals.iter().enumerate() {
-        extend_runs(runs, i, iv);
-    }
-}
-
-/// The run scan of [`ListState::place_op`]: the index of the run whose
-/// first interval hosts an operator of length `dur` ready at `ready`
-/// (`runs.len()` to append) and its start.
-fn earliest_run(runs: &[Run], ready: f64, dur: f64) -> (usize, f64) {
-    let mut s = ready;
-    let k0 = runs.partition_point(|r| r.finish <= ready);
-    for (k, r) in runs.iter().enumerate().skip(k0) {
-        if s + dur <= r.start + 1e-12 {
-            return (k, s);
-        }
-        s = s.max(r.finish);
-    }
-    (runs.len(), s)
-}
-
-/// Patches `runs` to a rebuild's after interval `(s, f)` was inserted at
-/// index `pos`, just before run `k`'s first interval (or appended, `k =
-/// runs.len()`): it joins run `k - 1` when it starts by that run's
-/// finish, absorbs the runs it now reaches, and every later run's first
-/// interval moves up one.
-fn insert_before_run(runs: &mut Vec<Run>, k: usize, pos: usize, (s, f): (f64, f64)) {
-    let (lo, mut run) = match k.checked_sub(1) {
-        Some(p) if s <= runs[p].finish => (
-            p,
-            Run {
-                finish: runs[p].finish.max(f),
-                ..runs[p]
-            },
-        ),
-        _ => (
-            k,
-            Run {
-                start: s,
-                finish: f,
-                first: pos,
-            },
-        ),
-    };
-    let mut hi = k;
-    while let Some(next) = runs.get(hi).filter(|r| r.start <= run.finish) {
-        run.finish = run.finish.max(next.finish);
-        hi += 1;
-    }
-    if lo == hi {
-        runs.insert(lo, run);
-    } else {
-        runs[lo] = run;
-        runs.drain(lo + 1..hi);
-    }
-    for r in &mut runs[lo + 1..] {
-        r.first += 1;
-    }
-}
-
-/// Whether `runs` equal, bit for bit, a rebuild from `intervals` (the
-/// debug invariant of [`ListState`]).
-fn runs_agree(intervals: &[(f64, f64)], runs: &[Run]) -> bool {
-    let mut fresh = Vec::new();
-    rebuild_runs(&mut fresh, intervals);
-    let bits = |r: &Run| (r.start.to_bits(), r.finish.to_bits(), r.first);
-    fresh.len() == runs.len() && fresh.iter().zip(runs).all(|(a, b)| bits(a) == bits(b))
-}
-
-/// Whether an operator of length `dur` may take the run scan on a GPU
-/// whose runs end at `last` (`NEG_INFINITY` when idle), ready at `ready`.
-///
-/// With `T = max(last, ready)` this holds only if `dur - 1e-12 > eps·(T +
-/// dur)` exactly (`eps` = `f64::EPSILON`), which is what the proof in
-/// [`ListState::place_op`] needs.  The test itself rounds, so it asks for
-/// twice that.  `2·eps` is a power of two and scales `fl(T + dur)`
-/// exactly (no underflow: a passing `dur` exceeds `1e-12`).  With `u =
-/// eps/2`, `fl(T + dur)` is at least `(T + dur)(1 - u)` and `fl(dur -
-/// 1e-12)` at most `(dur - 1e-12)(1 + u)`.  So a pass gives `dur -
-/// 1e-12 > 2·eps·(T + dur)·(1 - u)/(1 + u)`, which is more than
-/// `eps·(T + dur)`.  With the factor 1 the rounding could admit a
-/// borderline operator.  An infinite time, or a `NaN` or infinite
-/// duration, fails the test.
-#[inline]
-fn run_scan_is_exact(last: f64, ready: f64, dur: f64) -> bool {
-    dur - 1e-12 > 2.0 * f64::EPSILON * (last.max(ready) + dur)
-}
-
-impl Clone for ListState {
-    fn clone(&self) -> Self {
-        ListState {
-            start: self.start.clone(),
-            finish: self.finish.clone(),
-            ready: self.ready.clone(),
-            busy_iv: self.busy_iv.clone(),
-            busy_op: self.busy_op.clone(),
-            busy_run: self.busy_run.clone(),
-            latency: self.latency,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        // Vec::clone_from reuses this state's buffers (including the
-        // per-GPU interval vectors), which is the point: trial states are
-        // recycled across candidate searches without reallocating.
-        self.start.clone_from(&source.start);
-        self.finish.clone_from(&source.finish);
-        self.ready.clone_from(&source.ready);
-        self.busy_iv.clone_from(&source.busy_iv);
-        self.busy_op.clone_from(&source.busy_op);
-        self.busy_run.clone_from(&source.busy_run);
-        self.latency = source.latency;
-    }
-}
-
-impl ListState {
-    /// Creates an empty state for `num_ops` operators on `num_gpus` GPUs.
-    pub(crate) fn new(num_ops: usize, num_gpus: usize) -> Self {
-        let mut s = ListState::default();
-        s.reset(num_ops, num_gpus);
-        s
-    }
-
-    /// Clears the state back to "nothing scheduled", keeping buffers.
-    pub(crate) fn reset(&mut self, num_ops: usize, num_gpus: usize) {
-        self.start.clear();
-        self.start.resize(num_ops, f64::NAN);
-        self.finish.clear();
-        self.finish.resize(num_ops, f64::NAN);
-        self.ready.clear();
-        self.ready.resize(num_ops, f64::NAN);
-        self.busy_iv.truncate(num_gpus);
-        for b in &mut self.busy_iv {
-            b.clear();
-        }
-        self.busy_iv.resize(num_gpus, Vec::new());
-        self.busy_op.truncate(num_gpus);
-        for b in &mut self.busy_op {
-            b.clear();
-        }
-        self.busy_op.resize(num_gpus, Vec::new());
-        self.busy_run.truncate(num_gpus);
-        for b in &mut self.busy_run {
-            b.clear();
-        }
-        self.busy_run.resize(num_gpus, Vec::new());
-        self.latency = 0.0;
-    }
-
-    /// Makespan over the operators scheduled so far.
-    pub(crate) fn latency(&self) -> f64 {
-        self.latency
-    }
-
-    /// Finish time of `v` (`NaN` while unscheduled).
-    pub(crate) fn op_finish(&self, v: u32) -> f64 {
-        self.finish[v as usize]
-    }
-
-    /// List-schedules `ops` (in order) on top of the current state.
-    ///
-    /// `gpu_of` maps each operator to its GPU, `None` marking operators
-    /// still in the unscheduled subgraph `G'` (they impose no
-    /// constraints).  `ops` must be topological over the scheduled
-    /// operators *given what is already in the state* — the usual call
-    /// sequence is one pass over the full priority order, or a prefix
-    /// followed by the matching suffix.
-    pub(crate) fn schedule<F>(&mut self, g: &Graph, cost: &CostTable, ops: &[OpId], gpu_of: F)
-    where
-        F: Fn(OpId) -> Option<u32>,
-    {
-        for &v in ops {
-            let Some(gv) = gpu_of(v) else {
-                continue;
-            };
-            let gv = gv as usize;
-            let mut ready = 0.0f64;
-            for &u in g.preds(v) {
-                let Some(gu) = gpu_of(u) else {
-                    continue;
-                };
-                let fu = self.finish[u.index()];
-                if fu.is_nan() {
-                    // Scheduled predecessor not yet placed in `ops`: the
-                    // caller's order was not topological over scheduled ops.
-                    debug_assert!(false, "list_schedule order must be topological");
-                    continue;
-                }
-                let arrival = if gu as usize == gv {
-                    fu
-                } else {
-                    fu + cost.transfer(u, gu as usize, gv)
-                };
-                ready = ready.max(arrival);
-            }
-            let dur = cost.exec_on(gv, v);
-            self.place_op(v.0, gv, ready, dur);
-        }
-    }
-
-    /// Re-derives the list schedule of `base` extended with this round's
-    /// newly placed operators, copying instead of recomputing wherever
-    /// the from-scratch fold provably produces `base`'s exact values.
-    ///
-    /// `base` must be a complete, order-tracking list schedule of every
-    /// operator with `place[v] != NO_GPU` *except* the new ones (those
-    /// are `NaN` in `base.finish`), under the same placements.  `ops` is
-    /// the priority-order suffix starting at the first new operator and
-    /// `pos` the position of every operator in that priority order.
-    ///
-    /// The from-scratch fold would process `ops` in order; an operator's
-    /// `(start, finish)` there depends only on (a) its predecessors'
-    /// finish times and (b) its GPU's busy intervals at its turn.  So an
-    /// operator may keep `base`'s values when no predecessor's finish
-    /// changed (tracked by stamping successors of every operator whose
-    /// recomputed finish differs bitwise from `base`'s) and its GPU's
-    /// interval set still matches `base`'s (a GPU is *dirty* once any
-    /// operator on it was newly placed or re-placed; every later
-    /// operator on a dirty GPU is re-placed).  On first placement a
-    /// GPU's intervals are materialized from `base` filtered to
-    /// operators ordered earlier — exactly the fold's interval set at
-    /// that turn.  By induction every operator ends with the fold's
-    /// exact bits, whether copied or recomputed.
-    ///
-    /// A *touched* operator (a predecessor's finish changed) on a clean
-    /// GPU may still keep `base`'s slot: its *reuse window*.  The gap scan
-    /// (`reference::earliest_gap`, which `place_op` equals) holds `s_i(r)
-    /// = max(r, bf_0, .., bf_{i-1})` at interval `i`, and its fit test
-    /// `s + dur <= bs_i + 1e-12` is monotone in `s` (IEEE `+` and `max`
-    /// are).  Let the scan from `r0` stop at index `k` with start `s0`.
-    /// For any `r` in `[r0, s0]`, every interval before `k` still fails
-    /// the test (`s_i(r) >= s_i(r0)`), and `s_k(r) = s0` exactly: either
-    /// `s0 = r0 = r`, or `s0` is the largest `bf` before `k` and `r <=
-    /// s0`.  So on one interval set the scan returns the same index and
-    /// the same bits for every ready time in `[r0, s0]`.  A clean GPU's
-    /// interval set at the operator's turn is `base`'s, the set `base`
-    /// placed it on from `r0 = base.ready[v]`; so when the new ready time
-    /// falls in `[base.ready[v], base.start[v]]` the operator keeps
-    /// `base`'s start and finish, its GPU stays clean and no successor is
-    /// touched.  A reused operator keeps `base.ready[v]`, which is still
-    /// the lower end of a window on the same interval set.  Debug builds
-    /// re-place every reused operator by the reference scan and assert
-    /// the same bits and insertion index.
-    ///
-    /// `touch`/`gen` are the caller's stamp buffer (entries `== gen`
-    /// mean "a predecessor changed"); `lat0` is the makespan over the
-    /// operators ordered before `ops[0]` (unchanged by construction).
-    /// The call aborts and returns `false` as soon as the running
-    /// makespan *exceeds* `bound`.
-    /// Returns `true` when the state is a complete schedule of all
-    /// placed operators (clean GPUs adopt `base`'s interval lists
-    /// verbatim).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn replay_incremental(
-        &mut self,
-        ctx: &DenseContext,
-        base: &ListState,
-        ops: &[u32],
-        pos: &[usize],
-        place: &[u32],
-        lat0: f64,
-        touch: &mut [u32],
-        gen: u32,
-        bound: f64,
-    ) -> bool {
-        let num_gpus = base.busy_iv.len();
-        self.start.clone_from(&base.start);
-        self.finish.clone_from(&base.finish);
-        self.ready.clone_from(&base.ready);
-        self.busy_iv.resize(num_gpus, Vec::new());
-        self.busy_op.resize(num_gpus, Vec::new());
-        self.busy_run.resize(num_gpus, Vec::new());
-        for g in 0..num_gpus {
-            self.busy_iv[g].clear();
-            self.busy_op[g].clear();
-            self.busy_run[g].clear();
-        }
-        self.latency = lat0;
-        debug_assert!(num_gpus <= 64);
-        let mut dirty = 0u64;
-
-        for &v in ops {
-            let vi = v as usize;
-            let gv = place[vi];
-            if gv == NO_GPU {
-                continue;
-            }
-            let gvu = gv as usize;
-            let gbit = 1u64 << gvu;
-            let is_new = base.finish[vi].is_nan();
-            let clean = dirty & gbit == 0;
-            if !is_new && touch[vi] != gen && clean {
-                // No predecessor changed and the GPU's interval set is
-                // still `base`'s: the fold would reproduce `base`'s
-                // values, which `self` already holds.
-                self.latency = self.latency.max(self.finish[vi]);
-                continue;
-            }
-            let mut ready = 0.0f64;
-            for &u in ctx.preds(v) {
-                let gu = place[u as usize];
-                if gu == NO_GPU {
-                    continue;
-                }
-                let fu = self.finish[u as usize];
-                debug_assert!(!fu.is_nan(), "order must be topological");
-                let arrival = if gu as usize == gvu {
-                    fu
-                } else {
-                    fu + ctx.transfer(u, gu as usize, gvu)
-                };
-                ready = ready.max(arrival);
-            }
-            let dur = ctx.exec(gvu, v);
-            if !is_new && clean && base.ready[vi] <= ready && ready <= base.start[vi] {
-                // Inside the reuse window: the scan over `base`'s
-                // interval set repeats `base`'s slot.
-                debug_assert!(
-                    reuse_is_exact(base, pos, v, gvu, ready, dur),
-                    "a reused slot differs from the reference scan"
-                );
-                self.latency = self.latency.max(self.finish[vi]);
-                continue;
-            }
-            if clean {
-                // First divergence on this GPU: materialize the fold's
-                // interval set at this turn — `base`'s operators on the
-                // GPU that are ordered before `v` (time-sorted order is
-                // preserved by filtering) — and rebuild its runs.
-                let siv = &mut self.busy_iv[gvu];
-                let sop = &mut self.busy_op[gvu];
-                let runs = &mut self.busy_run[gvu];
-                for (k, &op) in base.busy_op[gvu].iter().enumerate() {
-                    if pos[op as usize] < pos[vi] {
-                        extend_runs(runs, siv.len(), base.busy_iv[gvu][k]);
-                        siv.push(base.busy_iv[gvu][k]);
-                        sop.push(op);
-                    }
-                }
-                debug_assert!(
-                    runs_agree(siv, runs),
-                    "busy runs differ from a rebuild of the intervals"
-                );
-                dirty |= gbit;
-            }
-            self.place_op(v, gvu, ready, dur);
-            if self.finish[vi].to_bits() != base.finish[vi].to_bits() {
-                for &w in ctx.succs(v) {
-                    touch[w as usize] = gen;
-                }
-            }
-            if self.latency > bound {
-                return false;
-            }
-        }
-        // Clean GPUs never diverged: their interval lists and runs are
-        // `base`'s.
-        for g in 0..num_gpus {
-            if dirty & (1u64 << g) == 0 {
-                self.busy_iv[g].clone_from(&base.busy_iv[g]);
-                self.busy_op[g].clone_from(&base.busy_op[g]);
-                self.busy_run[g].clone_from(&base.busy_run[g]);
-                debug_assert!(
-                    runs_agree(&self.busy_iv[g], &self.busy_run[g]),
-                    "busy runs differ from a rebuild of the intervals"
-                );
-            }
-        }
-        true
-    }
-
-    /// Inserts `v` into the earliest gap on `gv` of length >= `dur`
-    /// starting no sooner than `ready` (shared by both schedule paths):
-    /// the insertion index and bits of `reference::earliest_gap` over the
-    /// GPU's intervals, found by walking its busy runs instead.
-    ///
-    /// **Why the run scan is exact.**  Times are never negative (`ready`
-    /// is a `max` from `0.0`, and durations are `>= 0`), so every
-    /// interval has `0 <= bs <= bf`.  The reference holds `s = max(ready,
-    /// bf_0, .., bf_{i-1})` at interval `i` and stops at the first `i`
-    /// with `fl(s + dur) <= fl(bs_i + 1e-12)`.  Take any interval (all
-    /// have `bs <= T = max(last run finish, ready)`) that the reference
-    /// reaches with `s >= bs`.  Rounding is monotone and within `u =
-    /// eps/2` relative, so `fl(s + dur) >= fl(bs + dur) >=
-    /// fl(bs + 1e-12) + (dur - 1e-12 - eps·(bs + dur))`.  That exceeds
-    /// `fl(bs + 1e-12)` once `dur - 1e-12` exceeds `eps·(T + dur)`, which
-    /// [`run_scan_is_exact`] guarantees, and then the interval cannot
-    /// host the operator.  That covers (a) every interval of a run with
-    /// `finish <= ready`, where `s >= ready >= bf >= bs`, and (b) every
-    /// interval of a run but its first, where `s` is at least the run's
-    /// running max finish, which is `>= bs` by the definition of a run.
-    /// So only first intervals can host the operator.  There the
-    /// reference's `s` is `max(ready, max bf before)`, which is
-    /// `max(ready, finish of the run before)` as run finishes rise.  The
-    /// run scan starts at `s = ready` from the first run with `finish >
-    /// ready` (a binary search; the runs it skips have `finish <= ready`)
-    /// and folds `s = max(s, finish)` over each run it passes: the same
-    /// `max` over the same values, so it tests the same `s`, bit for bit.
-    /// Past the last run both append with that `s`.  An operator the
-    /// guard turns away (a duration at or near `1e-12`, a `NaN` or
-    /// infinite duration, or an infinite time) takes the reference scan
-    /// itself, and the GPU's runs are rebuilt.
-    ///
-    /// After an insert before run `k` the runs are patched to what a
-    /// rebuild gives: the new interval joins run `k - 1` when it starts by
-    /// that run's finish, the runs it now reaches (`start <= finish`) are
-    /// absorbed, and every later run's `first` moves up one.
-    #[inline]
-    fn place_op(&mut self, v: u32, gv: usize, ready: f64, dur: f64) {
-        self.ready[v as usize] = ready;
-        let intervals = &mut self.busy_iv[gv];
-        let runs = &mut self.busy_run[gv];
-        let last = runs.last().map_or(f64::NEG_INFINITY, |r| r.finish);
-        let (pos, s) = if run_scan_is_exact(last, ready, dur) {
-            // Append fast path: every run finishes by `ready`.
-            let (k, s) = if last <= ready {
-                (runs.len(), ready)
-            } else {
-                earliest_run(runs, ready, dur)
-            };
-            let pos = runs.get(k).map_or(intervals.len(), |r| r.first);
-            intervals.insert(pos, (s, s + dur));
-            insert_before_run(runs, k, pos, (s, s + dur));
-            (pos, s)
-        } else {
-            let (pos, s) = crate::reference::earliest_gap(intervals.iter().copied(), ready, dur);
-            intervals.insert(pos, (s, s + dur));
-            rebuild_runs(runs, intervals);
-            (pos, s)
-        };
-        debug_assert!(
-            runs_agree(intervals, runs),
-            "busy runs differ from a rebuild of the intervals"
-        );
-        let f = s + dur;
-        self.busy_op[gv].insert(pos, v);
-        self.start[v as usize] = s;
-        self.finish[v as usize] = f;
-        self.latency = self.latency.max(f);
-    }
-
-    /// Consumes the state into a [`ListScheduleResult`].
-    pub(crate) fn into_result(self) -> ListScheduleResult {
-        ListScheduleResult {
-            latency: self.latency,
-            start: self.start,
-            finish: self.finish,
-            gpu_order: self
-                .busy_op
-                .into_iter()
-                .map(|ops| ops.into_iter().map(OpId).collect())
-                .collect(),
-        }
-    }
-}
-
-/// Whether the reference scan over `base`'s interval set on `gv` at
-/// `v`'s turn (its operators ordered before `v`) places `v`, ready at
-/// `ready`, at `base`'s exact start, finish and insertion index — the
-/// debug check of every reuse in [`ListState::replay_incremental`].
-fn reuse_is_exact(
-    base: &ListState,
-    pos: &[usize],
-    v: u32,
-    gv: usize,
-    ready: f64,
-    dur: f64,
-) -> bool {
-    let vi = v as usize;
-    let earlier = |&(_, &op): &(&(f64, f64), &u32)| pos[op as usize] < pos[vi];
-    let busy = || base.busy_iv[gv].iter().zip(&base.busy_op[gv]);
-    let (at, s) =
-        crate::reference::earliest_gap(busy().filter(earlier).map(|(&iv, _)| iv), ready, dur);
-    let base_at = busy()
-        .take_while(|&(_, &op)| op != v)
-        .filter(earlier)
-        .count();
-    s.to_bits() == base.start[vi].to_bits()
-        && (s + dur).to_bits() == base.finish[vi].to_bits()
-        && at == base_at
-}
-
-/// Priority-ordered list scheduling with sequential execution per GPU
-/// (Alg. 1 lines 10-13 and the temporal core of Alg. 3).
-///
-/// `order` must be a topological order of the operators to schedule (the
-/// descending-priority order in HIOS); `gpu_of[v]` gives each scheduled
-/// operator's GPU and `None` marks operators still in the unscheduled
-/// subgraph `G'`, which impose no constraints yet.
-///
-/// Each operator starts at the *earliest available* time on its GPU once
-/// all its *scheduled* predecessors have delivered data:
-/// `start(v) = earliest idle interval of g(v) that fits t(v) and starts
-/// no sooner than max_u finish(u) + [g(u) ≠ g(v)]·t(u, v)`.
-///
-/// "Earliest available start time" (Alg. 1 line 12) is insertion-based:
-/// a lower-priority operator may fill a gap left while a higher-priority
-/// operator waits for a cross-GPU transfer.  The realized per-GPU order
-/// (by start time) is still compatible with every same-GPU dependency.
-pub fn list_schedule(
-    g: &Graph,
-    cost: &CostTable,
-    order: &[OpId],
-    gpu_of: &[Option<u32>],
-    num_gpus: usize,
-) -> ListScheduleResult {
-    let mut state = ListState::new(g.num_ops(), num_gpus);
-    state.schedule(g, cost, order, |v| gpu_of[v.index()]);
-    state.into_result()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::{fig4, fig4_cost};
+    use crate::fixtures::tied_cost;
     use crate::schedule::{GpuSchedule, Stage};
     use hios_cost::{ConcurrencyParams, CostTable};
     use hios_graph::GraphBuilder;
@@ -2062,28 +1475,6 @@ mod tests {
         }
     }
 
-    /// A cost table whose times are small multiples of 0.5 ms, with
-    /// zero-cost transfers mixed in: stage arrivals tie often.
-    fn tied_cost(n: usize, rng: &mut StdRng) -> CostTable {
-        CostTable::homogeneous(
-            "ties",
-            (0..n)
-                .map(|_| 0.5 * rng.random_range(1..5u32) as f64)
-                .collect(),
-            (0..n)
-                .map(|_| 0.3 * rng.random_range(1..4u32) as f64)
-                .collect(),
-            (0..n)
-                .map(|_| 0.5 * rng.random_range(0..3u32) as f64)
-                .collect(),
-            ConcurrencyParams {
-                contention_alpha: 0.15,
-                stream_overhead_ms: 0.0,
-            },
-            0.0,
-        )
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -2132,431 +1523,6 @@ mod tests {
         assert_eq!(r.stage_times[0][2].0, r.stage_times[1][0].1 + 1.0);
         for below in [0.0, r.latency - 1.0, r.latency - 0.5] {
             assert_eq!(check_bounded_contract(&g, &cost, &sched, below), 7);
-        }
-    }
-
-    impl ListState {
-        /// A one-GPU state for `num_ops` operators whose GPU is already
-        /// busy over `busy`, held by no operator.  Its runs are built from
-        /// the intervals, so no test holds a state where they disagree.
-        fn busy_over(num_ops: usize, busy: &[(f64, f64)]) -> Self {
-            let mut st = ListState::new(num_ops, 1);
-            st.busy_iv[0] = busy.to_vec();
-            st.busy_op[0] = vec![u32::MAX; busy.len()];
-            rebuild_runs(&mut st.busy_run[0], busy);
-            st
-        }
-    }
-
-    /// Where `place_op` puts an operator of length `dur` ready at `ready`
-    /// on a GPU already busy over `busy`: its insertion index, start and
-    /// finish.
-    fn place_on(busy: &[(f64, f64)], ready: f64, dur: f64) -> (usize, f64, f64) {
-        let mut st = ListState::busy_over(1, busy);
-        st.place_op(0, 0, ready, dur);
-        let at = st.busy_op[0].iter().position(|&op| op == 0).unwrap();
-        (at, st.start[0], st.finish[0])
-    }
-
-    #[test]
-    fn the_gap_scan_repeats_its_slot_across_the_reuse_window() {
-        // Busy lists at >= 1e4 ms with adjacent intervals, ready times
-        // tied to interval ends and starts, durations at and below the
-        // 1e-12 fit slack: every ready time in `[r0, s0]` must get the
-        // slot `r0` got, from `place_op` and from the reference scan.
-        let mut rng = StdRng::seed_from_u64(37);
-        let mut wide = 0;
-        for case in 0..4000 {
-            // Dyadic steps tie exactly; decimal ones round.
-            let q = if case % 2 == 0 { 0.25 } else { 0.1 };
-            let mut t = 1e4 + q * rng.random_range(0..40u32) as f64;
-            let mut busy = Vec::new();
-            for _ in 0..rng.random_range(0..8usize) {
-                if rng.random_range(0..3u32) > 0 {
-                    t += q * rng.random_range(1..12u32) as f64;
-                }
-                let len = match rng.random_range(0..6u32) {
-                    0 => 1e-13,
-                    _ => q * rng.random_range(1..12u32) as f64,
-                };
-                busy.push((t, t + len));
-                t += len;
-            }
-            let dur = match rng.random_range(0..5u32) {
-                0 => 0.0,
-                1 => 1e-12,
-                2 => 5e-13,
-                _ => q * rng.random_range(1..10u32) as f64,
-            };
-            let r0 = match (rng.random_range(0..4u32), busy.as_slice()) {
-                (0, [_, ..]) => busy[rng.random_range(0..busy.len())].1,
-                (1, [_, ..]) => busy[rng.random_range(0..busy.len())].0 - dur,
-                _ => 1e4 + q * rng.random_range(0..200u32) as f64,
-            };
-            let (k0, s0) = crate::reference::earliest_gap(busy.iter().copied(), r0, dur);
-            let at_r0 = place_on(&busy, r0, dur);
-            assert_eq!(
-                (at_r0.0, at_r0.1.to_bits(), at_r0.2.to_bits()),
-                (k0, s0.to_bits(), (s0 + dur).to_bits()),
-                "case {case}: place_op differs from the reference scan at r0"
-            );
-            wide += usize::from(s0 > r0);
-            let interior = r0 + (s0 - r0) * rng.random_range(0.0..1.0f64);
-            for r1 in [r0, r0.next_up(), interior.clamp(r0, s0), s0] {
-                if r1 > s0 {
-                    continue;
-                }
-                let (k1, s1) = crate::reference::earliest_gap(busy.iter().copied(), r1, dur);
-                assert_eq!(
-                    (k1, s1.to_bits()),
-                    (k0, s0.to_bits()),
-                    "case {case}: r1 {r1}"
-                );
-                let at_r1 = place_on(&busy, r1, dur);
-                assert_eq!(
-                    (at_r1.0, at_r1.1.to_bits(), at_r1.2.to_bits()),
-                    (at_r0.0, at_r0.1.to_bits(), at_r0.2.to_bits()),
-                    "case {case}: r1 {r1}"
-                );
-            }
-        }
-        assert!(wide > 400, "only {wide} windows wider than one point");
-    }
-
-    #[test]
-    fn place_op_equals_the_reference_scan_on_every_placement() {
-        // Sequences of placements on one GPU at >= 1e4 and >= 1e6 ms, so
-        // every busy list, with its zero-length intervals and the fuzzy
-        // overlaps (within the rounded 1e-12 fit slack) of near-zero
-        // operators, is `place_op`'s own.  Ready times tie to interval starts and finishes, and
-        // durations sit at and around the 1e-12 fit slack and the run
-        // scan's threshold.  Each placement must equal the reference scan
-        // over the same list in insertion index and bits, and the runs a
-        // rebuild from the intervals.
-        let mut rng = StdRng::seed_from_u64(40);
-        let (mut scanned, mut fell_back, mut overlaps) = (0, 0, 0);
-        for case in 0..600 {
-            let origin = if case % 2 == 0 { 1e4 } else { 1e6 };
-            // Dyadic steps tie exactly; decimal ones round.
-            let q = if case % 4 < 2 { 0.25 } else { 0.1 };
-            let n = 40;
-            let mut st = ListState::new(n, 1);
-            for v in 0..n as u32 {
-                let last = st.busy_run[0]
-                    .last()
-                    .map_or(f64::NEG_INFINITY, |r| r.finish);
-                let busy = st.busy_iv[0].clone();
-                let pick = |rng: &mut StdRng| busy[rng.random_range(0..busy.len())];
-                let ready = match rng.random_range(0..6u32) {
-                    0 if !busy.is_empty() => pick(&mut rng).0,
-                    1 if !busy.is_empty() => pick(&mut rng).0.next_up(),
-                    2 | 3 if !busy.is_empty() => pick(&mut rng).1,
-                    _ => origin + q * rng.random_range(0..160u32) as f64,
-                };
-                // The smallest duration the run scan takes here, give or
-                // take the rounding of this expression.
-                let t = last.max(ready);
-                let threshold = (1e-12 + 2.0 * f64::EPSILON * t) / (1.0 - 2.0 * f64::EPSILON);
-                let ulps = rng.random_range(0..4u32);
-                let dur = match rng.random_range(0..9u32) {
-                    0 => 0.0,
-                    1 => 5e-13,
-                    2 => 1e-12,
-                    3 => 1e-12f64.next_up(),
-                    4 => (0..ulps).fold(threshold, |d, _| d.next_up()),
-                    5 => (0..ulps).fold(threshold, |d, _| d.next_down()),
-                    _ => q * rng.random_range(1..12u32) as f64,
-                };
-                if run_scan_is_exact(last, ready, dur) {
-                    // Appends take the run scan's fast path.
-                    scanned += usize::from(last > ready);
-                } else {
-                    fell_back += 1;
-                }
-                let (at, s) = crate::reference::earliest_gap(busy.iter().copied(), ready, dur);
-                st.place_op(v, 0, ready, dur);
-                let vi = v as usize;
-                let got = st.busy_op[0].iter().position(|&op| op == v).unwrap();
-                assert_eq!(
-                    (got, st.start[vi].to_bits(), st.finish[vi].to_bits()),
-                    (at, s.to_bits(), (s + dur).to_bits()),
-                    "case {case} op {v}: ready {ready:e} dur {dur:e} on {busy:?}"
-                );
-                assert!(
-                    runs_agree(&st.busy_iv[0], &st.busy_run[0]),
-                    "case {case} op {v}"
-                );
-                let iv = &st.busy_iv[0];
-                overlaps += usize::from(iv.get(at + 1).is_some_and(|&(bs, _)| iv[at].1 > bs));
-            }
-        }
-        assert!(
-            scanned > 5_000,
-            "the run scan walked runs for only {scanned} placements"
-        );
-        assert!(
-            fell_back > 5_000,
-            "the fallback took only {fell_back} placements"
-        );
-        assert!(
-            overlaps > 500,
-            "only {overlaps} fuzzy overlaps were created"
-        );
-    }
-
-    /// Every time, interval and order of two states, as bits.
-    type StateBits = (Vec<u64>, Vec<u64>, Vec<Vec<(u64, u64)>>, Vec<Vec<u32>>, u64);
-
-    fn state_bits(st: &ListState) -> StateBits {
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
-        (
-            bits(&st.start),
-            bits(&st.finish),
-            st.busy_iv
-                .iter()
-                .map(|b| b.iter().map(|&(s, f)| (s.to_bits(), f.to_bits())).collect())
-                .collect(),
-            st.busy_op.clone(),
-            st.latency.to_bits(),
-        )
-    }
-
-    /// Replays rounds the way HIOS-LP's trials do: each operator joins in
-    /// a random round, each round tries its batch on every GPU in turn
-    /// over the committed state, and the lowest-latency trial (ties to the
-    /// lower GPU) is committed, the states rotating through three
-    /// buffers.  Every trial must equal a from-scratch
-    /// `ListState::schedule` of the same placements, bit for bit.
-    /// Returns how many operators ended a trial in a slot kept from
-    /// another ready time (the reuse window fired, then or earlier).
-    fn check_replays(
-        g: &Graph,
-        cost: &CostTable,
-        gpus: usize,
-        rounds: usize,
-        rng: &mut StdRng,
-    ) -> usize {
-        let n = g.num_ops();
-        let ctx = DenseContext::build(g, cost, gpus);
-        let order = crate::priority::priority_order(g, cost);
-        let order_u32: Vec<u32> = order.iter().map(|v| v.0).collect();
-        let mut pos = vec![0usize; n];
-        for (i, v) in order.iter().enumerate() {
-            pos[v.index()] = i;
-        }
-        let round_of: Vec<usize> = (0..n).map(|_| rng.random_range(0..rounds)).collect();
-        let mut place = vec![NO_GPU; n];
-        let mut base = ListState::new(n, gpus);
-        let mut best = ListState::new(n, gpus);
-        let mut trial = ListState::new(n, gpus);
-        let mut touch = vec![0u32; n];
-        let mut gen = 0;
-        let mut kept = 0;
-        for round in 0..rounds {
-            let batch: Vec<usize> = (0..n).filter(|&v| round_of[v] == round).collect();
-            let Some(cut) = batch.iter().map(|&v| pos[v]).min() else {
-                continue;
-            };
-            let lat0 = order_u32[..cut]
-                .iter()
-                .fold(0.0f64, |l, &v| l.max(base.op_finish(v)));
-            let mut best_latency = f64::INFINITY;
-            let mut best_gpu = 0;
-            for gi in 0..gpus as u32 {
-                for &v in &batch {
-                    place[v] = gi;
-                }
-                gen += 1;
-                let done = trial.replay_incremental(
-                    &ctx,
-                    &base,
-                    &order_u32[cut..],
-                    &pos,
-                    &place,
-                    lat0,
-                    &mut touch,
-                    gen,
-                    f64::INFINITY,
-                );
-                assert!(done);
-                let mut scratch = ListState::new(n, gpus);
-                scratch.schedule(g, cost, &order, |v| {
-                    (place[v.index()] != NO_GPU).then_some(place[v.index()])
-                });
-                assert_eq!(
-                    state_bits(&trial),
-                    state_bits(&scratch),
-                    "round {round} gpu {gi}"
-                );
-                for v in (0..n as u32).filter(|&v| place[v as usize] != NO_GPU) {
-                    let gv = place[v as usize] as usize;
-                    let mut ready = 0.0f64;
-                    for &u in ctx.preds(v) {
-                        let (gu, f) = (place[u as usize] as usize, trial.finish[u as usize]);
-                        if gu == gv {
-                            ready = ready.max(f);
-                        } else if gu != NO_GPU as usize {
-                            ready = ready.max(f + ctx.transfer(u, gu, gv));
-                        }
-                    }
-                    kept += usize::from(ready.to_bits() != trial.ready[v as usize].to_bits());
-                }
-                if trial.latency() < best_latency {
-                    best_latency = trial.latency();
-                    best_gpu = gi;
-                    std::mem::swap(&mut best, &mut trial);
-                }
-            }
-            for &v in &batch {
-                place[v] = best_gpu;
-            }
-            std::mem::swap(&mut base, &mut best);
-        }
-        kept
-    }
-
-    #[test]
-    fn replay_incremental_matches_a_from_scratch_schedule() {
-        let mut rng = StdRng::seed_from_u64(20);
-        let mut kept = 0;
-        for case in 0..64 {
-            let ops = rng.random_range(8..60usize);
-            let seed = rng.random_range(0..1_000_000u64);
-            let g = hios_graph::generate_layered_dag(&hios_graph::LayeredDagConfig {
-                ops,
-                layers: rng.random_range(2..8usize),
-                deps: ops * 2,
-                seed,
-            })
-            .unwrap();
-            let cost = if case % 2 == 0 {
-                tied_cost(ops, &mut rng)
-            } else {
-                hios_cost::random_cost_table(&g, &hios_cost::RandomCostConfig::paper_default(seed))
-            };
-            let (gpus, rounds) = (rng.random_range(1..5usize), rng.random_range(2..8usize));
-            kept += check_replays(&g, &cost, gpus, rounds, &mut rng);
-        }
-        assert!(kept > 0, "the reuse window never fired");
-    }
-
-    #[test]
-    fn a_fallen_ready_time_declines_the_reuse_and_takes_an_earlier_gap() {
-        // GPU0 runs x0, then x; y (after x) and z share GPU1; w (after
-        // x0) and v (after z) share GPU2.  Adding p to GPU0 between x0
-        // and x delays x and so y, which frees GPU1's head for z: v's
-        // ready time falls from 10 to 3, below the window `[10, 10]` it
-        // was placed from, and an earlier gap on its still-clean GPU —
-        // ahead of w's [4, 7) — now takes it.
-        let mut bld = GraphBuilder::new();
-        let x0 = bld.add_synthetic("x0", &[]);
-        let p = bld.add_synthetic("p", &[]);
-        let x = bld.add_synthetic("x", &[]);
-        let y = bld.add_synthetic("y", &[x]);
-        let z = bld.add_synthetic("z", &[]);
-        let w = bld.add_synthetic("w", &[x0]);
-        let v = bld.add_synthetic("v", &[z]);
-        let g = bld.build();
-        let cost = CostTable::homogeneous(
-            "fallen",
-            vec![1.0, 3.0, 1.0, 5.0, 3.0, 3.0, 1.0],
-            vec![1.0; 7],
-            vec![3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-            ConcurrencyParams::default(),
-            0.0,
-        );
-        let order = [x0, p, x, y, z, w, v];
-        let order_u32: Vec<u32> = order.iter().map(|v| v.0).collect();
-        let pos: Vec<usize> = (0..7).collect();
-        let mut place = vec![0, NO_GPU, 0, 1, 1, 2, 2];
-        let gpu_of = |place: &[u32]| {
-            let place = place.to_vec();
-            move |v: OpId| (place[v.index()] != NO_GPU).then_some(place[v.index()])
-        };
-        let mut base = ListState::new(7, 3);
-        base.schedule(&g, &cost, &order, gpu_of(&place));
-        assert_eq!((base.ready[v.index()], base.start[v.index()]), (10.0, 10.0));
-
-        place[p.index()] = 0;
-        let ctx = DenseContext::build(&g, &cost, 3);
-        let mut trial = ListState::new(7, 3);
-        let mut touch = vec![0u32; 7];
-        let lat0 = base.op_finish(x0.0);
-        assert!(trial.replay_incremental(
-            &ctx,
-            &base,
-            &order_u32[1..],
-            &pos,
-            &place,
-            lat0,
-            &mut touch,
-            1,
-            f64::INFINITY
-        ));
-        assert_eq!(trial.finish[z.index()], 3.0, "v's ready time falls to 3");
-        assert_eq!(
-            (trial.start[v.index()], trial.finish[v.index()]),
-            (3.0, 4.0)
-        );
-        assert_eq!(trial.busy_op[2], vec![v.0, w.0]);
-        let mut scratch = ListState::new(7, 3);
-        scratch.schedule(&g, &cost, &order, gpu_of(&place));
-        assert_eq!(state_bits(&trial), state_bits(&scratch));
-    }
-
-    #[test]
-    fn list_schedule_matches_fig4_narrative() {
-        // With P1 = {v1,v2,v4,v6,v8} on GPU 0 and {v3,v5} on GPU 1 the
-        // hand-computed makespan is 13 (see lp.rs); v7 unscheduled.
-        let (g, _) = fig4();
-        let cost = fig4_cost();
-        let mut gpu_of = vec![None; 8];
-        for i in [0usize, 1, 3, 5, 7] {
-            gpu_of[i] = Some(0);
-        }
-        for i in [2usize, 4] {
-            gpu_of[i] = Some(1);
-        }
-        let p = crate::priority::priorities(&g, &cost);
-        let order = hios_graph::paths::priority_order(&g, &p);
-        let r = list_schedule(&g, &cost, &order, &gpu_of, 2);
-        assert!((r.latency - 13.0).abs() < 1e-9, "got {}", r.latency);
-        assert!(r.start[6].is_nan(), "v7 is unscheduled");
-        assert_eq!(r.gpu_order[1], vec![OpId(2), OpId(4)]);
-    }
-
-    #[test]
-    fn list_schedule_serializes_on_one_gpu() {
-        let (g, _) = fig4();
-        let cost = fig4_cost();
-        let gpu_of = vec![Some(0u32); 8];
-        let p = crate::priority::priorities(&g, &cost);
-        let order = hios_graph::paths::priority_order(&g, &p);
-        let r = list_schedule(&g, &cost, &order, &gpu_of, 1);
-        let total: f64 = cost.total_exec();
-        assert!((r.latency - total).abs() < 1e-9);
-        assert_eq!(r.gpu_order[0].len(), 8);
-    }
-
-    #[test]
-    fn prefix_plus_suffix_equals_one_pass() {
-        // The LP candidate search relies on splitting one list schedule
-        // into a shared prefix and per-trial suffixes.
-        let (g, _) = fig4();
-        let cost = fig4_cost();
-        let gpu_of: Vec<Option<u32>> = (0..8).map(|i| Some((i % 3) as u32)).collect();
-        let p = crate::priority::priorities(&g, &cost);
-        let order = hios_graph::paths::priority_order(&g, &p);
-        let whole = list_schedule(&g, &cost, &order, &gpu_of, 3);
-        for cut in 0..=order.len() {
-            let mut st = ListState::new(8, 3);
-            st.schedule(&g, &cost, &order[..cut], |v| gpu_of[v.index()]);
-            let mut trial = ListState::new(8, 3);
-            trial.clone_from(&st);
-            trial.schedule(&g, &cost, &order[cut..], |v| gpu_of[v.index()]);
-            let r = trial.into_result();
-            assert_eq!(r.latency.to_bits(), whole.latency.to_bits());
-            assert_eq!(r.gpu_order, whole.gpu_order);
         }
     }
 }

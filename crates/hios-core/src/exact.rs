@@ -7,7 +7,7 @@
 //! policy — the yardstick the property tests hold HIOS-LP and HIOS-MR
 //! against on small graphs.  Cost is `O(M^n)`; refuse anything big.
 
-use crate::eval::list_schedule;
+use crate::list::list_schedule;
 use crate::priority::priority_order;
 use crate::schedule::Schedule;
 use hios_cost::CostTable;

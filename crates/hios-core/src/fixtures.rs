@@ -2,6 +2,8 @@
 
 use hios_cost::{ConcurrencyParams, CostTable};
 use hios_graph::{Graph, GraphBuilder, OpId};
+use rand::Rng;
+use rand::rngs::StdRng;
 
 /// The Fig. 4 topology with weights chosen to reproduce the figure's
 /// narrative (see `hios-graph::paths` for the derivation):
@@ -54,4 +56,26 @@ pub(crate) fn fig4_cost_small_ops() -> CostTable {
     let mut c = fig4_cost();
     c.device.util = vec![vec![0.3; c.num_ops()]];
     c
+}
+
+/// A cost table whose times are small multiples of 0.5 ms, with
+/// zero-cost transfers mixed in: stage arrivals tie often.
+pub(crate) fn tied_cost(n: usize, rng: &mut StdRng) -> CostTable {
+    CostTable::homogeneous(
+        "ties",
+        (0..n)
+            .map(|_| 0.5 * rng.random_range(1..5u32) as f64)
+            .collect(),
+        (0..n)
+            .map(|_| 0.3 * rng.random_range(1..4u32) as f64)
+            .collect(),
+        (0..n)
+            .map(|_| 0.5 * rng.random_range(0..3u32) as f64)
+            .collect(),
+        ConcurrencyParams {
+            contention_alpha: 0.15,
+            stream_overhead_ms: 0.0,
+        },
+        0.0,
+    )
 }

@@ -21,9 +21,9 @@
 //!
 //! The latency semantics live in [`eval`]: the stage-synchronous
 //! upper-bound model of §III-A (operators of a stage start together; a
-//! cross-GPU dependency delays the consumer *stage* by the transfer time)
-//! plus the priority-ordered list scheduler used inside Alg. 1 and Alg. 3.
-//! Both run on a reusable, allocation-free evaluation engine
+//! cross-GPU dependency delays the consumer *stage* by the transfer time).
+//! The priority-ordered list scheduler used inside Alg. 1 and Alg. 3
+//! lives in [`list`].  Both run on reusable, allocation-free state
 //! ([`eval::EvalWorkspace`] and the list scheduler's state) whose fast
 //! paths are differential-tested against the pre-optimization
 //! implementations kept in [`reference`](mod@reference).
@@ -45,6 +45,7 @@ mod dense;
 pub mod eval;
 pub mod exact;
 pub mod ios;
+pub mod list;
 pub mod lp;
 pub mod mr;
 pub mod priority;
@@ -59,7 +60,8 @@ pub use api::{
     modeled_sched_cost_ms, run_scheduler, run_scheduler_with,
 };
 pub use cache::{ScheduleCacheKey, graph_fingerprint};
-pub use eval::{EvalError, EvalResult, EvalWorkspace, evaluate, evaluate_with, list_schedule};
+pub use eval::{EvalError, EvalResult, EvalWorkspace, evaluate, evaluate_with};
+pub use list::list_schedule;
 pub use repair::{
     RepairConfig, RepairError, RepairOutcome, RepairPolicy, SubgraphMap, alive_slots,
     extract_unfinished, greedy_schedule, project_cost, repair_schedule,

@@ -4,7 +4,8 @@
 //! latency of everything scheduled so far.
 
 use crate::dense::{DenseContext, NO_GPU};
-use crate::eval::{ListState, evaluate};
+use crate::eval::evaluate;
+use crate::list::ListState;
 use crate::priority::priorities;
 use crate::schedule::Schedule;
 use crate::window::parallelize;

@@ -14,7 +14,8 @@
 //!
 //! Nothing here is used by the production schedulers.
 
-use crate::eval::{EvalError, EvalResult, ListScheduleResult};
+use crate::eval::{EvalError, EvalResult};
+use crate::list::ListScheduleResult;
 use crate::lp::{HiosLpConfig, LpOutcome, longest_valid_path};
 use crate::mr::{HiosMrConfig, MrOutcome};
 use crate::priority::priorities;
@@ -110,7 +111,7 @@ pub fn evaluate(g: &Graph, cost: &CostTable, sched: &Schedule) -> Result<EvalRes
 }
 
 /// Reference list scheduler: linear earliest-gap scan (see
-/// [`crate::eval::list_schedule`] for semantics).
+/// [`crate::list::list_schedule`] for semantics).
 pub fn list_schedule(
     g: &Graph,
     cost: &CostTable,

@@ -4,12 +4,12 @@
 //! schedules, same errors — on random layered DAGs, random placements,
 //! random stage groupings and random window merges.
 
-use hios_core::eval::{EvalError, EvalWorkspace, evaluate, list_schedule};
 use hios_core::lp::{HiosLpConfig, schedule_hios_lp};
 use hios_core::mr::{HiosMrConfig, schedule_hios_mr};
 use hios_core::reference;
 use hios_core::schedule::{GpuSchedule, Schedule, Stage};
 use hios_core::window::parallelize;
+use hios_core::{EvalError, EvalWorkspace, evaluate, list_schedule};
 use hios_cost::{
     CalibratedTable, Calibrator, CostTable, DeviceCosts, RandomCostConfig, Topology,
     random_cost_table,
