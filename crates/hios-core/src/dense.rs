@@ -111,6 +111,12 @@ impl DenseContext {
         self.n
     }
 
+    /// Number of GPUs.
+    #[inline]
+    pub(crate) fn num_gpus(&self) -> usize {
+        self.m
+    }
+
     /// Predecessors of `v`, in the graph's order.
     #[inline]
     pub(crate) fn preds(&self, v: u32) -> &[u32] {

@@ -7,11 +7,12 @@
 //! policy — the yardstick the property tests hold HIOS-LP and HIOS-MR
 //! against on small graphs.  Cost is `O(M^n)`; refuse anything big.
 
-use crate::list::list_schedule;
+use crate::dense::DenseContext;
+use crate::list::ListState;
 use crate::priority::priority_order;
 use crate::schedule::Schedule;
 use hios_cost::CostTable;
-use hios_graph::Graph;
+use hios_graph::{Graph, OpId};
 
 /// Hard cap on the instance size accepted by [`exhaustive_spatial`].
 pub const MAX_EXHAUSTIVE_OPS: usize = 12;
@@ -36,47 +37,39 @@ pub fn exhaustive_spatial(g: &Graph, cost: &CostTable, num_gpus: usize) -> (Sche
         return (Schedule::empty(num_gpus), 0.0);
     }
     let order = priority_order(g, cost);
+    let ctx = DenseContext::build(g, cost, num_gpus);
 
-    let mut assign = vec![0u32; n]; // by position in `order`
     let mut best_latency = f64::INFINITY;
-    let mut best_orders: Vec<Vec<hios_graph::OpId>> = vec![Vec::new(); num_gpus];
+    let mut best_orders: Vec<Vec<OpId>> = vec![Vec::new(); num_gpus];
     let mut gpu_of = vec![None::<u32>; n];
 
     // Depth-first over restricted-growth strings: position i may use GPUs
     // 0..=min(max_used_so_far + 1, M-1).
-    #[allow(clippy::too_many_arguments)]
     fn recurse(
         i: usize,
         max_used: u32,
-        g: &Graph,
-        cost: &CostTable,
-        order: &[hios_graph::OpId],
-        num_gpus: usize,
-        assign: &mut [u32],
+        ctx: &DenseContext,
+        order: &[OpId],
         gpu_of: &mut [Option<u32>],
         best_latency: &mut f64,
-        best_orders: &mut Vec<Vec<hios_graph::OpId>>,
+        best_orders: &mut Vec<Vec<OpId>>,
     ) {
         if i == order.len() {
-            let r = list_schedule(g, cost, order, gpu_of, num_gpus);
-            if r.latency < *best_latency {
-                *best_latency = r.latency;
-                *best_orders = r.gpu_order;
+            let st = ListState::from_scratch(ctx, order, gpu_of);
+            if st.latency() < *best_latency {
+                *best_latency = st.latency();
+                *best_orders = st.into_result().gpu_order;
             }
             return;
         }
-        let limit = (max_used + 1).min(num_gpus as u32 - 1);
+        let limit = (max_used + 1).min(ctx.num_gpus() as u32 - 1);
         for gpu in 0..=limit {
-            assign[i] = gpu;
             gpu_of[order[i].index()] = Some(gpu);
             recurse(
                 i + 1,
                 max_used.max(gpu),
-                g,
-                cost,
+                ctx,
                 order,
-                num_gpus,
-                assign,
                 gpu_of,
                 best_latency,
                 best_orders,
@@ -87,11 +80,8 @@ pub fn exhaustive_spatial(g: &Graph, cost: &CostTable, num_gpus: usize) -> (Sche
     recurse(
         0,
         0,
-        g,
-        cost,
+        &ctx,
         &order,
-        num_gpus,
-        &mut assign,
         &mut gpu_of,
         &mut best_latency,
         &mut best_orders,

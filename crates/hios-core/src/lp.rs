@@ -425,21 +425,16 @@ pub fn schedule_hios_lp(g: &Graph, cost: &CostTable, cfg: HiosLpConfig) -> LpOut
         .latency;
     let gpu_of = place;
 
-    if cfg.intra {
-        let (schedule, latency) = parallelize(g, cost, schedule, cfg.window);
-        LpOutcome {
-            schedule,
-            latency,
-            gpu_of,
-            paths,
-        }
+    let (schedule, latency) = if cfg.intra {
+        parallelize(g, cost, schedule, cfg.window)
     } else {
-        LpOutcome {
-            schedule,
-            latency,
-            gpu_of,
-            paths,
-        }
+        (schedule, latency)
+    };
+    LpOutcome {
+        schedule,
+        latency,
+        gpu_of,
+        paths,
     }
 }
 

@@ -217,19 +217,15 @@ pub fn schedule_hios_mr(g: &Graph, cost: &CostTable, cfg: HiosMrConfig) -> MrOut
         .expect("MR schedule is feasible by construction")
         .latency;
 
-    if cfg.intra {
-        let (schedule, latency) = parallelize(g, cost, schedule, cfg.window);
-        MrOutcome {
-            schedule,
-            latency,
-            gpu_of,
-        }
+    let (schedule, latency) = if cfg.intra {
+        parallelize(g, cost, schedule, cfg.window)
     } else {
-        MrOutcome {
-            schedule,
-            latency,
-            gpu_of,
-        }
+        (schedule, latency)
+    };
+    MrOutcome {
+        schedule,
+        latency,
+        gpu_of,
     }
 }
 
