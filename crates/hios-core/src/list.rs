@@ -248,10 +248,10 @@ impl ListState {
     /// recomputed finish differs bitwise from `base`'s) and its GPU's
     /// interval set still matches `base`'s (a GPU is *dirty* once any
     /// operator on it was newly placed or re-placed; every later
-    /// operator on a dirty GPU is re-placed).  On first placement a
-    /// GPU's intervals are materialized from `base` filtered to
-    /// operators ordered earlier — exactly the fold's interval set at
-    /// that turn.  By induction every operator ends with the fold's
+    /// operator on a dirty GPU is re-placed; `dirty` holds one flag per
+    /// GPU, cleared when the replay starts).  On first placement a GPU's
+    /// intervals are materialized from `base` filtered to operators
+    /// ordered earlier — exactly the fold's interval set at that turn.  By induction every operator ends with the fold's
     /// exact bits, whether copied or recomputed.
     ///
     /// A *touched* operator (a predecessor's finish changed) on a clean
@@ -277,9 +277,8 @@ impl ListState {
     /// `touch`/`gen` are the caller's stamp buffer (entries `== gen`
     /// mean "a predecessor changed"); `lat0` is the makespan over the
     /// operators ordered before `ops[0]` (unchanged by construction).
-    /// Over an empty `base` every operator is new and every GPU it uses
-    /// dirty, so the replay is the from-scratch fold itself
-    /// ([`ListState::from_scratch`]).
+    /// Over an empty `base` every operator is new, so the replay is the
+    /// from-scratch fold itself ([`ListState::from_scratch`]).
     /// The call aborts and returns `false` as soon as the running
     /// makespan *exceeds* `bound`.
     /// Returns `true` when the state is a complete schedule of all
@@ -404,8 +403,9 @@ impl ListState {
     }
 
     /// Inserts `v` into the earliest gap on `gv` of length >= `dur`
-    /// starting no sooner than `ready`: the insertion index and bits of `reference::earliest_gap` over the
-    /// GPU's intervals, found by walking its busy runs instead.
+    /// starting no sooner than `ready`: the insertion index and bits of
+    /// `reference::earliest_gap` over the GPU's intervals, found by
+    /// walking its busy runs instead.
     ///
     /// **Why the run scan is exact.**  Times are never negative (`ready`
     /// is a `max` from `0.0`, and durations are `>= 0`), so every
@@ -938,9 +938,9 @@ mod tests {
 
     #[test]
     fn more_than_64_gpus_match_the_reference() {
-        // A trial's dirty GPUs were once bits of a `u64`: above 64 GPUs
-        // one GPU aliased another's bit, was never materialized, and
-        // HIOS-LP's schedule lost operators.
+        // A replay must track dirty GPUs for any number of GPUs: a
+        // 64-bit mask aliases GPU `g` with `g - 64` above 64, leaves one
+        // of them unmaterialized and loses its operators.
         let g = hios_graph::generate_layered_dag(&hios_graph::LayeredDagConfig {
             ops: 400,
             layers: 2,
