@@ -22,7 +22,7 @@ fn bench_relax(c: &mut Criterion) {
         let cost = random_cost_table(&g, &RandomCostConfig::paper_default(7));
         let sched = schedule_hios_lp(&g, &cost, HiosLpConfig::inter_only(2)).schedule;
         let mut ws = EvalWorkspace::new();
-        ws.prepare(&g, &cost, &sched, true).unwrap();
+        ws.prepare(&g, &cost, &sched).unwrap();
         group.bench_function(format!("{ops}ops"), |b| {
             b.iter(|| black_box(ws.relax().unwrap()));
         });

@@ -13,7 +13,10 @@
 //! window pass's question — "what would the latency be if stages
 //! `first..=last` were merged?" — *incrementally*, re-relaxing only the
 //! stages downstream of the merge instead of cloning and re-evaluating
-//! the whole schedule.  All fast paths are differential-tested to be
+//! the whole schedule.  A wave that prices below its cutoff is
+//! remembered, and [`EvalWorkspace::commit_merge`] rewrites the stage
+//! graph in place, then applies the remembered wave of that same merge
+//! or, failing that, relaxes the whole graph.  All fast paths are differential-tested to be
 //! bit-identical to [`crate::reference`].  The list scheduler of Alg. 1
 //! and Alg. 3 lives in [`crate::list`].
 
@@ -134,25 +137,9 @@ pub struct EvalWorkspace {
     crit_stamp: u32,
     crit_finish: f64,
     crit_dirty: bool,
-    /// Snapshot of the best candidate's wave so far (filled by
-    /// [`EvalWorkspace::snapshot_candidate`], consumed by
-    /// [`EvalWorkspace::commit_merge`]): the changed stages with their
-    /// recomputed times, the merged stage's interval, and the candidate
-    /// latency.  Lets the commit apply an accepted merge without
-    /// re-running its wave.
-    snap_ids: Vec<u32>,
-    snap_start: Vec<f64>,
-    snap_finish: Vec<f64>,
-    snap_key: (usize, usize, usize),
-    snap_merged: (f64, f64),
-    snap_latency: f64,
-    snap_valid: bool,
-    /// Whether the last `merged_latency_bounded` call completed the
-    /// incremental wave (as opposed to short-circuiting or finding a
-    /// cycle) — the precondition for `snapshot_candidate`.
-    last_eval_wave: bool,
-    /// Merged stage `(start, finish)` of the last `merged_stage_finish`.
-    last_merged: (f64, f64),
+    /// The last candidate wave that priced below its cutoff, for
+    /// [`EvalWorkspace::commit_merge`] to apply.
+    wave: RememberedWave,
     // Scratch: full relaxation.
     indeg_w: Vec<u32>,
     worklist: Vec<usize>,
@@ -167,6 +154,23 @@ pub struct EvalWorkspace {
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(u32, u32)>>,
 }
 
+/// A completed changed-only wave of [`EvalWorkspace::merged_latency_bounded`]
+/// whose latency came out below the cutoff: the exact times of the merged
+/// schedule wherever they differ from the baseline.
+#[derive(Clone, Debug, Default)]
+struct RememberedWave {
+    /// `(gpu, first, last)` of the priced merge; `None` once a `relax` or
+    /// a commit moved the baseline the wave was priced against.
+    range: Option<(usize, usize, usize)>,
+    /// The re-relaxed stages and their recomputed times.
+    ids: Vec<u32>,
+    start: Vec<f64>,
+    finish: Vec<f64>,
+    /// The merged stage's `(start, finish)`.
+    merged: (f64, f64),
+    latency: f64,
+}
+
 impl EvalWorkspace {
     /// Creates an empty workspace; buffers grow on first use.
     pub fn new() -> Self {
@@ -175,21 +179,16 @@ impl EvalWorkspace {
 
     /// Compiles `sched` into the workspace's stage-graph arena.
     ///
-    /// With `validate` set the schedule is structurally checked first
-    /// (the only failure mode of this call); callers that construct
-    /// schedules known to be valid — e.g. the window pass committing an
-    /// already-accepted merge — pass `false` and skip the check
-    /// (validate-once-then-trust).
+    /// The schedule is structurally checked first (the only failure mode
+    /// of this call); an accepted merge is committed by
+    /// [`EvalWorkspace::commit_merge`] instead, without a re-compile.
     pub fn prepare(
         &mut self,
         g: &Graph,
         cost: &CostTable,
         sched: &Schedule,
-        validate: bool,
     ) -> Result<(), EvalError> {
-        if validate {
-            sched.validate(g)?;
-        }
+        sched.validate(g)?;
         let n_ops = g.num_ops();
 
         // Flat stage ids and per-op placement maps.
@@ -331,7 +330,7 @@ impl EvalWorkspace {
         self.rank_dirty = true;
         self.tail_dirty = true;
         self.crit_dirty = true;
-        self.snap_valid = false;
+        self.wave.range = None;
         self.indeg_w.clear();
         self.indeg_w.extend_from_slice(&self.indeg);
         self.worklist.clear();
@@ -418,6 +417,12 @@ impl EvalWorkspace {
     /// suffix accumulation, which a relative guard of `1e-9` — orders of
     /// magnitude above the worst-case accumulated rounding of the longest
     /// representable chains — makes conservative.
+    ///
+    /// Every result below `cutoff` comes from a completed changed-only
+    /// wave, and the workspace remembers that wave (replacing the one it
+    /// held) for [`EvalWorkspace::commit_merge`] to apply.  The window
+    /// pass's cutoff is the bar a candidate must strictly beat, so the
+    /// wave it remembers last is its winner's.
     pub(crate) fn merged_latency_bounded(
         &mut self,
         cost: &CostTable,
@@ -428,7 +433,6 @@ impl EvalWorkspace {
         cutoff: f64,
     ) -> Result<f64, EvalError> {
         debug_assert!(first < last && self.gpu_base[gpu] + last < self.n_stages);
-        self.last_eval_wave = false;
         let a = self.gpu_base[gpu] + first;
         let b = self.gpu_base[gpu] + last;
 
@@ -541,7 +545,8 @@ impl EvalWorkspace {
         // materialized merge would ask), started at the max over external
         // predecessor arrivals; no external predecessor descends from the
         // range (that would be a cycle), so its baseline finish is final.
-        let merged_finish = self.merged_stage_finish(cost, sched, gpu, first, last, a, b);
+        let merged = self.merged_stage_interval(cost, sched, gpu, first, last, a, b);
+        let merged_finish = merged.1;
 
         // Pre-wave cutoff: the merged stage's finish is exact, so its
         // heaviest structural suffix bounds the candidate latency from
@@ -605,42 +610,30 @@ impl EvalWorkspace {
                 }
             }
         }
-        self.last_eval_wave = true;
-        Ok(self.candidate_latency(merged_finish, gen))
+        let latency = self.candidate_latency(merged_finish, gen);
+        if latency < cutoff {
+            self.remember_wave((gpu, first, last), merged, latency);
+        }
+        Ok(latency)
     }
 
-    /// Saves the just-evaluated candidate's wave (changed stages and
-    /// their recomputed times) so [`EvalWorkspace::commit_merge`] on the
-    /// same `(gpu, first, last)` range can apply it instead of re-running
-    /// the wave.  Call right after a [`merged_latency_bounded`] call
-    /// returned an exact (below-cutoff) latency `latency` the caller
-    /// intends to commit; a no-op when that call short-circuited or found
-    /// a cycle.  Invalidated by any `relax` or commit.
-    ///
-    /// [`merged_latency_bounded`]: EvalWorkspace::merged_latency_bounded
-    pub(crate) fn snapshot_candidate(
-        &mut self,
-        gpu: usize,
-        first: usize,
-        last: usize,
-        latency: f64,
-    ) {
-        self.snap_valid = false;
-        if !self.last_eval_wave {
-            return;
-        }
-        self.snap_ids.clear();
-        self.snap_start.clear();
-        self.snap_finish.clear();
+    /// Copies the wave just run into [`RememberedWave`].  Cold: only a
+    /// candidate that beats its cutoff gets here (about 4 % of the window
+    /// pass's candidates), so the copy stays out of the pricing path.
+    #[cold]
+    fn remember_wave(&mut self, range: (usize, usize, usize), merged: (f64, f64), latency: f64) {
+        let w = &mut self.wave;
+        w.range = Some(range);
+        w.ids.clear();
+        w.start.clear();
+        w.finish.clear();
         for &t in &self.affected {
-            self.snap_ids.push(t as u32);
-            self.snap_start.push(self.c_start[t]);
-            self.snap_finish.push(self.c_finish[t]);
+            w.ids.push(t as u32);
+            w.start.push(self.c_start[t]);
+            w.finish.push(self.c_finish[t]);
         }
-        self.snap_key = (gpu, first, last);
-        self.snap_merged = self.last_merged;
-        self.snap_latency = latency;
-        self.snap_valid = true;
+        w.merged = merged;
+        w.latency = latency;
     }
 
     /// Rebuilds `finish_rank` (the descending top-8 baseline finishes)
@@ -697,11 +690,11 @@ impl EvalWorkspace {
         (bound * (1.0 - CUTOFF_GUARD) >= cutoff).then_some(bound)
     }
 
-    /// Operator union, duration query and start of the merged stage (the
-    /// `concurrent_on` call keeps the profiling-meter side effect of a
-    /// materialized merge).
+    /// Operator union, duration query and `(start, finish)` of the merged
+    /// stage (the `concurrent_on` call keeps the profiling-meter side
+    /// effect of a materialized merge).
     #[allow(clippy::too_many_arguments)]
-    fn merged_stage_finish(
+    fn merged_stage_interval(
         &mut self,
         cost: &CostTable,
         sched: &Schedule,
@@ -710,7 +703,7 @@ impl EvalWorkspace {
         last: usize,
         a: usize,
         b: usize,
-    ) -> f64 {
+    ) -> (f64, f64) {
         self.merge_ops.clear();
         for si in first..=last {
             self.merge_ops
@@ -730,8 +723,7 @@ impl EvalWorkspace {
                 }
             }
         }
-        self.last_merged = (merged_start, merged_start + merged_dur);
-        merged_start + merged_dur
+        (merged_start, merged_start + merged_dur)
     }
 
     /// Candidate latency: recomputed finishes over `affected`, the max
@@ -839,9 +831,19 @@ impl EvalWorkspace {
     /// Commits an accepted merge of old stages `first..=last` on `gpu`
     /// *in place*: the workspace's stage graph is rewritten by id surgery
     /// (absorbed stages collapse into one, every later stage shifts down,
-    /// edges are remapped carrying their cached weights) and re-relaxed —
-    /// no schedule re-compile, no re-validation, and exactly one fresh
-    /// `concurrent` query (the merged stage's duration).
+    /// edges are remapped carrying their cached weights) — no schedule
+    /// re-compile, no re-validation, and exactly one fresh `concurrent`
+    /// query (the merged stage's duration).
+    ///
+    /// The new stage times come one of two ways.  The remembered wave
+    /// (see [`EvalWorkspace::merged_latency`]) is applied when it priced
+    /// this very range and no external predecessor of the range sits
+    /// after the range's first baseline topological position (no cycle
+    /// suspect): the wave holds the merged schedule's exact times, and the
+    /// baseline order stays valid for the merged graph, the merged stage
+    /// taking that first position (every successor of a range member
+    /// already sat strictly after it).  Otherwise the merged graph is
+    /// relaxed in full.
     ///
     /// `sched` must already hold the materialized merge (the combined
     /// stage sits at `first`).  Bit-identity with a full
@@ -852,7 +854,7 @@ impl EvalWorkspace {
     /// internal edges beyond its own chain (same-GPU data edges never
     /// become stage edges).
     ///
-    /// Returns the relaxed latency of the merged schedule.
+    /// Returns the latency of the merged schedule.
     ///
     /// # Panics
     /// Panics when the merged graph has a stage cycle — the caller must
@@ -881,152 +883,13 @@ impl EvalWorkspace {
                 s - delta
             }
         };
+        let (range_min_pos, limit) = self.suspect_limit(a, b);
+        let apply = limit == range_min_pos && self.wave.range == Some((gpu, first, last));
+        self.wave.range = None;
 
         // Stage durations: every survivor keeps its cached value; only
         // the merged stage needs a fresh concurrent query.
         self.stage_dur[a] = cost.concurrent_on(gpu, &sched.gpus[gpu].stages[first].ops);
-
-        // When no external predecessor of the absorbed range sits after
-        // the range's minimum baseline position (no cycle suspect), the
-        // baseline topological order stays valid for the merged graph
-        // (the merged stage inherits that minimum position; every
-        // successor of a range member already sat strictly after it), and
-        // the committed times can be produced by the same exact
-        // changed-only wave the candidate evaluation runs — no full
-        // re-relaxation.  Only a merge with a suspect falls back to
-        // `relax`.
-        let (range_min_pos, limit) = self.suspect_limit(a, b);
-        let incremental = limit == range_min_pos;
-
-        let mut latency = f64::NAN;
-        if incremental && self.snap_valid && self.snap_key == (gpu, first, last) {
-            // The accepted candidate's own wave was snapshotted at
-            // evaluation time: apply it directly.
-            for i in 0..self.snap_ids.len() {
-                let t = self.snap_ids[i] as usize;
-                self.start[t] = self.snap_start[i];
-                self.finish[t] = self.snap_finish[i];
-            }
-            self.start[a] = self.snap_merged.0;
-            self.finish[a] = self.snap_merged.1;
-            latency = self.snap_latency;
-        } else if incremental {
-            // Merged stage times from external predecessors, whose
-            // baseline finishes are final (no suspect: they all sit
-            // at or before the range, so none descends from it).
-            let mut merged_start = 0.0f64;
-            for s in a..=b {
-                for e in self.pred_off[s] as usize..self.pred_off[s + 1] as usize {
-                    let p = self.pred_idx[e] as usize;
-                    if p >= a && p <= b {
-                        continue;
-                    }
-                    let arrival = self.finish[p] + self.pred_w[e];
-                    if arrival > merged_start {
-                        merged_start = arrival;
-                    }
-                }
-            }
-            let merged_finish = merged_start + self.stage_dur[a];
-
-            // Exact changed-only wave over the old ids (identical to the
-            // candidate path with no cutoff), recording starts too so the
-            // results can be applied as the new baseline.
-            let gen = self.next_gen();
-            for s in a..=b {
-                self.mark[s] = gen;
-            }
-            self.ensure_rank();
-            self.affected.clear();
-            self.heap.clear();
-            for s in a..=b {
-                for e in self.succ_off[s] as usize..self.succ_off[s + 1] as usize {
-                    let t = self.succ_idx[e] as usize;
-                    if t >= a && t <= b {
-                        continue;
-                    }
-                    if self.mark[t] != gen {
-                        self.mark[t] = gen;
-                        self.heap
-                            .push(std::cmp::Reverse((self.topo_pos[t], t as u32)));
-                    }
-                }
-            }
-            while let Some(std::cmp::Reverse((_, t))) = self.heap.pop() {
-                let t = t as usize;
-                let mut st = 0.0f64;
-                for e in self.pred_off[t] as usize..self.pred_off[t + 1] as usize {
-                    let p = self.pred_idx[e] as usize;
-                    let w = self.pred_w[e];
-                    let arrival = if p >= a && p <= b {
-                        merged_finish + w
-                    } else if self.mark[p] == gen {
-                        self.c_finish[p] + w
-                    } else {
-                        self.finish[p] + w
-                    };
-                    if arrival > st {
-                        st = arrival;
-                    }
-                }
-                let f = st + self.stage_dur[t];
-                self.c_start[t] = st;
-                self.c_finish[t] = f;
-                self.affected.push(t);
-                if f.to_bits() != self.finish[t].to_bits() {
-                    for e in self.succ_off[t] as usize..self.succ_off[t + 1] as usize {
-                        let u = self.succ_idx[e] as usize;
-                        debug_assert!(!(u >= a && u <= b), "no suspect, no cycle");
-                        if self.mark[u] != gen {
-                            self.mark[u] = gen;
-                            self.heap
-                                .push(std::cmp::Reverse((self.topo_pos[u], u as u32)));
-                        }
-                    }
-                }
-            }
-            latency = self.candidate_latency(merged_finish, gen);
-
-            // Apply the wave as the new baseline and compress the id
-            // space (the drains mirror the CSR remap below).
-            for idx in 0..self.affected.len() {
-                let t = self.affected[idx];
-                self.start[t] = self.c_start[t];
-                self.finish[t] = self.c_finish[t];
-            }
-            self.start[a] = merged_start;
-            self.finish[a] = merged_finish;
-        }
-        if incremental {
-            // Compress the id space (the drains mirror the CSR remap
-            // below) and the still-valid baseline topological order.
-            self.start.drain(a + 1..=b);
-            self.finish.drain(a + 1..=b);
-            let rmp = range_min_pos as usize;
-            let mut w = 0usize;
-            for p in 0..old_n {
-                let s = self.topo_order[p] as usize;
-                if s >= a && s <= b {
-                    if p == rmp {
-                        self.topo_order[w] = a as u32;
-                        w += 1;
-                    }
-                } else {
-                    self.topo_order[w] = remap(s) as u32;
-                    w += 1;
-                }
-            }
-            debug_assert_eq!(w, new_n);
-            self.topo_order.truncate(new_n);
-            self.topo_pos.clear();
-            self.topo_pos.resize(new_n, 0);
-            for (p, &s) in self.topo_order.iter().enumerate() {
-                self.topo_pos[s as usize] = p as u32;
-            }
-            self.rank_dirty = true;
-            self.tail_dirty = true;
-            self.crit_dirty = true;
-        }
         self.stage_dur.drain(a + 1..=b);
 
         // Rebuild the successor CSR under the id map, writing into the
@@ -1116,15 +979,47 @@ impl EvalWorkspace {
         self.c_start.resize(new_n, 0.0);
         self.c_finish.clear();
         self.c_finish.resize(new_n, 0.0);
-        self.snap_valid = false;
-        self.last_eval_wave = false;
 
-        if incremental {
-            latency
-        } else {
-            self.relax()
-                .expect("committed merge was vetted acyclic by merged_latency")
+        if !apply {
+            return self
+                .relax()
+                .expect("committed merge was vetted acyclic by merged_latency");
         }
+        // Apply the wave over the old ids, then compress the id space
+        // (the drains mirror the CSR remap above) and the still-valid
+        // baseline topological order.
+        for (i, &t) in self.wave.ids.iter().enumerate() {
+            self.start[t as usize] = self.wave.start[i];
+            self.finish[t as usize] = self.wave.finish[i];
+        }
+        (self.start[a], self.finish[a]) = self.wave.merged;
+        self.start.drain(a + 1..=b);
+        self.finish.drain(a + 1..=b);
+        let rmp = range_min_pos as usize;
+        let mut w = 0usize;
+        for p in 0..old_n {
+            let s = self.topo_order[p] as usize;
+            if s >= a && s <= b {
+                if p == rmp {
+                    self.topo_order[w] = a as u32;
+                    w += 1;
+                }
+            } else {
+                self.topo_order[w] = remap(s) as u32;
+                w += 1;
+            }
+        }
+        debug_assert_eq!(w, new_n);
+        self.topo_order.truncate(new_n);
+        self.topo_pos.clear();
+        self.topo_pos.resize(new_n, 0);
+        for (p, &s) in self.topo_order.iter().enumerate() {
+            self.topo_pos[s as usize] = p as u32;
+        }
+        self.rank_dirty = true;
+        self.tail_dirty = true;
+        self.crit_dirty = true;
+        self.wave.latency
     }
 }
 
@@ -1152,7 +1047,7 @@ pub fn evaluate_with(
     cost: &CostTable,
     sched: &Schedule,
 ) -> Result<EvalResult, EvalError> {
-    ws.prepare(g, cost, sched, true)?;
+    ws.prepare(g, cost, sched)?;
     let latency = ws.relax()?;
     let mut op_start = vec![0.0f64; g.num_ops()];
     let mut op_finish = vec![0.0f64; g.num_ops()];
@@ -1367,7 +1262,7 @@ mod tests {
             ],
         };
         let mut ws = EvalWorkspace::new();
-        ws.prepare(&g, &cost, &s, true).unwrap();
+        ws.prepare(&g, &cost, &s).unwrap();
         ws.relax().unwrap();
         let incremental = ws.merged_latency(&cost, &s, 0, 1, 2).unwrap();
         let materialized = crate::reference::merge_stages(&s, 0, 1, 2);
@@ -1388,7 +1283,7 @@ mod tests {
         let cost = uniform_cost(4, 1.0, 0.1, 0.1);
         let s = Schedule::from_gpu_orders(vec![vec![OpId(0), OpId(3)], vec![OpId(1), OpId(2)]]);
         let mut ws = EvalWorkspace::new();
-        ws.prepare(&g, &cost, &s, true).unwrap();
+        ws.prepare(&g, &cost, &s).unwrap();
         ws.relax().unwrap();
         assert_eq!(
             ws.merged_latency(&cost, &s, 0, 0, 1),
@@ -1406,7 +1301,7 @@ mod tests {
     /// circular wait).
     fn check_bounded_contract(g: &Graph, cost: &CostTable, sched: &Schedule, below: f64) -> usize {
         let mut ws = EvalWorkspace::new();
-        ws.prepare(g, cost, sched, true).unwrap();
+        ws.prepare(g, cost, sched).unwrap();
         let Ok(baseline) = ws.relax() else {
             return 0;
         };
@@ -1524,5 +1419,97 @@ mod tests {
         for below in [0.0, r.latency - 1.0, r.latency - 0.5] {
             assert_eq!(check_bounded_contract(&g, &cost, &sched, below), 7);
         }
+    }
+
+    /// Every merge of two or three stages of `sched` that is valid and
+    /// acyclic, as `(gpu, first, last)`.
+    fn acyclic_merges(g: &Graph, cost: &CostTable, sched: &Schedule) -> Vec<(usize, usize, usize)> {
+        let mut merges = Vec::new();
+        for (gpu, stages) in sched.gpus.iter().enumerate() {
+            let n = stages.stages.len();
+            for first in 0..n {
+                for last in first + 1..n.min(first + 3) {
+                    let merged = crate::reference::merge_stages(sched, gpu, first, last);
+                    if crate::reference::evaluate(g, cost, &merged).is_ok() {
+                        merges.push((gpu, first, last));
+                    }
+                }
+            }
+        }
+        merges
+    }
+
+    /// `commit_merge` without the committed merge's own wave to apply —
+    /// the last wave priced another range, or the merge has a cycle
+    /// suspect — relaxes the merged graph.  Either way the workspace
+    /// must then hold what `prepare` + `relax` of the materialized merge
+    /// hold, in latency and stage-time bits, and price every next merge
+    /// alike.
+    #[test]
+    fn commit_merge_without_its_own_wave_equals_a_fresh_relax() {
+        let (mut other_range, mut suspect) = (0usize, 0usize);
+        for seed in 0..24u64 {
+            let g = hios_graph::generate_layered_dag(&hios_graph::LayeredDagConfig {
+                ops: 24,
+                layers: 4,
+                deps: 48,
+                seed,
+            })
+            .unwrap();
+            let cost =
+                hios_cost::random_cost_table(&g, &hios_cost::RandomCostConfig::paper_default(seed));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let sched = random_grouped_schedule(&g, &cost, 3, &mut rng);
+            let mut base = EvalWorkspace::new();
+            base.prepare(&g, &cost, &sched).unwrap();
+            if base.relax().is_err() {
+                continue;
+            }
+            let merges = acyclic_merges(&g, &cost, &sched);
+            for (i, &(gpu, first, last)) in merges.iter().enumerate() {
+                let a = base.gpu_base[gpu] + first;
+                let (range_min_pos, limit) = base.suspect_limit(a, a + last - first);
+                let priced = if limit != range_min_pos {
+                    suspect += 1;
+                    (gpu, first, last)
+                } else if merges.len() > 1 {
+                    other_range += 1;
+                    merges[(i + 1) % merges.len()]
+                } else {
+                    continue;
+                };
+                let mut ws = base.clone();
+                ws.merged_latency(&cost, &sched, priced.0, priced.1, priced.2)
+                    .unwrap();
+                let merged = crate::reference::merge_stages(&sched, gpu, first, last);
+                let committed = ws.commit_merge(&cost, &merged, gpu, first, last);
+                let mut fresh = EvalWorkspace::new();
+                fresh.prepare(&g, &cost, &merged).unwrap();
+                let at = format!(
+                    "seed {seed}: priced {priced:?}, committed {:?}",
+                    (gpu, first, last)
+                );
+                assert_eq!(
+                    committed.to_bits(),
+                    fresh.relax().unwrap().to_bits(),
+                    "{at}"
+                );
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&ws.start), bits(&fresh.start), "{at}");
+                assert_eq!(bits(&ws.finish), bits(&fresh.finish), "{at}");
+                for (gpu, first, last) in acyclic_merges(&g, &cost, &merged) {
+                    assert_eq!(
+                        ws.merged_latency(&cost, &merged, gpu, first, last)
+                            .map(f64::to_bits),
+                        fresh
+                            .merged_latency(&cost, &merged, gpu, first, last)
+                            .map(f64::to_bits),
+                        "{at}, then {:?}",
+                        (gpu, first, last)
+                    );
+                }
+            }
+        }
+        assert!(other_range > 0 && suspect > 0, "{other_range} / {suspect}");
     }
 }

@@ -4,7 +4,6 @@
 //! latency of everything scheduled so far.
 
 use crate::dense::{DenseContext, NO_GPU};
-use crate::eval::evaluate;
 use crate::list::ListState;
 use crate::priority::priorities;
 use crate::schedule::Schedule;
@@ -420,20 +419,13 @@ pub fn schedule_hios_lp(g: &Graph, cost: &CostTable, cfg: HiosLpConfig) -> LpOut
     }
 
     let schedule = Schedule::from_gpu_orders(base.into_result().gpu_order);
-    let latency = evaluate(g, cost, &schedule)
-        .expect("inter-GPU schedule is feasible by construction")
-        .latency;
-    let gpu_of = place;
-
-    let (schedule, latency) = if cfg.intra {
-        parallelize(g, cost, schedule, cfg.window)
-    } else {
-        (schedule, latency)
-    };
+    // A window below 2 only evaluates the inter-GPU schedule.
+    let window = if cfg.intra { cfg.window } else { 1 };
+    let (schedule, latency) = parallelize(g, cost, schedule, window);
     LpOutcome {
         schedule,
         latency,
-        gpu_of,
+        gpu_of: place,
         paths,
     }
 }

@@ -213,15 +213,9 @@ pub fn schedule_hios_mr(g: &Graph, cost: &CostTable, cfg: HiosMrConfig) -> MrOut
         gpu_orders[gpu_of[v.index()] as usize].push(v);
     }
     let schedule = Schedule::from_gpu_orders(gpu_orders);
-    let latency = crate::eval::evaluate(g, cost, &schedule)
-        .expect("MR schedule is feasible by construction")
-        .latency;
-
-    let (schedule, latency) = if cfg.intra {
-        parallelize(g, cost, schedule, cfg.window)
-    } else {
-        (schedule, latency)
-    };
+    // A window below 2 only evaluates the inter-GPU schedule.
+    let window = if cfg.intra { cfg.window } else { 1 };
+    let (schedule, latency) = parallelize(g, cost, schedule, window);
     MrOutcome {
         schedule,
         latency,

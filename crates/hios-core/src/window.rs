@@ -11,11 +11,14 @@
 //! stages can create).
 //!
 //! The pass runs on the incremental evaluation engine: candidate windows
-//! are priced with [`EvalWorkspace::merged_latency`] (re-relaxing only the
-//! stages downstream of the merge, no schedule clone), dependent-operator
-//! windows are rejected by a cheap structural pre-check before any
-//! evaluation, and operator placements are maintained incrementally
-//! across accepted merges instead of being recomputed per operator.  The
+//! are priced with [`EvalWorkspace::merged_latency`]'s bounded form, whose
+//! cutoff is the latency a candidate must strictly beat (re-relaxing only
+//! the stages downstream of the merge, no schedule clone), and the winner
+//! is committed with [`EvalWorkspace::commit_merge`], which applies the
+//! wave that priced it.  Dependent-operator windows are rejected by a
+//! cheap structural pre-check before any evaluation, and operator
+//! placements are maintained incrementally across accepted merges
+//! instead of being recomputed per operator.  The
 //! result is bit-identical to the reference clone-and-reevaluate pass
 //! ([`crate::reference::parallelize`]), which the equivalence property
 //! tests assert.
@@ -39,7 +42,7 @@ pub fn parallelize(g: &Graph, cost: &CostTable, sched: Schedule, window: usize) 
     let mut current = sched;
     let mut ws = EvalWorkspace::new();
     let mut latency = ws
-        .prepare(g, cost, &current, true)
+        .prepare(g, cost, &current)
         .and_then(|()| ws.relax())
         .expect("parallelize() requires a feasible input schedule");
     if window < 2 || g.is_empty() {
@@ -104,14 +107,13 @@ pub fn parallelize(g: &Graph, cost: &CostTable, sched: Schedule, window: usize) 
             // surfaces as Err and rejects just this window size.  The
             // cutoff is the bar this candidate must strictly beat, so
             // pricing may short-circuit any candidate provably at or
-            // above it — the acceptance decisions are unchanged.
-            let bar = best.map_or(latency, |(_, bl)| bl.min(latency));
+            // above it — the acceptance decisions are unchanged — and a
+            // candidate priced below it is the new best, whose wave the
+            // workspace remembers for the commit below.
+            let bar = best.map_or(latency, |(_, bl)| bl);
             if let Ok(l) = ws.merged_latency_bounded(cost, &current, p.gpu, p.stage, end, bar) {
-                if l < latency && best.is_none_or(|(_, bl)| l < bl) {
+                if l < bar {
                     best = Some((end, l));
-                    // Keep this candidate's wave around: if it stays the
-                    // winner, the commit below applies it directly.
-                    ws.snapshot_candidate(p.gpu, p.stage, end, l);
                 }
             }
         }
@@ -128,9 +130,10 @@ pub fn parallelize(g: &Graph, cost: &CostTable, sched: Schedule, window: usize) 
             }
             // Commit by stage-graph surgery instead of re-compiling the
             // whole schedule; the merge was already vetted, and the
-            // surgically merged graph relaxes to bit-identical times.
-            let relaxed = ws.commit_merge(cost, &current, p.gpu, p.stage, last);
-            debug_assert_eq!(relaxed.to_bits(), l.to_bits());
+            // commit applies the winner's remembered wave (or relaxes the
+            // merged graph when the merge had a cycle suspect).
+            let committed = ws.commit_merge(cost, &current, p.gpu, p.stage, last);
+            debug_assert_eq!(committed.to_bits(), l.to_bits());
             latency = l;
         }
     }
@@ -146,116 +149,6 @@ fn merge_stages_in_place(sched: &mut Schedule, gpu: usize, first: usize, last: u
         merged.extend(stage.ops);
     }
     stages.insert(first, Stage::group(merged));
-}
-
-#[cfg(test)]
-mod profile {
-    use super::*;
-    use crate::lp::{HiosLpConfig, schedule_hios_lp};
-    use std::time::Instant;
-
-    // cargo test --release -p hios-core --lib -- --ignored profile_window --nocapture
-    #[test]
-    #[ignore]
-    fn profile_window() {
-        let g = hios_graph::generate_layered_dag(&hios_graph::LayeredDagConfig {
-            ops: 1000,
-            layers: 160,
-            deps: 2000,
-            seed: 7,
-        })
-        .unwrap();
-        let cost = hios_cost::random_cost_table(&g, &hios_cost::RandomCostConfig::paper_default(7));
-        for m in [2usize, 4] {
-            let sched = schedule_hios_lp(&g, &cost, HiosLpConfig::inter_only(m)).schedule;
-            let window = 4;
-            let mut current = sched;
-            let mut ws = EvalWorkspace::new();
-            let mut latency = ws
-                .prepare(&g, &cost, &current, true)
-                .and_then(|()| ws.relax())
-                .unwrap();
-            let order = priority_order(&g, &cost);
-            let n = g.num_ops();
-            let mut place: Vec<OpPlacement> = current
-                .placements(n)
-                .into_iter()
-                .map(|p| p.unwrap())
-                .collect();
-            let mut win_mark = vec![0u32; n];
-            let mut win_gen = 0u32;
-            let (mut t_ml, mut t_prep) = (0.0f64, 0.0);
-            let (mut cands, mut accepted) = (0usize, 0usize);
-            let s_all = Instant::now();
-            for &v in &order {
-                let p = place[v.index()];
-                if current.gpus[p.gpu].stages[p.stage].ops.len() > 1 {
-                    continue;
-                }
-                let mut best: Option<(usize, f64)> = None;
-                let num_stages = current.gpus[p.gpu].stages.len();
-                let mut covered = 1usize;
-                let mut end = p.stage;
-                win_gen += 1;
-                win_mark[v.index()] = win_gen;
-                'grow: while end + 1 < num_stages {
-                    end += 1;
-                    let stage_ops = &current.gpus[p.gpu].stages[end].ops;
-                    covered += stage_ops.len();
-                    if covered > window {
-                        break;
-                    }
-                    for &w_op in stage_ops {
-                        let dependent = g
-                            .preds(w_op)
-                            .iter()
-                            .chain(g.succs(w_op))
-                            .any(|u| win_mark[u.index()] == win_gen);
-                        if dependent {
-                            break 'grow;
-                        }
-                        win_mark[w_op.index()] = win_gen;
-                    }
-                    cands += 1;
-                    let bar = best.map_or(latency, |(_, bl)| bl.min(latency));
-                    let s = Instant::now();
-                    let r = ws.merged_latency_bounded(&cost, &current, p.gpu, p.stage, end, bar);
-                    t_ml += s.elapsed().as_secs_f64();
-                    if let Ok(l) = r {
-                        if l < latency && best.is_none_or(|(_, bl)| l < bl) {
-                            best = Some((end, l));
-                            ws.snapshot_candidate(p.gpu, p.stage, end, l);
-                        }
-                    }
-                }
-                if let Some((last, l)) = best {
-                    accepted += 1;
-                    merge_stages_in_place(&mut current, p.gpu, p.stage, last);
-                    for (si, stage) in current.gpus[p.gpu].stages.iter().enumerate().skip(p.stage) {
-                        for (slot, &op) in stage.ops.iter().enumerate() {
-                            place[op.index()] = OpPlacement {
-                                gpu: p.gpu,
-                                stage: si,
-                                slot,
-                            };
-                        }
-                    }
-                    let s = Instant::now();
-                    let relaxed = ws.commit_merge(&cost, &current, p.gpu, p.stage, last);
-                    t_prep += s.elapsed().as_secs_f64();
-                    debug_assert_eq!(relaxed.to_bits(), l.to_bits());
-                    latency = l;
-                }
-            }
-            let t_other = s_all.elapsed().as_secs_f64() - t_ml - t_prep;
-            println!(
-                "window m={m}: cands={cands} accepted={accepted} merged_latency={:.1}ms prepare+relax={:.1}ms other={:.1}ms",
-                t_ml * 1e3,
-                t_prep * 1e3,
-                t_other * 1e3,
-            );
-        }
-    }
 }
 
 #[cfg(test)]

@@ -116,7 +116,7 @@ proptest! {
         }
         let base = Schedule::from_gpu_orders(gpu_orders);
         let mut ws = EvalWorkspace::new();
-        ws.prepare(&g, &cost, &base, true).expect("base is valid");
+        ws.prepare(&g, &cost, &base).expect("base is valid");
         ws.relax().expect("base singleton schedule has no stage cycle");
         // Try every merge window of width 2..=4 on every GPU.
         for gpu in 0..gpus {
@@ -252,7 +252,7 @@ proptest! {
         }
         let mut current = Schedule::from_gpu_orders(gpu_orders);
         let mut ws = EvalWorkspace::new();
-        ws.prepare(&g, &cost, &current, true).expect("base is valid");
+        ws.prepare(&g, &cost, &current).expect("base is valid");
         ws.relax().expect("singleton base has no stage cycle");
         for _ in 0..steps {
             let gpu = rng.random_range(0..gpus);
@@ -274,7 +274,7 @@ proptest! {
                     prop_assert_eq!(bits(committed), bits(r.latency));
                     let mut fresh = EvalWorkspace::new();
                     fresh
-                        .prepare(&g, &cost, &current, true)
+                        .prepare(&g, &cost, &current)
                         .expect("merged schedule is valid");
                     let full = fresh.relax().expect("reference says feasible");
                     prop_assert_eq!(bits(full), bits(committed));
