@@ -16,9 +16,9 @@
 //! the whole schedule.  A wave that prices below its cutoff is
 //! remembered, and [`EvalWorkspace::commit_merge`] rewrites the stage
 //! graph in place, then applies the remembered wave of that same merge
-//! or, failing that, relaxes the whole graph.  All fast paths are differential-tested to be
-//! bit-identical to [`crate::reference`].  The list scheduler of Alg. 1
-//! and Alg. 3 lives in [`crate::list`].
+//! or, failing that, relaxes the whole graph.  All fast paths are
+//! differential-tested to be bit-identical to [`crate::reference`].  The
+//! list scheduler of Alg. 1 and Alg. 3 lives in [`crate::list`].
 
 use crate::schedule::{Schedule, ScheduleError};
 use hios_cost::CostTable;

@@ -15,11 +15,12 @@
 //! cutoff is the latency a candidate must strictly beat (re-relaxing only
 //! the stages downstream of the merge, no schedule clone), and the winner
 //! is committed with [`EvalWorkspace::commit_merge`], which applies the
-//! wave that priced it.  Dependent-operator windows are rejected by a
+//! wave that priced it or, for a merge with a cycle suspect, relaxes the
+//! merged stage graph.  Dependent-operator windows are rejected by a
 //! cheap structural pre-check before any evaluation, and operator
 //! placements are maintained incrementally across accepted merges
-//! instead of being recomputed per operator.  The
-//! result is bit-identical to the reference clone-and-reevaluate pass
+//! instead of being recomputed per operator.  The result is
+//! bit-identical to the reference clone-and-reevaluate pass
 //! ([`crate::reference::parallelize`]), which the equivalence property
 //! tests assert.
 
