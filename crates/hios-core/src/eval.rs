@@ -13,12 +13,11 @@
 //! window pass's question — "what would the latency be if stages
 //! `first..=last` were merged?" — *incrementally*, re-relaxing only the
 //! stages downstream of the merge instead of cloning and re-evaluating
-//! the whole schedule.  A wave that prices below its cutoff is
-//! remembered, and [`EvalWorkspace::commit_merge`] rewrites the stage
-//! graph in place, then applies the remembered wave of that same merge
-//! or, failing that, relaxes the whole graph.  All fast paths are
-//! differential-tested to be bit-identical to [`crate::reference`].  The
-//! list scheduler of Alg. 1 and Alg. 3 lives in [`crate::list`].
+//! the whole schedule, and [`EvalWorkspace::commit_merge`] rewrites the
+//! stage graph of an accepted merge in place and relaxes it.  All fast
+//! paths are differential-tested to be bit-identical to
+//! [`crate::reference`].  The list scheduler of Alg. 1 and Alg. 3 lives
+//! in [`crate::list`].
 
 use crate::schedule::{Schedule, ScheduleError};
 use hios_cost::CostTable;
@@ -137,9 +136,6 @@ pub struct EvalWorkspace {
     crit_stamp: u32,
     crit_finish: f64,
     crit_dirty: bool,
-    /// The last candidate wave that priced below its cutoff, for
-    /// [`EvalWorkspace::commit_merge`] to apply.
-    wave: RememberedWave,
     // Scratch: full relaxation.
     indeg_w: Vec<u32>,
     worklist: Vec<usize>,
@@ -152,23 +148,6 @@ pub struct EvalWorkspace {
     c_finish: Vec<f64>,
     merge_ops: Vec<OpId>,
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(u32, u32)>>,
-}
-
-/// A completed changed-only wave of [`EvalWorkspace::merged_latency_bounded`]
-/// whose latency came out below the cutoff: the exact times of the merged
-/// schedule wherever they differ from the baseline.
-#[derive(Clone, Debug, Default)]
-struct RememberedWave {
-    /// `(gpu, first, last)` of the priced merge; `None` once a `relax` or
-    /// a commit moved the baseline the wave was priced against.
-    range: Option<(usize, usize, usize)>,
-    /// The re-relaxed stages and their recomputed times.
-    ids: Vec<u32>,
-    start: Vec<f64>,
-    finish: Vec<f64>,
-    /// The merged stage's `(start, finish)`.
-    merged: (f64, f64),
-    latency: f64,
 }
 
 impl EvalWorkspace {
@@ -330,7 +309,6 @@ impl EvalWorkspace {
         self.rank_dirty = true;
         self.tail_dirty = true;
         self.crit_dirty = true;
-        self.wave.range = None;
         self.indeg_w.clear();
         self.indeg_w.extend_from_slice(&self.indeg);
         self.worklist.clear();
@@ -417,12 +395,6 @@ impl EvalWorkspace {
     /// suffix accumulation, which a relative guard of `1e-9` — orders of
     /// magnitude above the worst-case accumulated rounding of the longest
     /// representable chains — makes conservative.
-    ///
-    /// Every result below `cutoff` comes from a completed changed-only
-    /// wave, and the workspace remembers that wave (replacing the one it
-    /// held) for [`EvalWorkspace::commit_merge`] to apply.  The window
-    /// pass's cutoff is the bar a candidate must strictly beat, so the
-    /// wave it remembers last is its winner's.
     pub(crate) fn merged_latency_bounded(
         &mut self,
         cost: &CostTable,
@@ -545,8 +517,7 @@ impl EvalWorkspace {
         // materialized merge would ask), started at the max over external
         // predecessor arrivals; no external predecessor descends from the
         // range (that would be a cycle), so its baseline finish is final.
-        let merged = self.merged_stage_interval(cost, sched, gpu, first, last, a, b);
-        let merged_finish = merged.1;
+        let merged_finish = self.merged_stage_finish(cost, sched, gpu, first, last, a, b);
 
         // Pre-wave cutoff: the merged stage's finish is exact, so its
         // heaviest structural suffix bounds the candidate latency from
@@ -610,30 +581,7 @@ impl EvalWorkspace {
                 }
             }
         }
-        let latency = self.candidate_latency(merged_finish, gen);
-        if latency < cutoff {
-            self.remember_wave((gpu, first, last), merged, latency);
-        }
-        Ok(latency)
-    }
-
-    /// Copies the wave just run into [`RememberedWave`].  Cold: only a
-    /// candidate that beats its cutoff gets here (about 4 % of the window
-    /// pass's candidates), so the copy stays out of the pricing path.
-    #[cold]
-    fn remember_wave(&mut self, range: (usize, usize, usize), merged: (f64, f64), latency: f64) {
-        let w = &mut self.wave;
-        w.range = Some(range);
-        w.ids.clear();
-        w.start.clear();
-        w.finish.clear();
-        for &t in &self.affected {
-            w.ids.push(t as u32);
-            w.start.push(self.c_start[t]);
-            w.finish.push(self.c_finish[t]);
-        }
-        w.merged = merged;
-        w.latency = latency;
+        Ok(self.candidate_latency(merged_finish, gen))
     }
 
     /// Rebuilds `finish_rank` (the descending top-8 baseline finishes)
@@ -690,11 +638,11 @@ impl EvalWorkspace {
         (bound * (1.0 - CUTOFF_GUARD) >= cutoff).then_some(bound)
     }
 
-    /// Operator union, duration query and `(start, finish)` of the merged
-    /// stage (the `concurrent_on` call keeps the profiling-meter side
-    /// effect of a materialized merge).
+    /// Operator union, duration query and finish of the merged stage (the
+    /// `concurrent_on` call keeps the profiling-meter side effect of a
+    /// materialized merge).
     #[allow(clippy::too_many_arguments)]
-    fn merged_stage_interval(
+    fn merged_stage_finish(
         &mut self,
         cost: &CostTable,
         sched: &Schedule,
@@ -703,7 +651,7 @@ impl EvalWorkspace {
         last: usize,
         a: usize,
         b: usize,
-    ) -> (f64, f64) {
+    ) -> f64 {
         self.merge_ops.clear();
         for si in first..=last {
             self.merge_ops
@@ -723,7 +671,7 @@ impl EvalWorkspace {
                 }
             }
         }
-        (merged_start, merged_start + merged_dur)
+        merged_start + merged_dur
     }
 
     /// Candidate latency: recomputed finishes over `affected`, the max
@@ -831,19 +779,9 @@ impl EvalWorkspace {
     /// Commits an accepted merge of old stages `first..=last` on `gpu`
     /// *in place*: the workspace's stage graph is rewritten by id surgery
     /// (absorbed stages collapse into one, every later stage shifts down,
-    /// edges are remapped carrying their cached weights) — no schedule
-    /// re-compile, no re-validation, and exactly one fresh `concurrent`
-    /// query (the merged stage's duration).
-    ///
-    /// The new stage times come one of two ways.  The remembered wave
-    /// (see [`EvalWorkspace::merged_latency`]) is applied when it priced
-    /// this very range and no external predecessor of the range sits
-    /// after the range's first baseline topological position (no cycle
-    /// suspect): the wave holds the merged schedule's exact times, and the
-    /// baseline order stays valid for the merged graph, the merged stage
-    /// taking that first position (every successor of a range member
-    /// already sat strictly after it).  Otherwise the merged graph is
-    /// relaxed in full.
+    /// edges are remapped carrying their cached weights) and re-relaxed —
+    /// no schedule re-compile, no re-validation, and exactly one fresh
+    /// `concurrent` query (the merged stage's duration).
     ///
     /// `sched` must already hold the materialized merge (the combined
     /// stage sits at `first`).  Bit-identity with a full
@@ -854,7 +792,7 @@ impl EvalWorkspace {
     /// internal edges beyond its own chain (same-GPU data edges never
     /// become stage edges).
     ///
-    /// Returns the latency of the merged schedule.
+    /// Returns the relaxed latency of the merged schedule.
     ///
     /// # Panics
     /// Panics when the merged graph has a stage cycle — the caller must
@@ -883,9 +821,6 @@ impl EvalWorkspace {
                 s - delta
             }
         };
-        let (range_min_pos, limit) = self.suspect_limit(a, b);
-        let apply = limit == range_min_pos && self.wave.range == Some((gpu, first, last));
-        self.wave.range = None;
 
         // Stage durations: every survivor keeps its cached value; only
         // the merged stage needs a fresh concurrent query.
@@ -980,46 +915,8 @@ impl EvalWorkspace {
         self.c_finish.clear();
         self.c_finish.resize(new_n, 0.0);
 
-        if !apply {
-            return self
-                .relax()
-                .expect("committed merge was vetted acyclic by merged_latency");
-        }
-        // Apply the wave over the old ids, then compress the id space
-        // (the drains mirror the CSR remap above) and the still-valid
-        // baseline topological order.
-        for (i, &t) in self.wave.ids.iter().enumerate() {
-            self.start[t as usize] = self.wave.start[i];
-            self.finish[t as usize] = self.wave.finish[i];
-        }
-        (self.start[a], self.finish[a]) = self.wave.merged;
-        self.start.drain(a + 1..=b);
-        self.finish.drain(a + 1..=b);
-        let rmp = range_min_pos as usize;
-        let mut w = 0usize;
-        for p in 0..old_n {
-            let s = self.topo_order[p] as usize;
-            if s >= a && s <= b {
-                if p == rmp {
-                    self.topo_order[w] = a as u32;
-                    w += 1;
-                }
-            } else {
-                self.topo_order[w] = remap(s) as u32;
-                w += 1;
-            }
-        }
-        debug_assert_eq!(w, new_n);
-        self.topo_order.truncate(new_n);
-        self.topo_pos.clear();
-        self.topo_pos.resize(new_n, 0);
-        for (p, &s) in self.topo_order.iter().enumerate() {
-            self.topo_pos[s as usize] = p as u32;
-        }
-        self.rank_dirty = true;
-        self.tail_dirty = true;
-        self.crit_dirty = true;
-        self.wave.latency
+        self.relax()
+            .expect("committed merge was vetted acyclic by merged_latency")
     }
 }
 
@@ -1419,97 +1316,5 @@ mod tests {
         for below in [0.0, r.latency - 1.0, r.latency - 0.5] {
             assert_eq!(check_bounded_contract(&g, &cost, &sched, below), 7);
         }
-    }
-
-    /// Every merge of two or three stages of `sched` that is valid and
-    /// acyclic, as `(gpu, first, last)`.
-    fn acyclic_merges(g: &Graph, cost: &CostTable, sched: &Schedule) -> Vec<(usize, usize, usize)> {
-        let mut merges = Vec::new();
-        for (gpu, stages) in sched.gpus.iter().enumerate() {
-            let n = stages.stages.len();
-            for first in 0..n {
-                for last in first + 1..n.min(first + 3) {
-                    let merged = crate::reference::merge_stages(sched, gpu, first, last);
-                    if crate::reference::evaluate(g, cost, &merged).is_ok() {
-                        merges.push((gpu, first, last));
-                    }
-                }
-            }
-        }
-        merges
-    }
-
-    /// `commit_merge` without the committed merge's own wave to apply —
-    /// the last wave priced another range, or the merge has a cycle
-    /// suspect — relaxes the merged graph.  Either way the workspace
-    /// must then hold what `prepare` + `relax` of the materialized merge
-    /// hold, in latency and stage-time bits, and price every next merge
-    /// alike.
-    #[test]
-    fn commit_merge_without_its_own_wave_equals_a_fresh_relax() {
-        let (mut other_range, mut suspect) = (0usize, 0usize);
-        for seed in 0..24u64 {
-            let g = hios_graph::generate_layered_dag(&hios_graph::LayeredDagConfig {
-                ops: 24,
-                layers: 4,
-                deps: 48,
-                seed,
-            })
-            .unwrap();
-            let cost =
-                hios_cost::random_cost_table(&g, &hios_cost::RandomCostConfig::paper_default(seed));
-            let mut rng = StdRng::seed_from_u64(seed);
-            let sched = random_grouped_schedule(&g, &cost, 3, &mut rng);
-            let mut base = EvalWorkspace::new();
-            base.prepare(&g, &cost, &sched).unwrap();
-            if base.relax().is_err() {
-                continue;
-            }
-            let merges = acyclic_merges(&g, &cost, &sched);
-            for (i, &(gpu, first, last)) in merges.iter().enumerate() {
-                let a = base.gpu_base[gpu] + first;
-                let (range_min_pos, limit) = base.suspect_limit(a, a + last - first);
-                let priced = if limit != range_min_pos {
-                    suspect += 1;
-                    (gpu, first, last)
-                } else if merges.len() > 1 {
-                    other_range += 1;
-                    merges[(i + 1) % merges.len()]
-                } else {
-                    continue;
-                };
-                let mut ws = base.clone();
-                ws.merged_latency(&cost, &sched, priced.0, priced.1, priced.2)
-                    .unwrap();
-                let merged = crate::reference::merge_stages(&sched, gpu, first, last);
-                let committed = ws.commit_merge(&cost, &merged, gpu, first, last);
-                let mut fresh = EvalWorkspace::new();
-                fresh.prepare(&g, &cost, &merged).unwrap();
-                let at = format!(
-                    "seed {seed}: priced {priced:?}, committed {:?}",
-                    (gpu, first, last)
-                );
-                assert_eq!(
-                    committed.to_bits(),
-                    fresh.relax().unwrap().to_bits(),
-                    "{at}"
-                );
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&ws.start), bits(&fresh.start), "{at}");
-                assert_eq!(bits(&ws.finish), bits(&fresh.finish), "{at}");
-                for (gpu, first, last) in acyclic_merges(&g, &cost, &merged) {
-                    assert_eq!(
-                        ws.merged_latency(&cost, &merged, gpu, first, last)
-                            .map(f64::to_bits),
-                        fresh
-                            .merged_latency(&cost, &merged, gpu, first, last)
-                            .map(f64::to_bits),
-                        "{at}, then {:?}",
-                        (gpu, first, last)
-                    );
-                }
-            }
-        }
-        assert!(other_range > 0 && suspect > 0, "{other_range} / {suspect}");
     }
 }

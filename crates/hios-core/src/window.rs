@@ -14,12 +14,11 @@
 //! are priced with [`EvalWorkspace::merged_latency`]'s bounded form, whose
 //! cutoff is the latency a candidate must strictly beat (re-relaxing only
 //! the stages downstream of the merge, no schedule clone), and the winner
-//! is committed with [`EvalWorkspace::commit_merge`], which applies the
-//! wave that priced it or, for a merge with a cycle suspect, relaxes the
-//! merged stage graph.  Dependent-operator windows are rejected by a
-//! cheap structural pre-check before any evaluation, and operator
-//! placements are maintained incrementally across accepted merges
-//! instead of being recomputed per operator.  The result is
+//! is committed with [`EvalWorkspace::commit_merge`], which rewrites the
+//! stage graph in place and relaxes it.  Dependent-operator windows are
+//! rejected by a cheap structural pre-check before any evaluation, and
+//! operator placements are maintained incrementally across accepted
+//! merges instead of being recomputed per operator.  The result is
 //! bit-identical to the reference clone-and-reevaluate pass
 //! ([`crate::reference::parallelize`]), which the equivalence property
 //! tests assert.
@@ -108,9 +107,7 @@ pub fn parallelize(g: &Graph, cost: &CostTable, sched: Schedule, window: usize) 
             // surfaces as Err and rejects just this window size.  The
             // cutoff is the bar this candidate must strictly beat, so
             // pricing may short-circuit any candidate provably at or
-            // above it — the acceptance decisions are unchanged — and a
-            // candidate priced below it is the new best, whose wave the
-            // workspace remembers for the commit below.
+            // above it — the acceptance decisions are unchanged.
             let bar = best.map_or(latency, |(_, bl)| bl);
             if let Ok(l) = ws.merged_latency_bounded(cost, &current, p.gpu, p.stage, end, bar) {
                 if l < bar {
@@ -131,10 +128,9 @@ pub fn parallelize(g: &Graph, cost: &CostTable, sched: Schedule, window: usize) 
             }
             // Commit by stage-graph surgery instead of re-compiling the
             // whole schedule; the merge was already vetted, and the
-            // commit applies the winner's remembered wave (or relaxes the
-            // merged graph when the merge had a cycle suspect).
-            let committed = ws.commit_merge(cost, &current, p.gpu, p.stage, last);
-            debug_assert_eq!(committed.to_bits(), l.to_bits());
+            // surgically merged graph relaxes to bit-identical times.
+            let relaxed = ws.commit_merge(cost, &current, p.gpu, p.stage, last);
+            debug_assert_eq!(relaxed.to_bits(), l.to_bits());
             latency = l;
         }
     }
