@@ -13,11 +13,11 @@
 //! window pass's question — "what would the latency be if stages
 //! `first..=last` were merged?" — *incrementally*, re-relaxing only the
 //! stages downstream of the merge instead of cloning and re-evaluating
-//! the whole schedule, and [`EvalWorkspace::commit_merge`] rewrites the
-//! stage graph of an accepted merge in place and relaxes it.  All fast
-//! paths are differential-tested to be bit-identical to
-//! [`crate::reference`].  The list scheduler of Alg. 1 and Alg. 3 lives
-//! in [`crate::list`].
+//! the whole schedule, and [`EvalWorkspace::commit_merge`] re-links the
+//! stage graph of an accepted merge over its cached stage durations and
+//! relaxes it.  All fast paths are differential-tested to be
+//! bit-identical to [`crate::reference`].  The list scheduler of Alg. 1
+//! and Alg. 3 lives in [`crate::list`].
 
 use crate::schedule::{Schedule, ScheduleError};
 use hios_cost::CostTable;
@@ -94,7 +94,8 @@ pub struct EvalWorkspace {
     n_stages: usize,
     /// Flat id of each GPU's stage 0; a GPU's stages are contiguous.
     gpu_base: Vec<usize>,
-    /// Cached `t(S)` per stage (one `concurrent` query per stage).
+    /// Cached `t(S)` per stage (one `concurrent` query per stage; a
+    /// commit queries only the merged stage and keeps the rest).
     stage_dur: Vec<f64>,
     stage_of_op: Vec<usize>,
     gpu_of_op: Vec<u32>,
@@ -114,12 +115,6 @@ pub struct EvalWorkspace {
     topo_pos: Vec<u32>,
     /// The inverse permutation: stage at each topological position.
     topo_order: Vec<u32>,
-    /// The stages with the largest baseline finishes, descending (built
-    /// lazily by `merged_latency`, invalidated by `relax`).  Finding the
-    /// max *unmarked* baseline finish walks this tiny array first and
-    /// falls back to a full scan only when every entry is marked.
-    finish_rank: Vec<u32>,
-    rank_dirty: bool,
     /// Structural longest suffix path per stage (max over downstream
     /// chains of `edge weight + stage duration`), built lazily by
     /// `merged_latency_bounded`, invalidated by `relax`.
@@ -140,11 +135,10 @@ pub struct EvalWorkspace {
     indeg_w: Vec<u32>,
     worklist: Vec<usize>,
     cursor: Vec<usize>,
-    // Scratch: incremental merge evaluation.
+    // Scratch: incremental merge evaluation (reset by every link).
     mark: Vec<u32>,
     mark_gen: u32,
     affected: Vec<usize>,
-    c_start: Vec<f64>,
     c_finish: Vec<f64>,
     merge_ops: Vec<OpId>,
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(u32, u32)>>,
@@ -159,8 +153,10 @@ impl EvalWorkspace {
     /// Compiles `sched` into the workspace's stage-graph arena.
     ///
     /// The schedule is structurally checked first (the only failure mode
-    /// of this call); an accepted merge is committed by
-    /// [`EvalWorkspace::commit_merge`] instead, without a re-compile.
+    /// of this call), then every stage's duration is queried once and
+    /// cached, and the stage graph is built over those durations.  An
+    /// accepted merge is committed by [`EvalWorkspace::commit_merge`]
+    /// instead, which keeps the cached durations and re-links.
     pub fn prepare(
         &mut self,
         g: &Graph,
@@ -168,6 +164,21 @@ impl EvalWorkspace {
         sched: &Schedule,
     ) -> Result<(), EvalError> {
         sched.validate(g)?;
+        self.stage_dur.clear();
+        for (gi, gpu) in sched.gpus.iter().enumerate() {
+            for stage in &gpu.stages {
+                self.stage_dur.push(cost.concurrent_on(gi, &stage.ops));
+            }
+        }
+        self.link(g, cost, sched);
+        Ok(())
+    }
+
+    /// Builds the stage graph of `sched` over the cached `stage_dur`:
+    /// flat stage ids and per-op placement maps, both CSR adjacencies
+    /// (same-GPU chain edges, then cross-GPU data edges with their
+    /// transfer weights), and a reset of the per-candidate scratch.
+    fn link(&mut self, g: &Graph, cost: &CostTable, sched: &Schedule) {
         let n_ops = g.num_ops();
 
         // Flat stage ids and per-op placement maps.
@@ -177,9 +188,8 @@ impl EvalWorkspace {
             self.gpu_base.push(n_stages);
             n_stages += gpu.stages.len();
         }
+        debug_assert_eq!(self.stage_dur.len(), n_stages);
         self.n_stages = n_stages;
-        self.stage_dur.clear();
-        self.stage_dur.reserve(n_stages);
         self.stage_of_op.clear();
         self.stage_of_op.resize(n_ops, usize::MAX);
         self.gpu_of_op.clear();
@@ -187,7 +197,6 @@ impl EvalWorkspace {
         for (gi, gpu) in sched.gpus.iter().enumerate() {
             for (si, stage) in gpu.stages.iter().enumerate() {
                 let sid = self.gpu_base[gi] + si;
-                self.stage_dur.push(cost.concurrent_on(gi, &stage.ops));
                 for &v in &stage.ops {
                     debug_assert_eq!(self.stage_of_op[v.index()], usize::MAX);
                     self.stage_of_op[v.index()] = sid;
@@ -282,15 +291,12 @@ impl EvalWorkspace {
             }
         }
 
-        // Invalidate incremental scratch from any previous schedule.
+        // Invalidate per-candidate scratch from any previous graph.
         self.mark.clear();
         self.mark.resize(n_stages, 0);
         self.mark_gen = 0;
-        self.c_start.clear();
-        self.c_start.resize(n_stages, 0.0);
         self.c_finish.clear();
         self.c_finish.resize(n_stages, 0.0);
-        Ok(())
     }
 
     /// Runs the full Kahn relaxation over the prepared stage graph and
@@ -306,7 +312,6 @@ impl EvalWorkspace {
         self.topo_pos.resize(n_stages, 0);
         self.topo_order.clear();
         self.topo_order.resize(n_stages, 0);
-        self.rank_dirty = true;
         self.tail_dirty = true;
         self.crit_dirty = true;
         self.indeg_w.clear();
@@ -407,12 +412,6 @@ impl EvalWorkspace {
         debug_assert!(first < last && self.gpu_base[gpu] + last < self.n_stages);
         let a = self.gpu_base[gpu] + first;
         let b = self.gpu_base[gpu] + last;
-
-        // Top baseline finishes, rebuilt once per relax in one pass (no
-        // full sort): the max unmarked baseline finish below is then
-        // (almost always) an early rank entry instead of an O(stages)
-        // scan per candidate.
-        self.ensure_rank();
 
         // Structural suffix bounds, rebuilt once per relax (reverse
         // topological sweep): `tail[s]` is the heaviest chain of
@@ -566,7 +565,6 @@ impl EvalWorkspace {
                 }
             }
             let f = st + self.stage_dur[t];
-            self.c_start[t] = st;
             self.c_finish[t] = f;
             self.affected.push(t);
             if f.to_bits() != self.finish[t].to_bits() {
@@ -582,32 +580,6 @@ impl EvalWorkspace {
             }
         }
         Ok(self.candidate_latency(merged_finish, gen))
-    }
-
-    /// Rebuilds `finish_rank` (the descending top-8 baseline finishes)
-    /// when dirty: one pass with a running 8th-place threshold, so almost
-    /// every stage costs a single compare.  Ties keep the lower stage id,
-    /// exactly as the plain partition-point insertion would.
-    fn ensure_rank(&mut self) {
-        if !self.rank_dirty {
-            return;
-        }
-        const RANK_K: usize = 8;
-        self.finish_rank.clear();
-        for s in 0..self.n_stages as u32 {
-            let f = self.finish[s as usize];
-            if self.finish_rank.len() == RANK_K {
-                if f <= self.finish[self.finish_rank[RANK_K - 1] as usize] {
-                    continue;
-                }
-                self.finish_rank.pop();
-            }
-            let at = self
-                .finish_rank
-                .partition_point(|&r| self.finish[r as usize] >= f);
-            self.finish_rank.insert(at, s);
-        }
-        self.rank_dirty = false;
     }
 
     /// The merged stage's heaviest structural suffix: `Some(bound)` when
@@ -674,31 +646,14 @@ impl EvalWorkspace {
         merged_start + merged_dur
     }
 
-    /// Candidate latency: recomputed finishes over `affected`, the max
-    /// unmarked baseline finish via the rank walk, and the merged stage.
+    /// Candidate latency: the max of the merged stage's finish, every
+    /// unmarked baseline finish and the recomputed finishes over
+    /// `affected`.
     fn candidate_latency(&self, merged_finish: f64, gen: u32) -> f64 {
         let mut latency = merged_finish.max(0.0);
-        let mut ranked = false;
-        for &s in &self.finish_rank {
-            if self.mark[s as usize] != gen {
-                let f = self.finish[s as usize];
-                if f > latency {
-                    latency = f;
-                }
-                ranked = true;
-                break;
-            }
-        }
-        if !ranked {
-            // Every top-ranked stage was absorbed or re-relaxed: scan for
-            // the max unmarked baseline finish directly.
-            for s in 0..self.n_stages {
-                if self.mark[s] != gen {
-                    let f = self.finish[s];
-                    if f > latency {
-                        latency = f;
-                    }
-                }
+        for s in 0..self.n_stages {
+            if self.mark[s] != gen && self.finish[s] > latency {
+                latency = self.finish[s];
             }
         }
         for &t in &self.affected {
@@ -776,21 +731,18 @@ impl EvalWorkspace {
         self.mark_gen
     }
 
-    /// Commits an accepted merge of old stages `first..=last` on `gpu`
-    /// *in place*: the workspace's stage graph is rewritten by id surgery
-    /// (absorbed stages collapse into one, every later stage shifts down,
-    /// edges are remapped carrying their cached weights) and re-relaxed —
-    /// no schedule re-compile, no re-validation, and exactly one fresh
-    /// `concurrent` query (the merged stage's duration).
+    /// Commits an accepted merge of old stages `first..=last` on `gpu`:
+    /// the merged stage's duration is the one fresh `concurrent` query,
+    /// the absorbed stages' cached durations are dropped, every other
+    /// stage keeps its own, and the stage graph is re-linked from `sched`
+    /// by [`EvalWorkspace::prepare`]'s builder and relaxed — no
+    /// re-validation and no other duration query.
     ///
     /// `sched` must already hold the materialized merge (the combined
-    /// stage sits at `first`).  Bit-identity with a full
+    /// stage sits at `first`).  The result is bit-identical to a full
     /// [`EvalWorkspace::prepare`] + [`EvalWorkspace::relax`] on the
-    /// merged schedule follows because both build the same stage-edge
-    /// multiset with the same weights and durations — relaxation maxima
-    /// do not depend on edge order — and the absorbed range had no
-    /// internal edges beyond its own chain (same-GPU data edges never
-    /// become stage edges).
+    /// merged schedule: the graph is built by the same code from the same
+    /// durations.
     ///
     /// Returns the relaxed latency of the merged schedule.
     ///
@@ -800,121 +752,19 @@ impl EvalWorkspace {
     /// [`EvalWorkspace::merged_latency`].
     pub fn commit_merge(
         &mut self,
+        g: &Graph,
         cost: &CostTable,
         sched: &Schedule,
         gpu: usize,
         first: usize,
         last: usize,
     ) -> f64 {
-        let delta = last - first;
-        debug_assert!(delta > 0);
+        debug_assert!(first < last);
         let a = self.gpu_base[gpu] + first;
-        let b = a + delta;
-        let old_n = self.n_stages;
-        let new_n = old_n - delta;
-        let remap = |s: usize| -> usize {
-            if s <= a {
-                s
-            } else if s <= b {
-                a
-            } else {
-                s - delta
-            }
-        };
-
-        // Stage durations: every survivor keeps its cached value; only
-        // the merged stage needs a fresh concurrent query.
+        let b = self.gpu_base[gpu] + last;
         self.stage_dur[a] = cost.concurrent_on(gpu, &sched.gpus[gpu].stages[first].ops);
         self.stage_dur.drain(a + 1..=b);
-
-        // Rebuild the successor CSR under the id map, writing into the
-        // predecessor arrays' storage (they are re-derived below anyway).
-        // Self-edges after remapping are exactly the absorbed range's
-        // internal chain edges — dropped, like a re-compile would.
-        self.cursor.clear();
-        self.cursor.resize(new_n, 0);
-        for s in 0..old_n {
-            let ns = remap(s);
-            for e in self.succ_off[s] as usize..self.succ_off[s + 1] as usize {
-                let nt = remap(self.succ_idx[e] as usize);
-                if ns != nt {
-                    self.cursor[ns] += 1;
-                }
-            }
-        }
-        self.pred_off.clear();
-        let mut acc = 0usize;
-        for s in 0..new_n {
-            self.pred_off.push(acc as u32);
-            acc += self.cursor[s];
-            self.cursor[s] = self.pred_off[s] as usize;
-        }
-        self.pred_off.push(acc as u32);
-        self.pred_idx.clear();
-        self.pred_idx.resize(acc, 0);
-        self.pred_w.clear();
-        self.pred_w.resize(acc, 0.0);
-        for s in 0..old_n {
-            let ns = remap(s);
-            for e in self.succ_off[s] as usize..self.succ_off[s + 1] as usize {
-                let nt = remap(self.succ_idx[e] as usize);
-                if ns != nt {
-                    self.pred_idx[self.cursor[ns]] = nt as u32;
-                    self.pred_w[self.cursor[ns]] = self.succ_w[e];
-                    self.cursor[ns] += 1;
-                }
-            }
-        }
-        std::mem::swap(&mut self.succ_off, &mut self.pred_off);
-        std::mem::swap(&mut self.succ_idx, &mut self.pred_idx);
-        std::mem::swap(&mut self.succ_w, &mut self.pred_w);
-
-        // In-degrees and the predecessor CSR, re-derived from the new
-        // successor arrays exactly as `prepare` does.
-        self.indeg.clear();
-        self.indeg.resize(new_n, 0);
-        for &t in &self.succ_idx {
-            self.indeg[t as usize] += 1;
-        }
-        self.pred_off.clear();
-        let mut pa = 0usize;
-        for s in 0..new_n {
-            self.pred_off.push(pa as u32);
-            pa += self.indeg[s] as usize;
-            self.cursor[s] = self.pred_off[s] as usize;
-        }
-        self.pred_off.push(pa as u32);
-        self.pred_idx.clear();
-        self.pred_idx.resize(pa, 0);
-        self.pred_w.clear();
-        self.pred_w.resize(pa, 0.0);
-        for s in 0..new_n {
-            for e in self.succ_off[s] as usize..self.succ_off[s + 1] as usize {
-                let t = self.succ_idx[e] as usize;
-                self.pred_idx[self.cursor[t]] = s as u32;
-                self.pred_w[self.cursor[t]] = self.succ_w[e];
-                self.cursor[t] += 1;
-            }
-        }
-
-        // Per-op and per-GPU maps shift with the ids.
-        for sid in &mut self.stage_of_op {
-            *sid = remap(*sid);
-        }
-        for base in self.gpu_base.iter_mut().skip(gpu + 1) {
-            *base -= delta;
-        }
-        self.n_stages = new_n;
-
-        // Incremental scratch is index-based: invalidate it wholesale.
-        self.mark.clear();
-        self.mark.resize(new_n, 0);
-        self.mark_gen = 0;
-        self.c_start.clear();
-        self.c_start.resize(new_n, 0.0);
-        self.c_finish.clear();
-        self.c_finish.resize(new_n, 0.0);
-
+        self.link(g, cost, sched);
         self.relax()
             .expect("committed merge was vetted acyclic by merged_latency")
     }

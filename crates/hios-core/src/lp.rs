@@ -431,71 +431,6 @@ pub fn schedule_hios_lp(g: &Graph, cost: &CostTable, cfg: HiosLpConfig) -> LpOut
 }
 
 #[cfg(test)]
-mod profile {
-    use super::*;
-
-    // Run with:
-    //   cargo test --release -p hios-core --lib -- --ignored profile_lp_inner --nocapture
-    #[test]
-    #[ignore]
-    fn profile_lp_inner() {
-        use std::time::Instant;
-        let g = hios_graph::generate_layered_dag(&hios_graph::LayeredDagConfig {
-            ops: 1000,
-            layers: 160,
-            deps: 2000,
-            seed: 7,
-        })
-        .unwrap();
-        let cost = hios_cost::random_cost_table(&g, &hios_cost::RandomCostConfig::paper_default(7));
-        // Path extraction alone (its round sequence does not depend on
-        // the GPU assignments, so this times the real per-round DP and
-        // classification update).
-        {
-            let n = g.num_ops();
-            let ctx = DenseContext::build(&g, &cost, 1);
-            let order = priority_order(&g, &priorities(&g, &cost));
-            let mut by_rev_prio: Vec<u32> = order.iter().rev().map(|v| v.0).collect();
-            let mut by_index: Vec<u32> = (0..n as u32).collect();
-            let mut scheduled = vec![false; n];
-            let mut scratch = PathScratch::new(n);
-            let mut path = Vec::new();
-            let mut rounds = 0usize;
-            let s = Instant::now();
-            while !by_index.is_empty() {
-                extract_path(
-                    &mut scratch,
-                    &ctx,
-                    &mut by_index,
-                    &mut by_rev_prio,
-                    &mut scheduled,
-                    &mut path,
-                );
-                rounds += 1;
-            }
-            println!(
-                "path extraction: {rounds} rounds in {:.1}ms",
-                s.elapsed().as_secs_f64() * 1e3
-            );
-        }
-        for m in [2usize, 4] {
-            let s0 = Instant::now();
-            let inter = schedule_hios_lp(&g, &cost, HiosLpConfig::inter_only(m));
-            let t_inter = s0.elapsed().as_secs_f64();
-            let s1 = Instant::now();
-            let (_, lat) = parallelize(&g, &cost, inter.schedule.clone(), 4);
-            let t_intra = s1.elapsed().as_secs_f64();
-            println!(
-                "lp m={m}: inter={:.1}ms intra={:.1}ms paths={} latency={lat:.3}",
-                t_inter * 1e3,
-                t_intra * 1e3,
-                inter.paths.len()
-            );
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixtures::{fig4, fig4_cost};
