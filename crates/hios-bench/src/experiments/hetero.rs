@@ -203,5 +203,6 @@ mod tests {
         let json = std::fs::read_to_string(cfg.out_dir.join("BENCH_hetero.json"))
             .expect("smoke artifact lands under out_dir");
         assert!(json.contains("\"hetero_lp_beats_homogeneous\": true"));
+        std::fs::remove_dir_all(&cfg.out_dir).unwrap();
     }
 }

@@ -353,6 +353,7 @@ mod tests {
             .finish(rows, h, &cfg);
         let json = std::fs::read_to_string(cfg.out_dir.join("BENCH_sample.json"))
             .expect("smoke artifact lands under out_dir");
+        std::fs::remove_dir_all(&cfg.out_dir).unwrap();
         (table, json)
     }
 

@@ -114,6 +114,7 @@ mod tests {
         sample().write_csv(&dir).unwrap();
         let content = std::fs::read_to_string(dir.join("t.csv")).unwrap();
         assert_eq!(content, "a,b\n1,2\n");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -27,9 +27,6 @@ use std::collections::HashMap;
 pub struct IosConfig {
     /// Maximum operators per stage (the CUDA-stream budget `L`).
     pub max_stage_ops: usize,
-    /// At each state, only the `max_frontier` highest-priority sources are
-    /// combined into stage candidates (IOS's schedule pruning).
-    pub max_frontier: usize,
     /// Maximum stage candidates evaluated per state, in prioritized DFS
     /// order (singletons and greedy extensions first).
     pub max_candidates: usize,
@@ -42,12 +39,15 @@ impl Default for IosConfig {
     fn default() -> Self {
         IosConfig {
             max_stage_ops: 8,
-            max_frontier: 8,
             max_candidates: 64,
             max_states: 120_000,
         }
     }
 }
+
+/// At each state, only the `MAX_FRONTIER` highest-priority sources are
+/// combined into stage candidates (IOS's schedule pruning).
+const MAX_FRONTIER: usize = 8;
 
 struct Dp<'a> {
     g: &'a Graph,
@@ -73,7 +73,7 @@ impl Dp<'_> {
                 .total_cmp(&self.prio[a.index()])
                 .then(a.cmp(&b))
         });
-        src.truncate(self.cfg.max_frontier);
+        src.truncate(MAX_FRONTIER);
         src
     }
 

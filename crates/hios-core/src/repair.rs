@@ -7,21 +7,23 @@
 //! produces a fresh schedule for it over the survivors:
 //!
 //! * [`RepairPolicy::Reschedule`] re-runs HIOS-LP (Alg. 1 + Alg. 2) on
-//!   the subgraph, warm-started through the caller's [`EvalWorkspace`]
-//!   so repeated repairs in one recovery loop reuse every allocation;
+//!   the subgraph, from scratch;
 //! * [`RepairPolicy::Greedy`] is the fast fallback for tight deadlines:
 //!   one deterministic earliest-finish pass in topological order, no
 //!   candidate search.
 //!
-//! Either way the repaired schedule must pass
-//! [`Schedule::validate_full`] before it is returned; the subsystem
-//! degrades gracefully down to a single surviving GPU (`M = 1`).
+//! Either way the repaired schedule is validated and evaluated once,
+//! through the caller's [`EvalWorkspace`], before it is returned; the
+//! subsystem degrades gracefully down to a single surviving GPU
+//! (`M = 1`).
 //!
-//! The returned schedule is expressed over *slots* `0..m_alive`;
-//! [`RepairOutcome::gpu_map`] maps each slot back to the physical GPU
-//! index so the simulator can resume on the real device set.
+//! The returned schedule names the operators of [`SubgraphMap::sub`]
+//! over *slots* `0..m_alive`; [`RepairOutcome::gpu_map`] maps each slot
+//! back to the physical GPU index, and
+//! [`CostTable::restrict_gpus`] prices slot `i` as that GPU, so the
+//! caller runs it as it was planned.
 
-use crate::eval::{EvalError, EvalWorkspace, evaluate_with};
+use crate::eval::{EvalError, EvalWorkspace};
 use crate::lp::{HiosLpConfig, schedule_hios_lp};
 use crate::schedule::{GpuSchedule, Schedule, Stage};
 use hios_cost::CostTable;
@@ -33,7 +35,7 @@ use std::fmt;
 pub enum RepairPolicy {
     /// Deterministic earliest-finish list pass — cheap, no search.
     Greedy,
-    /// Warm-started HIOS-LP over the survivors — slower, better latency.
+    /// HIOS-LP over the survivors — slower, better latency.
     Reschedule,
 }
 
@@ -127,37 +129,32 @@ impl SubgraphMap {
         (s != Self::NO_SUB).then(|| OpId::from_index(s as usize))
     }
 
-    /// Re-expresses a slot schedule over parent ids (what
-    /// [`RepairOutcome::schedule`] holds) in subgraph ids, keeping the
-    /// slot and stage structure — the form the simulator runs against
-    /// [`SubgraphMap::sub`].
+    /// Re-expresses a slot schedule over parent ids in subgraph ids,
+    /// keeping the slot and stage structure — the form the simulator
+    /// runs against [`SubgraphMap::sub`].
     ///
     /// # Panics
     /// If `sched` names an operator that already completed.
     pub fn to_sub_schedule(&self, sched: &Schedule) -> Schedule {
-        relabel(sched, |p| {
+        let sub = |p| {
             self.sub_id(p)
                 .expect("schedule covers only unfinished operators")
-        })
-    }
-}
-
-/// `sched` with every operator renamed through `f`, structure kept.
-fn relabel(sched: &Schedule, f: impl Fn(OpId) -> OpId) -> Schedule {
-    Schedule {
-        gpus: sched
-            .gpus
-            .iter()
-            .map(|gq| GpuSchedule {
-                stages: gq
-                    .stages
-                    .iter()
-                    .map(|st| Stage {
-                        ops: st.ops.iter().map(|&v| f(v)).collect(),
-                    })
-                    .collect(),
-            })
-            .collect(),
+        };
+        Schedule {
+            gpus: sched
+                .gpus
+                .iter()
+                .map(|gq| GpuSchedule {
+                    stages: gq
+                        .stages
+                        .iter()
+                        .map(|st| Stage {
+                            ops: st.ops.iter().map(|&v| sub(v)).collect(),
+                        })
+                        .collect(),
+                })
+                .collect(),
+        }
     }
 }
 
@@ -230,16 +227,15 @@ pub fn project_cost(cost: &CostTable, map: &SubgraphMap) -> CostTable {
 /// What a repair produced.
 #[derive(Clone, Debug)]
 pub struct RepairOutcome {
-    /// Schedule of the unfinished operators (parent ids) over slots
-    /// `0..m_alive`; slot `i` is physical GPU [`RepairOutcome::gpu_map`]`[i]`.
+    /// Schedule of the unfinished operators ([`SubgraphMap::sub`] ids)
+    /// over slots `0..m_alive`; slot `i` is physical GPU
+    /// [`RepairOutcome::gpu_map`]`[i]`.
     pub schedule: Schedule,
     /// Slot → physical GPU index.
     pub gpu_map: Vec<usize>,
     /// Stage-synchronous latency of the remaining work, ms (relative to
     /// the resume instant).
     pub latency: f64,
-    /// The policy that built it.
-    pub policy: RepairPolicy,
 }
 
 /// Deterministic multi-GPU earliest-finish list schedule over `m` GPUs:
@@ -294,11 +290,12 @@ fn greedy_orders(sub: &Graph, cost: &CostTable, m: usize) -> Vec<Vec<OpId>> {
 /// `g` (per `completed`) over the GPUs still marked `alive`.
 ///
 /// `ws` is the caller's evaluation arena — passing the same workspace
-/// across repairs (and across the scheduler that built the original
-/// schedule) keeps the relaxation buffers warm.  The repaired schedule is
-/// checked with [`Schedule::validate_full`] against the subgraph and
-/// evaluated through `ws` before being returned, so callers can trust
-/// [`RepairOutcome::latency`] and resume without re-validating.
+/// across repairs keeps its buffers allocated.  The repaired schedule is
+/// validated and evaluated once through `ws` ([`EvalWorkspace::prepare`]
+/// rejects a malformed schedule, [`EvalWorkspace::relax`] a circular
+/// wait between stages) before being returned, so callers can trust
+/// [`RepairOutcome::latency`] and run [`RepairOutcome::schedule`] on
+/// the returned [`SubgraphMap::sub`] without re-validating.
 pub fn repair_schedule(
     ws: &mut EvalWorkspace,
     g: &Graph,
@@ -327,17 +324,16 @@ pub fn repair_schedule(
                 schedule: Schedule::empty(m_alive),
                 gpu_map,
                 latency: 0.0,
-                policy: cfg.policy,
             },
             map,
         ));
     }
-    // Project op rows onto the unfinished subgraph, then restrict the
-    // topology to the surviving GPUs so slot `i` prices as physical GPU
-    // `gpu_map[i]` (on a uniform platform this is the identity).
-    let sub_cost = project_cost(cost, &map).restrict_gpus(&gpu_map);
+    // Project op rows onto the unfinished subgraph, then take the slot
+    // view of the survivors.
+    let projected = project_cost(cost, &map);
+    let sub_cost = projected.restrict_gpus(&gpu_map);
 
-    let sub_sched = match cfg.policy {
+    let schedule = match cfg.policy {
         RepairPolicy::Reschedule => {
             schedule_hios_lp(
                 &map.sub,
@@ -350,24 +346,16 @@ pub fn repair_schedule(
             )
             .schedule
         }
-        RepairPolicy::Greedy => {
-            Schedule::from_gpu_orders(greedy_orders(&map.sub, &sub_cost, m_alive))
-        }
+        RepairPolicy::Greedy => greedy_schedule(&map.sub, &sub_cost, m_alive),
     };
 
-    sub_sched
-        .validate_full(&map.sub, None)
-        .map_err(EvalError::Structure)?;
-    let latency = evaluate_with(ws, &map.sub, &sub_cost, &sub_sched)?.latency;
-
-    // Translate subgraph ids back to parent ids, keeping slot structure.
-    let schedule = relabel(&sub_sched, |v| map.to_parent[v.index()]);
+    ws.prepare(&map.sub, &sub_cost, &schedule)?;
+    let latency = ws.relax()?;
     Ok((
         RepairOutcome {
             schedule,
             gpu_map,
             latency,
-            policy: cfg.policy,
         },
         map,
     ))
@@ -439,9 +427,11 @@ mod tests {
             assert_eq!(out.schedule.num_gpus(), 3);
             assert_eq!(out.schedule.num_ops(), 30);
             assert!(out.latency > 0.0);
-            // The slot schedule, mapped back to subgraph ids, validates.
-            let sub_view = map.to_sub_schedule(&out.schedule);
-            assert!(sub_view.validate_full(&map.sub, None).is_ok(), "{policy:?}");
+            // The slot schedule runs on the subgraph as it is.
+            assert!(
+                out.schedule.validate_full(&map.sub, None).is_ok(),
+                "{policy:?}"
+            );
         }
     }
 

@@ -4,6 +4,7 @@
 use crate::topology::{NO_LINK, Topology};
 use hios_graph::{Graph, OpId};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Parameters of the concurrent-execution model.
@@ -341,12 +342,15 @@ impl CostTable {
         self.device.exec_ms[self.topology.class_of(0)].iter().sum()
     }
 
-    /// Sub-table over the physical GPUs in `gpu_map`: slot `i` of the
-    /// result prices as physical GPU `gpu_map[i]` (repair and the serving
-    /// ladder schedule over *alive* slots, not raw GPU ids).  Homogeneous
-    /// tables restrict to themselves, bit-identically.
-    pub fn restrict_gpus(&self, gpu_map: &[usize]) -> CostTable {
-        CostTable {
+    /// The slot view over the physical GPUs in `gpu_map`: slot `i` prices
+    /// as physical GPU `gpu_map[i]`.  Every slot schedule is planned,
+    /// re-priced and run on it.  A table on which every GPU prices alike
+    /// is lent out untouched; a heterogeneous one is re-indexed.
+    pub fn restrict_gpus(&self, gpu_map: &[usize]) -> Cow<'_, CostTable> {
+        if self.topology.is_uniform() {
+            return Cow::Borrowed(self);
+        }
+        Cow::Owned(CostTable {
             source: self.source.clone(),
             device: self.device.clone(),
             transfer_ms: self.transfer_ms.clone(),
@@ -354,7 +358,7 @@ impl CostTable {
             concurrency: self.concurrency,
             launch_overhead_ms: self.launch_overhead_ms,
             meter: self.meter.clone(),
-        }
+        })
     }
 
     /// FNV-1a fingerprint of everything that affects pricing: the
@@ -628,9 +632,9 @@ mod tests {
         assert_eq!(r.exec_on(1, OpId(0)), 4.0);
         assert_eq!(r.transfer(OpId(0), 0, 1), 1.0);
         assert!(r.topology.covers(2) && !r.topology.covers(3));
-        // Uniform tables restrict to themselves.
+        // Uniform tables are lent out as they are.
         let u = table(&[2.0, 3.0], &[0.5, 1.0]);
-        assert!(u.restrict_gpus(&[1]).topology.is_uniform());
+        assert!(matches!(u.restrict_gpus(&[1]), Cow::Borrowed(b) if std::ptr::eq(b, &u)));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!    the cost of a read and a validation — the warm-start rung that
 //!    makes restarts cheap.
 //! 3. **Full LP** — HIOS-LP with the intra-GPU pass (Alg. 1 + Alg. 2),
-//!    warm-started on a shared [`EvalWorkspace`].
+//!    run from scratch on the slot view of the planning table.
 //! 4. **Inter LP** — the inter-GPU phase alone (Alg. 1); roughly the
 //!    `w`-th of the full cost.
 //! 5. **Greedy** — the deterministic earliest-finish list pass; the
@@ -40,21 +40,6 @@ use hios_graph::Graph;
 use hios_store::{PlanKey, PlanRung, PlanStore, RecoveryReport, StoreStats};
 use std::borrow::Cow;
 use std::sync::Arc;
-
-/// Cost view where slot `i` prices as physical GPU `gpu_map[i]`.
-///
-/// On a uniform platform every GPU prices alike, so the table is lent
-/// out untouched (keeping the homogeneous serving path
-/// allocation-free); a heterogeneous table is
-/// re-indexed so the schedulers' "try every GPU" loop prices the alive
-/// devices — and the links between them — correctly.
-pub(crate) fn slot_cost<'a>(cost: &'a CostTable, gpu_map: &[usize]) -> Cow<'a, CostTable> {
-    if cost.topology.is_uniform() {
-        Cow::Borrowed(cost)
-    } else {
-        Cow::Owned(cost.restrict_gpus(gpu_map))
-    }
-}
 
 /// Modeled cost of serving a schedule straight from the cache, ms.
 pub(crate) const CACHE_HIT_COST_MS: f64 = 0.05;
@@ -280,7 +265,7 @@ fn resolve<'a>(
     if gpu_map.is_empty() {
         return None;
     }
-    let slots = slot_cost(cost, &gpu_map);
+    let slots = cost.restrict_gpus(&gpu_map);
     let key = ScheduleCacheKey::for_platform(g, alive, &slots);
     Some((gpu_map, slots, key))
 }
@@ -477,7 +462,7 @@ impl AnytimeLadder {
         match policy {
             Policy::GreedyOnly => {
                 let (schedule, nominal_ms) =
-                    run_greedy(&mut self.ws, g, &slot_cost(cost, gpu_map), m)?;
+                    run_greedy(&mut self.ws, g, &cost.restrict_gpus(gpu_map), m)?;
                 self.rung_counts[Rung::Greedy.index()] += 1;
                 Ok(Chosen {
                     schedule: Arc::new(schedule),
@@ -489,7 +474,7 @@ impl AnytimeLadder {
             }
             Policy::FixedFullLp => {
                 let (schedule, nominal_ms, sched_cost_ms) =
-                    run_lp(self.cfg.window, g, &slot_cost(cost, gpu_map), m, true);
+                    run_lp(self.cfg.window, g, &cost.restrict_gpus(gpu_map), m, true);
                 self.rung_counts[Rung::FullLp.index()] += 1;
                 Ok(Chosen {
                     schedule: Arc::new(schedule),
@@ -522,7 +507,7 @@ impl AnytimeLadder {
                 }
                 let rung = self.pick_rung(n, m, queue_depth, slack_ms, cap);
                 let (schedule, nominal_ms, sched_cost_ms) =
-                    self.run_rung(rung, g, &slot_cost(cost, gpu_map), m)?;
+                    self.run_rung(rung, g, &cost.restrict_gpus(gpu_map), m)?;
                 self.rung_counts[rung.index()] += 1;
                 let plan = CachedPlan::new(Arc::new(schedule), nominal_ms, rung);
                 self.store_put(key, epoch, &plan);
@@ -642,7 +627,7 @@ impl AnytimeLadder {
         // the rung upgrade and stops future re-upgrades.  The incumbent is
         // re-evaluated: its stored makespan may predate a fault.
         let challenge = |incumbent: Option<&Schedule>| {
-            let slots = slot_cost(planning, gpu_map);
+            let slots = planning.restrict_gpus(gpu_map);
             let (schedule, ..) = run_lp(window, g, &slots, gpu_map.len(), true);
             let new_ms = eval(&slots, &schedule);
             let wins = incumbent.is_none_or(|old| new_ms <= eval(&slots, old));
@@ -924,7 +909,7 @@ fn greedy_challenge(
     incumbent: &Schedule,
     eval: &impl Fn(&CostTable, &Schedule) -> f64,
 ) -> Option<(Schedule, f64)> {
-    let slots = slot_cost(planning, gpu_map);
+    let slots = planning.restrict_gpus(gpu_map);
     let old_ms = eval(&slots, incumbent);
     let (schedule, _) = run_greedy(ws, g, &slots, gpu_map.len()).ok()?;
     let new_ms = eval(&slots, &schedule);
@@ -1529,6 +1514,12 @@ mod tests {
         p.join("plans.log")
     }
 
+    /// Removes the directory [`scratch`] made for `log`; a test calls it
+    /// once it has passed.
+    fn tidy(log: &std::path::Path) {
+        std::fs::remove_dir_all(log.parent().unwrap()).expect("remove scratch dir");
+    }
+
     fn with_store(cfg: LadderConfig, path: &std::path::Path) -> AnytimeLadder {
         let mut ladder = AnytimeLadder::new(cfg);
         ladder.attach_store(PlanStore::open(path, StoreOptions).unwrap());
@@ -1569,6 +1560,7 @@ mod tests {
         assert_eq!(warm.rung_counts()[Rung::Store.index()], 1);
         let stats = warm.store_stats().unwrap();
         assert_eq!((stats.hits, stats.quarantines), (1, 0));
+        tidy(&path);
     }
 
     #[test]
@@ -1576,7 +1568,8 @@ mod tests {
         let (g, cost) = fixture();
         let cfg = LadderConfig::default();
         let mut plain = AnytimeLadder::new(cfg);
-        let mut backed = with_store(cfg, &scratch());
+        let path = scratch();
+        let mut backed = with_store(cfg, &path);
         for queue in [0usize, 1, 9] {
             let a = plain
                 .decide(&g, &cost, &[true, true], queue, 40.0, 0, Policy::Anytime)
@@ -1588,6 +1581,7 @@ mod tests {
             assert_eq!(a.nominal_ms, b.nominal_ms);
             assert_eq!(a.sched_cost_ms, b.sched_cost_ms);
         }
+        tidy(&path);
     }
 
     #[test]
@@ -1628,6 +1622,7 @@ mod tests {
             .unwrap();
         assert_ne!(d.rung, Rung::Store);
         assert_eq!(ladder.store_stats().unwrap().misses, 1);
+        tidy(&path);
     }
 
     #[test]
@@ -1638,7 +1633,8 @@ mod tests {
             cache_capacity: 1,
             ..LadderConfig::default()
         };
-        let mut ladder = with_store(cfg, &scratch());
+        let path = scratch();
+        let mut ladder = with_store(cfg, &path);
         let a = ladder
             .decide(
                 &g,
@@ -1676,6 +1672,7 @@ mod tests {
             .unwrap();
         assert_eq!(again.rung, Rung::Store);
         assert_eq!(again.schedule, a.schedule);
+        tidy(&path);
     }
 
     #[test]
@@ -1768,6 +1765,7 @@ mod tests {
         }
         assert_eq!(restarted.upgrades(), 0);
         assert_eq!(restarted.store_stats().unwrap().puts_full, 0);
+        tidy(&path);
     }
 
     #[test]
@@ -1825,6 +1823,7 @@ mod tests {
             adopted[0].content_digest(),
             computed.schedule.content_digest()
         );
+        tidy(&path);
     }
 
     #[test]
@@ -1881,6 +1880,7 @@ mod tests {
             Arc::ptr_eq(&back.schedule, &other),
             "other content, other plan"
         );
+        tidy(&path);
     }
 
     #[test]
@@ -1926,5 +1926,6 @@ mod tests {
         assert_ne!(d.rung, Rung::Store, "corruption must be a miss, not a hit");
         assert_eq!(d.schedule, cold.schedule, "replanning restores the plan");
         assert_eq!(ladder.rung_counts()[Rung::Store.index()], 0);
+        tidy(&path);
     }
 }

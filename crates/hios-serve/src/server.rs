@@ -32,7 +32,7 @@
 use crate::breaker::BreakerBank;
 use crate::brownout::{BrownoutController, BrownoutTelemetry, OverloadConfig};
 use crate::ladder::{
-    AnytimeLadder, Chosen, LadderConfig, PlatformState, Policy, RungCap, greedy_cost_ms, slot_cost,
+    AnytimeLadder, Chosen, LadderConfig, PlatformState, Policy, RungCap, greedy_cost_ms,
 };
 use crate::lru::Lru;
 use crate::report::{ReportInputs, ServeReport, summarize};
@@ -287,8 +287,9 @@ impl PartialEq for TimelineKey {
 /// Dispatch is a replay: `simulate_scaled(graph, cost, schedule, sim,
 /// scaling)` is a pure function from t = 0, and for one server the
 /// graph, the execution cost table and the sim config are fixed per
-/// model — so per model, (which schedule, which scaling) names its
-/// result exactly.  The schedule is named by the `Arc` the ladder shares
+/// model, and the table's slot view is fixed per alive mask — so per
+/// model, (which schedule, which mask, which scaling) names its result
+/// exactly.  The schedule is named by the `Arc` the ladder shares
 /// it through: a cached plan is one `Arc` for as long as it lives — the
 /// store hands back the very `Arc` it was given or recovered, and a
 /// replayed re-rank re-inserts its own plan — so nothing ever has to be
@@ -318,9 +319,9 @@ impl TimelineMemo {
     }
 
     /// The timeline of `schedule` (a cached plan's when `cached`, else a
-    /// one-off schedule) for model `mi` under `scale`; `None` when it
-    /// cannot run to a finite finish (an operator on a dead GPU, a
-    /// transfer over a stalled link).
+    /// one-off schedule) for model `mi` on `slots` under `scale`; `None`
+    /// when it cannot run to a finite finish (an operator on a dead GPU,
+    /// a transfer over a stalled link).
     #[allow(clippy::too_many_arguments)]
     fn timeline(
         &mut self,
@@ -329,11 +330,13 @@ impl TimelineMemo {
         sim: &SimConfig,
         schedule: &Arc<Schedule>,
         cached: bool,
-        alive_mask: u64,
+        slots: &Slots,
         scale: &Scaling,
     ) -> Option<Arc<Timeline>> {
+        let alive_mask = slots.mask;
         let simulate = || {
-            let r = simulate_scaled(&model.graph, &model.cost, schedule, sim, scale).ok()?;
+            let cost = model.cost.restrict_gpus(&slots.gpu_map);
+            let r = simulate_scaled(&model.graph, &cost, schedule, sim, scale).ok()?;
             r.makespan.is_finite().then_some(Timeline {
                 makespan: r.makespan,
                 op_start: r.op_start,
@@ -780,9 +783,9 @@ pub fn serve(
 /// per-model [`Calibrator`]; a sustained deviation raises a CUSUM drift
 /// alarm, quarantines the cell, re-materializes the planning overlay,
 /// purges the now-stale schedule-cache entries, and re-ranks the cached
-/// plans — a budget-bounded warm-started re-schedule on the anytime
-/// ladder.  An empty drift plan reproduces [`serve`] bit-for-bit, with
-/// or without calibration.
+/// plans — a budget-bounded re-schedule on the anytime ladder.  An
+/// empty drift plan reproduces [`serve`] bit-for-bit, with or without
+/// calibration.
 pub fn serve_drift(
     models: &[ServedModel],
     trace: &[Request],
@@ -1558,8 +1561,11 @@ impl<'a> Server<'a> {
     /// taken once per (calibration epoch, alive mask).
     fn plan_key(&mut self, mi: usize) -> ScheduleCacheKey {
         let (slots, calib, model) = (&self.slots, &self.calib, &self.models[mi]);
-        let fingerprint =
-            || slot_cost(planning_table(calib, model, mi), &slots.gpu_map).platform_fingerprint();
+        let fingerprint = || {
+            planning_table(calib, model, mi)
+                .restrict_gpus(&slots.gpu_map)
+                .platform_fingerprint()
+        };
         let keys = &mut self.keys[mi];
         let platform_fp = match keys.platform_fps.recall(&slots.mask, fingerprint, u64::eq) {
             Some(&mut fp) => fp,
@@ -1583,8 +1589,7 @@ impl<'a> Server<'a> {
         let (schedule, cached) = (chosen.schedule, chosen.cached);
         let (model, sim, slots) = (&self.models[mi], &self.cfg.sim, &self.slots);
         let memo = &mut self.memo;
-        let mut timeline =
-            |scale| memo.timeline(mi, model, sim, &schedule, cached, slots.mask, scale);
+        let mut timeline = |scale| memo.timeline(mi, model, sim, &schedule, cached, slots, scale);
         let actual = timeline(&slots.slot_scale)?;
         let predicted = if self.calib.is_empty() {
             None
@@ -1785,9 +1790,9 @@ impl<'a> Server<'a> {
         let (model, sim_cfg) = (&self.models[mi], &self.cfg.sim);
         // Projected only when something is priced: a re-price that prices
         // nothing allocates nothing.
-        let eval = |slot_cost: &CostTable, schedule: &Schedule| {
+        let eval = |slots: &CostTable, schedule: &Schedule| {
             let scale = platform.scaling.0.project(gpu_map);
-            simulate_scaled(&model.graph, slot_cost, schedule, sim_cfg, &scale)
+            simulate_scaled(&model.graph, slots, schedule, sim_cfg, &scale)
                 .map(|r| r.makespan)
                 .unwrap_or(f64::INFINITY)
         };
@@ -1960,9 +1965,8 @@ impl<'a> Server<'a> {
             self.try_dispatch();
             return;
         };
-        let sub_cost = hios_core::repair::project_cost(&model.cost, &map);
+        let projected = hios_core::repair::project_cost(&model.cost, &map);
         let resume = now + sched_cost;
-        let sub_schedule = map.to_sub_schedule(&outcome.schedule);
         // The remainder resumes on the survivors, on the platform as it
         // is at `resume` (known faults times drift).
         debug_assert_eq!(outcome.gpu_map, self.slots.gpu_map);
@@ -1970,8 +1974,8 @@ impl<'a> Server<'a> {
             .scale(&self.platform.scaling.0, self.drift, resume);
         let resumed = simulate_scaled(
             &map.sub,
-            &sub_cost,
-            &sub_schedule,
+            &projected.restrict_gpus(&self.slots.gpu_map),
+            &outcome.schedule,
             &self.cfg.sim,
             &self.slots.slot_scale,
         );
@@ -1996,7 +2000,7 @@ impl<'a> Server<'a> {
     }
 
     /// Repair policy and its modeled scheduling cost, picked like a
-    /// ladder rung: reschedule (warm-started LP) when the budget, the
+    /// ladder rung: reschedule (HIOS-LP from scratch) when the budget, the
     /// queue, and the disrupted request's remaining slack admit it,
     /// greedy otherwise.
     fn repair_policy(&self, n_left: usize, m_alive: usize, slack_ms: f64) -> (RepairPolicy, f64) {
@@ -2261,6 +2265,62 @@ mod tests {
         };
         assert_eq!(attempts, 1, "repair must not consume a retry attempt");
         assert_eq!(repairs, 1, "the fault must be repaired in place");
+    }
+
+    /// The 3-GPU box GPUs 1–3 of [`hios_cost::Platform::mixed_a40_v100s`]
+    /// make, built on its own: an A40 and two V100Ss, PCIe from the A40
+    /// to each V100S, NVLink between the V100Ss.
+    fn mixed_box_without_gpu0() -> hios_cost::Platform {
+        use hios_cost::{GpuSpec, LinkSpec, Platform, Topology};
+        let (nv, pc) = (0, 1);
+        #[rustfmt::skip]
+        let link_class = vec![
+            nv, pc, pc,
+            pc, nv, nv,
+            pc, nv, nv,
+        ];
+        Platform::hetero(
+            vec![GpuSpec::a40(), GpuSpec::v100s()],
+            vec![LinkSpec::nvlink_bridge(), LinkSpec::pcie_gen3()],
+            Topology::hetero(vec![0, 1, 1], link_class),
+        )
+    }
+
+    #[test]
+    fn a_plan_dispatched_without_gpu0_runs_on_the_gpus_its_slots_name() {
+        // GPU 0 of the mixed A40 + V100S box is out, so slots 0..3 are
+        // GPUs 1–3.  The plan finishes when the same slot schedule
+        // finishes on the box those three GPUs make — not when it would
+        // on GPUs 0–2.
+        use hios_cost::{Platform, platform_table};
+        let mut m = model(7, 40);
+        m.cost = platform_table(&Platform::mixed_a40_v100s(), &m.graph).unwrap();
+        let three = platform_table(&mixed_box_without_gpu0(), &m.graph).unwrap();
+        let mut cfg = ServeConfig::new(4);
+        cfg.policy = Policy::GreedyOnly;
+        cfg.gpu_repair_ms = 1.0e9;
+        let arrival_ms = 50.0;
+        let trace = [Request {
+            id: 0,
+            model: 0,
+            arrival_ms,
+            deadline_ms: 1.0e6,
+            class: PriorityClass::Gold,
+        }];
+        let faults = FaultPlan::single(0.0, FaultKind::GpuFailStop { gpu: 0 });
+        let plan = hios_core::greedy_schedule(&m.graph, &three, 3);
+        let run = simulate_scaled(&m.graph, &three, &plan, &cfg.sim, &Scaling::identity(3));
+        let t0 = arrival_ms + greedy_cost_ms(m.graph.num_ops());
+        let out = serve(&[m], &trace, &faults, &cfg).unwrap();
+        let Disposition::Completed {
+            finish_ms,
+            attempts: 1,
+            ..
+        } = out.records[0].disposition
+        else {
+            panic!("{:?}", out.records[0].disposition);
+        };
+        assert_eq!(finish_ms, t0 + run.unwrap().makespan);
     }
 
     #[test]
@@ -2830,7 +2890,9 @@ mod tests {
         assert!(key != (&b, mask, &scale));
 
         let mut memo = TimelineMemo::new(1);
-        let mut timeline = |s: &Arc<Schedule>| memo.timeline(0, &m, &sim, s, true, mask, &scale);
+        let mut slots = Slots::new(3);
+        (slots.mask, slots.gpu_map) = (mask, vec![0, 1, 2]);
+        let mut timeline = |s: &Arc<Schedule>| memo.timeline(0, &m, &sim, s, true, &slots, &scale);
         let (ta, tb) = (timeline(&a).unwrap(), timeline(&b).unwrap());
         assert!(!Arc::ptr_eq(&ta, &tb) && ta.same_bits(&tb));
         assert!(Arc::ptr_eq(&timeline(&b).unwrap(), &tb));

@@ -13,7 +13,7 @@ use hios_serve::{
 };
 use hios_sim::{DriftPlan, FaultPlan};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -27,6 +27,12 @@ fn scratch() -> PathBuf {
     ));
     fs::create_dir_all(&p).expect("create scratch dir");
     p.join("plans.log")
+}
+
+/// Removes the directory [`scratch`] made for `log`; a test calls it once
+/// it has passed.
+fn tidy(log: &Path) {
+    fs::remove_dir_all(log.parent().unwrap()).expect("remove scratch dir");
 }
 
 fn model(seed: u64, ops: usize) -> ServedModel {
@@ -103,6 +109,7 @@ fn restart_warm_starts_from_the_plan_log() {
         first_latency(&warm),
         first_latency(&cold)
     );
+    tidy(&path);
 }
 
 #[test]
@@ -137,6 +144,7 @@ fn corrupted_log_degrades_to_cold_start_not_to_wrong_plans() {
     // The log self-repaired: a further restart is warm again.
     let healed = serve(&models, &tr, &FaultPlan::new(vec![]), &cfg).unwrap();
     assert!(healed.report.rungs[Rung::Store.index()] >= 1);
+    tidy(&path);
 }
 
 #[test]
@@ -172,6 +180,7 @@ fn recalibration_bumps_the_epoch_and_restart_stays_safe() {
     assert_eq!(second.records.len(), 60);
     assert_eq!(second.report.store.quarantines, 0);
     assert!(second.report.rungs[Rung::Store.index()] >= 1);
+    tidy(&path);
 }
 
 #[test]
@@ -195,4 +204,5 @@ fn bounded_cache_evictions_surface_in_the_report() {
         "evicted plans must re-serve from the store, rungs {:?}",
         out.report.rungs
     );
+    tidy(&path);
 }

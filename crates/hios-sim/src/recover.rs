@@ -7,9 +7,10 @@
 //! checkpointed and available cluster-wide, DESIGN.md §8), operators in
 //! flight or invalidated by the fault are *restarted* — and
 //! [`hios_core::repair`] rebuilds a schedule for the unfinished subgraph
-//! over the surviving GPUs, warm-started through one shared
-//! [`EvalWorkspace`].  The loop resumes and repeats until the model
-//! completes or no GPU survives.
+//! over the surviving GPUs (one [`EvalWorkspace`] checks every repair).
+//! The loop resumes on the subgraph and slots the repair hands over —
+//! slot `i` priced and scaled as physical GPU `gpu_map[i]` — and repeats
+//! until the model completes or no GPU survives.
 //!
 //! Fault semantics at the cut (relative to the fault instant `t_f` and
 //! detection instant `t_d = t_f + detection`):
@@ -176,15 +177,16 @@ pub fn run_with_repair(
     let mut t_now = 0.0f64;
     let mut events_out: Vec<SimEvent> = Vec::new();
     let mut repairs = 0usize;
-    // The live schedule is over *slots*; slot i is physical GPU
-    // gpu_map[i].  The input schedule starts with the identity map.
-    let mut cur_sched = sched.clone();
+    // The live schedule runs `map.sub` over *slots*; slot i is physical
+    // GPU gpu_map[i].  It starts as the input schedule on the identity
+    // map, and each repair hands over its own map, schedule and slots.
+    let mut map = extract_unfinished(g, &completed);
+    let mut cur_sched = map.to_sub_schedule(sched);
     let mut gpu_map: Vec<usize> = (0..m).collect();
     let mut ws = EvalWorkspace::new();
     let mut ev_idx = 0usize;
 
     loop {
-        let map = extract_unfinished(g, &completed);
         if map.sub.num_ops() == 0 {
             // Everything was pinned at the last cut.
             let makespan = finish_abs
@@ -209,10 +211,9 @@ pub fn run_with_repair(
                 final_alive: alive,
             });
         }
-        let sub_cost = project_cost(cost, &map);
-        let sub_sched = map.to_sub_schedule(&cur_sched);
-        let slot_scale = scale.project(&gpu_map);
-        let r = simulate_scaled(&map.sub, &sub_cost, &sub_sched, &cfg.sim, &slot_scale)
+        let projected = project_cost(cost, &map);
+        let (slots, slot_scale) = (projected.restrict_gpus(&gpu_map), scale.project(&gpu_map));
+        let r = simulate_scaled(&map.sub, &slots, &cur_sched, &cfg.sim, &slot_scale)
             .map_err(RecoverError::Sim)?;
 
         // Consume events that cannot disturb this run.
@@ -283,7 +284,7 @@ pub fn run_with_repair(
         let t_f = (e.at_ms - t_now).max(0.0);
         let t_d = t_f + cfg.detection_ms;
         let nsub = map.sub.num_ops();
-        let sub_place = sub_sched.placements(nsub);
+        let sub_place = cur_sched.placements(nsub);
 
         // Consumers fed after t_f by a transfer over the faulted link
         // cannot trust their inputs.
@@ -358,8 +359,9 @@ pub fn run_with_repair(
             });
         }
 
-        let (rep, _) = repair_schedule(&mut ws, g, cost, &completed, &alive, &cfg.repair)
+        let (rep, rep_map) = repair_schedule(&mut ws, g, cost, &completed, &alive, &cfg.repair)
             .map_err(RecoverError::Repair)?;
+        map = rep_map;
         cur_sched = rep.schedule;
         gpu_map = rep.gpu_map;
         repairs += 1;
@@ -367,7 +369,7 @@ pub fn run_with_repair(
             fault: e,
             detected_ms: Some(detected_abs),
             action: RepairAction::Rescheduled {
-                policy: rep.policy,
+                policy: cfg.repair.policy,
                 survivors: gpu_map.len(),
             },
         });
@@ -457,6 +459,66 @@ mod tests {
                 RepairAction::Rescheduled { survivors, .. } if survivors == m - 1
             ));
         }
+    }
+
+    #[test]
+    fn a_repaired_segment_runs_on_the_gpus_its_slots_name() {
+        // GPU 0 of the mixed A40 + V100S box fails at 0 ms, so the repair
+        // schedules onto slots 0..3 = GPUs 1–3.  The repaired segment
+        // finishes when the same slot schedule finishes on the box those
+        // three GPUs make, built on its own: an A40 and two V100Ss, PCIe
+        // from the A40 to each V100S, NVLink between the V100Ss.
+        use hios_cost::{GpuSpec, LinkSpec, Platform, Topology, platform_table};
+        let (nv, pc) = (0, 1);
+        #[rustfmt::skip]
+        let link_class = vec![
+            nv, pc, pc,
+            pc, nv, nv,
+            pc, nv, nv,
+        ];
+        let survivors = Platform::hetero(
+            vec![GpuSpec::a40(), GpuSpec::v100s()],
+            vec![LinkSpec::nvlink_bridge(), LinkSpec::pcie_gen3()],
+            Topology::hetero(vec![0, 1, 1], link_class),
+        );
+        let g = generate_layered_dag(&LayeredDagConfig {
+            ops: 80,
+            layers: 8,
+            deps: 160,
+            seed: 2,
+        })
+        .unwrap();
+        let cost = platform_table(&Platform::mixed_a40_v100s(), &g).unwrap();
+        let three = platform_table(&survivors, &g).unwrap();
+        let s = run_scheduler(Algorithm::HiosLp, &g, &cost, &SchedulerOptions::new(4))
+            .unwrap()
+            .schedule;
+        let cfg = RecoveryConfig::analytical();
+        let plan = FaultPlan::single(0.0, FaultKind::GpuFailStop { gpu: 0 });
+        let r = run_with_repair(&g, &cost, &s, &plan, &cfg).unwrap();
+        assert!(r.completed);
+        assert_eq!(r.repairs, 1);
+        // What finished by detection was pinned; the rest is the segment.
+        let done: Vec<bool> = r.op_finish.iter().map(|&f| f <= cfg.detection_ms).collect();
+        assert!(done.iter().any(|&d| d) && !done.iter().all(|&d| d));
+        let (rep, map) = repair_schedule(
+            &mut EvalWorkspace::new(),
+            &g,
+            &three,
+            &done,
+            &[true; 3],
+            &cfg.repair,
+        )
+        .unwrap();
+        let seg = simulate(
+            &map.sub,
+            &project_cost(&three, &map),
+            &rep.schedule,
+            &cfg.sim,
+        )
+        .unwrap();
+        let resume = cfg.detection_ms + REPAIR_OVERHEAD_MS;
+        assert_eq!(r.makespan, resume + seg.makespan);
     }
 
     #[test]

@@ -509,6 +509,12 @@ mod tests {
         p.join("plans.log")
     }
 
+    /// Removes the directory [`scratch`] made for `log`; a test calls it
+    /// once it has passed.
+    fn tidy(log: &Path) {
+        fs::remove_dir_all(log.parent().unwrap()).expect("remove scratch dir");
+    }
+
     fn key(graph_fp: u64, epoch: u64) -> PlanKey {
         PlanKey {
             graph_fp,
@@ -550,6 +556,7 @@ mod tests {
         assert_eq!(hit.schedule, plan(3));
         assert_eq!(hit.makespan_ms, 10.0);
         assert_eq!(store.stats().hits, 1);
+        tidy(&path);
     }
 
     #[test]
@@ -563,6 +570,7 @@ mod tests {
             Ok(PutOutcome::Unchanged)
         );
         assert_eq!(fs::metadata(&path).unwrap().len(), size);
+        tidy(&path);
     }
 
     #[test]
@@ -604,6 +612,7 @@ mod tests {
         assert_eq!(rung(&mut store, key(1, 3)), Some(PlanRung::FullLp));
         assert_eq!(rung(&mut store, key(1, 0)), Some(PlanRung::Greedy));
         assert_eq!(rung(&mut store, key(2, 1)), None);
+        tidy(&path);
     }
 
     #[test]
@@ -637,6 +646,7 @@ mod tests {
         assert_eq!(store.recovery().records_loaded, 2);
         let hit = store.get_shared(&key(1, 0)).unwrap();
         assert_eq!((hit.rung, &*hit.schedule), (lp, &plan(3)));
+        tidy(&path);
     }
 
     #[test]
@@ -661,6 +671,7 @@ mod tests {
         assert_eq!(store.get(&key(1, 1)).unwrap().schedule, plan(4));
         assert_eq!(store.digest_passes.get(), 1, "later reads hash nothing");
         assert_eq!(store.stats().hits, 3);
+        tidy(&path);
     }
 
     #[test]
@@ -690,6 +701,7 @@ mod tests {
         let stats = store.stats();
         assert_eq!((stats.quarantines, stats.misses, stats.hits), (1, 2, 0));
         assert!(store.get_shared(&key(1, 0)).is_some());
+        tidy(&path);
     }
 
     #[test]
@@ -744,6 +756,7 @@ mod tests {
         let mut store = PlanStore::open(&path, StoreOptions).unwrap();
         assert_eq!(store.recovery().records_quarantined, 0);
         assert_eq!(store.get(&key(1, 2)).unwrap().schedule, plan(4));
+        tidy(&path);
     }
 
     #[test]
@@ -770,6 +783,7 @@ mod tests {
             bytes,
             "corrupt image kept for post-mortems"
         );
+        tidy(&path);
     }
 
     #[test]
@@ -805,6 +819,7 @@ mod tests {
             "first corruption's evidence survives the second"
         );
         assert_eq!(fs::read(sibling(&path, ".quarantine.1")).unwrap(), second);
+        tidy(&path);
     }
 
     #[test]
@@ -821,5 +836,6 @@ mod tests {
                 supported: STORE_FORMAT_VERSION
             })
         );
+        tidy(&path);
     }
 }

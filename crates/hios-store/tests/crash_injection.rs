@@ -21,7 +21,7 @@ use hios_store::{PlanKey, PlanRung, PlanStore, STORE_FORMAT_VERSION, StoreError,
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -36,6 +36,12 @@ fn scratch() -> PathBuf {
     ));
     fs::create_dir_all(&p).expect("create scratch dir");
     p.join("plans.log")
+}
+
+/// Removes the directory [`scratch`] made for `log`; a test calls it once
+/// it has passed.
+fn tidy(log: &Path) {
+    fs::remove_dir_all(log.parent().unwrap()).expect("remove scratch dir");
 }
 
 /// SplitMix64: derives all corruption details from one generated seed.
@@ -195,6 +201,7 @@ proptest! {
                 (None, Some(_)) => prop_assert!(false, "record inside the valid prefix for {k:?} must be served"),
             }
         }
+        tidy(&path);
     }
 
     #[test]
@@ -223,6 +230,7 @@ proptest! {
         } else {
             check_recovery(&path, &legit);
         }
+        tidy(&path);
     }
 
     #[test]
@@ -253,6 +261,7 @@ proptest! {
         fs::write(&path, &image).unwrap();
 
         check_recovery(&path, &legit);
+        tidy(&path);
     }
 
     #[test]
@@ -311,5 +320,6 @@ proptest! {
             prop_assert_eq!(after.len(), want);
             before = after;
         }
+        tidy(&path);
     }
 }

@@ -11,6 +11,8 @@
 #   cargo test -q --test golden_digests
 #   cargo test -q --no-fail-fast -p hios-core   (patches to hios-core: its
 #     in-crate tests and the `eval_equivalence` reference differential)
+#   cargo test -q --no-fail-fast -p hios-sim    (patches to hios-sim: the
+#     recovery loop's tests)
 # run in debug, each to the end.  A failure kills the mutant, and so does
 # a build failure.  Per mutant it prints the first failing test (and how
 # many more failed), whether the memo table's check fired (`a memo hit
@@ -46,9 +48,11 @@ for patch in "${patches[@]}"; do
     verdict=SURVIVED
     (cd "$copy" && cargo test -q --no-fail-fast -p hios-serve) > "$log" 2>&1 || verdict=killed
     (cd "$copy" && cargo test -q --test golden_digests) >> "$log" 2>&1 || verdict=killed
-    if grep -q '^+++ b/crates/hios-core/' "$patch"; then
-        (cd "$copy" && cargo test -q --no-fail-fast -p hios-core) >> "$log" 2>&1 || verdict=killed
-    fi
+    for crate in hios-core hios-sim; do
+        if grep -q "^+++ b/crates/$crate/" "$patch"; then
+            (cd "$copy" && cargo test -q --no-fail-fast -p "$crate") >> "$log" 2>&1 || verdict=killed
+        fi
+    done
     [ "$verdict" = killed ] || bad=1
     check=no
     grep -q "a memo hit diverged from its recomputation" "$log" && check=yes

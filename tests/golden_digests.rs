@@ -427,7 +427,7 @@ const FLEET: &str = "0x952a28e9060cc9d4 0x7ac59f6be69436bb cache=(87, 3) rungs=[
 const RAMP_DRIFT: &str =
     "0xb97a3c0592c33837 cache=(289, 10) rungs=[289, 0, 0, 1, 9] evict=0 store=(0,0,0,0)";
 const HETERO: &str =
-    "0x2289560be14df02e cache=(196, 4) rungs=[196, 0, 0, 0, 4] evict=0 store=(0,0,0,0)";
+    "0xccd1e656322d5ab6 cache=(196, 4) rungs=[196, 0, 0, 0, 4] evict=0 store=(0,0,0,0)";
 const CALIBRATED_CHAOS: &str = "0x34afcd3493d496aa cache=(2965, 19) rungs=[2965, 0, 0, 2, 17] evict=0 store=(0,0,0,0) alarms=100 recalibrations=11 invalidations=16 repairs=9";
 
 // ---- fleet pump tie-breaks ----------------------------------------------
