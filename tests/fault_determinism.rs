@@ -1,7 +1,7 @@
 //! Replay of the full detect → repair → resume loop: recovery from the
 //! same fault plan, run twice, must be bit-identical — the Reschedule
-//! repairs run warm-started HIOS-LP on a 700-operator instance, so this
-//! replays its candidate trials end to end.
+//! repairs run HIOS-LP on a 700-operator instance, so this replays its
+//! candidate trials end to end.
 
 use hios::core::{Algorithm, SchedulerOptions, run_scheduler};
 use hios::cost::{RandomCostConfig, random_cost_table};
