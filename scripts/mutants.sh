@@ -24,6 +24,10 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 if [ $# -gt 0 ]; then patches=("$@"); else patches=("$root"/tests/mutants/*.patch); fi
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
+# A killed mutant's failing tests keep their temp directories; keep them
+# under $tmp so that they go with it.
+export TMPDIR="$tmp/tmpdir"
+mkdir -p "$TMPDIR"
 export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$tmp/target}"
 copy="$tmp/copy"
 # Files any patch edits: touched in every copy, so that a file the last
