@@ -18,8 +18,8 @@
 //! (`M = 1`).
 //!
 //! The returned schedule names the operators of [`SubgraphMap::sub`]
-//! over *slots* `0..m_alive`; [`RepairOutcome::gpu_map`] maps each slot
-//! back to the physical GPU index, and
+//! over *slots* `0..m_alive`; [`alive_slots`] of the alive mask maps
+//! each slot back to the physical GPU index, and
 //! [`CostTable::restrict_gpus`] prices slot `i` as that GPU, so the
 //! caller runs it as it was planned.
 
@@ -229,10 +229,8 @@ pub fn project_cost(cost: &CostTable, map: &SubgraphMap) -> CostTable {
 pub struct RepairOutcome {
     /// Schedule of the unfinished operators ([`SubgraphMap::sub`] ids)
     /// over slots `0..m_alive`; slot `i` is physical GPU
-    /// [`RepairOutcome::gpu_map`]`[i]`.
+    /// [`alive_slots`]`(alive)[i]`.
     pub schedule: Schedule,
-    /// Slot → physical GPU index.
-    pub gpu_map: Vec<usize>,
     /// Stage-synchronous latency of the remaining work, ms (relative to
     /// the resume instant).
     pub latency: f64,
@@ -322,7 +320,6 @@ pub fn repair_schedule(
         return Ok((
             RepairOutcome {
                 schedule: Schedule::empty(m_alive),
-                gpu_map,
                 latency: 0.0,
             },
             map,
@@ -351,14 +348,7 @@ pub fn repair_schedule(
 
     ws.prepare(&map.sub, &sub_cost, &schedule)?;
     let latency = ws.relax()?;
-    Ok((
-        RepairOutcome {
-            schedule,
-            gpu_map,
-            latency,
-        },
-        map,
-    ))
+    Ok((RepairOutcome { schedule, latency }, map))
 }
 
 #[cfg(test)]
@@ -423,7 +413,6 @@ mod tests {
                 &RepairConfig::new(policy),
             )
             .unwrap();
-            assert_eq!(out.gpu_map, vec![0, 2, 3]);
             assert_eq!(out.schedule.num_gpus(), 3);
             assert_eq!(out.schedule.num_ops(), 30);
             assert!(out.latency > 0.0);
@@ -449,7 +438,6 @@ mod tests {
             &RepairConfig::default(),
         )
         .unwrap();
-        assert_eq!(out.gpu_map, vec![3]);
         assert_eq!(out.schedule.num_gpus(), 1);
         assert_eq!(out.schedule.num_ops(), 50);
     }

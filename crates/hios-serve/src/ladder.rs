@@ -227,25 +227,15 @@ impl CachedPlan {
 /// What one ladder consultation produced.
 #[derive(Clone, Debug)]
 pub struct LadderDecision {
-    /// Slot-schedule over `gpu_map.len()` slots.
+    /// Slot-schedule over the admitted GPUs, slot `i` the `i`-th of them
+    /// ([`alive_slots`] numbering).
     pub schedule: Arc<Schedule>,
-    /// Slot → physical GPU.
-    pub gpu_map: Vec<usize>,
     /// Stage-synchronous fault-free latency estimate, ms.
     pub nominal_ms: f64,
     /// The rung that answered.
     pub rung: Rung,
     /// Modeled scheduling time to charge to the virtual clock, ms.
     pub sched_cost_ms: f64,
-}
-
-/// [`LadderDecision`] minus the slot map, for the keyed entry point
-/// (its caller already holds the map).
-pub(crate) struct Chosen {
-    pub(crate) schedule: Arc<Schedule>,
-    pub(crate) nominal_ms: f64,
-    pub(crate) rung: Rung,
-    pub(crate) sched_cost_ms: f64,
     /// Whether `schedule` is a cached plan's, shared with every dispatch
     /// of that plan; `false` under the fixed baselines, whose schedules
     /// never enter the cache.
@@ -416,7 +406,7 @@ impl AnytimeLadder {
             )));
         }
         let (gpu_map, _, key) = resolve(g, cost, alive).ok_or(ServeError::NoCapacity)?;
-        let chosen = self.decide_keyed(
+        self.decide_keyed(
             g,
             cost,
             &gpu_map,
@@ -426,14 +416,7 @@ impl AnytimeLadder {
             epoch,
             policy,
             RungCap::Full,
-        )?;
-        Ok(LadderDecision {
-            schedule: chosen.schedule,
-            gpu_map,
-            nominal_ms: chosen.nominal_ms,
-            rung: chosen.rung,
-            sched_cost_ms: chosen.sched_cost_ms,
-        })
+        )
     }
 
     /// [`AnytimeLadder::decide`] with an explicit brownout rung cap: the
@@ -456,7 +439,7 @@ impl AnytimeLadder {
         epoch: u64,
         policy: Policy,
         cap: RungCap,
-    ) -> Result<Chosen, ServeError> {
+    ) -> Result<LadderDecision, ServeError> {
         let m = gpu_map.len();
         let n = g.num_ops();
         match policy {
@@ -464,7 +447,7 @@ impl AnytimeLadder {
                 let (schedule, nominal_ms) =
                     run_greedy(&mut self.ws, g, &cost.restrict_gpus(gpu_map), m)?;
                 self.rung_counts[Rung::Greedy.index()] += 1;
-                Ok(Chosen {
+                Ok(LadderDecision {
                     schedule: Arc::new(schedule),
                     nominal_ms,
                     rung: Rung::Greedy,
@@ -476,7 +459,7 @@ impl AnytimeLadder {
                 let (schedule, nominal_ms, sched_cost_ms) =
                     run_lp(self.cfg.window, g, &cost.restrict_gpus(gpu_map), m, true);
                 self.rung_counts[Rung::FullLp.index()] += 1;
-                Ok(Chosen {
+                Ok(LadderDecision {
                     schedule: Arc::new(schedule),
                     nominal_ms,
                     rung: Rung::FullLp,
@@ -487,7 +470,7 @@ impl AnytimeLadder {
             Policy::Anytime => {
                 if let Some(plan) = self.cache.get(key) {
                     self.rung_counts[Rung::Cached.index()] += 1;
-                    return Ok(Chosen {
+                    return Ok(LadderDecision {
                         schedule: Arc::clone(&plan.schedule),
                         nominal_ms: plan.makespan_ms,
                         rung: Rung::Cached,
@@ -497,7 +480,7 @@ impl AnytimeLadder {
                 }
                 if let Some(plan) = self.store_lookup(g, key, m, epoch) {
                     self.rung_counts[Rung::Store.index()] += 1;
-                    return Ok(Chosen {
+                    return Ok(LadderDecision {
                         schedule: plan.schedule,
                         nominal_ms: plan.makespan_ms,
                         rung: Rung::Store,
@@ -511,7 +494,7 @@ impl AnytimeLadder {
                 self.rung_counts[rung.index()] += 1;
                 let plan = CachedPlan::new(Arc::new(schedule), nominal_ms, rung);
                 self.store_put(key, epoch, &plan);
-                let chosen = Chosen {
+                let chosen = LadderDecision {
                     schedule: Arc::clone(&plan.schedule),
                     nominal_ms,
                     rung,
@@ -1036,7 +1019,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(d.rung, Rung::Greedy);
-        assert_eq!(d.gpu_map, vec![0, 1]);
+        assert_eq!(d.schedule.num_gpus(), 2);
     }
 
     #[test]
@@ -1224,7 +1207,7 @@ mod tests {
             )
             .unwrap();
         assert_ne!(slow.rung, Rung::Cached, "different alive set must miss");
-        assert_eq!(slow.gpu_map, vec![2, 3]);
+        assert_eq!(slow.schedule.num_gpus(), 2);
         assert!(
             slow.nominal_ms > fast.nominal_ms,
             "V100S-only plan ({:.3} ms) must price slower than the A40 pair ({:.3} ms)",

@@ -32,7 +32,7 @@
 use crate::breaker::BreakerBank;
 use crate::brownout::{BrownoutController, BrownoutTelemetry, OverloadConfig};
 use crate::ladder::{
-    AnytimeLadder, Chosen, LadderConfig, PlatformState, Policy, RungCap, greedy_cost_ms,
+    AnytimeLadder, LadderConfig, LadderDecision, PlatformState, Policy, RungCap, greedy_cost_ms,
 };
 use crate::lru::Lru;
 use crate::report::{ReportInputs, ServeReport, summarize};
@@ -40,7 +40,7 @@ use crate::request::{Disposition, PriorityClass, Request, RequestRecord, ServeEr
 use crate::retry::{self, RetryBudget};
 use hios_core::repair::{RepairConfig, RepairPolicy, repair_schedule};
 use hios_core::{
-    Algorithm, EvalWorkspace, Schedule, ScheduleCacheKey, SchedulerError, bounds,
+    Algorithm, EvalWorkspace, Schedule, ScheduleCacheKey, SchedulerError, alive_slots, bounds,
     graph_fingerprint, modeled_sched_cost_ms,
 };
 use hios_cost::uncertainty::observation_ratio;
@@ -168,8 +168,8 @@ enum Event {
 struct InFlight {
     req: usize,
     token: u64,
-    /// Bit `g` set ⇔ physical GPU `g` serves this attempt.
-    serving: u64,
+    /// The slots this attempt runs on.
+    serving: Arc<SlotMap>,
     run: Attempt,
     /// The operator a detected hang blocked, if any.
     hung_op: Option<OpId>,
@@ -330,7 +330,7 @@ impl TimelineMemo {
         sim: &SimConfig,
         schedule: &Arc<Schedule>,
         cached: bool,
-        slots: &Slots,
+        slots: &SlotMap,
         scale: &Scaling,
     ) -> Option<Arc<Timeline>> {
         let alive_mask = slots.mask;
@@ -431,61 +431,43 @@ struct ModelKeys {
 /// (breakers move between a handful of masks; a miss only recomputes).
 const PLATFORM_FP_SLOTS: usize = 8;
 
-/// What every attempt derives from the breakers and the platform, kept
-/// so the dispatch path refills it instead of allocating it.
-struct Slots {
+/// The slots attempts run on while the admitted set and the known
+/// faults stay as they are.  Built through [`alive_slots`] in
+/// [`Server::build`] and [`Server::platform_fault`], the only places
+/// either changes, and shared by every attempt dispatched on it.
+struct SlotMap {
     /// Per-GPU admission mask (breaker closed or half-open).
     alive: Vec<bool>,
     /// `alive` as bits.
     mask: u64,
-    /// Slot → physical GPU of `alive`
-    /// ([`hios_core::repair::alive_slots`] numbering).
+    /// Slot → physical GPU of `alive`.
     gpu_map: Vec<usize>,
-    /// The known-fault scaling projected onto the slots …
+    /// The known-fault scaling projected onto the slots.
     fault_scale: Scaling,
-    /// … and with the drift of the run's start instant multiplied in.
-    slot_scale: Scaling,
 }
 
-impl Slots {
-    fn new(m: usize) -> Self {
-        Slots {
-            alive: Vec::with_capacity(m),
-            mask: 0,
-            gpu_map: Vec::with_capacity(m),
-            fault_scale: Scaling::identity(0),
-            slot_scale: Scaling::identity(0),
-        }
+impl SlotMap {
+    fn new(breakers: &BreakerBank, platform: &Scaling) -> Arc<Self> {
+        let alive = breakers.admitted();
+        let gpu_map = alive_slots(&alive);
+        Arc::new(SlotMap {
+            mask: gpu_map.iter().fold(0, |mask, &g| mask | 1 << g),
+            fault_scale: platform.project(&gpu_map),
+            alive,
+            gpu_map,
+        })
     }
 
-    /// Re-reads the breakers; `false` when none admits work.
-    fn refresh(&mut self, breakers: &BreakerBank) -> bool {
-        self.alive.clear();
-        self.gpu_map.clear();
-        self.mask = 0;
-        for g in 0..breakers.len() {
-            let admits = breakers.peek(g).admits();
-            self.alive.push(admits);
-            if admits {
-                self.gpu_map.push(g);
-                self.mask |= 1 << g;
-            }
-        }
-        !self.gpu_map.is_empty()
-    }
-
-    /// Prices a run over the current slots from instant `t_ms` on the
-    /// platform as it is: `fault_scale` is `platform` projected onto the
-    /// slots, `slot_scale` the same with the drift factors of `t_ms`
-    /// multiplied in.  With no drift every factor is exactly `1.0` and
-    /// `x * 1.0` is a bitwise identity, so drift-free runs keep their
-    /// bits.
-    fn scale(&mut self, platform: &Scaling, drift: &DriftPlan, t_ms: f64) {
-        platform.project_into(&self.gpu_map, &mut self.fault_scale);
-        self.slot_scale.gpu.clone_from(&self.fault_scale.gpu);
-        self.slot_scale.link.clone_from(&self.fault_scale.link);
-        for (slot, &phys) in self.gpu_map.iter().enumerate() {
-            self.slot_scale.gpu[slot] *= drift.factor_at(phys, t_ms);
+    /// Prices a run over these slots from instant `t_ms` on the platform
+    /// as it is: `fault_scale` with the drift factors of `t_ms`
+    /// multiplied in, written into `out`.  With no drift every factor is
+    /// exactly `1.0` and `x * 1.0` is a bitwise identity, so drift-free
+    /// runs keep their bits.
+    fn scale(&self, drift: &DriftPlan, t_ms: f64, out: &mut Scaling) {
+        out.gpu.clone_from(&self.fault_scale.gpu);
+        out.link.clone_from(&self.fault_scale.link);
+        for (factor, &phys) in out.gpu.iter_mut().zip(&self.gpu_map) {
+            *factor *= drift.factor_at(phys, t_ms);
         }
     }
 }
@@ -511,12 +493,13 @@ struct LessonKey {
     schedule: Arc<Schedule>,
     actual: Arc<Timeline>,
     predicted: Arc<Timeline>,
-    serving: u64,
+    /// The slots the attempt ran on.
+    serving: Arc<SlotMap>,
 }
 
 impl PartialEq for LessonKey {
     fn eq(&self, other: &Self) -> bool {
-        self.serving == other.serving
+        self.serving.mask == other.serving.mask
             && Arc::ptr_eq(&self.schedule, &other.schedule)
             && Arc::ptr_eq(&self.actual, &other.actual)
             && Arc::ptr_eq(&self.predicted, &other.predicted)
@@ -542,18 +525,14 @@ struct Observations {
 impl Observations {
     /// Per operator of the lesson's plan (slot by slot, stage by stage),
     /// the duration `actual` took next to the one `predicted` gave, on
-    /// the physical GPU `serving` maps the slot to.  Unusable durations
+    /// the physical GPU the attempt's slot map names.  Unusable durations
     /// (a zero-cost stub, a saturated float) are dropped, as the
     /// calibrator would reject them.
     fn compile(&mut self, lesson: &LessonKey) {
         self.nominal.clear();
         self.drifted.clear();
         let (actual, predicted) = (&lesson.actual, &lesson.predicted);
-        let mut unmapped = lesson.serving;
-        for gq in &lesson.schedule.gpus {
-            // Slots number the serving GPUs in ascending order.
-            let gpu = unmapped.trailing_zeros() as usize;
-            unmapped &= unmapped.wrapping_sub(1);
+        for (gq, &gpu) in lesson.schedule.gpus.iter().zip(&lesson.serving.gpu_map) {
             for &op in gq.stages.iter().flat_map(|stage| &stage.ops) {
                 let v = op.index();
                 let observed_ms = actual.op_finish[v] - actual.op_start[v];
@@ -723,7 +702,11 @@ pub(crate) struct Server<'a> {
     next_token: u64,
     in_flight: Option<InFlight>,
     breakers: BreakerBank,
-    slots: Slots,
+    /// Read through [`Server::slots`].
+    slots: Arc<SlotMap>,
+    /// The slots' scaling with a run's drift multiplied in, refilled per
+    /// run ([`SlotMap::scale`]).
+    slot_scale: Scaling,
     keys: Vec<ModelKeys>,
     memo: TimelineMemo,
     overload: Option<OverloadState>,
@@ -1064,7 +1047,13 @@ impl<'a> Server<'a> {
                 sig.at_ms, sig.detected_ms
             )));
         }
+        let breakers = BreakerBank::new(m, BREAKER_RESET_MS);
+        let platform = PlatformModel::healthy(m);
         Ok(Server {
+            slots: SlotMap::new(&breakers, &platform.scaling.0),
+            slot_scale: Scaling::identity(0),
+            breakers,
+            platform,
             models,
             cfg,
             drift,
@@ -1080,8 +1069,6 @@ impl<'a> Server<'a> {
             next_signal: 0,
             next_token: 0,
             in_flight: None,
-            breakers: BreakerBank::new(m, BREAKER_RESET_MS),
-            slots: Slots::new(m),
             keys: models
                 .iter()
                 .map(|model| ModelKeys {
@@ -1094,7 +1081,6 @@ impl<'a> Server<'a> {
                 ctl: BrownoutController::default(),
                 budget: RetryBudget::default(),
             }),
-            platform: PlatformModel::healthy(m),
             #[cfg(test)]
             reranked_on: Vec::new(),
             healthy_at: vec![0.0; m],
@@ -1401,6 +1387,14 @@ impl<'a> Server<'a> {
         self.clock.now_ms()
     }
 
+    /// The slot map attempts run on now: rebuilt wherever the admitted
+    /// set changes ([`Server::platform_fault`]), so it always agrees with
+    /// the breakers.
+    fn slots(&self) -> &SlotMap {
+        debug_assert_eq!(self.slots.alive, self.breakers.admitted());
+        &self.slots
+    }
+
     fn handle(&mut self, ev: Event) {
         match ev {
             Event::Completion { token } => self.on_completion(token),
@@ -1503,7 +1497,7 @@ impl<'a> Server<'a> {
                 self.shed(i, reason);
                 continue;
             }
-            if !self.slots.refresh(&self.breakers) {
+            if self.slots().gpu_map.is_empty() {
                 return; // every breaker open; a probe event will resume us
             }
             let mi = req.model;
@@ -1584,16 +1578,17 @@ impl<'a> Server<'a> {
     /// run to a finite finish.  With calibration on, also takes the
     /// timeline the profile predicts (the same plan without the drift
     /// factors).  Both timelines come from the memo.
-    fn launch(&mut self, mi: usize, chosen: Chosen, t0: f64) -> Option<(Attempt, f64)> {
-        self.slots.scale(&self.platform.scaling.0, self.drift, t0);
+    fn launch(&mut self, mi: usize, chosen: LadderDecision, t0: f64) -> Option<(Attempt, f64)> {
+        let (slots, slot_scale) = (&*self.slots, &mut self.slot_scale);
+        slots.scale(self.drift, t0, slot_scale);
         let (schedule, cached) = (chosen.schedule, chosen.cached);
-        let (model, sim, slots) = (&self.models[mi], &self.cfg.sim, &self.slots);
+        let (model, sim) = (&self.models[mi], &self.cfg.sim);
         let memo = &mut self.memo;
         let mut timeline = |scale| memo.timeline(mi, model, sim, &schedule, cached, slots, scale);
-        let actual = timeline(&slots.slot_scale)?;
+        let actual = timeline(slot_scale)?;
         let predicted = if self.calib.is_empty() {
             None
-        } else if slots.slot_scale.gpu == slots.fault_scale.gpu {
+        } else if slot_scale.gpu == slots.fault_scale.gpu {
             // No drift deflected this dispatch: the two scalings are
             // equal and the actual timeline *is* the prediction — every
             // ratio is then exactly 1, which keeps the calibrator on its
@@ -1618,7 +1613,7 @@ impl<'a> Server<'a> {
         self.in_flight = Some(InFlight {
             req: i,
             token,
-            serving: self.slots.mask,
+            serving: Arc::clone(&self.slots),
             run,
             hung_op: None,
         });
@@ -1760,13 +1755,18 @@ impl<'a> Server<'a> {
         self.release(i);
     }
 
-    /// Folds a detected fault (or a heal) into the platform model, then
-    /// re-ranks every model's cached plan for the current alive set
-    /// against a greedy candidate on the state that leaves: the
-    /// nominally-best cached plan may lean on hardware that just
-    /// degraded — or hardware that just came back.
+    /// Folds a detected fault (or a heal) into the platform model and
+    /// rebuilds the slot map on it, then re-ranks every model's cached
+    /// plan for the current alive set against a greedy candidate on the
+    /// state that leaves: the nominally-best cached plan may lean on
+    /// hardware that just degraded — or hardware that just came back.
+    ///
+    /// The admitted set changes only here: a trip precedes a fault's
+    /// call, a closing probe calls it with its heal, and a failed probe
+    /// reads no slots between Open → HalfOpen → Open.
     fn platform_fault(&mut self, kind: &FaultKind) {
         self.platform.apply_fault(kind);
+        self.slots = SlotMap::new(&self.breakers, &self.platform.scaling.0);
         for mi in 0..self.models.len() {
             self.reprice(mi, false);
         }
@@ -1782,21 +1782,18 @@ impl<'a> Server<'a> {
     /// nominally-best plan may lean on a degraded link.  The challenger
     /// is a full HIOS-LP pass when `upgrade`, a greedy pass otherwise.
     fn reprice(&mut self, mi: usize, upgrade: bool) {
-        if self.cfg.policy != Policy::Anytime || !self.slots.refresh(&self.breakers) {
+        if self.cfg.policy != Policy::Anytime || self.slots().gpu_map.is_empty() {
             return;
         }
         let key = self.plan_key(mi);
-        let (platform, gpu_map) = (&self.platform, &self.slots.gpu_map);
+        let (gpu_map, fault_scale) = (&self.slots.gpu_map, &self.slots.fault_scale);
         let (model, sim_cfg) = (&self.models[mi], &self.cfg.sim);
-        // Projected only when something is priced: a re-price that prices
-        // nothing allocates nothing.
-        let eval = |slots: &CostTable, schedule: &Schedule| {
-            let scale = platform.scaling.0.project(gpu_map);
-            simulate_scaled(&model.graph, slots, schedule, sim_cfg, &scale)
+        let eval = |table: &CostTable, schedule: &Schedule| {
+            simulate_scaled(&model.graph, table, schedule, sim_cfg, fault_scale)
                 .map(|r| r.makespan)
                 .unwrap_or(f64::INFINITY)
         };
-        let (g, state) = (&model.graph, platform.state);
+        let (g, state) = (&model.graph, self.platform.state);
         let planning = planning_table(&self.calib, model, mi);
         if upgrade {
             let epoch = self.epochs[mi];
@@ -1936,7 +1933,7 @@ impl<'a> Server<'a> {
             self.idle_work();
             return;
         }
-        if !self.slots.refresh(&self.breakers) {
+        if self.slots().gpu_map.is_empty() {
             self.fail_attempt(i, err);
             self.try_dispatch();
             return;
@@ -1969,15 +1966,13 @@ impl<'a> Server<'a> {
         let resume = now + sched_cost;
         // The remainder resumes on the survivors, on the platform as it
         // is at `resume` (known faults times drift).
-        debug_assert_eq!(outcome.gpu_map, self.slots.gpu_map);
-        self.slots
-            .scale(&self.platform.scaling.0, self.drift, resume);
+        self.slots.scale(self.drift, resume, &mut self.slot_scale);
         let resumed = simulate_scaled(
             &map.sub,
             &projected.restrict_gpus(&self.slots.gpu_map),
             &outcome.schedule,
             &self.cfg.sim,
-            &self.slots.slot_scale,
+            &self.slot_scale,
         );
         match resumed.ok().filter(|r| r.makespan.is_finite()) {
             Some(r) => {
@@ -2109,13 +2104,13 @@ enum Disruption {
 
 /// How fault `sig` invalidates the in-flight attempt `fl`, if it does.
 fn disruption(sig: &FaultSignal, fl: &InFlight) -> Option<Disruption> {
-    let serves = |gpu: usize| fl.serving >> gpu & 1 == 1;
+    let serves = |gpu: usize| fl.serving.mask >> gpu & 1 == 1;
     match sig.kind {
         FaultKind::GpuFailStop { gpu } | FaultKind::GpuSlowdown { gpu, .. } => {
             serves(gpu).then_some(Disruption::Gpu(gpu))
         }
         FaultKind::LinkFail { from, to } | FaultKind::LinkDegrade { from, to, .. } => {
-            (fl.serving.count_ones() > 1 && serves(from) && serves(to))
+            (fl.serving.mask.count_ones() > 1 && serves(from) && serves(to))
                 .then_some(Disruption::Link(from, to))
         }
         // Hang plans may target a larger tenant's operator ids: an
@@ -2826,6 +2821,16 @@ mod tests {
         ));
     }
 
+    /// The slot map of the GPUs in `mask` on a healthy `m`-GPU platform,
+    /// built as the server builds it.
+    fn slot_map(m: usize, mask: u64) -> Arc<SlotMap> {
+        let mut breakers = BreakerBank::new(m, BREAKER_RESET_MS);
+        for g in (0..m).filter(|&g| mask >> g & 1 == 0) {
+            breakers.gpu(g).trip(0.0);
+        }
+        SlotMap::new(&breakers, &Scaling::identity(m))
+    }
+
     /// Simulations run for memoisable plans: the timeline memos' misses.
     fn simulated(memo: &TimelineMemo) -> u64 {
         memo.per_model.iter().map(|memo| memo.stats().1).sum()
@@ -2890,8 +2895,7 @@ mod tests {
         assert!(key != (&b, mask, &scale));
 
         let mut memo = TimelineMemo::new(1);
-        let mut slots = Slots::new(3);
-        (slots.mask, slots.gpu_map) = (mask, vec![0, 1, 2]);
+        let slots = slot_map(3, mask);
         let mut timeline = |s: &Arc<Schedule>| memo.timeline(0, &m, &sim, s, true, &slots, &scale);
         let (ta, tb) = (timeline(&a).unwrap(), timeline(&b).unwrap());
         assert!(!Arc::ptr_eq(&ta, &tb) && ta.same_bits(&tb));
@@ -3233,25 +3237,23 @@ mod tests {
             let drift = [0, 1, 0, 2, 0, 3][step / 60 % 6];
             let p = rng.random_range(0..plans.len());
             let (schedule, masks) = &plans[p];
-            let serving = masks[rng.random_range(0..masks.len())];
+            let serving = slot_map(3, masks[rng.random_range(0..masks.len())]);
             let nominal = [0, 4, 5][rng.random_range(0..3usize)];
             let (mut actual, mut predicted) = (if drift == 0 { nominal } else { drift }, nominal);
             if rng.random_range(0..10u32) == 0 {
                 (actual, predicted) = (nominal, rng.random_range(1..4));
             }
-            lessons.insert((p, serving, actual, predicted));
+            lessons.insert((p, serving.mask, actual, predicted));
             let (actual, predicted) = (&timelines[p][actual], &timelines[p][predicted]);
             let alarms = state.learn(LessonKey {
                 schedule: Arc::clone(schedule),
                 actual: Arc::clone(actual),
                 predicted: Arc::clone(predicted),
-                serving,
+                serving: Arc::clone(&serving),
             });
             let mut expected = 0;
-            let mut unmapped = serving;
-            for gq in &schedule.gpus {
-                let gpu = unmapped.trailing_zeros() as usize;
-                unmapped &= unmapped.wrapping_sub(1);
+            for (slot, gq) in schedule.gpus.iter().enumerate() {
+                let gpu = serving.gpu_map[slot];
                 for &op in gq.stages.iter().flat_map(|stage| &stage.ops) {
                     let v = op.index();
                     let observed_ms = actual.op_finish[v] - actual.op_start[v];
@@ -3277,6 +3279,50 @@ mod tests {
             lessons.len() > 2 * LESSON_MEMO_SLOTS,
             "{} lessons",
             lessons.len()
+        );
+    }
+
+    #[test]
+    fn a_lesson_is_taught_on_the_slots_its_attempt_ran_on() {
+        // GPU 1 is quarantined when the only request dispatches, so its
+        // plan runs on GPUs 0 and 2, and GPU 2 runs slow.  A probe closes
+        // GPU 1's breaker while the attempt is in flight, so the server's
+        // slots are all three GPUs when it completes: its drifted
+        // observations must still land on GPU 2, and GPU 1's cells must
+        // stay untouched.
+        let models = vec![model(3, 36)];
+        let mut cfg = ServeConfig::new(3);
+        cfg.calibration = Some(CalibrationConfig::default());
+        cfg.gpu_repair_ms = 1.0;
+        let faults = FaultPlan::single(0.0, FaultKind::GpuFailStop { gpu: 1 });
+        let drift = DriftPlan::ramp(2, 0.0, 1.0, 2.0, 2.0, 1);
+        let mut srv = Server::build(&models, &faults, &drift, &cfg).unwrap();
+        assert!(srv.step() && !srv.breakers.peek(1).admits());
+        let at = srv.next_event_ms().unwrap() - 0.01;
+        inject(&mut srv, gold(0, at), at);
+        let serving = Arc::clone(&srv.in_flight.as_ref().unwrap().serving);
+        assert_eq!(serving.gpu_map, [0, 2]);
+        assert!(srv.step(), "the probe");
+        assert!(srv.breakers.peek(1).admits() && srv.in_flight.is_some());
+        assert_eq!(srv.slots().gpu_map, [0, 1, 2]);
+        while srv.step() {}
+        let records = handed_off(&srv);
+        assert!(matches!(
+            records[..],
+            [RequestRecord {
+                disposition: Disposition::Completed { attempts: 1, .. },
+                ..
+            }]
+        ));
+        let cal = &srv.calib[0].cal;
+        let ops = || (0..models[0].graph.num_ops()).map(|v| OpId(v as u32));
+        assert!(
+            ops().all(|op| cal.correction(1, op) == 1.0),
+            "GPU 1 was taught"
+        );
+        assert!(
+            ops().any(|op| cal.correction(2, op) != 1.0),
+            "GPU 2 was not"
         );
     }
 

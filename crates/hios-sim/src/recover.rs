@@ -8,9 +8,9 @@
 //! flight or invalidated by the fault are *restarted* — and
 //! [`hios_core::repair`] rebuilds a schedule for the unfinished subgraph
 //! over the surviving GPUs (one [`EvalWorkspace`] checks every repair).
-//! The loop resumes on the subgraph and slots the repair hands over —
-//! slot `i` priced and scaled as physical GPU `gpu_map[i]` — and repeats
-//! until the model completes or no GPU survives.
+//! The loop resumes on the subgraph the repair hands over, on the
+//! survivors' slots ([`alive_slots`]: slot `i` is the `i`-th survivor),
+//! and repeats until the model completes or no GPU survives.
 //!
 //! Fault semantics at the cut (relative to the fault instant `t_f` and
 //! detection instant `t_d = t_f + detection`):
@@ -36,7 +36,7 @@ use crate::engine::{Scaling, SimConfig, SimError, simulate_scaled};
 use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanError};
 use hios_core::eval::EvalWorkspace;
 use hios_core::repair::{RepairConfig, RepairError, RepairPolicy, repair_schedule};
-use hios_core::repair::{extract_unfinished, project_cost};
+use hios_core::repair::{alive_slots, extract_unfinished, project_cost};
 use hios_core::schedule::Schedule;
 use hios_cost::CostTable;
 use hios_graph::Graph;
@@ -177,12 +177,12 @@ pub fn run_with_repair(
     let mut t_now = 0.0f64;
     let mut events_out: Vec<SimEvent> = Vec::new();
     let mut repairs = 0usize;
-    // The live schedule runs `map.sub` over *slots*; slot i is physical
-    // GPU gpu_map[i].  It starts as the input schedule on the identity
-    // map, and each repair hands over its own map, schedule and slots.
+    // The live schedule runs `map.sub` over *slots*: slot i is physical
+    // GPU gpu_map[i], the slot map of the alive set it was planned on —
+    // every GPU for the input schedule, the survivors for a repair's.
     let mut map = extract_unfinished(g, &completed);
     let mut cur_sched = map.to_sub_schedule(sched);
-    let mut gpu_map: Vec<usize> = (0..m).collect();
+    let mut gpu_map = alive_slots(&alive);
     let mut ws = EvalWorkspace::new();
     let mut ev_idx = 0usize;
 
@@ -363,7 +363,7 @@ pub fn run_with_repair(
             .map_err(RecoverError::Repair)?;
         map = rep_map;
         cur_sched = rep.schedule;
-        gpu_map = rep.gpu_map;
+        gpu_map = alive_slots(&alive);
         repairs += 1;
         events_out.push(SimEvent {
             fault: e,

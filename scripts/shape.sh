@@ -1,0 +1,54 @@
+#!/usr/bin/env bash
+# The shape of the code, committed: writes SHAPE.json at the repo root.
+#
+#   scripts/shape.sh
+#
+# For every crates/*/src/**/*.rs, sorted by path:
+#   non_test_lines  the lines before the first line that matches
+#                   `^#\[cfg\(test\)\]` (column 0: the test module), or
+#                   the whole file when there is none;
+#   cfg_test_items  the `#[cfg(test)]` attributes inside those lines
+#                   (test-only fields, methods and imports in non-test
+#                   code);
+# then the same two counts per crate and for the workspace.  The output
+# depends on the sources only, so CI regenerates it and fails on a diff.
+set -euo pipefail
+
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+cd "$root"
+
+find crates/*/src -name '*.rs' | LC_ALL=C sort | while read -r file; do
+    awk -v file="$file" '
+        /^#\[cfg\(test\)\]/ { exit }
+        { lines++ }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { items++ }
+        END { printf "%s %d %d\n", file, lines, items }
+    ' "$file"
+done | awk '
+    function entry(name, lines, items, last) {
+        printf "    \"%s\": { \"non_test_lines\": %d, \"cfg_test_items\": %d }%s\n",
+            name, lines, items, last ? "" : ","
+    }
+    {
+        file[NR] = $1; lines[NR] = $2; items[NR] = $3
+        split($1, part, "/"); crate[NR] = part[2]
+        if (!(part[2] in crate_lines)) order[++crates] = part[2]
+        crate_lines[part[2]] += $2; crate_items[part[2]] += $3
+        total_lines += $2; total_items += $3
+    }
+    END {
+        print "{"
+        print "  \"files\": {"
+        for (i = 1; i <= NR; i++) entry(file[i], lines[i], items[i], i == NR)
+        print "  },"
+        print "  \"crates\": {"
+        for (i = 1; i <= crates; i++) {
+            c = order[i]
+            entry(c, crate_lines[c], crate_items[c], i == crates)
+        }
+        print "  },"
+        printf "  \"workspace\": { \"non_test_lines\": %d, \"cfg_test_items\": %d }\n",
+            total_lines, total_items
+        print "}"
+    }
+' > SHAPE.json
