@@ -702,7 +702,7 @@ pub(crate) struct Server<'a> {
     next_token: u64,
     in_flight: Option<InFlight>,
     breakers: BreakerBank,
-    /// Read through [`Server::slots`].
+    /// Checked against the breakers by [`Server::slots`].
     slots: Arc<SlotMap>,
     /// The slots' scaling with a run's drift multiplied in, refilled per
     /// run ([`SlotMap::scale`]).
