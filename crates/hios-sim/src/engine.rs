@@ -292,6 +292,20 @@ enum Event {
     InputDelivered(OpId),
 }
 
+/// A schedule over `m` GPUs can run only on a table whose topology
+/// prices every one of them.
+pub(crate) fn check_platform(cost: &CostTable, m: usize) -> Result<(), SimError> {
+    if cost.topology.covers(m) {
+        return Ok(());
+    }
+    Err(SimError::Structure(
+        hios_core::ScheduleError::PlatformMismatch {
+            schedule_gpus: m,
+            platform_gpus: cost.topology.num_gpus(),
+        },
+    ))
+}
+
 /// Runs the discrete-event simulation of `sched` on `g` with costs from
 /// `cost` at nominal speed everywhere.
 pub fn simulate(
@@ -322,6 +336,7 @@ pub fn simulate_scaled(
     }
     let n = g.num_ops();
     let m = sched.num_gpus();
+    check_platform(cost, m)?;
     scaling.check(m)?;
     sched.validate(g).map_err(SimError::Structure)?;
     let place = sched.placements(n);
@@ -999,6 +1014,47 @@ mod tests {
                 expected: 2,
                 got: 5
             }
+        );
+    }
+
+    #[test]
+    fn a_schedule_wider_than_its_platform_is_a_typed_error() {
+        // Six GPUs round robin on the four-GPU mixed A40 + V100S box: the
+        // schedule is structurally valid, the platform cannot price it.
+        let g = generate_layered_dag(&LayeredDagConfig {
+            ops: 24,
+            layers: 4,
+            deps: 40,
+            seed: 5,
+        })
+        .unwrap();
+        let cost = hios_cost::platform_table(&hios_cost::Platform::mixed_a40_v100s(), &g).unwrap();
+        let mut s = Schedule {
+            gpus: vec![GpuSchedule { stages: vec![] }; 6],
+        };
+        for v in g.op_ids() {
+            s.gpus[v.index() % 6].stages.push(Stage::solo(v));
+        }
+        let want = SimError::Structure(hios_core::ScheduleError::PlatformMismatch {
+            schedule_gpus: 6,
+            platform_gpus: 4,
+        });
+        let cfg = SimConfig::analytical();
+        assert_eq!(simulate(&g, &cost, &s, &cfg).unwrap_err(), want);
+        assert_eq!(
+            simulate_scaled(&g, &cost, &s, &cfg, &Scaling::identity(6)).unwrap_err(),
+            want
+        );
+        assert_eq!(
+            crate::run_with_repair(
+                &g,
+                &cost,
+                &s,
+                &crate::FaultPlan::none(),
+                &crate::RecoveryConfig::analytical()
+            )
+            .unwrap_err(),
+            crate::RecoverError::Sim(want)
         );
     }
 

@@ -32,7 +32,7 @@
 //! Everything is deterministic: same graph, costs, schedule, plan and
 //! configuration give bit-identical results at any thread count.
 
-use crate::engine::{Scaling, SimConfig, SimError, simulate_scaled};
+use crate::engine::{Scaling, SimConfig, SimError, check_platform, simulate_scaled};
 use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanError};
 use hios_core::eval::EvalWorkspace;
 use hios_core::repair::{RepairConfig, RepairError, RepairPolicy, repair_schedule};
@@ -168,6 +168,7 @@ pub fn run_with_repair(
     let m = sched.num_gpus();
     cfg.validate().map_err(RecoverError::BadConfig)?;
     plan.validate(g, m).map_err(RecoverError::Plan)?;
+    check_platform(cost, m).map_err(RecoverError::Sim)?;
     let n = g.num_ops();
 
     let mut completed = vec![false; n];
