@@ -129,9 +129,7 @@ pub(crate) fn ext_semantics(_cfg: &RunCfg) -> Table {
             let cfg = SimConfig {
                 semantics,
                 link_serialization: serialization,
-                launch_overhead_ms: 0.0,
                 cross_gpu_launch_gap_ms: gap,
-                reroute_failed_links: false,
             };
             simulate(&g, &cost, &out.schedule, &cfg)
                 .expect("feasible")
