@@ -12,14 +12,15 @@
 //!   earlier in a practical system";
 //! * **link serialization** — concurrent tensor transfers over the same
 //!   directed NVLink share the bridge and queue up;
-//! * **kernel-launch overhead** and the **cross-GPU launch gap** of the
-//!   CUDA-aware-MPI implementation ("the succeeding CUDA kernel needs to
-//!   be launched after inter-GPU data transfer completion", §VI-E) — the
-//!   effect that makes HIOS-LP slightly lose to IOS on NASNet at small
-//!   inputs in Fig. 13b.
+//! * the **cross-GPU launch gap** of the CUDA-aware-MPI implementation
+//!   ("the succeeding CUDA kernel needs to be launched after inter-GPU
+//!   data transfer completion", §VI-E) — the effect that makes HIOS-LP
+//!   slightly lose to IOS on NASNet at small inputs in Fig. 13b.  Profiled
+//!   operator times already include their own kernel launch.
 //!
-//! [`simulate`] returns per-operator and per-transfer timelines;
-//! [`gantt`] renders them as ASCII charts.
+//! [`simulate`] returns per-operator and per-transfer timelines from one
+//! event loop over the crate's [`EventQueue`], the queue the serving loop
+//! in `hios-serve` runs on too; [`gantt`] renders them as ASCII charts.
 
 #![warn(missing_docs, unreachable_pub)]
 
@@ -30,7 +31,6 @@ mod fault;
 pub mod gantt;
 mod measure;
 mod recover;
-pub mod trace;
 
 pub use clock::{EventQueue, VirtualClock};
 pub use drift::{DriftPlan, DriftPlanError, DriftTrace};
