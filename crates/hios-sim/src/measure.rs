@@ -74,6 +74,44 @@ pub struct Measurement {
     pub max_ms: f64,
 }
 
+impl Measurement {
+    /// Mean, sample standard deviation, min and max of `samples`.
+    fn of(samples: &[f64]) -> Self {
+        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+        let var = if samples.len() > 1 {
+            samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (samples.len() - 1) as f64
+        } else {
+            0.0
+        };
+        Measurement {
+            mean_ms: mean,
+            std_ms: var.sqrt(),
+            min_ms: samples.iter().copied().fold(f64::INFINITY, f64::min),
+            max_ms: samples.iter().copied().fold(0.0, f64::max),
+        }
+    }
+}
+
+/// Calls `run` on `cfg.runs` jittered copies of `cost`, drawn in turn
+/// from one stream seeded with `cfg.seed`.
+fn jittered_runs<E>(
+    cost: &CostTable,
+    cfg: &MeasureConfig,
+    mut run: impl FnMut(&CostTable) -> Result<(), E>,
+) -> Result<(), E> {
+    assert!(cfg.runs >= 1, "need at least one run");
+    assert!(cfg.jitter >= 0.0, "jitter must be non-negative");
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    for _ in 0..cfg.runs {
+        let mut noisy = cost.clone();
+        if cfg.jitter > 0.0 {
+            jitter_table(&mut noisy, cfg.jitter, &mut rng);
+        }
+        run(&noisy)?;
+    }
+    Ok(())
+}
+
 /// Measures `sched` by `cfg.runs` jittered simulations.
 pub fn measure(
     g: &Graph,
@@ -82,29 +120,12 @@ pub fn measure(
     sim_cfg: &SimConfig,
     cfg: &MeasureConfig,
 ) -> Result<Measurement, SimError> {
-    assert!(cfg.runs >= 1, "need at least one run");
-    assert!(cfg.jitter >= 0.0, "jitter must be non-negative");
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut samples = Vec::with_capacity(cfg.runs as usize);
-    for _ in 0..cfg.runs {
-        let mut noisy = cost.clone();
-        if cfg.jitter > 0.0 {
-            jitter_table(&mut noisy, cfg.jitter, &mut rng);
-        }
-        samples.push(simulate(g, &noisy, sched, sim_cfg)?.makespan);
-    }
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    let var = if samples.len() > 1 {
-        samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (samples.len() - 1) as f64
-    } else {
-        0.0
-    };
-    Ok(Measurement {
-        mean_ms: mean,
-        std_ms: var.sqrt(),
-        min_ms: samples.iter().copied().fold(f64::INFINITY, f64::min),
-        max_ms: samples.iter().copied().fold(0.0, f64::max),
-    })
+    jittered_runs(cost, cfg, |noisy| {
+        samples.push(simulate(g, noisy, sched, sim_cfg)?.makespan);
+        Ok(())
+    })?;
+    Ok(Measurement::of(&samples))
 }
 
 /// Repeated measurements of a *faulted* run.
@@ -138,37 +159,19 @@ pub fn measure_recovery(
     rcfg: &RecoveryConfig,
     cfg: &MeasureConfig,
 ) -> Result<RecoveryMeasurement, RecoverError> {
-    assert!(cfg.runs >= 1, "need at least one run");
-    assert!(cfg.jitter >= 0.0, "jitter must be non-negative");
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut samples = Vec::with_capacity(cfg.runs as usize);
     let mut repairs_total = 0usize;
-    for _ in 0..cfg.runs {
-        let mut noisy = cost.clone();
-        if cfg.jitter > 0.0 {
-            jitter_table(&mut noisy, cfg.jitter, &mut rng);
-        }
-        let r = run_with_repair(g, &noisy, sched, plan, rcfg)?;
+    jittered_runs(cost, cfg, |noisy| {
+        let r = run_with_repair(g, noisy, sched, plan, rcfg)?;
         repairs_total += r.repairs;
         if r.completed {
             samples.push(r.makespan);
         }
-    }
-    let completed_runs = samples.len() as u32;
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    let var = if samples.len() > 1 {
-        samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (samples.len() - 1) as f64
-    } else {
-        0.0
-    };
+        Ok(())
+    })?;
     Ok(RecoveryMeasurement {
-        stats: Measurement {
-            mean_ms: mean,
-            std_ms: var.sqrt(),
-            min_ms: samples.iter().copied().fold(f64::INFINITY, f64::min),
-            max_ms: samples.iter().copied().fold(0.0, f64::max),
-        },
-        completed_runs,
+        stats: Measurement::of(&samples),
+        completed_runs: samples.len() as u32,
         runs: cfg.runs,
         mean_repairs: repairs_total as f64 / f64::from(cfg.runs),
     })
