@@ -13,11 +13,12 @@
 //! window pass's question — "what would the latency be if stages
 //! `first..=last` were merged?" — *incrementally*, re-relaxing only the
 //! stages downstream of the merge instead of cloning and re-evaluating
-//! the whole schedule, and [`EvalWorkspace::commit_merge`] re-links the
-//! stage graph of an accepted merge over its cached stage durations and
-//! relaxes it.  All fast paths are differential-tested to be
-//! bit-identical to [`crate::reference`].  The list scheduler of Alg. 1
-//! and Alg. 3 lives in [`crate::list`].
+//! the whole schedule, and [`EvalWorkspace::commit_merge`] patches the
+//! stage graph's rows that an accepted merge touches (flat stage ids stay
+//! stable; the absorbed stages become dead) and relaxes it.  All fast
+//! paths are differential-tested to be bit-identical to
+//! [`crate::reference`].  The list scheduler of Alg. 1 and Alg. 3 lives
+//! in [`crate::list`].
 
 use crate::schedule::{Schedule, ScheduleError};
 use hios_cost::CostTable;
@@ -76,38 +77,46 @@ pub struct EvalResult {
 /// Reusable arena for stage-synchronous evaluation.
 ///
 /// [`EvalWorkspace::prepare`] compiles a schedule into a flat stage graph
-/// (stages numbered contiguously per GPU, successor and predecessor
-/// adjacency in CSR form, stage durations queried once and cached);
-/// [`EvalWorkspace::relax`] then runs the Kahn relaxation in those
-/// buffers.  Re-preparing with another schedule reuses every allocation,
-/// so evaluating many schedules of similar size is allocation-free after
-/// the first call.
+/// (flat stage ids, a per-GPU list of each GPU's live ids in stage
+/// order, successor and predecessor adjacency rows, stage durations
+/// queried once and cached); [`EvalWorkspace::relax`] then runs the Kahn
+/// relaxation in those buffers.  Re-preparing with another schedule
+/// reuses every allocation, so evaluating many schedules of similar size
+/// is allocation-free after the first call.
 ///
 /// The arena also keeps the baseline stage times of the last [`relax`],
 /// which is what lets [`merged_latency`] re-relax only the part of the
-/// graph a candidate stage merge can affect.
+/// graph a candidate stage merge can affect, and [`commit_merge`] patches
+/// the rows an accepted merge touches instead of rebuilding the graph.
 ///
 /// [`relax`]: EvalWorkspace::relax
 /// [`merged_latency`]: EvalWorkspace::merged_latency
+/// [`commit_merge`]: EvalWorkspace::commit_merge
 #[derive(Clone, Debug, Default)]
 pub struct EvalWorkspace {
     n_stages: usize,
-    /// Flat id of each GPU's stage 0; a GPU's stages are contiguous.
-    gpu_base: Vec<usize>,
+    /// Live flat ids per GPU: `live[g][si]` is stage `si` of GPU `g` in
+    /// the current schedule.  `prepare` numbers each GPU's stages
+    /// contiguously; a commit keeps every id and drops the absorbed ones
+    /// from their GPU's list, so a GPU's live ids need not be contiguous.
+    live: Vec<Vec<u32>>,
     /// Cached `t(S)` per stage (one `concurrent` query per stage; a
-    /// commit queries only the merged stage and keeps the rest).
+    /// commit queries only the merged stage and keeps the rest).  A dead
+    /// stage (absorbed by a commit) has duration 0 and no edge.
     stage_dur: Vec<f64>,
     stage_of_op: Vec<usize>,
     gpu_of_op: Vec<u32>,
-    // CSR stage graph in structure-of-arrays form (targets and weights in
-    // parallel vectors; duplicate edges kept, relaxation takes the max).
-    succ_off: Vec<u32>,
+    // Stage graph in structure-of-arrays form: stage `s`'s successors are
+    // `succ_idx[b..e]` (weights in `succ_w[b..e]`) for `(b, e) =
+    // succ_row[s]`, its predecessors likewise.  `prepare` lays the rows
+    // out back to back; a commit appends the merged stage's new rows.
+    // Duplicate edges are kept, and relaxation takes the max.
+    succ_row: Vec<(u32, u32)>,
     succ_idx: Vec<u32>,
     succ_w: Vec<f64>,
-    pred_off: Vec<u32>,
+    pred_row: Vec<(u32, u32)>,
     pred_idx: Vec<u32>,
     pred_w: Vec<f64>,
-    indeg: Vec<u32>,
     // Baseline relaxation results (valid after `relax`).
     start: Vec<f64>,
     finish: Vec<f64>,
@@ -134,14 +143,20 @@ pub struct EvalWorkspace {
     // Scratch: full relaxation.
     indeg_w: Vec<u32>,
     worklist: Vec<usize>,
-    cursor: Vec<usize>,
-    // Scratch: incremental merge evaluation (reset by every link).
+    cursor: Vec<u32>,
+    // Scratch: incremental merge evaluation (reset by every `prepare`).
     mark: Vec<u32>,
     mark_gen: u32,
+    /// The flat ids of the candidate's (or commit's) absorbed range, and
+    /// their stamps: `in_range[s] == range_gen` exactly for them.
+    range: Vec<u32>,
+    in_range: Vec<u32>,
+    range_gen: u32,
     affected: Vec<usize>,
     c_finish: Vec<f64>,
     merge_ops: Vec<OpId>,
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(u32, u32)>>,
+    /// The wave's pending stages, one bit per topological position.
+    wave: Vec<u64>,
 }
 
 impl EvalWorkspace {
@@ -154,9 +169,12 @@ impl EvalWorkspace {
     ///
     /// The schedule is structurally checked first (the only failure mode
     /// of this call), then every stage's duration is queried once and
-    /// cached, and the stage graph is built over those durations.  An
-    /// accepted merge is committed by [`EvalWorkspace::commit_merge`]
-    /// instead, which keeps the cached durations and re-links.
+    /// cached, and the stage graph is built over those durations: flat
+    /// stage ids (each GPU's stages contiguous) and per-op placement
+    /// maps, then both adjacencies (same-GPU chain edges, then cross-GPU
+    /// data edges with their transfer weights), and a reset of the
+    /// per-candidate scratch.  An accepted merge is committed by
+    /// [`EvalWorkspace::commit_merge`] instead, which patches this graph.
     pub fn prepare(
         &mut self,
         g: &Graph,
@@ -164,39 +182,21 @@ impl EvalWorkspace {
         sched: &Schedule,
     ) -> Result<(), EvalError> {
         sched.validate(g)?;
-        self.stage_dur.clear();
-        for (gi, gpu) in sched.gpus.iter().enumerate() {
-            for stage in &gpu.stages {
-                self.stage_dur.push(cost.concurrent_on(gi, &stage.ops));
-            }
-        }
-        self.link(g, cost, sched);
-        Ok(())
-    }
-
-    /// Builds the stage graph of `sched` over the cached `stage_dur`:
-    /// flat stage ids and per-op placement maps, both CSR adjacencies
-    /// (same-GPU chain edges, then cross-GPU data edges with their
-    /// transfer weights), and a reset of the per-candidate scratch.
-    fn link(&mut self, g: &Graph, cost: &CostTable, sched: &Schedule) {
         let n_ops = g.num_ops();
 
-        // Flat stage ids and per-op placement maps.
-        self.gpu_base.clear();
-        let mut n_stages = 0usize;
-        for gpu in &sched.gpus {
-            self.gpu_base.push(n_stages);
-            n_stages += gpu.stages.len();
-        }
-        debug_assert_eq!(self.stage_dur.len(), n_stages);
-        self.n_stages = n_stages;
+        // Flat stage ids, durations and per-op placement maps.
+        self.stage_dur.clear();
+        self.live.resize_with(sched.num_gpus(), Vec::new);
         self.stage_of_op.clear();
         self.stage_of_op.resize(n_ops, usize::MAX);
         self.gpu_of_op.clear();
         self.gpu_of_op.resize(n_ops, 0);
         for (gi, gpu) in sched.gpus.iter().enumerate() {
-            for (si, stage) in gpu.stages.iter().enumerate() {
-                let sid = self.gpu_base[gi] + si;
+            self.live[gi].clear();
+            for stage in &gpu.stages {
+                let sid = self.stage_dur.len();
+                self.live[gi].push(sid as u32);
+                self.stage_dur.push(cost.concurrent_on(gi, &stage.ops));
                 for &v in &stage.ops {
                     debug_assert_eq!(self.stage_of_op[v.index()], usize::MAX);
                     self.stage_of_op[v.index()] = sid;
@@ -204,90 +204,79 @@ impl EvalWorkspace {
                 }
             }
         }
+        let n_stages = self.stage_dur.len();
+        self.n_stages = n_stages;
         debug_assert!(
             self.stage_of_op.iter().all(|&s| s != usize::MAX),
             "schedule must cover every operator"
         );
 
-        // Degree counting: same-GPU chain edges + cross-GPU data edges.
-        self.indeg.clear();
-        self.indeg.resize(n_stages, 0);
+        // Degree counting (same-GPU chain edges + cross-GPU data edges),
+        // then each row laid out empty at its offset.
         self.cursor.clear();
-        self.cursor.resize(n_stages, 0);
-        let out_deg = &mut self.cursor; // reused as out-degree counter
-        for (gi, gpu) in sched.gpus.iter().enumerate() {
-            let base = self.gpu_base[gi];
-            for si in 1..gpu.stages.len() {
-                out_deg[base + si - 1] += 1;
-                self.indeg[base + si] += 1;
+        self.cursor.resize(2 * n_stages, 0);
+        let (out_deg, in_deg) = self.cursor.split_at_mut(n_stages);
+        for ids in &self.live {
+            for pair in ids.windows(2) {
+                out_deg[pair[0] as usize] += 1;
+                in_deg[pair[1] as usize] += 1;
             }
         }
         for (u, v) in g.edges() {
             if self.gpu_of_op[u.index()] != self.gpu_of_op[v.index()] {
                 out_deg[self.stage_of_op[u.index()]] += 1;
-                self.indeg[self.stage_of_op[v.index()]] += 1;
+                in_deg[self.stage_of_op[v.index()]] += 1;
             }
         }
-
-        // CSR offsets from the degree counts.
-        self.succ_off.clear();
-        self.succ_off.reserve(n_stages + 1);
-        self.pred_off.clear();
-        self.pred_off.reserve(n_stages + 1);
-        let (mut sa, mut pa) = (0usize, 0usize);
+        self.succ_row.clear();
+        self.pred_row.clear();
+        let (mut sa, mut pa) = (0u32, 0u32);
         for s in 0..n_stages {
-            self.succ_off.push(sa as u32);
-            self.pred_off.push(pa as u32);
-            sa += self.cursor[s];
-            pa += self.indeg[s] as usize;
+            self.succ_row.push((sa, sa));
+            self.pred_row.push((pa, pa));
+            sa += out_deg[s];
+            pa += in_deg[s];
         }
-        self.succ_off.push(sa as u32);
-        self.pred_off.push(pa as u32);
         self.succ_idx.clear();
-        self.succ_idx.resize(sa, 0);
+        self.succ_idx.resize(sa as usize, 0);
         self.succ_w.clear();
-        self.succ_w.resize(sa, 0.0);
+        self.succ_w.resize(sa as usize, 0.0);
         self.pred_idx.clear();
-        self.pred_idx.resize(pa, 0);
+        self.pred_idx.resize(pa as usize, 0);
         self.pred_w.clear();
-        self.pred_w.resize(pa, 0.0);
+        self.pred_w.resize(pa as usize, 0.0);
 
-        // Fill successors, then predecessors (cursor reset in between).
-        for s in 0..n_stages {
-            self.cursor[s] = self.succ_off[s] as usize;
-        }
-        for (gi, gpu) in sched.gpus.iter().enumerate() {
-            let base = self.gpu_base[gi];
-            for si in 1..gpu.stages.len() {
-                let s = base + si - 1;
-                self.succ_idx[self.cursor[s]] = (base + si) as u32;
-                self.succ_w[self.cursor[s]] = 0.0;
-                self.cursor[s] += 1;
+        // Fill successors, then predecessors from them.
+        for gi in 0..self.live.len() {
+            for k in 1..self.live[gi].len() {
+                let (s, t) = (self.live[gi][k - 1] as usize, self.live[gi][k]);
+                let e = self.succ_row[s].1 as usize;
+                self.succ_idx[e] = t;
+                self.succ_w[e] = 0.0;
+                self.succ_row[s].1 += 1;
             }
         }
         for (u, v) in g.edges() {
             if self.gpu_of_op[u.index()] != self.gpu_of_op[v.index()] {
                 let su = self.stage_of_op[u.index()];
-                let sv = self.stage_of_op[v.index()];
                 let w = cost.transfer(
                     u,
                     self.gpu_of_op[u.index()] as usize,
                     self.gpu_of_op[v.index()] as usize,
                 );
-                self.succ_idx[self.cursor[su]] = sv as u32;
-                self.succ_w[self.cursor[su]] = w;
-                self.cursor[su] += 1;
+                let e = self.succ_row[su].1 as usize;
+                self.succ_idx[e] = self.stage_of_op[v.index()] as u32;
+                self.succ_w[e] = w;
+                self.succ_row[su].1 += 1;
             }
         }
         for s in 0..n_stages {
-            self.cursor[s] = self.pred_off[s] as usize;
-        }
-        for s in 0..n_stages {
-            for e in self.succ_off[s] as usize..self.succ_off[s + 1] as usize {
+            for e in self.succs(s) {
                 let t = self.succ_idx[e] as usize;
-                self.pred_idx[self.cursor[t]] = s as u32;
-                self.pred_w[self.cursor[t]] = self.succ_w[e];
-                self.cursor[t] += 1;
+                let p = self.pred_row[t].1 as usize;
+                self.pred_idx[p] = s as u32;
+                self.pred_w[p] = self.succ_w[e];
+                self.pred_row[t].1 += 1;
             }
         }
 
@@ -295,8 +284,28 @@ impl EvalWorkspace {
         self.mark.clear();
         self.mark.resize(n_stages, 0);
         self.mark_gen = 0;
+        self.in_range.clear();
+        self.in_range.resize(n_stages, 0);
+        self.range_gen = 0;
         self.c_finish.clear();
         self.c_finish.resize(n_stages, 0.0);
+        self.wave.clear();
+        self.wave.resize(n_stages.div_ceil(64), 0);
+        Ok(())
+    }
+
+    /// Edge indices of stage `s`'s successors.
+    #[inline]
+    fn succs(&self, s: usize) -> std::ops::Range<usize> {
+        let (b, e) = self.succ_row[s];
+        b as usize..e as usize
+    }
+
+    /// Edge indices of stage `s`'s predecessors.
+    #[inline]
+    fn preds(&self, s: usize) -> std::ops::Range<usize> {
+        let (b, e) = self.pred_row[s];
+        b as usize..e as usize
     }
 
     /// Runs the full Kahn relaxation over the prepared stage graph and
@@ -315,7 +324,8 @@ impl EvalWorkspace {
         self.tail_dirty = true;
         self.crit_dirty = true;
         self.indeg_w.clear();
-        self.indeg_w.extend_from_slice(&self.indeg);
+        self.indeg_w
+            .extend(self.pred_row.iter().map(|&(b, e)| e - b));
         self.worklist.clear();
         // The initial ready frontier, in ascending stage order.
         for (s, &indeg) in self.indeg_w.iter().enumerate() {
@@ -333,7 +343,7 @@ impl EvalWorkspace {
             done += 1;
             let f = self.start[s] + self.stage_dur[s];
             self.finish[s] = f;
-            for e in self.succ_off[s] as usize..self.succ_off[s + 1] as usize {
+            for e in self.succs(s) {
                 let t = self.succ_idx[e] as usize;
                 let w = self.succ_w[e];
                 if self.start[t] < f + w {
@@ -366,7 +376,7 @@ impl EvalWorkspace {
     /// The caller is responsible for structural validity of the merge
     /// (no dependent operators inside `first..=last` — the window pass
     /// checks this cheaply before calling); `sched` must be the schedule
-    /// last prepared and relaxed in this workspace.
+    /// last prepared (or committed) and relaxed in this workspace.
     pub fn merged_latency(
         &mut self,
         cost: &CostTable,
@@ -409,9 +419,7 @@ impl EvalWorkspace {
         last: usize,
         cutoff: f64,
     ) -> Result<f64, EvalError> {
-        debug_assert!(first < last && self.gpu_base[gpu] + last < self.n_stages);
-        let a = self.gpu_base[gpu] + first;
-        let b = self.gpu_base[gpu] + last;
+        self.stamp_range(gpu, first, last);
 
         // Structural suffix bounds, rebuilt once per relax (reverse
         // topological sweep): `tail[s]` is the heaviest chain of
@@ -426,7 +434,7 @@ impl EvalWorkspace {
             for pos in (0..self.n_stages).rev() {
                 let s = self.topo_order[pos] as usize;
                 let mut t_max = 0.0f64;
-                for e in self.succ_off[s] as usize..self.succ_off[s + 1] as usize {
+                for e in self.succs(s) {
                     let t = self.succ_idx[e] as usize;
                     let via = self.succ_w[e] + self.stage_dur[t] + self.tail[t];
                     if via > t_max {
@@ -458,7 +466,9 @@ impl EvalWorkspace {
         // that closes a cycle reports `Err` instead, which also rejects
         // it.  Most rejected candidates exit here: only a merge that
         // absorbs a stamped stage can lower the latency, and a GPU's
-        // chain of stages is rarely tight throughout.
+        // chain of stages is rarely tight throughout.  Which stage
+        // attaining L is critical does not matter to the argument, so
+        // the flat numbering a commit leaves behind decides no outcome.
         if self.crit_dirty {
             let mut crit = 0usize;
             for s in 1..self.n_stages {
@@ -480,7 +490,7 @@ impl EvalWorkspace {
             while let Some(s) = self.worklist.pop() {
                 let start = self.start[s].to_bits();
                 let mut has_tight = self.start[s] == 0.0;
-                for e in self.pred_off[s] as usize..self.pred_off[s + 1] as usize {
+                for e in self.preds(s) {
                     let p = self.pred_idx[e] as usize;
                     let tight = (self.finish[p] + self.pred_w[e]).to_bits() == start;
                     has_tight |= tight;
@@ -498,17 +508,21 @@ impl EvalWorkspace {
         }
         if self.crit_finish >= cutoff {
             let stamp = self.crit_stamp;
-            if !(a..=b).any(|s| self.crit_chain[s] == stamp) {
+            if !self
+                .range
+                .iter()
+                .any(|&s| self.crit_chain[s as usize] == stamp)
+            {
                 return Ok(self.crit_finish);
             }
         }
 
-        if self.closes_cycle(a, b) {
+        if self.closes_cycle() {
             return Err(EvalError::StageCycle);
         }
         let gen = self.next_gen();
-        for s in a..=b {
-            self.mark[s] = gen;
+        for &s in &self.range {
+            self.mark[s as usize] = gen;
         }
 
         // The merged stage: fresh concurrent query over the union of the
@@ -516,12 +530,12 @@ impl EvalWorkspace {
         // materialized merge would ask), started at the max over external
         // predecessor arrivals; no external predecessor descends from the
         // range (that would be a cycle), so its baseline finish is final.
-        let merged_finish = self.merged_stage_finish(cost, sched, gpu, first, last, a, b);
+        let merged_finish = self.merged_stage_finish(cost, sched, gpu, first, last);
 
         // Pre-wave cutoff: the merged stage's finish is exact, so its
         // heaviest structural suffix bounds the candidate latency from
         // below before anything downstream is recomputed.
-        if let Some(bound) = self.range_suffix_bound(a, b, merged_finish, cutoff) {
+        if let Some(bound) = self.range_suffix_bound(merged_finish, cutoff) {
             return Ok(bound);
         }
 
@@ -529,31 +543,47 @@ impl EvalWorkspace {
         // always recompute (their arrival now comes from the merged
         // stage); from there, a recomputed stage forwards the wave only
         // when its finish actually moved (bitwise).  Processing strictly
-        // in baseline topological order (min-heap on `topo_pos`, valid
-        // because merging adds no edges among non-absorbed stages)
-        // guarantees every marked predecessor is already final when read.
+        // in ascending baseline topological order (valid because merging
+        // adds no edges among non-absorbed stages) guarantees every
+        // marked predecessor is already final when read.  The pending
+        // stages are bits over topological positions: a stage's
+        // successors sit after it in that order, so the lowest pending
+        // bit only moves forward, and the scan pops in exactly the
+        // ascending order a min-heap on `topo_pos` would.  It empties
+        // the bitset, which is all zero again when the wave ends.
         self.affected.clear();
-        self.heap.clear();
-        for s in a..=b {
-            for e in self.succ_off[s] as usize..self.succ_off[s + 1] as usize {
+        let mut lo = self.wave.len();
+        let mut hi = 0usize;
+        for i in 0..self.range.len() {
+            for e in self.succs(self.range[i] as usize) {
                 let t = self.succ_idx[e] as usize;
-                if t >= a && t <= b {
+                if self.in_range[t] == self.range_gen {
                     continue; // internal chain/data edge, absorbed
                 }
                 if self.mark[t] != gen {
                     self.mark[t] = gen;
-                    self.heap
-                        .push(std::cmp::Reverse((self.topo_pos[t], t as u32)));
+                    let p = self.topo_pos[t] as usize;
+                    self.wave[p / 64] |= 1 << (p % 64);
+                    lo = lo.min(p / 64);
+                    hi = hi.max(p / 64);
                 }
             }
         }
-        while let Some(std::cmp::Reverse((_, t))) = self.heap.pop() {
-            let t = t as usize;
+        let mut word = lo;
+        while word <= hi {
+            let bits = self.wave[word];
+            if bits == 0 {
+                word += 1;
+                continue;
+            }
+            self.wave[word] = bits & (bits - 1);
+            let pos = word * 64 + bits.trailing_zeros() as usize;
+            let t = self.topo_order[pos] as usize;
             let mut st = 0.0f64;
-            for e in self.pred_off[t] as usize..self.pred_off[t + 1] as usize {
+            for e in self.preds(t) {
                 let p = self.pred_idx[e] as usize;
                 let w = self.pred_w[e];
-                let arrival = if p >= a && p <= b {
+                let arrival = if self.in_range[p] == self.range_gen {
                     merged_finish + w
                 } else if self.mark[p] == gen {
                     self.c_finish[p] + w
@@ -568,36 +598,55 @@ impl EvalWorkspace {
             self.c_finish[t] = f;
             self.affected.push(t);
             if f.to_bits() != self.finish[t].to_bits() {
-                for e in self.succ_off[t] as usize..self.succ_off[t + 1] as usize {
+                for e in self.succs(t) {
                     let u = self.succ_idx[e] as usize;
-                    debug_assert!(!(u >= a && u <= b), "the cycle test rejects these");
+                    debug_assert!(
+                        self.in_range[u] != self.range_gen,
+                        "the cycle test rejects these"
+                    );
                     if self.mark[u] != gen {
                         self.mark[u] = gen;
-                        self.heap
-                            .push(std::cmp::Reverse((self.topo_pos[u], u as u32)));
+                        let p = self.topo_pos[u] as usize;
+                        debug_assert!(p > pos, "a successor sits later in topological order");
+                        self.wave[p / 64] |= 1 << (p % 64);
+                        hi = hi.max(p / 64);
                     }
                 }
             }
         }
+        debug_assert!(
+            self.wave.iter().all(|&w| w == 0),
+            "the wave drains its bits"
+        );
         Ok(self.candidate_latency(merged_finish, gen))
+    }
+
+    /// Records the flat ids of stages `first..=last` on `gpu` in `range`
+    /// and stamps them in `in_range` under a fresh generation.
+    fn stamp_range(&mut self, gpu: usize, first: usize, last: usize) {
+        debug_assert!(first < last && last < self.live[gpu].len());
+        if self.range_gen == u32::MAX {
+            self.in_range.iter_mut().for_each(|m| *m = 0);
+            self.range_gen = 0;
+        }
+        self.range_gen += 1;
+        self.range.clear();
+        self.range.extend_from_slice(&self.live[gpu][first..=last]);
+        for &s in &self.range {
+            self.in_range[s as usize] = self.range_gen;
+        }
     }
 
     /// The merged stage's heaviest structural suffix: `Some(bound)` when
     /// `merged_finish` plus the best chain through any external successor
-    /// of the absorbed range `a..=b` provably reaches `cutoff` (the
-    /// candidate is rejected without a wave), `None` otherwise.
-    fn range_suffix_bound(
-        &self,
-        a: usize,
-        b: usize,
-        merged_finish: f64,
-        cutoff: f64,
-    ) -> Option<f64> {
+    /// of the absorbed range provably reaches `cutoff` (the candidate is
+    /// rejected without a wave), `None` otherwise.
+    fn range_suffix_bound(&self, merged_finish: f64, cutoff: f64) -> Option<f64> {
         let mut suffix = 0.0f64;
-        for s in a..=b {
-            for e in self.succ_off[s] as usize..self.succ_off[s + 1] as usize {
+        for &s in &self.range {
+            for e in self.succs(s as usize) {
                 let t = self.succ_idx[e] as usize;
-                if t >= a && t <= b {
+                if self.in_range[t] == self.range_gen {
                     continue;
                 }
                 let via = self.succ_w[e] + self.stage_dur[t] + self.tail[t];
@@ -613,7 +662,6 @@ impl EvalWorkspace {
     /// Operator union, duration query and finish of the merged stage (the
     /// `concurrent_on` call keeps the profiling-meter side effect of a
     /// materialized merge).
-    #[allow(clippy::too_many_arguments)]
     fn merged_stage_finish(
         &mut self,
         cost: &CostTable,
@@ -621,8 +669,6 @@ impl EvalWorkspace {
         gpu: usize,
         first: usize,
         last: usize,
-        a: usize,
-        b: usize,
     ) -> f64 {
         self.merge_ops.clear();
         for si in first..=last {
@@ -631,10 +677,10 @@ impl EvalWorkspace {
         }
         let merged_dur = cost.concurrent_on(gpu, &self.merge_ops);
         let mut merged_start = 0.0f64;
-        for s in a..=b {
-            for e in self.pred_off[s] as usize..self.pred_off[s + 1] as usize {
+        for &s in &self.range {
+            for e in self.preds(s as usize) {
                 let p = self.pred_idx[e] as usize;
-                if p >= a && p <= b {
+                if self.in_range[p] == self.range_gen {
                     continue;
                 }
                 let arrival = self.finish[p] + self.pred_w[e];
@@ -648,7 +694,7 @@ impl EvalWorkspace {
 
     /// Candidate latency: the max of the merged stage's finish, every
     /// unmarked baseline finish and the recomputed finishes over
-    /// `affected`.
+    /// `affected`.  Dead stages finish at 0 and never raise it.
     fn candidate_latency(&self, merged_finish: f64, gen: u32) -> f64 {
         let mut latency = merged_finish.max(0.0);
         for s in 0..self.n_stages {
@@ -664,29 +710,29 @@ impl EvalWorkspace {
         latency
     }
 
-    /// Whether merging the absorbed range `a..=b` closes a circular wait
-    /// (Alg. 2 line 10).  It does exactly when some external predecessor
-    /// of the range is reachable from the range.  Every stage reachable
-    /// from range member `s` sits after `topo_pos[s]` in the baseline
-    /// order, so only external predecessors after the range's first
-    /// position are suspects, and a path from the range to a suspect
-    /// visits only positions up to that suspect's.  The forward search
-    /// from the range is therefore bounded by the latest suspect's
-    /// position, and most candidates have no suspect at all.
-    fn closes_cycle(&mut self, a: usize, b: usize) -> bool {
-        let in_range = |s: usize| s >= a && s <= b;
-        let (range_min_pos, limit) = self.suspect_limit(a, b);
+    /// Whether merging the stamped range closes a circular wait (Alg. 2
+    /// line 10).  It does exactly when some external predecessor of the
+    /// range is reachable from the range.  Every stage reachable from
+    /// range member `s` sits after `topo_pos[s]` in the baseline order,
+    /// so only external predecessors after the range's first position
+    /// are suspects, and a path from the range to a suspect visits only
+    /// positions up to that suspect's.  The forward search from the range
+    /// is therefore bounded by the latest suspect's position, and most
+    /// candidates have no suspect at all.
+    fn closes_cycle(&mut self) -> bool {
+        let (range_min_pos, limit) = self.suspect_limit();
         if limit == range_min_pos {
             return false;
         }
         let gen = self.next_gen();
         self.worklist.clear();
-        self.worklist.extend(a..=b);
+        self.worklist.extend(self.range.iter().map(|&s| s as usize));
         while let Some(s) = self.worklist.pop() {
-            for e in self.succ_off[s] as usize..self.succ_off[s + 1] as usize {
+            let from_range = self.in_range[s] == self.range_gen;
+            for e in self.succs(s) {
                 let t = self.succ_idx[e] as usize;
-                if in_range(t) {
-                    if in_range(s) {
+                if self.in_range[t] == self.range_gen {
+                    if from_range {
                         continue; // internal chain/data edge, absorbed
                     }
                     return true;
@@ -700,20 +746,21 @@ impl EvalWorkspace {
         false
     }
 
-    /// The absorbed range's first baseline position, and the latest
+    /// The stamped range's first baseline position, and the latest
     /// position of an external predecessor of the range — the first
     /// position again when no external predecessor sits after it (no
-    /// suspect: the merge is acyclic).
-    fn suspect_limit(&self, a: usize, b: usize) -> (u32, u32) {
+    /// suspect: the merge is acyclic).  Dead stages have no edge, so
+    /// they are never a suspect.
+    fn suspect_limit(&self) -> (u32, u32) {
         let mut range_min_pos = u32::MAX;
-        for s in a..=b {
-            range_min_pos = range_min_pos.min(self.topo_pos[s]);
+        for &s in &self.range {
+            range_min_pos = range_min_pos.min(self.topo_pos[s as usize]);
         }
         let mut limit = range_min_pos;
-        for s in a..=b {
-            for e in self.pred_off[s] as usize..self.pred_off[s + 1] as usize {
+        for &s in &self.range {
+            for e in self.preds(s as usize) {
                 let p = self.pred_idx[e] as usize;
-                if p < a || p > b {
+                if self.in_range[p] != self.range_gen {
                     limit = limit.max(self.topo_pos[p]);
                 }
             }
@@ -731,18 +778,31 @@ impl EvalWorkspace {
         self.mark_gen
     }
 
-    /// Commits an accepted merge of old stages `first..=last` on `gpu`:
-    /// the merged stage's duration is the one fresh `concurrent` query,
-    /// the absorbed stages' cached durations are dropped, every other
-    /// stage keeps its own, and the stage graph is re-linked from `sched`
-    /// by [`EvalWorkspace::prepare`]'s builder and relaxed — no
-    /// re-validation and no other duration query.
+    /// Commits an accepted merge of stages `first..=last` on `gpu` by
+    /// patching only the rows it touches, and relaxes the graph.
+    ///
+    /// Stage `first`'s flat id `a` becomes the merged stage: its duration
+    /// is the one fresh `concurrent` query, and its successor and
+    /// predecessor rows, appended to the edge arrays, are every absorbed
+    /// stage's edges that leave the range.  Each such edge of an absorbed
+    /// stage `s != a` is also pointed at `a` in the row of its far end.
+    /// The other absorbed stages become dead (no edge, duration 0) and
+    /// leave `gpu`'s live list; every other id, row and duration is kept.
+    /// No re-validation and no other duration query.
     ///
     /// `sched` must already hold the materialized merge (the combined
-    /// stage sits at `first`).  The result is bit-identical to a full
-    /// [`EvalWorkspace::prepare`] + [`EvalWorkspace::relax`] on the
-    /// merged schedule: the graph is built by the same code from the same
-    /// durations.
+    /// stage sits at `first`).  The patched graph is the one
+    /// [`EvalWorkspace::prepare`] builds from the merged schedule, up to
+    /// the numbering, the dead stages and the order of edges in a row:
+    /// a fresh build links the merged stage to the stage before `first`
+    /// and after `last` (the chain edges the range's ends already had)
+    /// and to every cross-GPU data edge of its operators (the data edges
+    /// of the absorbed stages), with the same transfer weights, and it
+    /// keeps every edge between two other stages.  A start is a `max`
+    /// over a stage's arrivals, exact and independent of their order, so
+    /// [`EvalWorkspace::relax`] gives every live stage the bits a fresh
+    /// `prepare` + `relax` gives it; debug builds of the window pass
+    /// check this after every commit.
     ///
     /// Returns the relaxed latency of the merged schedule.
     ///
@@ -752,22 +812,106 @@ impl EvalWorkspace {
     /// [`EvalWorkspace::merged_latency`].
     pub fn commit_merge(
         &mut self,
-        g: &Graph,
         cost: &CostTable,
         sched: &Schedule,
         gpu: usize,
         first: usize,
         last: usize,
     ) -> f64 {
-        debug_assert!(first < last);
-        let a = self.gpu_base[gpu] + first;
-        let b = self.gpu_base[gpu] + last;
-        self.stage_dur[a] = cost.concurrent_on(gpu, &sched.gpus[gpu].stages[first].ops);
-        self.stage_dur.drain(a + 1..=b);
-        self.link(g, cost, sched);
+        self.stamp_range(gpu, first, last);
+        let a = self.range[0] as usize;
+        let merged = &sched.gpus[gpu].stages[first].ops;
+        self.stage_dur[a] = cost.concurrent_on(gpu, merged);
+        for &v in merged {
+            self.stage_of_op[v.index()] = a;
+        }
+        let succ_beg = self.succ_idx.len() as u32;
+        let pred_beg = self.pred_idx.len() as u32;
+        for i in 0..self.range.len() {
+            let s = self.range[i] as usize;
+            for e in self.succs(s) {
+                let t = self.succ_idx[e] as usize;
+                if self.in_range[t] != self.range_gen {
+                    self.succ_idx.push(t as u32);
+                    self.succ_w.push(self.succ_w[e]);
+                    if s != a {
+                        redirect(&mut self.pred_idx, self.pred_row[t], s, a);
+                    }
+                }
+            }
+            for e in self.preds(s) {
+                let p = self.pred_idx[e] as usize;
+                if self.in_range[p] != self.range_gen {
+                    self.pred_idx.push(p as u32);
+                    self.pred_w.push(self.pred_w[e]);
+                    if s != a {
+                        redirect(&mut self.succ_idx, self.succ_row[p], s, a);
+                    }
+                }
+            }
+            if s != a {
+                self.stage_dur[s] = 0.0;
+                self.succ_row[s] = (0, 0);
+                self.pred_row[s] = (0, 0);
+            }
+        }
+        self.succ_row[a] = (succ_beg, self.succ_idx.len() as u32);
+        self.pred_row[a] = (pred_beg, self.pred_idx.len() as u32);
+        self.live[gpu].drain(first + 1..=last);
         self.relax()
             .expect("committed merge was vetted acyclic by merged_latency")
     }
+
+    /// Whether every live stage's duration, start and finish equal, bit
+    /// for bit, a fresh [`EvalWorkspace::prepare`] + [`EvalWorkspace::relax`]
+    /// of `sched`, stage by stage, and every dead stage is isolated with
+    /// duration 0 — the debug check of [`EvalWorkspace::commit_merge`].
+    pub(crate) fn matches_fresh(&self, g: &Graph, cost: &CostTable, sched: &Schedule) -> bool {
+        let mut fresh = EvalWorkspace::new();
+        if fresh
+            .prepare(g, cost, sched)
+            .and_then(|()| fresh.relax())
+            .is_err()
+        {
+            return false;
+        }
+        let bits = |ws: &Self, s: u32| {
+            let s = s as usize;
+            (
+                ws.stage_dur[s].to_bits(),
+                ws.start[s].to_bits(),
+                ws.finish[s].to_bits(),
+            )
+        };
+        let mut live = vec![false; self.n_stages];
+        let stages_agree = self.live.len() == fresh.live.len()
+            && self.live.iter().zip(&fresh.live).all(|(mine, theirs)| {
+                mine.len() == theirs.len()
+                    && mine.iter().zip(theirs).all(|(&s, &t)| {
+                        live[s as usize] = true;
+                        bits(self, s) == bits(&fresh, t)
+                    })
+            });
+        stages_agree
+            && (0..self.n_stages).all(|s| {
+                live[s]
+                    || (self.stage_dur[s] == 0.0
+                        && self.succs(s).is_empty()
+                        && self.preds(s).is_empty())
+            })
+    }
+}
+
+/// Points the one entry `from` of the edge row `(b, e)` of `idx` at `to`.
+/// An edge between two stages sits once in each end's row (a duplicate
+/// edge twice in each), so rewriting the first remaining `from` per edge
+/// rewrites each entry once.
+fn redirect(idx: &mut [u32], (b, e): (u32, u32), from: usize, to: usize) {
+    let slot = idx[b as usize..e as usize]
+        .iter_mut()
+        .find(|x| **x == from as u32)
+        .expect("an edge sits in both of its ends' rows");
+    *slot = to as u32;
 }
 
 /// Evaluates `sched` under the paper's stage-synchronous semantics:
@@ -805,15 +949,15 @@ pub fn evaluate_with(
             .min(ws.finish[sid])
             .max(ws.start[sid]);
     }
-    let mut stage_times = Vec::with_capacity(sched.num_gpus());
-    for (gi, gpu) in sched.gpus.iter().enumerate() {
-        let base = ws.gpu_base[gi];
-        stage_times.push(
-            (0..gpu.stages.len())
-                .map(|si| (ws.start[base + si], ws.finish[base + si]))
-                .collect(),
-        );
-    }
+    let stage_times = ws
+        .live
+        .iter()
+        .map(|ids| {
+            ids.iter()
+                .map(|&s| (ws.start[s as usize], ws.finish[s as usize]))
+                .collect()
+        })
+        .collect();
     Ok(EvalResult {
         latency,
         stage_times,
@@ -1036,6 +1180,57 @@ mod tests {
             ws.merged_latency(&cost, &s, 0, 0, 1),
             Err(EvalError::StageCycle)
         );
+    }
+
+    #[test]
+    fn commits_that_re_absorb_a_merged_stage_match_a_fresh_relaxation() {
+        // GPU0: [a][b][c][d], GPU1: [x][y]; x -> c, b -> y and c -> y
+        // cross the GPUs.  Merging {b, c} points c's edge into y's row at
+        // b's id, so y's row holds that id twice; merging {a, {b, c}}
+        // then re-absorbs the merged stage and points both entries at a;
+        // merging {a, b, c, d} absorbs the rest of GPU0.  After each
+        // commit every live stage must have a fresh relaxation's bits.
+        let mut bld = GraphBuilder::new();
+        let a = bld.add_synthetic("a", &[]);
+        let b = bld.add_synthetic("b", &[]);
+        let x = bld.add_synthetic("x", &[]);
+        let c = bld.add_synthetic("c", &[x]);
+        let d = bld.add_synthetic("d", &[]);
+        let y = bld.add_synthetic("y", &[b, c]);
+        let g = bld.build();
+        let cost = uniform_cost(6, 1.0, 0.3, 0.5);
+        let mut sched = Schedule::from_gpu_orders(vec![vec![a, b, c, d], vec![x, y]]);
+        let mut ws = EvalWorkspace::new();
+        ws.prepare(&g, &cost, &sched).unwrap();
+        ws.relax().unwrap();
+        let y_stage = ws.live[1][1] as usize;
+        for (first, last) in [(1, 2), (0, 1), (0, 1)] {
+            let priced = ws.merged_latency(&cost, &sched, 0, first, last).unwrap();
+            sched = crate::reference::merge_stages(&sched, 0, first, last);
+            let committed = ws.commit_merge(&cost, &sched, 0, first, last);
+            let at = format!("stages {first}..={last}");
+            assert_eq!(committed.to_bits(), priced.to_bits(), "{at}");
+            assert!(ws.matches_fresh(&g, &cost, &sched), "{at}");
+            let fresh = crate::reference::evaluate(&g, &cost, &sched).unwrap();
+            assert_eq!(committed.to_bits(), fresh.latency.to_bits(), "{at}");
+            for (ids, want) in ws.live.iter().zip(&fresh.stage_times) {
+                let bits = |(s, f): (f64, f64)| (s.to_bits(), f.to_bits());
+                let got = ids
+                    .iter()
+                    .map(|&s| (ws.start[s as usize], ws.finish[s as usize]));
+                let got: Vec<_> = got.map(bits).collect();
+                assert_eq!(
+                    got,
+                    want.iter().copied().map(bits).collect::<Vec<_>>(),
+                    "{at}"
+                );
+            }
+            // y's two data edges from GPU0 both name the merged stage.
+            let from_gpu0 = ws.preds(y_stage).map(|e| ws.pred_idx[e]);
+            let from_gpu0: Vec<u32> = from_gpu0.filter(|&p| p != ws.live[1][0]).collect();
+            assert_eq!(from_gpu0, [ws.live[0][first]; 2], "{at}");
+        }
+        assert_eq!(sched.gpus[0].stages.len(), 1);
     }
 
     /// `merged_latency_bounded`'s contract on every window of `sched`

@@ -33,25 +33,26 @@ pub struct ListScheduleResult {
 /// buffers it reuses, and the scheduler swap states instead of copying
 /// them.  The result is bit-identical to running each trial from scratch.
 ///
-/// Each GPU's busy intervals are kept twice: as the sorted interval list
-/// the gap scan is defined on, and as its *busy runs* (see [`Run`]), the
-/// view [`ListState::place_op`] walks.  Every write to an interval list
-/// updates or rebuilds that GPU's runs; debug builds assert after every
-/// placement, materialization and adoption that they equal a rebuild.
+/// Each GPU's busy intervals are kept twice: as the time-sorted list of
+/// the operators that hold them (an interval is its operator's `(start,
+/// finish)`), the list the gap scan is defined on, and as its *busy runs*
+/// (see [`Run`]), the view [`ListState::place_op`] walks.  Every write to
+/// an operator list updates or rebuilds that GPU's runs; debug builds
+/// assert after every placement, materialization and adoption that they
+/// equal a rebuild.
 #[derive(Debug)]
 pub(crate) struct ListState {
     start: Vec<f64>,
     finish: Vec<f64>,
-    /// The ready time each operator was placed with (`NaN` while
-    /// unscheduled): the lower end of its reuse window in
-    /// [`ListState::replay_incremental`].
+    /// The ready time each operator was last placed or reused at (`NaN`
+    /// while unscheduled): the lower end of its reuse window in
+    /// [`ListState::replay_incremental`], and the ready time an untouched
+    /// operator is re-placed at.
     ready: Vec<f64>,
-    /// Sorted busy intervals per GPU, structure-of-arrays: `(start,
-    /// finish)` pairs in `busy_iv`, the matching operator ids in
-    /// `busy_op` (the gap search only touches the times).
-    busy_iv: Vec<Vec<(f64, f64)>>,
+    /// The operators on each GPU, sorted by their intervals `(start[v],
+    /// finish[v])`.
     busy_op: Vec<Vec<u32>>,
-    /// The busy runs of each GPU's `busy_iv`, in interval order.
+    /// The busy runs of each GPU's intervals, in interval order.
     busy_run: Vec<Vec<Run>>,
     /// Per GPU, whether the current replay re-placed an operator on it
     /// (see [`ListState::replay_incremental`]).
@@ -69,7 +70,7 @@ struct Run {
     start: f64,
     /// Largest finish over the run's intervals.
     finish: f64,
-    /// Index of the run's first interval in its GPU's `busy_iv`.
+    /// Index of the run's first interval in its GPU's `busy_op`.
     first: usize,
 }
 
@@ -86,10 +87,19 @@ fn extend_runs(runs: &mut Vec<Run>, i: usize, (bs, bf): (f64, f64)) {
     }
 }
 
-/// Rebuilds `runs` from one GPU's interval list.
-fn rebuild_runs(runs: &mut Vec<Run>, intervals: &[(f64, f64)]) {
+/// The intervals of the operators `ops`, in list order.
+fn times<'a>(
+    ops: &'a [u32],
+    start: &'a [f64],
+    finish: &'a [f64],
+) -> impl Iterator<Item = (f64, f64)> + 'a {
+    ops.iter().map(|&v| (start[v as usize], finish[v as usize]))
+}
+
+/// Rebuilds `runs` from one GPU's intervals.
+fn rebuild_runs(runs: &mut Vec<Run>, intervals: impl Iterator<Item = (f64, f64)>) {
     runs.clear();
-    for (i, &iv) in intervals.iter().enumerate() {
+    for (i, iv) in intervals.enumerate() {
         extend_runs(runs, i, iv);
     }
 }
@@ -97,9 +107,25 @@ fn rebuild_runs(runs: &mut Vec<Run>, intervals: &[(f64, f64)]) {
 /// The run scan of [`ListState::place_op`]: the index of the run whose
 /// first interval hosts an operator of length `dur` ready at `ready`
 /// (`runs.len()` to append) and its start.
+///
+/// The scan starts at the first run finishing after `ready`, searched
+/// backward from the last run.  Run finishes rise strictly, so the runs
+/// from that one on all finish after `ready` and the ones before it by
+/// `ready`: it is the run `partition_point` finds, and debug builds
+/// check that it is.  (`ready` is a `max` from `0.0`, never `NaN`.)  A
+/// trial's operators are mostly ready near their GPU's last run, so the
+/// backward walk is short.
 fn earliest_run(runs: &[Run], ready: f64, dur: f64) -> (usize, f64) {
     let mut s = ready;
-    let k0 = runs.partition_point(|r| r.finish <= ready);
+    let mut k0 = runs.len();
+    while k0 > 0 && runs[k0 - 1].finish > ready {
+        k0 -= 1;
+    }
+    debug_assert_eq!(
+        k0,
+        runs.partition_point(|r| r.finish <= ready),
+        "the backward run search differs from a binary search"
+    );
     for (k, r) in runs.iter().enumerate().skip(k0) {
         if s + dur <= r.start + 1e-12 {
             return (k, s);
@@ -150,7 +176,7 @@ fn insert_before_run(runs: &mut Vec<Run>, k: usize, pos: usize, (s, f): (f64, f6
 
 /// Whether `runs` equal, bit for bit, a rebuild from `intervals` (the
 /// debug invariant of [`ListState`]).
-fn runs_agree(intervals: &[(f64, f64)], runs: &[Run]) -> bool {
+fn runs_agree(intervals: impl Iterator<Item = (f64, f64)>, runs: &[Run]) -> bool {
     let mut fresh = Vec::new();
     rebuild_runs(&mut fresh, intervals);
     let bits = |r: &Run| (r.start.to_bits(), r.finish.to_bits(), r.first);
@@ -183,7 +209,6 @@ impl ListState {
             start: vec![f64::NAN; num_ops],
             finish: vec![f64::NAN; num_ops],
             ready: vec![f64::NAN; num_ops],
-            busy_iv: vec![Vec::new(); num_gpus],
             busy_op: vec![Vec::new(); num_gpus],
             busy_run: vec![Vec::new(); num_gpus],
             dirty: vec![false; num_gpus],
@@ -251,8 +276,17 @@ impl ListState {
     /// operator on a dirty GPU is re-placed; `dirty` holds one flag per
     /// GPU, cleared when the replay starts).  On first placement a GPU's
     /// intervals are materialized from `base` filtered to operators
-    /// ordered earlier — exactly the fold's interval set at that turn.  By induction every operator ends with the fold's
-    /// exact bits, whether copied or recomputed.
+    /// ordered earlier — exactly the fold's interval set at that turn.  By
+    /// induction every operator ends with the fold's exact bits, whether
+    /// copied or recomputed.
+    ///
+    /// `ready[v]` is the ready time `v` was last placed or reused at, so
+    /// in every complete state it is the fold of `v`'s predecessors'
+    /// finishes there: a placed or reused operator records the fold, and
+    /// a copied one is untouched, its predecessors' finishes and GPUs
+    /// being `base`'s.  An untouched operator re-placed on a dirty GPU
+    /// therefore takes `base.ready[v]` instead of re-folding its
+    /// predecessors; debug builds re-fold and compare.
     ///
     /// A *touched* operator (a predecessor's finish changed) on a clean
     /// GPU may still keep `base`'s slot: its *reuse window*.  The gap scan
@@ -266,13 +300,15 @@ impl ListState {
     /// s0`.  So on one interval set the scan returns the same index and
     /// the same bits for every ready time in `[r0, s0]`.  A clean GPU's
     /// interval set at the operator's turn is `base`'s, the set `base`
-    /// placed it on from `r0 = base.ready[v]`; so when the new ready time
-    /// falls in `[base.ready[v], base.start[v]]` the operator keeps
-    /// `base`'s start and finish, its GPU stays clean and no successor is
-    /// touched.  A reused operator keeps `base.ready[v]`, which is still
-    /// the lower end of a window on the same interval set.  Debug builds
-    /// re-place every reused operator by the reference scan and assert
-    /// the same bits and insertion index.
+    /// placed or last reused it on from `r0 = base.ready[v]`; so when the
+    /// new ready time `r` falls in `[base.ready[v], base.start[v]]` the
+    /// operator keeps `base`'s start and finish, its GPU stays clean and
+    /// no successor is touched.  A reused operator records `r`: the scan
+    /// from `r` stops at the same `k` with the same `s0`, so `[r, s0]`
+    /// is again a window on the same interval set, narrower than `[r0,
+    /// s0]` when `r > r0`.  Debug builds re-place every reused operator
+    /// by the reference scan and assert the same bits and insertion
+    /// index.
     ///
     /// `touch`/`gen` are the caller's stamp buffer (entries `== gen`
     /// mean "a predecessor changed"); `lat0` is the makespan over the
@@ -297,15 +333,13 @@ impl ListState {
         gen: u32,
         bound: f64,
     ) -> bool {
-        let num_gpus = base.busy_iv.len();
+        let num_gpus = base.busy_op.len();
         self.start.clone_from(&base.start);
         self.finish.clone_from(&base.finish);
         self.ready.clone_from(&base.ready);
-        self.busy_iv.resize(num_gpus, Vec::new());
         self.busy_op.resize(num_gpus, Vec::new());
         self.busy_run.resize(num_gpus, Vec::new());
         for g in 0..num_gpus {
-            self.busy_iv[g].clear();
             self.busy_op[g].clear();
             self.busy_run[g].clear();
         }
@@ -329,21 +363,19 @@ impl ListState {
                 self.latency = self.latency.max(self.finish[vi]);
                 continue;
             }
-            let mut ready = 0.0f64;
-            for &u in ctx.preds(v) {
-                let gu = place[u as usize];
-                if gu == NO_GPU {
-                    continue;
-                }
-                let fu = self.finish[u as usize];
-                debug_assert!(!fu.is_nan(), "order must be topological");
-                let arrival = if gu as usize == gvu {
-                    fu
-                } else {
-                    fu + ctx.transfer(u, gu as usize, gvu)
-                };
-                ready = ready.max(arrival);
-            }
+            let ready = if is_new || touch[vi] == gen {
+                ready_time(ctx, place, &self.finish, v)
+            } else {
+                // Untouched on a dirty GPU: every predecessor keeps
+                // `base`'s GPU and finish, so the fold repeats the ready
+                // time `base` recorded.
+                debug_assert_eq!(
+                    ready_time(ctx, place, &self.finish, v).to_bits(),
+                    base.ready[vi].to_bits(),
+                    "an untouched operator's ready time differs from a re-fold"
+                );
+                base.ready[vi]
+            };
             let dur = ctx.exec(gvu, v);
             if !is_new && clean && base.ready[vi] <= ready && ready <= base.start[vi] {
                 // Inside the reuse window: the scan over `base`'s
@@ -352,6 +384,7 @@ impl ListState {
                     reuse_is_exact(base, pos, v, gvu, ready, dur),
                     "a reused slot differs from the reference scan"
                 );
+                self.ready[vi] = ready;
                 self.latency = self.latency.max(self.finish[vi]);
                 continue;
             }
@@ -360,18 +393,17 @@ impl ListState {
                 // interval set at this turn — `base`'s operators on the
                 // GPU that are ordered before `v` (time-sorted order is
                 // preserved by filtering) — and rebuild its runs.
-                let siv = &mut self.busy_iv[gvu];
                 let sop = &mut self.busy_op[gvu];
                 let runs = &mut self.busy_run[gvu];
-                for (k, &op) in base.busy_op[gvu].iter().enumerate() {
+                for &op in &base.busy_op[gvu] {
                     if pos[op as usize] < pos[vi] {
-                        extend_runs(runs, siv.len(), base.busy_iv[gvu][k]);
-                        siv.push(base.busy_iv[gvu][k]);
+                        let iv = (base.start[op as usize], base.finish[op as usize]);
+                        extend_runs(runs, sop.len(), iv);
                         sop.push(op);
                     }
                 }
                 debug_assert!(
-                    runs_agree(siv, runs),
+                    runs_agree(times(sop, &self.start, &self.finish), runs),
                     "busy runs differ from a rebuild of the intervals"
                 );
                 self.dirty[gvu] = true;
@@ -390,11 +422,13 @@ impl ListState {
         // `base`'s.
         for g in 0..num_gpus {
             if !self.dirty[g] {
-                self.busy_iv[g].clone_from(&base.busy_iv[g]);
                 self.busy_op[g].clone_from(&base.busy_op[g]);
                 self.busy_run[g].clone_from(&base.busy_run[g]);
                 debug_assert!(
-                    runs_agree(&self.busy_iv[g], &self.busy_run[g]),
+                    runs_agree(
+                        times(&self.busy_op[g], &self.start, &self.finish),
+                        &self.busy_run[g]
+                    ),
                     "busy runs differ from a rebuild of the intervals"
                 );
             }
@@ -441,34 +475,34 @@ impl ListState {
     #[inline]
     fn place_op(&mut self, v: u32, gv: usize, ready: f64, dur: f64) {
         self.ready[v as usize] = ready;
-        let intervals = &mut self.busy_iv[gv];
+        let ops = &mut self.busy_op[gv];
         let runs = &mut self.busy_run[gv];
         let last = runs.last().map_or(f64::NEG_INFINITY, |r| r.finish);
-        let (pos, s) = if run_scan_is_exact(last, ready, dur) {
+        let scan = run_scan_is_exact(last, ready, dur);
+        let (pos, s) = if scan {
             // Append fast path: every run finishes by `ready`.
             let (k, s) = if last <= ready {
                 (runs.len(), ready)
             } else {
                 earliest_run(runs, ready, dur)
             };
-            let pos = runs.get(k).map_or(intervals.len(), |r| r.first);
-            intervals.insert(pos, (s, s + dur));
+            let pos = runs.get(k).map_or(ops.len(), |r| r.first);
             insert_before_run(runs, k, pos, (s, s + dur));
             (pos, s)
         } else {
-            let (pos, s) = crate::reference::earliest_gap(intervals.iter().copied(), ready, dur);
-            intervals.insert(pos, (s, s + dur));
-            rebuild_runs(runs, intervals);
-            (pos, s)
+            crate::reference::earliest_gap(times(ops, &self.start, &self.finish), ready, dur)
         };
-        debug_assert!(
-            runs_agree(intervals, runs),
-            "busy runs differ from a rebuild of the intervals"
-        );
         let f = s + dur;
-        self.busy_op[gv].insert(pos, v);
+        ops.insert(pos, v);
         self.start[v as usize] = s;
         self.finish[v as usize] = f;
+        if !scan {
+            rebuild_runs(runs, times(ops, &self.start, &self.finish));
+        }
+        debug_assert!(
+            runs_agree(times(ops, &self.start, &self.finish), runs),
+            "busy runs differ from a rebuild of the intervals"
+        );
         self.latency = self.latency.max(f);
     }
 
@@ -500,17 +534,40 @@ fn reuse_is_exact(
     dur: f64,
 ) -> bool {
     let vi = v as usize;
-    let earlier = |&(_, &op): &(&(f64, f64), &u32)| pos[op as usize] < pos[vi];
-    let busy = || base.busy_iv[gv].iter().zip(&base.busy_op[gv]);
-    let (at, s) =
-        crate::reference::earliest_gap(busy().filter(earlier).map(|(&iv, _)| iv), ready, dur);
-    let base_at = busy()
-        .take_while(|&(_, &op)| op != v)
+    let earlier = |op: &&u32| pos[**op as usize] < pos[vi];
+    let busy = base.busy_op[gv].iter();
+    let intervals = busy
+        .clone()
         .filter(earlier)
-        .count();
+        .map(|&op| (base.start[op as usize], base.finish[op as usize]));
+    let (at, s) = crate::reference::earliest_gap(intervals, ready, dur);
+    let base_at = busy.take_while(|&&op| op != v).filter(earlier).count();
     s.to_bits() == base.start[vi].to_bits()
         && (s + dur).to_bits() == base.finish[vi].to_bits()
         && at == base_at
+}
+
+/// The ready time of `v` on its GPU `place[v]`: the latest arrival from
+/// its placed predecessors, whose finishes `finish` holds (`0.0` when it
+/// has none).
+fn ready_time(ctx: &DenseContext, place: &[u32], finish: &[f64], v: u32) -> f64 {
+    let gv = place[v as usize] as usize;
+    let mut ready = 0.0f64;
+    for &u in ctx.preds(v) {
+        let gu = place[u as usize];
+        if gu == NO_GPU {
+            continue;
+        }
+        let fu = finish[u as usize];
+        debug_assert!(!fu.is_nan(), "order must be topological");
+        let arrival = if gu as usize == gv {
+            fu
+        } else {
+            fu + ctx.transfer(u, gu as usize, gv)
+        };
+        ready = ready.max(arrival);
+    }
+    ready
 }
 
 /// Priority-ordered list scheduling with sequential execution per GPU
@@ -554,14 +611,23 @@ mod tests {
 
     impl ListState {
         /// A one-GPU state for `num_ops` operators whose GPU is already
-        /// busy over `busy`, held by no operator.  Its runs are built from
-        /// the intervals, so no test holds a state where they disagree.
+        /// busy over `busy`, each interval held by a placeholder operator
+        /// numbered from `num_ops` on.  Its runs are built from the
+        /// intervals, so no test holds a state where they disagree.
         fn busy_over(num_ops: usize, busy: &[(f64, f64)]) -> Self {
-            let mut st = ListState::new(num_ops, 1);
-            st.busy_iv[0] = busy.to_vec();
-            st.busy_op[0] = vec![u32::MAX; busy.len()];
-            rebuild_runs(&mut st.busy_run[0], busy);
+            let mut st = ListState::new(num_ops + busy.len(), 1);
+            for (i, &(bs, bf)) in busy.iter().enumerate() {
+                st.start[num_ops + i] = bs;
+                st.finish[num_ops + i] = bf;
+                st.busy_op[0].push((num_ops + i) as u32);
+            }
+            rebuild_runs(&mut st.busy_run[0], busy.iter().copied());
             st
+        }
+
+        /// GPU `g`'s busy intervals, in list order.
+        fn intervals(&self, g: usize) -> Vec<(f64, f64)> {
+            times(&self.busy_op[g], &self.start, &self.finish).collect()
         }
     }
 
@@ -662,7 +728,7 @@ mod tests {
                 let last = st.busy_run[0]
                     .last()
                     .map_or(f64::NEG_INFINITY, |r| r.finish);
-                let busy = st.busy_iv[0].clone();
+                let busy = st.intervals(0);
                 let pick = |rng: &mut StdRng| busy[rng.random_range(0..busy.len())];
                 let ready = match rng.random_range(0..6u32) {
                     0 if !busy.is_empty() => pick(&mut rng).0,
@@ -699,11 +765,11 @@ mod tests {
                     (at, s.to_bits(), (s + dur).to_bits()),
                     "case {case} op {v}: ready {ready:e} dur {dur:e} on {busy:?}"
                 );
+                let iv = &st.intervals(0);
                 assert!(
-                    runs_agree(&st.busy_iv[0], &st.busy_run[0]),
+                    runs_agree(iv.iter().copied(), &st.busy_run[0]),
                     "case {case} op {v}"
                 );
-                let iv = &st.busy_iv[0];
                 overlaps += usize::from(iv.get(at + 1).is_some_and(|&(bs, _)| iv[at].1 > bs));
             }
         }
@@ -740,19 +806,8 @@ mod tests {
         to_bits(&r.start, &r.finish, order.collect(), r.latency)
     }
 
-    /// [`schedule_bits`] of a state, whose GPUs' intervals must be their
-    /// operators' `(start, finish)` in order.
+    /// [`schedule_bits`] of a state.
     fn state_bits(st: &ListState) -> ScheduleBits {
-        for (iv, ops) in st.busy_iv.iter().zip(&st.busy_op) {
-            let times = ops
-                .iter()
-                .map(|&v| (st.start[v as usize], st.finish[v as usize]));
-            assert_eq!(
-                iv,
-                &times.collect::<Vec<_>>(),
-                "intervals differ from their operators"
-            );
-        }
         to_bits(&st.start, &st.finish, st.busy_op.clone(), st.latency)
     }
 
@@ -768,8 +823,8 @@ mod tests {
     /// buffers.  Every trial must equal `reference::list_schedule` of the
     /// same placements in every start and finish, each GPU's order and
     /// the makespan, bit for bit.
-    /// Returns how many operators ended a trial in a slot kept from
-    /// another ready time (the reuse window fired, then or earlier).
+    /// Returns how many operators kept `base`'s slot at another ready time
+    /// on a GPU the trial left clean (the reuse window fired).
     fn check_replays(
         g: &Graph,
         cost: &CostTable,
@@ -826,18 +881,11 @@ mod tests {
                     schedule_bits(&want),
                     "round {round} gpu {gi}"
                 );
-                for v in (0..n as u32).filter(|&v| place[v as usize] != NO_GPU) {
-                    let gv = place[v as usize] as usize;
-                    let mut ready = 0.0f64;
-                    for &u in ctx.preds(v) {
-                        let (gu, f) = (place[u as usize] as usize, trial.finish[u as usize]);
-                        if gu == gv {
-                            ready = ready.max(f);
-                        } else if gu != NO_GPU as usize {
-                            ready = ready.max(f + ctx.transfer(u, gu, gv));
-                        }
-                    }
-                    kept += usize::from(ready.to_bits() != trial.ready[v as usize].to_bits());
+                for v in (0..n).filter(|&v| place[v] != NO_GPU && !base.finish[v].is_nan()) {
+                    let bits = |st: &ListState| (st.ready[v].to_bits(), st.start[v].to_bits());
+                    let (t, b) = (bits(&trial), bits(&base));
+                    kept +=
+                        usize::from(!trial.dirty[place[v] as usize] && t.0 != b.0 && t.1 == b.1);
                 }
                 if trial.latency() < best_latency {
                     best_latency = trial.latency();

@@ -14,9 +14,9 @@
 //! are priced with [`EvalWorkspace::merged_latency`]'s bounded form, whose
 //! cutoff is the latency a candidate must strictly beat (re-relaxing only
 //! the stages downstream of the merge, no schedule clone), and the winner
-//! is committed with [`EvalWorkspace::commit_merge`], which re-links the
-//! stage graph over the cached stage durations (one fresh query, for the
-//! merged stage) and relaxes it.  Dependent-operator windows are
+//! is committed with [`EvalWorkspace::commit_merge`], which patches only
+//! the stage-graph rows the merge touches (one fresh duration query, for
+//! the merged stage) and relaxes the graph.  Dependent-operator windows are
 //! rejected by a cheap structural pre-check before any evaluation, and
 //! operator placements are maintained incrementally across accepted
 //! merges instead of being recomputed per operator.  The result is
@@ -128,10 +128,14 @@ pub fn parallelize(g: &Graph, cost: &CostTable, sched: Schedule, window: usize) 
                 }
             }
             // Commit without re-validating or re-querying the kept
-            // stages; the merge was already vetted, and the re-linked
+            // stages; the merge was already vetted, and the patched
             // graph relaxes to bit-identical times.
-            let relaxed = ws.commit_merge(g, cost, &current, p.gpu, p.stage, last);
+            let relaxed = ws.commit_merge(cost, &current, p.gpu, p.stage, last);
             debug_assert_eq!(relaxed.to_bits(), l.to_bits());
+            debug_assert!(
+                ws.matches_fresh(g, cost, &current),
+                "a committed merge differs from a fresh relaxation"
+            );
             latency = l;
         }
     }

@@ -270,7 +270,7 @@ proptest! {
                         .expect("reference says feasible");
                     prop_assert_eq!(bits(l), bits(r.latency));
                     current = merged;
-                    let committed = ws.commit_merge(&g, &cost, &current, gpu, first, last);
+                    let committed = ws.commit_merge(&cost, &current, gpu, first, last);
                     prop_assert_eq!(bits(committed), bits(r.latency));
                     let mut fresh = EvalWorkspace::new();
                     fresh

@@ -41,7 +41,12 @@ done
 
 change="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
+# Building the change side rewrites its bench/Cargo.lock when that lock
+# is stale against the workspace manifests; put the file back on exit so
+# a run leaves the working tree as it found it.
+lock="$change/bench/Cargo.lock"
+cp -p "$lock" "$tmp/Cargo.lock.orig"
+trap 'cp -p "$tmp/Cargo.lock.orig" "$lock"; rm -rf "$tmp"' EXIT
 parent="$tmp/parent"
 mkdir -p "$parent" "$tmp/runs"
 git -C "$change" archive "$parent_ref" | tar -x -C "$parent"
