@@ -552,8 +552,6 @@ impl EvalWorkspace {
         // ascending order a min-heap on `topo_pos` would.  It empties
         // the bitset, which is all zero again when the wave ends.
         self.affected.clear();
-        let mut lo = self.wave.len();
-        let mut hi = 0usize;
         for i in 0..self.range.len() {
             for e in self.succs(self.range[i] as usize) {
                 let t = self.succ_idx[e] as usize;
@@ -564,13 +562,11 @@ impl EvalWorkspace {
                     self.mark[t] = gen;
                     let p = self.topo_pos[t] as usize;
                     self.wave[p / 64] |= 1 << (p % 64);
-                    lo = lo.min(p / 64);
-                    hi = hi.max(p / 64);
                 }
             }
         }
-        let mut word = lo;
-        while word <= hi {
+        let mut word = 0;
+        while word < self.wave.len() {
             let bits = self.wave[word];
             if bits == 0 {
                 word += 1;
@@ -609,15 +605,10 @@ impl EvalWorkspace {
                         let p = self.topo_pos[u] as usize;
                         debug_assert!(p > pos, "a successor sits later in topological order");
                         self.wave[p / 64] |= 1 << (p % 64);
-                        hi = hi.max(p / 64);
                     }
                 }
             }
         }
-        debug_assert!(
-            self.wave.iter().all(|&w| w == 0),
-            "the wave drains its bits"
-        );
         Ok(self.candidate_latency(merged_finish, gen))
     }
 

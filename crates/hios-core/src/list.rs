@@ -460,7 +460,7 @@ impl ListState {
     /// reference's `s` is `max(ready, max bf before)`, which is
     /// `max(ready, finish of the run before)` as run finishes rise.  The
     /// run scan starts at `s = ready` from the first run with `finish >
-    /// ready` (a binary search; the runs it skips have `finish <= ready`)
+    /// ready` (see [`earliest_run`]; the runs it skips have `finish <= ready`)
     /// and folds `s = max(s, finish)` over each run it passes: the same
     /// `max` over the same values, so it tests the same `s`, bit for bit.
     /// Past the last run both append with that `s`.  An operator the
