@@ -9,9 +9,10 @@
 //! * base profiling: every operator and every edge measured
 //!   `PROFILE_REPS` times on the virtual testbed (identical for all
 //!   algorithms, grows with input size);
-//! * group profiling: every distinct `t(S)` query a scheduler issues
-//!   costs `PROFILE_REPS` measurements of that group (the meter on the
-//!   cost table records them) — this is what blows IOS up;
+//! * group profiling: every group probe a scheduler makes
+//!   (`ScheduleOutcome::profiling`) costs `PROFILE_REPS` measurements of
+//!   that group, even when the same group was probed before — this is
+//!   what blows IOS up;
 //! * algorithm time: wall-clock of our Rust implementation.
 
 use super::testbed::{build_model, input_sizes};
@@ -32,7 +33,7 @@ pub(crate) fn scheduling_cost_minutes(algo: Algorithm, model: &str, size: u32) -
     // Base profiling: each operator alone + each edge transfer.
     let base_ms: f64 =
         cost.total_exec() + g.edges().map(|(u, _v)| cost.transfer(u, 0, 1)).sum::<f64>();
-    // Group profiling recorded by the meter during scheduling.
+    // Group profiling: the groups the scheduler probed.
     let (_queries, group_ms) = out.profiling;
     let total_ms = PROFILE_REPS * (base_ms + group_ms) + out.scheduling_secs * 1e3;
     total_ms / 60_000.0

@@ -3,9 +3,9 @@
 //! ablations.
 
 use crate::eval::{EvalError, EvalWorkspace, evaluate_with};
-use crate::ios::{IosConfig, schedule_ios};
-use crate::lp::{HiosLpConfig, schedule_hios_lp};
-use crate::mr::{HiosMrConfig, schedule_hios_mr};
+use crate::ios::{IosConfig, run_dp};
+use crate::lp::{HiosLpConfig, schedule_hios_lp_with};
+use crate::mr::{HiosMrConfig, schedule_hios_mr_with};
 use crate::schedule::{Schedule, ScheduleError};
 use crate::seq::schedule_sequential;
 use hios_cost::CostTable;
@@ -211,8 +211,10 @@ pub struct ScheduleOutcome {
     pub latency_ms: f64,
     /// Wall-clock time the scheduler itself took, seconds.
     pub scheduling_secs: f64,
-    /// `t(S)` profiling queries the scheduler issued: `(count, total
-    /// duration in ms of one on-device measurement of each)`.
+    /// Groups of parallel operators the scheduler profiled (Fig. 14):
+    /// `(count, total ms of one measurement of each)`.  IOS's are its
+    /// priced stage candidates, HIOS's the merged stages its Alg. 2
+    /// candidates priced (a commit's re-query is not one).
     pub profiling: (u64, f64),
 }
 
@@ -233,9 +235,9 @@ pub fn run_scheduler(
 
 /// [`run_scheduler`] through a caller-provided [`EvalWorkspace`]: loops
 /// that schedule many instances (the bench harness, the serving ladder's
-/// repair path) reuse one arena for the final evaluation of the
-/// baseline algorithms instead of allocating a fresh workspace per call.
-/// The outcome is bit-identical to [`run_scheduler`].
+/// repair path) reuse one arena for Alg. 2 and for the final evaluation
+/// of the baseline algorithms instead of allocating a fresh workspace
+/// per call.  The outcome is bit-identical to [`run_scheduler`].
 pub fn run_scheduler_with(
     ws: &mut EvalWorkspace,
     algo: Algorithm,
@@ -262,16 +264,21 @@ pub fn run_scheduler_with(
             opts.num_gpus
         )));
     }
-    cost.meter.reset();
+    ws.probes = (0, 0.0); // a count the caller left is not this run's
     let started = Instant::now();
     // HIOS outcomes already carry the evaluated latency of their final
     // schedule; reuse it instead of re-evaluating (the baselines return
     // a bare schedule and are evaluated below).
     let (schedule, latency) = match algo {
         Algorithm::Sequential => (schedule_sequential(g, cost), None),
-        Algorithm::Ios => (schedule_ios(g, cost, opts.ios), None),
+        Algorithm::Ios => {
+            let (schedule, _, probes) = run_dp(g, cost, opts.ios);
+            ws.probes = probes;
+            (schedule, None)
+        }
         Algorithm::InterGpuLp | Algorithm::HiosLp => {
-            let out = schedule_hios_lp(
+            let out = schedule_hios_lp_with(
+                ws,
                 g,
                 cost,
                 HiosLpConfig {
@@ -283,7 +290,8 @@ pub fn run_scheduler_with(
             (out.schedule, Some(out.latency))
         }
         Algorithm::InterGpuMr | Algorithm::HiosMr => {
-            let out = schedule_hios_mr(
+            let out = schedule_hios_mr_with(
+                ws,
                 g,
                 cost,
                 HiosMrConfig {
@@ -296,7 +304,7 @@ pub fn run_scheduler_with(
         }
     };
     let scheduling_secs = started.elapsed().as_secs_f64();
-    let profiling = cost.meter.snapshot();
+    let profiling = std::mem::take(&mut ws.probes);
     if opts.validate {
         if let Err(error) = schedule.validate_full(g, None) {
             return Err(SchedulerError::Invalid {
@@ -350,6 +358,41 @@ mod tests {
                 assert!(out.schedule.num_gpus_used() <= 1, "{algo:?}");
             }
         }
+    }
+
+    #[test]
+    fn profiling_counts_the_groups_each_scheduler_probes() {
+        // Pinned counts: the same in debug and release builds, whose
+        // window pass differs only in its debug checks.  A commit's
+        // re-query of the winning merge is not a probe.
+        let g = generate_layered_dag(&LayeredDagConfig {
+            ops: 60,
+            layers: 6,
+            deps: 120,
+            seed: 21,
+        })
+        .unwrap();
+        let cost = random_cost_table(&g, &RandomCostConfig::paper_default(21));
+        let opts = SchedulerOptions::new(2);
+        let mut ws = EvalWorkspace::new();
+        let probes = |ws: &mut EvalWorkspace, algo| {
+            run_scheduler_with(ws, algo, &g, &cost, &opts)
+                .unwrap()
+                .profiling
+                .0
+        };
+        for (algo, count) in [
+            (Algorithm::Sequential, 0),
+            (Algorithm::Ios, 6_376_489),
+            (Algorithm::InterGpuLp, 0),
+            (Algorithm::HiosLp, 63),
+            (Algorithm::InterGpuMr, 0),
+            (Algorithm::HiosMr, 59),
+        ] {
+            assert_eq!(probes(&mut ws, algo), count, "{algo:?}");
+        }
+        // One run's count does not carry into the next run's.
+        assert_eq!(probes(&mut ws, Algorithm::HiosLp), 63);
     }
 
     #[test]

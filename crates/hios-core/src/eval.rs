@@ -157,6 +157,10 @@ pub struct EvalWorkspace {
     merge_ops: Vec<OpId>,
     /// The wave's pending stages, one bit per topological position.
     wave: Vec<u64>,
+    /// Group probes counted since the last reset: the merged stages
+    /// `merged_latency_bounded` priced (a commit's re-query of the
+    /// winner is not one), and their summed `t(S)`, ms.
+    pub(crate) probes: (u64, f64),
 }
 
 impl EvalWorkspace {
@@ -650,9 +654,8 @@ impl EvalWorkspace {
         (bound * (1.0 - CUTOFF_GUARD) >= cutoff).then_some(bound)
     }
 
-    /// Operator union, duration query and finish of the merged stage (the
-    /// `concurrent_on` call keeps the profiling-meter side effect of a
-    /// materialized merge).
+    /// Operator union, duration query and finish of the merged stage.
+    /// The query is a group probe, and is counted as one.
     fn merged_stage_finish(
         &mut self,
         cost: &CostTable,
@@ -667,6 +670,8 @@ impl EvalWorkspace {
                 .extend_from_slice(&sched.gpus[gpu].stages[si].ops);
         }
         let merged_dur = cost.concurrent_on(gpu, &self.merge_ops);
+        self.probes.0 += 1;
+        self.probes.1 += merged_dur;
         let mut merged_start = 0.0f64;
         for &s in &self.range {
             for e in self.preds(s as usize) {

@@ -60,9 +60,22 @@ struct Dp<'a> {
     /// incrementally around recursion (dense `u32`, indexed by op id).
     live_preds: Vec<u32>,
     capped: bool,
+    /// Stage candidates of two or more operators priced, and their summed
+    /// `t(S)`, ms: the groups IOS profiles (Fig. 14).
+    probes: (u64, f64),
 }
 
 impl Dp<'_> {
+    /// `t(S)` of a stage candidate, a probe when it groups operators.
+    fn price(&mut self, stage: &[OpId]) -> f64 {
+        let t = self.cost.concurrent_on(0, stage);
+        if stage.len() > 1 {
+            self.probes.0 += 1;
+            self.probes.1 += t;
+        }
+        t
+    }
+
     fn sources(&self, remaining: &OpSet) -> Vec<OpId> {
         let mut src: Vec<OpId> = remaining
             .iter()
@@ -96,7 +109,7 @@ impl Dp<'_> {
                 .copied()
                 .take(self.cfg.max_stage_ops)
                 .collect();
-            let t = self.cost.concurrent_on(0, &stage);
+            let t = self.price(&stage);
             let rest = self.advance(remaining, &stage);
             let lat = t + self.solve(&rest);
             self.retreat(&stage);
@@ -142,7 +155,7 @@ impl Dp<'_> {
                 return;
             }
             *budget -= 1;
-            let t = self.cost.concurrent_on(0, combo);
+            let t = self.price(combo);
             // Lower-bound prune: this stage alone already loses.
             if t < *best {
                 let rest = self.advance(remaining, combo);
@@ -235,9 +248,11 @@ fn segments(g: &Graph) -> Vec<Vec<OpId>> {
     segs
 }
 
-fn run_dp(g: &Graph, cost: &CostTable, cfg: IosConfig) -> (Schedule, bool) {
+/// The dynamic program's schedule, whether it fell back to greedy
+/// completion, and its group probes.
+pub(crate) fn run_dp(g: &Graph, cost: &CostTable, cfg: IosConfig) -> (Schedule, bool, (u64, f64)) {
     if g.is_empty() {
-        return (Schedule::empty(1), false);
+        return (Schedule::empty(1), false, (0, 0.0));
     }
     let mut dp = Dp {
         g,
@@ -247,6 +262,7 @@ fn run_dp(g: &Graph, cost: &CostTable, cfg: IosConfig) -> (Schedule, bool) {
         memo: HashMap::new(),
         live_preds: g.op_ids().map(|v| g.preds(v).len() as u32).collect(),
         capped: false,
+        probes: (0, 0.0),
     };
     let mut stages = Vec::new();
     for seg in segments(g) {
@@ -285,6 +301,7 @@ fn run_dp(g: &Graph, cost: &CostTable, cfg: IosConfig) -> (Schedule, bool) {
             gpus: vec![GpuSchedule { stages }],
         },
         dp.capped,
+        dp.probes,
     )
 }
 
@@ -429,12 +446,10 @@ mod tests {
     }
 
     #[test]
-    fn meter_records_ts_queries() {
+    fn group_candidates_are_counted_as_probes() {
         let (g, _) = fig4();
         let cost = fig4_cost_small_ops();
-        cost.meter.reset();
-        let _ = schedule_ios(&g, &cost, IosConfig::default());
-        let (queries, measured) = cost.meter.snapshot();
+        let (_, _, (queries, measured)) = run_dp(&g, &cost, IosConfig::default());
         assert!(queries > 0, "IOS must have probed t(S)");
         assert!(measured > 0.0);
     }

@@ -4,10 +4,11 @@
 //! latency of everything scheduled so far.
 
 use crate::dense::{DenseContext, NO_GPU};
+use crate::eval::EvalWorkspace;
 use crate::list::ListState;
 use crate::priority::priorities;
 use crate::schedule::Schedule;
-use crate::window::parallelize;
+use crate::window::parallelize_with;
 use hios_cost::CostTable;
 use hios_graph::paths::priority_order;
 use hios_graph::{Graph, OpId};
@@ -329,6 +330,17 @@ fn load_bound(load: f64, n: usize) -> f64 {
 /// # Panics
 /// Panics when `cfg.num_gpus == 0` or the cost table does not match `g`.
 pub fn schedule_hios_lp(g: &Graph, cost: &CostTable, cfg: HiosLpConfig) -> LpOutcome {
+    schedule_hios_lp_with(&mut EvalWorkspace::new(), g, cost, cfg)
+}
+
+/// [`schedule_hios_lp`] with Alg. 2 run through a caller-provided
+/// [`EvalWorkspace`] ([`parallelize_with`]).
+pub(crate) fn schedule_hios_lp_with(
+    ws: &mut EvalWorkspace,
+    g: &Graph,
+    cost: &CostTable,
+    cfg: HiosLpConfig,
+) -> LpOutcome {
     assert!(cfg.num_gpus >= 1, "need at least one GPU");
     assert_eq!(cost.num_ops(), g.num_ops(), "cost table mismatch");
     let n = g.num_ops();
@@ -475,7 +487,7 @@ pub fn schedule_hios_lp(g: &Graph, cost: &CostTable, cfg: HiosLpConfig) -> LpOut
     let schedule = Schedule::from_gpu_orders(base.into_result().gpu_order);
     // A window below 2 only evaluates the inter-GPU schedule.
     let window = if cfg.intra { cfg.window } else { 1 };
-    let (schedule, latency) = parallelize(g, cost, schedule, window);
+    let (schedule, latency) = parallelize_with(ws, g, cost, schedule, window);
     LpOutcome {
         schedule,
         latency,

@@ -10,9 +10,10 @@
 //! but only locally optimal, which is why the paper's HIOS-LP beats it.
 
 use crate::dense::DenseContext;
+use crate::eval::EvalWorkspace;
 use crate::priority::priority_order;
 use crate::schedule::Schedule;
-use crate::window::parallelize;
+use crate::window::parallelize_with;
 use hios_cost::CostTable;
 use hios_graph::{Graph, OpId};
 
@@ -86,6 +87,17 @@ pub struct MrOutcome {
 /// # Panics
 /// Panics when `cfg.num_gpus == 0` or the cost table does not match `g`.
 pub fn schedule_hios_mr(g: &Graph, cost: &CostTable, cfg: HiosMrConfig) -> MrOutcome {
+    schedule_hios_mr_with(&mut EvalWorkspace::new(), g, cost, cfg)
+}
+
+/// [`schedule_hios_mr`] with Alg. 2 run through a caller-provided
+/// [`EvalWorkspace`] ([`parallelize_with`]).
+pub(crate) fn schedule_hios_mr_with(
+    ws: &mut EvalWorkspace,
+    g: &Graph,
+    cost: &CostTable,
+    cfg: HiosMrConfig,
+) -> MrOutcome {
     assert!(cfg.num_gpus >= 1, "need at least one GPU");
     assert_eq!(cost.num_ops(), g.num_ops(), "cost table mismatch");
     let n = g.num_ops();
@@ -215,7 +227,7 @@ pub fn schedule_hios_mr(g: &Graph, cost: &CostTable, cfg: HiosMrConfig) -> MrOut
     let schedule = Schedule::from_gpu_orders(gpu_orders);
     // A window below 2 only evaluates the inter-GPU schedule.
     let window = if cfg.intra { cfg.window } else { 1 };
-    let (schedule, latency) = parallelize(g, cost, schedule, window);
+    let (schedule, latency) = parallelize_with(ws, g, cost, schedule, window);
     MrOutcome {
         schedule,
         latency,

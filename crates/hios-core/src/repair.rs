@@ -206,8 +206,8 @@ pub fn extract_unfinished(g: &Graph, completed: &[bool]) -> SubgraphMap {
 }
 
 /// Projects the parent cost table onto a subgraph: per-operator costs are
-/// carried over verbatim on every device and link class, the topology and
-/// concurrency model are shared, and the meter starts fresh.
+/// carried over verbatim on every device and link class, and the topology
+/// and concurrency model are shared.
 pub fn project_cost(cost: &CostTable, map: &SubgraphMap) -> CostTable {
     let project =
         |row: &Vec<f64>| -> Vec<f64> { map.to_parent.iter().map(|&p| row[p.index()]).collect() };

@@ -40,8 +40,19 @@ use hios_graph::Graph;
 /// # Panics
 /// Panics when the input schedule is infeasible for `g`.
 pub fn parallelize(g: &Graph, cost: &CostTable, sched: Schedule, window: usize) -> (Schedule, f64) {
+    parallelize_with(&mut EvalWorkspace::new(), g, cost, sched, window)
+}
+
+/// [`parallelize`] through a caller-provided [`EvalWorkspace`], which
+/// counts the merged stages the candidates price (group probes).
+pub(crate) fn parallelize_with(
+    ws: &mut EvalWorkspace,
+    g: &Graph,
+    cost: &CostTable,
+    sched: Schedule,
+    window: usize,
+) -> (Schedule, f64) {
     let mut current = sched;
-    let mut ws = EvalWorkspace::new();
     let mut latency = ws
         .prepare(g, cost, &current)
         .and_then(|()| ws.relax())

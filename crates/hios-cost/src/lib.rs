@@ -35,7 +35,7 @@ pub use analytic::{AnalyticCostModel, platform_table};
 pub use gpu::GpuSpec;
 pub use interconnect::{LinkSpec, Platform, PlatformError};
 pub use random::{RandomCostConfig, random_cost_table};
-pub use table::{ConcurrencyParams, CostTable, DeviceCosts, ProfilingMeter};
+pub use table::{ConcurrencyParams, CostTable, DeviceCosts};
 pub use topology::{NO_LINK, Topology};
 pub use uncertainty::{
     CalibratedTable, CalibrationConfig, Calibrator, DriftAlarm, DriftDirection, ObservationError,

@@ -5,7 +5,6 @@ use crate::topology::{NO_LINK, Topology};
 use hios_graph::{Graph, OpId};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Parameters of the concurrent-execution model.
 ///
@@ -96,7 +95,7 @@ impl DeviceCosts {
 /// p·t(u))`) make the edge cost a function of the producer and the link,
 /// and the [`Topology`] maps a concrete `(src_gpu, dst_gpu)` pair to its
 /// link class.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CostTable {
     /// Human-readable provenance ("A40 analytic", "random(seed=3)", ...).
     pub source: String,
@@ -112,54 +111,6 @@ pub struct CostTable {
     /// Per-kernel launch overhead, ms (used by the discrete-event
     /// simulator to model the CUDA-aware-MPI launch gap of §VI-E).
     pub launch_overhead_ms: f64,
-    /// Profiling meter: counts the multi-operator `t(S)` queries a
-    /// scheduler issues.  On the paper's testbed every such query is an
-    /// on-device measurement, which dominates IOS's scheduling cost
-    /// (Fig. 14); the bench harness charges queries against this meter.
-    #[serde(skip)]
-    pub meter: ProfilingMeter,
-}
-
-/// Thread-safe counters of cost-model queries (see [`CostTable::meter`]).
-#[derive(Debug, Default)]
-pub struct ProfilingMeter {
-    /// Number of `t(S)` queries with `|S| ≥ 2`.
-    concurrent_queries: AtomicU64,
-    /// Accumulated duration of those queried sets, microseconds (what a
-    /// single on-device measurement sweep of each query would cost).
-    measured_us: AtomicU64,
-}
-
-impl ProfilingMeter {
-    /// Resets both counters.
-    pub fn reset(&self) {
-        self.concurrent_queries.store(0, Ordering::Relaxed);
-        self.measured_us.store(0, Ordering::Relaxed);
-    }
-
-    /// Snapshot: `(query count, accumulated measured time in ms)`.
-    pub fn snapshot(&self) -> (u64, f64) {
-        (
-            self.concurrent_queries.load(Ordering::Relaxed),
-            self.measured_us.load(Ordering::Relaxed) as f64 / 1e3,
-        )
-    }
-
-    fn record(&self, duration_ms: f64) {
-        self.concurrent_queries.fetch_add(1, Ordering::Relaxed);
-        self.measured_us
-            .fetch_add((duration_ms * 1e3) as u64, Ordering::Relaxed);
-    }
-}
-
-impl Clone for ProfilingMeter {
-    fn clone(&self) -> Self {
-        let m = ProfilingMeter::default();
-        let (q, ms) = self.snapshot();
-        m.concurrent_queries.store(q, Ordering::Relaxed);
-        m.measured_us.store((ms * 1e3) as u64, Ordering::Relaxed);
-        m
-    }
 }
 
 impl CostTable {
@@ -181,7 +132,6 @@ impl CostTable {
             topology: Topology::uniform(),
             concurrency,
             launch_overhead_ms,
-            meter: ProfilingMeter::default(),
         }
     }
 
@@ -201,7 +151,6 @@ impl CostTable {
             topology,
             concurrency,
             launch_overhead_ms,
-            meter: ProfilingMeter::default(),
         }
     }
 
@@ -327,10 +276,7 @@ impl CostTable {
                 } else {
                     1.0
                 };
-                let t = base * contention
-                    + self.concurrency.stream_overhead_ms * (set.len() - 1) as f64;
-                self.meter.record(t);
-                t
+                base * contention + self.concurrency.stream_overhead_ms * (set.len() - 1) as f64
             }
         }
     }
@@ -351,13 +297,8 @@ impl CostTable {
             return Cow::Borrowed(self);
         }
         Cow::Owned(CostTable {
-            source: self.source.clone(),
-            device: self.device.clone(),
-            transfer_ms: self.transfer_ms.clone(),
             topology: self.topology.restrict(gpu_map),
-            concurrency: self.concurrency,
-            launch_overhead_ms: self.launch_overhead_ms,
-            meter: self.meter.clone(),
+            ..self.clone()
         })
     }
 
@@ -694,46 +635,17 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
-        let t = table(&[1.0, 2.0], &[0.5, 1.0]);
-        let s = t.to_json();
-        let back = CostTable::from_json(&s).unwrap();
-        assert_eq!(back.device, t.device);
-        assert_eq!(back.concurrency, t.concurrency);
-
-        let h = hetero_table(&[1.0, 2.0], &[0.5, 1.0]);
-        let back = CostTable::from_json(&h.to_json()).unwrap();
-        assert_eq!(back.device, h.device);
-        assert_eq!(back.transfer_ms, h.transfer_ms);
-        assert_eq!(back.topology, h.topology);
-        assert_eq!(back.platform_fingerprint(), h.platform_fingerprint());
+        for t in [
+            table(&[1.0, 2.0], &[0.5, 1.0]),
+            hetero_table(&[1.0, 2.0], &[0.5, 1.0]),
+        ] {
+            assert_eq!(CostTable::from_json(&t.to_json()).unwrap(), t);
+        }
     }
 
     #[test]
     fn total_exec_is_sequential_latency() {
         let t = table(&[1.0, 2.0, 3.5], &[0.5, 0.5, 0.5]);
         assert!((t.total_exec() - 6.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn meter_counts_group_queries_only() {
-        let t = table(&[1.0, 2.0], &[0.4, 0.4]);
-        t.meter.reset();
-        let _ = t.exec(OpId(0)); // singleton lookups are free
-        let _ = t.concurrent(&[OpId(0)]);
-        assert_eq!(t.meter.snapshot().0, 0);
-        let d = t.concurrent(&[OpId(0), OpId(1)]);
-        let (queries, measured_ms) = t.meter.snapshot();
-        assert_eq!(queries, 1);
-        assert!((measured_ms - d).abs() < 1e-3, "{measured_ms} vs {d}");
-        t.meter.reset();
-        assert_eq!(t.meter.snapshot(), (0, 0.0));
-    }
-
-    #[test]
-    fn meter_survives_clone() {
-        let t = table(&[1.0, 2.0], &[0.4, 0.4]);
-        let _ = t.concurrent(&[OpId(0), OpId(1)]);
-        let t2 = t.clone();
-        assert_eq!(t2.meter.snapshot().0, 1);
     }
 }

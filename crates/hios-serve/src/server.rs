@@ -711,9 +711,6 @@ pub(crate) struct Server<'a> {
     memo: TimelineMemo,
     overload: Option<OverloadState>,
     platform: PlatformModel,
-    /// `(alive mask, platform state)` of every platform-change re-rank.
-    #[cfg(test)]
-    reranked_on: Vec<(u64, PlatformState)>,
     healthy_at: Vec<f64>,
     ladder: AnytimeLadder,
     /// Per-model calibration epoch: bumped every time a drift alarm
@@ -1081,8 +1078,6 @@ impl<'a> Server<'a> {
                 ctl: BrownoutController::default(),
                 budget: RetryBudget::default(),
             }),
-            #[cfg(test)]
-            reranked_on: Vec::new(),
             healthy_at: vec![0.0; m],
             ladder,
             epochs: vec![0; models.len()],
@@ -1770,9 +1765,6 @@ impl<'a> Server<'a> {
         for mi in 0..self.models.len() {
             self.reprice(mi, false);
         }
-        #[cfg(test)]
-        self.reranked_on
-            .push((self.slots.mask, self.platform.state));
     }
 
     /// Re-prices model `mi`'s cached plan for the current alive set on
@@ -3006,9 +2998,12 @@ mod tests {
             .collect();
         let mean_ms = nominal.iter().sum::<f64>() / nominal.len() as f64;
         let drift = DriftPlan::none();
-        // (platform changes, distinct (alive mask, state) points re-ranked
+        // (platform changes, distinct platform states, alive masks keyed
         // on, verdicts reached rather than replayed — re-ranks and lost
-        // idle upgrades —, history digest).
+        // idle upgrades —, history digest).  Every platform change looks
+        // its state up once in `seen`, every state but the healthy one was
+        // issued a name there, and every alive mask a plan was keyed on
+        // holds a platform fingerprint.
         let flapping = |requests: usize, cycles: u32| {
             let trace = generate_trace_with_classes(
                 &WorkloadConfig {
@@ -3043,44 +3038,41 @@ mod tests {
             let faults = script.compile(&models[0].graph, 3).unwrap();
             let mut srv = Server::build(&models, &faults, &drift, &cfg).unwrap();
             srv.run_trace(&trace);
-            let changes = srv.reranked_on.len() as u64;
-            srv.reranked_on
-                .sort_by_key(|&(mask, state)| (mask, state.0));
-            srv.reranked_on.dedup();
-            let points = srv.reranked_on.len() as u64;
-            let computed = srv.ladder.verdicts_reached();
+            let (hits, misses) = srv.platform.seen.stats();
             (
-                changes,
-                points,
-                computed,
+                hits + misses,
+                srv.platform.issued + 1,
+                srv.keys[0].platform_fps.len() as u64,
+                srv.ladder.verdicts_reached(),
                 srv.into_outcome().report.history_digest,
             )
         };
         // One greedy pass and two simulations per re-rank reached; a
-        // tenant meets a point with at most two incumbents (the plan of
-        // its first miss and the idle upgrade's), and an idle upgrade
-        // that lost there is reached once as well.
-        let (changes, points, computed, digest) = flapping(300, 6);
+        // tenant meets an (alive mask, state) point with at most two
+        // incumbents (the plan of its first miss and the idle upgrade's),
+        // and an idle upgrade that lost there is reached once as well.
+        let (changes, states, masks, computed, digest) = flapping(300, 6);
         assert!(
-            changes >= 13 && points <= 6,
-            "{changes} changes, {points} points"
+            changes >= 13 && states <= 4 && masks <= 2,
+            "{changes} changes, {states} states, {masks} masks"
         );
         assert!(
-            computed >= tenants && computed <= 2 * tenants * points,
-            "{computed} verdicts reached on {points} points"
+            computed >= tenants && computed <= 2 * tenants * states * masks,
+            "{computed} verdicts reached on {states} states and {masks} masks"
         );
         // `FLAP_LINK_DEGRADE` of tests/golden_digests.rs.
         assert_eq!(digest, 0xea1f_d922_b149_8b8b);
 
         // Ten times the edges are the same points again.
-        let (changes, points, long_run, _) = flapping(3000, 60);
+        let (changes, states, masks, long_run, _) = flapping(3000, 60);
         assert!(
-            changes >= 121 && points <= 6,
-            "{changes} changes, {points} points"
+            changes >= 121 && states <= 4 && masks <= 2,
+            "{changes} changes, {states} states, {masks} masks"
         );
         assert!(
-            long_run <= 2 * tenants * points && 10 * long_run <= changes * tenants,
-            "{long_run} verdicts reached on {points} points for {changes} platform changes"
+            long_run <= 2 * tenants * states * masks && 10 * long_run <= changes * tenants,
+            "{long_run} verdicts reached on {states} states and {masks} masks for {changes} \
+             platform changes"
         );
     }
 

@@ -156,9 +156,6 @@ pub struct PlanStore {
     index: HashMap<PlanKey, usize>,
     recovery: RecoveryReport,
     stats: StoreStats,
-    /// Content-digest passes spent verifying reads.
-    #[cfg(test)]
-    digest_passes: std::cell::Cell<u64>,
 }
 
 fn sibling(path: &Path, suffix: &str) -> PathBuf {
@@ -262,8 +259,6 @@ impl PlanStore {
             index: HashMap::new(),
             recovery,
             stats: StoreStats::default(),
-            #[cfg(test)]
-            digest_passes: std::cell::Cell::new(0),
         };
         for payload in payloads {
             match record::decode(&payload) {
@@ -286,8 +281,6 @@ impl PlanStore {
     fn verify(&mut self, idx: usize) -> bool {
         let slot = &mut self.records[idx];
         if !slot.verified {
-            #[cfg(test)]
-            self.digest_passes.set(self.digest_passes.get() + 1);
             slot.verified = slot.rec.plan.content_digest() == slot.rec.digest;
         }
         slot.verified
@@ -651,26 +644,32 @@ mod tests {
 
     #[test]
     fn a_record_is_verified_once_and_then_shared() {
+        // A record's digest is overwritten in memory once it is known to
+        // match its plan: a store that hashed the plan again would now
+        // quarantine the record, so every hit below is a read that hashed
+        // nothing.
+        let forget_digest = |store: &mut PlanStore, key: &PlanKey| {
+            let idx = store.index[key];
+            store.records[idx].rec.digest ^= 1;
+        };
         let path = scratch("shared");
         let mut store = PlanStore::open(&path, StoreOptions).unwrap();
         let written = Arc::new(plan(3));
         store.put_shared(key(1, 0), &written, 10.0, None).unwrap();
         store.put(key(1, 1), &plan(4), 9.0).unwrap();
-        // What this process wrote it need not re-verify to read.
+        // What this process wrote it need not verify to read.
+        forget_digest(&mut store, &key(1, 0));
         let hit = store.get_shared(&key(1, 0)).unwrap();
         assert!(Arc::ptr_eq(&hit.schedule, &written));
-        assert_eq!(store.digest_passes.get(), 0);
         drop(store);
 
         let mut store = PlanStore::open(&path, StoreOptions).unwrap();
         let first = store.get_shared(&key(1, 1)).unwrap();
-        assert_eq!(store.digest_passes.get(), 1, "one pass over the record");
+        forget_digest(&mut store, &key(1, 1));
         let second = store.get_shared(&key(1, 1)).unwrap();
-        assert_eq!(first, second);
         assert!(Arc::ptr_eq(&first.schedule, &second.schedule));
         assert_eq!(store.get(&key(1, 1)).unwrap().schedule, plan(4));
-        assert_eq!(store.digest_passes.get(), 1, "later reads hash nothing");
-        assert_eq!(store.stats().hits, 3);
+        assert_eq!((store.stats().hits, store.stats().quarantines), (3, 0));
         tidy(&path);
     }
 
