@@ -11,40 +11,30 @@
 
 use hios_cost::CostTable;
 use hios_graph::Graph;
+use hios_graph::hash::Fnv;
 
-/// Structural fingerprint of a computation graph: FNV-1a over the
-/// operator count, every operator's name and output shape, and the edge
-/// list.  Two graphs with the same fingerprint are (with overwhelming
+/// Structural fingerprint of a computation graph: the identity hash
+/// ([`Fnv`], byte-wise) of the operator count, every operator's name and
+/// output shape, and the edge list.  Two graphs with the same fingerprint are (with overwhelming
 /// probability) the same scheduling problem; the id-ordered sweep makes
 /// the fingerprint deterministic across runs and platforms.
 pub fn graph_fingerprint(g: &Graph) -> u64 {
-    // Serialize into one contiguous buffer first, then hash in a single
-    // dense pass: the byte stream (and so every persisted fingerprint)
-    // is unchanged, but the FNV loop runs over flat memory instead of
-    // interleaving with node-field pointer chasing.
-    let mut buf: Vec<u8> = Vec::with_capacity(g.num_ops() * 32);
-    buf.extend_from_slice(&(g.num_ops() as u64).to_le_bytes());
+    let mut h = Fnv::new();
+    h.write_u64(g.num_ops() as u64);
     for v in g.op_ids() {
         let node = g.node(v);
-        buf.extend_from_slice(node.name.as_bytes());
-        buf.push(0);
+        h.write(node.name.as_bytes());
+        h.write(&[0]);
         let s = &node.output_shape;
         for d in [s.n, s.c, s.h, s.w] {
-            buf.extend_from_slice(&d.to_le_bytes());
+            h.write(&d.to_le_bytes());
         }
     }
     for (u, v) in g.edges() {
-        buf.extend_from_slice(&(u.index() as u32).to_le_bytes());
-        buf.extend_from_slice(&(v.index() as u32).to_le_bytes());
+        h.write(&(u.index() as u32).to_le_bytes());
+        h.write(&(v.index() as u32).to_le_bytes());
     }
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x1000_0000_01b3;
-    let mut h = OFFSET;
-    for &b in &buf {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    h.finish()
 }
 
 /// Identity of one scheduling problem in a serving loop.
@@ -99,11 +89,6 @@ impl ScheduleCacheKey {
             platform_fp,
         }
     }
-
-    /// Number of GPUs the key admits.
-    pub fn num_alive(&self) -> usize {
-        self.alive_mask.count_ones() as usize
-    }
 }
 
 #[cfg(test)]
@@ -140,8 +125,7 @@ mod tests {
         let all = ScheduleCacheKey::for_platform(&g, &[true, true, true], &cost);
         let partial = ScheduleCacheKey::for_platform(&g, &[true, false, true], &cost);
         assert_ne!(all, partial);
-        assert_eq!(all.num_alive(), 3);
-        assert_eq!(partial.num_alive(), 2);
+        assert_eq!(all.alive_mask, 0b111);
         assert_eq!(partial.alive_mask, 0b101);
         assert_eq!(all.num_gpus, 3);
     }

@@ -1,5 +1,7 @@
 //! Shared test fixtures: the worked examples of the paper's Figs. 4-6.
 
+use crate::dense::DenseContext;
+use crate::list::{ListScheduleResult, ListState};
 use hios_cost::{ConcurrencyParams, CostTable};
 use hios_graph::{Graph, GraphBuilder, OpId};
 use rand::Rng;
@@ -78,4 +80,17 @@ pub(crate) fn tied_cost(n: usize, rng: &mut StdRng) -> CostTable {
         },
         0.0,
     )
+}
+
+/// The from-scratch list schedule (`ListState::from_scratch`) of the
+/// operators of `order` that `gpu_of` places on `num_gpus` GPUs.
+pub(crate) fn list_schedule(
+    g: &Graph,
+    cost: &CostTable,
+    order: &[OpId],
+    gpu_of: &[Option<u32>],
+    num_gpus: usize,
+) -> ListScheduleResult {
+    let ctx = DenseContext::build(g, cost, num_gpus);
+    ListState::from_scratch(&ctx, order, gpu_of).into_result()
 }

@@ -61,7 +61,6 @@ pub use api::{
 };
 pub use cache::{ScheduleCacheKey, graph_fingerprint};
 pub use eval::{EvalError, EvalResult, EvalWorkspace, evaluate, evaluate_with};
-pub use list::list_schedule;
 pub use repair::{
     RepairConfig, RepairError, RepairOutcome, RepairPolicy, SubgraphMap, alive_slots,
     extract_unfinished, greedy_schedule, project_cost, repair_schedule,

@@ -1,16 +1,15 @@
 //! The priority-ordered insertion list scheduler used inside Alg. 1 and
-//! Alg. 3 ([`list_schedule`]).
+//! Alg. 3.
 //!
 //! One loop places operators: `ListState::replay_incremental`, which
 //! re-derives a committed list schedule extended with newly placed
 //! operators.  HIOS-LP runs its candidate trials through it, and
-//! [`list_schedule`] is the same replay over an empty schedule.  Each
+//! `ListState::from_scratch` is the same replay over an empty schedule.  Each
 //! GPU's gap scan walks its busy runs.  Every fast path is
 //! differential-tested to be bit-identical to [`crate::reference`].
 
 use crate::dense::{DenseContext, NO_GPU};
-use hios_cost::CostTable;
-use hios_graph::{Graph, OpId};
+use hios_graph::OpId;
 
 /// Result of list-scheduling a (possibly partial) operator placement.
 #[derive(Clone, Debug)]
@@ -219,7 +218,20 @@ impl ListState {
     /// The list schedule of the operators of `order` (a topological
     /// order) that `gpu_of` places, from scratch: a replay of all of them
     /// over an empty schedule.  `None` marks an operator still in the
-    /// unscheduled subgraph `G'`, which imposes no constraints.
+    /// unscheduled subgraph `G'`, which imposes no constraints.  This is
+    /// the priority-ordered list scheduling with sequential execution per
+    /// GPU of Alg. 1 lines 10-13 and the temporal core of Alg. 3.
+    ///
+    /// Each operator starts at the *earliest available* time on its GPU
+    /// once all its *scheduled* predecessors have delivered data:
+    /// `start(v) = earliest idle interval of g(v) that fits t(v) and
+    /// starts no sooner than max_u finish(u) + [g(u) ≠ g(v)]·t(u, v)`.
+    ///
+    /// "Earliest available start time" (Alg. 1 line 12) is
+    /// insertion-based: a lower-priority operator may fill a gap left
+    /// while a higher-priority operator waits for a cross-GPU transfer.
+    /// The realized per-GPU order (by start time) is still compatible with
+    /// every same-GPU dependency.
     pub(crate) fn from_scratch(ctx: &DenseContext, order: &[OpId], gpu_of: &[Option<u32>]) -> Self {
         let n = ctx.num_ops();
         let place: Vec<u32> = gpu_of.iter().map(|g| g.unwrap_or(NO_GPU)).collect();
@@ -570,42 +582,16 @@ fn ready_time(ctx: &DenseContext, place: &[u32], finish: &[f64], v: u32) -> f64 
     ready
 }
 
-/// Priority-ordered list scheduling with sequential execution per GPU
-/// (Alg. 1 lines 10-13 and the temporal core of Alg. 3).
-///
-/// `order` must be a topological order of the operators to schedule (the
-/// descending-priority order in HIOS); `gpu_of[v]` gives each scheduled
-/// operator's GPU and `None` marks operators still in the unscheduled
-/// subgraph `G'`, which impose no constraints yet.
-///
-/// Each operator starts at the *earliest available* time on its GPU once
-/// all its *scheduled* predecessors have delivered data:
-/// `start(v) = earliest idle interval of g(v) that fits t(v) and starts
-/// no sooner than max_u finish(u) + [g(u) ≠ g(v)]·t(u, v)`.
-///
-/// "Earliest available start time" (Alg. 1 line 12) is insertion-based:
-/// a lower-priority operator may fill a gap left while a higher-priority
-/// operator waits for a cross-GPU transfer.  The realized per-GPU order
-/// (by start time) is still compatible with every same-GPU dependency.
-pub fn list_schedule(
-    g: &Graph,
-    cost: &CostTable,
-    order: &[OpId],
-    gpu_of: &[Option<u32>],
-    num_gpus: usize,
-) -> ListScheduleResult {
-    let ctx = DenseContext::build(g, cost, num_gpus);
-    ListState::from_scratch(&ctx, order, gpu_of).into_result()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::{Algorithm, SchedulerOptions, run_scheduler};
-    use crate::fixtures::{fig4, fig4_cost, tied_cost};
+    use crate::fixtures::{fig4, fig4_cost, list_schedule, tied_cost};
     use crate::lp::HiosLpConfig;
-    use hios_cost::ConcurrencyParams;
-    use hios_graph::GraphBuilder;
+    use hios_cost::{ConcurrencyParams, CostTable, RandomCostConfig, random_cost_table};
+    use hios_graph::{Graph, GraphBuilder, LayeredDagConfig, generate_layered_dag};
+    use proptest::prelude::Strategy;
+    use proptest::test_runner::TestRng;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -811,7 +797,7 @@ mod tests {
         to_bits(&st.start, &st.finish, st.busy_op.clone(), st.latency)
     }
 
-    /// `place` as `list_schedule`'s `gpu_of`.
+    /// `place` as [`list_schedule`]'s `gpu_of`.
     fn gpu_of(place: &[u32]) -> Vec<Option<u32>> {
         place.iter().map(|&g| (g != NO_GPU).then_some(g)).collect()
     }
@@ -1023,6 +1009,46 @@ mod tests {
                     &g, &cost, &order, &gpu_of, m
                 )),
                 "list_schedule on {m} GPUs"
+            );
+        }
+    }
+
+    /// The gap search equals the reference linear scan on partial
+    /// placements (`None` marks an unscheduled operator).  The 40 cases
+    /// are drawn from the seeds they had as a property of the
+    /// `eval_equivalence` suite, so they are the same instances.
+    #[test]
+    fn list_schedule_matches_reference() {
+        let cases = (12usize..60, 2usize..6, 1usize..5, 0u64..1_000_000);
+        for case in 0..40 {
+            let mut draw =
+                TestRng::for_case("eval_equivalence::list_schedule_matches_reference", case);
+            let (ops, layers, gpus, seed) = cases.generate(&mut draw);
+            let g = generate_layered_dag(&LayeredDagConfig {
+                ops,
+                layers,
+                deps: ops * 2,
+                seed,
+            })
+            .unwrap();
+            let cost = random_cost_table(&g, &RandomCostConfig::paper_default(seed));
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x11157);
+            let gpu_of: Vec<Option<u32>> = (0..g.num_ops())
+                .map(|_| {
+                    if rng.random_range(0..4usize) == 0 {
+                        None
+                    } else {
+                        Some(rng.random_range(0..gpus) as u32)
+                    }
+                })
+                .collect();
+            let order = crate::priority::priority_order(&g, &cost);
+            assert_eq!(
+                schedule_bits(&list_schedule(&g, &cost, &order, &gpu_of, gpus)),
+                schedule_bits(&crate::reference::list_schedule(
+                    &g, &cost, &order, &gpu_of, gpus
+                )),
+                "case {case}: {ops} ops, {layers} layers, {gpus} GPUs, seed {seed}"
             );
         }
     }

@@ -621,7 +621,7 @@ mod tests {
         }
         let load = [x, y, p].iter().fold(0.0, |l, v| l + cost.exec(*v));
         // GPU 0 holds x, y and p and finishes last.
-        let placed = crate::list::list_schedule(
+        let placed = crate::fixtures::list_schedule(
             &g,
             &cost,
             &priority_order(&g, &priorities(&g, &cost)),

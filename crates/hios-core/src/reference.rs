@@ -111,7 +111,7 @@ pub fn evaluate(g: &Graph, cost: &CostTable, sched: &Schedule) -> Result<EvalRes
 }
 
 /// Reference list scheduler: linear earliest-gap scan (see
-/// [`crate::list::list_schedule`] for semantics).
+/// [`crate::list`] for semantics).
 pub fn list_schedule(
     g: &Graph,
     cost: &CostTable,

@@ -10,7 +10,9 @@
 //!   priority indicators of HIOS-LP/HIOS-MR ([`topo`], [`paths`]),
 //! * the random layered-DAG generator of the paper's simulation study
 //!   (§V-A) ([`generate_layered_dag`]),
-//! * DOT and JSON export ([`dot`], [`json`]).
+//! * DOT and JSON export ([`dot`], [`json`]),
+//! * the one hasher behind every persisted fingerprint, digest and
+//!   checksum of the stack ([`hash`]).
 //!
 //! The scheduling algorithms themselves live in `hios-core`; execution-time
 //! cost models live in `hios-cost`.
@@ -20,6 +22,7 @@
 pub mod dot;
 mod generate;
 mod graph;
+pub mod hash;
 mod id;
 pub mod json;
 mod op;

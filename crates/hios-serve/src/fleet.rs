@@ -43,12 +43,13 @@
 //!   brownout thresholds.
 
 use crate::health::{HealthConfig, HealthSample, HealthView};
-use crate::report::{ClassStats, Fnv, OutcomeFold};
+use crate::report::{ClassStats, OutcomeFold, eat_shed};
 use crate::request::{Disposition, PriorityClass, Request, RequestRecord, ServeError, ShedReason};
 use crate::router::{Choice, Ranking, Router, RouterConfig, RouterPolicy};
 use crate::server::{
     self, Arrivals, Placement, ServeConfig, ServeOutcome, ServedModel, Server, Ties,
 };
+use hios_graph::hash::Fnv;
 use hios_sim::{
     ClusterFaultEvent, ClusterFaultKind, DriftPlan, EventQueue, FaultEvent, FaultKind, FaultPlan,
     validate_cluster_events,
@@ -292,7 +293,7 @@ pub struct FleetReport {
     pub partitions: usize,
     /// Per-priority-class statistics, indexed by `PriorityClass::index`.
     pub class_stats: [ClassStats; 3],
-    /// FNV-1a digest of the full outcome stream (replay check).
+    /// Identity-hash digest of the full outcome stream (replay check).
     pub history_digest: u64,
 }
 
@@ -308,7 +309,7 @@ pub struct FleetOutcome {
     pub clusters: Vec<ServeOutcome>,
 }
 
-/// FNV-1a digest of a fleet outcome stream.  Same constants as
+/// Digest of a fleet outcome stream, over the same hash and words as
 /// [`crate::report::history_digest`]; `Rerouted` chains are folded
 /// recursively, so two runs agree iff every request took the same path
 /// to the same fate.  A deadline-infeasible failover shed folds its
@@ -325,35 +326,35 @@ pub(crate) fn fleet_history_digest(records: &[FleetRecord]) -> u64 {
                 repairs,
                 hedged,
             } => {
-                h.eat(1);
-                h.eat(*cluster as u64);
-                h.eat(finish_ms.to_bits());
-                h.eat(latency_ms.to_bits());
-                h.eat(u64::from(*attempts));
-                h.eat(u64::from(*met_deadline));
-                h.eat(u64::from(*repairs));
-                h.eat(u64::from(*hedged));
+                h.write_u64(1);
+                h.write_u64(*cluster as u64);
+                h.write_u64(finish_ms.to_bits());
+                h.write_u64(latency_ms.to_bits());
+                h.write_u64(u64::from(*attempts));
+                h.write_u64(u64::from(*met_deadline));
+                h.write_u64(u64::from(*repairs));
+                h.write_u64(u64::from(*hedged));
             }
             FleetDisposition::Shed {
                 cluster,
                 at_ms,
                 reason,
             } => {
-                h.eat(2);
-                h.eat(cluster.map_or(0, |c| c as u64 + 1));
-                h.eat(at_ms.to_bits());
+                h.write_u64(2);
+                h.write_u64(cluster.map_or(0, |c| c as u64 + 1));
+                h.write_u64(at_ms.to_bits());
                 match reason {
-                    FleetShedReason::Cluster(r) => h.eat_shed(r),
+                    FleetShedReason::Cluster(r) => eat_shed(h, r),
                     FleetShedReason::DeadCluster { cluster } => {
-                        h.eat(20);
-                        h.eat(*cluster as u64);
+                        h.write_u64(20);
+                        h.write_u64(*cluster as u64);
                     }
                     FleetShedReason::Partitioned { cluster } => {
-                        h.eat(21);
-                        h.eat(*cluster as u64);
+                        h.write_u64(21);
+                        h.write_u64(*cluster as u64);
                     }
-                    FleetShedReason::Backpressure => h.eat(22),
-                    FleetShedReason::NoRoutableCluster => h.eat(23),
+                    FleetShedReason::Backpressure => h.write_u64(22),
+                    FleetShedReason::NoRoutableCluster => h.write_u64(23),
                 }
             }
             FleetDisposition::Rerouted {
@@ -362,10 +363,10 @@ pub(crate) fn fleet_history_digest(records: &[FleetRecord]) -> u64 {
                 at_ms,
                 outcome,
             } => {
-                h.eat(3);
-                h.eat(*from as u64);
-                h.eat(*to as u64);
-                h.eat(at_ms.to_bits());
+                h.write_u64(3);
+                h.write_u64(*from as u64);
+                h.write_u64(*to as u64);
+                h.write_u64(at_ms.to_bits());
                 fold(h, outcome, deadline_ms);
             }
             FleetDisposition::FailoverShed {
@@ -373,24 +374,24 @@ pub(crate) fn fleet_history_digest(records: &[FleetRecord]) -> u64 {
                 at_ms,
                 reason,
             } => {
-                h.eat(4);
-                h.eat(*from as u64);
-                h.eat(at_ms.to_bits());
+                h.write_u64(4);
+                h.write_u64(*from as u64);
+                h.write_u64(at_ms.to_bits());
                 match reason {
                     FailoverReason::DeadlineInfeasible { bound_finish_ms } => {
-                        h.eat(30);
-                        h.eat(bound_finish_ms.to_bits());
-                        h.eat(deadline_ms.to_bits());
+                        h.write_u64(30);
+                        h.write_u64(bound_finish_ms.to_bits());
+                        h.write_u64(deadline_ms.to_bits());
                     }
-                    FailoverReason::NoRoutableCluster => h.eat(31),
-                    FailoverReason::Backpressure => h.eat(32),
+                    FailoverReason::NoRoutableCluster => h.write_u64(31),
+                    FailoverReason::Backpressure => h.write_u64(32),
                 }
             }
         }
     }
     let mut h = Fnv::new();
     for r in records {
-        h.eat(r.request.id);
+        h.write_u64(r.request.id);
         fold(&mut h, &r.disposition, r.request.deadline_ms);
     }
     h.finish()
@@ -508,7 +509,6 @@ enum Next {
 
 struct Cluster<'a> {
     srv: Server<'a>,
-    alive: bool,
     /// Each record this cluster pushed that is its request's fate, as
     /// the fate's position in [`Fleet::records`], in push order ...
     fates: Vec<usize>,
@@ -696,7 +696,6 @@ impl<'a> Fleet<'a> {
         for (ci, ccfg) in cfg.clusters.iter().enumerate() {
             clusters.push(Cluster {
                 srv: Server::build(models, &plans[ci], drift, ccfg)?,
-                alive: true,
                 fates: Vec::new(),
                 side: Vec::new(),
                 window_outcomes: 0,
@@ -751,10 +750,16 @@ impl<'a> Fleet<'a> {
         self.events.push(at_ms, event);
     }
 
+    /// Whether cluster `ci` is alive: no kill has fired on it.  The
+    /// health view's `dead` bit is the one record of a kill.
+    fn alive(&self, ci: usize) -> bool {
+        !self.health.cluster(ci).dead
+    }
+
     /// The clusters the router may place new work on, as a bitmask.
     fn routable(&self) -> u16 {
         (0..self.clusters.len())
-            .filter(|&c| self.clusters[c].alive && self.health.routable(c))
+            .filter(|&c| self.health.routable(c))
             .fold(0, |mask, c| mask | 1 << c)
     }
 
@@ -866,7 +871,7 @@ impl<'a> Fleet<'a> {
         match self.cfg.router.policy {
             RouterPolicy::StaticHash => {
                 let target = self.rankings[request.model].top();
-                if !self.clusters[target].alive || self.health.cluster(target).dead {
+                if !self.alive(target) {
                     let d = FleetDisposition::Shed {
                         cluster: Some(target),
                         at_ms: self.now,
@@ -1003,7 +1008,7 @@ impl<'a> Fleet<'a> {
     /// that record is taken — and wasted.
     fn cancel(&mut self, copy: CopyRef) {
         let (oc, oidx) = (self.branch(copy).cluster, self.branch(copy).idx);
-        let pending = self.clusters[oc].alive && {
+        let pending = self.alive(oc) && {
             let srv = &mut self.clusters[oc].srv;
             srv.touch(self.now);
             self.ctr.hedge_cancelled += 1;
@@ -1011,7 +1016,7 @@ impl<'a> Fleet<'a> {
         };
         self.branch_mut(copy).live = pending;
         self.release_if_done(copy.slot);
-        if self.clusters[oc].alive {
+        if self.alive(oc) {
             // Cancelling may free a slot and shed other queued requests
             // at dispatch — take them.
             self.consume(oc);
@@ -1043,13 +1048,12 @@ impl<'a> Fleet<'a> {
     /// Kills cluster `ci`: drains its pending work and, under the
     /// failover policy, re-routes each still-feasible request.
     fn on_cluster_kill(&mut self, ci: usize) {
-        if !self.clusters[ci].alive {
+        if !self.alive(ci) {
             return;
         }
         self.ctr.cluster_kills += 1;
         self.consume(ci);
         self.clusters[ci].srv.touch(self.now);
-        self.clusters[ci].alive = false;
         self.health.mark_dead(ci);
         for tag in self.clusters[ci].srv.drain() {
             let copy = CopyRef::of_tag(tag);
@@ -1120,10 +1124,10 @@ impl<'a> Fleet<'a> {
     /// heartbeat while the run still has events to process.
     fn on_heartbeat(&mut self) {
         for ci in 0..self.clusters.len() {
-            let c = &mut self.clusters[ci];
-            if !c.alive {
+            if !self.alive(ci) {
                 continue;
             }
+            let c = &mut self.clusters[ci];
             let miss_rate =
                 (c.window_outcomes > 0).then(|| c.window_misses as f64 / c.window_outcomes as f64);
             let sample = HealthSample {
@@ -1140,7 +1144,8 @@ impl<'a> Fleet<'a> {
             || self
                 .clusters
                 .iter()
-                .any(|c| c.alive && c.srv.next_event_ms().is_some());
+                .enumerate()
+                .any(|(ci, c)| self.alive(ci) && c.srv.next_event_ms().is_some());
         let at_ms = self.now + self.health.config().heartbeat_ms;
         // A beat past the largest finite instant would come after every
         // event left, with nothing left to sample: it is skipped.
@@ -1154,7 +1159,7 @@ impl<'a> Fleet<'a> {
             FleetEvent::Fault(e) => match e.kind {
                 ClusterFaultKind::ClusterKill => self.on_cluster_kill(e.cluster),
                 ClusterFaultKind::PartitionRouter { heal_ms } => {
-                    if self.clusters[e.cluster].alive {
+                    if self.alive(e.cluster) {
                         self.ctr.partitions += 1;
                         self.health.set_reachable(e.cluster, false);
                         // Finite: `validate_cluster_events` rejects a
@@ -1166,7 +1171,7 @@ impl<'a> Fleet<'a> {
                 ClusterFaultKind::ClusterDegrade { .. } => {}
             },
             FleetEvent::PartitionHeal(ci) => {
-                if self.clusters[ci].alive {
+                if self.alive(ci) {
                     self.health.set_reachable(ci, true);
                 }
             }
@@ -1186,7 +1191,7 @@ impl<'a> Fleet<'a> {
             .clusters
             .iter()
             .enumerate()
-            .filter(|(_, c)| c.alive)
+            .filter(|&(ci, _)| self.alive(ci))
             .filter_map(|(ci, c)| c.srv.next_event_ms().map(|t| (t, ci)))
             .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let arrival = self

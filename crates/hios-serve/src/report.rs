@@ -7,6 +7,7 @@
 
 use crate::brownout::BrownoutTelemetry;
 use crate::request::{Disposition, PriorityClass, RequestRecord, ShedReason};
+use hios_graph::hash::Fnv;
 use hios_store::{RecoveryReport, StoreStats};
 
 /// Per-priority-class outcome statistics.
@@ -114,7 +115,7 @@ pub struct ServeReport {
     /// Brownout-controller telemetry (empty timeline when no controller
     /// is attached).
     pub brownout: BrownoutTelemetry,
-    /// FNV-1a digest of the full outcome stream; equal digests ⇒
+    /// [`history_digest`] of the full outcome stream; equal digests ⇒
     /// bit-identical serving histories.
     pub history_digest: u64,
 }
@@ -181,43 +182,24 @@ fn lost_fraction(total: usize, kept: usize) -> f64 {
     }
 }
 
-/// FNV-1a over little-endian `u64` words: the one hash behind both
-/// [`history_digest`] and [`crate::fleet::fleet_history_digest`].
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn eat(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-
-    /// Folds a cluster-level shed reason as its stable code.
-    pub(crate) fn eat_shed(&mut self, reason: &ShedReason) {
-        self.eat(match reason {
-            ShedReason::QueueFull { .. } => 10,
-            ShedReason::DeadlineUnmeetable { .. } => 11,
-            ShedReason::RetriesExhausted { .. } => 12,
-            ShedReason::Brownout { .. } => 13,
-            ShedReason::RetryBudgetExhausted { .. } => 14,
-        });
-    }
-
-    pub(crate) fn finish(self) -> u64 {
-        self.0
-    }
+/// Folds a cluster-level shed reason into a history digest as its
+/// stable code.
+pub(crate) fn eat_shed(h: &mut Fnv, reason: &ShedReason) {
+    h.write_u64(match reason {
+        ShedReason::QueueFull { .. } => 10,
+        ShedReason::DeadlineUnmeetable { .. } => 11,
+        ShedReason::RetriesExhausted { .. } => 12,
+        ShedReason::Brownout { .. } => 13,
+        ShedReason::RetryBudgetExhausted { .. } => 14,
+    });
 }
 
-/// FNV-1a digest of the per-request outcome stream.
+/// Digest of the per-request outcome stream: the identity hash ([`Fnv`],
+/// over little-endian words), shared with the fleet's digest.
 pub fn history_digest(records: &[RequestRecord]) -> u64 {
     let mut h = Fnv::new();
     for r in records {
-        h.eat(r.request.id);
+        h.write_u64(r.request.id);
         match &r.disposition {
             Disposition::Completed {
                 finish_ms,
@@ -226,17 +208,17 @@ pub fn history_digest(records: &[RequestRecord]) -> u64 {
                 met_deadline,
                 repairs,
             } => {
-                h.eat(1);
-                h.eat(finish_ms.to_bits());
-                h.eat(latency_ms.to_bits());
-                h.eat(u64::from(*attempts));
-                h.eat(u64::from(*met_deadline));
-                h.eat(u64::from(*repairs));
+                h.write_u64(1);
+                h.write_u64(finish_ms.to_bits());
+                h.write_u64(latency_ms.to_bits());
+                h.write_u64(u64::from(*attempts));
+                h.write_u64(u64::from(*met_deadline));
+                h.write_u64(u64::from(*repairs));
             }
             Disposition::Shed { at_ms, reason } => {
-                h.eat(2);
-                h.eat(at_ms.to_bits());
-                h.eat_shed(reason);
+                h.write_u64(2);
+                h.write_u64(at_ms.to_bits());
+                eat_shed(&mut h, reason);
             }
         }
     }

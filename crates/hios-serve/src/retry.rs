@@ -16,6 +16,8 @@
 //! admissions per tumbling window, so retry traffic can never crowd out
 //! first-attempt traffic.
 
+use hios_graph::hash::splitmix64;
+
 /// Maximum execution attempts per request.
 const MAX_ATTEMPTS: u32 = 4;
 /// Backoff before attempt 2, ms; doubles per further attempt.
@@ -117,14 +119,10 @@ impl RetryBudget {
 /// destroy.
 fn unit_hash(id: u64, attempt: u32) -> f64 {
     // splitmix64 finalizer over the independently-mixed pair.
-    let mut x = id
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(u64::from(attempt).wrapping_mul(0xd1b5_4a32_d192_ed03));
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
+    let x = splitmix64(
+        id.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(u64::from(attempt).wrapping_mul(0xd1b5_4a32_d192_ed03)),
+    );
     (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
@@ -180,6 +178,24 @@ mod tests {
         // No admissions at all — the floor still grants one retry.
         assert!(b.try_retry(0.0));
         assert!(!b.try_retry(1.0));
+    }
+
+    #[test]
+    fn unit_hash_bits_are_pinned() {
+        // The retry jitter sets when every retry lands, so the chaos and
+        // fleet digests depend on these exact bits.
+        let bits: Vec<u64> = [(0, 1), (7, 1), (7, 2), (u64::MAX, 5)]
+            .map(|(id, attempt)| unit_hash(id, attempt).to_bits())
+            .to_vec();
+        assert_eq!(
+            bits,
+            vec![
+                4_602_750_521_774_661_027,
+                4_602_321_225_167_674_764,
+                4_602_707_186_842_309_567,
+                4_603_808_364_891_624_011,
+            ]
+        );
     }
 
     #[test]

@@ -22,6 +22,7 @@
 
 use crate::request::ServeError;
 use hios_core::SchedulerError;
+use hios_graph::hash::splitmix64;
 
 /// How the fleet router places fresh arrivals.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -113,13 +114,9 @@ impl Ranking {
     }
 }
 
-/// splitmix64 finalizer: the same mixer the retry jitter and the
-/// workload generator build on.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+/// One splitmix64 step: the generator's increment, then its finalizer.
+fn mix64(x: u64) -> u64 {
+    splitmix64(x.wrapping_add(0x9e37_79b9_7f4a_7c15))
 }
 
 impl Router {

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! header:  "HIOSPLAN"  u32 version  u32 reserved          (16 bytes)
-//! frame*:  "HREC"      u32 payload_len  u64 fnv64(payload)  payload
+//! frame*:  "HREC"      u32 payload_len  u64 fnv1a(payload)  payload
 //! ```
 //!
 //! All integers are little-endian.  The scanner walks frames from the
@@ -13,7 +13,10 @@
 //! length of the valid prefix.  It deliberately does *not* try to
 //! resync past a bad frame: a flipped length byte can make arbitrary
 //! garbage look frame-shaped, and prefix semantics is the only stance
-//! that can never launder corrupted bytes into a "valid" record.
+//! that can never launder corrupted bytes into a "valid" record.  The
+//! checksum is FNV-1a-64 ([`fnv1a`]).
+
+use hios_graph::hash::fnv1a;
 
 /// File magic leading every plan-store log.
 pub(crate) const FILE_MAGIC: [u8; 8] = *b"HIOSPLAN";
@@ -31,16 +34,6 @@ pub(crate) const FRAME_HEADER_LEN: usize = 4 + 4 + 8;
 /// treated as corruption rather than attempted as an allocation.
 pub(crate) const MAX_PAYLOAD_LEN: usize = 64 << 20;
 
-/// FNV-1a over a byte slice; the frame checksum.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Renders the 16-byte file header for `version`.
 pub(crate) fn encode_header(version: u32) -> [u8; HEADER_LEN] {
     let mut out = [0u8; HEADER_LEN];
@@ -54,7 +47,7 @@ pub(crate) fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
     out.extend_from_slice(&REC_MAGIC);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv64(payload).to_le_bytes());
+    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -116,7 +109,7 @@ pub(crate) fn scan(bytes: &[u8], supported_version: u32) -> LogScan {
         }
         let sum = u64::from_le_bytes(rest[8..16].try_into().expect("8 bytes"));
         let payload = &rest[FRAME_HEADER_LEN..FRAME_HEADER_LEN + len];
-        if fnv64(payload) != sum {
+        if fnv1a(payload) != sum {
             break;
         }
         payloads.push(payload.to_vec());
@@ -139,6 +132,18 @@ mod tests {
             bytes.extend_from_slice(&encode_frame(p));
         }
         bytes
+    }
+
+    #[test]
+    fn frame_checksum_is_pinned() {
+        // Every frame on disk carries this checksum: a plan log written by
+        // an older build must keep verifying.
+        assert_eq!(fnv1a(b"HIOS plan"), 0x1cc0_61ff_d6de_938f);
+        let frame = encode_frame(&[0, 1, 2, 254, 255]);
+        assert_eq!(
+            frame[8..FRAME_HEADER_LEN],
+            0x35bd_bcd0_c71c_2007u64.to_le_bytes()
+        );
     }
 
     #[test]

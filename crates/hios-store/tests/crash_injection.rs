@@ -17,6 +17,7 @@
 
 use hios_core::Schedule;
 use hios_graph::OpId;
+use hios_graph::hash::splitmix64;
 use hios_store::{PlanKey, PlanRung, PlanStore, STORE_FORMAT_VERSION, StoreError, StoreOptions};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -50,10 +51,7 @@ struct Mix(u64);
 impl Mix {
     fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        splitmix64(self.0)
     }
 
     fn below(&mut self, span: usize) -> usize {

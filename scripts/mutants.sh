@@ -9,12 +9,14 @@
 # corpus edits and what depends on them), then
 #   cargo test -q --no-fail-fast -p hios-serve
 #   cargo test -q --test golden_digests
+#   cargo test -q --test identity_pins          (every persisted identity)
 #   cargo test -q --no-fail-fast -p hios-core   (patches to hios-core: its
 #     in-crate tests and the `eval_equivalence` reference differential)
 #   cargo test -q --no-fail-fast -p hios-sim    (patches to hios-sim: the
 #     recovery loop's tests)
 #   cargo test -q --no-fail-fast -p hios-store  (patches to hios-store)
 #   cargo test -q --no-fail-fast -p hios-cost   (patches to hios-cost)
+#   cargo test -q --no-fail-fast -p hios-graph  (patches to hios-graph)
 # run in debug, each to the end.  A failure kills the mutant, and so does
 # a build failure.  Per mutant it prints the first failing test (and how
 # many more failed), whether the memo table's check fired (`a memo hit
@@ -54,7 +56,8 @@ for patch in "${patches[@]}"; do
     verdict=SURVIVED
     (cd "$copy" && cargo test -q --no-fail-fast -p hios-serve) > "$log" 2>&1 || verdict=killed
     (cd "$copy" && cargo test -q --test golden_digests) >> "$log" 2>&1 || verdict=killed
-    for crate in hios-core hios-sim hios-store hios-cost; do
+    (cd "$copy" && cargo test -q --test identity_pins) >> "$log" 2>&1 || verdict=killed
+    for crate in hios-core hios-sim hios-store hios-cost hios-graph; do
         if grep -q "^+++ b/crates/$crate/" "$patch"; then
             (cd "$copy" && cargo test -q --no-fail-fast -p "$crate") >> "$log" 2>&1 || verdict=killed
         fi

@@ -10,15 +10,40 @@
 #   cfg_test_items  the `#[cfg(test)]` attributes inside those lines
 #                   (test-only fields, methods and imports in non-test
 #                   code);
-# then the same two counts per crate and for the workspace.  The output
-# depends on the sources only, so CI regenerates it and fails on a diff.
+# then the same two counts per crate and for the workspace.  A file that
+# its parent declares as `#[cfg(test)]` on the line above `mod name;` is
+# test code as a whole, and so is every file below it: both counts are 0.
+# The output depends on the sources only, so CI regenerates it and fails
+# on a diff.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
 
+# The test-only module files, each as `<path>.rs` and as `<path>/` (the
+# directory of its own submodules).
+test_only="$(find crates/*/src -name '*.rs' | LC_ALL=C sort | while read -r file; do
+    case "$file" in
+        */lib.rs | */main.rs | */mod.rs) dir="${file%/*}" ;;
+        *) dir="${file%.rs}" ;;
+    esac
+    awk -v dir="$dir" '
+        prev ~ /^[[:space:]]*#\[cfg\(test\)\]/ &&
+            /^[[:space:]]*(pub(\([a-z]+\))? )?mod [a-z0-9_]+;/ {
+            sub(/;.*/, "")
+            printf "%s/%s.rs\n%s/%s/\n", dir, $NF, dir, $NF
+        }
+        { prev = $0 }
+    ' "$file"
+done)"
+
 find crates/*/src -name '*.rs' | LC_ALL=C sort | while read -r file; do
-    awk -v file="$file" '
+    whole=0
+    while read -r t; do
+        if [ -n "$t" ] && [[ "$file" == "$t"* ]]; then whole=1; fi
+    done <<< "$test_only"
+    awk -v file="$file" -v whole="$whole" '
+        whole { exit }
         /^#\[cfg\(test\)\]/ { exit }
         { lines++ }
         /^[[:space:]]*#\[cfg\(test\)\]/ { items++ }
