@@ -118,7 +118,6 @@ impl RetryBudget {
 /// nearly identical inputs — exactly the correlation jitter exists to
 /// destroy.
 fn unit_hash(id: u64, attempt: u32) -> f64 {
-    // splitmix64 finalizer over the independently-mixed pair.
     let x = splitmix64(
         id.wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(u64::from(attempt).wrapping_mul(0xd1b5_4a32_d192_ed03)),
