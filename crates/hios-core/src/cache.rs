@@ -15,9 +15,10 @@ use hios_graph::hash::Fnv;
 
 /// Structural fingerprint of a computation graph: the identity hash
 /// ([`Fnv`], byte-wise) of the operator count, every operator's name and
-/// output shape, and the edge list.  Two graphs with the same fingerprint are (with overwhelming
-/// probability) the same scheduling problem; the id-ordered sweep makes
-/// the fingerprint deterministic across runs and platforms.
+/// output shape, and the edge list.  Two graphs with the same
+/// fingerprint are (with overwhelming probability) the same scheduling
+/// problem; the id-ordered sweep makes the fingerprint deterministic
+/// across runs and platforms.
 pub fn graph_fingerprint(g: &Graph) -> u64 {
     let mut h = Fnv::new();
     h.write_u64(g.num_ops() as u64);

@@ -4,8 +4,8 @@
 //! One loop places operators: `ListState::replay_incremental`, which
 //! re-derives a committed list schedule extended with newly placed
 //! operators.  HIOS-LP runs its candidate trials through it, and
-//! `ListState::from_scratch` is the same replay over an empty schedule.  Each
-//! GPU's gap scan walks its busy runs.  Every fast path is
+//! `ListState::from_scratch` is the same replay over an empty schedule.
+//! Each GPU's gap scan walks its busy runs.  Every fast path is
 //! differential-tested to be bit-identical to [`crate::reference`].
 
 use crate::dense::{DenseContext, NO_GPU};

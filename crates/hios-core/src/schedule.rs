@@ -406,11 +406,11 @@ impl Schedule {
 
     /// Content digest of the schedule: the identity hash ([`Fnv`], over
     /// little-endian words) of the GPU count and every stage's operator
-    /// list, in order.  Two schedules digest
-    /// equal iff they are structurally identical, so the digest is the
-    /// identity a content-addressed plan store verifies plans against —
-    /// a reconstructed plan whose digest mismatches its record must
-    /// never be served.
+    /// list, in order.  Two schedules digest equal iff they are
+    /// structurally identical, so the digest is the identity a
+    /// content-addressed plan store verifies plans against — a
+    /// reconstructed plan whose digest mismatches its record must never
+    /// be served.
     pub fn content_digest(&self) -> u64 {
         let mut h = Fnv::new();
         h.write_u64(self.gpus.len() as u64);
