@@ -146,6 +146,20 @@ mod tests {
     }
 
     #[test]
+    fn the_paper_draw_is_pinned() {
+        // The fingerprint folds every exec, utilization and transfer bit,
+        // so a moved range, floor or saturation point moves it.
+        let g = sample_graph(6);
+        let cfg = RandomCostConfig::paper_default(7);
+        let hex = |t: CostTable| format!("{:#018x}", t.platform_fingerprint());
+        assert_eq!(hex(random_cost_table(&g, &cfg)), "0x3fbb668e3cad4100");
+        assert_eq!(
+            hex(random_cost_table(&g, &cfg.with_p(1.2))),
+            "0x380cec3630a583fe"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "execution-time range")]
     fn rejects_bad_range() {
         let g = sample_graph(5);

@@ -224,6 +224,19 @@ mod tests {
     }
 
     #[test]
+    fn a_measurement_is_pinned() {
+        // Every jittered run's makespan lands in the mean's bits.
+        let (g, cost, s) = setup();
+        let cfg = MeasureConfig {
+            runs: 8,
+            seed: 11,
+            ..MeasureConfig::default()
+        };
+        let m = measure(&g, &cost, &s, &SimConfig::analytical(), &cfg).unwrap();
+        assert_eq!(m.mean_ms, f64::from_bits(0x4041_c4dc_a46e_271f));
+    }
+
+    #[test]
     fn zero_jitter_is_deterministic() {
         let (g, cost, s) = setup();
         let m = measure(

@@ -523,6 +523,17 @@ mod tests {
     }
 
     #[test]
+    fn a_fail_stop_repair_is_pinned() {
+        // Detection latency, repair downtime and the resumed segment all
+        // land in the makespan's bits.
+        let (g, cost, s, base) = setup(3, 7);
+        let plan = FaultPlan::single(base * 0.5, FaultKind::GpuFailStop { gpu: 1 });
+        let r = run_with_repair(&g, &cost, &s, &plan, &RecoveryConfig::analytical()).unwrap();
+        assert_eq!(r.repairs, 1);
+        assert_eq!(r.makespan, f64::from_bits(0x4049_64f2_292f_975a));
+    }
+
+    #[test]
     fn slowdown_and_link_faults_complete() {
         let (g, cost, s, base) = setup(2, 8);
         for kind in [
