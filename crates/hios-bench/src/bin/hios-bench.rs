@@ -9,12 +9,11 @@
 //! smoke run; `--smoke` shrinks grids further for CI.  `--validate`
 //! structurally checks every schedule the experiments produce and
 //! asserts the studies' headline criteria.  Results land in
-//! `<out>/<table>.csv` plus a combined `<out>/summary.md`; where the
-//! studies' `BENCH_*.json` go is the library's `study` module's business.
+//! `<out>/<table>.csv`; where the studies' `BENCH_*.json` go is the
+//! library's `study` module's business.
 
 use hios_bench::RunCfg;
 use hios_bench::experiments::{Experiment, all_experiments};
-use std::io::Write;
 use std::time::Instant;
 
 fn main() {
@@ -74,8 +73,6 @@ fn main() {
     };
 
     std::fs::create_dir_all(&cfg.out_dir).expect("create results dir");
-    let mut summary = String::from("# HIOS reproduction results\n\n");
-    summary.push_str(&format!("seeds per simulation point: {}\n\n", cfg.seeds));
     for (name, run) in to_run {
         let started = Instant::now();
         eprint!("running {name} ... ");
@@ -86,11 +83,7 @@ fn main() {
             started.elapsed().as_secs_f64(),
             table.name
         );
-        summary.push_str(&table.to_markdown());
     }
-    let mut f = std::fs::File::create(cfg.out_dir.join("summary.md")).expect("summary.md");
-    f.write_all(summary.as_bytes()).expect("write summary");
-    eprintln!("wrote {}/summary.md", cfg.out_dir.display());
 }
 
 fn die(msg: &str) -> ! {

@@ -17,8 +17,7 @@ use hios_core::{Algorithm, SchedulerOptions, run_scheduler};
 use hios_cost::AnalyticCostModel;
 use hios_graph::Graph;
 use hios_sim::{
-    FaultKind, FaultPlan, MeasureConfig, RecoveryConfig, SimConfig, measure, measure_recovery,
-    simulate,
+    FaultKind, FaultPlan, MeasureConfig, SimConfig, measure, measure_recovery, simulate,
 };
 use rayon::prelude::*;
 
@@ -111,18 +110,11 @@ fn run_cell(c: CellCfg, runs: u32, validate: bool) -> CellOut {
     let at_ms = sim.makespan * 0.5;
     let plan = plan_for(c.fault, at_ms, &g, &sim, c.gpus);
 
-    let mcfg = MeasureConfig {
-        runs,
-        jitter: 0.03,
-        seed: 17,
-    };
+    let mcfg = MeasureConfig { runs, seed: 17 };
     let base = measure(&g, &cost, &out.schedule, &SimConfig::analytical(), &mcfg)
         .expect("fault-free measurement");
-    let rcfg = RecoveryConfig {
-        repair: RepairConfig::new(c.policy),
-        ..RecoveryConfig::analytical()
-    };
-    let rec = measure_recovery(&g, &cost, &out.schedule, &plan, &rcfg, &mcfg)
+    let repair = RepairConfig::new(c.policy);
+    let rec = measure_recovery(&g, &cost, &out.schedule, &plan, &repair, &mcfg)
         .expect("recovery measurement");
     CellOut {
         cfg: c,

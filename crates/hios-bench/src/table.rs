@@ -1,4 +1,4 @@
-//! Result tables: CSV and markdown emission.
+//! Result tables and their CSV emission.
 
 use std::io::Write;
 use std::path::Path;
@@ -47,21 +47,6 @@ impl Table {
         out
     }
 
-    /// GitHub-flavoured markdown rendering.
-    pub fn to_markdown(&self) -> String {
-        let mut out = format!("### {}\n\n", self.title);
-        out.push_str(&format!("| {} |\n", self.columns.join(" | ")));
-        out.push_str(&format!(
-            "|{}\n",
-            self.columns.iter().map(|_| "---|").collect::<String>()
-        ));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out.push('\n');
-        out
-    }
-
     /// Writes `<dir>/<name>.csv`.
     pub fn write_csv(&self, dir: &Path) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
@@ -91,13 +76,8 @@ mod tests {
     }
 
     #[test]
-    fn csv_and_markdown() {
-        let t = sample();
-        assert_eq!(t.to_csv(), "a,b\n1,2\n");
-        let md = t.to_markdown();
-        assert!(md.contains("### Title"));
-        assert!(md.contains("| a | b |"));
-        assert!(md.contains("| 1 | 2 |"));
+    fn csv() {
+        assert_eq!(sample().to_csv(), "a,b\n1,2\n");
     }
 
     #[test]

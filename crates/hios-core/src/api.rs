@@ -119,8 +119,6 @@ pub struct SchedulerOptions {
     pub num_gpus: usize,
     /// Maximum sliding-window size `w` for Alg. 2.
     pub window: usize,
-    /// IOS pruning knobs.
-    pub ios: IosConfig,
     /// Run [`Schedule::validate_full`] on the produced schedule before
     /// returning it (debug gate; on by default in debug builds).  A
     /// failure is a scheduler bug, surfaced as
@@ -134,7 +132,6 @@ impl SchedulerOptions {
         SchedulerOptions {
             num_gpus: m,
             window: 4,
-            ios: IosConfig::default(),
             validate: cfg!(debug_assertions),
         }
     }
@@ -272,7 +269,7 @@ pub fn run_scheduler_with(
     let (schedule, latency) = match algo {
         Algorithm::Sequential => (schedule_sequential(g, cost), None),
         Algorithm::Ios => {
-            let (schedule, _, probes) = run_dp(g, cost, opts.ios);
+            let (schedule, _, probes) = run_dp(g, cost, IosConfig::default());
             ws.probes = probes;
             (schedule, None)
         }

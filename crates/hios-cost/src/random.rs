@@ -11,22 +11,29 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// Parameters of the random cost generator.
+/// Lower bound of the uniform execution-time draw, ms (paper: 0.1).
+const MIN_EXEC_MS: f64 = 0.1;
+/// Upper bound of the draw, ms (paper: 4.0).
+const MAX_EXEC_MS: f64 = 4.0;
+/// Transfer-time floor, ms (paper: 0.1): `t(u,v) = max(floor, p·t(u))`.
+const TRANSFER_FLOOR_MS: f64 = 0.1;
+/// Execution time at which an operator is considered to saturate the
+/// GPU; `u(v) = clamp(t(v)/saturation, 0.05, 1)`.  Big operators (the
+/// paper's motivation) gain nothing from co-scheduling, small ones do.
+const SATURATION_EXEC_MS: f64 = 2.0;
+
+const _: () = {
+    assert!(MIN_EXEC_MS > 0.0 && MAX_EXEC_MS >= MIN_EXEC_MS && MAX_EXEC_MS.is_finite());
+    assert!(TRANSFER_FLOOR_MS > 0.0 && SATURATION_EXEC_MS > 0.0);
+};
+
+/// Parameters of the random cost generator; the paper's fixed ranges
+/// are this module's constants.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RandomCostConfig {
-    /// Lower bound of the uniform execution-time draw, ms (paper: 0.1).
-    pub min_exec_ms: f64,
-    /// Upper bound, ms (paper: 4.0).
-    pub max_exec_ms: f64,
     /// Communication/computation ratio `p`: `t(u,v) = max(floor, p·t(u))`
     /// (paper default 0.8; Fig. 11 sweeps 0.4..1.2).
     pub p: f64,
-    /// Transfer-time floor, ms (paper: 0.1).
-    pub transfer_floor_ms: f64,
-    /// Execution time at which an operator is considered to saturate the
-    /// GPU; `u(v) = clamp(t(v)/saturation, 0.05, 1)`. Big operators (the
-    /// paper's motivation) gain nothing from co-scheduling, small ones do.
-    pub saturation_exec_ms: f64,
     /// RNG seed; combined with the graph size so each instance differs.
     pub seed: u64,
 }
@@ -34,14 +41,7 @@ pub struct RandomCostConfig {
 impl RandomCostConfig {
     /// The paper's §V-A defaults with the given seed.
     pub fn paper_default(seed: u64) -> Self {
-        RandomCostConfig {
-            min_exec_ms: 0.1,
-            max_exec_ms: 4.0,
-            p: 0.8,
-            transfer_floor_ms: 0.1,
-            saturation_exec_ms: 2.0,
-            seed,
-        }
+        RandomCostConfig { p: 0.8, seed }
     }
 
     /// Same defaults with a different communication ratio (Fig. 11 sweep).
@@ -54,21 +54,17 @@ impl RandomCostConfig {
 /// Draws a random cost table for `graph` per the paper's simulation
 /// settings. Deterministic in `(graph size, cfg.seed)`.
 pub fn random_cost_table(graph: &Graph, cfg: &RandomCostConfig) -> CostTable {
-    assert!(
-        cfg.min_exec_ms > 0.0 && cfg.max_exec_ms >= cfg.min_exec_ms,
-        "execution-time range must be positive"
-    );
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ (graph.num_ops() as u64).rotate_left(32));
     let exec_ms: Vec<f64> = (0..graph.num_ops())
-        .map(|_| rng.random_range(cfg.min_exec_ms..=cfg.max_exec_ms))
+        .map(|_| rng.random_range(MIN_EXEC_MS..=MAX_EXEC_MS))
         .collect();
     let util: Vec<f64> = exec_ms
         .iter()
-        .map(|&t| (t / cfg.saturation_exec_ms).clamp(0.05, 1.0))
+        .map(|&t| (t / SATURATION_EXEC_MS).clamp(0.05, 1.0))
         .collect();
     let transfer_out_ms: Vec<f64> = exec_ms
         .iter()
-        .map(|&t| (cfg.p * t).max(cfg.transfer_floor_ms))
+        .map(|&t| (cfg.p * t).max(TRANSFER_FLOOR_MS))
         .collect();
     CostTable::homogeneous(
         format!("random(seed={}, p={})", cfg.seed, cfg.p),
@@ -157,14 +153,5 @@ mod tests {
             hex(random_cost_table(&g, &cfg.with_p(1.2))),
             "0x380cec3630a583fe"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "execution-time range")]
-    fn rejects_bad_range() {
-        let g = sample_graph(5);
-        let mut cfg = RandomCostConfig::paper_default(0);
-        cfg.min_exec_ms = -1.0;
-        random_cost_table(&g, &cfg);
     }
 }

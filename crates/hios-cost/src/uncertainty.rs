@@ -15,7 +15,7 @@
 //!   `1.0` and the variance at `0.0` — the bit-identity anchor for the
 //!   no-drift path.  Nominal observations arrive in batches
 //!   ([`Calibrator::observe_nominal`]): once a cell's bits stop moving
-//!   under them, a batch of any size only counts.
+//!   under them, a batch of any size changes nothing.
 //! * `CusumDetector` — a two-sided CUSUM over `r − 1` that flags
 //!   *sustained* drift while ignoring one-off outliers, emitting a typed
 //!   [`DriftAlarm`].
@@ -177,7 +177,6 @@ impl fmt::Display for DriftAlarm {
 pub(crate) struct OnlineStats {
     mean: f64,
     var: f64,
-    count: u64,
 }
 
 impl Default for OnlineStats {
@@ -185,7 +184,6 @@ impl Default for OnlineStats {
         OnlineStats {
             mean: 1.0,
             var: 0.0,
-            count: 0,
         }
     }
 }
@@ -198,7 +196,6 @@ impl OnlineStats {
         // West's EWMA variance: decays toward zero when observations
         // settle, so the inflation term vanishes once drift stabilizes.
         self.var = (1.0 - alpha) * (self.var + alpha * delta * delta);
-        self.count += 1;
     }
 
     /// Current EWMA mean of the ratio.
@@ -209,11 +206,6 @@ impl OnlineStats {
     /// Current EWMA standard deviation of the ratio.
     pub(crate) fn std(&self) -> f64 {
         self.var.max(0.0).sqrt()
-    }
-
-    /// Number of observations folded in.
-    pub(crate) fn count(&self) -> u64 {
-        self.count
     }
 
     /// Pessimistic-percentile estimate `mean + k·σ`.
@@ -379,9 +371,8 @@ impl Calibrator {
 
     /// Folds `k` exactly-nominal observations into the cell for
     /// `(gpu, op)`, bit-identically to `k` [`Calibrator::observe`]s of
-    /// equal usable durations, observation count included; a ratio of 1
-    /// never alarms.  The cell steps until it is settled, then only
-    /// counts: O(1) for any `k` once settled.
+    /// equal usable durations; a ratio of 1 never alarms.  The cell steps
+    /// until it is settled and no further: O(1) for any `k` once settled.
     pub fn observe_nominal(
         &mut self,
         gpu: usize,
@@ -399,7 +390,6 @@ impl Calibrator {
             debug_assert!(alarm.is_none(), "a nominal observation alarmed");
             left -= 1;
         }
-        cell.stats.count += left;
         if let Some(mut copy) = replay {
             (0..k).for_each(|_| _ = copy.observe(1.0));
             debug_assert_eq!(
@@ -415,9 +405,6 @@ impl Calibrator {
     /// `clamp(mean + k·σ)`.  Exactly `1.0` for untouched cells.
     pub fn correction(&self, gpu: usize, op: OpId) -> f64 {
         let cell = &self.cells[self.cell_index(gpu, op)];
-        if cell.stats.count() == 0 {
-            return 1.0;
-        }
         let robust = cell.stats.robust(K_SIGMA);
         if robust.is_finite() {
             robust.clamp(MIN_FACTOR, MAX_FACTOR)

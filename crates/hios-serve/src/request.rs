@@ -13,8 +13,8 @@ use std::fmt;
 /// SLO priority class of a request (ISSUE 8).
 ///
 /// Classes order strictly: Gold is never shed by the brownout
-/// controller, Bronze goes first.  Deadline multipliers live in the
-/// workload layer ([`crate::workload::ClassMix`]); the class itself is
+/// controller, Bronze goes first.  Deadline multipliers are constants of
+/// the workload layer ([`crate::workload::ClassMix`]); the class itself is
 /// just the tag the server degrades by.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PriorityClass {

@@ -8,10 +8,10 @@
 //! of its config — the foundation of the serve loop's bit-identical
 //! replay guarantee.
 //!
-//! ISSUE 8 adds SLO priority classes: [`ClassMix`] draws each request's
-//! [`PriorityClass`] from a seeded categorical distribution and widens
-//! its deadline by a per-class multiplier (Gold keeps the tight SLO,
-//! Bronze is best-effort).  [`generate_trace`] stays class-free (all
+//! SLO priority classes: [`generate_trace_with_classes`] draws each
+//! request's [`PriorityClass`] from a seeded categorical distribution and
+//! widens its deadline by a per-class multiplier (Gold keeps the tight
+//! SLO, Bronze is best-effort).  [`generate_trace`] stays class-free (all
 //! Gold), so pre-existing workloads are byte-for-byte unchanged.
 
 use crate::request::{PriorityClass, Request};
@@ -32,69 +32,42 @@ pub struct WorkloadConfig {
     pub seed: u64,
 }
 
-/// Arrival mix and deadline policy of the three SLO classes.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ClassMix {
-    /// Fraction of Gold arrivals.
-    pub gold: f64,
-    /// Fraction of Silver arrivals.
-    pub silver: f64,
-    /// Fraction of Bronze arrivals (the three must sum to ~1).
-    pub bronze: f64,
-    /// Per-class multiplier applied on top of
-    /// [`WorkloadConfig::deadline_factor`], indexed by
-    /// [`PriorityClass::index`].
-    pub deadline_mult: [f64; 3],
-}
+/// Fraction of Gold arrivals.
+const GOLD: f64 = 0.2;
+/// Fraction of Silver arrivals.
+const SILVER: f64 = 0.3;
+/// Fraction of Bronze arrivals: the rest, so the three sum to 1.
+const BRONZE: f64 = 1.0 - (GOLD + SILVER);
+/// Per-class multiplier applied on top of
+/// [`WorkloadConfig::deadline_factor`], indexed by
+/// [`PriorityClass::index`]: Gold keeps the base SLO, Silver gets 1.5×,
+/// Bronze 2.5× slack.
+const DEADLINE_MULT: [f64; 3] = [1.0, 1.5, 2.5];
 
-impl Default for ClassMix {
-    /// 20% Gold / 30% Silver / 50% Bronze; Gold keeps the base SLO,
-    /// Silver gets 1.5×, Bronze 2.5× slack.
-    fn default() -> Self {
-        ClassMix {
-            gold: 0.2,
-            silver: 0.3,
-            bronze: 0.5,
-            deadline_mult: [1.0, 1.5, 2.5],
-        }
+const _: () = {
+    assert!(GOLD >= 0.0 && SILVER >= 0.0 && BRONZE >= 0.0);
+    let mut i = 0;
+    while i < DEADLINE_MULT.len() {
+        assert!(DEADLINE_MULT[i] > 0.0 && DEADLINE_MULT[i].is_finite());
+        i += 1;
     }
-}
+};
 
-impl ClassMix {
-    /// Rejects non-finite or negative fractions, a mix that does not
-    /// sum to 1 (±1e-6), and non-positive deadline multipliers.
-    pub fn validate(&self) -> Result<(), String> {
-        for (name, x) in [
-            ("gold", self.gold),
-            ("silver", self.silver),
-            ("bronze", self.bronze),
-        ] {
-            if !x.is_finite() || x < 0.0 {
-                return Err(format!("{name} fraction {x} must be finite >= 0"));
-            }
-        }
-        let sum = self.gold + self.silver + self.bronze;
-        if (sum - 1.0).abs() > 1e-6 {
-            return Err(format!("class fractions sum to {sum}, expected 1"));
-        }
-        for m in self.deadline_mult {
-            if !m.is_finite() || m <= 0.0 {
-                return Err(format!("deadline multiplier {m} must be finite > 0"));
-            }
-        }
-        Ok(())
-    }
+/// Switch of the SLO classes: [`generate_trace_with_classes`] draws
+/// 20% Gold / 30% Silver / 50% Bronze.  The mix and the deadline
+/// multipliers are this module's constants, checked at compile time.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ClassMix {}
 
-    /// Draws a class from the categorical distribution via one uniform
-    /// sample.
-    fn draw(&self, u: f64) -> PriorityClass {
-        if u < self.gold {
-            PriorityClass::Gold
-        } else if u < self.gold + self.silver {
-            PriorityClass::Silver
-        } else {
-            PriorityClass::Bronze
-        }
+/// Draws a class from the categorical distribution via one uniform
+/// sample.
+fn draw(u: f64) -> PriorityClass {
+    if u < GOLD {
+        PriorityClass::Gold
+    } else if u < GOLD + SILVER {
+        PriorityClass::Silver
+    } else {
+        PriorityClass::Bronze
     }
 }
 
@@ -112,27 +85,22 @@ pub fn trace_span_ms(trace: &[Request]) -> f64 {
 /// the pre-class workloads.  Use [`generate_trace_with_classes`] for a
 /// mixed-SLO trace.
 pub fn generate_trace(cfg: &WorkloadConfig, nominal_ms: &[f64]) -> Vec<Request> {
-    generate_trace_inner(cfg, nominal_ms, None)
+    generate_trace_inner(cfg, nominal_ms, false)
 }
 
 /// Like [`generate_trace`], with each request's [`PriorityClass`] drawn
-/// from `mix` and its deadline widened by the class multiplier.  The
-/// class draw consumes its own sample from the same seeded stream, so
-/// the trace stays a pure function of (config, nominals, mix).
+/// from the class mix and its deadline widened by the class multiplier.
+/// The class draw consumes its own sample from the same seeded stream,
+/// so the trace stays a pure function of (config, nominals).
 pub fn generate_trace_with_classes(
     cfg: &WorkloadConfig,
     nominal_ms: &[f64],
-    mix: &ClassMix,
+    _mix: &ClassMix,
 ) -> Vec<Request> {
-    mix.validate().expect("invalid class mix");
-    generate_trace_inner(cfg, nominal_ms, Some(mix))
+    generate_trace_inner(cfg, nominal_ms, true)
 }
 
-fn generate_trace_inner(
-    cfg: &WorkloadConfig,
-    nominal_ms: &[f64],
-    mix: Option<&ClassMix>,
-) -> Vec<Request> {
+fn generate_trace_inner(cfg: &WorkloadConfig, nominal_ms: &[f64], classes: bool) -> Vec<Request> {
     assert!(!nominal_ms.is_empty(), "at least one tenant model");
     assert!(
         cfg.arrival_rate_rps > 0.0 && cfg.arrival_rate_rps.is_finite(),
@@ -150,12 +118,11 @@ fn generate_trace_inner(
         let u: f64 = rng.random_range(0.0..1.0);
         t += -mean_gap_ms * (1.0 - u).ln();
         let model = i % nominal_ms.len();
-        let (class, mult) = match mix {
-            Some(mix) => {
-                let c = mix.draw(rng.random_range(0.0..1.0));
-                (c, mix.deadline_mult[c.index()])
-            }
-            None => (PriorityClass::Gold, 1.0),
+        let (class, mult) = if classes {
+            let c = draw(rng.random_range(0.0..1.0));
+            (c, DEADLINE_MULT[c.index()])
+        } else {
+            (PriorityClass::Gold, 1.0)
         };
         out.push(Request {
             id: i as u64,
@@ -245,14 +212,13 @@ mod tests {
             deadline_factor: 2.0,
             seed: 17,
         };
-        let mix = ClassMix::default();
-        let a = generate_trace_with_classes(&cfg, &[10.0], &mix);
-        let b = generate_trace_with_classes(&cfg, &[10.0], &mix);
+        let a = generate_trace_with_classes(&cfg, &[10.0], &ClassMix::default());
+        let b = generate_trace_with_classes(&cfg, &[10.0], &ClassMix::default());
         assert_eq!(a, b);
         let mut counts = [0usize; 3];
         for r in &a {
             counts[r.class.index()] += 1;
-            let mult = mix.deadline_mult[r.class.index()];
+            let mult = DEADLINE_MULT[r.class.index()];
             assert!(
                 (r.deadline_ms - r.arrival_ms - mult * 2.0 * 10.0).abs() < 1e-9,
                 "class {} deadline",
@@ -263,25 +229,5 @@ mod tests {
         assert!((frac(0) - 0.2).abs() < 0.05, "gold {}", frac(0));
         assert!((frac(1) - 0.3).abs() < 0.05, "silver {}", frac(1));
         assert!((frac(2) - 0.5).abs() < 0.05, "bronze {}", frac(2));
-    }
-
-    #[test]
-    fn bad_class_mixes_are_rejected() {
-        let m = ClassMix {
-            gold: 0.9, // sums to 1.7
-            ..ClassMix::default()
-        };
-        assert!(m.validate().is_err());
-        let m = ClassMix {
-            bronze: -0.1,
-            ..ClassMix::default()
-        };
-        assert!(m.validate().is_err());
-        let m = ClassMix {
-            deadline_mult: [1.0, 0.0, 2.5],
-            ..ClassMix::default()
-        };
-        assert!(m.validate().is_err());
-        assert!(ClassMix::default().validate().is_ok());
     }
 }

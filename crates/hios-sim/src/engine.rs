@@ -967,7 +967,7 @@ mod tests {
                 &cost,
                 &s,
                 &crate::FaultPlan::none(),
-                &crate::RecoveryConfig::analytical()
+                &hios_core::repair::RepairConfig::default()
             )
             .unwrap_err(),
             crate::RecoverError::Sim(want)

@@ -43,6 +43,4 @@ pub use fault::{
     validate_cluster_events,
 };
 pub use measure::{MeasureConfig, Measurement, RecoveryMeasurement, measure, measure_recovery};
-pub use recover::{
-    RecoverError, RecoveryConfig, RecoveryResult, RepairAction, SimEvent, run_with_repair,
-};
+pub use recover::{RecoverError, RecoveryResult, RepairAction, SimEvent, run_with_repair};

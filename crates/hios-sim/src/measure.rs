@@ -9,8 +9,9 @@
 
 use crate::engine::{SimConfig, SimError, simulate};
 use crate::fault::FaultPlan;
-use crate::recover::{RecoverError, RecoveryConfig, run_with_repair};
+use crate::recover::{RecoverError, run_with_repair};
 use hios_core::Schedule;
+use hios_core::repair::RepairConfig;
 use hios_cost::CostTable;
 use hios_graph::Graph;
 use rand::rngs::StdRng;
@@ -22,42 +23,42 @@ use rand::{Rng, SeedableRng};
 /// does wherever it is placed.  One draw per operator also keeps the RNG
 /// stream — and therefore every homogeneous measurement — identical to
 /// the flat-table era.
-fn jitter_table(noisy: &mut CostTable, jitter: f64, rng: &mut StdRng) {
+fn jitter_table(noisy: &mut CostTable, rng: &mut StdRng) {
     let n = noisy.num_ops();
     for i in 0..n {
-        let f = 1.0 + rng.random_range(0.0..jitter);
+        let f = 1.0 + rng.random_range(0.0..JITTER);
         for row in &mut noisy.device.exec_ms {
             row[i] *= f;
         }
     }
     for i in 0..n {
-        let f = 1.0 + rng.random_range(0.0..jitter);
+        let f = 1.0 + rng.random_range(0.0..JITTER);
         for row in &mut noisy.transfer_ms {
             row[i] *= f;
         }
     }
 }
 
-/// Noise configuration.
+/// Multiplicative jitter amplitude: each duration is scaled by a uniform
+/// factor in `[1, 1 + JITTER)` per run (executions only get slower than
+/// the profiled best case).
+const JITTER: f64 = 0.03;
+
+const _: () = assert!(JITTER > 0.0 && JITTER.is_finite());
+
+/// Repetition count and seed of a measurement; the noise amplitude is
+/// this module's constant.
 #[derive(Clone, Copy, Debug)]
 pub struct MeasureConfig {
     /// Number of simulated runs (paper default 36).
     pub runs: u32,
-    /// Multiplicative jitter amplitude: each duration is scaled by a
-    /// uniform factor in `[1, 1 + jitter]` per run (executions only get
-    /// slower than the profiled best case).
-    pub jitter: f64,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl Default for MeasureConfig {
     fn default() -> Self {
-        MeasureConfig {
-            runs: 36,
-            jitter: 0.03,
-            seed: 0,
-        }
+        MeasureConfig { runs: 36, seed: 0 }
     }
 }
 
@@ -100,13 +101,10 @@ fn jittered_runs<E>(
     mut run: impl FnMut(&CostTable) -> Result<(), E>,
 ) -> Result<(), E> {
     assert!(cfg.runs >= 1, "need at least one run");
-    assert!(cfg.jitter >= 0.0, "jitter must be non-negative");
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     for _ in 0..cfg.runs {
         let mut noisy = cost.clone();
-        if cfg.jitter > 0.0 {
-            jitter_table(&mut noisy, cfg.jitter, &mut rng);
-        }
+        jitter_table(&mut noisy, &mut rng);
         run(&noisy)?;
     }
     Ok(())
@@ -156,13 +154,13 @@ pub fn measure_recovery(
     cost: &CostTable,
     sched: &Schedule,
     plan: &FaultPlan,
-    rcfg: &RecoveryConfig,
+    repair: &RepairConfig,
     cfg: &MeasureConfig,
 ) -> Result<RecoveryMeasurement, RecoverError> {
     let mut samples = Vec::with_capacity(cfg.runs as usize);
     let mut repairs_total = 0usize;
     jittered_runs(cost, cfg, |noisy| {
-        let r = run_with_repair(g, noisy, sched, plan, rcfg)?;
+        let r = run_with_repair(g, noisy, sched, plan, repair)?;
         repairs_total += r.repairs;
         if r.completed {
             samples.push(r.makespan);
@@ -227,42 +225,15 @@ mod tests {
     fn a_measurement_is_pinned() {
         // Every jittered run's makespan lands in the mean's bits.
         let (g, cost, s) = setup();
-        let cfg = MeasureConfig {
-            runs: 8,
-            seed: 11,
-            ..MeasureConfig::default()
-        };
+        let cfg = MeasureConfig { runs: 8, seed: 11 };
         let m = measure(&g, &cost, &s, &SimConfig::analytical(), &cfg).unwrap();
         assert_eq!(m.mean_ms, f64::from_bits(0x4041_c4dc_a46e_271f));
     }
 
     #[test]
-    fn zero_jitter_is_deterministic() {
-        let (g, cost, s) = setup();
-        let m = measure(
-            &g,
-            &cost,
-            &s,
-            &SimConfig::analytical(),
-            &MeasureConfig {
-                runs: 5,
-                jitter: 0.0,
-                seed: 1,
-            },
-        )
-        .unwrap();
-        assert_eq!(m.std_ms, 0.0);
-        assert_eq!(m.min_ms, m.max_ms);
-    }
-
-    #[test]
     fn deterministic_per_seed() {
         let (g, cost, s) = setup();
-        let cfg = MeasureConfig {
-            runs: 10,
-            jitter: 0.05,
-            seed: 42,
-        };
+        let cfg = MeasureConfig { runs: 10, seed: 42 };
         let a = measure(&g, &cost, &s, &SimConfig::analytical(), &cfg).unwrap();
         let b = measure(&g, &cost, &s, &SimConfig::analytical(), &cfg).unwrap();
         assert_eq!(a, b);
@@ -275,20 +246,14 @@ mod tests {
             .unwrap()
             .makespan;
         let plan = FaultPlan::single(base * 0.5, FaultKind::GpuFailStop { gpu: 1 });
-        let cfg = MeasureConfig {
-            runs: 8,
-            jitter: 0.03,
-            seed: 7,
-        };
-        let m =
-            measure_recovery(&g, &cost, &s, &plan, &RecoveryConfig::analytical(), &cfg).unwrap();
+        let cfg = MeasureConfig { runs: 8, seed: 7 };
+        let m = measure_recovery(&g, &cost, &s, &plan, &RepairConfig::default(), &cfg).unwrap();
         assert_eq!(m.completed_runs, m.runs);
         assert_eq!(m.completion_rate(), 1.0);
         assert!(m.mean_repairs >= 1.0);
         assert!(m.stats.mean_ms > base, "{} vs {base}", m.stats.mean_ms);
         // Deterministic per seed.
-        let m2 =
-            measure_recovery(&g, &cost, &s, &plan, &RecoveryConfig::analytical(), &cfg).unwrap();
+        let m2 = measure_recovery(&g, &cost, &s, &plan, &RepairConfig::default(), &cfg).unwrap();
         assert_eq!(m, m2);
     }
 }

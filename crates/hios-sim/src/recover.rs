@@ -2,7 +2,7 @@
 //!
 //! [`run_with_repair`] executes a schedule under a [`FaultPlan`]: the
 //! discrete-event engine runs until a fault fires, the fault is detected
-//! after a configurable latency, the run is cut at the detection instant
+//! after a fixed latency (0.5 ms), the run is cut at the detection instant
 //! — operators that finished by then are *pinned* (their outputs are
 //! checkpointed and available cluster-wide, DESIGN.md §8), operators in
 //! flight or invalidated by the fault are *restarted* — and
@@ -30,7 +30,7 @@
 //!   is transient — a timeout, not a broken device).
 //!
 //! Everything is deterministic: same graph, costs, schedule, plan and
-//! configuration give bit-identical results at any thread count.
+//! repair configuration give bit-identical results at any thread count.
 
 use crate::engine::{Scaling, SimConfig, SimError, check_platform, simulate_scaled};
 use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanError};
@@ -45,41 +45,11 @@ use std::fmt;
 /// Downtime spent computing and distributing one repair, ms.
 const REPAIR_OVERHEAD_MS: f64 = 0.1;
 
-/// Knobs of the recovery loop.
-#[derive(Clone, Copy, Debug)]
-pub struct RecoveryConfig {
-    /// Engine configuration for every (re)run segment.
-    pub sim: SimConfig,
-    /// Repair policy and window.
-    pub repair: RepairConfig,
-    /// Time between a fault firing and the runtime noticing it, ms.
-    pub detection_ms: f64,
-}
+/// Time between a fault firing and the runtime noticing it, ms (a
+/// testbed-flavoured watchdog latency).
+const DETECTION_MS: f64 = 0.5;
 
-impl RecoveryConfig {
-    /// Analytical engine semantics with a testbed-flavoured 0.5 ms
-    /// detection latency.
-    pub fn analytical() -> Self {
-        RecoveryConfig {
-            sim: SimConfig::analytical(),
-            repair: RepairConfig::default(),
-            detection_ms: 0.5,
-        }
-    }
-
-    /// Rejects a non-finite or negative detection latency: a NaN would
-    /// otherwise poison every absolute timestamp downstream of the
-    /// first repair.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.detection_ms >= 0.0 && self.detection_ms.is_finite()) {
-            return Err(format!(
-                "detection_ms {} must be finite >= 0",
-                self.detection_ms
-            ));
-        }
-        Ok(())
-    }
-}
+const _: () = assert!(DETECTION_MS >= 0.0 && DETECTION_MS.is_finite());
 
 /// What the loop did about one fault.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -133,8 +103,6 @@ pub struct RecoveryResult {
 /// Why a recovery run could not be carried out.
 #[derive(Clone, Debug, PartialEq)]
 pub enum RecoverError {
-    /// The recovery configuration has a non-finite or out-of-range knob.
-    BadConfig(String),
     /// The fault plan does not fit the platform or graph.
     Plan(FaultPlanError),
     /// A simulation segment failed.
@@ -146,7 +114,6 @@ pub enum RecoverError {
 impl fmt::Display for RecoverError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RecoverError::BadConfig(msg) => write!(f, "invalid recovery config: {msg}"),
             RecoverError::Plan(e) => write!(f, "invalid fault plan: {e}"),
             RecoverError::Sim(e) => write!(f, "simulation failed: {e}"),
             RecoverError::Repair(e) => write!(f, "repair failed: {e}"),
@@ -156,17 +123,17 @@ impl fmt::Display for RecoverError {
 
 impl std::error::Error for RecoverError {}
 
-/// Runs `sched` on `g` under `plan`, repairing after every disruptive
+/// Runs `sched` on `g` under `plan` with the analytical engine,
+/// rebuilding the unfinished subgraph by `repair` after every disruptive
 /// fault.  See the module docs for the exact cut semantics.
 pub fn run_with_repair(
     g: &Graph,
     cost: &CostTable,
     sched: &Schedule,
     plan: &FaultPlan,
-    cfg: &RecoveryConfig,
+    repair: &RepairConfig,
 ) -> Result<RecoveryResult, RecoverError> {
     let m = sched.num_gpus();
-    cfg.validate().map_err(RecoverError::BadConfig)?;
     plan.validate(g, m).map_err(RecoverError::Plan)?;
     check_platform(cost, m).map_err(RecoverError::Sim)?;
     let n = g.num_ops();
@@ -185,6 +152,7 @@ pub fn run_with_repair(
     let mut cur_sched = map.to_sub_schedule(sched);
     let mut gpu_map = alive_slots(&alive);
     let mut ws = EvalWorkspace::new();
+    let sim = SimConfig::analytical();
     let mut ev_idx = 0usize;
 
     loop {
@@ -214,7 +182,7 @@ pub fn run_with_repair(
         }
         let projected = project_cost(cost, &map);
         let (slots, slot_scale) = (projected.restrict_gpus(&gpu_map), scale.project(&gpu_map));
-        let r = simulate_scaled(&map.sub, &slots, &cur_sched, &cfg.sim, &slot_scale)
+        let r = simulate_scaled(&map.sub, &slots, &cur_sched, &sim, &slot_scale)
             .map_err(RecoverError::Sim)?;
 
         // Consume events that cannot disturb this run.
@@ -283,7 +251,7 @@ pub fn run_with_repair(
         ev_idx += 1;
 
         let t_f = (e.at_ms - t_now).max(0.0);
-        let t_d = t_f + cfg.detection_ms;
+        let t_d = t_f + DETECTION_MS;
         let nsub = map.sub.num_ops();
         let sub_place = cur_sched.placements(nsub);
 
@@ -360,7 +328,7 @@ pub fn run_with_repair(
             });
         }
 
-        let (rep, rep_map) = repair_schedule(&mut ws, g, cost, &completed, &alive, &cfg.repair)
+        let (rep, rep_map) = repair_schedule(&mut ws, g, cost, &completed, &alive, repair)
             .map_err(RecoverError::Repair)?;
         map = rep_map;
         cur_sched = rep.schedule;
@@ -370,7 +338,7 @@ pub fn run_with_repair(
             fault: e,
             detected_ms: Some(detected_abs),
             action: RepairAction::Rescheduled {
-                policy: cfg.repair.policy,
+                policy: repair.policy,
                 survivors: gpu_map.len(),
             },
         });
@@ -404,36 +372,10 @@ mod tests {
     }
 
     #[test]
-    fn bad_recovery_knobs_are_rejected() {
-        let (g, cost, s, _) = setup(2, 4);
-        let plan = FaultPlan::none();
-        for mutate in [
-            (|c: &mut RecoveryConfig| c.detection_ms = f64::NAN) as fn(&mut RecoveryConfig),
-            |c| c.detection_ms = -1.0,
-            |c| c.detection_ms = f64::INFINITY,
-        ] {
-            let mut cfg = RecoveryConfig::analytical();
-            mutate(&mut cfg);
-            assert!(cfg.validate().is_err(), "{cfg:?} should be rejected");
-            assert!(matches!(
-                run_with_repair(&g, &cost, &s, &plan, &cfg),
-                Err(RecoverError::BadConfig(_))
-            ));
-        }
-        assert!(RecoveryConfig::analytical().validate().is_ok());
-    }
-
-    #[test]
     fn no_faults_matches_plain_simulation() {
         let (g, cost, s, base) = setup(2, 4);
-        let r = run_with_repair(
-            &g,
-            &cost,
-            &s,
-            &FaultPlan::none(),
-            &RecoveryConfig::analytical(),
-        )
-        .unwrap();
+        let r =
+            run_with_repair(&g, &cost, &s, &FaultPlan::none(), &RepairConfig::default()).unwrap();
         assert!(r.completed);
         assert_eq!(r.repairs, 0);
         assert_eq!(r.makespan.to_bits(), base.to_bits());
@@ -445,7 +387,7 @@ mod tests {
         for m in [2usize, 4] {
             let (g, cost, s, base) = setup(m, 4);
             let plan = FaultPlan::single(base * 0.5, FaultKind::GpuFailStop { gpu: 0 });
-            let r = run_with_repair(&g, &cost, &s, &plan, &RecoveryConfig::analytical()).unwrap();
+            let r = run_with_repair(&g, &cost, &s, &plan, &RepairConfig::default()).unwrap();
             assert!(r.completed, "M={m}");
             assert_eq!(r.repairs, 1);
             assert!(!r.final_alive[0]);
@@ -494,13 +436,13 @@ mod tests {
         let s = run_scheduler(Algorithm::HiosLp, &g, &cost, &SchedulerOptions::new(4))
             .unwrap()
             .schedule;
-        let cfg = RecoveryConfig::analytical();
+        let repair = RepairConfig::default();
         let plan = FaultPlan::single(0.0, FaultKind::GpuFailStop { gpu: 0 });
-        let r = run_with_repair(&g, &cost, &s, &plan, &cfg).unwrap();
+        let r = run_with_repair(&g, &cost, &s, &plan, &repair).unwrap();
         assert!(r.completed);
         assert_eq!(r.repairs, 1);
         // What finished by detection was pinned; the rest is the segment.
-        let done: Vec<bool> = r.op_finish.iter().map(|&f| f <= cfg.detection_ms).collect();
+        let done: Vec<bool> = r.op_finish.iter().map(|&f| f <= DETECTION_MS).collect();
         assert!(done.iter().any(|&d| d) && !done.iter().all(|&d| d));
         let (rep, map) = repair_schedule(
             &mut EvalWorkspace::new(),
@@ -508,17 +450,17 @@ mod tests {
             &three,
             &done,
             &[true; 3],
-            &cfg.repair,
+            &repair,
         )
         .unwrap();
         let seg = simulate(
             &map.sub,
             &project_cost(&three, &map),
             &rep.schedule,
-            &cfg.sim,
+            &SimConfig::analytical(),
         )
         .unwrap();
-        let resume = cfg.detection_ms + REPAIR_OVERHEAD_MS;
+        let resume = DETECTION_MS + REPAIR_OVERHEAD_MS;
         assert_eq!(r.makespan, resume + seg.makespan);
     }
 
@@ -528,7 +470,7 @@ mod tests {
         // land in the makespan's bits.
         let (g, cost, s, base) = setup(3, 7);
         let plan = FaultPlan::single(base * 0.5, FaultKind::GpuFailStop { gpu: 1 });
-        let r = run_with_repair(&g, &cost, &s, &plan, &RecoveryConfig::analytical()).unwrap();
+        let r = run_with_repair(&g, &cost, &s, &plan, &RepairConfig::default()).unwrap();
         assert_eq!(r.repairs, 1);
         assert_eq!(r.makespan, f64::from_bits(0x4049_64f2_292f_975a));
     }
@@ -549,7 +491,7 @@ mod tests {
             },
         ] {
             let plan = FaultPlan::single(base * 0.4, kind);
-            let r = run_with_repair(&g, &cost, &s, &plan, &RecoveryConfig::analytical()).unwrap();
+            let r = run_with_repair(&g, &cost, &s, &plan, &RepairConfig::default()).unwrap();
             assert!(r.completed, "{kind:?}");
             assert!(r.op_finish.iter().all(|f| f.is_finite()), "{kind:?}");
             assert!(r.makespan >= base * 0.4, "{kind:?}");
@@ -568,19 +510,18 @@ mod tests {
             .find(|&v| sim.op_start[v.index()] <= mid && sim.op_finish[v.index()] > mid)
             .expect("some op spans the midpoint");
         let plan = FaultPlan::single(mid, FaultKind::OpHang { op: victim });
-        let cfg = RecoveryConfig::analytical();
-        let r = run_with_repair(&g, &cost, &s, &plan, &cfg).unwrap();
+        let r = run_with_repair(&g, &cost, &s, &plan, &RepairConfig::default()).unwrap();
         assert!(r.completed);
         assert_eq!(r.repairs, 1);
         // The hung op only finishes after detection + repair downtime.
-        assert!(r.op_finish[victim.index()] > mid + cfg.detection_ms);
+        assert!(r.op_finish[victim.index()] > mid + DETECTION_MS);
     }
 
     #[test]
     fn post_completion_faults_are_absorbed() {
         let (g, cost, s, base) = setup(2, 4);
         let plan = FaultPlan::single(base * 10.0, FaultKind::GpuFailStop { gpu: 0 });
-        let r = run_with_repair(&g, &cost, &s, &plan, &RecoveryConfig::analytical()).unwrap();
+        let r = run_with_repair(&g, &cost, &s, &plan, &RepairConfig::default()).unwrap();
         assert!(r.completed);
         assert_eq!(r.repairs, 0);
         assert_eq!(r.makespan.to_bits(), base.to_bits());
@@ -604,7 +545,7 @@ mod tests {
                 kind: FaultKind::GpuFailStop { gpu: 1 },
             },
         ]);
-        let r = run_with_repair(&g, &cost, &s, &plan, &RecoveryConfig::analytical()).unwrap();
+        let r = run_with_repair(&g, &cost, &s, &plan, &RepairConfig::default()).unwrap();
         assert!(r.completed);
         assert_eq!(r.final_alive, vec![true, false, false, false]);
         assert!(r.op_finish.iter().all(|f| f.is_finite()));
@@ -614,9 +555,9 @@ mod tests {
     fn recovery_is_deterministic() {
         let (g, cost, s, _) = setup(3, 6);
         let plan = FaultPlan::random(13, &g, 3, 40.0, 5);
-        let cfg = RecoveryConfig::analytical();
-        let a = run_with_repair(&g, &cost, &s, &plan, &cfg).unwrap();
-        let b = run_with_repair(&g, &cost, &s, &plan, &cfg).unwrap();
+        let repair = RepairConfig::default();
+        let a = run_with_repair(&g, &cost, &s, &plan, &repair).unwrap();
+        let b = run_with_repair(&g, &cost, &s, &plan, &repair).unwrap();
         assert_eq!(a, b);
     }
 
@@ -625,7 +566,7 @@ mod tests {
         let (g, cost, s, _) = setup(2, 4);
         let plan = FaultPlan::single(1.0, FaultKind::OpHang { op: OpId(999) });
         assert!(matches!(
-            run_with_repair(&g, &cost, &s, &plan, &RecoveryConfig::analytical()),
+            run_with_repair(&g, &cost, &s, &plan, &RepairConfig::default()),
             Err(RecoverError::Plan(FaultPlanError::UnknownOp(_)))
         ));
     }

@@ -3,11 +3,12 @@
 //! repairs run HIOS-LP on a 700-operator instance, so this replays its
 //! candidate trials end to end.
 
+use hios::core::repair::RepairConfig;
 use hios::core::{Algorithm, SchedulerOptions, run_scheduler};
 use hios::cost::{RandomCostConfig, random_cost_table};
 use hios::graph::{LayeredDagConfig, generate_layered_dag};
 use hios::sim::{FaultEvent, SimConfig};
-use hios::sim::{FaultKind, FaultPlan, RecoveryConfig, run_with_repair, simulate};
+use hios::sim::{FaultKind, FaultPlan, run_with_repair, simulate};
 
 #[test]
 fn recovery_replays_bit_for_bit() {
@@ -38,9 +39,9 @@ fn recovery_replays_bit_for_bit() {
             },
         },
     ]);
-    let cfg = RecoveryConfig::analytical();
+    let repair = RepairConfig::default();
 
-    let run = || run_with_repair(&g, &cost, &out.schedule, &plan, &cfg).unwrap();
+    let run = || run_with_repair(&g, &cost, &out.schedule, &plan, &repair).unwrap();
     let r1 = run();
     let r2 = run();
 

@@ -7,7 +7,7 @@
 use hios::core::{Algorithm, SchedulerOptions, run_scheduler};
 use hios::cost::{RandomCostConfig, random_cost_table};
 use hios::graph::{LayeredDagConfig, generate_layered_dag};
-use hios::sim::{FaultPlan, RecoveryConfig, SimConfig, run_with_repair, simulate};
+use hios::sim::{FaultPlan, SimConfig, run_with_repair, simulate};
 use hios_core::repair::{RepairConfig, RepairPolicy};
 use proptest::prelude::*;
 
@@ -49,11 +49,8 @@ proptest! {
         prop_assert!(plan.validate(&g, m).is_ok());
 
         for policy in [RepairPolicy::Greedy, RepairPolicy::Reschedule] {
-            let rcfg = RecoveryConfig {
-                repair: RepairConfig::new(policy),
-                ..RecoveryConfig::analytical()
-            };
-            let r = run_with_repair(&g, &cost, &out.schedule, &plan, &rcfg).unwrap();
+            let repair = RepairConfig::new(policy);
+            let r = run_with_repair(&g, &cost, &out.schedule, &plan, &repair).unwrap();
             prop_assert!(r.completed, "{policy:?}: run must complete");
             prop_assert!(
                 r.op_finish.iter().all(|f| f.is_finite()),
