@@ -1,8 +1,9 @@
 //! Experiment harness for the HIOS reproduction.
 //!
 //! One module per paper figure under [`experiments`]; the `hios-bench`
-//! binary drives them and writes one CSV per table under `results/`.  Shared plumbing (tables, statistics, the random-DAG
-//! sweep runner) lives in this crate root; the studies that also write a
+//! binary drives them and writes one CSV per table under `results/`.
+//! Shared plumbing (tables, statistics, the random-DAG sweep runner)
+//! lives in this crate root; the studies that also write a
 //! `BENCH_*.json` declare themselves through the `study` module.
 
 #![warn(missing_docs, unreachable_pub)]
